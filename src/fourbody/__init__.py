@@ -14,7 +14,6 @@ from .interval import (
     IntervalMatrix,
     IntervalTensor3,
     IntervalVector,
-    iv_arith,
     matrix_norm,
     matroid_norm,
     max_norm,
@@ -27,7 +26,6 @@ __all__ = [
     "IntervalMatrix",
     "IntervalTensor3",
     "IntervalVector",
-    "iv_arith",
     "matrix_norm",
     "matroid_norm",
     "max_norm",

@@ -4,9 +4,11 @@ A boundary arc gamma(s) is carried into a space-time chart
 Gamma(s, t) = Phi(gamma(s), t / tau) by matching powers of the rescaled
 time variable: tau dGamma/dt = F(Gamma) becomes the recursion
 Gamma_{m,n+1} = b_mn / (tau (n + 1)), with b_mn the Cauchy-product
-coefficients of the lifted polynomial field.  The product grids are
-filled one time-order column at a time, so the whole run costs the
-same as a single full Cauchy product per memo grid.
+coefficients of the lifted polynomial field.  Those come from a column
+interpreter of the field program of ``polyfield``: one grid per program
+node, filled one time-order column at a time, so the whole run costs
+the same as a single full Cauchy product per node.  The same grids
+give the bound on field content beyond the chart's grid.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -38,7 +40,8 @@ from .interval import (
     matrix_norm,
 )
 from .manifold import BoundaryArc
-from .polyfield import DIM, State7, poly_DF, poly_F_point
+from .polyfield import (DIM, FieldProgram, Lin, Mul, State7, field_program,
+                        poly_DF, poly_F_point)
 from .taylor import ScalarSeries2, Series2, mag_sum_bound, product_column
 
 ColumnQuad = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -121,136 +124,83 @@ def taylor_flow(gamma: Series2, b_column: BColumn, N: int,
     return out
 
 
-class _FieldRecursion:
-    """Columnwise memo grids for the lifted field's Cauchy products.
+class _FieldColumns:
+    """Per-column interpreter of the field program on a chart's grids.
 
-    Per body: squares and cubes of the reciprocal distance, the shifted
-    positions times the cube, and the radial factor
-    g = (u1 - x_j) u2 + (u3 - y_j) u4.  Each call to ``b_column``
-    absorbs one new column of the partial chart and fills the matching
-    column of every product, reading only coefficients of equal or
-    lower time order.
+    One (M, N) grid per node, allocated once per flow; the input grids
+    are the chart's components.  ``b_column(G, n)`` fills column n of
+    every node, a Mul node by ``product_column``, a Lin node from its
+    operands' columns (its constant enters at n = 0).  Theorem: if
+    columns 0..n of the inputs are enclosures, so are columns n of all
+    nodes, since a product's column n reads only columns 0..n.
     """
 
-    def __init__(self, m: MassTriple, p: PrimaryConfig, M: int, N: int):
-        self.p = p
-        self.masses = m.as_floats()
+    def __init__(self, prog: FieldProgram, M: int, N: int):
+        self.prog = prog
         self.M = M
         self.N = N
-
-        def grids():
-            return [ScalarSeries2.zeros(M, N) for _ in range(3)]
-
-        self.dx = grids()
-        self.dy = grids()
-        self.sq = grids()
-        self.cu = grids()
-        self.dxcu = grids()
-        self.dycu = grids()
-        self.g = grids()
-        self.cug = grids()
+        self.grids = [ScalarSeries2.zeros(M, N) for _ in prog.ops]
 
     def b_column(self, G: Series2, n: int) -> ColumnQuad:
-        M = self.M
-        u1, u2, u3, u4 = G.components[:4]
-
-        def col(s: ScalarSeries2) -> ColumnQuad:
-            return s.rlo[:, n], s.rhi[:, n], s.ilo[:, n], s.ihi[:, n]
-
-        def put(dst: ScalarSeries2, quad: ColumnQuad) -> None:
+        nodes = list(G.components) + self.grids
+        for op, dst in zip(self.prog.ops, self.grids):
+            if isinstance(op, Mul):
+                quad = product_column(nodes[op.a], nodes[op.b], n, self.M)
+            else:
+                quad = None
+                for c, k in op.terms:
+                    src = nodes[k]
+                    term = _scaled((src.rlo[:, n], src.rhi[:, n],
+                                    src.ilo[:, n], src.ihi[:, n]),
+                                   Interval._coerce(c))
+                    quad = term if quad is None else (
+                        *_iadd_arr(quad[0], quad[1], term[0], term[1]),
+                        *_iadd_arr(quad[2], quad[3], term[2], term[3]))
             dst.rlo[:, n], dst.rhi[:, n], dst.ilo[:, n], dst.ihi[:, n] = quad
-
-        for j in range(3):
-            for src, dst in ((u1, self.dx[j]), (u3, self.dy[j])):
-                put(dst, col(src))
-            if n == 0:
-                px, py = self.p.positions[j]
-                self.dx[j].set_coeff(0, 0, u1.coeff(0, 0) - CInterval(px))
-                self.dy[j].set_coeff(0, 0, u3.coeff(0, 0) - CInterval(py))
-        for j in range(3):
-            w = G.components[4 + j]
-            put(self.sq[j], product_column(w, w, n, M))
-            put(self.cu[j], product_column(self.sq[j], w, n, M))
-            put(self.dxcu[j], product_column(self.dx[j], self.cu[j], n, M))
-            put(self.dycu[j], product_column(self.dy[j], self.cu[j], n, M))
-            g1 = product_column(self.dx[j], u2, n, M)
-            g2 = product_column(self.dy[j], u4, n, M)
-            put(self.g[j], (*_iadd_arr(g1[0], g1[1], g2[0], g2[1]),
-                            *_iadd_arr(g1[2], g1[3], g2[2], g2[3])))
-            put(self.cug[j], product_column(self.cu[j], self.g[j], n, M))
-        rl = np.zeros((DIM, M + 1))
-        rh = np.zeros((DIM, M + 1))
-        il = np.zeros((DIM, M + 1))
-        ih = np.zeros((DIM, M + 1))
-        rl[0], rh[0], il[0], ih[0] = col(u2)
-        rl[2], rh[2], il[2], ih[2] = col(u4)
-        b1r = _iadd_arr(*_imul_arr(u4.rlo[:, n], u4.rhi[:, n], 2.0, 2.0),
-                        u1.rlo[:, n], u1.rhi[:, n])
-        b1i = _iadd_arr(*_imul_arr(u4.ilo[:, n], u4.ihi[:, n], 2.0, 2.0),
-                        u1.ilo[:, n], u1.ihi[:, n])
-        b3r = _iadd_arr(*_imul_arr(u2.rlo[:, n], u2.rhi[:, n], -2.0, -2.0),
-                        u3.rlo[:, n], u3.rhi[:, n])
-        b3i = _iadd_arr(*_imul_arr(u2.ilo[:, n], u2.ihi[:, n], -2.0, -2.0),
-                        u3.ilo[:, n], u3.ihi[:, n])
-        for j in range(3):
-            mj = self.masses[j]
-            cx, cy = self.dxcu[j], self.dycu[j]
-            b1r = _isub_arr(*b1r, *_imul_arr(cx.rlo[:, n], cx.rhi[:, n],
-                                             mj, mj))
-            b1i = _isub_arr(*b1i, *_imul_arr(cx.ilo[:, n], cx.ihi[:, n],
-                                             mj, mj))
-            b3r = _isub_arr(*b3r, *_imul_arr(cy.rlo[:, n], cy.rhi[:, n],
-                                             mj, mj))
-            b3i = _isub_arr(*b3i, *_imul_arr(cy.ilo[:, n], cy.ihi[:, n],
-                                             mj, mj))
-            cg = self.cug[j]
-            rl[4 + j], rh[4 + j] = -cg.rhi[:, n], -cg.rlo[:, n]
-            il[4 + j], ih[4 + j] = -cg.ihi[:, n], -cg.ilo[:, n]
-        rl[1], rh[1] = b1r
-        il[1], ih[1] = b1i
-        rl[3], rh[3] = b3r
-        il[3], ih[3] = b3i
-        return rl, rh, il, ih
+            if n == 0 and isinstance(op, Lin):
+                dst.set_coeff(0, 0, dst.coeff(0, 0) + CInterval(op.const))
+        outs = [nodes[o] for o in self.prog.outputs]
+        return (np.stack([s.rlo[:, n] for s in outs]),
+                np.stack([s.rhi[:, n] for s in outs]),
+                np.stack([s.ilo[:, n] for s in outs]),
+                np.stack([s.ihi[:, n] for s in outs]))
 
     def beyond_grid_bounds(self, G: Series2) -> list[float]:
-        """Per-row bound on true field content outside the (M, N) grid.
+        """Per-output bound on field content outside the (M, N) grid,
+        once ``b_column`` has filled every column.
 
-        Tracks, for every memo grid, a bound on the coefficient mass
-        its truncation discarded.  A chained product inherits the loss
-        of a factor scaled by the other factor's 1-norm: truncation
-        only drops high orders and multiplication only raises them, so
-        lost content can never land back on the grid, and the in-grid
-        coefficients stay exact for the full composition.
+        The content a node's grid misses ("lost") follows from
+        lost(x y) = conv_tail(|x|, |y|) + lost_x (||y|| + lost_y)
+        + ||x|| lost_y and lost(lin) = sum |c_k| lost_k, with |x| the
+        in-grid magnitudes, ||x|| their sum, and nothing lost on the
+        inputs.  Truncation drops only high orders and multiplication
+        only raises them, so lost content never lands back on the grid
+        and the in-grid coefficients stay exact.
         """
-        M, N = self.M, self.N
-        m2 = _mag_grid(G.components[1])
-        m4 = _mag_grid(G.components[3])
-        n2 = float(m2.sum()) * _NORM_PAD
-        n4 = float(m4.sum()) * _NORM_PAD
-        out = [0.0] * DIM
-        for j in range(3):
-            mw = _mag_grid(G.components[4 + j])
-            mdx = _mag_grid(self.dx[j])
-            mdy = _mag_grid(self.dy[j])
-            msq = _mag_grid(self.sq[j])
-            mcu = _mag_grid(self.cu[j])
-            mg = _mag_grid(self.g[j])
-            nw = float(mw.sum()) * _NORM_PAD
-            ncu = float(mcu.sum()) * _NORM_PAD
-            ng = float(mg.sum()) * _NORM_PAD
-            lost_sq = _conv_tail(mw, mw, M, N)
-            lost_cu = _conv_tail(msq, mw, M, N) + lost_sq * nw
-            lost_g = _conv_tail(mdx, m2, M, N) + _conv_tail(mdy, m4, M, N)
-            mj = self.masses[j]
-            ndx = float(mdx.sum()) * _NORM_PAD
-            ndy = float(mdy.sum()) * _NORM_PAD
-            out[1] += mj * (_conv_tail(mdx, mcu, M, N)
-                            + lost_cu * ndx) * _NORM_PAD
-            out[3] += mj * (_conv_tail(mdy, mcu, M, N)
-                            + lost_cu * ndy) * _NORM_PAD
-            out[4 + j] = (_conv_tail(mcu, mg, M, N) + lost_cu * (ng + lost_g)
-                          + lost_g * ncu) * _NORM_PAD
-        return out
+        mags = [_mag_grid(s) for s in list(G.components) + self.grids]
+        norms = [float(g.sum()) * _NORM_PAD for g in mags]
+        lost = [0.0] * DIM
+        for op in self.prog.ops:
+            if isinstance(op, Mul):
+                a, b = op.a, op.b
+                loss = (_conv_tail(mags[a], mags[b], self.M, self.N)
+                        + lost[a] * (norms[b] + lost[b]) + norms[a] * lost[b])
+            else:
+                loss = sum(Interval._coerce(c).mag * lost[k]
+                           for c, k in op.terms)
+            lost.append(loss * _NORM_PAD)
+        return [lost[o] for o in self.prog.outputs]
+
+
+def _scaled(quad: ColumnQuad, c: Interval) -> ColumnQuad:
+    """A complex column times a real interval; scaling by +-1 or +-2 is
+    exact in floating point and skips the interval product."""
+    rl, rh, il, ih = quad
+    if c.lo == c.hi and abs(c.lo) in (1.0, 2.0):
+        x = c.lo
+        return ((rl * x, rh * x, il * x, ih * x) if x > 0.0
+                else (rh * x, rl * x, ih * x, il * x))
+    return (*_imul_arr(rl, rh, c.lo, c.hi), *_imul_arr(il, ih, c.lo, c.hi))
 
 
 _NORM_PAD = 1.0 + 1e-10
@@ -329,7 +279,7 @@ def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig, M: int,
     production run with successive-column ratios near the target.
     """
     sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = _FieldRecursion(m, p, M, n_pilot)
+    rec = _FieldColumns(field_program(m, p), M, n_pilot)
     pilot = taylor_flow(_arc_series(arc, M), rec.b_column, n_pilot, sign)
     norms = [_column_mag(pilot, n) for n in range(n_pilot + 1)]
     ratios = [norms[k + 1] / norms[k]
@@ -363,7 +313,7 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     if tau is None:
         tau = choose_tau(arc, m, p, M)
     sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = _FieldRecursion(m, p, M, N)
+    rec = _FieldColumns(field_program(m, p), M, N)
     G = taylor_flow(_arc_series(arc, M), rec.b_column, N, sign * tau)
     if tail_policy == "reported":
         defect = None
@@ -387,7 +337,7 @@ def _defect_parts(m: MassTriple, p: PrimaryConfig, G: Series2
     """In-grid residual series of tau dGamma/dt - F(Gamma), plus the
     per-row bound on field content beyond the grid."""
     M, N = G.orders
-    rec = _FieldRecursion(m, p, M, N)
+    rec = _FieldColumns(field_program(m, p), M, N)
     tau_iv = Interval.from_value(G.tau)
     res = [ScalarSeries2.zeros(M, N) for _ in range(DIM)]
     for n in range(N + 1):

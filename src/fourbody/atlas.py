@@ -33,8 +33,6 @@ from .taylor import ScalarSeries2, Series2
 
 SCHEMA_VERSION = 1
 
-_ZERO = CInterval(Interval.from_value(0.0))
-
 
 @dataclass(frozen=True)
 class ArcRecord:
@@ -86,13 +84,16 @@ def arc_decay(arc: BoundaryArc) -> float:
 
 
 def arc_length(arc: BoundaryArc) -> float:
-    """Polyline estimate of the arc's length in the position plane."""
-    pts = []
-    for s in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        vals = arc.gamma.eval_box(CInterval(Interval.from_value(s)), _ZERO)
-        pts.append((vals[0].re.mid, vals[2].re.mid))
-    return float(sum(np.hypot(x1 - x0, y1 - y0)
-                     for (x0, y0), (x1, y1) in zip(pts[:-1], pts[1:])))
+    """Polyline estimate of the arc's length in the position plane.
+
+    A remeshing heuristic that sets no bound, so it evaluates the x and
+    y components in float from their real coefficient midpoints.
+    """
+    s = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    x, y = (np.polynomial.polynomial.polyval(
+        s, 0.5 * (c.rlo[:, 0] + c.rhi[:, 0]))
+        for c in (arc.gamma.components[0], arc.gamma.components[2]))
+    return float(np.sum(np.hypot(np.diff(x), np.diff(y))))
 
 
 def _affine_arc(arc: BoundaryArc, c: float, d: float) -> BoundaryArc:

@@ -333,28 +333,6 @@ class Interval:
         return cls(float(pair[0]), float(pair[1]))
 
 
-def iv_arith(op: str, a: Interval, b: Interval | int | None = None) -> Interval:
-    """Dispatch a primitive interval operation by name.
-
-    ``op`` is one of add, sub, mul, div, sqrt, pow_int.  ``b`` is the
-    second operand (an Interval, or the integer exponent for pow_int);
-    sqrt takes no second operand.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "sqrt":
-        return a.sqrt()
-    if op == "pow_int":
-        return a.pow_int(int(b))
-    raise ValueError(f"unknown interval op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # complex rectangles
 

@@ -5,11 +5,13 @@ P(z1, z2) conjugating the linear flow exp(t diag(lam1, lam2)) to the
 lifted polynomial field: lam1 z1 d1 P + lam2 z2 d2 P = F(P).  Matching
 coefficients turns this into one linear "homological" equation per
 coefficient, [DF(u0) - (m lam1 + n lam2) I] a_mn = -c_mn, where c_mn
-collects products of strictly lower-order data.  The builder here keeps
-unsolved coefficient slots at zero, so evaluating the field's product
-coefficients on the partially built grids yields exactly those
-lower-order ("hat") sums; squares and cubes of the reciprocal-distance
-components are memoized and corrected in place as each order lands.
+collects products of strictly lower-order data.  The solver interprets
+the field program of ``polyfield`` one coefficient at a time, keeping
+one grid per program node: with the unsolved slot a_mn at zero, the
+program's (m, n) coefficients are exactly the lower-order ("hat") sums
+c_mn, and once a_mn is solved the tangent interpreter supplies its
+linear contribution to every node.  ``field_series`` interprets the
+same program with full truncated Cauchy products.
 
 The rest of the module extracts real charts from the complex conjugate
 parameterization, meshes the fundamental-domain boundary into secant
@@ -37,7 +39,8 @@ from .interval import (
     verified_solve_complex,
 )
 from .nk import certify_equilibrium
-from .polyfield import DIM, State7, embed_R, lift_eigvector, poly_DF
+from .polyfield import (DIM, FieldProgram, Mul, State7, embed_R, evaluate,
+                        field_program, lift_eigvector, poly_DF, tangent)
 from .taylor import (
     ScalarSeries2,
     Series2,
@@ -97,117 +100,69 @@ class BoundaryArc:
 # the homological solver
 
 
-class _HomologicalBuilder:
-    """Order-by-order state for Taylor coefficients of the conjugacy.
+class _CoeffInterpreter:
+    """Per-coefficient interpreter of the field program on (N, N) grids.
 
-    Grids: the seven components of P, the shifted positions
-    dx_j = P1 - x_j and dy_j = P3 - y_j, and per-primary memos for
-    w_j^2, w_j^3 and g_j = dx_j * P2 + dy_j * P4.  Unsolved slots stay
-    zero, so product coefficients over these grids are the hat sums of
-    the homological right-hand side.
+    One grid per node; the input grids are the components of P, and
+    the (0, 0) slots hold the scalar interpreter's values at
+    ``origin``.  ``evaluate(m, n)`` fills every node's (m, n) slot, a
+    Lin node from its operands' slots, a Mul node by ``product_coeff``.
+    Theorem: if all slots of total degree below m + n enclose the true
+    coefficients, the (m, n) values enclose the node coefficients for
+    the input values at (m, n).  With those still zero they are the hat
+    sums; ``land`` then adds a_mn and, from ``tangent`` over the (0, 0)
+    values, its exact linear effect on every node, which restores the
+    hypothesis at (m, n).
     """
 
-    def __init__(self, m: MassTriple, p: PrimaryConfig, u0: State7,
-                 lam1: CInterval, lam2: CInterval, N: int):
-        self.masses = (m.m1, m.m2, m.m3)
-        self.p = p
-        self.lam1 = lam1
-        self.lam2 = lam2
-        self.N = N
-        self.comp = [ScalarSeries2.zeros(N, N) for _ in range(DIM)]
-        self.dx = [ScalarSeries2.zeros(N, N) for _ in range(3)]
-        self.dy = [ScalarSeries2.zeros(N, N) for _ in range(3)]
-        self.sq = [ScalarSeries2.zeros(N, N) for _ in range(3)]
-        self.cube = [ScalarSeries2.zeros(N, N) for _ in range(3)]
-        self.g = [ScalarSeries2.zeros(N, N) for _ in range(3)]
-        self.df = poly_DF(m, p, u0)
+    def __init__(self, prog: FieldProgram, N: int,
+                 origin: Sequence[CInterval]):
+        self.prog = prog
+        self.base = evaluate(prog, origin)
+        self.grids = [ScalarSeries2.zeros(N, N) for _ in self.base]
+        for g, v in zip(self.grids, self.base):
+            g.set_coeff(0, 0, v)
 
-    def write(self, mm: int, nn: int, vals: Sequence[CInterval]) -> None:
-        for i in range(DIM):
-            self.comp[i].set_coeff(mm, nn, vals[i])
-        for j in range(3):
-            px, py = self.p.positions[j]
-            cx, cy = vals[0], vals[2]
-            if mm == 0 and nn == 0:
-                cx = cx - CInterval(px)
-                cy = cy - CInterval(py)
-            self.dx[j].set_coeff(mm, nn, cx)
-            self.dy[j].set_coeff(mm, nn, cy)
+    def evaluate(self, mm: int, nn: int) -> list[CInterval]:
+        """Node slots at (mm, nn) != (0, 0); returns the outputs'."""
+        g = self.grids
+        for i, op in enumerate(self.prog.ops, DIM):
+            if isinstance(op, Mul):
+                v = product_coeff(g[op.a], g[op.b], mm, nn)
+            else:
+                v = CInterval(0.0)
+                for c, k in op.terms:
+                    v = g[k].coeff(mm, nn) * c + v
+            g[i].set_coeff(mm, nn, v)
+        return [g[o].coeff(mm, nn) for o in self.prog.outputs]
 
-    def seed_memos(self, mm: int, nn: int) -> None:
-        """Memo entries at an index whose component data is final."""
-        for j in range(3):
-            w = self.comp[4 + j]
-            self.sq[j].set_coeff(mm, nn, product_coeff(w, w, mm, nn))
-            self.cube[j].set_coeff(mm, nn, product_coeff(self.sq[j], w, mm, nn))
-            self.g[j].set_coeff(
-                mm, nn,
-                product_coeff(self.dx[j], self.comp[1], mm, nn)
-                + product_coeff(self.dy[j], self.comp[3], mm, nn))
+    def land(self, mm: int, nn: int, vals: Sequence[CInterval]) -> None:
+        """Install a_mn = vals after ``evaluate`` on zero input slots."""
+        for g, d in zip(self.grids, tangent(self.prog, self.base, vals)):
+            if d is not None:
+                g.set_coeff(mm, nn, g.coeff(mm, nn) + d)
 
-    def finalize_memos(self, mm: int, nn: int,
-                       vals: Sequence[CInterval]) -> None:
-        """Correct the hat memo entries once a_mn has been written.
 
-        The square picks up 2 w00 w_mn, the cube 3 w00^2 w_mn, and g the
-        four bilinear terms that paired a_mn with a zeroth-order factor.
-        """
-        for j in range(3):
-            w00 = self.comp[4 + j].coeff(0, 0)
-            wmn = vals[4 + j]
-            self.sq[j].set_coeff(
-                mm, nn, self.sq[j].coeff(mm, nn) + w00 * wmn * 2.0)
-            self.cube[j].set_coeff(
-                mm, nn, self.cube[j].coeff(mm, nn) + w00 * w00 * wmn * 3.0)
-            corr = (self.dx[j].coeff(0, 0) * vals[1]
-                    + self.comp[1].coeff(0, 0) * vals[0]
-                    + self.dy[j].coeff(0, 0) * vals[3]
-                    + self.comp[3].coeff(0, 0) * vals[2])
-            self.g[j].set_coeff(mm, nn, self.g[j].coeff(mm, nn) + corr)
-
-    def c_vector(self, mm: int, nn: int) -> list[CInterval]:
-        """The lower-order part of the field coefficient at (mm, nn).
-
-        Assumes the memo slots at (mm, nn) currently hold hat values
-        (seed_memos on zeroed component slots) and all lower slots are
-        final.
-        """
-        zero = CInterval(Interval.from_value(0.0))
-        c = [zero] * DIM
-        acc2 = zero
-        acc4 = zero
-        for j in range(3):
-            mj = self.masses[j]
-            acc2 = acc2 - product_coeff(self.dx[j], self.cube[j], mm, nn) * mj
-            acc4 = acc4 - product_coeff(self.dy[j], self.cube[j], mm, nn) * mj
-            c[4 + j] = -product_coeff(self.cube[j], self.g[j], mm, nn)
-        c[1] = acc2
-        c[3] = acc4
-        return c
-
-    def solve_order(self, mm: int, nn: int) -> None:
-        self.seed_memos(mm, nn)
-        c = self.c_vector(mm, nn)
-        mu = self.lam1 * float(mm) + self.lam2 * float(nn)
-        are_lo = self.df.lo.copy()
-        are_hi = self.df.hi.copy()
-        aim_lo = np.zeros((DIM, DIM))
-        aim_hi = np.zeros((DIM, DIM))
-        for i in range(DIM):
-            d = Interval(self.df.lo[i, i], self.df.hi[i, i]) - mu.re
-            are_lo[i, i] = d.lo
-            are_hi[i, i] = d.hi
-            e = -mu.im
-            aim_lo[i, i] = e.lo
-            aim_hi[i, i] = e.hi
-        b_re = IntervalVector.from_intervals([(-ci).re for ci in c])
-        b_im = IntervalVector.from_intervals([(-ci).im for ci in c])
-        sol_re, sol_im = verified_solve_complex(
-            IntervalMatrix(are_lo, are_hi), IntervalMatrix(aim_lo, aim_hi),
-            b_re, b_im)
-        vals = [CInterval(sol_re[i], sol_im[i]) for i in range(DIM)]
-        self.write(mm, nn, vals)
-        self.finalize_memos(mm, nn, vals)
+def _homological_solve(df: IntervalMatrix, mu: CInterval,
+                       c: Sequence[CInterval]) -> list[CInterval]:
+    """Verified solution of [DF(u0) - mu I] a = -c."""
+    are_lo = df.lo.copy()
+    are_hi = df.hi.copy()
+    aim_lo = np.zeros((DIM, DIM))
+    aim_hi = np.zeros((DIM, DIM))
+    for i in range(DIM):
+        d = Interval(df.lo[i, i], df.hi[i, i]) - mu.re
+        are_lo[i, i] = d.lo
+        are_hi[i, i] = d.hi
+        e = -mu.im
+        aim_lo[i, i] = e.lo
+        aim_hi[i, i] = e.hi
+    b_re = IntervalVector.from_intervals([(-ci).re for ci in c])
+    b_im = IntervalVector.from_intervals([(-ci).im for ci in c])
+    sol_re, sol_im = verified_solve_complex(
+        IntervalMatrix(are_lo, are_hi), IntervalMatrix(aim_lo, aim_hi),
+        b_re, b_im)
+    return [CInterval(sol_re[i], sol_im[i]) for i in range(DIM)]
 
 
 def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
@@ -227,16 +182,20 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
         raise ValueError("first-order data must have 7 components")
     if N < 1:
         raise ValueError("order N must be at least 1")
-    b = _HomologicalBuilder(m, p, u0, lam1, lam2, N)
-    b.write(0, 0, [CInterval(ui) for ui in u0.u])
-    b.write(1, 0, list(v1))
-    b.write(0, 1, list(v2))
-    for idx in ((0, 0), (1, 0), (0, 1)):
-        b.seed_memos(*idx)
+    ev = _CoeffInterpreter(field_program(m, p), N,
+                           [CInterval(ui) for ui in u0.u])
+    df = poly_DF(m, p, u0)
+    for (mm, nn), vals in (((1, 0), v1), ((0, 1), v2)):
+        ev.evaluate(mm, nn)
+        ev.land(mm, nn, vals)
     for d in range(2, 2 * N + 1):
         for mm in range(max(0, d - N), min(N, d) + 1):
-            b.solve_order(mm, d - mm)
-    return Series2(tuple(b.comp), scale=1.0, tau=1.0, real_symmetric=True)
+            nn = d - mm
+            c = ev.evaluate(mm, nn)
+            mu = lam1 * float(mm) + lam2 * float(nn)
+            ev.land(mm, nn, _homological_solve(df, mu, c))
+    return Series2(tuple(ev.grids[:DIM]), scale=1.0, tau=1.0,
+                   real_symmetric=True)
 
 
 def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
@@ -330,39 +289,40 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     OM, ON = orders
     if OM < M0 or ON < N0:
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
+    prog = field_program(m, p)
+    nodes = _node_series(prog, P.components, orders, fast)
+    return [_pad_to(nodes[o], OM, ON).copy() for o in prog.outputs]
 
-    def tgt(k: int) -> tuple[int, int]:
-        return min(OM, k * M0), min(ON, k * N0)
 
-    def fit(s: ScalarSeries2) -> ScalarSeries2:
-        out = _pad_to(s, OM, ON)
-        return out.copy() if out is s else out
+def _node_series(prog: FieldProgram, inputs: Sequence[ScalarSeries2],
+                 orders: tuple[int, int], fast: bool = False
+                 ) -> list[ScalarSeries2]:
+    """Full truncated interpreter: every node of the program as a series.
 
-    u1, u2, u3, u4 = P.components[0], P.components[1], P.components[2], \
-        P.components[3]
-    b = [None] * DIM
-    b[0] = fit(u2)
-    b[2] = fit(u4)
-    b2 = fit(u4.scale(CInterval(2.0)) + u1)
-    b4 = fit(u2.scale(CInterval(-2.0)) + u3)
-    for j in range(3):
-        px, py = p.positions[j]
-        mj = (m.m1, m.m2, m.m3)[j]
-        w = P.components[4 + j]
-        dxj = u1.shift_const(-CInterval(px))
-        dyj = u3.shift_const(-CInterval(py))
-        sq = cauchy_product(w, w, orders=tgt(2), fast=fast)
-        cu = cauchy_product(sq, w, orders=tgt(3), fast=fast)
-        b2 = b2 - fit(cauchy_product(dxj, cu, orders=tgt(4),
-                                     fast=fast).scale(CInterval(mj)))
-        b4 = b4 - fit(cauchy_product(dyj, cu, orders=tgt(4),
-                                     fast=fast).scale(CInterval(mj)))
-        gj = (cauchy_product(dxj, u2, orders=tgt(2), fast=fast)
-              + cauchy_product(dyj, u4, orders=tgt(2), fast=fast))
-        b[4 + j] = fit(-cauchy_product(cu, gj, orders=tgt(5), fast=fast))
-    b[1] = b2
-    b[3] = b4
-    return b
+    A Mul node is ``cauchy_product`` of its operands, a Lin node the
+    scaled sum of its operands with the constant on (0, 0); each is
+    kept through its natural orders (a product's are the sum of its
+    factors', a sum's the largest of its terms'), clamped to
+    ``orders``, which tracks node degree.  Theorem: every coefficient
+    kept encloses the true node coefficient, since truncation drops
+    only orders that products never bring back down.
+    """
+    OM, ON = orders
+    nodes = list(inputs)
+    for op in prog.ops:
+        if isinstance(op, Mul):
+            (ma, na), (mb, nb) = nodes[op.a].orders, nodes[op.b].orders
+            nodes.append(cauchy_product(
+                nodes[op.a], nodes[op.b],
+                orders=(min(OM, ma + mb), min(ON, na + nb)), fast=fast))
+            continue
+        tm = max(nodes[k].orders[0] for _, k in op.terms)
+        tn = max(nodes[k].orders[1] for _, k in op.terms)
+        acc = ScalarSeries2.zeros(tm, tn).shift_const(CInterval(op.const))
+        for c, k in op.terms:
+            acc = acc + _pad_to(nodes[k], tm, tn).scale(CInterval(c))
+        nodes.append(acc)
+    return nodes
 
 
 def _residual_series(m: MassTriple, p: PrimaryConfig, P: Series2,
@@ -398,9 +358,10 @@ def invariance_residual(m: MassTriple, p: PrimaryConfig,
                         M: LocalManifold) -> list[ScalarSeries2]:
     """Per-coefficient defect of the invariance equation.
 
-    Recomputed from the finished grids with full Cauchy products, fully
-    independent of the incremental memo path used by the builder; every
-    coefficient enclosure must straddle zero.
+    Recomputed from the finished grids with full Cauchy products, by a
+    different interpreter of the field program than the per-coefficient
+    one the solver used; every coefficient enclosure must straddle
+    zero.
     """
     return _residual_series(m, p, M.P, M.lambda1, M.lambda2)
 

@@ -7,13 +7,18 @@ structure is what the series machinery downstream needs: Taylor
 coefficients of compositions become finite convolution sums.
 
 This module provides the embedding R, the projections back to the planar
-factors, the polynomial field and its Jacobian, the explicit kernel
-basis of DF at a lifted equilibrium, and eigenvector lifting.
+factors, the explicit kernel basis of DF at a lifted equilibrium,
+eigenvector lifting, and the one definition of F: a straight-line
+program of ``Lin`` and ``Mul`` ops.  Every evaluator of F interprets it:
+``evaluate`` and ``tangent`` here, the series interpreters in
+``manifold`` and ``advect``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -72,59 +77,137 @@ def project_perp(u: State7) -> IntervalVector:
     return IntervalVector.from_intervals([u.u[4], u.u[5], u.u[6]])
 
 
+# ---------------------------------------------------------------------------
+# the field as a straight-line program
+
+
+@dataclass(frozen=True)
+class Lin:
+    """const + sum(c * node[k] for c, k in terms); on series the
+    constant lands on the (0, 0) coefficient only."""
+
+    const: Interval | float
+    terms: tuple[tuple[Interval | float, int], ...]
+
+
+@dataclass(frozen=True)
+class Mul:
+    """node[a] * node[b]."""
+
+    a: int
+    b: int
+
+
+@dataclass(frozen=True)
+class FieldProgram:
+    """Nodes 0..DIM-1 are the inputs u1..u7, node DIM + i is ops[i],
+    which reads only earlier nodes, and ``outputs`` hold F1..F7."""
+
+    ops: tuple[Lin | Mul, ...]
+    outputs: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=16)
+def _program(masses: tuple, positions: tuple) -> FieldProgram:
+    """The lifted field with the given masses and primary positions.
+
+    With w_j = u_{5+j}, dx_j = u1 - x_j, dy_j = u3 - y_j and
+    g_j = dx_j u2 + dy_j u4:
+    F = (u2, 2 u4 + u1 - sum m_j dx_j w_j^3, u4,
+         -2 u2 + u3 - sum m_j dy_j w_j^3, -w_j^3 g_j for j = 1, 2, 3).
+    """
+    ops: list[Lin | Mul] = []
+
+    def node(op: Lin | Mul) -> int:
+        ops.append(op)
+        return DIM + len(ops) - 1
+
+    f2 = [(2.0, 3), (1.0, 0)]
+    f4 = [(-2.0, 1), (1.0, 2)]
+    tail = []
+    for j, (mj, (px, py)) in enumerate(zip(masses, positions)):
+        w = 4 + j
+        dx = node(Lin(-px, ((1.0, 0),)))
+        dy = node(Lin(-py, ((1.0, 2),)))
+        sq = node(Mul(w, w))
+        cu = node(Mul(sq, w))
+        f2.append((-mj, node(Mul(dx, cu))))
+        f4.append((-mj, node(Mul(dy, cu))))
+        g = node(Lin(0.0, ((1.0, node(Mul(dx, 1))), (1.0, node(Mul(dy, 3))))))
+        tail.append(node(Lin(0.0, ((-1.0, node(Mul(cu, g))),))))
+    f2_node = node(Lin(0.0, tuple(f2)))
+    f4_node = node(Lin(0.0, tuple(f4)))
+    return FieldProgram(tuple(ops), (1, f2_node, 3, f4_node, *tail))
+
+
+def field_program(m: MassTriple, p: PrimaryConfig) -> FieldProgram:
+    """The lifted field with the interval masses and positions as its
+    constants, so every interpreter below encloses F for all masses and
+    positions in those intervals."""
+    return _program((m.m1, m.m2, m.m3), p.positions)
+
+
+def evaluate(prog: FieldProgram, u: Sequence) -> list:
+    """Scalar interpreter: every node value at u, in floats, Intervals
+    or CIntervals.  On intervals each value encloses the node's exact
+    value for every point of the input box and every constant in its
+    interval, since interval + and * are inclusion-isotone."""
+    vals = list(u)
+    for op in prog.ops:
+        if isinstance(op, Mul):
+            vals.append(vals[op.a] * vals[op.b])
+        else:
+            acc = op.const
+            for c, k in op.terms:
+                acc = vals[k] * c + acc
+            vals.append(acc)
+    return vals
+
+
+def tangent(prog: FieldProgram, vals: Sequence, seed: Sequence) -> list:
+    """Tangent interpreter: forward-mode derivative of every node along
+    the input direction ``seed`` (None is an exact zero), at the node
+    values ``vals``, by d(const + sum c_k x_k) = sum c_k dx_k and
+    d(x y) = x dy + dx y.  On intervals it encloses the exact
+    derivatives, as in ``evaluate``.  With ``vals`` the (0, 0)
+    coefficients of series nodes and ``seed`` a new input coefficient
+    a_mn, (m, n) != (0, 0), it gives exactly the part of every node's
+    (m, n) coefficient that is linear in a_mn, since a product reaches
+    (m, n) with a_mn only by pairing it with a (0, 0) coefficient.
+    """
+    ds = list(seed)
+    for op in prog.ops:
+        terms = (((vals[op.a], op.b), (vals[op.b], op.a))
+                 if isinstance(op, Mul) else op.terms)
+        acc = None
+        for c, k in terms:
+            if ds[k] is not None:
+                acc = ds[k] * c if acc is None else acc + ds[k] * c
+        ds.append(acc)
+    return ds
+
+
 def poly_F(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalVector:
     """The fifth-order polynomial field on R^7."""
-    u1, u2, u3, u4 = u.u[0], u.u[1], u.u[2], u.u[3]
-    ms = (m.m1, m.m2, m.m3)
-    f2 = 2 * u4 + u1
-    f4 = -2 * u2 + u3
-    tail = []
-    for j, mj in enumerate(ms):
-        px, py = p.positions[j]
-        w3 = u.u[4 + j].pow_int(3)
-        dx = u1 - px
-        dy = u3 - py
-        f2 = f2 - mj * dx * w3
-        f4 = f4 - mj * dy * w3
-        tail.append(-(w3 * (dx * u2 + dy * u4)))
-    return IntervalVector.from_intervals([u2, f2, u4, f4] + tail)
+    prog = field_program(m, p)
+    vals = evaluate(prog, u.u)
+    return IntervalVector.from_intervals([vals[o] for o in prog.outputs])
 
 
 def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalMatrix:
-    """Jacobian of the polynomial field, assembled blockwise."""
-    u1, u2, u3, u4 = u.u[0], u.u[1], u.u[2], u.u[3]
-    ms = (m.m1, m.m2, m.m3)
+    """Jacobian of the polynomial field, one tangent pass per input;
+    entries a pass never reaches are exact zeros."""
+    prog = field_program(m, p)
+    vals = evaluate(prog, u.u)
     lo = np.zeros((DIM, DIM))
     hi = np.zeros((DIM, DIM))
-
-    def put(i, j, iv: Interval):
-        lo[i, j] = iv.lo
-        hi[i, j] = iv.hi
-
-    one = Interval.from_value(1.0)
-    a = one
-    for j, mj in enumerate(ms):
-        a = a - mj * u.u[4 + j].pow_int(3)
-    put(0, 1, one)
-    put(1, 0, a)
-    put(1, 3, Interval.from_value(2.0))
-    put(2, 3, one)
-    put(3, 1, Interval.from_value(-2.0))
-    put(3, 2, a)
-    for j, mj in enumerate(ms):
-        px, py = p.positions[j]
-        w = u.u[4 + j]
-        w2 = w.sqr()
-        w3 = w.pow_int(3)
-        dx = u1 - px
-        dy = u3 - py
-        put(1, 4 + j, -(3 * mj * dx * w2))
-        put(3, 4 + j, -(3 * mj * dy * w2))
-        put(4 + j, 0, -(u2 * w3))
-        put(4 + j, 1, -(dx * w3))
-        put(4 + j, 2, -(u4 * w3))
-        put(4 + j, 3, -(dy * w3))
-        put(4 + j, 4 + j, -(3 * (dx * u2 + dy * u4) * w2))
+    for k in range(DIM):
+        seed = [None] * DIM
+        seed[k] = Interval.from_value(1.0)
+        ds = tangent(prog, vals, seed)
+        for i, o in enumerate(prog.outputs):
+            if ds[o] is not None:
+                lo[i, k], hi[i, k] = ds[o].lo, ds[o].hi
     return IntervalMatrix(lo, hi)
 
 
@@ -183,12 +266,7 @@ def lift_eigvector(p: PrimaryConfig, x0: State4, xi: tuple[CInterval, ...],
 
 def poly_F_point(pos: np.ndarray, masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Float evaluation of the lifted field (non-rigorous fast path)."""
-    u1, u2, u3, u4 = u[:4]
-    w = u[4:]
-    dx = u1 - pos[:, 0]
-    dy = u3 - pos[:, 1]
-    w3 = w ** 3
-    f2 = 2.0 * u4 + u1 - np.sum(masses * dx * w3)
-    f4 = -2.0 * u2 + u3 - np.sum(masses * dy * w3)
-    tail = -w3 * (dx * u2 + dy * u4)
-    return np.concatenate(([u2, f2, u4, f4], tail))
+    prog = _program(tuple(np.asarray(masses, dtype=float).tolist()),
+                    tuple(map(tuple, np.asarray(pos, dtype=float).tolist())))
+    vals = evaluate(prog, np.asarray(u, dtype=float).tolist())
+    return np.array([vals[o] for o in prog.outputs])

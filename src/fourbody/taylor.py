@@ -7,12 +7,14 @@ containing the highest-order coefficient (the workhorse of the
 order-by-order homological solves), rigorous evaluation over boxes,
 rescaling of the domain variables, and conjugate-symmetry checking.
 
-A convention used throughout the builders: a coefficient slot that has
-not been solved yet holds exact zero, so evaluating any polynomial
-expression of partially built series automatically yields the hat
-version (terms containing the unknown vanish instead of polluting the
-sum).  The explicit hat_product_* functions exist for direct use and
-for testing the identity against full products.
+The lifted field itself is not written here: ``polyfield`` describes it
+once as a program of linear combinations and products, and the
+interpreters in ``manifold`` and ``advect`` evaluate that program with
+``product_coeff`` (one coefficient; with the unsolved slot at exact zero
+this yields the hat sum of the homological solve), ``product_column``
+(one time-order column) and ``cauchy_product`` (full truncated series).
+The explicit hat_product_* functions exist for direct use and for
+testing the hat identity against full products.
 """
 
 from __future__ import annotations
@@ -191,15 +193,13 @@ class ScalarSeries2:
                              -self.ihi.T.copy(), -self.ilo.T.copy())
 
 
-def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int,
-                  fast: bool = False) -> CInterval:
+def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int
+                  ) -> CInterval:
     """Coefficient (m, n) of the Cauchy product, as one padded sum.
 
     Uses every pair (a_{m-j, n-k}, b_{j, k}) with j <= m, k <= n; grids
-    may be larger than (m, n).  ``fast`` trades the exact-preserving
-    compensated sum for the vectorized gamma-padded one: it always
-    widens a little, but the per-summand python cascade goes away,
-    which matters when (m + 1)(n + 1) reaches the hundreds.
+    may be larger than (m, n).  The compensated sum keeps provably
+    exact sums unwidened.
     """
     arl = a.rlo[m::-1, n::-1]
     arh = a.rhi[m::-1, n::-1]
@@ -215,9 +215,8 @@ def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int,
     p4l, p4h = _imul_arr(ail, aih, brl, brh)
     rl, rh = _isub_arr(p1l, p1h, p2l, p2h)
     il, ih = _iadd_arr(p3l, p3h, p4l, p4h)
-    padder = _pad_sum_fast if fast else _pad_sum
-    re_lo, re_hi = padder(rl.ravel(), rh.ravel(), axis=0)
-    im_lo, im_hi = padder(il.ravel(), ih.ravel(), axis=0)
+    re_lo, re_hi = _pad_sum(rl.ravel(), rh.ravel(), axis=0)
+    im_lo, im_hi = _pad_sum(il.ravel(), ih.ravel(), axis=0)
     return CInterval(Interval(float(re_lo), float(re_hi)),
                      Interval(float(im_lo), float(im_hi)))
 

@@ -9,7 +9,7 @@ import pytest
 
 from fourbody.advect import (
     FlowChart,
-    _FieldRecursion,
+    _FieldColumns,
     choose_tau,
     collapse_time_one,
     defect_bound,
@@ -29,6 +29,7 @@ from fourbody.errors import CollisionDomain, SymmetryViolation
 from fourbody.interval import CInterval, Interval, _iadd_arr, _imul_arr
 from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
     local_manifold
+from fourbody.polyfield import field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
 
 Z0 = CInterval(Interval.from_value(0.0))
@@ -195,14 +196,14 @@ class TestFlowLine:
         assert choose_tau(arcs15[3], m, pc, 15) == abs(chart.tau)
 
     def test_recursion_matches_field_series(self, setup, arcs15):
-        # the same finished chart, pushed through the lifted field by
-        # two independently coded product pipelines
+        # the same finished chart, pushed through the field program by
+        # the column interpreter and the full-product interpreter
         m, pc = setup
         chart = flow_line(arcs15[7], m, pc, orders=(15, 20), tau=2.0,
                           tail_policy="reported")
         G = chart.Gamma
         b = field_series(m, pc, G, orders=(15, 20), fast=True)
-        rec = _FieldRecursion(m, pc, 15, 20)
+        rec = _FieldColumns(field_program(m, pc), 15, 20)
         for n in range(21):
             rl, rh, il, ih = rec.b_column(G, n)
             for i in range(7):
@@ -210,6 +211,22 @@ class TestFlowLine:
                               <= np.minimum(rh[i], b[i].rhi[:, n]))
                 assert np.all(np.maximum(il[i], b[i].ilo[:, n])
                               <= np.minimum(ih[i], b[i].ihi[:, n]))
+
+    def test_interval_masses_enclose_endpoint_chart(self, setup):
+        # a chart built under an interval mass triple must enclose the
+        # chart of every point triple inside it, here one endpoint
+        m, pc = setup
+        arc = boundary_mesh(local_manifold(m, pc, "stable", N=5))[5]
+        d = 2.0 ** -40
+        wide = MassTriple(Interval(0.5 - d, 0.5 + d),
+                          Interval(0.3 - d, 0.3 + d), Interval(0.2))
+        point = MassTriple.from_floats(0.5 + d, 0.3 - d, 0.2)
+        outer, inner = (flow_line(arc, mt, primaries(mt), orders=(10, 4),
+                                  tau=2.0, tail_policy="reported").Gamma
+                        for mt in (wide, point))
+        for co, ci in zip(outer.components, inner.components):
+            assert np.all(co.rlo <= ci.rlo) and np.all(ci.rhi <= co.rhi)
+            assert np.all(co.ilo <= ci.ilo) and np.all(ci.ihi <= co.ihi)
 
     def test_rejects_bad_arguments(self, setup, arcs15):
         m, pc = setup
@@ -289,6 +306,34 @@ class TestDefect:
         assert nxt.defect < 1e-8
         assert nxt.accumulated_time == pytest.approx(
             chart.accumulated_time - 0.1)
+
+    def test_beyond_grid_bound_covers_true_content(self, setup, stable7):
+        # the derived out-of-grid bound against the field content past
+        # the (M, N) grid, from the full-product interpreter at (5M, 5N),
+        # on a small chart and on a random grid whose content is mostly
+        # out of grid
+        m, pc = setup
+        arc = boundary_mesh(stable7, n_arcs=20, arc_order=6)[4]
+        chart = flow_line(arc, m, pc, orders=(6, 6), tau=2.0,
+                          tail_policy="reported").Gamma
+        rng = np.random.default_rng(1)
+        noise = Series2(tuple(ScalarSeries2.from_complex_points(
+            rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            for _ in range(7)))
+        for G in (chart, noise):
+            M, N = G.orders
+            cols = _FieldColumns(field_program(m, pc), M, N)
+            for n in range(N + 1):
+                cols.b_column(G, n)
+            bounds = cols.beyond_grid_bounds(G)
+            full = field_series(m, pc, G, orders=(5 * M, 5 * N), fast=True)
+            for i, (f, bound) in enumerate(zip(full, bounds)):
+                mag = np.hypot(np.maximum(np.abs(f.rlo), np.abs(f.rhi)),
+                               np.maximum(np.abs(f.ilo), np.abs(f.ihi)))
+                mag[:M + 1, :N + 1] = 0.0
+                assert bound >= float(mag.sum()), i
+                if i not in (0, 2):
+                    assert float(mag.sum()) > 0.0, i
 
 
 class TestRangeBox:

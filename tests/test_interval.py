@@ -6,6 +6,7 @@ returned enclosure.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -25,7 +26,6 @@ from fourbody.interval import (
     IntervalMatrix,
     IntervalTensor3,
     IntervalVector,
-    iv_arith,
     matrix_norm,
     matroid_norm,
     max_norm,
@@ -80,14 +80,12 @@ class TestScalarBasics:
         assert Interval(1, 1).pow_int(0) == Interval(1, 1)
 
     def test_dispatcher(self):
-        assert iv_arith("add", Interval(1, 2), Interval(3, 4)) == Interval(4, 6)
-        assert iv_arith("sub", Interval(4, 6), Interval(3, 4)).contains(1.0)
-        assert iv_arith("mul", Interval(-1, 2), Interval(3, 4)) == Interval(-4, 8)
-        assert iv_arith("div", Interval(2, 2), Interval(2, 2)).contains(1.0)
-        assert iv_arith("sqrt", Interval(4, 9)) == Interval(2, 3)
-        assert iv_arith("pow_int", Interval(3, 3), 2) == Interval(9, 9)
-        with pytest.raises(ValueError):
-            iv_arith("cos", Interval(0, 1))
+        assert Interval(1, 2) + Interval(3, 4) == Interval(4, 6)
+        assert (Interval(4, 6) - Interval(3, 4)).contains(1.0)
+        assert Interval(-1, 2) * Interval(3, 4) == Interval(-4, 8)
+        assert (Interval(2, 2) / Interval(2, 2)).contains(1.0)
+        assert Interval(4, 9).sqrt() == Interval(2, 3)
+        assert Interval(3, 3).pow_int(2) == Interval(9, 9)
 
     def test_predicates(self):
         iv = Interval(-1.0, 2.0)
@@ -107,8 +105,9 @@ class TestContainmentFuzz:
         b = _rand_floats(rng, N_FUZZ)
         for x, y in zip(a, b):
             fx, fy = Fraction(x), Fraction(y)
-            for op, exact in (("add", fx + fy), ("sub", fx - fy), ("mul", fx * fy)):
-                r = iv_arith(op, Interval.from_value(x), Interval.from_value(y))
+            for op in (operator.add, operator.sub, operator.mul):
+                exact = op(fx, fy)
+                r = op(Interval.from_value(x), Interval.from_value(y))
                 assert Fraction(r.lo) <= exact <= Fraction(r.hi), (op, x, y)
 
     def test_div(self):
@@ -116,8 +115,8 @@ class TestContainmentFuzz:
         a = _rand_floats(rng, N_FUZZ)
         b = _rand_floats(rng, N_FUZZ)
         for x, y in zip(a, b):
-            exact = Fraction(x) / Fraction(y)
-            r = Interval.from_value(x) / Interval.from_value(y)
+            exact = operator.truediv(Fraction(x), Fraction(y))
+            r = operator.truediv(Interval.from_value(x), Interval.from_value(y))
             assert Fraction(r.lo) <= exact <= Fraction(r.hi)
 
     def test_sqrt(self):
@@ -148,8 +147,9 @@ class TestContainmentFuzz:
             pa = rng.uniform(a.lo, a.hi)
             pb = rng.uniform(b.lo, b.hi)
             fa, fb = Fraction(pa), Fraction(pb)
-            for op, exact in (("add", fa + fb), ("sub", fa - fb), ("mul", fa * fb)):
-                rv = iv_arith(op, a, b)
+            for op in (operator.add, operator.sub, operator.mul):
+                exact = op(fa, fb)
+                rv = op(a, b)
                 assert Fraction(rv.lo) <= exact <= Fraction(rv.hi)
 
 

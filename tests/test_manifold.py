@@ -22,7 +22,6 @@ from fourbody.interval import CInterval, Interval
 from fourbody.manifold import (
     BoundaryArc,
     LocalManifold,
-    _HomologicalBuilder,
     boundary_mesh,
     cauchy_tail_bound,
     invariance_residual,
@@ -146,14 +145,9 @@ class TestHomologicalSolver:
         m, pc = setup
         M = stable4
         zero = CInterval(Interval.from_value(0.0))
-        b = _HomologicalBuilder(m, pc, M.equilibrium, zero, zero, 2)
-        b.write(0, 0, [CInterval(u) for u in M.equilibrium.u])
-        b.write(1, 0, [zero] * 7)
-        b.write(0, 1, [zero] * 7)
-        for idx in ((0, 0), (1, 0), (0, 1)):
-            b.seed_memos(*idx)
         with pytest.raises(SingularEnclosure):
-            b.solve_order(2, 0)
+            solve_homological(m, pc, M.equilibrium, (zero,) * 7, (zero,) * 7,
+                              zero, zero, 2)
 
     def test_bad_first_order_shapes(self, setup, stable4):
         m, pc = setup

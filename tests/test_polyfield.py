@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from fourbody.advect import _FieldColumns
 from fourbody.crfbp import (
     MassTriple,
     PrimaryConfig,
@@ -18,9 +19,12 @@ from fourbody.crfbp import (
 )
 from fourbody.errors import CollisionDomain, DegenerateKernel
 from fourbody.interval import CInterval, Interval, IntervalMatrix, IntervalVector
+from fourbody.manifold import _CoeffInterpreter, _node_series
 from fourbody.polyfield import (
+    DIM,
     State7,
     embed_R,
+    field_program,
     kernel_a,
     kernel_basis,
     lift_eigvector,
@@ -30,6 +34,7 @@ from fourbody.polyfield import (
     project_perp,
     project_pi,
 )
+from fourbody.taylor import ScalarSeries2, Series2
 
 # frozen reciprocal distances at the equilibrium used throughout
 U5 = 0.7244980416112365
@@ -148,6 +153,35 @@ class TestPolyField:
             Fv = poly_F(triple, config, u)
             for k in range(7):
                 assert abs(Fp[k] - Fv[k].mid) < 1e-12
+
+
+class TestFieldProgram:
+    def test_series_interpreters_agree(self, config, triple):
+        # the per-coefficient (hat value plus tangent correction),
+        # per-column and full-product interpreters enclose the same
+        # coefficients at every program node
+        K = 5
+        rng = np.random.default_rng(7)
+        comps = [ScalarSeries2.from_complex_points(
+            rng.normal(size=(K + 1, K + 1))
+            + 1j * rng.normal(size=(K + 1, K + 1))) for _ in range(DIM)]
+        prog = field_program(triple, config)
+        full = _node_series(prog, comps, (K, K))
+        cols = _FieldColumns(prog, K, K)
+        for n in range(K + 1):
+            cols.b_column(Series2(tuple(comps)), n)
+        coef = _CoeffInterpreter(prog, K, [c.coeff(0, 0) for c in comps])
+        for d in range(1, 2 * K + 1):
+            for mm in range(max(0, d - K), min(K, d) + 1):
+                coef.evaluate(mm, d - mm)
+                coef.land(mm, d - mm, [c.coeff(mm, d - mm) for c in comps])
+        assert len(full) == len(coef.grids) == DIM + len(cols.grids)
+        for k, (a, c) in enumerate(zip(full, coef.grids)):
+            b = comps[k] if k < DIM else cols.grids[k - DIM]
+            for lo, hi in (("rlo", "rhi"), ("ilo", "ihi")):
+                los = np.maximum.reduce([getattr(s, lo) for s in (a, b, c)])
+                his = np.minimum.reduce([getattr(s, hi) for s in (a, b, c)])
+                assert np.all(los <= his), k
 
 
 class TestPolyJacobian:
