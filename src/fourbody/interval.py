@@ -5,11 +5,15 @@ Outward rounding is done portably by widening endpoints with
 ``math.nextafter`` instead of switching hardware rounding modes, so all
 values are plain floats and freely shareable across threads.
 
-Scalar operations skip the widening when the double-precision result is
+Operations skip the widening when the double-precision result is
 provably exact (error-free transformation checks), so simple cases like
-``[1,2] + [3,4] -> [4,6]`` come out with exact endpoints.  The vectorized
-array types always widen, and bound accumulated summation error with the
-standard ``n*u/(1-n*u)`` term.
+``[1,2] + [3,4] -> [4,6]`` come out with exact endpoints.  The array
+kernels keep exact results too: ``_iadd_arr`` and ``_pad_sum`` from
+exact summation errors, ``_imul_arr`` from exact product residuals
+inside a magnitude guard.  Outside the guard an array product is
+widened by one ulp unless a factor is zero, while the scalar product
+falls back to rational arithmetic.  Inexact sums are padded with the standard ``n*u/(1-n*u)``
+term.  ``_imul_arr_fast`` and ``_pad_sum_fast`` always widen.
 
 The module also provides the norms used throughout the certification
 pipeline (max-norm, matrix max-row-sum norm, tensor "matroid" norm) and a
@@ -461,15 +465,23 @@ def _pad_sum(lo: np.ndarray, hi: np.ndarray, axis: int):
         return np.zeros(shape), np.zeros(shape)
     if n == 1:
         return lo_m[0].copy(), hi_m[0].copy()
-    s_lo, es_lo, ea_lo = _cascade_sum(lo_m)
-    s_hi, es_hi, ea_hi = _cascade_sum(hi_m)
-    g = _gamma(n + 2)
-    out_lo = s_lo + es_lo
-    out_hi = s_hi + es_hi
-    out_lo = np.where(ea_lo > 0.0,
-                      np.nextafter(out_lo - g * ea_lo, -np.inf), out_lo)
-    out_hi = np.where(ea_hi > 0.0,
-                      np.nextafter(out_hi + g * ea_hi, np.inf), out_hi)
+    return _padded_cascade(lo_m, hi_m, _gamma(n + 2))
+
+
+def _padded_cascade(lo: np.ndarray, hi: np.ndarray, g):
+    """Enclosure of the sums over axis 0 of the lo and hi endpoint arrays.
+
+    ``g`` bounds the compensation residual per unit of accumulated error
+    magnitude, ``_gamma(n + 2)`` for n summands; an array of them pads
+    each sum by its own term count when the axis is zero-padded beyond
+    it, since exact zeros leave the cascade's sum and errors unchanged.
+    """
+    s, e_sum, e_abs = _cascade_sum(np.stack((lo, hi), axis=1))
+    out = s + e_sum
+    out_lo = np.where(e_abs[0] > 0.0,
+                      np.nextafter(out[0] - g * e_abs[0], -np.inf), out[0])
+    out_hi = np.where(e_abs[1] > 0.0,
+                      np.nextafter(out[1] + g * e_abs[1], np.inf), out[1])
     return out_lo, out_hi
 
 
@@ -526,42 +538,42 @@ def _add_ceil_arr(a, b):
     return np.where(np.isfinite(s), out, np.where(s < 0.0, -_MAXF, s))
 
 
-def _prod_floor_arr(a, b):
-    p = a * b
-    exact_zero = (a == 0.0) | (b == 0.0)
-    guard = ((np.abs(p) > 1e-200) & (np.abs(p) < 1e200)
-             & (np.abs(a) < _SPLIT_SAFE) & (np.abs(b) < _SPLIT_SAFE))
-    with np.errstate(invalid="ignore", over="ignore"):
-        e = _prod_err_arr(a, b, p)
-    down = np.where(guard, e < 0.0, ~exact_zero)
-    out = np.where(down, np.nextafter(p, -np.inf), p)
-    return np.where(np.isfinite(out), out, np.where(out > 0.0, _MAXF, out))
-
-
-def _prod_ceil_arr(a, b):
-    p = a * b
-    exact_zero = (a == 0.0) | (b == 0.0)
-    guard = ((np.abs(p) > 1e-200) & (np.abs(p) < 1e200)
-             & (np.abs(a) < _SPLIT_SAFE) & (np.abs(b) < _SPLIT_SAFE))
-    with np.errstate(invalid="ignore", over="ignore"):
-        e = _prod_err_arr(a, b, p)
-    up = np.where(guard, e > 0.0, ~exact_zero)
-    out = np.where(up, np.nextafter(p, np.inf), p)
-    return np.where(np.isfinite(out), out, np.where(out < 0.0, -_MAXF, out))
-
-
 def _imul_arr(alo, ahi, blo, bhi):
     """Elementwise interval product of broadcastable lo/hi arrays.
 
-    Endpoint candidates are rounded outward only when the error-free
-    transform proves the rounded-to-nearest value is on the wrong side,
-    so products that are exactly representable stay exact.
+    The four endpoint candidates go through one stacked pass: each
+    product p and its Dekker residual e = a*b - p are computed once.
+    Where the magnitude guard makes e exact, p is the floor (ceil) of
+    a*b unless e < 0 (e > 0), and one nextafter step fixes it; outside
+    the guard p is stepped outward unless a factor is an exact zero,
+    and an overflow is clamped to the largest finite float on the side
+    the true product cannot reach.  Products that are exactly
+    representable stay exact.
     """
-    lo = np.minimum.reduce([_prod_floor_arr(alo, blo), _prod_floor_arr(alo, bhi),
-                            _prod_floor_arr(ahi, blo), _prod_floor_arr(ahi, bhi)])
-    hi = np.maximum.reduce([_prod_ceil_arr(alo, blo), _prod_ceil_arr(alo, bhi),
-                            _prod_ceil_arr(ahi, blo), _prod_ceil_arr(ahi, bhi)])
-    return lo, hi
+    a = np.stack(np.broadcast_arrays(alo, ahi))
+    b = np.stack(np.broadcast_arrays(blo, bhi))
+    nd = max(a.ndim, b.ndim) - 1
+    # candidates (lo, lo), (lo, hi), (hi, lo), (hi, hi) on two leading axes
+    a = a.reshape((2, 1) + (1,) * (nd + 1 - a.ndim) + a.shape[1:])
+    b = b.reshape((1, 2) + (1,) * (nd + 1 - b.ndim) + b.shape[1:])
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = a * b
+        e = _prod_err_arr(a, b, p)
+        abs_p = np.abs(p)
+        guard = ((abs_p > 1e-200) & (abs_p < 1e200)
+                 & (np.abs(a) < _SPLIT_SAFE) & (np.abs(b) < _SPLIT_SAFE))
+        inexact = (a != 0.0) & (b != 0.0)
+        floor = np.where(np.where(guard, e < 0.0, inexact),
+                         np.nextafter(p, -np.inf), p)
+        ceil = np.where(np.where(guard, e > 0.0, inexact),
+                        np.nextafter(p, np.inf), p)
+    floor = np.where(np.isfinite(floor), floor,
+                     np.where(floor > 0.0, _MAXF, floor))
+    ceil = np.where(np.isfinite(ceil), ceil,
+                    np.where(ceil < 0.0, -_MAXF, ceil))
+    shape = (4,) + p.shape[2:]
+    return (np.minimum.reduce(floor.reshape(shape), axis=0),
+            np.maximum.reduce(ceil.reshape(shape), axis=0))
 
 
 def _imul_arr_fast(alo, ahi, blo, bhi):
@@ -613,7 +625,7 @@ class IntervalVector:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo/hi must be equal-shape 1-d arrays")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise ValueError("invalid interval endpoints in vector")
         self.lo = lo
         self.hi = hi
@@ -701,7 +713,7 @@ class IntervalMatrix:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 2:
             raise ValueError("lo/hi must be equal-shape 2-d arrays")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise ValueError("invalid interval endpoints in matrix")
         self.lo = lo
         self.hi = hi
@@ -775,7 +787,7 @@ class IntervalTensor3:
         d = lo.shape[0]
         if lo.shape != (d, d, d):
             raise ValueError("tensor must be cubic")
-        if np.any(lo > hi):
+        if not np.all(lo <= hi):
             raise ValueError("invalid interval endpoints in tensor")
         self.lo = lo
         self.hi = hi

@@ -6,12 +6,15 @@ lifted polynomial field: lam1 z1 d1 P + lam2 z2 d2 P = F(P).  Matching
 coefficients turns this into one linear "homological" equation per
 coefficient, [DF(u0) - (m lam1 + n lam2) I] a_mn = -c_mn, where c_mn
 collects products of strictly lower-order data.  The solver interprets
-the field program of ``polyfield`` one coefficient at a time, keeping
-one grid per program node: with the unsolved slot a_mn at zero, the
-program's (m, n) coefficients are exactly the lower-order ("hat") sums
-c_mn, and once a_mn is solved the tangent interpreter supplies its
-linear contribution to every node.  ``field_series`` interprets the
-same program with full truncated Cauchy products.
+the field program of ``polyfield`` one total degree d = m + n at a time,
+keeping one grid per program node: with every degree-d input slot at
+zero, one ``product_antidiagonal`` per product node gives the program's
+degree-d coefficients, which are exactly the lower-order ("hat") sums
+c_mn of all the degree's slots at once.  Each a_mn then comes from its
+own verified solve, and the tangent interpreter supplies the solved
+coefficients' linear contribution to every node, across the degree's
+slots.  ``field_series`` interprets the same program with full
+truncated Cauchy products.
 
 The rest of the module extracts real charts from the complex conjugate
 parameterization, meshes the fundamental-domain boundary into secant
@@ -36,6 +39,8 @@ from .interval import (
     IntervalMatrix,
     IntervalVector,
     _iadd_arr,
+    _imul_arr,
+    _isub_arr,
     verified_solve_complex,
 )
 from .nk import certify_equilibrium
@@ -44,11 +49,18 @@ from .polyfield import (DIM, FieldProgram, Mul, State7, embed_R, evaluate,
 from .taylor import (
     ScalarSeries2,
     Series2,
-    _pad_to,
+    _fit,
+    antidiagonal,
     cauchy_product,
     mag_sum_bound,
-    product_coeff,
+    product_antidiagonal,
+    product_coeff,  # noqa: F401  (uncalled; see below)
 )
+
+# Nothing here calls ``product_coeff``.  The binding stays because the
+# benchmark's tracer test (bench/test_bench.py) checks that its wrapper
+# reaches every fourbody namespace that binds the name, this one
+# included.
 
 _PI = Interval(math.pi, np.nextafter(math.pi, 4.0))
 
@@ -100,47 +112,111 @@ class BoundaryArc:
 # the homological solver
 
 
-class _CoeffInterpreter:
-    """Per-coefficient interpreter of the field program on (N, N) grids.
+class _Slots:
+    """Complex intervals at the slots of one total degree.
+
+    ``lo`` and ``hi`` have shape (2, slots): row 0 the real part, row 1
+    the imaginary part.  Only the arithmetic the program interpreters
+    use is defined: + of two, and * by a constant (float, Interval or
+    CInterval), with the endpoint arithmetic of the scalar CInterval
+    operations; a real constant skips the products with its zero
+    imaginary part, which change at most the sign of a zero.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def read(cls, g: ScalarSeries2, slots) -> "_Slots":
+        return cls(np.stack((g.rlo[slots], g.ilo[slots])),
+                   np.stack((g.rhi[slots], g.ihi[slots])))
+
+    @classmethod
+    def of(cls, vals: Sequence[CInterval]) -> "_Slots":
+        return cls(np.array([[v.re.lo for v in vals], [v.im.lo for v in vals]]),
+                   np.array([[v.re.hi for v in vals], [v.im.hi for v in vals]]))
+
+    def write(self, g: ScalarSeries2, slots) -> None:
+        g.rlo[slots], g.ilo[slots] = self.lo
+        g.rhi[slots], g.ihi[slots] = self.hi
+
+    def at(self, r: int) -> CInterval:
+        return CInterval(Interval(self.lo[0, r], self.hi[0, r]),
+                         Interval(self.lo[1, r], self.hi[1, r]))
+
+    def __add__(self, other: "_Slots") -> "_Slots":
+        return _Slots(*_iadd_arr(self.lo, self.hi, other.lo, other.hi))
+
+    def __mul__(self, c) -> "_Slots":
+        if not isinstance(c, CInterval):
+            c = Interval._coerce(c)
+            return _Slots(*_imul_arr(self.lo, self.hi, c.lo, c.hi))
+        # (x + iy)(u + iv): the pairs xu, yv, xv, yu in one call
+        clo = np.array([[c.re.lo], [c.im.lo], [c.im.lo], [c.re.lo]])
+        chi = np.array([[c.re.hi], [c.im.hi], [c.im.hi], [c.re.hi]])
+        plo, phi = _imul_arr(self.lo[[0, 1, 0, 1]], self.hi[[0, 1, 0, 1]],
+                             clo, chi)
+        rlo, rhi = _isub_arr(plo[0], phi[0], plo[1], phi[1])
+        ilo, ihi = _iadd_arr(plo[2], phi[2], plo[3], phi[3])
+        return _Slots(np.stack((rlo, ilo)), np.stack((rhi, ihi)))
+
+
+class _DegreeInterpreter:
+    """Interpreter of the field program one total degree at a time on
+    (N, N) grids.
 
     One grid per node; the input grids are the components of P, and
     the (0, 0) slots hold the scalar interpreter's values at
-    ``origin``.  ``evaluate(m, n)`` fills every node's (m, n) slot, a
-    Lin node from its operands' slots, a Mul node by ``product_coeff``.
-    Theorem: if all slots of total degree below m + n enclose the true
-    coefficients, the (m, n) values enclose the node coefficients for
-    the input values at (m, n).  With those still zero they are the hat
-    sums; ``land`` then adds a_mn and, from ``tangent`` over the (0, 0)
-    values, its exact linear effect on every node, which restores the
-    hypothesis at (m, n).
+    ``origin``.  ``evaluate(d)`` fills every node's degree-d slots, a
+    Lin node from its operands' slots, a Mul node by
+    ``product_antidiagonal``.  Theorem: a degree-d slot (m', n') of a
+    factor reaches the degree-d coefficient (m, n) of a product only
+    paired with the other factor's (0, 0) coefficient, at
+    (m', n') = (m, n).  So if all slots of degree below d enclose the
+    true coefficients, the degree-d values enclose the node
+    coefficients for the input values in the degree-d slots, and with
+    those all zero they are every hat sum of the degree at once.
+    ``land`` then adds the solved a_mn and, from ``tangent`` over the
+    (0, 0) values, their exact linear effect on every node, which
+    restores the hypothesis at degree d.
     """
 
     def __init__(self, prog: FieldProgram, N: int,
                  origin: Sequence[CInterval]):
         self.prog = prog
+        self.N = N
         self.base = evaluate(prog, origin)
         self.grids = [ScalarSeries2.zeros(N, N) for _ in self.base]
         for g, v in zip(self.grids, self.base):
             g.set_coeff(0, 0, v)
 
-    def evaluate(self, mm: int, nn: int) -> list[CInterval]:
-        """Node slots at (mm, nn) != (0, 0); returns the outputs'."""
+    def evaluate(self, d: int) -> list[_Slots]:
+        """Node slots of degree d >= 1; returns the outputs'."""
+        slots = antidiagonal(self.N, self.N, d)
         g = self.grids
+        vals = [_Slots.read(x, slots) for x in g[:DIM]]
         for i, op in enumerate(self.prog.ops, DIM):
             if isinstance(op, Mul):
-                v = product_coeff(g[op.a], g[op.b], mm, nn)
+                rl, rh, il, ih = product_antidiagonal(g[op.a], g[op.b], d)
+                v = _Slots(np.stack((rl, il)), np.stack((rh, ih)))
             else:
-                v = CInterval(0.0)
+                v = None
                 for c, k in op.terms:
-                    v = g[k].coeff(mm, nn) * c + v
-            g[i].set_coeff(mm, nn, v)
-        return [g[o].coeff(mm, nn) for o in self.prog.outputs]
+                    v = vals[k] * c if v is None else vals[k] * c + v
+            v.write(g[i], slots)
+            vals.append(v)
+        return [vals[o] for o in self.prog.outputs]
 
-    def land(self, mm: int, nn: int, vals: Sequence[CInterval]) -> None:
-        """Install a_mn = vals after ``evaluate`` on zero input slots."""
-        for g, d in zip(self.grids, tangent(self.prog, self.base, vals)):
-            if d is not None:
-                g.set_coeff(mm, nn, g.coeff(mm, nn) + d)
+    def land(self, d: int, vals: Sequence[_Slots]) -> None:
+        """Install the degree-d inputs ``vals`` after ``evaluate`` on
+        zero input slots."""
+        slots = antidiagonal(self.N, self.N, d)
+        for g, dv in zip(self.grids, tangent(self.prog, self.base, vals)):
+            if dv is not None:
+                (_Slots.read(g, slots) + dv).write(g, slots)
 
 
 def _homological_solve(df: IntervalMatrix, mu: CInterval,
@@ -182,18 +258,19 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
         raise ValueError("first-order data must have 7 components")
     if N < 1:
         raise ValueError("order N must be at least 1")
-    ev = _CoeffInterpreter(field_program(m, p), N,
-                           [CInterval(ui) for ui in u0.u])
+    ev = _DegreeInterpreter(field_program(m, p), N,
+                            [CInterval(ui) for ui in u0.u])
     df = poly_DF(m, p, u0)
-    for (mm, nn), vals in (((1, 0), v1), ((0, 1), v2)):
-        ev.evaluate(mm, nn)
-        ev.land(mm, nn, vals)
+    ev.evaluate(1)
+    # degree-1 slots in increasing m: (0, 1), then (1, 0)
+    ev.land(1, [_Slots.of(pair) for pair in zip(v2, v1)])
     for d in range(2, 2 * N + 1):
-        for mm in range(max(0, d - N), min(N, d) + 1):
-            nn = d - mm
-            c = ev.evaluate(mm, nn)
+        c = ev.evaluate(d)
+        sols = []
+        for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d))):
             mu = lam1 * float(mm) + lam2 * float(nn)
-            ev.land(mm, nn, _homological_solve(df, mu, c))
+            sols.append(_homological_solve(df, mu, [ci.at(r) for ci in c]))
+        ev.land(d, [_Slots.of(col) for col in zip(*sols)])
     return Series2(tuple(ev.grids[:DIM]), scale=1.0, tau=1.0,
                    real_symmetric=True)
 
@@ -291,7 +368,7 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
     prog = field_program(m, p)
     nodes = _node_series(prog, P.components, orders, fast)
-    return [_pad_to(nodes[o], OM, ON).copy() for o in prog.outputs]
+    return [_fit(nodes[o], OM, ON).copy() for o in prog.outputs]
 
 
 def _node_series(prog: FieldProgram, inputs: Sequence[ScalarSeries2],
@@ -320,7 +397,7 @@ def _node_series(prog: FieldProgram, inputs: Sequence[ScalarSeries2],
         tn = max(nodes[k].orders[1] for _, k in op.terms)
         acc = ScalarSeries2.zeros(tm, tn).shift_const(CInterval(op.const))
         for c, k in op.terms:
-            acc = acc + _pad_to(nodes[k], tm, tn).scale(CInterval(c))
+            acc = acc + _fit(nodes[k], tm, tn).scale(CInterval(c))
         nodes.append(acc)
     return nodes
 
@@ -419,11 +496,27 @@ def boundary_mesh(M: LocalManifold, R: float = 0.99, n_arcs: int = 20,
     verts = [R * complex(math.cos(2.0 * math.pi * k / n_arcs),
                          math.sin(2.0 * math.pi * k / n_arcs))
              for k in range(n_arcs)]
-    arcs = []
-    for k in range(n_arcs):
-        p0, p1 = verts[k], verts[(k + 1) % n_arcs]
+    chords = [(verts[k], verts[(k + 1) % n_arcs]) for k in range(n_arcs)]
+    for p0, p1 in chords:
         _check_chord_flux(M, p0, p1)
-        arcs.append(_compose_chord(M, p0, p1, deg, arc_order))
+    acc = _compose_chords(M.P, chords, deg)
+    arcs = []
+    for k, (p0, p1) in enumerate(chords):
+        comps = []
+        extra_tail = 0.0
+        for i in range(k * DIM, (k + 1) * DIM):
+            col = ScalarSeries2(acc.rlo[:, i:i + 1], acc.rhi[:, i:i + 1],
+                                acc.ilo[:, i:i + 1], acc.ihi[:, i:i + 1])
+            if arc_order < deg:
+                dropped = ScalarSeries2(col.rlo[arc_order + 1:],
+                                        col.rhi[arc_order + 1:],
+                                        col.ilo[arc_order + 1:],
+                                        col.ihi[arc_order + 1:])
+                extra_tail = max(extra_tail, mag_sum_bound(dropped))
+            comps.append(_fit(col, arc_order, 0))
+        gamma = Series2(tuple(comps), scale=M.scale, tau=1.0,
+                        real_symmetric=False, tail=M.P.tail + extra_tail)
+        arcs.append(BoundaryArc(gamma=gamma, preimage=(p0, p1), kind=M.kind))
     return arcs
 
 
@@ -442,11 +535,11 @@ def _check_chord_flux(M: LocalManifold, p0: complex, p1: complex) -> None:
                 f"{'outflowing' if want_positive else 'inflowing'}")
 
 
-def _mul_linear(H: ScalarSeries2, c0: CInterval, c1: CInterval,
-                deg: int) -> ScalarSeries2:
+def _mul_linear(H: ScalarSeries2, c0, c1, deg: int) -> ScalarSeries2:
     """Product with (c0 + c1 s) along the first axis, truncated at deg.
 
-    Works on stacked grids whose columns are independent series.
+    Works on stacked grids whose columns are independent series; c0
+    and c1 are CIntervals, or one-row grids of per-column values.
     """
     s0 = H.scale(c0)
     s1 = H.scale(c1)
@@ -459,63 +552,46 @@ def _mul_linear(H: ScalarSeries2, c0: CInterval, c1: CInterval,
     return s0 + shift
 
 
-def _stack_row(P: Series2, mm: int, nn: int):
-    lo = np.array([c.rlo[mm, nn] for c in P.components])
-    hi = np.array([c.rhi[mm, nn] for c in P.components])
-    ilo = np.array([c.ilo[mm, nn] for c in P.components])
-    ihi = np.array([c.ihi[mm, nn] for c in P.components])
-    return lo, hi, ilo, ihi
+def _compose_chords(P: Series2, chords: Sequence[tuple[complex, complex]],
+                    deg: int) -> ScalarSeries2:
+    """P along every chord z1 = mid + half s, z2 = conj(z1), s in [-1, 1].
 
+    One nested Horner pass over a stacked grid whose rows are
+    chord-parameter degrees 0..deg and whose column k * DIM + i is
+    component i along chord k; per-column chord constants broadcast,
+    so every column equals a Horner pass over its chord alone.
+    """
+    N = P.orders[0]
+    n = len(chords)
 
-def _compose_chord(M: LocalManifold, p0: complex, p1: complex, deg: int,
-                   arc_order: int) -> BoundaryArc:
-    midp = 0.5 * (p0 + p1)
-    half = 0.5 * (p1 - p0)
-    N = M.P.orders[0]
-    a0 = CInterval(midp.real, midp.imag)
-    a1 = CInterval(half.real, half.imag)
-    b0, b1 = a0.conj(), a1.conj()
-    # nested Horner over stacked grids: columns are the 7 components,
-    # rows are chord-parameter degrees
+    def per_column(zs) -> ScalarSeries2:
+        z = np.repeat(np.array(zs, dtype=complex), DIM)[None]
+        return ScalarSeries2(z.real, z.real, z.imag, z.imag)
+
+    a0 = per_column([0.5 * (p0 + p1) for p0, p1 in chords])
+    a1 = per_column([0.5 * (p1 - p0) for p0, p1 in chords])
+    b0 = per_column([(0.5 * (p0 + p1)).conjugate() for p0, p1 in chords])
+    b1 = per_column([(0.5 * (p1 - p0)).conjugate() for p0, p1 in chords])
+    # coefficient (mm, nn) of every component, repeated for every chord
+    parts = [np.tile(np.stack([getattr(c, f) for c in P.components], axis=-1),
+                     n) for f in ("rlo", "rhi", "ilo", "ihi")]
+
     rows = []
     for mm in range(N + 1):
-        acc = ScalarSeries2.zeros(deg, DIM - 1)
-        acc.rlo[0], acc.rhi[0], acc.ilo[0], acc.ihi[0] = _stack_row(M.P, mm, N)
+        acc = ScalarSeries2.zeros(deg, n * DIM - 1)
+        acc.rlo[0], acc.rhi[0], acc.ilo[0], acc.ihi[0] = (
+            x[mm, N] for x in parts)
         for nn in range(N - 1, -1, -1):
             acc = _mul_linear(acc, b0, b1, deg)
-            clo, chi, dlo, dhi = _stack_row(M.P, mm, nn)
-            acc.rlo[0], acc.rhi[0] = _iadd_arr(acc.rlo[0], acc.rhi[0], clo, chi)
-            acc.ilo[0], acc.ihi[0] = _iadd_arr(acc.ilo[0], acc.ihi[0], dlo, dhi)
+            rlo, rhi, ilo, ihi = (x[mm, nn] for x in parts)
+            acc.rlo[0], acc.rhi[0] = _iadd_arr(acc.rlo[0], acc.rhi[0], rlo, rhi)
+            acc.ilo[0], acc.ihi[0] = _iadd_arr(acc.ilo[0], acc.ihi[0], ilo, ihi)
         rows.append(acc)
     acc = rows[N]
     for mm in range(N - 1, -1, -1):
         acc = _mul_linear(acc, a0, a1, deg)
         acc = acc + rows[mm]
-    comps = []
-    extra_tail = 0.0
-    for i in range(DIM):
-        col = ScalarSeries2(acc.rlo[:, i:i + 1], acc.rhi[:, i:i + 1],
-                            acc.ilo[:, i:i + 1], acc.ihi[:, i:i + 1])
-        if arc_order < deg:
-            dropped = ScalarSeries2(col.rlo[arc_order + 1:],
-                                    col.rhi[arc_order + 1:],
-                                    col.ilo[arc_order + 1:],
-                                    col.ihi[arc_order + 1:])
-            extra_tail = max(extra_tail, mag_sum_bound(dropped))
-            col = ScalarSeries2(col.rlo[: arc_order + 1],
-                                col.rhi[: arc_order + 1],
-                                col.ilo[: arc_order + 1],
-                                col.ihi[: arc_order + 1])
-        elif arc_order > deg:
-            pad = np.zeros((arc_order - deg, 1))
-            col = ScalarSeries2(np.concatenate([col.rlo, pad]),
-                                np.concatenate([col.rhi, pad]),
-                                np.concatenate([col.ilo, pad]),
-                                np.concatenate([col.ihi, pad]))
-        comps.append(col)
-    gamma = Series2(tuple(comps), scale=M.scale, tau=1.0,
-                    real_symmetric=False, tail=M.P.tail + extra_tail)
-    return BoundaryArc(gamma=gamma, preimage=(p0, p1), kind=M.kind)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,20 @@ rescaling of the domain variables, and conjugate-symmetry checking.
 The lifted field itself is not written here: ``polyfield`` describes it
 once as a program of linear combinations and products, and the
 interpreters in ``manifold`` and ``advect`` evaluate that program with
-``product_coeff`` (one coefficient; with the unsolved slot at exact zero
-this yields the hat sum of the homological solve), ``product_column``
-(one time-order column) and ``cauchy_product`` (full truncated series).
-The explicit hat_product_* functions exist for direct use and for
-testing the hat identity against full products.
+``product_antidiagonal`` (every coefficient of one total degree, exact
+sums; with the unsolved degree at exact zero this yields the hat sums
+of the homological solve), ``product_column`` (one time-order column,
+one-ulp products and a-priori padded sums) and ``cauchy_product`` (the
+full truncated series, one ``product_antidiagonal`` per degree or, with
+``fast``, one ``product_column`` per column).  ``product_coeff`` is the
+single-coefficient form of the exact convolution; the explicit
+hat_product_* functions use it, for direct use and for testing the hat
+identity against full products.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,12 +33,14 @@ from .errors import DomainExceeded
 from .interval import (
     CInterval,
     Interval,
+    _gamma,
     _iadd_arr,
     _imul_arr,
     _imul_arr_fast,
     _isub_arr,
     _pad_sum,
     _pad_sum_fast,
+    _padded_cascade,
 )
 
 
@@ -55,7 +62,7 @@ class ScalarSeries2:
             raise ValueError("coefficient arrays must share a shape")
         if self.rlo.ndim != 2:
             raise ValueError("coefficient arrays must be 2-d")
-        if np.any(self.rlo > self.rhi) or np.any(self.ilo > self.ihi):
+        if not (np.all(self.rlo <= self.rhi) and np.all(self.ilo <= self.ihi)):
             raise ValueError("invalid interval endpoints in coefficients")
 
     # -- construction ---------------------------------------------------
@@ -112,12 +119,17 @@ class ScalarSeries2:
     def __neg__(self) -> "ScalarSeries2":
         return ScalarSeries2(-self.rhi, -self.rlo, -self.ihi, -self.ilo)
 
-    def scale(self, c: CInterval) -> "ScalarSeries2":
-        """Multiply every coefficient by a complex interval scalar."""
-        p1l, p1h = _imul_arr(self.rlo, self.rhi, c.re.lo, c.re.hi)
-        p2l, p2h = _imul_arr(self.ilo, self.ihi, c.im.lo, c.im.hi)
-        p3l, p3h = _imul_arr(self.rlo, self.rhi, c.im.lo, c.im.hi)
-        p4l, p4h = _imul_arr(self.ilo, self.ihi, c.re.lo, c.re.hi)
+    def scale(self, c: "CInterval | ScalarSeries2") -> "ScalarSeries2":
+        """Multiply every coefficient by a complex interval scalar, or
+        column by column by a one-row grid of them."""
+        if isinstance(c, CInterval):
+            crl, crh, cil, cih = c.re.lo, c.re.hi, c.im.lo, c.im.hi
+        else:
+            crl, crh, cil, cih = c.rlo, c.rhi, c.ilo, c.ihi
+        p1l, p1h = _imul_arr(self.rlo, self.rhi, crl, crh)
+        p2l, p2h = _imul_arr(self.ilo, self.ihi, cil, cih)
+        p3l, p3h = _imul_arr(self.rlo, self.rhi, cil, cih)
+        p4l, p4h = _imul_arr(self.ilo, self.ihi, crl, crh)
         rlo, rhi = _isub_arr(p1l, p1h, p2l, p2h)
         ilo, ihi = _iadd_arr(p3l, p3h, p4l, p4h)
         return ScalarSeries2(rlo, rhi, ilo, ihi)
@@ -221,6 +233,77 @@ def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int
                      Interval(float(im_lo), float(im_hi)))
 
 
+def antidiagonal(M: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (m, d - m) of the total-degree-d slots of an (M, N) grid,
+    in increasing m."""
+    ms = np.arange(max(0, d - N), min(M, d) + 1)
+    return ms, d - ms
+
+
+@functools.lru_cache(maxsize=512)
+def _antidiagonal_plan(M: int, N: int, d: int):
+    """Gather plan of ``product_antidiagonal`` on the (M, N) grid.
+
+    Row r of the (terms, slots) index blocks lists the summands of slot
+    (m, n) = antidiagonal(M, N, d)[r] in ``product_coeff``'s ravel order,
+    pairs (a_{m-j, n-k}, b_{j, k}) with j-major (j, k), then the zero
+    sentinel (M + 1)(N + 1) up to the longest row; ``g`` is each row's
+    summation bound for its own term count.
+    """
+    ms, ns = antidiagonal(M, N, d)
+    counts = (ms + 1) * (ns + 1)
+    sentinel = (M + 1) * (N + 1)
+    ia = np.full((len(ms), int(counts.max())), sentinel)
+    ib = ia.copy()
+    for r, (m, n) in enumerate(zip(ms, ns)):
+        j, k = np.divmod(np.arange(counts[r]), n + 1)
+        ia[r, : counts[r]] = (m - j) * (N + 1) + (n - k)
+        ib[r, : counts[r]] = j * (N + 1) + k
+    g = np.array([_gamma(int(c) + 2) for c in counts])
+    for x in (ia, ib, g):
+        x.flags.writeable = False  # shared by every caller of the cache
+    return ia.T, ib.T, g
+
+
+def _flat_parts(s: ScalarSeries2, M: int, N: int) -> np.ndarray:
+    """The (M, N) corner of rlo, rhi, ilo, ihi, raveled, as the rows of
+    one (4, (M + 1)(N + 1) + 1) array ending in a zero sentinel column."""
+    out = np.zeros((4, (M + 1) * (N + 1) + 1))
+    for row, g in zip(out, (s.rlo, s.rhi, s.ilo, s.ihi)):
+        row[:-1] = g[: M + 1, : N + 1].ravel()
+    return out
+
+
+def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+    """Every coefficient (m, d - m) of the Cauchy product on the grid
+    both operands cover, m as in ``antidiagonal``.
+
+    The summands of all slots are gathered into one zero-padded block
+    of shape (terms, slots), in ``product_coeff``'s order; one exact
+    product per real/imaginary pair and one compensated cascade over
+    the term axis follow.  Padding summands are exact zeros, which
+    leave the cascade's sum and errors unchanged, and each slot is
+    padded by the gamma of its own term count, so every endpoint equals
+    ``product_coeff``'s (a -0.0 may come out as +0.0).  Returns
+    (re_lo, re_hi, im_lo, im_hi), each with one entry per slot.
+    """
+    M = min(a.orders[0], b.orders[0])
+    N = min(a.orders[1], b.orders[1])
+    ia, ib, g = _antidiagonal_plan(M, N, d)
+    A = _flat_parts(a, M, N)[:, ia]
+    B = _flat_parts(b, M, N)[:, ib]
+    # pairs ar*br, ai*bi, ar*bi, ai*br in one stacked call
+    plo, phi = _imul_arr(A[[0, 2, 0, 2]], A[[1, 3, 1, 3]],
+                         B[[0, 2, 2, 0]], B[[1, 3, 3, 1]])
+    rl, rh = _isub_arr(plo[0], phi[0], plo[1], phi[1])
+    il, ih = _iadd_arr(plo[2], phi[2], plo[3], phi[3])
+    lo, hi = _padded_cascade(np.stack((rl, il), axis=1),
+                             np.stack((rh, ih), axis=1), g)
+    return lo[0], hi[0], lo[1], hi[1]
+
+
 def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Column n of the Cauchy product for s-orders 0..M, as lo/hi arrays.
@@ -282,41 +365,39 @@ def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,
         Mb, Nb = b.orders
         orders = (max(Ma, Mb), max(Na, Nb))
     M, N = orders
-    ap = _pad_to(a, M, N)
-    bp = _pad_to(b, M, N)
+    ap = _fit(a, M, N)
+    bp = _fit(b, M, N)
     out = ScalarSeries2.zeros(M, N)
+    parts = (out.rlo, out.rhi, out.ilo, out.ihi)
     if fast:
         for n in range(N + 1):
-            re_lo, re_hi, im_lo, im_hi = product_column(ap, bp, n, M)
-            out.rlo[:, n] = re_lo
-            out.rhi[:, n] = re_hi
-            out.ilo[:, n] = im_lo
-            out.ihi[:, n] = im_hi
+            for g, v in zip(parts, product_column(ap, bp, n, M)):
+                g[:, n] = v
         return out
-    for m in range(M + 1):
-        for n in range(N + 1):
-            out.set_coeff(m, n, product_coeff(ap, bp, m, n))
+    for d in range(M + N + 1):
+        slots = antidiagonal(M, N, d)
+        for g, v in zip(parts, product_antidiagonal(ap, bp, d)):
+            g[slots] = v
     return out
 
 
-def _pad_to(s: ScalarSeries2, m: int, n: int) -> ScalarSeries2:
-    """View of a series grid grown with zero coefficients to cover (m, n)."""
+def _fit(s: ScalarSeries2, m: int, n: int) -> ScalarSeries2:
+    """The series on exactly the (m, n) grid: truncated, or grown with
+    zero coefficients; a view when no growth is needed."""
     M, N = s.orders
     if M >= m and N >= n:
-        return s
-    rlo = np.zeros((max(M, m) + 1, max(N, n) + 1))
-    rhi = rlo.copy()
-    ilo = rlo.copy()
-    ihi = rlo.copy()
-    rlo[: M + 1, : N + 1] = s.rlo
-    rhi[: M + 1, : N + 1] = s.rhi
-    ilo[: M + 1, : N + 1] = s.ilo
-    ihi[: M + 1, : N + 1] = s.ihi
-    return ScalarSeries2(rlo, rhi, ilo, ihi)
+        return ScalarSeries2(s.rlo[: m + 1, : n + 1], s.rhi[: m + 1, : n + 1],
+                             s.ilo[: m + 1, : n + 1], s.ihi[: m + 1, : n + 1])
+    out = ScalarSeries2.zeros(m, n)
+    k, ell = min(M, m) + 1, min(N, n) + 1
+    for dst, src in ((out.rlo, s.rlo), (out.rhi, s.rhi), (out.ilo, s.ilo),
+                     (out.ihi, s.ihi)):
+        dst[:k, :ell] = src[:k, :ell]
+    return out
 
 
 def _zero_at(s: ScalarSeries2, m: int, n: int) -> ScalarSeries2:
-    out = _pad_to(s, m, n).copy()
+    out = _fit(s, m, n).copy()
     out.rlo[m, n] = 0.0
     out.rhi[m, n] = 0.0
     out.ilo[m, n] = 0.0

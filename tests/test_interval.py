@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fourbody.errors import (
     DivisionByZeroInterval,
@@ -26,6 +27,7 @@ from fourbody.interval import (
     IntervalMatrix,
     IntervalTensor3,
     IntervalVector,
+    _imul_arr,
     matrix_norm,
     matroid_norm,
     max_norm,
@@ -173,6 +175,139 @@ def _nested_pairs(draw):
     hi = outer.hi - t2 * 0.5 * (outer.hi - outer.lo)
     inner = Interval(min(lo, hi), max(lo, hi))
     return inner, outer
+
+
+class TestNaNEndpoints:
+    """NaN passes ``lo > hi``; the containers must refuse it as the
+    scalar Interval does."""
+
+    def test_vector(self):
+        with pytest.raises(ValueError):
+            IntervalVector(np.array([0.0, np.nan]), np.array([1.0, 1.0]))
+
+    def test_matrix(self):
+        with pytest.raises(ValueError):
+            IntervalMatrix(np.zeros((2, 2)), np.full((2, 2), np.nan))
+
+    def test_tensor(self):
+        lo = np.zeros((2, 2, 2))
+        lo[1, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            IntervalTensor3(lo, np.ones((2, 2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the fused array product against the two-pass kernel it replaced
+
+_SPLITTER = 134217729.0
+_MAXF = 1.7976931348623157e308
+
+
+def _two_pass_imul(alo, ahi, blo, bhi):
+    """Reference: the two-pass kernel the fused one replaced, with the
+    floor and the ceil of every endpoint product computed by separate
+    passes, each with its own product and Dekker residual."""
+
+    def residual(a, b, p):
+        ca = _SPLITTER * a
+        ah = ca - (ca - a)
+        al = a - ah
+        cb = _SPLITTER * b
+        bh = cb - (cb - b)
+        bl = b - bh
+        return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+    def prod_floor(a, b):
+        p = a * b
+        exact_zero = (a == 0.0) | (b == 0.0)
+        guard = ((np.abs(p) > 1e-200) & (np.abs(p) < 1e200)
+                 & (np.abs(a) < 1e150) & (np.abs(b) < 1e150))
+        e = residual(a, b, p)
+        down = np.where(guard, e < 0.0, ~exact_zero)
+        out = np.where(down, np.nextafter(p, -np.inf), p)
+        return np.where(np.isfinite(out), out, np.where(out > 0.0, _MAXF, out))
+
+    def prod_ceil(a, b):
+        p = a * b
+        exact_zero = (a == 0.0) | (b == 0.0)
+        guard = ((np.abs(p) > 1e-200) & (np.abs(p) < 1e200)
+                 & (np.abs(a) < 1e150) & (np.abs(b) < 1e150))
+        e = residual(a, b, p)
+        up = np.where(guard, e > 0.0, ~exact_zero)
+        out = np.where(up, np.nextafter(p, np.inf), p)
+        return np.where(np.isfinite(out), out, np.where(out < 0.0, -_MAXF, out))
+
+    with np.errstate(all="ignore"):
+        lo = np.minimum.reduce([prod_floor(alo, blo), prod_floor(alo, bhi),
+                                prod_floor(ahi, blo), prod_floor(ahi, bhi)])
+        hi = np.maximum.reduce([prod_ceil(alo, blo), prod_ceil(alo, bhi),
+                                prod_ceil(ahi, blo), prod_ceil(ahi, bhi)])
+    return lo, hi
+
+
+# endpoints that hit every branch: signed zeros, infinities, small
+# integers, factors at or past the split guard, products past 1e200 or
+# under 1e-200, and subnormals
+_EDGE = [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 2.0, 3.0, -7.0, 0.5,
+         1e150, -1e150, 3e150, 1e180, -1e-105, 1e-110, 1e-210, 5e-324,
+         1.7976931348623157e308, 0.1, -1.0 / 3.0]
+_edge_floats = st.one_of(
+    st.sampled_from(_EDGE),
+    st.floats(allow_nan=False),
+    st.floats(min_value=-1e-95, max_value=1e-95, allow_nan=False),
+    st.floats(min_value=-1e105, max_value=1e105, allow_nan=False),
+)
+
+
+@st.composite
+def _interval_arrays(draw, shape):
+    x = draw(hnp.arrays(np.float64, shape, elements=_edge_floats))
+    y = draw(hnp.arrays(np.float64, shape, elements=_edge_floats))
+    return np.minimum(x, y), np.maximum(x, y)
+
+
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+class TestFusedProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(_interval_arrays((21, 7)), _interval_arrays(()))
+    def test_block_times_scalar(self, a, b):
+        blo, bhi = float(b[0]), float(b[1])
+        _assert_bitwise(_imul_arr(*a, blo, bhi),
+                        _two_pass_imul(*a, blo, bhi))
+        _assert_bitwise(_imul_arr(blo, bhi, *a),
+                        _two_pass_imul(blo, bhi, *a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_interval_arrays((3, 5)), _interval_arrays((3, 5)),
+           _interval_arrays((3, 1)), _interval_arrays((1, 5)))
+    def test_blocks_and_broadcast(self, a, b, col, row):
+        _assert_bitwise(_imul_arr(*a, *b), _two_pass_imul(*a, *b))
+        _assert_bitwise(_imul_arr(*col, *row), _two_pass_imul(*col, *row))
+        # one operand's lo and hi of different shapes
+        _assert_bitwise(_imul_arr(col[0], a[1] + np.inf, *row),
+                        _two_pass_imul(col[0], a[1] + np.inf, *row))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_interval_arrays(()), _interval_arrays(()))
+    def test_contains_scalar_product(self, a, b):
+        a, b = (tuple(map(float, x)) for x in (a, b))
+        if not all(map(math.isfinite, a + b)):
+            return  # scalar products of infinities may be NaN
+        lo, hi = _imul_arr(*a, *b)
+        want = Interval(*a) * Interval(*b)
+        assert lo <= want.lo and want.hi <= hi
+        # inside the guard every candidate's residual is exact
+        guarded = all(abs(x) < 1e150 for x in a + b) and all(
+            x == 0.0 or y == 0.0 or 1e-200 < abs(x * y) < 1e200
+            for x in a for y in b)
+        if guarded:
+            assert (lo, hi) == (want.lo, want.hi)
 
 
 class TestInclusionMonotonicity:

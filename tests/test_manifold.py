@@ -22,6 +22,7 @@ from fourbody.interval import CInterval, Interval
 from fourbody.manifold import (
     BoundaryArc,
     LocalManifold,
+    _compose_chords,
     boundary_mesh,
     cauchy_tail_bound,
     invariance_residual,
@@ -347,6 +348,18 @@ class TestBoundaryMesh:
             boundary_mesh(stable4, R=1.2)
         with pytest.raises(ValueError):
             boundary_mesh(stable4, R=0.9, n_arcs=2)
+
+    def test_stacked_chords_compose_independently(self, stable4):
+        # the one Horner pass over all chords gives every arc exactly
+        # what a pass over its own chord alone gives
+        arcs = boundary_mesh(stable4, R=0.9, n_arcs=6)
+        deg = 2 * stable4.P.orders[0]
+        for arc in arcs:
+            alone = _compose_chords(stable4.P, [arc.preimage], deg)
+            for i, comp in enumerate(arc.gamma.components):
+                for f in ("rlo", "rhi", "ilo", "ihi"):
+                    assert np.array_equal(getattr(comp, f)[:, 0],
+                                          getattr(alone, f)[:, i])
 
     def test_truncated_arc_gets_tail(self, stable4):
         # 6 arcs keep every chord transverse to the spiral flow; 4 do not

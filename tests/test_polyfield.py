@@ -19,7 +19,7 @@ from fourbody.crfbp import (
 )
 from fourbody.errors import CollisionDomain, DegenerateKernel
 from fourbody.interval import CInterval, Interval, IntervalMatrix, IntervalVector
-from fourbody.manifold import _CoeffInterpreter, _node_series
+from fourbody.manifold import _DegreeInterpreter, _node_series, _Slots
 from fourbody.polyfield import (
     DIM,
     State7,
@@ -34,7 +34,7 @@ from fourbody.polyfield import (
     project_perp,
     project_pi,
 )
-from fourbody.taylor import ScalarSeries2, Series2
+from fourbody.taylor import ScalarSeries2, Series2, antidiagonal
 
 # frozen reciprocal distances at the equilibrium used throughout
 U5 = 0.7244980416112365
@@ -157,7 +157,7 @@ class TestPolyField:
 
 class TestFieldProgram:
     def test_series_interpreters_agree(self, config, triple):
-        # the per-coefficient (hat value plus tangent correction),
+        # the per-degree (hat values plus tangent correction),
         # per-column and full-product interpreters enclose the same
         # coefficients at every program node
         K = 5
@@ -170,11 +170,11 @@ class TestFieldProgram:
         cols = _FieldColumns(prog, K, K)
         for n in range(K + 1):
             cols.b_column(Series2(tuple(comps)), n)
-        coef = _CoeffInterpreter(prog, K, [c.coeff(0, 0) for c in comps])
+        coef = _DegreeInterpreter(prog, K, [c.coeff(0, 0) for c in comps])
         for d in range(1, 2 * K + 1):
-            for mm in range(max(0, d - K), min(K, d) + 1):
-                coef.evaluate(mm, d - mm)
-                coef.land(mm, d - mm, [c.coeff(mm, d - mm) for c in comps])
+            slots = antidiagonal(K, K, d)
+            coef.evaluate(d)
+            coef.land(d, [_Slots.read(c, slots) for c in comps])
         assert len(full) == len(coef.grids) == DIM + len(cols.grids)
         for k, (a, c) in enumerate(zip(full, coef.grids)):
             b = comps[k] if k < DIM else cols.grids[k - DIM]

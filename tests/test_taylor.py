@@ -11,11 +11,13 @@ from fourbody.interval import CInterval, Interval
 from fourbody.taylor import (
     ScalarSeries2,
     Series2,
+    antidiagonal,
     cauchy_product,
     conj_symmetry_check,
     hat_product_cubic,
     hat_product_quartic,
     hat_product_quintic,
+    product_antidiagonal,
     product_coeff,
     product_column,
 )
@@ -254,6 +256,123 @@ class TestHatProducts:
                                 total += (ag[j1, k1] * bg[j2, k2]
                                           * bg[j3, k3] * bg[j4, k4])
         assert hat.contains(total)
+
+
+class TestProductAntidiagonal:
+    """One call per total degree must reproduce ``product_coeff`` at
+    every slot of the degree, endpoint for endpoint."""
+
+    @staticmethod
+    def _assert_matches_coeffs(a, b):
+        M = min(a.orders[0], b.orders[0])
+        N = min(a.orders[1], b.orders[1])
+        for d in range(M + N + 1):
+            got = product_antidiagonal(a, b, d)
+            ms, ns = antidiagonal(M, N, d)
+            assert all(len(part) == len(ms) for part in got)
+            for r, (m, n) in enumerate(zip(ms, ns)):
+                want = product_coeff(a, b, int(m), int(n))
+                assert got[0][r] == want.re.lo and got[1][r] == want.re.hi
+                assert got[2][r] == want.im.lo and got[3][r] == want.im.hi
+
+    @staticmethod
+    def _widen(s, rng, rel=1e-6, real=False):
+        # radii so the sums are inexact and get padded
+        wr = rel * np.abs(rng.standard_normal(s.rlo.shape))
+        wi = 0.0 if real else rel * np.abs(rng.standard_normal(s.rlo.shape))
+        return ScalarSeries2(s.rlo - wr, s.rhi + wr, s.ilo - wi, s.ihi + wi)
+
+    @pytest.mark.parametrize("M,N", [(1, 1), (4, 4), (10, 10), (3, 7),
+                                     (6, 1), (0, 4)])
+    def test_random_complex_grids(self, M, N):
+        rng = np.random.default_rng(M * 31 + N)
+        a = self._widen(_random_series(M, N, rng), rng)
+        b = self._widen(_random_series(M, N, rng, scale=1e-3), rng)
+        self._assert_matches_coeffs(a, b)
+
+    @pytest.mark.parametrize("M,N", [(4, 4), (2, 5)])
+    def test_real_grids(self, M, N):
+        rng = np.random.default_rng(M + 7 * N)
+        grid = rng.standard_normal((M + 1, N + 1))
+        a = self._widen(ScalarSeries2.from_complex_points(grid), rng,
+                        real=True)
+        b = ScalarSeries2.from_complex_points(grid[::-1])
+        self._assert_matches_coeffs(a, b)
+        for d in range(M + N + 1):
+            _, _, im_lo, im_hi = product_antidiagonal(a, b, d)
+            assert np.all(im_lo == 0.0) and np.all(im_hi == 0.0)
+
+    @pytest.mark.parametrize("M,N", [(1, 1), (4, 4), (10, 10), (5, 3)])
+    def test_dyadic_grids_stay_exact(self, M, N):
+        rng = np.random.default_rng(100 + M + N)
+        a = _dyadic_series(M, N, rng)
+        b = _dyadic_series(M, N, rng)
+        self._assert_matches_coeffs(a, b)
+        for d in range(M + N + 1):
+            re_lo, re_hi, im_lo, im_hi = product_antidiagonal(a, b, d)
+            assert np.array_equal(re_lo, re_hi)
+            assert np.array_equal(im_lo, im_hi)
+
+    def test_cancelling_sums(self):
+        # b is the float reciprocal series of a, so every coefficient of
+        # a*b but the first cancels to rounding level; there the gamma
+        # padding sets the endpoints, and each slot needs its own count
+        rng = np.random.default_rng(11)
+        M, N = 8, 8
+        ag = 0.5 * (rng.standard_normal((M + 1, N + 1))
+                    + 1j * rng.standard_normal((M + 1, N + 1)))
+        ag[0, 0] = 1.0
+        bg = np.zeros_like(ag)
+        for m in range(M + 1):
+            for n in range(N + 1):
+                acc = 1.0 if (m, n) == (0, 0) else 0.0
+                for j in range(m + 1):
+                    for k in range(n + 1):
+                        if (j, k) != (0, 0):
+                            acc -= ag[j, k] * bg[m - j, n - k]
+                bg[m, n] = acc
+        a = ScalarSeries2.from_complex_points(ag)
+        b = ScalarSeries2.from_complex_points(bg)
+        self._assert_matches_coeffs(a, b)
+
+    def test_operands_of_different_orders(self):
+        rng = np.random.default_rng(5)
+        a = self._widen(_random_series(6, 3, rng), rng)
+        b = self._widen(_random_series(4, 5, rng), rng)
+        self._assert_matches_coeffs(a, b)
+
+    def test_cauchy_product_is_per_degree(self):
+        rng = np.random.default_rng(9)
+        a = self._widen(_random_series(4, 6, rng), rng)
+        b = self._widen(_random_series(5, 2, rng), rng)
+        p = cauchy_product(a, b, orders=(3, 4))
+        assert p.orders == (3, 4)
+        for m in range(4):
+            for n in range(5):
+                want = product_coeff(_fit_grid(a, 3, 4), _fit_grid(b, 3, 4),
+                                     m, n)
+                assert p.coeff(m, n).re == want.re
+                assert p.coeff(m, n).im == want.im
+
+
+def _fit_grid(s, M, N):
+    """The series zero-padded or truncated to the (M, N) grid."""
+    out = ScalarSeries2.zeros(M, N)
+    k, ell = min(s.orders[0], M) + 1, min(s.orders[1], N) + 1
+    for f in ("rlo", "rhi", "ilo", "ihi"):
+        getattr(out, f)[:k, :ell] = getattr(s, f)[:k, :ell]
+    return out
+
+
+class TestNaNEndpoints:
+    def test_series_rejects_nan(self):
+        z = np.zeros((2, 2))
+        bad = z.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            ScalarSeries2(bad, z, z, z)
+        with pytest.raises(ValueError):
+            ScalarSeries2(z, z, z, bad)
 
 
 class TestEvaluation:
