@@ -4,11 +4,15 @@ A boundary arc gamma(s) is carried into a space-time chart
 Gamma(s, t) = Phi(gamma(s), t / tau) by matching powers of the rescaled
 time variable: tau dGamma/dt = F(Gamma) becomes the recursion
 Gamma_{m,n+1} = b_mn / (tau (n + 1)), with b_mn the Cauchy-product
-coefficients of the lifted polynomial field.  Those come from a column
-interpreter of the field program of ``polyfield``: one grid per program
-node, filled one time-order column at a time, so the whole run costs
-the same as a single full Cauchy product per node.  The same grids
-give the bound on field content beyond the chart's grid.
+coefficients of the lifted polynomial field.  ``taylor_flow`` takes the
+field as a ``b_column(partial, n)`` callable that returns the t-order-n
+coefficients of every component as one ``CIntervalArray`` of shape
+(dim, M + 1), reading only columns 0..n of the partial chart.  In
+production they come from a column interpreter of the field program of
+``polyfield``: one grid per program node, filled one time-order column
+at a time, so the whole run costs the same as a single full Cauchy
+product per node.  The same grids give the bound on field content
+beyond the chart's grid.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -31,11 +35,9 @@ from .crfbp import MassTriple, PrimaryConfig, field_point
 from .errors import CollisionDomain, StepFailure, SymmetryViolation
 from .interval import (
     CInterval,
+    CIntervalArray,
     Interval,
     IntervalVector,
-    _iadd_arr,
-    _imul_arr,
-    _isub_arr,
     _pad_sum,
     matrix_norm,
 )
@@ -43,9 +45,6 @@ from .manifold import BoundaryArc
 from .polyfield import (DIM, FieldProgram, Lin, Mul, State7, field_program,
                         poly_DF, poly_F_point)
 from .taylor import ScalarSeries2, Series2, mag_sum_bound, product_column
-
-ColumnQuad = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-BColumn = Callable[[Series2, int], ColumnQuad]
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,14 @@ class FlowChart:
 # the recursion engine
 
 
-def taylor_flow(gamma: Series2, b_column: BColumn, N: int,
+def taylor_flow(gamma: Series2,
+                b_column: Callable[[Series2, int], CIntervalArray], N: int,
                 tau: float) -> Series2:
     """Integrate tau dGamma/dt = F(Gamma) by the coefficient recursion.
 
     ``b_column(partial, n)`` must return the field coefficients of
-    t-order n as (re_lo, re_hi, im_lo, im_hi) arrays of shape
-    (dim, M + 1), reading only columns 0..n of the partially built
+    t-order n as one CIntervalArray of shape (dim, M + 1), row i for
+    component i, reading only columns 0..n of the partially built
     series it is handed; column n + 1 of the solution is then
     b / (tau (n + 1)).  The field is supplied by the caller, so
     harness fields (constant, linear) exercise the engine exactly.
@@ -106,21 +106,13 @@ def taylor_flow(gamma: Series2, b_column: BColumn, N: int,
     out = Series2.zeros(gamma.dim, M, N, scale=gamma.scale, tau=tau,
                         real_symmetric=False, tail=gamma.tail)
     for c, c0 in zip(out.components, gamma.components):
-        c.rlo[:, 0] = c0.rlo[:, 0]
-        c.rhi[:, 0] = c0.rhi[:, 0]
-        c.ilo[:, 0] = c0.ilo[:, 0]
-        c.ihi[:, 0] = c0.ihi[:, 0]
+        c[:, 0] = c0[:, 0]
     tau_iv = Interval.from_value(tau)
     for n in range(N):
-        brl, brh, bil, bih = b_column(out, n)
         inv = Interval.from_value(1.0) / (tau_iv * float(n + 1))
-        rlo, rhi = _imul_arr(brl, brh, inv.lo, inv.hi)
-        ilo, ihi = _imul_arr(bil, bih, inv.lo, inv.hi)
+        col = b_column(out, n) * inv
         for i, comp in enumerate(out.components):
-            comp.rlo[:, n + 1] = rlo[i]
-            comp.rhi[:, n + 1] = rhi[i]
-            comp.ilo[:, n + 1] = ilo[i]
-            comp.ihi[:, n + 1] = ihi[i]
+            comp[:, n + 1] = col[i]
     return out
 
 
@@ -141,29 +133,21 @@ class _FieldColumns:
         self.N = N
         self.grids = [ScalarSeries2.zeros(M, N) for _ in prog.ops]
 
-    def b_column(self, G: Series2, n: int) -> ColumnQuad:
+    def b_column(self, G: Series2, n: int) -> CIntervalArray:
         nodes = list(G.components) + self.grids
         for op, dst in zip(self.prog.ops, self.grids):
             if isinstance(op, Mul):
-                quad = product_column(nodes[op.a], nodes[op.b], n, self.M)
+                col = product_column(nodes[op.a], nodes[op.b], n, self.M)
             else:
-                quad = None
+                col = None
                 for c, k in op.terms:
-                    src = nodes[k]
-                    term = _scaled((src.rlo[:, n], src.rhi[:, n],
-                                    src.ilo[:, n], src.ihi[:, n]),
-                                   Interval._coerce(c))
-                    quad = term if quad is None else (
-                        *_iadd_arr(quad[0], quad[1], term[0], term[1]),
-                        *_iadd_arr(quad[2], quad[3], term[2], term[3]))
-            dst.rlo[:, n], dst.rhi[:, n], dst.ilo[:, n], dst.ihi[:, n] = quad
+                    term = nodes[k][:, n] * c
+                    col = term if col is None else col + term
+            dst[:, n] = col
             if n == 0 and isinstance(op, Lin):
-                dst.set_coeff(0, 0, dst.coeff(0, 0) + CInterval(op.const))
-        outs = [nodes[o] for o in self.prog.outputs]
-        return (np.stack([s.rlo[:, n] for s in outs]),
-                np.stack([s.rhi[:, n] for s in outs]),
-                np.stack([s.ilo[:, n] for s in outs]),
-                np.stack([s.ihi[:, n] for s in outs]))
+                dst[0, 0] = dst.at(0, 0) + CInterval(op.const)
+        return CIntervalArray.of([nodes[o][:, n]
+                                  for o in self.prog.outputs])
 
     def beyond_grid_bounds(self, G: Series2) -> list[float]:
         """Per-output bound on field content outside the (M, N) grid,
@@ -192,25 +176,12 @@ class _FieldColumns:
         return [lost[o] for o in self.prog.outputs]
 
 
-def _scaled(quad: ColumnQuad, c: Interval) -> ColumnQuad:
-    """A complex column times a real interval; scaling by +-1 or +-2 is
-    exact in floating point and skips the interval product."""
-    rl, rh, il, ih = quad
-    if c.lo == c.hi and abs(c.lo) in (1.0, 2.0):
-        x = c.lo
-        return ((rl * x, rh * x, il * x, ih * x) if x > 0.0
-                else (rh * x, rl * x, ih * x, il * x))
-    return (*_imul_arr(rl, rh, c.lo, c.hi), *_imul_arr(il, ih, c.lo, c.hi))
-
-
 _NORM_PAD = 1.0 + 1e-10
 
 
 def _mag_grid(s: ScalarSeries2) -> np.ndarray:
     """Entrywise upper bound on coefficient magnitudes."""
-    re = np.maximum(np.abs(s.rlo), np.abs(s.rhi))
-    im = np.maximum(np.abs(s.ilo), np.abs(s.ihi))
-    return np.hypot(re, im) * _NORM_PAD
+    return s.mag() * _NORM_PAD
 
 
 def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
@@ -246,25 +217,24 @@ def _arc_series(arc: BoundaryArc, M: int) -> Series2:
         raise ValueError(f"spatial order {M} is below the arc order {Ma}")
     comps = []
     for i, c in enumerate(arc.gamma.components):
-        if np.any(c.ilo > 0.0) or np.any(c.ihi < 0.0):
+        if np.any(c.lo[1] > 0.0) or np.any(c.hi[1] < 0.0):
             raise SymmetryViolation(
                 f"arc component {i} has an imaginary part excluding zero")
-        rlo = np.zeros((M + 1, 1))
-        rhi = np.zeros((M + 1, 1))
-        rlo[: Ma + 1, 0] = c.rlo[:, 0]
-        rhi[: Ma + 1, 0] = c.rhi[:, 0]
-        comps.append(ScalarSeries2(rlo, rhi, np.zeros((M + 1, 1)),
-                                   np.zeros((M + 1, 1))))
+        real = ScalarSeries2.zeros(M, 0)
+        real.lo[0, : Ma + 1] = c.lo[0]
+        real.hi[0, : Ma + 1] = c.hi[0]
+        comps.append(real)
     return Series2(tuple(comps), scale=arc.gamma.scale, tau=1.0,
                    real_symmetric=False, tail=arc.gamma.tail)
 
 
 def _column_mag(G: Series2, n: int) -> float:
+    """Largest sum of real and imaginary magnitudes in column n."""
     best = 0.0
     for c in G.components:
-        mags = (np.maximum(np.abs(c.rlo[:, n]), np.abs(c.rhi[:, n]))
-                + np.maximum(np.abs(c.ilo[:, n]), np.abs(c.ihi[:, n])))
-        best = max(best, float(np.max(mags)))
+        col = c[:, n]
+        mags = np.maximum(np.abs(col.lo), np.abs(col.hi))
+        best = max(best, float(np.max(mags[0] + mags[1])))
     return best
 
 
@@ -341,21 +311,14 @@ def _defect_parts(m: MassTriple, p: PrimaryConfig, G: Series2
     tau_iv = Interval.from_value(G.tau)
     res = [ScalarSeries2.zeros(M, N) for _ in range(DIM)]
     for n in range(N + 1):
-        brl, brh, bil, bih = rec.b_column(G, n)
+        b = rec.b_column(G, n)
         if n < N:
-            tn = tau_iv * float(n + 1)
-            for i, c in enumerate(G.components):
-                r = res[i]
-                lhs = _imul_arr(c.rlo[:, n + 1], c.rhi[:, n + 1],
-                                tn.lo, tn.hi)
-                r.rlo[:, n], r.rhi[:, n] = _isub_arr(*lhs, brl[i], brh[i])
-                lhs = _imul_arr(c.ilo[:, n + 1], c.ihi[:, n + 1],
-                                tn.lo, tn.hi)
-                r.ilo[:, n], r.ihi[:, n] = _isub_arr(*lhs, bil[i], bih[i])
+            lhs = CIntervalArray.of([c[:, n + 1] for c in G.components])
+            col = lhs * (tau_iv * float(n + 1)) - b
         else:
-            for i, r in enumerate(res):
-                r.rlo[:, n], r.rhi[:, n] = -brh[i], -brl[i]
-                r.ilo[:, n], r.ihi[:, n] = -bih[i], -bil[i]
+            col = -b
+        for i, r in enumerate(res):
+            r[:, n] = col[i]
     return res, rec.beyond_grid_bounds(G)
 
 
@@ -406,11 +369,13 @@ def range_box(G: Series2, tiles: int = 64) -> IntervalVector:
     ops = (M + 1) * (N + 1) + M + N + 8
     out = []
     for c in G.components:
-        mid = 0.5 * (c.rlo + c.rhi)
+        # the chart is real: only the real parts enter
+        lo, hi = c.lo[0], c.hi[0]
+        mid = 0.5 * (lo + hi)
         vals = VS @ mid @ VT.T
-        mags = np.maximum(np.abs(c.rlo), np.abs(c.rhi))
+        mags = np.maximum(np.abs(lo), np.abs(hi))
         sups = h * float(np.sum((mrow + ncol) * mags))
-        radii = 0.5 * float(np.sum(c.rhi - c.rlo))
+        radii = 0.5 * float(np.sum(hi - lo))
         fperr = ops * 1.2e-16 * max(1.0, float(np.sum(np.abs(mid))))
         slack = sups + radii + fperr + G.tail
         out.append(Interval(
@@ -491,10 +456,9 @@ def collapse_time_one(chart: FlowChart) -> BoundaryArc:
     G = chart.Gamma
     comps = []
     for c in G.components:
-        rlo, rhi = _pad_sum(c.rlo, c.rhi, axis=1)
-        ilo, ihi = _pad_sum(c.ilo, c.ihi, axis=1)
-        comps.append(ScalarSeries2(rlo[:, None], rhi[:, None],
-                                   ilo[:, None], ihi[:, None]))
+        edge = ScalarSeries2.zeros(G.orders[0], 0)
+        edge[:, 0] = CIntervalArray(*_pad_sum(c.lo, c.hi, axis=-1))
+        comps.append(edge)
     gamma = Series2(tuple(comps), scale=G.scale, tau=1.0,
                     real_symmetric=False, tail=G.tail)
     return BoundaryArc(gamma=gamma, kind=chart.kind, preimage=None)

@@ -26,7 +26,7 @@ from .advect import (FlowChart, check_collision, choose_tau,
                      collapse_time_one, flow_line)
 from .crfbp import MassTriple, PrimaryConfig, primaries
 from .errors import CollisionDomain, SchemaVersionMismatch, SubdivisionLimit
-from .interval import CInterval, Interval, _iadd_arr
+from .interval import CInterval, CIntervalArray, Interval
 from .manifold import BoundaryArc, LocalManifold, _mul_linear, boundary_mesh
 from .polyfield import DIM
 from .taylor import ScalarSeries2, Series2
@@ -76,8 +76,7 @@ def arc_decay(arc: BoundaryArc) -> float:
     top = 0.0
     peak = 0.0
     for c in arc.gamma.components:
-        mags = np.hypot(np.maximum(np.abs(c.rlo), np.abs(c.rhi)),
-                        np.maximum(np.abs(c.ilo), np.abs(c.ihi)))[:, 0]
+        mags = c.mag()[:, 0]
         top = max(top, float(mags[-1]))
         peak = max(peak, float(np.max(mags)))
     return top / peak if peak > 0.0 else 0.0
@@ -90,9 +89,8 @@ def arc_length(arc: BoundaryArc) -> float:
     y components in float from their real coefficient midpoints.
     """
     s = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    x, y = (np.polynomial.polynomial.polyval(
-        s, 0.5 * (c.rlo[:, 0] + c.rhi[:, 0]))
-        for c in (arc.gamma.components[0], arc.gamma.components[2]))
+    x, y = (np.polynomial.polynomial.polyval(s, c.mid()[:, 0].real)
+            for c in (arc.gamma.components[0], arc.gamma.components[2]))
     return float(np.sum(np.hypot(np.diff(x), np.diff(y))))
 
 
@@ -103,26 +101,16 @@ def _affine_arc(arc: BoundaryArc, c: float, d: float) -> BoundaryArc:
     domain, so the restriction inherits it unchanged.
     """
     M = arc.gamma.orders[0]
-    comps = arc.gamma.components
-
-    def row(mm: int):
-        return (np.array([q.rlo[mm, 0] for q in comps]),
-                np.array([q.rhi[mm, 0] for q in comps]),
-                np.array([q.ilo[mm, 0] for q in comps]),
-                np.array([q.ihi[mm, 0] for q in comps]))
-
+    # coef[i, mm]: coefficient mm of component i
+    coef = CIntervalArray.of([q[:, 0] for q in arc.gamma.components])
     c0 = CInterval(c)
     c1 = CInterval(d)
     acc = ScalarSeries2.zeros(M, DIM - 1)
-    acc.rlo[0], acc.rhi[0], acc.ilo[0], acc.ihi[0] = row(M)
+    acc[0] = coef[:, M]
     for mm in range(M - 1, -1, -1):
         acc = _mul_linear(acc, c0, c1, M)
-        lo, hi, ilo, ihi = row(mm)
-        acc.rlo[0], acc.rhi[0] = _iadd_arr(acc.rlo[0], acc.rhi[0], lo, hi)
-        acc.ilo[0], acc.ihi[0] = _iadd_arr(acc.ilo[0], acc.ihi[0], ilo, ihi)
-    out = tuple(ScalarSeries2(acc.rlo[:, i:i + 1], acc.rhi[:, i:i + 1],
-                              acc.ilo[:, i:i + 1], acc.ihi[:, i:i + 1])
-                for i in range(DIM))
+        acc[0] = acc[0] + coef[:, mm]
+    out = tuple(acc[:, i:i + 1] for i in range(DIM))
     gamma = Series2(out, scale=arc.gamma.scale, tau=1.0,
                     real_symmetric=False, tail=arc.gamma.tail)
     preimage = None
@@ -356,28 +344,6 @@ class Atlas:
 # JSON forms
 
 
-def _series_to_json(S: Series2) -> dict:
-    sc = complex(S.scale)
-    return {
-        "scale": [sc.real, sc.imag],
-        "tau": S.tau,
-        "tail": S.tail,
-        "real_symmetric": S.real_symmetric,
-        "components": [{"rlo": c.rlo.tolist(), "rhi": c.rhi.tolist(),
-                        "ilo": c.ilo.tolist(), "ihi": c.ihi.tolist()}
-                       for c in S.components],
-    }
-
-
-def _series_from_json(d: dict) -> Series2:
-    comps = tuple(ScalarSeries2(np.array(c["rlo"]), np.array(c["rhi"]),
-                                np.array(c["ilo"]), np.array(c["ihi"]))
-                  for c in d["components"])
-    return Series2(comps, scale=complex(d["scale"][0], d["scale"][1]),
-                   tau=d["tau"], real_symmetric=d["real_symmetric"],
-                   tail=d["tail"])
-
-
 def _arc_to_json(rec: ArcRecord) -> dict:
     pre = rec.arc.preimage
     return {
@@ -389,14 +355,14 @@ def _arc_to_json(rec: ArcRecord) -> dict:
         "kind": rec.arc.kind,
         "preimage": None if pre is None else
             [[pre[0].real, pre[0].imag], [pre[1].real, pre[1].imag]],
-        "series": _series_to_json(rec.arc.gamma),
+        "series": rec.arc.gamma.to_json(),
     }
 
 
 def _arc_from_json(d: dict) -> ArcRecord:
     pre = d["preimage"]
     arc = BoundaryArc(
-        gamma=_series_from_json(d["series"]), kind=d["kind"],
+        gamma=Series2.from_json(d["series"]), kind=d["kind"],
         preimage=None if pre is None else
             (complex(pre[0][0], pre[0][1]), complex(pre[1][0], pre[1][1])))
     return ArcRecord(arc_id=d["arc_id"], generation=d["generation"],
@@ -416,12 +382,12 @@ def _chart_to_json(rec: ChartRecord) -> dict:
         "defect": ch.defect,
         "source_arc": ch.source_arc,
         "accumulated_time": ch.accumulated_time,
-        "series": _series_to_json(ch.Gamma),
+        "series": ch.Gamma.to_json(),
     }
 
 
 def _chart_from_json(d: dict) -> ChartRecord:
-    chart = FlowChart(Gamma=_series_from_json(d["series"]), kind=d["kind"],
+    chart = FlowChart(Gamma=Series2.from_json(d["series"]), kind=d["kind"],
                       tail_policy=d["tail_policy"], defect=d["defect"],
                       source_arc=d["source_arc"],
                       accumulated_time=d["accumulated_time"])

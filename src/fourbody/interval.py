@@ -15,6 +15,10 @@ widened by one ulp unless a factor is zero, while the scalar product
 falls back to rational arithmetic.  Inexact sums are padded with the standard ``n*u/(1-n*u)``
 term.  ``_imul_arr_fast`` and ``_pad_sum_fast`` always widen.
 
+``CIntervalArray`` holds arrays of complex intervals of any shape as
+one (lo, hi) pair with a leading (real, imaginary) axis; it is the only
+layout the package uses for them.
+
 The module also provides the norms used throughout the certification
 pipeline (max-norm, matrix max-row-sum norm, tensor "matroid" norm) and a
 Krawczyk-style verified linear solver.
@@ -416,6 +420,173 @@ class CInterval:
 
     def __repr__(self) -> str:
         return f"CInterval({self.re!r}, {self.im!r})"
+
+
+class CIntervalArray:
+    """An array of complex intervals of any shape, in the package's one
+    layout for them.
+
+    ``lo`` and ``hi`` are float arrays of shape (2, *shape) whose
+    leading axis is (real, imaginary): the entry at index k is
+    [lo[0][k], hi[0][k]] + i [lo[1][k], hi[1][k]].  Indexing acts on
+    ``shape`` and, as in numpy, basic indexing returns views that share
+    the endpoints.
+
+    ``+``, ``-`` and ``*`` broadcast over ``shape`` as numpy does, and
+    every entry gets the endpoints of the scalar CInterval operation.
+    ``*`` takes a float, an Interval, a CInterval, a real float array or
+    another CIntervalArray and runs as one stacked ``_imul_arr`` pass.
+    A real factor skips the products with its zero imaginary part,
+    which change at most the sign of a zero; a factor of exactly +-1 or
+    +-2 scales exactly in floating point and skips the interval product
+    unless that overflows.  Outside the magnitude guard of ``_imul_arr``
+    a product may be one ulp wider than the scalar one.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if lo.shape != hi.shape or lo.shape[:1] != (2,):
+            raise ValueError("lo/hi must be equal-shape arrays with a "
+                             "leading (real, imaginary) axis")
+        if not np.all(lo <= hi):
+            raise ValueError("invalid interval endpoints in array")
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def _wrap(cls, lo: np.ndarray, hi: np.ndarray) -> "CIntervalArray":
+        """An array over ``lo`` and ``hi`` as they are: no copy, no check."""
+        out = object.__new__(cls)
+        out.lo = lo
+        out.hi = hi
+        return out
+
+    def _like(self, lo: np.ndarray, hi: np.ndarray) -> "CIntervalArray":
+        """A result of an operation on self; subclasses pick its class."""
+        return CIntervalArray._wrap(lo, hi)
+
+    def _result(self, lo: np.ndarray, hi: np.ndarray) -> "CIntervalArray":
+        if not np.all(lo <= hi):
+            raise ValueError("invalid interval endpoints in result")
+        return self._like(lo, hi)
+
+    @classmethod
+    def zeros(cls, shape) -> "CIntervalArray":
+        full = (2,) + (tuple(shape) if isinstance(shape, tuple) else (shape,))
+        return cls._wrap(np.zeros(full), np.zeros(full))
+
+    @staticmethod
+    def of(items) -> "CIntervalArray":
+        """CIntervals, or equal-shape arrays of them, stacked along a new
+        first axis."""
+        parts = [_as_carray(x) for x in items]
+        return CIntervalArray._wrap(np.stack([p.lo for p in parts], axis=1),
+                                    np.stack([p.hi for p in parts], axis=1))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.lo.shape[1:]
+
+    @property
+    def ndim(self) -> int:
+        return self.lo.ndim - 1
+
+    def at(self, *index) -> CInterval:
+        """The entry at ``index`` as a scalar CInterval."""
+        re, im = (0,) + index, (1,) + index
+        return CInterval(Interval(self.lo[re], self.hi[re]),
+                         Interval(self.lo[im], self.hi[im]))
+
+    def __getitem__(self, key) -> "CIntervalArray":
+        k = (slice(None),) + _index(key)
+        return self._like(self.lo[k], self.hi[k])
+
+    def __setitem__(self, key, value: "CIntervalArray | CInterval") -> None:
+        # part by part, so numpy broadcasting aligns the value's shape
+        # with the target's
+        v = _as_carray(value)
+        k = _index(key)
+        for part in (0, 1):
+            self.lo[(part,) + k] = v.lo[part]
+            self.hi[(part,) + k] = v.hi[part]
+
+    def copy(self) -> "CIntervalArray":
+        return self._like(self.lo.copy(), self.hi.copy())
+
+    def mid(self) -> np.ndarray:
+        """Complex midpoints."""
+        return (0.5 * (self.lo[0] + self.hi[0])
+                + 1j * 0.5 * (self.lo[1] + self.hi[1]))
+
+    def mag(self) -> np.ndarray:
+        """hypot of the real and imaginary magnitudes: an upper bound on
+        each entry's modulus up to the rounding of hypot."""
+        return np.hypot(*np.maximum(np.abs(self.lo), np.abs(self.hi)))
+
+    def __add__(self, other: "CIntervalArray") -> "CIntervalArray":
+        alo, ahi, blo, bhi = _aligned(self, other)
+        return self._result(*_iadd_arr(alo, ahi, blo, bhi))
+
+    def __sub__(self, other: "CIntervalArray") -> "CIntervalArray":
+        alo, ahi, blo, bhi = _aligned(self, other)
+        return self._result(*_isub_arr(alo, ahi, blo, bhi))
+
+    def __neg__(self) -> "CIntervalArray":
+        return self._like(-self.hi, -self.lo)
+
+    def __mul__(self, c) -> "CIntervalArray":
+        if isinstance(c, (CInterval, CIntervalArray)):
+            xlo, xhi, ylo, yhi = _aligned(self, _as_carray(c))
+            # (x + iy)(u + iv): the pairs xu, yv, xv, yu in one call
+            plo, phi = _imul_arr(xlo[[0, 1, 0, 1]], xhi[[0, 1, 0, 1]],
+                                 ylo[[0, 1, 1, 0]], yhi[[0, 1, 1, 0]])
+            re = _isub_arr(plo[0], phi[0], plo[1], phi[1])
+            im = _iadd_arr(plo[2], phi[2], plo[3], phi[3])
+            return self._result(np.stack((re[0], im[0])),
+                                np.stack((re[1], im[1])))
+        if isinstance(c, np.ndarray):
+            lo, hi = _lifted(self, max(self.ndim, c.ndim))
+            return self._result(*_imul_arr(lo, hi, c, c))
+        c = Interval._coerce(c)
+        x = c.lo
+        if x == c.hi and abs(x) in (1.0, 2.0):
+            lo, hi = ((self.lo * x, self.hi * x) if x > 0.0
+                      else (self.hi * x, self.lo * x))
+            if np.isfinite(lo).all() and np.isfinite(hi).all():
+                return self._like(lo, hi)
+        return self._result(*_imul_arr(self.lo, self.hi, c.lo, c.hi))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(shape={self.shape})"
+
+
+def _as_carray(x: "CIntervalArray | CInterval") -> CIntervalArray:
+    if isinstance(x, CIntervalArray):
+        return x
+    return CIntervalArray._wrap(np.array([x.re.lo, x.im.lo]),
+                                np.array([x.re.hi, x.im.hi]))
+
+
+def _index(key) -> tuple:
+    """An index on an array's shape, as a tuple."""
+    return key if isinstance(key, tuple) else (key,)
+
+
+def _lifted(x: CIntervalArray, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """x's lo and hi with unit axes after the (real, imaginary) axis up
+    to ``ndim`` shape axes, so numpy broadcasting aligns shapes."""
+    if x.ndim == ndim:
+        return x.lo, x.hi
+    full = (2,) + (1,) * (ndim - x.ndim) + x.shape
+    return x.lo.reshape(full), x.hi.reshape(full)
+
+
+def _aligned(a: CIntervalArray, b: CIntervalArray):
+    nd = max(a.ndim, b.ndim)
+    return _lifted(a, nd) + _lifted(b, nd)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ coefficients turns this into one linear "homological" equation per
 coefficient, [DF(u0) - (m lam1 + n lam2) I] a_mn = -c_mn, where c_mn
 collects products of strictly lower-order data.  The solver interprets
 the field program of ``polyfield`` one total degree d = m + n at a time,
-keeping one grid per program node: with every degree-d input slot at
+keeping one grid per program node and reading and writing a degree's
+slots as one ``CIntervalArray``: with every degree-d input slot at
 zero, one ``product_antidiagonal`` per product node gives the program's
 degree-d coefficients, which are exactly the lower-order ("hat") sums
 c_mn of all the degree's slots at once.  Each a_mn then comes from its
@@ -35,12 +36,10 @@ from .crfbp import EigenData, MassTriple, PrimaryConfig, State4, eigen_data
 from .errors import FourbodyError, SymmetryViolation, TangencyDetected
 from .interval import (
     CInterval,
+    CIntervalArray,
     Interval,
     IntervalMatrix,
     IntervalVector,
-    _iadd_arr,
-    _imul_arr,
-    _isub_arr,
     verified_solve_complex,
 )
 from .nk import certify_equilibrium
@@ -112,58 +111,6 @@ class BoundaryArc:
 # the homological solver
 
 
-class _Slots:
-    """Complex intervals at the slots of one total degree.
-
-    ``lo`` and ``hi`` have shape (2, slots): row 0 the real part, row 1
-    the imaginary part.  Only the arithmetic the program interpreters
-    use is defined: + of two, and * by a constant (float, Interval or
-    CInterval), with the endpoint arithmetic of the scalar CInterval
-    operations; a real constant skips the products with its zero
-    imaginary part, which change at most the sign of a zero.
-    """
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def read(cls, g: ScalarSeries2, slots) -> "_Slots":
-        return cls(np.stack((g.rlo[slots], g.ilo[slots])),
-                   np.stack((g.rhi[slots], g.ihi[slots])))
-
-    @classmethod
-    def of(cls, vals: Sequence[CInterval]) -> "_Slots":
-        return cls(np.array([[v.re.lo for v in vals], [v.im.lo for v in vals]]),
-                   np.array([[v.re.hi for v in vals], [v.im.hi for v in vals]]))
-
-    def write(self, g: ScalarSeries2, slots) -> None:
-        g.rlo[slots], g.ilo[slots] = self.lo
-        g.rhi[slots], g.ihi[slots] = self.hi
-
-    def at(self, r: int) -> CInterval:
-        return CInterval(Interval(self.lo[0, r], self.hi[0, r]),
-                         Interval(self.lo[1, r], self.hi[1, r]))
-
-    def __add__(self, other: "_Slots") -> "_Slots":
-        return _Slots(*_iadd_arr(self.lo, self.hi, other.lo, other.hi))
-
-    def __mul__(self, c) -> "_Slots":
-        if not isinstance(c, CInterval):
-            c = Interval._coerce(c)
-            return _Slots(*_imul_arr(self.lo, self.hi, c.lo, c.hi))
-        # (x + iy)(u + iv): the pairs xu, yv, xv, yu in one call
-        clo = np.array([[c.re.lo], [c.im.lo], [c.im.lo], [c.re.lo]])
-        chi = np.array([[c.re.hi], [c.im.hi], [c.im.hi], [c.re.hi]])
-        plo, phi = _imul_arr(self.lo[[0, 1, 0, 1]], self.hi[[0, 1, 0, 1]],
-                             clo, chi)
-        rlo, rhi = _isub_arr(plo[0], phi[0], plo[1], phi[1])
-        ilo, ihi = _iadd_arr(plo[2], phi[2], plo[3], phi[3])
-        return _Slots(np.stack((rlo, ilo)), np.stack((rhi, ihi)))
-
-
 class _DegreeInterpreter:
     """Interpreter of the field program one total degree at a time on
     (N, N) grids.
@@ -191,32 +138,31 @@ class _DegreeInterpreter:
         self.base = evaluate(prog, origin)
         self.grids = [ScalarSeries2.zeros(N, N) for _ in self.base]
         for g, v in zip(self.grids, self.base):
-            g.set_coeff(0, 0, v)
+            g[0, 0] = v
 
-    def evaluate(self, d: int) -> list[_Slots]:
+    def evaluate(self, d: int) -> list[CIntervalArray]:
         """Node slots of degree d >= 1; returns the outputs'."""
         slots = antidiagonal(self.N, self.N, d)
         g = self.grids
-        vals = [_Slots.read(x, slots) for x in g[:DIM]]
+        vals = [x[slots] for x in g[:DIM]]
         for i, op in enumerate(self.prog.ops, DIM):
             if isinstance(op, Mul):
-                rl, rh, il, ih = product_antidiagonal(g[op.a], g[op.b], d)
-                v = _Slots(np.stack((rl, il)), np.stack((rh, ih)))
+                v = product_antidiagonal(g[op.a], g[op.b], d)
             else:
                 v = None
                 for c, k in op.terms:
                     v = vals[k] * c if v is None else vals[k] * c + v
-            v.write(g[i], slots)
+            g[i][slots] = v
             vals.append(v)
         return [vals[o] for o in self.prog.outputs]
 
-    def land(self, d: int, vals: Sequence[_Slots]) -> None:
+    def land(self, d: int, vals: Sequence[CIntervalArray]) -> None:
         """Install the degree-d inputs ``vals`` after ``evaluate`` on
         zero input slots."""
         slots = antidiagonal(self.N, self.N, d)
         for g, dv in zip(self.grids, tangent(self.prog, self.base, vals)):
             if dv is not None:
-                (_Slots.read(g, slots) + dv).write(g, slots)
+                g[slots] = g[slots] + dv
 
 
 def _homological_solve(df: IntervalMatrix, mu: CInterval,
@@ -263,14 +209,14 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
     df = poly_DF(m, p, u0)
     ev.evaluate(1)
     # degree-1 slots in increasing m: (0, 1), then (1, 0)
-    ev.land(1, [_Slots.of(pair) for pair in zip(v2, v1)])
+    ev.land(1, [CIntervalArray.of(pair) for pair in zip(v2, v1)])
     for d in range(2, 2 * N + 1):
         c = ev.evaluate(d)
         sols = []
         for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d))):
             mu = lam1 * float(mm) + lam2 * float(nn)
             sols.append(_homological_solve(df, mu, [ci.at(r) for ci in c]))
-        ev.land(d, [_Slots.of(col) for col in zip(*sols)])
+        ev.land(d, [CIntervalArray.of(col) for col in zip(*sols)])
     return Series2(tuple(ev.grids[:DIM]), scale=1.0, tau=1.0,
                    real_symmetric=True)
 
@@ -334,7 +280,7 @@ def local_manifold(m: MassTriple, p: PrimaryConfig, kind: str, N: int = 7,
         v2 = tuple(c.conj() for c in v1)
         P0 = solve_homological(m, p, u0, v1, v2, lam1, lam2, N)
         g_top = max(
-            max(comp.coeff(mm, N - mm).abs().hi for comp in P0.components)
+            max(comp.at(mm, N - mm).abs().hi for comp in P0.components)
             for mm in range(N + 1))
         scale = pilot * (target / g_top) ** (1.0 / N)
     v1 = tuple(c * float(scale) for c in xi)
@@ -397,7 +343,7 @@ def _node_series(prog: FieldProgram, inputs: Sequence[ScalarSeries2],
         tn = max(nodes[k].orders[1] for _, k in op.terms)
         acc = ScalarSeries2.zeros(tm, tn).shift_const(CInterval(op.const))
         for c, k in op.terms:
-            acc = acc + _fit(nodes[k], tm, tn).scale(CInterval(c))
+            acc = acc + _fit(nodes[k], tm, tn) * c
         nodes.append(acc)
     return nodes
 
@@ -406,27 +352,22 @@ def _residual_series(m: MassTriple, p: PrimaryConfig, P: Series2,
                      lam1: CInterval, lam2: CInterval,
                      orders: Optional[tuple[int, int]] = None,
                      fast: bool = False) -> list[ScalarSeries2]:
-    """(m lam1 + n lam2) a_mn - [F(P)]_mn, coefficient by coefficient.
+    """(m lam1 + n lam2) a_mn - [F(P)]_mn for every coefficient.
 
     Beyond P's grid the series coefficient is zero and the residual is
-    just the negated field coefficient.
+    just the negated field coefficient.  One shift grid
+    mu_mn = m lam1 + n lam2 serves every component.
     """
     M0, N0 = P.orders
     if orders is None:
         orders = (M0, N0)
     field = field_series(m, p, P, orders, fast=fast)
+    mu = (CIntervalArray.of([lam1]) * np.arange(M0 + 1.0)[:, None]
+          + CIntervalArray.of([lam2]) * np.arange(N0 + 1.0)[None, :])
     out = []
-    for i in range(DIM):
-        res = ScalarSeries2.zeros(*orders)
-        for mm in range(orders[0] + 1):
-            for nn in range(orders[1] + 1):
-                f = field[i].coeff(mm, nn)
-                if mm <= M0 and nn <= N0:
-                    mu = lam1 * float(mm) + lam2 * float(nn)
-                    f = mu * P.components[i].coeff(mm, nn) - f
-                else:
-                    f = -f
-                res.set_coeff(mm, nn, f)
+    for f, a in zip(field, P.components):
+        res = -f
+        res[: M0 + 1, : N0 + 1] = mu * a - f[: M0 + 1, : N0 + 1]
         out.append(res)
     return out
 
@@ -505,14 +446,10 @@ def boundary_mesh(M: LocalManifold, R: float = 0.99, n_arcs: int = 20,
         comps = []
         extra_tail = 0.0
         for i in range(k * DIM, (k + 1) * DIM):
-            col = ScalarSeries2(acc.rlo[:, i:i + 1], acc.rhi[:, i:i + 1],
-                                acc.ilo[:, i:i + 1], acc.ihi[:, i:i + 1])
+            col = acc[:, i:i + 1]
             if arc_order < deg:
-                dropped = ScalarSeries2(col.rlo[arc_order + 1:],
-                                        col.rhi[arc_order + 1:],
-                                        col.ilo[arc_order + 1:],
-                                        col.ihi[arc_order + 1:])
-                extra_tail = max(extra_tail, mag_sum_bound(dropped))
+                extra_tail = max(extra_tail,
+                                 mag_sum_bound(col[arc_order + 1:]))
             comps.append(_fit(col, arc_order, 0))
         gamma = Series2(tuple(comps), scale=M.scale, tau=1.0,
                         real_symmetric=False, tail=M.P.tail + extra_tail)
@@ -538,18 +475,13 @@ def _check_chord_flux(M: LocalManifold, p0: complex, p1: complex) -> None:
 def _mul_linear(H: ScalarSeries2, c0, c1, deg: int) -> ScalarSeries2:
     """Product with (c0 + c1 s) along the first axis, truncated at deg.
 
-    Works on stacked grids whose columns are independent series; c0
-    and c1 are CIntervals, or one-row grids of per-column values.
+    Works on stacked grids of deg + 1 rows whose columns are
+    independent series; c0 and c1 are CIntervals, or one-row grids of
+    per-column values.
     """
-    s0 = H.scale(c0)
-    s1 = H.scale(c1)
-    width = H.rlo.shape[1]
-    z = np.zeros((1, width))
-    shift = ScalarSeries2(np.concatenate([z, s1.rlo[:deg]]),
-                          np.concatenate([z, s1.rhi[:deg]]),
-                          np.concatenate([z, s1.ilo[:deg]]),
-                          np.concatenate([z, s1.ihi[:deg]]))
-    return s0 + shift
+    shift = ScalarSeries2.zeros(*H.orders)
+    shift[1:] = (H * c1)[:deg]
+    return H * c0 + shift
 
 
 def _compose_chords(P: Series2, chords: Sequence[tuple[complex, complex]],
@@ -565,27 +497,24 @@ def _compose_chords(P: Series2, chords: Sequence[tuple[complex, complex]],
     n = len(chords)
 
     def per_column(zs) -> ScalarSeries2:
-        z = np.repeat(np.array(zs, dtype=complex), DIM)[None]
-        return ScalarSeries2(z.real, z.real, z.imag, z.imag)
+        return ScalarSeries2.from_complex_points(
+            np.repeat(np.array(zs, dtype=complex), DIM)[None])
 
     a0 = per_column([0.5 * (p0 + p1) for p0, p1 in chords])
     a1 = per_column([0.5 * (p1 - p0) for p0, p1 in chords])
     b0 = per_column([(0.5 * (p0 + p1)).conjugate() for p0, p1 in chords])
     b1 = per_column([(0.5 * (p1 - p0)).conjugate() for p0, p1 in chords])
-    # coefficient (mm, nn) of every component, repeated for every chord
-    parts = [np.tile(np.stack([getattr(c, f) for c in P.components], axis=-1),
-                     n) for f in ("rlo", "rhi", "ilo", "ihi")]
+    # coef[k * DIM + i, mm, nn]: coefficient (mm, nn) of component i,
+    # repeated for every chord k
+    coef = CIntervalArray.of(P.components)[np.tile(np.arange(DIM), n)]
 
     rows = []
     for mm in range(N + 1):
         acc = ScalarSeries2.zeros(deg, n * DIM - 1)
-        acc.rlo[0], acc.rhi[0], acc.ilo[0], acc.ihi[0] = (
-            x[mm, N] for x in parts)
+        acc[0] = coef[:, mm, N]
         for nn in range(N - 1, -1, -1):
             acc = _mul_linear(acc, b0, b1, deg)
-            rlo, rhi, ilo, ihi = (x[mm, nn] for x in parts)
-            acc.rlo[0], acc.rhi[0] = _iadd_arr(acc.rlo[0], acc.rhi[0], rlo, rhi)
-            acc.ilo[0], acc.ihi[0] = _iadd_arr(acc.ilo[0], acc.ihi[0], ilo, ihi)
+            acc[0] = acc[0] + coef[:, mm, nn]
         rows.append(acc)
     acc = rows[N]
     for mm in range(N - 1, -1, -1):

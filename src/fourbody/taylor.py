@@ -1,11 +1,20 @@
 """Bivariate Taylor-polynomial algebra with complex interval coefficients.
 
 Series here represent truncated expansions P(z1, z2) = sum a_mn z1^m z2^n
-whose coefficients are rectangles (complex intervals).  The module
-supplies the Cauchy product, the "hat" products that omit every summand
-containing the highest-order coefficient (the workhorse of the
-order-by-order homological solves), rigorous evaluation over boxes,
-rescaling of the domain variables, and conjugate-symmetry checking.
+whose coefficients are rectangles (complex intervals).  A component
+``ScalarSeries2`` is the 2-D case of ``interval.CIntervalArray``: one
+(lo, hi) pair of float arrays of shape (2, M+1, N+1), the leading axis
+(real, imaginary), a_mn at index (m, n).  Every complex interval array
+of the package (slots of one degree, columns, stacked chords) has that
+layout, and only this module and ``interval`` name the four endpoint
+grids; the atlas JSON form (``Series2.to_json``) keeps them as the keys
+rlo, rhi, ilo and ihi.
+
+The module supplies the Cauchy product, the "hat" products that omit
+every summand containing the highest-order coefficient (the workhorse
+of the order-by-order homological solves), rigorous evaluation over
+boxes, rescaling of the domain variables, and conjugate-symmetry
+checking.
 
 The lifted field itself is not written here: ``polyfield`` describes it
 once as a program of linear combinations and products, and the
@@ -15,8 +24,8 @@ sums; with the unsolved degree at exact zero this yields the hat sums
 of the homological solve), ``product_column`` (one time-order column,
 one-ulp products and a-priori padded sums) and ``cauchy_product`` (the
 full truncated series, one ``product_antidiagonal`` per degree or, with
-``fast``, one ``product_column`` per column).  ``product_coeff`` is the
-single-coefficient form of the exact convolution; the explicit
+``fast``, one ``product_column`` per column).  ``product_coeff`` is
+``product_antidiagonal`` for a single coefficient; the explicit
 hat_product_* functions use it, for direct use and for testing the hat
 identity against full products.
 """
@@ -32,135 +41,68 @@ import numpy as np
 from .errors import DomainExceeded
 from .interval import (
     CInterval,
+    CIntervalArray,
     Interval,
     _gamma,
-    _iadd_arr,
-    _imul_arr,
     _imul_arr_fast,
-    _isub_arr,
-    _pad_sum,
     _pad_sum_fast,
     _padded_cascade,
 )
 
 
-class ScalarSeries2:
-    """One component: a coefficient grid of shape (M+1, N+1).
+class ScalarSeries2(CIntervalArray):
+    """One component: the 2-D case of ``CIntervalArray``, coefficient
+    a_mn at index (m, n) of a grid of shape (M+1, N+1).
 
-    Mutable while a builder fills it (set_coeff), treated as immutable
-    afterwards; the arithmetic never mutates its operands.
+    Built from the four endpoint grids, which are copied into the
+    stacked storage and stay readable and writable as the views
+    ``rlo``, ``rhi``, ``ilo`` and ``ihi``.  Results of arithmetic and
+    indexing that are 2-D are series again.  Mutable while a builder
+    fills it, treated as immutable afterwards; the arithmetic never
+    mutates its operands.
     """
 
-    __slots__ = ("rlo", "rhi", "ilo", "ihi")
+    __slots__ = ()
 
     def __init__(self, rlo, rhi, ilo, ihi):
-        self.rlo = np.asarray(rlo, dtype=float)
-        self.rhi = np.asarray(rhi, dtype=float)
-        self.ilo = np.asarray(ilo, dtype=float)
-        self.ihi = np.asarray(ihi, dtype=float)
-        if not (self.rlo.shape == self.rhi.shape == self.ilo.shape == self.ihi.shape):
+        parts = [np.asarray(x, dtype=float) for x in (rlo, rhi, ilo, ihi)]
+        if len({x.shape for x in parts}) != 1:
             raise ValueError("coefficient arrays must share a shape")
-        if self.rlo.ndim != 2:
+        if parts[0].ndim != 2:
             raise ValueError("coefficient arrays must be 2-d")
-        if not (np.all(self.rlo <= self.rhi) and np.all(self.ilo <= self.ihi)):
-            raise ValueError("invalid interval endpoints in coefficients")
+        super().__init__(np.stack(parts[0::2]), np.stack(parts[1::2]))
+
+    def _like(self, lo, hi) -> CIntervalArray:
+        cls = ScalarSeries2 if lo.ndim == 3 else CIntervalArray
+        return cls._wrap(lo, hi)
+
+    rlo = property(lambda self: self.lo[0])
+    rhi = property(lambda self: self.hi[0])
+    ilo = property(lambda self: self.lo[1])
+    ihi = property(lambda self: self.hi[1])
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def zeros(cls, M: int, N: int) -> "ScalarSeries2":
-        z = np.zeros((M + 1, N + 1))
-        return cls(z, z.copy(), z.copy(), z.copy())
+        return super().zeros((M + 1, N + 1))
 
     @classmethod
     def from_complex_points(cls, grid) -> "ScalarSeries2":
         a = np.asarray(grid, dtype=complex)
-        return cls(a.real.copy(), a.real.copy(), a.imag.copy(), a.imag.copy())
-
-    def copy(self) -> "ScalarSeries2":
-        return ScalarSeries2(self.rlo.copy(), self.rhi.copy(),
-                             self.ilo.copy(), self.ihi.copy())
+        return cls(a.real, a.real, a.imag, a.imag)
 
     # -- shape and access -----------------------------------------------
 
     @property
     def orders(self) -> tuple[int, int]:
-        return self.rlo.shape[0] - 1, self.rlo.shape[1] - 1
-
-    def coeff(self, m: int, n: int) -> CInterval:
-        return CInterval(Interval(self.rlo[m, n], self.rhi[m, n]),
-                         Interval(self.ilo[m, n], self.ihi[m, n]))
-
-    def set_coeff(self, m: int, n: int, c: CInterval) -> None:
-        self.rlo[m, n] = c.re.lo
-        self.rhi[m, n] = c.re.hi
-        self.ilo[m, n] = c.im.lo
-        self.ihi[m, n] = c.im.hi
-
-    def mid_grid(self) -> np.ndarray:
-        return 0.5 * (self.rlo + self.rhi) + 1j * 0.5 * (self.ilo + self.ihi)
-
-    def max_coeff_mag(self) -> float:
-        return float(np.max(np.maximum(np.abs(self.rlo), np.abs(self.rhi))
-                            + np.maximum(np.abs(self.ilo), np.abs(self.ihi))))
-
-    # -- linear operations ----------------------------------------------
-
-    def __add__(self, other: "ScalarSeries2") -> "ScalarSeries2":
-        rlo, rhi = _iadd_arr(self.rlo, self.rhi, other.rlo, other.rhi)
-        ilo, ihi = _iadd_arr(self.ilo, self.ihi, other.ilo, other.ihi)
-        return ScalarSeries2(rlo, rhi, ilo, ihi)
-
-    def __sub__(self, other: "ScalarSeries2") -> "ScalarSeries2":
-        rlo, rhi = _isub_arr(self.rlo, self.rhi, other.rlo, other.rhi)
-        ilo, ihi = _isub_arr(self.ilo, self.ihi, other.ilo, other.ihi)
-        return ScalarSeries2(rlo, rhi, ilo, ihi)
-
-    def __neg__(self) -> "ScalarSeries2":
-        return ScalarSeries2(-self.rhi, -self.rlo, -self.ihi, -self.ilo)
-
-    def scale(self, c: "CInterval | ScalarSeries2") -> "ScalarSeries2":
-        """Multiply every coefficient by a complex interval scalar, or
-        column by column by a one-row grid of them."""
-        if isinstance(c, CInterval):
-            crl, crh, cil, cih = c.re.lo, c.re.hi, c.im.lo, c.im.hi
-        else:
-            crl, crh, cil, cih = c.rlo, c.rhi, c.ilo, c.ihi
-        p1l, p1h = _imul_arr(self.rlo, self.rhi, crl, crh)
-        p2l, p2h = _imul_arr(self.ilo, self.ihi, cil, cih)
-        p3l, p3h = _imul_arr(self.rlo, self.rhi, cil, cih)
-        p4l, p4h = _imul_arr(self.ilo, self.ihi, crl, crh)
-        rlo, rhi = _isub_arr(p1l, p1h, p2l, p2h)
-        ilo, ihi = _iadd_arr(p3l, p3h, p4l, p4h)
-        return ScalarSeries2(rlo, rhi, ilo, ihi)
+        return self.lo.shape[1] - 1, self.lo.shape[2] - 1
 
     def shift_const(self, c: CInterval) -> "ScalarSeries2":
         """Add a constant to the (0, 0) coefficient."""
         out = self.copy()
-        out.set_coeff(0, 0, self.coeff(0, 0) + c)
+        out[0, 0] = self.at(0, 0) + c
         return out
-
-    # -- calculus --------------------------------------------------------
-
-    def deriv_z1(self) -> "ScalarSeries2":
-        """Derivative in the first variable, orders (M-1, N)."""
-        M, N = self.orders
-        if M == 0:
-            return ScalarSeries2.zeros(0, N)
-        mult = np.arange(1, M + 1)[:, None].astype(float)
-        rlo, rhi = _imul_arr(self.rlo[1:], self.rhi[1:], mult, mult)
-        ilo, ihi = _imul_arr(self.ilo[1:], self.ihi[1:], mult, mult)
-        return ScalarSeries2(rlo, rhi, ilo, ihi)
-
-    def deriv_z2(self) -> "ScalarSeries2":
-        """Derivative in the second variable, orders (M, N-1)."""
-        M, N = self.orders
-        if N == 0:
-            return ScalarSeries2.zeros(M, 0)
-        mult = np.arange(1, N + 1)[None, :].astype(float)
-        rlo, rhi = _imul_arr(self.rlo[:, 1:], self.rhi[:, 1:], mult, mult)
-        ilo, ihi = _imul_arr(self.ilo[:, 1:], self.ihi[:, 1:], mult, mult)
-        return ScalarSeries2(rlo, rhi, ilo, ihi)
 
     # -- evaluation ------------------------------------------------------
 
@@ -169,9 +111,9 @@ class ScalarSeries2:
         M, N = self.orders
         rows = []
         for m in range(M + 1):
-            acc = self.coeff(m, N)
+            acc = self.at(m, N)
             for n in range(N - 1, -1, -1):
-                acc = acc * z2 + self.coeff(m, n)
+                acc = acc * z2 + self.at(m, n)
             rows.append(acc)
         acc = rows[M]
         for m in range(M - 1, -1, -1):
@@ -193,7 +135,7 @@ class ScalarSeries2:
             powers.append(pw)
         for m in range(M + 1):
             for n in range(N + 1):
-                out.set_coeff(m, n, self.coeff(m, n) * powers[m + n])
+                out[m, n] = self.at(m, n) * powers[m + n]
         return out
 
     def conj_reflect(self) -> "ScalarSeries2":
@@ -201,36 +143,19 @@ class ScalarSeries2:
         M, N = self.orders
         if M != N:
             raise ValueError("conjugate reflection needs a square grid")
-        return ScalarSeries2(self.rlo.T.copy(), self.rhi.T.copy(),
-                             -self.ihi.T.copy(), -self.ilo.T.copy())
+        return self._like(np.stack((self.lo[0].T, -self.hi[1].T)),
+                          np.stack((self.hi[0].T, -self.lo[1].T)))
 
 
 def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int
                   ) -> CInterval:
-    """Coefficient (m, n) of the Cauchy product, as one padded sum.
+    """Coefficient (m, n) of the Cauchy product: ``product_antidiagonal``
+    on the (m, n) corner, where degree m + n has that one slot.
 
-    Uses every pair (a_{m-j, n-k}, b_{j, k}) with j <= m, k <= n; grids
-    may be larger than (m, n).  The compensated sum keeps provably
-    exact sums unwidened.
+    Uses every pair (a_{m-j, n-k}, b_{j, k}) with j <= m, k <= n, in one
+    compensated sum that keeps provably exact sums unwidened.
     """
-    arl = a.rlo[m::-1, n::-1]
-    arh = a.rhi[m::-1, n::-1]
-    ail = a.ilo[m::-1, n::-1]
-    aih = a.ihi[m::-1, n::-1]
-    brl = b.rlo[: m + 1, : n + 1]
-    brh = b.rhi[: m + 1, : n + 1]
-    bil = b.ilo[: m + 1, : n + 1]
-    bih = b.ihi[: m + 1, : n + 1]
-    p1l, p1h = _imul_arr(arl, arh, brl, brh)
-    p2l, p2h = _imul_arr(ail, aih, bil, bih)
-    p3l, p3h = _imul_arr(arl, arh, bil, bih)
-    p4l, p4h = _imul_arr(ail, aih, brl, brh)
-    rl, rh = _isub_arr(p1l, p1h, p2l, p2h)
-    il, ih = _iadd_arr(p3l, p3h, p4l, p4h)
-    re_lo, re_hi = _pad_sum(rl.ravel(), rh.ravel(), axis=0)
-    im_lo, im_hi = _pad_sum(il.ravel(), ih.ravel(), axis=0)
-    return CInterval(Interval(float(re_lo), float(re_hi)),
-                     Interval(float(im_lo), float(im_hi)))
+    return product_antidiagonal(_fit(a, m, n), _fit(b, m, n), m + n).at(0)
 
 
 def antidiagonal(M: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,116 +169,99 @@ def antidiagonal(M: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 def _antidiagonal_plan(M: int, N: int, d: int):
     """Gather plan of ``product_antidiagonal`` on the (M, N) grid.
 
-    Row r of the (terms, slots) index blocks lists the summands of slot
-    (m, n) = antidiagonal(M, N, d)[r] in ``product_coeff``'s ravel order,
-    pairs (a_{m-j, n-k}, b_{j, k}) with j-major (j, k), then the zero
-    sentinel (M + 1)(N + 1) up to the longest row; ``g`` is each row's
-    summation bound for its own term count.
+    Entry (t, r) of the (terms, slots) index blocks is summand t of
+    slot (m, n) = antidiagonal(M, N, d)[r], pairs (a_{m-j, n-k}, b_{j, k})
+    with j-major (j, k), then the zero sentinel (M + 1, 0) up to the
+    longest slot; each factor's index is a (row, column) pair of
+    blocks into its grid grown by that one zero row.  ``g`` is each
+    slot's summation bound for its own term count.
     """
     ms, ns = antidiagonal(M, N, d)
     counts = (ms + 1) * (ns + 1)
-    sentinel = (M + 1) * (N + 1)
-    ia = np.full((len(ms), int(counts.max())), sentinel)
-    ib = ia.copy()
+    shape = (int(counts.max()), len(ms))
+    ar, ac, br, bc = (np.zeros(shape, dtype=int) for _ in range(4))
+    ar[:] = br[:] = M + 1
     for r, (m, n) in enumerate(zip(ms, ns)):
         j, k = np.divmod(np.arange(counts[r]), n + 1)
-        ia[r, : counts[r]] = (m - j) * (N + 1) + (n - k)
-        ib[r, : counts[r]] = j * (N + 1) + k
+        ar[: counts[r], r], ac[: counts[r], r] = m - j, n - k
+        br[: counts[r], r], bc[: counts[r], r] = j, k
     g = np.array([_gamma(int(c) + 2) for c in counts])
-    for x in (ia, ib, g):
+    for x in (ar, ac, br, bc, g):
         x.flags.writeable = False  # shared by every caller of the cache
-    return ia.T, ib.T, g
-
-
-def _flat_parts(s: ScalarSeries2, M: int, N: int) -> np.ndarray:
-    """The (M, N) corner of rlo, rhi, ilo, ihi, raveled, as the rows of
-    one (4, (M + 1)(N + 1) + 1) array ending in a zero sentinel column."""
-    out = np.zeros((4, (M + 1) * (N + 1) + 1))
-    for row, g in zip(out, (s.rlo, s.rhi, s.ilo, s.ihi)):
-        row[:-1] = g[: M + 1, : N + 1].ravel()
-    return out
+    return (ar, ac), (br, bc), g
 
 
 def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    np.ndarray]:
+                         ) -> CIntervalArray:
     """Every coefficient (m, d - m) of the Cauchy product on the grid
     both operands cover, m as in ``antidiagonal``.
 
     The summands of all slots are gathered into one zero-padded block
-    of shape (terms, slots), in ``product_coeff``'s order; one exact
-    product per real/imaginary pair and one compensated cascade over
-    the term axis follow.  Padding summands are exact zeros, which
-    leave the cascade's sum and errors unchanged, and each slot is
-    padded by the gamma of its own term count, so every endpoint equals
-    ``product_coeff``'s (a -0.0 may come out as +0.0).  Returns
-    (re_lo, re_hi, im_lo, im_hi), each with one entry per slot.
+    of shape (terms, slots), pairs (a_{m-j, n-k}, b_{j, k}) in j-major
+    order; one complex product of the blocks and one compensated
+    cascade over the term axis follow.  Padding summands are exact
+    zeros, which leave the cascade's sum and errors unchanged, and each
+    slot is padded by the gamma of its own term count, so every
+    endpoint equals the single padded sum of that slot's terms (a -0.0
+    may come out as +0.0).  Returns one entry per slot.
     """
     M = min(a.orders[0], b.orders[0])
     N = min(a.orders[1], b.orders[1])
     ia, ib, g = _antidiagonal_plan(M, N, d)
-    A = _flat_parts(a, M, N)[:, ia]
-    B = _flat_parts(b, M, N)[:, ib]
-    # pairs ar*br, ai*bi, ar*bi, ai*br in one stacked call
-    plo, phi = _imul_arr(A[[0, 2, 0, 2]], A[[1, 3, 1, 3]],
-                         B[[0, 2, 2, 0]], B[[1, 3, 3, 1]])
-    rl, rh = _isub_arr(plo[0], phi[0], plo[1], phi[1])
-    il, ih = _iadd_arr(plo[2], phi[2], plo[3], phi[3])
-    lo, hi = _padded_cascade(np.stack((rl, il), axis=1),
-                             np.stack((rh, ih), axis=1), g)
-    return lo[0], hi[0], lo[1], hi[1]
+    # the common (M, N) corners, grown by the plan's zero sentinel row
+    p = _fit(_fit(a, M, N), M + 1, N)[ia] * _fit(_fit(b, M, N), M + 1, N)[ib]
+    lo, hi = _padded_cascade(np.moveaxis(p.lo, 1, 0),
+                             np.moveaxis(p.hi, 1, 0), g)
+    return CIntervalArray._wrap(lo, hi)
 
 
 def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Column n of the Cauchy product for s-orders 0..M, as lo/hi arrays.
+                   ) -> CIntervalArray:
+    """Column n of the Cauchy product for s-orders 0..M.
 
-    One gathered tensor contraction per endpoint array replaces M + 1
-    separate coefficient sums; advection consumes whole t-order
-    columns, and the per-coefficient path is too slow there.  Products
-    round outward by one ulp and the sums carry the a-priori gamma
-    padding, so columns are always slightly wider than the exact-sum
-    path.  Both grids must cover s-orders 0..M and t-orders 0..n.
-    Returns (re_lo, re_hi, im_lo, im_hi), each of shape (M + 1,).
+    One gathered tensor contraction replaces M + 1 separate coefficient
+    sums; advection consumes whole t-order columns, and the
+    per-coefficient path is too slow there.  Products round outward by
+    one ulp and the sums carry the a-priori gamma padding, so columns
+    are always slightly wider than the exact-sum path.  When both
+    factors are exactly real only the real products are formed.  Both
+    grids must cover s-orders 0..M and t-orders 0..n.  Returns shape
+    (M + 1,).
     """
     Ma, Na = a.orders
     Mb, Nb = b.orders
     if min(Ma, Mb) < M or min(Na, Nb) < n:
         raise ValueError("factor grids do not cover the requested column")
+    real = not (a.lo[1].any() or a.hi[1].any() or b.lo[1].any()
+                or b.hi[1].any())
+    parts = 1 if real else 2
     rows = np.arange(M + 1)
     dif = rows[:, None] - rows[None, :]
     mask = (dif >= 0)[:, :, None]
     idx = np.where(dif >= 0, dif, 0)
-
-    def gather(g: np.ndarray) -> np.ndarray:
-        return np.where(mask, g[: M + 1, n::-1][idx], 0.0)
-
-    flat = (M + 1, -1)
-    brl = b.rlo[: M + 1, : n + 1][None]
-    brh = b.rhi[: M + 1, : n + 1][None]
-    arl, arh = gather(a.rlo), gather(a.rhi)
-    p1l, p1h = _imul_arr_fast(arl, arh, brl, brh)
-    a_real = not (a.ilo.any() or a.ihi.any())
-    b_real = not (b.ilo.any() or b.ihi.any())
-    if a_real and b_real:
-        re_lo, re_hi = _pad_sum_fast(p1l.reshape(flat), p1h.reshape(flat),
-                                     axis=1)
-        return re_lo, re_hi, np.zeros(M + 1), np.zeros(M + 1)
-    bil = b.ilo[: M + 1, : n + 1][None]
-    bih = b.ihi[: M + 1, : n + 1][None]
-    ail, aih = gather(a.ilo), gather(a.ihi)
-    p2l, p2h = _imul_arr_fast(ail, aih, bil, bih)
-    p3l, p3h = _imul_arr_fast(arl, arh, bil, bih)
-    p4l, p4h = _imul_arr_fast(ail, aih, brl, brh)
-    re_lo, re_hi = _pad_sum_fast(
-        np.concatenate([p1l.reshape(flat), -p2h.reshape(flat)], axis=1),
-        np.concatenate([p1h.reshape(flat), -p2l.reshape(flat)], axis=1),
-        axis=1)
-    im_lo, im_hi = _pad_sum_fast(
-        np.concatenate([p3l.reshape(flat), p4l.reshape(flat)], axis=1),
-        np.concatenate([p3h.reshape(flat), p4h.reshape(flat)], axis=1),
-        axis=1)
-    return re_lo, re_hi, im_lo, im_hi
+    alo, ahi = (np.where(mask, x[:parts, : M + 1, n::-1][:, idx], 0.0)
+                for x in (a.lo, a.hi))
+    blo, bhi = (x[:parts, None, : M + 1, : n + 1] for x in (b.lo, b.hi))
+    # summands of each row of the column, (a part, b part, sign):
+    # real ar*br - ai*bi and imaginary ar*bi + ai*br
+    terms = ((((0, 0, 1.0),),) if real else
+             (((0, 0, 1.0), (1, 1, -1.0)), ((0, 1, 1.0), (1, 0, 1.0))))
+    K = (M + 1) * (n + 1)
+    slo = np.empty((parts, M + 1, parts * K))
+    shi = np.empty_like(slo)
+    for r, row in enumerate(terms):
+        for t, (i, j, sign) in enumerate(row):
+            plo, phi = _imul_arr_fast(alo[i], ahi[i], blo[j], bhi[j])
+            if sign < 0.0:
+                plo, phi = -phi, -plo
+            slo[r, :, t * K:(t + 1) * K] = plo.reshape(M + 1, K)
+            shi[r, :, t * K:(t + 1) * K] = phi.reshape(M + 1, K)
+    # free the gathered blocks: at high orders the sums need the room
+    del alo, ahi, plo, phi
+    lo, hi = np.zeros((2, 2, M + 1))
+    for r in range(parts):
+        lo[r], hi[r] = _pad_sum_fast(slo[r], shi[r], axis=1)
+    return CIntervalArray._wrap(lo, hi)
 
 
 def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,
@@ -368,16 +276,12 @@ def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,
     ap = _fit(a, M, N)
     bp = _fit(b, M, N)
     out = ScalarSeries2.zeros(M, N)
-    parts = (out.rlo, out.rhi, out.ilo, out.ihi)
     if fast:
         for n in range(N + 1):
-            for g, v in zip(parts, product_column(ap, bp, n, M)):
-                g[:, n] = v
+            out[:, n] = product_column(ap, bp, n, M)
         return out
     for d in range(M + N + 1):
-        slots = antidiagonal(M, N, d)
-        for g, v in zip(parts, product_antidiagonal(ap, bp, d)):
-            g[slots] = v
+        out[antidiagonal(M, N, d)] = product_antidiagonal(ap, bp, d)
     return out
 
 
@@ -386,22 +290,16 @@ def _fit(s: ScalarSeries2, m: int, n: int) -> ScalarSeries2:
     zero coefficients; a view when no growth is needed."""
     M, N = s.orders
     if M >= m and N >= n:
-        return ScalarSeries2(s.rlo[: m + 1, : n + 1], s.rhi[: m + 1, : n + 1],
-                             s.ilo[: m + 1, : n + 1], s.ihi[: m + 1, : n + 1])
+        return s[: m + 1, : n + 1]
     out = ScalarSeries2.zeros(m, n)
     k, ell = min(M, m) + 1, min(N, n) + 1
-    for dst, src in ((out.rlo, s.rlo), (out.rhi, s.rhi), (out.ilo, s.ilo),
-                     (out.ihi, s.ihi)):
-        dst[:k, :ell] = src[:k, :ell]
+    out[:k, :ell] = s[:k, :ell]
     return out
 
 
 def _zero_at(s: ScalarSeries2, m: int, n: int) -> ScalarSeries2:
     out = _fit(s, m, n).copy()
-    out.rlo[m, n] = 0.0
-    out.rhi[m, n] = 0.0
-    out.ilo[m, n] = 0.0
-    out.ihi[m, n] = 0.0
+    out[m, n] = CInterval(0.0)
     return out
 
 
@@ -441,9 +339,7 @@ def hat_product_quintic(a: ScalarSeries2, b: ScalarSeries2, c: ScalarSeries2,
 
 def mag_sum_bound(s: ScalarSeries2) -> float:
     """Upper bound for sup |s| over the unit polydisc: sum of magnitudes."""
-    re = np.maximum(np.abs(s.rlo), np.abs(s.rhi))
-    im = np.maximum(np.abs(s.ilo), np.abs(s.ihi))
-    return float(np.sum(np.hypot(re, im)) * (1.0 + 1e-14))
+    return float(np.sum(s.mag()) * (1.0 + 1e-14))
 
 
 @dataclass
@@ -491,12 +387,12 @@ class Series2:
         return self.components[0].orders
 
     def coeff_vector(self, m: int, n: int) -> tuple[CInterval, ...]:
-        return tuple(c.coeff(m, n) for c in self.components)
+        return tuple(c.at(m, n) for c in self.components)
 
     def set_coeff_vector(self, m: int, n: int,
                          vals: Sequence[CInterval]) -> None:
         for c, v in zip(self.components, vals):
-            c.set_coeff(m, n, v)
+            c[m, n] = v
 
     def eval_box(self, z1: CInterval, z2: CInterval) -> tuple[CInterval, ...]:
         """Rigorous evaluation over a box in the unit polydisc."""
@@ -518,6 +414,29 @@ class Series2:
         return Series2(comps, scale=self.scale * s, tau=self.tau,
                        real_symmetric=self.real_symmetric, tail=self.tail)
 
+    def to_json(self) -> dict:
+        """JSON form: metadata and every component's four endpoint
+        grids as nested lists, which the json module writes with
+        round-trip float reprs."""
+        sc = complex(self.scale)
+        return {
+            "scale": [sc.real, sc.imag],
+            "tau": self.tau,
+            "tail": self.tail,
+            "real_symmetric": self.real_symmetric,
+            "components": [{"rlo": c.rlo.tolist(), "rhi": c.rhi.tolist(),
+                            "ilo": c.ilo.tolist(), "ihi": c.ihi.tolist()}
+                           for c in self.components],
+        }
+
+    @classmethod
+    def from_json(cls, d: dict) -> "Series2":
+        comps = tuple(ScalarSeries2(c["rlo"], c["rhi"], c["ilo"], c["ihi"])
+                      for c in d["components"])
+        return cls(comps, scale=complex(d["scale"][0], d["scale"][1]),
+                   tau=d["tau"], real_symmetric=d["real_symmetric"],
+                   tail=d["tail"])
+
 
 def conj_symmetry_check(P: Series2, tol: float = 0.0) -> SymmetryReport:
     """Verify a_nm = conjugate(a_mn) componentwise by interval overlap.
@@ -536,8 +455,8 @@ def conj_symmetry_check(P: Series2, tol: float = 0.0) -> SymmetryReport:
         refl = comp.conj_reflect()
         for m in range(M + 1):
             for n in range(N + 1):
-                a = comp.coeff(m, n)
-                b = refl.coeff(m, n)
+                a = comp.at(m, n)
+                b = refl.at(m, n)
                 defect = max(abs(a.re.mid - b.re.mid), abs(a.im.mid - b.im.mid))
                 if defect > worst:
                     worst = defect

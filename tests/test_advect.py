@@ -26,7 +26,7 @@ from fourbody.crfbp import (
     primaries,
 )
 from fourbody.errors import CollisionDomain, SymmetryViolation
-from fourbody.interval import CInterval, Interval, _iadd_arr, _imul_arr
+from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
     local_manifold
 from fourbody.polyfield import field_program
@@ -79,22 +79,14 @@ def _linear_column(A):
 
     def bcol(G, n):
         dim = len(G.components)
-        M = G.orders[0]
-        quad = [np.zeros((dim, M + 1)) for _ in range(4)]
+        rows = []
         for i in range(dim):
-            acc = [np.zeros(M + 1) for _ in range(4)]
+            acc = CIntervalArray.zeros(G.orders[0] + 1)
             for k in range(dim):
-                a = A[i][k]
-                if a == 0.0:
-                    continue
-                c = G.components[k]
-                pl, ph = _imul_arr(c.rlo[:, n], c.rhi[:, n], a, a)
-                acc[0], acc[1] = _iadd_arr(acc[0], acc[1], pl, ph)
-                pl, ph = _imul_arr(c.ilo[:, n], c.ihi[:, n], a, a)
-                acc[2], acc[3] = _iadd_arr(acc[2], acc[3], pl, ph)
-            for q in range(4):
-                quad[q][i] = acc[q]
-        return tuple(quad)
+                if A[i][k] != 0.0:
+                    acc = acc + G.components[k][:, n] * A[i][k]
+            rows.append(acc)
+        return CIntervalArray.of(rows)
 
     return bcol
 
@@ -106,12 +98,10 @@ class TestTaylorFlow:
         c = np.array([0.75, -1.5])
 
         def bcol(G, n):
-            M = G.orders[0]
-            quad = [np.zeros((2, M + 1)) for _ in range(4)]
+            b = CIntervalArray.zeros((2, G.orders[0] + 1))
             if n == 0:
-                quad[0][:, 0] = c
-                quad[1][:, 0] = c
-            return tuple(quad)
+                b[:, 0] = CIntervalArray.of([CInterval(x) for x in c])
+            return b
 
         gamma = _line_series([2.0, -0.25], M=1)
         out = taylor_flow(gamma, bcol, 4, 0.5)
@@ -205,12 +195,11 @@ class TestFlowLine:
         b = field_series(m, pc, G, orders=(15, 20), fast=True)
         rec = _FieldColumns(field_program(m, pc), 15, 20)
         for n in range(21):
-            rl, rh, il, ih = rec.b_column(G, n)
+            col = rec.b_column(G, n)
             for i in range(7):
-                assert np.all(np.maximum(rl[i], b[i].rlo[:, n])
-                              <= np.minimum(rh[i], b[i].rhi[:, n]))
-                assert np.all(np.maximum(il[i], b[i].ilo[:, n])
-                              <= np.minimum(ih[i], b[i].ihi[:, n]))
+                want = b[i][:, n]
+                assert np.all(np.maximum(col[i].lo, want.lo)
+                              <= np.minimum(col[i].hi, want.hi))
 
     def test_interval_masses_enclose_endpoint_chart(self, setup):
         # a chart built under an interval mass triple must enclose the

@@ -23,6 +23,7 @@ from fourbody.errors import (
 )
 from fourbody.interval import (
     CInterval,
+    CIntervalArray,
     Interval,
     IntervalMatrix,
     IntervalTensor3,
@@ -486,3 +487,118 @@ class TestSerialization:
         v = IntervalVector(pair[0], pair[1])
         back = vector_from_strings(vector_to_strings(v))
         assert np.array_equal(back.lo, v.lo) and np.array_equal(back.hi, v.hi)
+
+
+# ---------------------------------------------------------------------------
+# complex interval arrays against the scalar CInterval operations
+
+_EXACT_SCALES = [1.0, -1.0, 2.0, -2.0]
+# wide parts reach past the split guard and under the 1e-200 product
+# guard; narrow parts keep every product below overflow
+_wide_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -3.0, 3e150, -1e180, 1e200, 1e-105,
+                     -1e-210, 5e-324] + _EXACT_SCALES),
+    st.floats(min_value=-1e200, max_value=1e200, allow_nan=False),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+_narrow_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 7.0, 1e-300] + _EXACT_SCALES),
+    st.floats(min_value=-1e90, max_value=1e90, allow_nan=False),
+)
+
+
+@st.composite
+def _carrays(draw, shape, parts):
+    x, y = (draw(hnp.arrays(np.float64, (2,) + shape, elements=parts))
+            for _ in range(2))
+    return CIntervalArray(np.minimum(x, y), np.maximum(x, y))
+
+
+@st.composite
+def _real_intervals(draw):
+    a, b = draw(_narrow_parts), draw(_narrow_parts)
+    return Interval(min(a, b), max(a, b))
+
+
+@st.composite
+def _cintervals(draw):
+    return CInterval(draw(_real_intervals()), draw(_real_intervals()))
+
+
+# the other factor: its kind, the operand for the array, and its value
+# at a broadcast index for the scalar operation
+_factors = st.one_of(
+    st.one_of(st.sampled_from(_EXACT_SCALES), _narrow_parts).map(
+        lambda c: ("float", c, lambda idx: c)),
+    st.one_of(st.sampled_from(_EXACT_SCALES).map(Interval),
+              _real_intervals()).map(
+        lambda c: ("Interval", c, lambda idx: c)),
+    _cintervals().map(lambda c: ("CInterval", c, lambda idx: c)),
+    hnp.arrays(np.float64, (4,), elements=_narrow_parts).map(
+        lambda c: ("array", c, lambda idx: float(c[idx[-1]]))),
+    _carrays((3, 1), _narrow_parts).map(
+        lambda c: ("CIntervalArray", c, lambda idx: c.at(idx[0], 0))),
+    _carrays((4,), _narrow_parts).map(
+        lambda c: ("CIntervalArray", c, lambda idx: c.at(idx[-1]))),
+)
+
+
+def _ends(z: CInterval) -> tuple[float, ...]:
+    return z.re.lo, z.re.hi, z.im.lo, z.im.hi
+
+
+def _guarded(x: CInterval, y: CInterval) -> bool:
+    """Every endpoint product of x and y has an exact Dekker residual,
+    so the array kernel rounds as tightly as the scalar one."""
+    ex, ey = _ends(x), _ends(y)
+    return all(abs(v) < 1e150 for v in ex + ey) and all(
+        u == 0.0 or v == 0.0 or 1e-200 < abs(u * v) < 1e200
+        for u in ex for v in ey)
+
+
+class TestCIntervalArray:
+    @settings(max_examples=300, deadline=None)
+    @given(_carrays((3, 4), _wide_parts), _factors)
+    def test_entries_match_scalar_operations(self, a, factor):
+        kind, c, at = factor
+        prod = a * c
+        assert prod.shape == (3, 4)
+        exact = (kind in ("float", "Interval")
+                 and Interval._coerce(c).lo == Interval._coerce(c).hi
+                 and abs(Interval._coerce(c).lo) in (1.0, 2.0))
+        other = c if kind == "CIntervalArray" else None
+        total = a + other if other is not None else None
+        diff = a - other if other is not None else None
+        for idx in np.ndindex(3, 4):
+            x, y = a.at(*idx), at(idx)
+            got, want = prod.at(*idx), x * y
+            if exact or _guarded(x, CInterval._coerce(y)):
+                assert got.re == want.re and got.im == want.im, (idx, kind)
+            else:
+                assert got.re.lo <= want.re.lo and want.re.hi <= got.re.hi
+                assert got.im.lo <= want.im.lo and want.im.hi <= got.im.hi
+            if other is not None:
+                for arr, op in ((total, x + y), (diff, x - y)):
+                    z = arr.at(*idx)
+                    assert z.re == op.re and z.im == op.im, (idx, kind)
+
+    def test_indexing_views_and_stacking(self):
+        a = CIntervalArray.zeros((3, 4))
+        row = a[1]
+        row[2] = CInterval(Interval(1.0, 2.0), Interval(-1.0, 0.5))
+        assert a.at(1, 2).re == Interval(1.0, 2.0)
+        assert a.at(1, 2).im == Interval(-1.0, 0.5)
+        # a scalar fills a region without mixing its real and imaginary
+        # parts into the region's entries
+        a[0, :2] = CInterval(Interval(3.0), Interval(4.0))
+        assert a.at(0, 1).re == Interval(3.0)
+        assert a.at(0, 1).im == Interval(4.0)
+        assert a.at(0, 2).re == Interval(0.0)
+        b = CIntervalArray.of([a[0], a[1], a[2]])
+        assert np.array_equal(b.lo, a.lo) and np.array_equal(b.hi, a.hi)
+        assert a.mid()[1, 2] == 1.5 - 0.25j
+        assert a.mag()[0, 0] == 5.0
+        with pytest.raises(ValueError):
+            CIntervalArray(np.ones((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            CIntervalArray(np.zeros((3, 3)), np.zeros((3, 3)))

@@ -23,8 +23,10 @@ from fourbody.manifold import (
     BoundaryArc,
     LocalManifold,
     _compose_chords,
+    _residual_series,
     boundary_mesh,
     cauchy_tail_bound,
+    field_series,
     invariance_residual,
     local_manifold,
     param_equilibrium,
@@ -69,7 +71,7 @@ class TestHomologicalSolver:
     def test_first_order_data_installed_exactly(self, setup, stable4):
         M = stable4
         for i in range(7):
-            a00 = M.P.components[i].coeff(0, 0)
+            a00 = M.P.components[i].at(0, 0)
             assert a00.re == M.equilibrium.u[i]
             assert a00.im == Interval.from_value(0.0)
         a10 = M.P.coeff_vector(1, 0)
@@ -94,7 +96,7 @@ class TestHomologicalSolver:
         convolutions and solve the 7x7 system with numpy."""
         m, pc = setup
         M = stable4
-        grids = [c.mid_grid() for c in M.P.components]
+        grids = [c.mid() for c in M.P.components]
         masses = m.as_floats()
         pos = pc.position_array()
         lam1 = complex(M.lambda1.re.mid, M.lambda1.im.mid)
@@ -170,7 +172,7 @@ class TestInvarianceResidual:
         for r in res:
             for mm in range(N + 1):
                 for nn in range(N + 1):
-                    assert r.coeff(mm, nn).straddles_zero(), (mm, nn)
+                    assert r.at(mm, nn).straddles_zero(), (mm, nn)
 
     def test_fault_injection_flagged(self, setup, stable4):
         m, pc = setup
@@ -178,18 +180,40 @@ class TestInvarianceResidual:
         comps = tuple(c.copy() for c in M.P.components)
         zero = CInterval(Interval.from_value(0.0))
         for c in comps:
-            c.set_coeff(2, 1, zero)
+            c[2, 1] = zero
         broken = dataclasses.replace(
             M, P=Series2(comps, scale=M.P.scale, tau=1.0,
                          real_symmetric=True, tail=0.0))
         res = invariance_residual(m, pc, broken)
-        flagged = any(not r.coeff(2, 1).straddles_zero() for r in res)
+        flagged = any(not r.at(2, 1).straddles_zero() for r in res)
         assert flagged
         # indices not componentwise above (2, 1) stay clean
         for r in res:
-            assert r.coeff(2, 0).straddles_zero()
-            assert r.coeff(1, 1).straddles_zero()
-            assert r.coeff(0, 2).straddles_zero()
+            assert r.at(2, 0).straddles_zero()
+            assert r.at(1, 1).straddles_zero()
+            assert r.at(0, 2).straddles_zero()
+
+
+    def test_residual_matches_scalar_loop(self, setup):
+        # every endpoint of the residual equals the per-coefficient
+        # CInterval loop, in P's grid and beyond it
+        m, pc = setup
+        M = local_manifold(m, pc, "stable", N=3)
+        P, lam1, lam2 = M.P, M.lambda1, M.lambda2
+        res = _residual_series(m, pc, P, lam1, lam2, orders=(15, 15),
+                               fast=True)
+        field = field_series(m, pc, P, (15, 15), fast=True)
+        for i in range(7):
+            for mm in range(16):
+                for nn in range(16):
+                    f = field[i].at(mm, nn)
+                    if mm <= 3 and nn <= 3:
+                        mu = lam1 * float(mm) + lam2 * float(nn)
+                        f = mu * P.components[i].at(mm, nn) - f
+                    else:
+                        f = -f
+                    got = res[i].at(mm, nn)
+                    assert got.re == f.re and got.im == f.im, (i, mm, nn)
 
 
 class TestConjugateSymmetry:
@@ -210,8 +234,8 @@ class TestScaleCovariance:
         for i in range(7):
             for mm in range(5):
                 for nn in range(5):
-                    a = half.P.components[i].coeff(mm, nn)
-                    b = ref.components[i].coeff(mm, nn)
+                    a = half.P.components[i].at(mm, nn)
+                    b = ref.components[i].at(mm, nn)
                     assert _overlap(a.re, b.re) and _overlap(a.im, b.im), \
                         (i, mm, nn)
 
@@ -256,8 +280,8 @@ class TestRealChart:
 
     def test_symmetry_violation_raises(self, stable4):
         comps = tuple(c.copy() for c in stable4.P.components)
-        c0 = comps[0].coeff(1, 0)
-        comps[0].set_coeff(1, 0, CInterval(c0.re, c0.im + Interval.from_value(0.05)))
+        c0 = comps[0].at(1, 0)
+        comps[0][1, 0] = CInterval(c0.re, c0.im + Interval.from_value(0.05))
         broken = dataclasses.replace(
             stable4, P=Series2(comps, scale=stable4.P.scale, tau=1.0,
                                real_symmetric=False, tail=0.0))
@@ -275,7 +299,7 @@ class TestFlowConjugacy:
         masses = np.array(m.as_floats())
         pos = pc.position_array()
         lam1 = complex(M.lambda1.re.mid, M.lambda1.im.mid)
-        grids = [c.mid_grid() for c in M.P.components]
+        grids = [c.mid() for c in M.P.components]
 
         def chart_point(z):
             z1, z2 = z, np.conj(z)
@@ -395,7 +419,7 @@ class TestCauchyTailBound:
 class TestLocalManifoldMetadata:
     def test_pilot_scale_hits_target(self, stable7):
         N = stable7.order
-        g_top = max(stable7.P.components[i].coeff(mm, N - mm).abs().hi
+        g_top = max(stable7.P.components[i].at(mm, N - mm).abs().hi
                     for i in range(7) for mm in range(N + 1))
         assert 1e-11 < g_top < 1e-9
 

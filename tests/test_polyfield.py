@@ -19,7 +19,7 @@ from fourbody.crfbp import (
 )
 from fourbody.errors import CollisionDomain, DegenerateKernel
 from fourbody.interval import CInterval, Interval, IntervalMatrix, IntervalVector
-from fourbody.manifold import _DegreeInterpreter, _node_series, _Slots
+from fourbody.manifold import _DegreeInterpreter, _node_series
 from fourbody.polyfield import (
     DIM,
     State7,
@@ -170,11 +170,11 @@ class TestFieldProgram:
         cols = _FieldColumns(prog, K, K)
         for n in range(K + 1):
             cols.b_column(Series2(tuple(comps)), n)
-        coef = _DegreeInterpreter(prog, K, [c.coeff(0, 0) for c in comps])
+        coef = _DegreeInterpreter(prog, K, [c.at(0, 0) for c in comps])
         for d in range(1, 2 * K + 1):
             slots = antidiagonal(K, K, d)
             coef.evaluate(d)
-            coef.land(d, [_Slots.read(c, slots) for c in comps])
+            coef.land(d, [c[slots] for c in comps])
         assert len(full) == len(coef.grids) == DIM + len(cols.grids)
         for k, (a, c) in enumerate(zip(full, coef.grids)):
             b = comps[k] if k < DIM else cols.grids[k - DIM]

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourbody.errors import DomainExceeded
-from fourbody.interval import CInterval, Interval
+from fourbody.interval import (
+    CInterval,
+    Interval,
+    _iadd_arr,
+    _imul_arr,
+    _isub_arr,
+    _pad_sum,
+)
 from fourbody.taylor import (
     ScalarSeries2,
     Series2,
@@ -41,8 +48,8 @@ def _dyadic_series(M, N, rng=RNG):
 
 def _product_coeff_oracle(a, b, m, n):
     """Brute-force midpoint Cauchy coefficient by index enumeration."""
-    ag = a.mid_grid()
-    bg = b.mid_grid()
+    ag = a.mid()
+    bg = b.mid()
     total = 0.0 + 0.0j
     for j in range(m + 1):
         for k in range(n + 1):
@@ -62,7 +69,7 @@ class TestCauchyProduct:
         p = cauchy_product(a, b)
         for m in range(2):
             for n in range(2):
-                _assert_point_equal(p.coeff(m, n), 1.0 + 0.0j)
+                _assert_point_equal(p.at(m, n), 1.0 + 0.0j)
 
     def test_zero_series_annihilates(self):
         a = _random_series(3, 2)
@@ -95,7 +102,7 @@ class TestCauchyProduct:
         for m in range(3):
             for n in range(3):
                 want = float(expanded.coeff_monomial(z1**m * z2**n))
-                _assert_point_equal(p.coeff(m, n), complex(want))
+                _assert_point_equal(p.at(m, n), complex(want))
 
     def test_commutative_exact_on_dyadic(self):
         a = _dyadic_series(3, 3)
@@ -112,7 +119,7 @@ class TestCauchyProduct:
         ba = cauchy_product(b, a)
         for m in range(4):
             for n in range(4):
-                x, y = ab.coeff(m, n), ba.coeff(m, n)
+                x, y = ab.at(m, n), ba.at(m, n)
                 assert x.re.lo <= y.re.hi and y.re.lo <= x.re.hi
                 assert x.im.lo <= y.im.hi and y.im.lo <= x.im.hi
 
@@ -146,11 +153,12 @@ class TestCauchyProduct:
         a = ScalarSeries2.from_complex_points(grid)
         b = ScalarSeries2.from_complex_points(grid[::-1, ::-1])
         for n in range(3):
-            re_lo, re_hi, im_lo, im_hi = product_column(a, b, n, 3)
+            col = product_column(a, b, n, 3)
             for m in range(4):
+                got = col.at(m)
                 want = product_coeff(a, b, m, n)
-                assert re_lo[m] <= want.re.lo and re_hi[m] >= want.re.hi
-                assert im_lo[m] <= want.im.lo and im_hi[m] >= want.im.hi
+                assert got.re.lo <= want.re.lo and got.re.hi >= want.re.hi
+                assert got.im.lo <= want.im.lo and got.im.hi >= want.im.hi
 
     def test_product_column_rejects_small_grids(self):
         a = _dyadic_series(2, 2)
@@ -168,9 +176,9 @@ class TestHatProducts:
         a = _dyadic_series(2, 2)
         m, n = 2, 2
         sq = cauchy_product(a, a, orders=(m, n))
-        full = cauchy_product(sq, a, orders=(m, n)).coeff(m, n)
-        a00 = a.coeff(0, 0)
-        amn = a.coeff(m, n)
+        full = cauchy_product(sq, a, orders=(m, n)).at(m, n)
+        a00 = a.at(0, 0)
+        amn = a.at(m, n)
         hat = hat_product_cubic(a, m, n)
         pattern = a00 * a00 * amn * 3.0
         total = hat + pattern
@@ -184,8 +192,8 @@ class TestHatProducts:
         sq = cauchy_product(b, b, orders=(m, n))
         cube = cauchy_product(sq, b, orders=(m, n))
         full = product_coeff(cube, a, m, n)
-        a00, b00 = a.coeff(0, 0), b.coeff(0, 0)
-        amn, bmn = a.coeff(m, n), b.coeff(m, n)
+        a00, b00 = a.at(0, 0), b.at(0, 0)
+        amn, bmn = a.at(m, n), b.at(m, n)
         hat = hat_product_quartic(a, b, m, n)
         pattern = a00 * b00 * b00 * bmn * 3.0 + b00 * b00 * b00 * amn
         total = hat + pattern
@@ -201,8 +209,8 @@ class TestHatProducts:
         cube = cauchy_product(sq, c, orders=(m, n))
         ab = cauchy_product(a, b, orders=(m, n))
         full = product_coeff(ab, cube, m, n)
-        a00, b00, c00 = a.coeff(0, 0), b.coeff(0, 0), c.coeff(0, 0)
-        amn, bmn, cmn = a.coeff(m, n), b.coeff(m, n), c.coeff(m, n)
+        a00, b00, c00 = a.at(0, 0), b.at(0, 0), c.at(0, 0)
+        amn, bmn, cmn = a.at(m, n), b.at(m, n), c.at(m, n)
         hat = hat_product_quintic(a, b, c, m, n)
         pattern = (b00 * c00 * c00 * c00 * amn
                    + a00 * c00 * c00 * c00 * bmn
@@ -220,18 +228,18 @@ class TestHatProducts:
         a = ScalarSeries2.from_complex_points(grid)
         m, n = 2, 2
         sq = cauchy_product(a, a, orders=(m, n))
-        full = cauchy_product(sq, a, orders=(m, n)).coeff(m, n)
+        full = cauchy_product(sq, a, orders=(m, n)).at(m, n)
         hat = hat_product_cubic(a, m, n)
-        total = hat + a.coeff(0, 0) * a.coeff(0, 0) * a.coeff(m, n) * 3.0
+        total = hat + a.at(0, 0) * a.at(0, 0) * a.at(m, n) * 3.0
         assert total.re == full.re
         assert total.im == full.im
 
     def test_hat_equals_full_when_entry_zero(self):
         a = _random_series(3, 3)
         m, n = 3, 3
-        a.set_coeff(m, n, CInterval(Interval.from_value(0.0)))
+        a[m, n] = CInterval(Interval.from_value(0.0))
         sq = cauchy_product(a, a, orders=(m, n))
-        full = cauchy_product(sq, a, orders=(m, n)).coeff(m, n)
+        full = cauchy_product(sq, a, orders=(m, n)).at(m, n)
         hat = hat_product_cubic(a, m, n)
         assert hat.re == full.re
         assert hat.im == full.im
@@ -242,7 +250,7 @@ class TestHatProducts:
         m, n = 2, 2
         hat = hat_product_quartic(a, b, m, n)
         # midpoint oracle with the (m, n) entries removed
-        ag, bg = a.mid_grid(), b.mid_grid()
+        ag, bg = a.mid(), b.mid()
         ag[m, n] = 0.0
         bg[m, n] = 0.0
         total = 0.0 + 0.0j
@@ -258,9 +266,34 @@ class TestHatProducts:
         assert hat.contains(total)
 
 
+def _product_coeff_reference(a, b, m, n):
+    """Coefficient (m, n) of the Cauchy product as one padded sum of
+    four-product complex terms, written independently of
+    ``product_antidiagonal``: pairs (a_{m-j, n-k}, b_{j, k}) with
+    j <= m, k <= n, on grids at least (m, n)."""
+    arl = a.rlo[m::-1, n::-1]
+    arh = a.rhi[m::-1, n::-1]
+    ail = a.ilo[m::-1, n::-1]
+    aih = a.ihi[m::-1, n::-1]
+    brl = b.rlo[: m + 1, : n + 1]
+    brh = b.rhi[: m + 1, : n + 1]
+    bil = b.ilo[: m + 1, : n + 1]
+    bih = b.ihi[: m + 1, : n + 1]
+    p1l, p1h = _imul_arr(arl, arh, brl, brh)
+    p2l, p2h = _imul_arr(ail, aih, bil, bih)
+    p3l, p3h = _imul_arr(arl, arh, bil, bih)
+    p4l, p4h = _imul_arr(ail, aih, brl, brh)
+    rl, rh = _isub_arr(p1l, p1h, p2l, p2h)
+    il, ih = _iadd_arr(p3l, p3h, p4l, p4h)
+    re_lo, re_hi = _pad_sum(rl.ravel(), rh.ravel(), axis=0)
+    im_lo, im_hi = _pad_sum(il.ravel(), ih.ravel(), axis=0)
+    return CInterval(Interval(float(re_lo), float(re_hi)),
+                     Interval(float(im_lo), float(im_hi)))
+
+
 class TestProductAntidiagonal:
-    """One call per total degree must reproduce ``product_coeff`` at
-    every slot of the degree, endpoint for endpoint."""
+    """One call per total degree must reproduce the single padded sum
+    of every slot of the degree, endpoint for endpoint."""
 
     @staticmethod
     def _assert_matches_coeffs(a, b):
@@ -269,11 +302,10 @@ class TestProductAntidiagonal:
         for d in range(M + N + 1):
             got = product_antidiagonal(a, b, d)
             ms, ns = antidiagonal(M, N, d)
-            assert all(len(part) == len(ms) for part in got)
+            assert got.shape == (len(ms),)
             for r, (m, n) in enumerate(zip(ms, ns)):
-                want = product_coeff(a, b, int(m), int(n))
-                assert got[0][r] == want.re.lo and got[1][r] == want.re.hi
-                assert got[2][r] == want.im.lo and got[3][r] == want.im.hi
+                want = _product_coeff_reference(a, b, int(m), int(n))
+                assert got.at(r).re == want.re and got.at(r).im == want.im
 
     @staticmethod
     def _widen(s, rng, rel=1e-6, real=False):
@@ -299,8 +331,8 @@ class TestProductAntidiagonal:
         b = ScalarSeries2.from_complex_points(grid[::-1])
         self._assert_matches_coeffs(a, b)
         for d in range(M + N + 1):
-            _, _, im_lo, im_hi = product_antidiagonal(a, b, d)
-            assert np.all(im_lo == 0.0) and np.all(im_hi == 0.0)
+            got = product_antidiagonal(a, b, d)
+            assert np.all(got.lo[1] == 0.0) and np.all(got.hi[1] == 0.0)
 
     @pytest.mark.parametrize("M,N", [(1, 1), (4, 4), (10, 10), (5, 3)])
     def test_dyadic_grids_stay_exact(self, M, N):
@@ -309,9 +341,8 @@ class TestProductAntidiagonal:
         b = _dyadic_series(M, N, rng)
         self._assert_matches_coeffs(a, b)
         for d in range(M + N + 1):
-            re_lo, re_hi, im_lo, im_hi = product_antidiagonal(a, b, d)
-            assert np.array_equal(re_lo, re_hi)
-            assert np.array_equal(im_lo, im_hi)
+            got = product_antidiagonal(a, b, d)
+            assert np.array_equal(got.lo, got.hi)
 
     def test_cancelling_sums(self):
         # b is the float reciprocal series of a, so every coefficient of
@@ -349,10 +380,10 @@ class TestProductAntidiagonal:
         assert p.orders == (3, 4)
         for m in range(4):
             for n in range(5):
-                want = product_coeff(_fit_grid(a, 3, 4), _fit_grid(b, 3, 4),
-                                     m, n)
-                assert p.coeff(m, n).re == want.re
-                assert p.coeff(m, n).im == want.im
+                want = _product_coeff_reference(
+                    _fit_grid(a, 3, 4), _fit_grid(b, 3, 4), m, n)
+                assert p.at(m, n).re == want.re
+                assert p.at(m, n).im == want.im
 
 
 def _fit_grid(s, M, N):
@@ -402,7 +433,7 @@ class TestEvaluation:
             z2 = CInterval(Interval(c2.real - w, c2.real + w),
                            Interval(c2.imag - w, c2.imag + w))
             box = a.eval_box(z1, z2)
-            g = a.mid_grid()
+            g = a.mid()
             for _ in range(50):
                 p1 = c1 + complex(*(rng.uniform(-w, w, 2)))
                 p2 = c2 + complex(*(rng.uniform(-w, w, 2)))
@@ -431,10 +462,10 @@ class TestRescale:
         b = a.rescale(s)
         for m in range(3):
             for n in range(3):
-                want = a.coeff(m, n)
+                want = a.at(m, n)
                 factor = s ** (m + n)
                 _assert_point_equal(
-                    b.coeff(m, n),
+                    b.at(m, n),
                     complex(want.re.lo * factor, want.im.lo * factor))
 
     def test_roundtrip_identity(self):
@@ -448,7 +479,7 @@ class TestRescale:
         s = 0.37 + 0.11j
         b = a.rescale(s)
         rng = np.random.default_rng(3)
-        g = a.mid_grid()
+        g = a.mid()
         for _ in range(10):
             p1 = complex(*(rng.uniform(-0.5, 0.5, 2)))
             p2 = complex(*(rng.uniform(-0.5, 0.5, 2)))
@@ -466,25 +497,6 @@ class TestRescale:
         a = _dyadic_series(1, 1)
         with pytest.raises(ValueError):
             a.rescale(0.0)
-
-
-class TestDerivatives:
-    def test_monomial_derivatives(self):
-        grid = np.zeros((3, 4), dtype=complex)
-        grid[2, 3] = 5.0
-        a = ScalarSeries2.from_complex_points(grid)
-        d1 = a.deriv_z1()
-        d2 = a.deriv_z2()
-        _assert_point_equal(d1.coeff(1, 3), 10.0 + 0.0j)
-        _assert_point_equal(d2.coeff(2, 2), 15.0 + 0.0j)
-        assert d1.orders == (1, 3)
-        assert d2.orders == (2, 2)
-
-    def test_constant_derivative_zero(self):
-        a = ScalarSeries2.from_complex_points([[3.0]])
-        assert a.deriv_z1().orders == (0, 0)
-        assert np.all(a.deriv_z1().rhi == 0.0)
-        assert np.all(a.deriv_z2().rlo == 0.0)
 
 
 class TestSeries2Container:
@@ -544,9 +556,9 @@ class TestConjSymmetry:
 
     def test_fault_injection_detected(self):
         P = self._symmetric_series(3)
-        c = P.components[0].coeff(2, 1)
-        P.components[0].set_coeff(
-            2, 1, CInterval(c.re, c.im + Interval.from_value(0.25)))
+        c = P.components[0].at(2, 1)
+        P.components[0][2, 1] = CInterval(c.re,
+                                          c.im + Interval.from_value(0.25))
         rep = conj_symmetry_check(P)
         assert not rep.symmetric
         assert rep.worst_index in [(0, 2, 1), (0, 1, 2)]
