@@ -8,11 +8,11 @@ coefficients of the lifted polynomial field.  ``taylor_flow`` takes the
 field as a ``b_column(partial, n)`` callable that returns the t-order-n
 coefficients of every component as one ``CIntervalArray`` of shape
 (dim, M + 1), reading only columns 0..n of the partial chart.  In
-production they come from a column interpreter of the field program of
-``polyfield``: one grid per program node, filled one time-order column
-at a time, so the whole run costs the same as a single full Cauchy
-product per node.  The same grids give the bound on field content
-beyond the chart's grid.
+production they come from ``polyfield.FieldColumns``, the column
+interpreter of the field program: one grid per program node, filled one
+time-order column at a time, so the whole run costs the same as a
+single full Cauchy product per node.  The same grids give the bound on
+field content beyond the chart's grid.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -34,7 +34,6 @@ from scipy.integrate import solve_ivp
 from .crfbp import MassTriple, PrimaryConfig, field_point
 from .errors import CollisionDomain, StepFailure, SymmetryViolation
 from .interval import (
-    CInterval,
     CIntervalArray,
     Interval,
     IntervalVector,
@@ -42,9 +41,9 @@ from .interval import (
     matrix_norm,
 )
 from .manifold import BoundaryArc
-from .polyfield import (DIM, FieldProgram, Lin, Mul, State7, field_program,
-                        poly_DF, poly_F_point)
-from .taylor import ScalarSeries2, Series2, mag_sum_bound, product_column
+from .polyfield import (DIM, FieldColumns, State7, field_program, poly_DF,
+                        poly_F_point)
+from .taylor import ScalarSeries2, Series2, mag_sum_bound
 
 
 @dataclass(frozen=True)
@@ -116,89 +115,6 @@ def taylor_flow(gamma: Series2,
     return out
 
 
-class _FieldColumns:
-    """Per-column interpreter of the field program on a chart's grids.
-
-    One (M, N) grid per node, allocated once per flow; the input grids
-    are the chart's components.  ``b_column(G, n)`` fills column n of
-    every node, a Mul node by ``product_column``, a Lin node from its
-    operands' columns (its constant enters at n = 0).  Theorem: if
-    columns 0..n of the inputs are enclosures, so are columns n of all
-    nodes, since a product's column n reads only columns 0..n.
-    """
-
-    def __init__(self, prog: FieldProgram, M: int, N: int):
-        self.prog = prog
-        self.M = M
-        self.N = N
-        self.grids = [ScalarSeries2.zeros(M, N) for _ in prog.ops]
-
-    def b_column(self, G: Series2, n: int) -> CIntervalArray:
-        nodes = list(G.components) + self.grids
-        for op, dst in zip(self.prog.ops, self.grids):
-            if isinstance(op, Mul):
-                col = product_column(nodes[op.a], nodes[op.b], n, self.M)
-            else:
-                col = None
-                for c, k in op.terms:
-                    term = nodes[k][:, n] * c
-                    col = term if col is None else col + term
-            dst[:, n] = col
-            if n == 0 and isinstance(op, Lin):
-                dst[0, 0] = dst.at(0, 0) + CInterval(op.const)
-        return CIntervalArray.of([nodes[o][:, n]
-                                  for o in self.prog.outputs])
-
-    def beyond_grid_bounds(self, G: Series2) -> list[float]:
-        """Per-output bound on field content outside the (M, N) grid,
-        once ``b_column`` has filled every column.
-
-        The content a node's grid misses ("lost") follows from
-        lost(x y) = conv_tail(|x|, |y|) + lost_x (||y|| + lost_y)
-        + ||x|| lost_y and lost(lin) = sum |c_k| lost_k, with |x| the
-        in-grid magnitudes, ||x|| their sum, and nothing lost on the
-        inputs.  Truncation drops only high orders and multiplication
-        only raises them, so lost content never lands back on the grid
-        and the in-grid coefficients stay exact.
-        """
-        mags = [_mag_grid(s) for s in list(G.components) + self.grids]
-        norms = [float(g.sum()) * _NORM_PAD for g in mags]
-        lost = [0.0] * DIM
-        for op in self.prog.ops:
-            if isinstance(op, Mul):
-                a, b = op.a, op.b
-                loss = (_conv_tail(mags[a], mags[b], self.M, self.N)
-                        + lost[a] * (norms[b] + lost[b]) + norms[a] * lost[b])
-            else:
-                loss = sum(Interval._coerce(c).mag * lost[k]
-                           for c, k in op.terms)
-            lost.append(loss * _NORM_PAD)
-        return [lost[o] for o in self.prog.outputs]
-
-
-_NORM_PAD = 1.0 + 1e-10
-
-
-def _mag_grid(s: ScalarSeries2) -> np.ndarray:
-    """Entrywise upper bound on coefficient magnitudes."""
-    return s.mag() * _NORM_PAD
-
-
-def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
-    """Bound on a product's coefficient mass landing outside (M, N).
-
-    Pairs the factors' row and column 1-norm marginals: a product term
-    of total s-order above M contributes to the row-marginal
-    convolution past index M, likewise in t past N, so the two
-    convolution tails together cover every out-of-grid term at least
-    once.  Plain float sums of nonnegatives, padded far beyond their
-    worst-case rounding.
-    """
-    t_tail = np.convolve(amag.sum(axis=0), bmag.sum(axis=0))[N + 1:].sum()
-    s_tail = np.convolve(amag.sum(axis=1), bmag.sum(axis=1))[M + 1:].sum()
-    return float(t_tail + s_tail) * _NORM_PAD
-
-
 # ---------------------------------------------------------------------------
 # arcs in, charts out
 
@@ -249,7 +165,7 @@ def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig, M: int,
     production run with successive-column ratios near the target.
     """
     sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = _FieldColumns(field_program(m, p), M, n_pilot)
+    rec = FieldColumns(field_program(m, p), M, n_pilot)
     pilot = taylor_flow(_arc_series(arc, M), rec.b_column, n_pilot, sign)
     norms = [_column_mag(pilot, n) for n in range(n_pilot + 1)]
     ratios = [norms[k + 1] / norms[k]
@@ -283,7 +199,7 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     if tau is None:
         tau = choose_tau(arc, m, p, M)
     sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = _FieldColumns(field_program(m, p), M, N)
+    rec = FieldColumns(field_program(m, p), M, N)
     G = taylor_flow(_arc_series(arc, M), rec.b_column, N, sign * tau)
     if tail_policy == "reported":
         defect = None
@@ -307,7 +223,7 @@ def _defect_parts(m: MassTriple, p: PrimaryConfig, G: Series2
     """In-grid residual series of tau dGamma/dt - F(Gamma), plus the
     per-row bound on field content beyond the grid."""
     M, N = G.orders
-    rec = _FieldColumns(field_program(m, p), M, N)
+    rec = FieldColumns(field_program(m, p), M, N)
     tau_iv = Interval.from_value(G.tau)
     res = [ScalarSeries2.zeros(M, N) for _ in range(DIM)]
     for n in range(N + 1):

@@ -103,12 +103,10 @@ def _affine_arc(arc: BoundaryArc, c: float, d: float) -> BoundaryArc:
     M = arc.gamma.orders[0]
     # coef[i, mm]: coefficient mm of component i
     coef = CIntervalArray.of([q[:, 0] for q in arc.gamma.components])
-    c0 = CInterval(c)
-    c1 = CInterval(d)
     acc = ScalarSeries2.zeros(M, DIM - 1)
     acc[0] = coef[:, M]
     for mm in range(M - 1, -1, -1):
-        acc = _mul_linear(acc, c0, c1, M)
+        acc = _mul_linear(acc, c, d, M)
         acc[0] = acc[0] + coef[:, mm]
     out = tuple(acc[:, i:i + 1] for i in range(DIM))
     gamma = Series2(out, scale=arc.gamma.scale, tau=1.0,

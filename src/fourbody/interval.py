@@ -421,6 +421,13 @@ class CInterval:
     def __repr__(self) -> str:
         return f"CInterval({self.re!r}, {self.im!r})"
 
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CInterval) and self.re == other.re
+                and self.im == other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
 
 class CIntervalArray:
     """An array of complex intervals of any shape, in the package's one

@@ -14,8 +14,9 @@ degree-d coefficients, which are exactly the lower-order ("hat") sums
 c_mn of all the degree's slots at once.  Each a_mn then comes from its
 own verified solve, and the tangent interpreter supplies the solved
 coefficients' linear contribution to every node, across the degree's
-slots.  ``field_series`` interprets the same program with full
-truncated Cauchy products.
+slots.  ``field_series`` and the invariance residual interpret the same
+program with the column interpreter of ``polyfield``, which advection
+also uses.
 
 The rest of the module extracts real charts from the complex conjugate
 parameterization, meshes the fundamental-domain boundary into secant
@@ -43,14 +44,14 @@ from .interval import (
     verified_solve_complex,
 )
 from .nk import certify_equilibrium
-from .polyfield import (DIM, FieldProgram, Mul, State7, embed_R, evaluate,
-                        field_program, lift_eigvector, poly_DF, tangent)
+from .polyfield import (DIM, FieldColumns, FieldProgram, Mul, State7, embed_R,
+                        evaluate, field_program, lift_eigvector, poly_DF,
+                        tangent)
 from .taylor import (
     ScalarSeries2,
     Series2,
     _fit,
     antidiagonal,
-    cauchy_product,
     mag_sum_bound,
     product_antidiagonal,
     product_coeff,  # noqa: F401  (uncalled; see below)
@@ -240,7 +241,7 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
         tail = float(tail_value) if tail_value is not None else 0.0
     else:
         residual = _residual_series(m, p, P, lam1, lam2,
-                                    orders=(5 * N, 5 * N), fast=True)
+                                    orders=(5 * N, 5 * N))
         tail = max(mag_sum_bound(r) for r in residual)
     P = Series2(P.components, scale=scale, tau=1.0, real_symmetric=True,
                 tail=tail)
@@ -295,16 +296,16 @@ def local_manifold(m: MassTriple, p: PrimaryConfig, kind: str, N: int = 7,
 
 
 def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
-                 orders: Optional[tuple[int, int]] = None,
-                 fast: bool = False) -> list[ScalarSeries2]:
-    """Coefficients of F(P) by full Cauchy products.
+                 orders: Optional[tuple[int, int]] = None
+                 ) -> list[ScalarSeries2]:
+    """Coefficients of F(P) through ``orders``, by the column
+    interpreter of the field program over every column.
 
-    The default truncates to P's own grid, which is exact for those
-    coefficients.  The composition is a quintic polynomial in the
-    components, so passing ``(5 M, 5 N)`` captures every coefficient;
-    defect bounds need that full range.  Intermediate products are
-    truncated to their own natural degrees, clamped to the request.
-    ``fast`` selects the gamma-padded product sums for big grids.
+    The default truncates to P's own grid.  The composition is a
+    quintic polynomial in the components, so passing ``(5 M, 5 N)``
+    captures every coefficient; defect bounds need that full range.
+    Each node is kept through its own orders, those of P's grid raised
+    by its products and clamped to the request.
     """
     M0, N0 = P.orders
     if orders is None:
@@ -313,45 +314,18 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     if OM < M0 or ON < N0:
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
     prog = field_program(m, p)
-    nodes = _node_series(prog, P.components, orders, fast)
-    return [_fit(nodes[o], OM, ON).copy() for o in prog.outputs]
-
-
-def _node_series(prog: FieldProgram, inputs: Sequence[ScalarSeries2],
-                 orders: tuple[int, int], fast: bool = False
-                 ) -> list[ScalarSeries2]:
-    """Full truncated interpreter: every node of the program as a series.
-
-    A Mul node is ``cauchy_product`` of its operands, a Lin node the
-    scaled sum of its operands with the constant on (0, 0); each is
-    kept through its natural orders (a product's are the sum of its
-    factors', a sum's the largest of its terms'), clamped to
-    ``orders``, which tracks node degree.  Theorem: every coefficient
-    kept encloses the true node coefficient, since truncation drops
-    only orders that products never bring back down.
-    """
-    OM, ON = orders
-    nodes = list(inputs)
-    for op in prog.ops:
-        if isinstance(op, Mul):
-            (ma, na), (mb, nb) = nodes[op.a].orders, nodes[op.b].orders
-            nodes.append(cauchy_product(
-                nodes[op.a], nodes[op.b],
-                orders=(min(OM, ma + mb), min(ON, na + nb)), fast=fast))
-            continue
-        tm = max(nodes[k].orders[0] for _, k in op.terms)
-        tn = max(nodes[k].orders[1] for _, k in op.terms)
-        acc = ScalarSeries2.zeros(tm, tn).shift_const(CInterval(op.const))
-        for c, k in op.terms:
-            acc = acc + _fit(nodes[k], tm, tn) * c
-        nodes.append(acc)
-    return nodes
+    cols = FieldColumns(prog, OM, ON, input_orders=(M0, N0))
+    G = Series2(tuple(_fit(c, OM, ON) for c in P.components))
+    for n in range(ON + 1):
+        cols.b_column(G, n)
+    nodes = list(G.components) + cols.grids
+    return [nodes[o].copy() for o in prog.outputs]
 
 
 def _residual_series(m: MassTriple, p: PrimaryConfig, P: Series2,
                      lam1: CInterval, lam2: CInterval,
-                     orders: Optional[tuple[int, int]] = None,
-                     fast: bool = False) -> list[ScalarSeries2]:
+                     orders: Optional[tuple[int, int]] = None
+                     ) -> list[ScalarSeries2]:
     """(m lam1 + n lam2) a_mn - [F(P)]_mn for every coefficient.
 
     Beyond P's grid the series coefficient is zero and the residual is
@@ -361,7 +335,7 @@ def _residual_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     M0, N0 = P.orders
     if orders is None:
         orders = (M0, N0)
-    field = field_series(m, p, P, orders, fast=fast)
+    field = field_series(m, p, P, orders)
     mu = (CIntervalArray.of([lam1]) * np.arange(M0 + 1.0)[:, None]
           + CIntervalArray.of([lam2]) * np.arange(N0 + 1.0)[None, :])
     out = []
@@ -376,10 +350,9 @@ def invariance_residual(m: MassTriple, p: PrimaryConfig,
                         M: LocalManifold) -> list[ScalarSeries2]:
     """Per-coefficient defect of the invariance equation.
 
-    Recomputed from the finished grids with full Cauchy products, by a
-    different interpreter of the field program than the per-coefficient
-    one the solver used; every coefficient enclosure must straddle
-    zero.
+    Recomputed from the finished grids by the column interpreter of
+    the field program, not the per-degree one the solver used; every
+    coefficient enclosure must straddle zero.
     """
     return _residual_series(m, p, M.P, M.lambda1, M.lambda2)
 
@@ -476,8 +449,8 @@ def _mul_linear(H: ScalarSeries2, c0, c1, deg: int) -> ScalarSeries2:
     """Product with (c0 + c1 s) along the first axis, truncated at deg.
 
     Works on stacked grids of deg + 1 rows whose columns are
-    independent series; c0 and c1 are CIntervals, or one-row grids of
-    per-column values.
+    independent series; c0 and c1 are floats, CIntervals, or one-row
+    grids of per-column values.
     """
     shift = ScalarSeries2.zeros(*H.orders)
     shift[1:] = (H * c1)[:deg]

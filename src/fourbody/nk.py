@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +31,6 @@ import numpy as np
 from .crfbp import (
     MassTriple,
     PrimaryConfig,
-    _distances,
     hess_omega_point,
     newton_equilibrium,
     omega_first_partials,
@@ -42,7 +40,6 @@ from .crfbp import (
 from .interval import (
     Interval,
     IntervalMatrix,
-    IntervalTensor3,
     IntervalVector,
     matrix_norm,
     matroid_norm,
@@ -177,18 +174,6 @@ def compute_bounds(prob: NKProblem) -> tuple[float, float, float, float]:
     return Y0, Z0, Z1, Z2
 
 
-def hessian_sup_box(d2_evaluator: Callable[[IntervalVector], IntervalTensor3],
-                    center: np.ndarray, r: float) -> Interval:
-    """Upper bound for the bilinear-map norm of D^2 F over a box.
-
-    A single interval evaluation of all second partials over the box,
-    combined with the max-of-row-sums formula, bounds the sup by the
-    mean value theorem.
-    """
-    box = IntervalVector(center - r, center + r)
-    return matroid_norm(d2_evaluator(box))
-
-
 def _p_negative(Y0: Interval, Z0: Interval, Z1: Interval, Z2: Interval,
                 r: float) -> bool:
     """Rigorous check that the radii polynomial is negative at r."""
@@ -297,72 +282,18 @@ def _first_verified(candidates, check) -> Optional[float]:
 # the planar equilibrium problem
 
 
-def _iv_max(a: Interval, b: Interval) -> Interval:
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def lift_hessian_sup(p: PrimaryConfig, m: MassTriple, x: Interval,
-                     y: Interval) -> Interval:
-    """Second-derivative bound for the gradient map through the
-    seven-dimensional polynomial lift.
-
-    The gradient map factors as g_i = F_{2i} composed with the lift
-    R(x, y) = (x, 0, y, 0, 1/r1, 1/r2, 1/r3), so each row obeys
-
-        row_i <= ||grad F_i||_1 * ||D^2 R||_Q + sum|D^2 F_i| * ||DR||_M^2,
-
-    with every factor evaluated over the box.  This is coarser than the
-    direct tensor evaluation but follows the polynomial field's
-    derivative structure, which is the form that generalizes to the
-    series computations downstream.
-    """
-    rs = _distances(p, x, y)
-    ms = (m.m1, m.m2, m.m3)
-    one = Interval.from_value(1.0)
-    ws = [one / r for r in rs]
-    dxs = [x - px for (px, _) in p.positions]
-    dys = [y - py for (_, py) in p.positions]
-
-    a = one
-    for mj, w in zip(ms, ws):
-        a = a - mj * w.pow_int(3)
-
-    # ||DR||_M: rows of DR have 1-norms {1, 0, 1, 0, w^3 (|dx| + |dy|)}
-    dr = one
-    for w, dx, dy in zip(ws, dxs, dys):
-        dr = _iv_max(dr, w.pow_int(3) * (abs(dx) + abs(dy)))
-
-    # ||D^2 R||_Q: only the reciprocal-distance rows contribute
-    d2r = Interval.from_value(0.0)
-    for w, dx, dy, r in zip(ws, dxs, dys, rs):
-        w5 = w.pow_int(5)
-        rsq = r.sqr()
-        row = (abs(3 * dx.sqr() - rsq) + 6 * abs(dx * dy)
-               + abs(3 * dy.sqr() - rsq)) * w5
-        d2r = _iv_max(d2r, row)
-
-    rows = []
-    for ds in (dxs, dys):
-        grad1 = abs(a) + 2
-        d2sum = Interval.from_value(0.0)
-        for mj, w, d in zip(ms, ws, ds):
-            grad1 = grad1 + 3 * mj * abs(d) * w.sqr()
-            d2sum = d2sum + 6 * mj * w.sqr() + 6 * mj * abs(d) * w
-        rows.append(grad1 * d2r + d2sum * dr.sqr())
-    return _iv_max(rows[0], rows[1])
-
-
 def equilibrium_problem(p: PrimaryConfig, m: MassTriple,
-                        xy_bar: tuple[float, float], r_star: float = 1e-6,
-                        z2_method: str = "lift") -> NKProblem:
+                        xy_bar: tuple[float, float], r_star: float = 1e-6
+                        ) -> NKProblem:
     """Package the planar gradient map as a certification problem.
 
-    ``z2_method`` selects the second-derivative bound: "lift" goes
-    through the seven-dimensional polynomial field, "direct" evaluates
-    the third-partial tensor of the potential over the box.
+    The map is the gradient of the potential, so D^2 F is the tensor
+    of its third partials.  Z2 comes from one interval evaluation of
+    that tensor over the box, in the bilinear-map norm of
+    ``matroid_norm`` (largest row sum of entry magnitudes), which
+    bounds sup ||D^2 F|| over the box since every point's tensor lies
+    in the evaluated enclosure.
     """
-    if z2_method not in ("lift", "direct"):
-        raise ValueError(f"unknown z2_method {z2_method!r}")
     pos = p.position_array()
     masses = np.array(m.as_floats())
     x_bar = np.array(xy_bar, dtype=float)
@@ -379,25 +310,21 @@ def equilibrium_problem(p: PrimaryConfig, m: MassTriple,
         hi = np.array([[g11.hi, g12.hi], [g12.hi, g22.hi]])
         return IntervalMatrix(lo, hi)
 
-    if z2_method == "lift":
-        def D2F_sup(box: IntervalVector) -> Interval:
-            return lift_hessian_sup(p, m, box[0], box[1])
-    else:
-        def D2F_sup(box: IntervalVector) -> Interval:
-            return matroid_norm(omega_second_partials(p, m, box[0], box[1]))
+    def D2F_sup(box: IntervalVector) -> Interval:
+        return matroid_norm(omega_second_partials(p, m, box[0], box[1]))
 
     return NKProblem(dim=2, F_eval=F_eval, DF_eval=DF_eval, D2F_sup=D2F_sup,
                      x_bar=x_bar, A_dagger=A_dagger, A=A, r_star=r_star,
-                     name=f"equilibrium-{z2_method}")
+                     name="equilibrium")
 
 
 def certify_equilibrium(p: PrimaryConfig, m: MassTriple,
                         seed: tuple[float, float] = (0.93, 0.22),
-                        r_star: float = 1e-6, z2_method: str = "lift"
+                        r_star: float = 1e-6
                         ) -> tuple[NKCertificate, tuple[float, float]]:
     """Newton refinement plus certification of a planar equilibrium."""
     xy = newton_equilibrium(p, m, seed)
-    prob = equilibrium_problem(p, m, xy, r_star=r_star, z2_method=z2_method)
+    prob = equilibrium_problem(p, m, xy, r_star=r_star)
     Y0, Z0, Z1, Z2 = compute_bounds(prob)
     a_norm = matrix_norm(IntervalMatrix.from_points(prob.A)).hi
     cert = radii_verify(Y0, Z0, Z1, Z2, r_star, a_norm=a_norm,

@@ -10,8 +10,10 @@ This module provides the embedding R, the projections back to the planar
 factors, the explicit kernel basis of DF at a lifted equilibrium,
 eigenvector lifting, and the one definition of F: a straight-line
 program of ``Lin`` and ``Mul`` ops.  Every evaluator of F interprets it:
-``evaluate`` and ``tangent`` here, the series interpreters in
-``manifold`` and ``advect``.
+``evaluate``, ``tangent`` and the column interpreter ``FieldColumns``
+here, which gives every full series of F (advected charts, their defect,
+``manifold.field_series``), and the per-degree interpreter of the
+homological solve in ``manifold``.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .errors import DegenerateKernel
 from .interval import (
     CInterval,
+    CIntervalArray,
     Interval,
     IntervalMatrix,
     IntervalVector,
 )
+from .taylor import ScalarSeries2, Series2, product_column
 
 DIM = 7
 
@@ -185,6 +189,112 @@ def tangent(prog: FieldProgram, vals: Sequence, seed: Sequence) -> list:
                 acc = ds[k] * c if acc is None else acc + ds[k] * c
         ds.append(acc)
     return ds
+
+
+class FieldColumns:
+    """Column interpreter: every node of the program as a series on the
+    (M, N) grid, filled one t-order column at a time.
+
+    One grid per node, allocated once; the inputs are the components of
+    the series handed to ``b_column``, which cover (M, N) and are
+    polynomials of ``input_orders`` (default (M, N)).  Each node has
+    orders from its operands: a product the sum of its factors', a sum
+    the largest of its terms', clamped to (M, N); its grid is zero past
+    them.  ``b_column(G, n)`` fills column n of every node, a Mul node
+    by ``product_column`` over its own rows, a Lin node from its
+    operands' columns (its constant enters at n = 0).  Theorem: if
+    columns 0..n of the inputs are enclosures, so are columns n of all
+    nodes, since a product's column n reads only columns 0..n, and the
+    coefficients a node drops lie past its orders, where they are zero
+    or, at the clamp, of orders that products never bring back down.
+    The grids are filled in place, so operands are always read as
+    views of the current columns.
+    """
+
+    def __init__(self, prog: FieldProgram, M: int, N: int,
+                 input_orders: tuple[int, int] | None = None):
+        self.prog = prog
+        self.M = M
+        self.N = N
+        self.orders = [input_orders or (M, N)] * DIM
+        for op in prog.ops:
+            if isinstance(op, Mul):
+                (ma, na), (mb, nb) = self.orders[op.a], self.orders[op.b]
+                self.orders.append((min(M, ma + mb), min(N, na + nb)))
+            else:
+                terms = [self.orders[k] for _, k in op.terms]
+                self.orders.append((max(mk for mk, _ in terms),
+                                    max(nk for _, nk in terms)))
+        self.grids = [ScalarSeries2.zeros(M, N) for _ in prog.ops]
+
+    def b_column(self, G: Series2, n: int) -> CIntervalArray:
+        """Column n of every node; returns the outputs' as shape
+        (DIM, M + 1)."""
+        nodes = list(G.components) + self.grids
+        for op, dst, (rows, cols) in zip(self.prog.ops, self.grids,
+                                         self.orders[DIM:]):
+            if n > cols:
+                continue
+            if isinstance(op, Mul):
+                col = product_column(nodes[op.a], nodes[op.b], n, rows)
+            else:
+                col = None
+                for c, k in op.terms:
+                    term = nodes[k][: rows + 1, n] * c
+                    col = term if col is None else col + term
+            dst[: rows + 1, n] = col
+            if n == 0 and isinstance(op, Lin):
+                dst[0, 0] = dst.at(0, 0) + CInterval(op.const)
+        return CIntervalArray.of([nodes[o][:, n] for o in self.prog.outputs])
+
+    def beyond_grid_bounds(self, G: Series2) -> list[float]:
+        """Per-output bound on field content outside the (M, N) grid,
+        once ``b_column`` has filled every column.
+
+        The content a node's grid misses ("lost") follows from
+        lost(x y) = conv_tail(|x|, |y|) + lost_x (||y|| + lost_y)
+        + ||x|| lost_y and lost(lin) = sum |c_k| lost_k, with |x| the
+        in-grid magnitudes, ||x|| their sum, and nothing lost on the
+        inputs.  Truncation drops only high orders and multiplication
+        only raises them, so lost content never lands back on the grid
+        and the in-grid coefficients stay exact.
+        """
+        mags = [_mag_grid(s) for s in list(G.components) + self.grids]
+        norms = [float(g.sum()) * _NORM_PAD for g in mags]
+        lost = [0.0] * DIM
+        for op in self.prog.ops:
+            if isinstance(op, Mul):
+                a, b = op.a, op.b
+                loss = (_conv_tail(mags[a], mags[b], self.M, self.N)
+                        + lost[a] * (norms[b] + lost[b]) + norms[a] * lost[b])
+            else:
+                loss = sum(Interval._coerce(c).mag * lost[k]
+                           for c, k in op.terms)
+            lost.append(loss * _NORM_PAD)
+        return [lost[o] for o in self.prog.outputs]
+
+
+_NORM_PAD = 1.0 + 1e-10
+
+
+def _mag_grid(s: ScalarSeries2) -> np.ndarray:
+    """Entrywise upper bound on coefficient magnitudes."""
+    return s.mag() * _NORM_PAD
+
+
+def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
+    """Bound on a product's coefficient mass landing outside (M, N).
+
+    Pairs the factors' row and column 1-norm marginals: a product term
+    of total s-order above M contributes to the row-marginal
+    convolution past index M, likewise in t past N, so the two
+    convolution tails together cover every out-of-grid term at least
+    once.  Plain float sums of nonnegatives, padded far beyond their
+    worst-case rounding.
+    """
+    t_tail = np.convolve(amag.sum(axis=0), bmag.sum(axis=0))[N + 1:].sum()
+    s_tail = np.convolve(amag.sum(axis=1), bmag.sum(axis=1))[M + 1:].sum()
+    return float(t_tail + s_tail) * _NORM_PAD
 
 
 def poly_F(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalVector:

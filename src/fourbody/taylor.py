@@ -10,24 +10,24 @@ layout, and only this module and ``interval`` name the four endpoint
 grids; the atlas JSON form (``Series2.to_json``) keeps them as the keys
 rlo, rhi, ilo and ihi.
 
-The module supplies the Cauchy product, the "hat" products that omit
-every summand containing the highest-order coefficient (the workhorse
-of the order-by-order homological solves), rigorous evaluation over
-boxes, rescaling of the domain variables, and conjugate-symmetry
+The module supplies the Cauchy product kernels, rigorous evaluation
+over boxes, rescaling of the domain variables, and conjugate-symmetry
 checking.
 
 The lifted field itself is not written here: ``polyfield`` describes it
-once as a program of linear combinations and products, and the
-interpreters in ``manifold`` and ``advect`` evaluate that program with
+once as a program of linear combinations and products, and its series
+interpreters evaluate that program with one kernel each.  The per-degree
+interpreter of ``manifold``'s homological solve uses
 ``product_antidiagonal`` (every coefficient of one total degree, exact
-sums; with the unsolved degree at exact zero this yields the hat sums
-of the homological solve), ``product_column`` (one time-order column,
-one-ulp products and a-priori padded sums) and ``cauchy_product`` (the
-full truncated series, one ``product_antidiagonal`` per degree or, with
-``fast``, one ``product_column`` per column).  ``product_coeff`` is
-``product_antidiagonal`` for a single coefficient; the explicit
-hat_product_* functions use it, for direct use and for testing the hat
-identity against full products.
+sums; with the unsolved degree at exact zero this yields the "hat" sums
+that omit every summand containing the unknown coefficient).  The
+column interpreter ``polyfield.FieldColumns``, behind advection, the
+chart defect and ``manifold.field_series``, uses ``product_column``
+(one time-order column, one-ulp products and a-priori padded sums).
+``cauchy_product`` is the full truncated series by exact sums, one
+``product_antidiagonal`` per degree, and ``product_coeff`` a single
+coefficient; the explicit hat_product_* functions are built on them,
+to state the hat identity and test it against full products.
 """
 
 from __future__ import annotations
@@ -265,9 +265,10 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
 
 
 def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,
-                   orders: Optional[tuple[int, int]] = None,
-                   fast: bool = False) -> ScalarSeries2:
-    """Full truncated Cauchy product of two series."""
+                   orders: Optional[tuple[int, int]] = None) -> ScalarSeries2:
+    """Full truncated Cauchy product of two series, one
+    ``product_antidiagonal`` per total degree, so every coefficient
+    equals ``product_coeff``'s."""
     if orders is None:
         Ma, Na = a.orders
         Mb, Nb = b.orders
@@ -276,10 +277,6 @@ def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,
     ap = _fit(a, M, N)
     bp = _fit(b, M, N)
     out = ScalarSeries2.zeros(M, N)
-    if fast:
-        for n in range(N + 1):
-            out[:, n] = product_column(ap, bp, n, M)
-        return out
     for d in range(M + N + 1):
         out[antidiagonal(M, N, d)] = product_antidiagonal(ap, bp, d)
     return out

@@ -1,0 +1,53 @@
+"""Shared test helpers."""
+
+import numpy as np
+import pytest
+
+from fourbody.interval import CInterval
+from fourbody.polyfield import Mul
+from fourbody.taylor import ScalarSeries2, _fit, cauchy_product
+
+
+def _full_product_nodes(prog, inputs, orders):
+    """Every node of the field program as a series, by exact full
+    truncated Cauchy products: a product kept through the sum of its
+    factors' orders, a sum through the largest of its terms', each
+    clamped to ``orders``.  An interpreter independent of the column
+    and per-degree ones, for checking them."""
+    OM, ON = orders
+    nodes = list(inputs)
+    for op in prog.ops:
+        if isinstance(op, Mul):
+            (ma, na), (mb, nb) = nodes[op.a].orders, nodes[op.b].orders
+            nodes.append(cauchy_product(
+                nodes[op.a], nodes[op.b],
+                orders=(min(OM, ma + mb), min(ON, na + nb))))
+            continue
+        tm = max(nodes[k].orders[0] for _, k in op.terms)
+        tn = max(nodes[k].orders[1] for _, k in op.terms)
+        acc = ScalarSeries2.zeros(tm, tn).shift_const(CInterval(op.const))
+        for c, k in op.terms:
+            acc = acc + _fit(nodes[k], tm, tn) * c
+        nodes.append(acc)
+    return nodes
+
+
+def _assert_overlap(*series):
+    """Every coefficient enclosure of the series overlaps the others',
+    on the largest grid, with zeros past a series' own grid."""
+    M = max(s.orders[0] for s in series)
+    N = max(s.orders[1] for s in series)
+    grids = [_fit(s, M, N) for s in series]
+    los = np.maximum.reduce([g.lo for g in grids])
+    his = np.minimum.reduce([g.hi for g in grids])
+    assert np.all(los <= his)
+
+
+@pytest.fixture(scope="session")
+def full_product_nodes():
+    return _full_product_nodes
+
+
+@pytest.fixture(scope="session")
+def assert_overlap():
+    return _assert_overlap

@@ -9,7 +9,6 @@ import pytest
 
 from fourbody.advect import (
     FlowChart,
-    _FieldColumns,
     choose_tau,
     collapse_time_one,
     defect_bound,
@@ -29,7 +28,7 @@ from fourbody.errors import CollisionDomain, SymmetryViolation
 from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
     local_manifold
-from fourbody.polyfield import field_program
+from fourbody.polyfield import FieldColumns, field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
 
 Z0 = CInterval(Interval.from_value(0.0))
@@ -185,21 +184,29 @@ class TestFlowLine:
         chart, _ = chart15
         assert choose_tau(arcs15[3], m, pc, 15) == abs(chart.tau)
 
-    def test_recursion_matches_field_series(self, setup, arcs15):
+    def test_recursion_matches_field_series(self, setup, arcs15,
+                                            full_product_nodes,
+                                            assert_overlap):
         # the same finished chart, pushed through the field program by
-        # the column interpreter and the full-product interpreter
+        # the recursion's column interpreter and by field_series, which
+        # runs it over every column, and checked against exact full
+        # products at every output
         m, pc = setup
         chart = flow_line(arcs15[7], m, pc, orders=(15, 20), tau=2.0,
                           tail_policy="reported")
         G = chart.Gamma
-        b = field_series(m, pc, G, orders=(15, 20), fast=True)
-        rec = _FieldColumns(field_program(m, pc), 15, 20)
+        prog = field_program(m, pc)
+        b = field_series(m, pc, G, orders=(15, 20))
+        full = full_product_nodes(prog, G.components, (15, 20))
+        rec = FieldColumns(prog, 15, 20)
         for n in range(21):
             col = rec.b_column(G, n)
             for i in range(7):
                 want = b[i][:, n]
-                assert np.all(np.maximum(col[i].lo, want.lo)
-                              <= np.minimum(col[i].hi, want.hi))
+                assert np.array_equal(col[i].lo, want.lo)
+                assert np.array_equal(col[i].hi, want.hi)
+        for i, o in enumerate(prog.outputs):
+            assert_overlap(b[i], full[o])
 
     def test_interval_masses_enclose_endpoint_chart(self, setup):
         # a chart built under an interval mass triple must enclose the
@@ -298,7 +305,7 @@ class TestDefect:
 
     def test_beyond_grid_bound_covers_true_content(self, setup, stable7):
         # the derived out-of-grid bound against the field content past
-        # the (M, N) grid, from the full-product interpreter at (5M, 5N),
+        # the (M, N) grid, from field_series at (5M, 5N), which keeps it all,
         # on a small chart and on a random grid whose content is mostly
         # out of grid
         m, pc = setup
@@ -311,11 +318,11 @@ class TestDefect:
             for _ in range(7)))
         for G in (chart, noise):
             M, N = G.orders
-            cols = _FieldColumns(field_program(m, pc), M, N)
+            cols = FieldColumns(field_program(m, pc), M, N)
             for n in range(N + 1):
                 cols.b_column(G, n)
             bounds = cols.beyond_grid_bounds(G)
-            full = field_series(m, pc, G, orders=(5 * M, 5 * N), fast=True)
+            full = field_series(m, pc, G, orders=(5 * M, 5 * N))
             for i, (f, bound) in enumerate(zip(full, bounds)):
                 mag = np.hypot(np.maximum(np.abs(f.rlo), np.abs(f.rhi)),
                                np.maximum(np.abs(f.ilo), np.abs(f.ihi)))

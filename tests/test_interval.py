@@ -469,6 +469,17 @@ class TestComplexRectangles:
         assert z.conj().im.contains(-4.0)
         assert z.abs().contains(5.0)
 
+    def test_equality_is_on_endpoints(self):
+        # two rectangles built apart compare and hash by their endpoints
+        z = CInterval(Interval(1.0, 2.0), Interval(-0.5, 0.25))
+        w = CInterval(Interval(1.0, 2.0), Interval(-0.5, 0.25))
+        assert z is not w and z == w and hash(z) == hash(w)
+        assert len({z, w}) == 1
+        assert z != z.conj()
+        assert z != CInterval(Interval(1.0, 2.0), Interval(-0.5, 0.5))
+        assert CInterval(3.0) == CInterval.from_complex(3 + 0j)
+        assert z != z.re
+
 
 class TestSerialization:
     def test_scalar_roundtrip_bitexact(self):

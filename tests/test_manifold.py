@@ -200,9 +200,8 @@ class TestInvarianceResidual:
         m, pc = setup
         M = local_manifold(m, pc, "stable", N=3)
         P, lam1, lam2 = M.P, M.lambda1, M.lambda2
-        res = _residual_series(m, pc, P, lam1, lam2, orders=(15, 15),
-                               fast=True)
-        field = field_series(m, pc, P, (15, 15), fast=True)
+        res = _residual_series(m, pc, P, lam1, lam2, orders=(15, 15))
+        field = field_series(m, pc, P, (15, 15))
         for i in range(7):
             for mm in range(16):
                 for nn in range(16):

@@ -26,8 +26,6 @@ from fourbody.nk import (
     certify_equilibrium,
     compute_bounds,
     equilibrium_problem,
-    hessian_sup_box,
-    lift_hessian_sup,
     radii_verify,
 )
 
@@ -46,50 +44,38 @@ def config(triple):
 
 
 @pytest.fixture(scope="module")
-def lift_cert(config, triple):
-    return certify_equilibrium(config, triple, z2_method="lift")
-
-
-@pytest.fixture(scope="module")
-def direct_cert(config, triple):
-    return certify_equilibrium(config, triple, z2_method="direct")
+def certified(config, triple):
+    return certify_equilibrium(config, triple)
 
 
 class TestEquilibriumCertification:
-    def test_newton_point_reference(self, lift_cert):
-        _, (x, y) = lift_cert
+    def test_newton_point_reference(self, certified):
+        _, (x, y) = certified
         assert abs(x - XEQ) < 3e-15
         assert abs(y - YEQ) < 3e-15
 
-    def test_bounds_within_budget(self, lift_cert):
-        cert, _ = lift_cert
+    def test_bounds_within_budget(self, certified):
+        cert, _ = certified
         assert cert.Y0 <= 5e-14
         assert cert.Z0 <= 1e-14
         assert cert.Z1 <= 1e-12
-        assert 100.0 <= cert.Z2 <= 150.0
+        assert 10.0 <= cert.Z2 <= 11.0
 
-    def test_proven_with_tight_radius(self, lift_cert):
-        cert, _ = lift_cert
+    def test_proven_with_tight_radius(self, certified):
+        cert, _ = certified
         assert cert.proven
         assert 0.0 < cert.r_interval.lo < 3e-15
         assert cert.r_interval.hi <= 1e-6
 
-    def test_direct_method_is_tighter(self, direct_cert, lift_cert):
-        cert_d, _ = direct_cert
-        cert_l, _ = lift_cert
-        assert cert_d.proven
-        assert 10.0 <= cert_d.Z2 <= 11.0
-        assert cert_d.Z2 < cert_l.Z2
-
-    def test_inverse_bound_dominates_numeric(self, config, triple, lift_cert):
-        cert, (x, y) = lift_cert
+    def test_inverse_bound_dominates_numeric(self, config, triple, certified):
+        cert, (x, y) = certified
         H = hess_omega_point(config.position_array(),
                              np.array(triple.as_floats()), x, y)
         numeric = np.linalg.norm(np.linalg.inv(H), ord=np.inf)
         assert numeric <= cert.inverse_bound
 
-    def test_soundness_smoke(self, config, triple, lift_cert):
-        cert, (x, y) = lift_cert
+    def test_soundness_smoke(self, config, triple, certified):
+        cert, (x, y) = certified
         # re-running Newton from the certified center must stay inside
         # the uniqueness ball and match the defect budget
         x2, y2 = newton_equilibrium(config, triple, (x, y))
@@ -98,8 +84,8 @@ class TestEquilibriumCertification:
                              np.array(triple.as_floats()), x2, y2)
         assert np.max(np.abs(g)) < cert.Y0 * 10.0
 
-    def test_fingerprint_recorded(self, config, triple, lift_cert):
-        cert, (x, y) = lift_cert
+    def test_fingerprint_recorded(self, config, triple, certified):
+        cert, (x, y) = certified
         prob = equilibrium_problem(config, triple, (x, y))
         assert cert.problem_fingerprint == prob.fingerprint()
         other = equilibrium_problem(config, triple, (x + 1e-9, y))
@@ -113,8 +99,7 @@ class TestHessianSup:
         lo[0, 0, 0] = 2.0
         lo[1, 0, 1] = 1.0
         lo[1, 1, 0] = 1.0
-        tensor = IntervalTensor3(lo, lo.copy())
-        sup = hessian_sup_box(lambda box: tensor, np.zeros(2), 1.0)
+        sup = matroid_norm(IntervalTensor3(lo, lo.copy()))
         assert sup.lo == 2.0 and sup.hi == 2.0
 
     def test_random_cubic_sampling_oracle(self):
@@ -144,7 +129,7 @@ class TestHessianSup:
                             for j in range(2)] for i in range(2)])
             return IntervalTensor3(lo, hi)
 
-        bound = hessian_sup_box(evaluator, center, r)
+        bound = matroid_norm(evaluator(IntervalVector(center - r, center + r)))
         worst = 0.0
         for _ in range(10_000):
             x = rng.uniform(center[0] - r, center[0] + r)
@@ -156,18 +141,18 @@ class TestHessianSup:
         assert bound.hi >= worst
 
     def test_equilibrium_box_direct_value(self, config, triple):
-        sup = hessian_sup_box(
-            lambda box: omega_second_partials(config, triple, box[0], box[1]),
-            np.array([XEQ, YEQ]), 1e-6)
-        assert 14.0 <= sup.hi <= 14.1
-
-    def test_lift_bound_dominates_samples(self, config, triple):
         r = 1e-6
         X = Interval(XEQ - r, XEQ + r)
         Y = Interval(YEQ - r, YEQ + r)
-        lift = lift_hessian_sup(config, triple, X, Y)
+        sup = matroid_norm(omega_second_partials(config, triple, X, Y))
+        assert 14.0 <= sup.hi <= 14.1
+
+    def test_direct_bound_dominates_samples(self, config, triple):
+        r = 1e-6
+        X = Interval(XEQ - r, XEQ + r)
+        Y = Interval(YEQ - r, YEQ + r)
         direct = matroid_norm(omega_second_partials(config, triple, X, Y))
-        # both bound the true sup; sample it through the direct tensor
+        # it bounds the true sup; sample that through point tensors
         rng = np.random.RandomState(0)
         worst = 0.0
         for _ in range(200):
@@ -180,8 +165,6 @@ class TestHessianSup:
                           for j in range(2) for k in range(2))
                 worst = max(worst, row)
         assert direct.hi >= worst
-        assert lift.hi >= worst
-        assert lift.hi > direct.hi  # the chain bound is coarser here
 
 
 class TestRadiiVerify:
@@ -244,8 +227,8 @@ class TestRadiiVerify:
 
 
 class TestCertificateSerialization:
-    def test_round_trip(self, lift_cert):
-        cert, _ = lift_cert
+    def test_round_trip(self, certified):
+        cert, _ = certified
         back = NKCertificate.from_dict(cert.to_dict())
         assert back.Y0 == cert.Y0
         assert back.Z2 == cert.Z2
@@ -255,10 +238,10 @@ class TestCertificateSerialization:
         assert back.inverse_bound == cert.inverse_bound
         assert back.problem_fingerprint == cert.problem_fingerprint
 
-    def test_json_text(self, lift_cert):
+    def test_json_text(self, certified):
         import json
 
-        cert, _ = lift_cert
+        cert, _ = certified
         parsed = json.loads(cert.to_json())
         assert parsed["kind"] == "nk_certificate"
         assert parsed["schema_version"] == 1

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fourbody.advect import _FieldColumns
 from fourbody.crfbp import (
     MassTriple,
     PrimaryConfig,
@@ -19,9 +18,10 @@ from fourbody.crfbp import (
 )
 from fourbody.errors import CollisionDomain, DegenerateKernel
 from fourbody.interval import CInterval, Interval, IntervalMatrix, IntervalVector
-from fourbody.manifold import _DegreeInterpreter, _node_series
+from fourbody.manifold import _DegreeInterpreter
 from fourbody.polyfield import (
     DIM,
+    FieldColumns,
     State7,
     embed_R,
     field_program,
@@ -34,7 +34,7 @@ from fourbody.polyfield import (
     project_perp,
     project_pi,
 )
-from fourbody.taylor import ScalarSeries2, Series2, antidiagonal
+from fourbody.taylor import ScalarSeries2, Series2, _fit, antidiagonal
 
 # frozen reciprocal distances at the equilibrium used throughout
 U5 = 0.7244980416112365
@@ -156,18 +156,19 @@ class TestPolyField:
 
 
 class TestFieldProgram:
-    def test_series_interpreters_agree(self, config, triple):
-        # the per-degree (hat values plus tangent correction),
-        # per-column and full-product interpreters enclose the same
-        # coefficients at every program node
+    def test_series_interpreters_agree(self, config, triple,
+                                       full_product_nodes, assert_overlap):
+        # the per-degree (hat values plus tangent correction) and
+        # per-column interpreters enclose the same coefficients as exact
+        # full products at every program node
         K = 5
         rng = np.random.default_rng(7)
         comps = [ScalarSeries2.from_complex_points(
             rng.normal(size=(K + 1, K + 1))
             + 1j * rng.normal(size=(K + 1, K + 1))) for _ in range(DIM)]
         prog = field_program(triple, config)
-        full = _node_series(prog, comps, (K, K))
-        cols = _FieldColumns(prog, K, K)
+        full = full_product_nodes(prog, comps, (K, K))
+        cols = FieldColumns(prog, K, K)
         for n in range(K + 1):
             cols.b_column(Series2(tuple(comps)), n)
         coef = _DegreeInterpreter(prog, K, [c.at(0, 0) for c in comps])
@@ -178,10 +179,29 @@ class TestFieldProgram:
         assert len(full) == len(coef.grids) == DIM + len(cols.grids)
         for k, (a, c) in enumerate(zip(full, coef.grids)):
             b = comps[k] if k < DIM else cols.grids[k - DIM]
-            for lo, hi in (("rlo", "rhi"), ("ilo", "ihi")):
-                los = np.maximum.reduce([getattr(s, lo) for s in (a, b, c)])
-                his = np.minimum.reduce([getattr(s, hi) for s in (a, b, c)])
-                assert np.all(los <= his), k
+            assert_overlap(a, b, c)
+
+    def test_column_interpreter_raises_node_orders(
+            self, config, triple, full_product_nodes, assert_overlap):
+        # order-(3, 2) inputs on a (9, 8) grid: every node is kept
+        # through its own orders, which are zero in the grid beyond them
+        rng = np.random.default_rng(8)
+        comps = [ScalarSeries2.from_complex_points(
+            rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+            for _ in range(DIM)]
+        prog = field_program(triple, config)
+        full = full_product_nodes(prog, comps, (9, 8))
+        cols = FieldColumns(prog, 9, 8, input_orders=(3, 2))
+        G = Series2(tuple(_fit(c, 9, 8) for c in comps))
+        for n in range(9):
+            cols.b_column(G, n)
+        for k, (a, b) in enumerate(zip(full[DIM:], cols.grids), DIM):
+            assert cols.orders[k] == a.orders, k
+            assert_overlap(a, b)
+            rows, nn = a.orders
+            assert not b[rows + 1:].mag().any()
+            assert not b[:, nn + 1:].mag().any()
+        assert cols.orders[-1] == (9, 8)
 
 
 class TestPolyJacobian:
