@@ -11,8 +11,8 @@ coefficients of every component as one ``CIntervalArray`` of shape
 production they come from ``polyfield.FieldColumns``, the column
 interpreter of the field program: one grid per program node, filled one
 time-order column at a time, so the whole run costs the same as a
-single full Cauchy product per node.  The same grids give the bound on
-field content beyond the chart's grid.
+single full Cauchy product per node.  ``polyfield.field_defect`` runs
+the same interpreter once more over the finished chart for its defect.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -41,8 +41,8 @@ from .interval import (
     matrix_norm,
 )
 from .manifold import BoundaryArc
-from .polyfield import (DIM, FieldColumns, State7, field_program, poly_DF,
-                        poly_F_point)
+from .polyfield import (DIM, FieldColumns, State7, field_defect,
+                        field_program, poly_DF, poly_F_point)
 from .taylor import ScalarSeries2, Series2, mag_sum_bound
 
 
@@ -218,41 +218,17 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
 # defect accounting
 
 
-def _defect_parts(m: MassTriple, p: PrimaryConfig, G: Series2
-                  ) -> tuple[list[ScalarSeries2], list[float]]:
-    """In-grid residual series of tau dGamma/dt - F(Gamma), plus the
-    per-row bound on field content beyond the grid."""
-    M, N = G.orders
-    rec = FieldColumns(field_program(m, p), M, N)
-    tau_iv = Interval.from_value(G.tau)
-    res = [ScalarSeries2.zeros(M, N) for _ in range(DIM)]
-    for n in range(N + 1):
-        b = rec.b_column(G, n)
-        if n < N:
-            lhs = CIntervalArray.of([c[:, n + 1] for c in G.components])
-            col = lhs * (tau_iv * float(n + 1)) - b
-        else:
-            col = -b
-        for i, r in enumerate(res):
-            r[:, n] = col[i]
-    return res, rec.beyond_grid_bounds(G)
-
-
-def defect_series(m: MassTriple, p: PrimaryConfig,
-                  chart: FlowChart) -> list[ScalarSeries2]:
-    """In-grid coefficients of the ODE defect tau dGamma/dt - F(Gamma).
-
-    Recomputed from the finished grids, independently of the recursion
-    that built them; through t-order N - 1 every coefficient must
-    straddle zero, and the t-order N column is the leading truncation
-    content.
-    """
-    res, _ = _defect_parts(m, p, chart.Gamma)
-    return res
-
-
 def _defect_bound(m: MassTriple, p: PrimaryConfig, G: Series2) -> float:
-    res, beyond = _defect_parts(m, p, G)
+    """``polyfield.field_defect`` with left-hand side tau dGamma/dt,
+    whose column n is tau (n + 1) Gamma[:, n + 1] and whose column N is
+    zero."""
+    M, N = G.orders
+    tau_iv = Interval.from_value(G.tau)
+    coef = CIntervalArray.of(G.components)
+    lhs = CIntervalArray.zeros((DIM, M + 1, N + 1))
+    for n in range(N):
+        lhs[:, :, n] = coef[:, :, n + 1] * (tau_iv * float(n + 1))
+    res, beyond = field_defect(field_program(m, p), G, lhs)
     return max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
 
 

@@ -230,13 +230,6 @@ class Interval:
     def is_interior_subset(self, other: "Interval") -> bool:
         return other.lo < self.lo and self.hi < other.hi
 
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection")
-        return Interval(lo, hi)
-
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -529,9 +522,28 @@ class CIntervalArray:
                 + 1j * 0.5 * (self.lo[1] + self.hi[1]))
 
     def mag(self) -> np.ndarray:
-        """hypot of the real and imaginary magnitudes: an upper bound on
-        each entry's modulus up to the rounding of hypot."""
-        return np.hypot(*np.maximum(np.abs(self.lo), np.abs(self.hi)))
+        """Upper bound on each entry's modulus: hypot h of the real and
+        imaginary magnitudes x and y, stepped up one ulp, since hypot
+        rounds to nearest.  h stays when it is provably no smaller than
+        the modulus: a part is zero, where hypot(x, 0) = |x| exactly
+        (IEEE 754), or the rigorous floor of h^2 is at least the ceil
+        of x^2 + y^2."""
+        x, y = np.maximum(np.abs(self.lo), np.abs(self.hi))
+        h = np.hypot(x, y)
+        if not np.any((x != 0.0) & (y != 0.0)):
+            return h
+        v = np.stack((h, x, y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = v * v
+            err = _prod_err_arr(v, v, sq)
+        # the Dekker residuals are exact inside the magnitude guard
+        guard = np.all((sq > 1e-200) & (sq < 1e200), axis=0)
+        ceil = np.where(err > 0.0, np.nextafter(sq, np.inf), sq)
+        h2_floor = np.where(err[0] < 0.0, np.nextafter(sq[0], -np.inf),
+                            sq[0])
+        covers = ((x == 0.0) | (y == 0.0)
+                  | (guard & (h2_floor >= _add_ceil_arr(ceil[1], ceil[2]))))
+        return np.where(covers, h, np.nextafter(h, np.inf))
 
     def __add__(self, other: "CIntervalArray") -> "CIntervalArray":
         alo, ahi, blo, bhi = _aligned(self, other)
@@ -871,10 +883,6 @@ class IntervalVector:
 
     def is_interior_subset(self, other: "IntervalVector") -> bool:
         return bool(np.all(other.lo < self.lo) and np.all(self.hi < other.hi))
-
-    def hull_with(self, other: "IntervalVector") -> "IntervalVector":
-        return IntervalVector(np.minimum(self.lo, other.lo),
-                              np.maximum(self.hi, other.hi))
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"[{l:.6g},{h:.6g}]" for l, h in zip(self.lo, self.hi))

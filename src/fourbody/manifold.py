@@ -14,15 +14,14 @@ degree-d coefficients, which are exactly the lower-order ("hat") sums
 c_mn of all the degree's slots at once.  Each a_mn then comes from its
 own verified solve, and the tangent interpreter supplies the solved
 coefficients' linear contribution to every node, across the degree's
-slots.  ``field_series`` and the invariance residual interpret the same
-program with the column interpreter of ``polyfield``, which advection
-also uses.
+slots.  ``field_series`` interprets the same program with the column
+interpreter of ``polyfield``, which advection also uses, and the tail
+of a finished manifold comes from ``polyfield.field_defect``, the
+bound that also gives an advected chart its defect.
 
 The rest of the module extracts real charts from the complex conjugate
-parameterization, meshes the fundamental-domain boundary into secant
-arcs with a parameter-plane transversality certificate, and provides
-the polydisc derivative bounds used to fold truncation tails into
-downstream estimates.
+parameterization and meshes the fundamental-domain boundary into
+secant arcs with a parameter-plane transversality certificate.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from .interval import (
 )
 from .nk import certify_equilibrium
 from .polyfield import (DIM, FieldColumns, FieldProgram, Mul, State7, embed_R,
-                        evaluate, field_program, lift_eigvector, poly_DF,
-                        tangent)
+                        evaluate, field_defect, field_program,
+                        lift_eigvector, poly_DF, tangent)
 from .taylor import (
     ScalarSeries2,
     Series2,
@@ -62,9 +61,6 @@ from .taylor import (
 # reaches every fourbody namespace that binds the name, this one
 # included.
 
-_PI = Interval(math.pi, np.nextafter(math.pi, 4.0))
-
-
 @dataclass(frozen=True)
 class LocalManifold:
     """A validated local manifold parameterization.
@@ -72,8 +68,8 @@ class LocalManifold:
     ``P`` is the dim-7 series in the scaled conjugacy variables; its
     ``tail`` field carries the truncation bound assigned by
     ``tail_policy`` ("reported" for a user-supplied constant, "defect"
-    for the rigorous sup of the invariance defect over the unit
-    polydisc).
+    for a rigorous bound on the sup of the invariance defect over the
+    unit polydisc, see ``param_equilibrium``).
     """
 
     P: Series2
@@ -231,8 +227,16 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
     """Build a LocalManifold from explicit first-order data.
 
     The tail is assigned by policy: "reported" records the supplied
-    constant, "defect" computes the sup of the invariance-equation
-    defect of the finished series over the unit polydisc.
+    constant, "defect" bounds the sup over the unit polydisc of the
+    invariance defect lam1 z1 d1 P + lam2 z2 d2 P - F(P) of the
+    finished series.  Its left-hand side has the coefficients
+    (m lam1 + n lam2) a_mn on P's (N, N) grid.  ``field_defect`` takes
+    P grown with zeros to the fixed grid K = ceil(3 N / 2), with input
+    orders (N, N), and returns the in-grid residual res_i and a bound
+    lost_i on the coefficient mass of F_i(P) beyond the (K, K) grid.
+    The l1 norm of a series bounds its sup over the unit polydisc, so
+    component i's defect is at most mag_sum_bound(res_i) + lost_i
+    there, and the tail is the largest over i.
     """
     if tail_policy not in ("reported", "defect"):
         raise ValueError(f"unknown tail policy {tail_policy!r}")
@@ -240,9 +244,15 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
     if tail_policy == "reported":
         tail = float(tail_value) if tail_value is not None else 0.0
     else:
-        residual = _residual_series(m, p, P, lam1, lam2,
-                                    orders=(5 * N, 5 * N))
-        tail = max(mag_sum_bound(r) for r in residual)
+        K = -(-3 * N // 2)
+        mu = (CIntervalArray.of([lam1]) * np.arange(N + 1.0)[:, None]
+              + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
+        lhs = CIntervalArray.zeros((DIM, K + 1, K + 1))
+        lhs[:, : N + 1, : N + 1] = CIntervalArray.of(P.components) * mu
+        G = Series2(tuple(_fit(c, K, K) for c in P.components))
+        res, beyond = field_defect(field_program(m, p), G, lhs,
+                                   input_orders=(N, N))
+        tail = max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
     P = Series2(P.components, scale=scale, tau=1.0, real_symmetric=True,
                 tail=tail)
     return LocalManifold(P=P, kind=kind, eigen=eigen, scale=scale,
@@ -303,7 +313,8 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
 
     The default truncates to P's own grid.  The composition is a
     quintic polynomial in the components, so passing ``(5 M, 5 N)``
-    captures every coefficient; defect bounds need that full range.
+    captures every coefficient, a reference for the defect bounds of
+    ``polyfield.field_defect``, which need no more than a fixed grid.
     Each node is kept through its own orders, those of P's grid raised
     by its products and clamped to the request.
     """
@@ -320,41 +331,6 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
         cols.b_column(G, n)
     nodes = list(G.components) + cols.grids
     return [nodes[o].copy() for o in prog.outputs]
-
-
-def _residual_series(m: MassTriple, p: PrimaryConfig, P: Series2,
-                     lam1: CInterval, lam2: CInterval,
-                     orders: Optional[tuple[int, int]] = None
-                     ) -> list[ScalarSeries2]:
-    """(m lam1 + n lam2) a_mn - [F(P)]_mn for every coefficient.
-
-    Beyond P's grid the series coefficient is zero and the residual is
-    just the negated field coefficient.  One shift grid
-    mu_mn = m lam1 + n lam2 serves every component.
-    """
-    M0, N0 = P.orders
-    if orders is None:
-        orders = (M0, N0)
-    field = field_series(m, p, P, orders)
-    mu = (CIntervalArray.of([lam1]) * np.arange(M0 + 1.0)[:, None]
-          + CIntervalArray.of([lam2]) * np.arange(N0 + 1.0)[None, :])
-    out = []
-    for f, a in zip(field, P.components):
-        res = -f
-        res[: M0 + 1, : N0 + 1] = mu * a - f[: M0 + 1, : N0 + 1]
-        out.append(res)
-    return out
-
-
-def invariance_residual(m: MassTriple, p: PrimaryConfig,
-                        M: LocalManifold) -> list[ScalarSeries2]:
-    """Per-coefficient defect of the invariance equation.
-
-    Recomputed from the finished grids by the column interpreter of
-    the field program, not the per-degree one the solver used; every
-    coefficient enclosure must straddle zero.
-    """
-    return _residual_series(m, p, M.P, M.lambda1, M.lambda2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,25 +470,3 @@ def _compose_chords(P: Series2, chords: Sequence[tuple[complex, complex]],
         acc = _mul_linear(acc, a0, a1, deg)
         acc = acc + rows[mm]
     return acc
-
-
-# ---------------------------------------------------------------------------
-# polydisc derivative bounds
-
-
-def cauchy_tail_bound(sup_norm: float, nu: float, order: int) -> float:
-    """Derivative bound on the polydisc of radius e^(-nu).
-
-    For g analytic and bounded by sup_norm on the unit polydisc,
-    first derivatives on the smaller polydisc are bounded by
-    (6 pi / nu) sup_norm and second derivatives by
-    (36 pi^2 / nu^2) sup_norm.
-    """
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    factor = 6 * _PI / Interval.from_value(nu)
-    if order == 2:
-        factor = factor.sqr()
-    return (factor * Interval.from_value(sup_norm)).hi

@@ -11,9 +11,11 @@ factors, the explicit kernel basis of DF at a lifted equilibrium,
 eigenvector lifting, and the one definition of F: a straight-line
 program of ``Lin`` and ``Mul`` ops.  Every evaluator of F interprets it:
 ``evaluate``, ``tangent`` and the column interpreter ``FieldColumns``
-here, which gives every full series of F (advected charts, their defect,
+here, which gives every full series of F (advected charts,
 ``manifold.field_series``), and the per-degree interpreter of the
-homological solve in ``manifold``.
+homological solve in ``manifold``.  ``field_defect`` runs the column
+interpreter once to bound the defect of an invariance equation: the
+ODE defect of an advected chart and the tail of a local manifold.
 """
 
 from __future__ import annotations
@@ -272,6 +274,33 @@ class FieldColumns:
                            for c, k in op.terms)
             lost.append(loss * _NORM_PAD)
         return [lost[o] for o in self.prog.outputs]
+
+
+def field_defect(prog: FieldProgram, G: Series2, lhs: CIntervalArray,
+                 input_orders: tuple[int, int] | None = None
+                 ) -> tuple[list[ScalarSeries2], list[float]]:
+    """Defect lhs - F(G) of an invariance equation on G's (M, N) grid.
+
+    ``G`` covers (M, N) and is a polynomial of ``input_orders``
+    (default (M, N)); ``lhs`` has shape (DIM, M + 1, N + 1) and holds
+    the equation's other side, all of whose content lies on the grid.
+    Runs every column of ``FieldColumns`` once and returns the in-grid
+    residual series res_i = lhs_i - [F(G)]_i and, from
+    ``beyond_grid_bounds``, per component a bound lost_i on the
+    coefficient mass of F_i(G) outside the grid.  Theorem: on the
+    closed unit polydisc |z1^m z2^n| <= 1, so a series is bounded
+    there by the l1 norm of its coefficients, and
+        sup |lhs_i - F_i(G)| <= sum |res_i| + lost_i,
+    with the in-grid sum bounded by ``taylor.mag_sum_bound``.
+    """
+    M, N = G.orders
+    cols = FieldColumns(prog, M, N, input_orders)
+    res = [ScalarSeries2.zeros(M, N) for _ in range(DIM)]
+    for n in range(N + 1):
+        col = lhs[:, :, n] - cols.b_column(G, n)
+        for i, r in enumerate(res):
+            r[:, n] = col[i]
+    return res, cols.beyond_grid_bounds(G)
 
 
 _NORM_PAD = 1.0 + 1e-10

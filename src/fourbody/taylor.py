@@ -21,8 +21,9 @@ interpreter of ``manifold``'s homological solve uses
 ``product_antidiagonal`` (every coefficient of one total degree, exact
 sums; with the unsolved degree at exact zero this yields the "hat" sums
 that omit every summand containing the unknown coefficient).  The
-column interpreter ``polyfield.FieldColumns``, behind advection, the
-chart defect and ``manifold.field_series``, uses ``product_column``
+column interpreter ``polyfield.FieldColumns``, behind advection,
+``manifold.field_series`` and every defect and tail bound
+(``polyfield.field_defect``), uses ``product_column``
 (one time-order column, one-ulp products and a-priori padded sums).
 ``cauchy_product`` is the full truncated series by exact sums, one
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
@@ -47,6 +48,7 @@ from .interval import (
     _imul_arr_fast,
     _pad_sum_fast,
     _padded_cascade,
+    _up,
 )
 
 
@@ -334,9 +336,17 @@ def hat_product_quintic(a: ScalarSeries2, b: ScalarSeries2, c: ScalarSeries2,
     return product_coeff(ab, cube, m, n)
 
 
-def mag_sum_bound(s: ScalarSeries2) -> float:
-    """Upper bound for sup |s| over the unit polydisc: sum of magnitudes."""
-    return float(np.sum(s.mag()) * (1.0 + 1e-14))
+def mag_sum_bound(s: CIntervalArray) -> float:
+    """Upper bound for sup |s| over the unit polydisc: the sum of the
+    coefficient moduli, each bounded by ``CIntervalArray.mag``.  In any
+    summation order, the float sum of n nonnegative terms is within
+    gamma_(n-1) of the exact sum S, so S <= sum (1 + gamma_n), and
+    that product is rounded up."""
+    mags = s.mag()
+    total = float(np.sum(mags))
+    if total == 0.0:
+        return 0.0
+    return _up(total + _up(total * _gamma(mags.size)))
 
 
 @dataclass

@@ -12,7 +12,6 @@ from fourbody.advect import (
     choose_tau,
     collapse_time_one,
     defect_bound,
-    defect_series,
     flow_line,
     range_box,
     reference_integrate,
@@ -28,7 +27,7 @@ from fourbody.errors import CollisionDomain, SymmetryViolation
 from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
     local_manifold
-from fourbody.polyfield import FieldColumns, field_program
+from fourbody.polyfield import FieldColumns, field_defect, field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
 
 Z0 = CInterval(Interval.from_value(0.0))
@@ -70,6 +69,19 @@ def _line_series(vals, M=0):
                                    np.zeros((M + 1, 1))))
     return Series2(tuple(comps), scale=1.0, tau=1.0, real_symmetric=False,
                    tail=0.0)
+
+
+def _chart_defect(m, pc, G):
+    """field_defect of tau dGamma/dt = F(Gamma): the in-grid residual
+    and the beyond-grid bounds, with left-hand side column n
+    tau (n + 1) Gamma[:, n + 1] and column N zero."""
+    M, N = G.orders
+    lhs = CIntervalArray.zeros((7, M + 1, N + 1))
+    for n in range(N):
+        scale = Interval.from_value(G.tau) * float(n + 1)
+        for i, c in enumerate(G.components):
+            lhs[i, :, n] = c[:, n + 1] * scale
+    return field_defect(field_program(m, pc), G, lhs)
 
 
 def _linear_column(A):
@@ -266,7 +278,10 @@ class TestDefect:
         m, pc = setup
         chart, _ = chart15
         N = chart.Gamma.orders[1]
-        for r in defect_series(m, pc, chart):
+        res, beyond = _chart_defect(m, pc, chart.Gamma)
+        assert chart.defect == max(mag_sum_bound(r) + b
+                                   for r, b in zip(res, beyond))
+        for r in res:
             assert np.all(r.rlo[:, :N] <= 0.0)
             assert np.all(r.rhi[:, :N] >= 0.0)
             assert np.all(r.ilo <= 0.0) and np.all(r.ihi >= 0.0)
@@ -276,7 +291,7 @@ class TestDefect:
         chart = flow_line(arcs15[5], m, pc, orders=(15, 16), tau=1.0,
                           tail_policy="reported")
         G = chart.Gamma
-        base = mag_sum_bound(defect_series(m, pc, chart)[1])
+        base = mag_sum_bound(_chart_defect(m, pc, G)[0][1])
         c1 = G.components[1]
         mm = int(np.argmax(np.abs(c1.rlo[:, 16] + c1.rhi[:, 16])))
         mag = abs(0.5 * (c1.rlo[mm, 16] + c1.rhi[mm, 16]))
@@ -286,7 +301,7 @@ class TestDefect:
         bad = FlowChart(Gamma=Series2(tuple(comps), scale=G.scale, tau=G.tau,
                                       real_symmetric=False, tail=G.tail),
                         kind=chart.kind, tail_policy="reported")
-        res = defect_series(m, pc, bad)[1]
+        res = _chart_defect(m, pc, bad.Gamma)[0][1]
         assert not res.rlo[mm, 15] <= 0.0 <= res.rhi[mm, 15]
         assert mag_sum_bound(res) - base > 0.5 * 16.0 * mag
         assert defect_bound(m, pc, bad) >= defect_bound(m, pc, chart)

@@ -613,3 +613,20 @@ class TestCIntervalArray:
             CIntervalArray(np.ones((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             CIntervalArray(np.zeros((3, 3)), np.zeros((3, 3)))
+
+    def test_mag_bounds_exact_modulus(self):
+        # hypot rounds to nearest, so on its own it undercuts the
+        # modulus for about half of these pairs; mag never may, and
+        # keeps the exact 5 of 3 + 4i and |x| of a real x
+        rng = np.random.default_rng(11)
+        x = np.concatenate(([0.04097352393619469, 3.0, 0.1],
+                            _rand_floats(rng, 2000)))
+        y = np.concatenate(([0.9179061054689658, 4.0, 0.0],
+                            _rand_floats(rng, 2000)))
+        a = CIntervalArray(np.stack((x, y)), np.stack((x, y)))
+        got = a.mag()
+        assert got[1] == 5.0 and got[2] == 0.1
+        with mpmath.workprec(200):
+            for xi, yi, g in zip(x, y, got):
+                exact = mpmath.sqrt(mpmath.mpf(xi) ** 2 + mpmath.mpf(yi) ** 2)
+                assert mpmath.mpf(g) >= exact, (xi, yi)

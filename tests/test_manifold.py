@@ -18,23 +18,20 @@ from fourbody.errors import (
     SymmetryViolation,
     TangencyDetected,
 )
-from fourbody.interval import CInterval, Interval
+from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import (
     BoundaryArc,
     LocalManifold,
     _compose_chords,
-    _residual_series,
     boundary_mesh,
-    cauchy_tail_bound,
     field_series,
-    invariance_residual,
     local_manifold,
     param_equilibrium,
     real_chart,
     solve_homological,
 )
-from fourbody.polyfield import project_pi
-from fourbody.taylor import Series2, conj_symmetry_check
+from fourbody.polyfield import field_defect, field_program, project_pi
+from fourbody.taylor import Series2, _fit, conj_symmetry_check, mag_sum_bound
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +62,33 @@ def stable4(setup):
 
 def _overlap(a: Interval, b: Interval) -> bool:
     return a.lo <= b.hi and b.lo <= a.hi
+
+
+def _invariance_lhs(P, lam1, lam2, K):
+    """(m lam1 + n lam2) a_mn on P's grid, grown with zeros to (K, K)."""
+    N = P.orders[0]
+    mu = (CIntervalArray.of([lam1]) * np.arange(N + 1.0)[:, None]
+          + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
+    lhs = CIntervalArray.zeros((7, K + 1, K + 1))
+    lhs[:, : N + 1, : N + 1] = CIntervalArray.of(P.components) * mu
+    return lhs
+
+
+def _invariance_defect(m, pc, M, K):
+    """field_defect of the invariance equation of M on the (K, K) grid:
+    the in-grid residual and the per-component beyond-grid bounds."""
+    P = M.P
+    G = Series2(tuple(_fit(c, K, K) for c in P.components))
+    return field_defect(field_program(m, pc), G,
+                        _invariance_lhs(P, M.lambda1, M.lambda2, K),
+                        input_orders=P.orders)
+
+
+def _mig_sum(r) -> float:
+    """Lower bound on the coefficient mass of a residual series: the
+    moduli of its enclosures' points nearest zero, rounded down."""
+    re, im = np.maximum(np.maximum(r.lo, -r.hi), 0.0)
+    return float(np.nextafter(np.hypot(re, im), 0.0).sum())
 
 
 class TestHomologicalSolver:
@@ -167,8 +191,8 @@ class TestHomologicalSolver:
 class TestInvarianceResidual:
     def test_all_coefficients_straddle(self, setup, stable7):
         m, pc = setup
-        res = invariance_residual(m, pc, stable7)
         N = stable7.order
+        res, _ = _invariance_defect(m, pc, stable7, math.ceil(1.5 * N))
         for r in res:
             for mm in range(N + 1):
                 for nn in range(N + 1):
@@ -184,7 +208,7 @@ class TestInvarianceResidual:
         broken = dataclasses.replace(
             M, P=Series2(comps, scale=M.P.scale, tau=1.0,
                          real_symmetric=True, tail=0.0))
-        res = invariance_residual(m, pc, broken)
+        res, _ = _invariance_defect(m, pc, broken, M.order)
         flagged = any(not r.at(2, 1).straddles_zero() for r in res)
         assert flagged
         # indices not componentwise above (2, 1) stay clean
@@ -200,7 +224,7 @@ class TestInvarianceResidual:
         m, pc = setup
         M = local_manifold(m, pc, "stable", N=3)
         P, lam1, lam2 = M.P, M.lambda1, M.lambda2
-        res = _residual_series(m, pc, P, lam1, lam2, orders=(15, 15))
+        res, _ = _invariance_defect(m, pc, M, 15)
         field = field_series(m, pc, P, (15, 15))
         for i in range(7):
             for mm in range(16):
@@ -213,6 +237,32 @@ class TestInvarianceResidual:
                         f = -f
                     got = res[i].at(mm, nn)
                     assert got.re == f.re and got.im == f.im, (i, mm, nn)
+
+    @pytest.mark.parametrize("kind", ["stable", "unstable"])
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_tail_covers_full_residual(self, setup, request, kind, N):
+        # the tail from the (K, K) grid, K = ceil(3N / 2), against the
+        # whole residual out to (5N, 5N), where F(P) ends: the tail must
+        # cover every component's mass, and each beyond-grid bound the
+        # mass outside (K, K); only the second check catches a dropped
+        # beyond term, whose content is about 1e-5 of the tail
+        m, pc = setup
+        M = (request.getfixturevalue(f"{kind}7") if N == 7
+             else local_manifold(m, pc, kind, N=N))
+        K = math.ceil(1.5 * N)
+        res, beyond = _invariance_defect(m, pc, M, K)
+        assert M.P.tail == max(mag_sum_bound(r) + b
+                               for r, b in zip(res, beyond))
+        full = CIntervalArray.of(field_series(m, pc, M.P, (5 * N, 5 * N)))
+        resid = _invariance_lhs(M.P, M.lambda1, M.lambda2, 5 * N) - full
+        for i in range(7):
+            r = resid[i]
+            assert M.P.tail >= _mig_sum(r), i
+            outside = r.copy()
+            outside[: K + 1, : K + 1] = CInterval(0.0)
+            assert beyond[i] >= _mig_sum(outside), i
+            if i not in (0, 2):
+                assert _mig_sum(outside) > 0.0, i
 
 
 class TestConjugateSymmetry:
@@ -393,28 +443,6 @@ class TestBoundaryMesh:
         assert short[0].gamma.orders == (3, 0)
 
 
-class TestCauchyTailBound:
-    def test_zero_sup(self):
-        assert cauchy_tail_bound(0.0, 1.9028, 1) == 0.0
-
-    def test_first_order_reference(self):
-        # 6 pi / 1.9028 is about 9.908; a tail sum of 4.41e-5 stays
-        # below the reference first-derivative bound
-        assert cauchy_tail_bound(4.41e-5, 1.9028, 1) <= 4.3739e-4
-
-    def test_second_order_is_square_of_factor(self):
-        nu = 1.7
-        one1 = cauchy_tail_bound(1.0, nu, 1)
-        one2 = cauchy_tail_bound(1.0, nu, 2)
-        assert abs(one2 - one1 ** 2) < 1e-12 * one2
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            cauchy_tail_bound(1.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            cauchy_tail_bound(1.0, 1.0, 3)
-
-
 class TestLocalManifoldMetadata:
     def test_pilot_scale_hits_target(self, stable7):
         N = stable7.order
@@ -434,6 +462,6 @@ class TestLocalManifoldMetadata:
             dataclasses.replace(stable4, kind="sideways")
 
     def test_defect_tail_positive_and_small(self, stable7):
-        # the sup of the full invariance defect over the polydisc,
-        # including field orders beyond the solved grid
+        # a bound on the sup of the invariance defect over the
+        # polydisc, including field orders beyond the solved grid
         assert 0.0 < stable7.P.tail < 5e-11

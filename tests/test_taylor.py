@@ -1,5 +1,7 @@
 """Tests for the bivariate interval-Taylor algebra."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy
@@ -24,6 +26,7 @@ from fourbody.taylor import (
     hat_product_cubic,
     hat_product_quartic,
     hat_product_quintic,
+    mag_sum_bound,
     product_antidiagonal,
     product_coeff,
     product_column,
@@ -453,6 +456,33 @@ class TestEvaluation:
         vo = a.eval_box(outer1, outer2)
         assert vi.re.is_subset(vo.re)
         assert vi.im.is_subset(vo.im)
+
+
+@st.composite
+def _magnitude_columns(draw):
+    """A column of complex points: free values over a wide range, or
+    one large entry among up to 3000 entries near its half ulp, which
+    a recursive float sum loses one by one."""
+    if draw(st.booleans()):
+        vals = draw(st.lists(st.complex_numbers(
+            max_magnitude=1e100, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=200))
+    else:
+        big = draw(st.floats(1.0, 1e6))
+        tiny = big * draw(st.floats(1e-17, 2e-16))
+        n = draw(st.integers(1, 3000))
+        vals = [tiny] * n
+        vals.insert(draw(st.integers(0, n)), big)
+    return ScalarSeries2.from_complex_points(
+        np.array(vals, dtype=complex)[:, None])
+
+
+class TestMagSumBound:
+    @settings(max_examples=200, deadline=None)
+    @given(_magnitude_columns())
+    def test_bounds_exact_sum_of_magnitudes(self, s):
+        exact = sum(Fraction(v) for v in s.mag().ravel().tolist())
+        assert Fraction(mag_sum_bound(s)) >= exact
 
 
 class TestRescale:
