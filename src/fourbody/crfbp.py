@@ -195,14 +195,20 @@ def field_f(p: PrimaryConfig, m: MassTriple, s: State4,
 
 def energy(p: PrimaryConfig, m: MassTriple, s: State4,
            clearance: float = 0.0) -> Interval:
-    """Jacobi integral E = 0.5(xdot^2 + ydot^2) - Omega."""
+    """Jacobi integral E = 0.5(xdot^2 + ydot^2) - Omega.
+
+    Kept for the proof of homoclinic connections, which works on an
+    energy level set."""
     kin = (s.xdot.sqr() + s.ydot.sqr()) * Interval.from_value(0.5)
     return kin - omega(p, m, s.x, s.y, clearance)
 
 
 def energy_gradient(p: PrimaryConfig, m: MassTriple, s: State4,
                     clearance: float = 0.0) -> IntervalVector:
-    """Gradient of the Jacobi integral in state order: (-Omega_x, xdot, -Omega_y, ydot)."""
+    """Gradient of the Jacobi integral in state order: (-Omega_x, xdot, -Omega_y, ydot).
+
+    Kept for the proof of homoclinic connections, which needs the
+    energy level set's normal."""
     ox, oy = omega_first_partials(p, m, s.x, s.y, clearance)
     return IntervalVector.from_intervals([-ox, s.xdot, -oy, s.ydot])
 
@@ -233,6 +239,8 @@ def jacobian_df(p: PrimaryConfig, m: MassTriple, s: State4,
 
     Velocities enter the field linearly, so the matrix depends on the
     state only through (x, y) via the potential's second partials.
+    Kept for the proof of homoclinic connections, which needs the
+    planar field's derivative.
     """
     g11, g12, g22 = second_partials_g(p, m, s.x, s.y, clearance)
     z = np.zeros((4, 4))

@@ -314,7 +314,7 @@ class Interval:
             raise ValueError("log requires a strictly positive interval")
         return Interval(_down(math.log(self.lo)), _up(math.log(self.hi)))
 
-    # -- representation and serialization -----------------------------
+    # -- representation -----------------------------------------------
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -324,14 +324,6 @@ class Interval:
 
     def __hash__(self) -> int:
         return hash((self.lo, self.hi))
-
-    def to_strings(self) -> list[str]:
-        """Two decimal strings that round-trip the endpoints exactly."""
-        return [repr(self.lo), repr(self.hi)]
-
-    @classmethod
-    def from_strings(cls, pair: Sequence[str]) -> "Interval":
-        return cls(float(pair[0]), float(pair[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1105,16 +1097,3 @@ def verified_solve_complex(A_re: IntervalMatrix, A_im: IntervalMatrix,
     return (IntervalVector(sol.lo[:n], sol.hi[:n]),
             IntervalVector(sol.lo[n:], sol.hi[n:]))
 
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-def vector_to_strings(v: IntervalVector) -> list[list[str]]:
-    return [[repr(float(l)), repr(float(h))] for l, h in zip(v.lo, v.hi)]
-
-
-def vector_from_strings(items: Sequence[Sequence[str]]) -> IntervalVector:
-    lo = np.array([float(p[0]) for p in items])
-    hi = np.array([float(p[1]) for p in items])
-    return IntervalVector(lo, hi)

@@ -19,6 +19,19 @@ interpreter of ``polyfield``, which advection also uses, and the tail
 of a finished manifold comes from ``polyfield.field_defect``, the
 bound that also gives an advected chart its defect.
 
+The formal solution scales exactly.  If P solves the invariance
+equation, so does P(s z1, s z2), whose first-order data are s v1 and
+s v2.  The solve succeeds only where every m lam1 + n lam2 with
+m + n >= 2 misses the spectrum of DF(u0) (non-resonance), and then the
+first-order data determine the solution, so the data (s v1, s v2) give
+the coefficients s^(m+n) a_mn: P_s(z) = P_1(s z) (Haro et al., The
+Parameterization Method for Invariant Manifolds, Springer 2016,
+ch. 2).  ``local_manifold`` therefore solves once, on the unit
+eigenvector, and encloses the coefficient at a real scale s by the
+product of its box at scale 1 with a box enclosing s^(m+n)
+(``Series2.rescale``).  For every eigenvector in the unit data's box,
+that product contains the exact coefficient at scale s.
+
 The rest of the module extracts real charts from the complex conjugate
 parameterization and meshes the fundamental-domain boundary into
 secant arcs with a parameter-plane transversality certificate.
@@ -219,31 +232,31 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
 
 
 def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
-                      v1: Sequence[CInterval], v2: Sequence[CInterval],
-                      lam1: CInterval, lam2: CInterval, N: int, *,
-                      kind: str, eigen: EigenData, scale: complex,
+                      P: Series2, lam1: CInterval, lam2: CInterval, *,
+                      kind: str, eigen: EigenData,
                       tail_policy: str = "defect",
                       tail_value: Optional[float] = None) -> LocalManifold:
-    """Build a LocalManifold from explicit first-order data.
+    """Wrap a solved series P, at its eigenvector scale ``P.scale``,
+    in a LocalManifold with a tail.
 
     The tail is assigned by policy: "reported" records the supplied
     constant, "defect" bounds the sup over the unit polydisc of the
-    invariance defect lam1 z1 d1 P + lam2 z2 d2 P - F(P) of the
-    finished series.  Its left-hand side has the coefficients
-    (m lam1 + n lam2) a_mn on P's (N, N) grid.  ``field_defect`` takes
-    P grown with zeros to the fixed grid K = ceil(3 N / 2), with input
-    orders (N, N), and returns the in-grid residual res_i and a bound
-    lost_i on the coefficient mass of F_i(P) beyond the (K, K) grid.
-    The l1 norm of a series bounds its sup over the unit polydisc, so
-    component i's defect is at most mag_sum_bound(res_i) + lost_i
-    there, and the tail is the largest over i.
+    invariance defect lam1 z1 d1 P + lam2 z2 d2 P - F(P) of P.  Its
+    left-hand side has the coefficients (m lam1 + n lam2) a_mn on P's
+    (N, N) grid.  ``field_defect`` takes P grown with zeros to the
+    fixed grid K = ceil(3 N / 2), with input orders (N, N), and returns
+    the in-grid residual res_i and a bound lost_i on the coefficient
+    mass of F_i(P) beyond the (K, K) grid.  The l1 norm of a series
+    bounds its sup over the unit polydisc, so component i's defect is
+    at most mag_sum_bound(res_i) + lost_i there, and the tail is the
+    largest over i.
     """
     if tail_policy not in ("reported", "defect"):
         raise ValueError(f"unknown tail policy {tail_policy!r}")
-    P = solve_homological(m, p, u0, v1, v2, lam1, lam2, N)
     if tail_policy == "reported":
         tail = float(tail_value) if tail_value is not None else 0.0
     else:
+        N = P.orders[0]
         K = -(-3 * N // 2)
         mu = (CIntervalArray.of([lam1]) * np.arange(N + 1.0)[:, None]
               + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
@@ -253,23 +266,33 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
         res, beyond = field_defect(field_program(m, p), G, lhs,
                                    input_orders=(N, N))
         tail = max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
-    P = Series2(P.components, scale=scale, tau=1.0, real_symmetric=True,
+    P = Series2(P.components, scale=P.scale, tau=1.0, real_symmetric=True,
                 tail=tail)
-    return LocalManifold(P=P, kind=kind, eigen=eigen, scale=scale,
+    return LocalManifold(P=P, kind=kind, eigen=eigen, scale=complex(P.scale),
                          lambda1=lam1, lambda2=lam2,
                          equilibrium=u0, tail_policy=tail_policy)
 
 
+# magnitude the order-N coefficients get from the default eigenvector scale
+_TARGET = 1e-10
+
+
 def local_manifold(m: MassTriple, p: PrimaryConfig, kind: str, N: int = 7,
-                   scale: Optional[float] = None, target: float = 1e-10,
+                   scale: Optional[float] = None,
                    tail_policy: str = "defect",
                    tail_value: Optional[float] = None,
                    seed: tuple[float, float] = (0.93, 0.22)) -> LocalManifold:
     """Certify the equilibrium, then parameterize its local manifold.
 
-    When no eigenvector scale is given, a pilot run at scale 0.1
-    measures the top-order coefficient magnitude and the scale is
-    adjusted so the order-N coefficients have magnitude near ``target``.
+    One homological solve, on the unit lifted eigenvector: v1 = xi,
+    v2 = conj xi.  The series at the real eigenvector scale s is that
+    solution rescaled, ``P.rescale(s)``, which is exact for the
+    formal solution (see the module docstring): each coefficient box
+    times an enclosure of s^(m+n).  When no scale is given, s is
+    (_TARGET / g_top)^(1/N), with g_top the largest order-N
+    coefficient magnitude of the unit solution, so the order-N
+    coefficients of the rescaled series have magnitude near
+    _TARGET = 1e-10.
     """
     cert, xy = certify_equilibrium(p, m, seed=seed)
     if not cert.proven:
@@ -285,20 +308,15 @@ def local_manifold(m: MassTriple, p: PrimaryConfig, kind: str, N: int = 7,
     lam1 = eig.eigenvalue(kind, +1)
     lam2 = eig.eigenvalue(kind, -1)
     xi = lift_eigvector(p, x0, eig.eigenvector(kind, +1))
+    P = solve_homological(m, p, u0, xi, tuple(c.conj() for c in xi),
+                          lam1, lam2, N)
     if scale is None:
-        pilot = 0.1
-        v1 = tuple(c * pilot for c in xi)
-        v2 = tuple(c.conj() for c in v1)
-        P0 = solve_homological(m, p, u0, v1, v2, lam1, lam2, N)
-        g_top = max(
-            max(comp.at(mm, N - mm).abs().hi for comp in P0.components)
-            for mm in range(N + 1))
-        scale = pilot * (target / g_top) ** (1.0 / N)
-    v1 = tuple(c * float(scale) for c in xi)
-    v2 = tuple(c.conj() for c in v1)
-    return param_equilibrium(m, p, u0, v1, v2, lam1, lam2, N, kind=kind,
-                             eigen=eig, scale=complex(scale),
-                             tail_policy=tail_policy, tail_value=tail_value)
+        g_top = max(comp.at(mm, N - mm).abs().hi
+                    for comp in P.components for mm in range(N + 1))
+        scale = (_TARGET / g_top) ** (1.0 / N)
+    return param_equilibrium(m, p, u0, P.rescale(float(scale)), lam1, lam2,
+                             kind=kind, eigen=eig, tail_policy=tail_policy,
+                             tail_value=tail_value)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +360,8 @@ def real_chart(M: LocalManifold, sigma1, sigma2) -> IntervalVector:
 
     By conjugate symmetry the value is real; the imaginary enclosure
     must straddle zero and the real part is returned.  Raises
-    SymmetryViolation otherwise.
+    SymmetryViolation otherwise.  Kept for the proof of homoclinic
+    connections, which matches real charts of the two manifolds.
     """
     s1 = Interval._coerce(sigma1)
     s2 = Interval._coerce(sigma2)

@@ -6,8 +6,8 @@ conjugate to the original field on the surface S = image(R).  Polynomial
 structure is what the series machinery downstream needs: Taylor
 coefficients of compositions become finite convolution sums.
 
-This module provides the embedding R, the projections back to the planar
-factors, the explicit kernel basis of DF at a lifted equilibrium,
+This module provides the embedding R, the projection back to the planar
+state, the explicit kernel basis of DF at a lifted equilibrium,
 eigenvector lifting, and the one definition of F: a straight-line
 program of ``Lin`` and ``Mul`` ops.  Every evaluator of F interprets it:
 ``evaluate``, ``tangent`` and the column interpreter ``FieldColumns``
@@ -76,11 +76,6 @@ def embed_R(p: PrimaryConfig, s: State4, clearance: float = 0.0) -> State7:
 def project_pi(u: State7) -> State4:
     """First-four-components projection; exact left inverse of embed_R."""
     return State4(u.u[0], u.u[1], u.u[2], u.u[3])
-
-
-def project_perp(u: State7) -> IntervalVector:
-    """The complementary projection onto the reciprocal-distance slots."""
-    return IntervalVector.from_intervals([u.u[4], u.u[5], u.u[6]])
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +319,6 @@ def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
     t_tail = np.convolve(amag.sum(axis=0), bmag.sum(axis=0))[N + 1:].sum()
     s_tail = np.convolve(amag.sum(axis=1), bmag.sum(axis=1))[M + 1:].sum()
     return float(t_tail + s_tail) * _NORM_PAD
-
-
-def poly_F(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalVector:
-    """The fifth-order polynomial field on R^7."""
-    prog = field_program(m, p)
-    vals = evaluate(prog, u.u)
-    return IntervalVector.from_intervals([vals[o] for o in prog.outputs])
 
 
 def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalMatrix:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -100,12 +100,6 @@ class ScalarSeries2(CIntervalArray):
     def orders(self) -> tuple[int, int]:
         return self.lo.shape[1] - 1, self.lo.shape[2] - 1
 
-    def shift_const(self, c: CInterval) -> "ScalarSeries2":
-        """Add a constant to the (0, 0) coefficient."""
-        out = self.copy()
-        out[0, 0] = self.at(0, 0) + c
-        return out
-
     # -- evaluation ------------------------------------------------------
 
     def eval_box(self, z1: CInterval, z2: CInterval) -> CInterval:
@@ -123,22 +117,21 @@ class ScalarSeries2(CIntervalArray):
         return acc
 
     def rescale(self, s: complex) -> "ScalarSeries2":
-        """New series in the variable z / s: coefficients pick up s^(m+n)."""
+        """New series in the variable z / s: coefficients pick up s^(m+n).
+
+        One stacked product with the grid whose entry (m, n) encloses
+        s^(m+n): the powers are CInterval products from the point s,
+        so they enclose the exact powers, and every entry gets the
+        endpoints of the scalar CInterval product."""
         if s == 0:
             raise ValueError("scale must be nonzero")
         M, N = self.orders
-        out = self.copy()
-        pw = CInterval(Interval.from_value(1.0))
-        s_iv = CInterval(Interval.from_value(float(np.real(s))),
-                         Interval.from_value(float(np.imag(s))))
-        powers = [pw]
+        s_iv = CInterval.from_complex(complex(s))
+        powers = [CInterval(1.0)]
         for _ in range(M + N):
-            pw = pw * s_iv
-            powers.append(pw)
-        for m in range(M + 1):
-            for n in range(N + 1):
-                out[m, n] = self.at(m, n) * powers[m + n]
-        return out
+            powers.append(powers[-1] * s_iv)
+        degree = np.add.outer(np.arange(M + 1), np.arange(N + 1))
+        return self * CIntervalArray.of(powers)[degree]
 
     def conj_reflect(self) -> "ScalarSeries2":
         """The series with a_mn replaced by conjugate(a_nm) (square grids)."""
@@ -393,14 +386,6 @@ class Series2:
     def orders(self) -> tuple[int, int]:
         return self.components[0].orders
 
-    def coeff_vector(self, m: int, n: int) -> tuple[CInterval, ...]:
-        return tuple(c.at(m, n) for c in self.components)
-
-    def set_coeff_vector(self, m: int, n: int,
-                         vals: Sequence[CInterval]) -> None:
-        for c, v in zip(self.components, vals):
-            c[m, n] = v
-
     def eval_box(self, z1: CInterval, z2: CInterval) -> tuple[CInterval, ...]:
         """Rigorous evaluation over a box in the unit polydisc."""
         for z in (z1, z2):
@@ -417,6 +402,15 @@ class Series2:
         return tuple(out)
 
     def rescale(self, s: complex) -> "Series2":
+        """The series P_s(z) = P(s z).
+
+        The tail bounds a sup over the unit polydisc, and there s z
+        ranges over the polydisc of radius |s|, so the tail carries
+        over only for |s| <= 1; a positive tail with |s| > 1 raises
+        ValueError."""
+        if self.tail > 0.0 and abs(s) > 1.0:
+            raise ValueError(f"tail {self.tail} bounds only |z| <= 1; "
+                             f"cannot rescale by |s| = {abs(s)} > 1")
         comps = tuple(c.rescale(s) for c in self.components)
         return Series2(comps, scale=self.scale * s, tau=self.tau,
                        real_symmetric=self.real_symmetric, tail=self.tail)

@@ -25,7 +25,8 @@ def _full_product_nodes(prog, inputs, orders):
             continue
         tm = max(nodes[k].orders[0] for _, k in op.terms)
         tn = max(nodes[k].orders[1] for _, k in op.terms)
-        acc = ScalarSeries2.zeros(tm, tn).shift_const(CInterval(op.const))
+        acc = ScalarSeries2.zeros(tm, tn)
+        acc[0, 0] = CInterval(op.const)
         for c, k in op.terms:
             acc = acc + _fit(nodes[k], tm, tn) * c
         nodes.append(acc)

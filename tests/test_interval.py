@@ -32,8 +32,6 @@ from fourbody.interval import (
     matrix_norm,
     matroid_norm,
     max_norm,
-    vector_from_strings,
-    vector_to_strings,
     verified_solve,
     verified_solve_complex,
 )
@@ -479,25 +477,6 @@ class TestComplexRectangles:
         assert z != CInterval(Interval(1.0, 2.0), Interval(-0.5, 0.5))
         assert CInterval(3.0) == CInterval.from_complex(3 + 0j)
         assert z != z.re
-
-
-class TestSerialization:
-    def test_scalar_roundtrip_bitexact(self):
-        rng = np.random.RandomState(51)
-        vals = list(_rand_floats(rng, 200)) + [0.0, -0.0, 5e-324, -5e-324,
-                                               1.7976931348623157e308]
-        for x in vals:
-            iv = Interval.from_value(x)
-            back = Interval.from_strings(iv.to_strings())
-            assert math.copysign(1, back.lo) == math.copysign(1, iv.lo)
-            assert back.lo == iv.lo and back.hi == iv.hi
-
-    def test_vector_roundtrip_bitexact(self):
-        rng = np.random.RandomState(52)
-        pair = np.sort(rng.randn(2, 8), axis=0)
-        v = IntervalVector(pair[0], pair[1])
-        back = vector_from_strings(vector_to_strings(v))
-        assert np.array_equal(back.lo, v.lo) and np.array_equal(back.hi, v.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from fourbody import manifold
 from fourbody.crfbp import (
     MassTriple,
     energy,
@@ -30,7 +31,8 @@ from fourbody.manifold import (
     real_chart,
     solve_homological,
 )
-from fourbody.polyfield import field_defect, field_program, project_pi
+from fourbody.polyfield import (field_defect, field_program, lift_eigvector,
+                                project_pi)
 from fourbody.taylor import Series2, _fit, conj_symmetry_check, mag_sum_bound
 
 
@@ -98,9 +100,8 @@ class TestHomologicalSolver:
             a00 = M.P.components[i].at(0, 0)
             assert a00.re == M.equilibrium.u[i]
             assert a00.im == Interval.from_value(0.0)
-        a10 = M.P.coeff_vector(1, 0)
-        a01 = M.P.coeff_vector(0, 1)
-        for v, w in zip(a10, a01):
+        for c in M.P.components:
+            v, w = c.at(1, 0), c.at(0, 1)
             assert v.re == w.re
             assert v.im == -w.im
 
@@ -163,9 +164,9 @@ class TestHomologicalSolver:
                              + conv(dy, hatg[3], w, w, w)(mm, nn))
             mu = mm * lam1 + nn * lam2
             a = np.linalg.solve(df - mu * np.eye(7), -c)
-            got = M.P.coeff_vector(mm, nn)
             for i in range(7):
-                assert abs(complex(got[i].re.mid, got[i].im.mid) - a[i]) < 1e-10
+                got = M.P.components[i].at(mm, nn)
+                assert abs(complex(got.re.mid, got.im.mid) - a[i]) < 1e-10
 
     def test_resonant_multiplier_raises(self, setup, stable4):
         # mu = 0 hits the genuine kernel of the lifted Jacobian
@@ -273,20 +274,28 @@ class TestConjugateSymmetry:
 
 
 class TestScaleCovariance:
-    def test_half_scale_matches_rescale(self, setup):
+    def test_half_scale_matches_rescale(self, setup, request,
+                                        assert_overlap):
+        # local_manifold rescales its one unit-eigenvector solve; the
+        # reference solves directly on the data xi s at the same s
         m, pc = setup
-        base = local_manifold(m, pc, "stable", N=4, scale=0.06,
-                              tail_policy="reported")
-        half = local_manifold(m, pc, "stable", N=4, scale=0.03,
-                              tail_policy="reported")
-        ref = base.P.rescale(0.5)
-        for i in range(7):
-            for mm in range(5):
-                for nn in range(5):
-                    a = half.P.components[i].at(mm, nn)
-                    b = ref.components[i].at(mm, nn)
-                    assert _overlap(a.re, b.re) and _overlap(a.im, b.im), \
-                        (i, mm, nn)
+        for kind in ("stable", "unstable"):
+            for N in range(3, 8):
+                M = (request.getfixturevalue(f"{kind}7") if N == 7
+                     else local_manifold(m, pc, kind, N=N))
+                s = M.scale.real
+                u0 = M.equilibrium
+                xi = lift_eigvector(pc, project_pi(u0),
+                                    M.eigen.eigenvector(kind, +1))
+                v1 = tuple(c * s for c in xi)
+                direct = solve_homological(
+                    m, pc, u0, v1, tuple(c.conj() for c in v1),
+                    M.lambda1, M.lambda2, N)
+                for a, b in zip(M.P.components, direct.components):
+                    assert_overlap(a, b)
+                ref = param_equilibrium(m, pc, u0, direct, M.lambda1,
+                                        M.lambda2, kind=kind, eigen=M.eigen)
+                assert M.P.tail <= (1.0 + 1e-3) * ref.P.tail, (kind, N)
 
 
 class TestRealChart:
@@ -444,6 +453,21 @@ class TestBoundaryMesh:
 
 
 class TestLocalManifoldMetadata:
+    def test_one_homological_solve_per_build(self, setup, monkeypatch):
+        m, pc = setup
+        orders = []
+
+        def counted(*args):
+            orders.append(args[-1])
+            return solve_homological(*args)
+
+        monkeypatch.setattr(manifold, "solve_homological", counted)
+        local_manifold(m, pc, "stable", N=3)
+        assert orders == [3]
+        local_manifold(m, pc, "unstable", N=2, scale=0.05,
+                       tail_policy="reported")
+        assert orders == [3, 2]
+
     def test_pilot_scale_hits_target(self, stable7):
         N = stable7.order
         g_top = max(stable7.P.components[i].at(mm, N - mm).abs().hi

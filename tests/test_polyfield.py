@@ -24,14 +24,13 @@ from fourbody.polyfield import (
     FieldColumns,
     State7,
     embed_R,
+    evaluate,
     field_program,
     kernel_a,
     kernel_basis,
     lift_eigvector,
     poly_DF,
-    poly_F,
     poly_F_point,
-    project_perp,
     project_pi,
 )
 from fourbody.taylor import ScalarSeries2, Series2, _fit, antidiagonal
@@ -63,6 +62,13 @@ def u0(config, equilibrium):
     return embed_R(config, equilibrium)
 
 
+def _F(m, p, u):
+    """The lifted field at u, the scalar interpreter's outputs."""
+    prog = field_program(m, p)
+    vals = evaluate(prog, u.u)
+    return IntervalVector.from_intervals([vals[o] for o in prog.outputs])
+
+
 def _random_safe_states(config, n, seed=3):
     """Random states bounded away from all primaries."""
     rng = np.random.RandomState(seed)
@@ -85,7 +91,7 @@ class TestEmbedding:
             assert a.lo == b.lo and a.hi == b.hi
 
     def test_equilibrium_lift_digits(self, u0):
-        perp = project_perp(u0)
+        perp = u0.u[4:]
         for k, want in enumerate((U5, U6, U7)):
             assert perp[k].lo > 0.0
             assert perp[k].contains(want) or abs(perp[k].mid - want) < 5e-16
@@ -117,7 +123,7 @@ class TestPolyField:
     def test_lift_identity(self, config, triple):
         for s in _random_safe_states(config, 100):
             fv = field_f(config, triple, s)
-            Fv = poly_F(triple, config, embed_R(config, s))
+            Fv = _F(triple, config, embed_R(config, s))
             for k in range(4):
                 assert Fv[k].overlaps(fv[k]), k
 
@@ -127,7 +133,7 @@ class TestPolyField:
         for s in _random_safe_states(config, 20, seed=11):
             u = embed_R(config, s)
             fv = field_f(config, triple, s)
-            Fv = poly_F(triple, config, u)
+            Fv = _F(triple, config, u)
             for j in range(3):
                 px, py = config.positions[j]
                 w3 = u.u[4 + j].pow_int(3)
@@ -135,12 +141,12 @@ class TestPolyField:
                 assert Fv[4 + j].overlaps(lifted), j
 
     def test_equilibrium_is_zero(self, triple, config, u0):
-        Fv = poly_F(triple, config, u0)
+        Fv = _F(triple, config, u0)
         # the lift of the Newton point is an approximate zero only; check
         # over a tiny box around it
         r = 1e-12
         padded = State7(tuple(Interval(c.lo - r, c.hi + r) for c in u0.u))
-        Fv = poly_F(triple, config, padded)
+        Fv = _F(triple, config, padded)
         assert Fv.straddles_zero()
 
     def test_point_path_matches(self, config, triple):
@@ -150,7 +156,7 @@ class TestPolyField:
             u = embed_R(config, s)
             up = np.array([c.mid for c in u.u])
             Fp = poly_F_point(pos, masses, up)
-            Fv = poly_F(triple, config, u)
+            Fv = _F(triple, config, u)
             for k in range(7):
                 assert abs(Fp[k] - Fv[k].mid) < 1e-12
 

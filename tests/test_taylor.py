@@ -523,6 +523,21 @@ class TestRescale:
             assert got.re.lo - pad <= want.real <= got.re.hi + pad
             assert got.im.lo - pad <= want.imag <= got.im.hi + pad
 
+    def test_matches_scalar_loop(self):
+        # the one stacked product gives every coefficient the endpoints
+        # of the scalar product a_mn * s^(m+n), the power by repeated
+        # CInterval products from the point s
+        a = _random_series(4, 3)
+        a = a + a * CInterval(Interval(-1e-3, 1e-3), Interval(0.0, 2e-3))
+        s = 0.37 + 0.11j
+        b = a.rescale(s)
+        pw = [CInterval(1.0)]
+        for _ in range(7):
+            pw.append(pw[-1] * CInterval.from_complex(s))
+        for m in range(5):
+            for n in range(4):
+                assert b.at(m, n) == a.at(m, n) * pw[m + n], (m, n)
+
     def test_zero_scale_rejected(self):
         a = _dyadic_series(1, 1)
         with pytest.raises(ValueError):
@@ -530,16 +545,6 @@ class TestRescale:
 
 
 class TestSeries2Container:
-    def test_coeff_vector_roundtrip(self):
-        P = Series2.zeros(4, 2, 2)
-        vals = tuple(CInterval(Interval.from_value(float(i)),
-                               Interval.from_value(-float(i)))
-                     for i in range(4))
-        P.set_coeff_vector(1, 2, vals)
-        got = P.coeff_vector(1, 2)
-        for v, w in zip(vals, got):
-            assert v.re == w.re and v.im == w.im
-
     def test_mismatched_orders_rejected(self):
         with pytest.raises(ValueError):
             Series2((ScalarSeries2.zeros(1, 1), ScalarSeries2.zeros(2, 1)))
@@ -567,6 +572,18 @@ class TestSeries2Container:
         Q = P.rescale(0.5)
         assert Q.scale == 1.0
         assert Q.tau == P.tau
+
+    def test_rescale_keeps_tail_only_inside_unit_polydisc(self):
+        # P(s z) on the unit polydisc reaches |w| <= |s|, where the tail
+        # holds only for |s| <= 1
+        P = Series2.zeros(2, 1, 1, tail=0.125)
+        assert P.rescale(0.5).tail == 0.125
+        assert P.rescale(-1.0).tail == 0.125
+        with pytest.raises(ValueError):
+            P.rescale(2.0)
+        with pytest.raises(ValueError):
+            P.rescale(0.8 + 0.8j)
+        assert Series2.zeros(2, 1, 1).rescale(2.0).tail == 0.0
 
 
 class TestConjSymmetry:
