@@ -36,7 +36,7 @@ from .errors import CollisionDomain, StepFailure, SymmetryViolation
 from .interval import (
     CIntervalArray,
     Interval,
-    IntervalVector,
+    IntervalArray,
     _pad_sum,
     matrix_norm,
 )
@@ -154,25 +154,31 @@ def _column_mag(G: Series2, n: int) -> float:
     return best
 
 
-def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig, M: int,
-               n_pilot: int = 8, target_ratio: float = 0.5,
-               tau_floor: float = 1e-6) -> float:
+# choose_tau's pilot order, the successive-column ratio it aims the
+# production run at, and the least tau it returns
+_N_PILOT = 8
+_TARGET_RATIO = 0.5
+_TAU_FLOOR = 1e-6
+
+
+def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
+               M: int) -> float:
     """Pick the time rescaling from a short pilot run.
 
     Column norms of a Taylor flow decay like (tau R)^-n with R the
     flow-time convergence radius, so running a pilot at tau = 1 and
-    dividing the trailing column ratio by ``target_ratio`` leaves the
+    dividing the trailing column ratio by ``_TARGET_RATIO`` leaves the
     production run with successive-column ratios near the target.
     """
     sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = FieldColumns(field_program(m, p), M, n_pilot)
-    pilot = taylor_flow(_arc_series(arc, M), rec.b_column, n_pilot, sign)
-    norms = [_column_mag(pilot, n) for n in range(n_pilot + 1)]
+    rec = FieldColumns(field_program(m, p), M, _N_PILOT)
+    pilot = taylor_flow(_arc_series(arc, M), rec.b_column, _N_PILOT, sign)
+    norms = [_column_mag(pilot, n) for n in range(_N_PILOT + 1)]
     ratios = [norms[k + 1] / norms[k]
-              for k in range(n_pilot - 2, n_pilot) if norms[k] > 0.0]
+              for k in range(_N_PILOT - 2, _N_PILOT) if norms[k] > 0.0]
     if not ratios:
         return 1.0
-    return max(max(ratios) / target_ratio, tau_floor)
+    return max(max(ratios) / _TARGET_RATIO, _TAU_FLOOR)
 
 
 def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
@@ -232,17 +238,11 @@ def _defect_bound(m: MassTriple, p: PrimaryConfig, G: Series2) -> float:
     return max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
 
 
-def defect_bound(m: MassTriple, p: PrimaryConfig, chart: FlowChart) -> float:
-    """Rigorous sup bound of the ODE defect over the domain square.
-
-    Sums the in-grid residual magnitudes and the out-of-grid product
-    content; the latter uses coefficient-norm products, so the bound
-    stays cheap at high orders.
-    """
-    return _defect_bound(m, p, chart.Gamma)
+# tiles per side of the range box's sample grid
+_TILES = 64
 
 
-def range_box(G: Series2, tiles: int = 64) -> IntervalVector:
+def range_box(G: Series2) -> IntervalArray:
     """Enclosure of the chart's real range over the domain square.
 
     Interval Horner is uselessly wide at these orders, so the box
@@ -252,8 +252,8 @@ def range_box(G: Series2, tiles: int = 64) -> IntervalVector:
     a worst-case rounding bound for the sample evaluation.
     """
     M, N = G.orders
-    h = (1.0 / tiles) * (1.0 + 1e-12)
-    centers = np.linspace(-1.0 + 1.0 / tiles, 1.0 - 1.0 / tiles, tiles)
+    h = (1.0 / _TILES) * (1.0 + 1e-12)
+    centers = np.linspace(-1.0 + 1.0 / _TILES, 1.0 - 1.0 / _TILES, _TILES)
     VS = np.vander(centers, M + 1, increasing=True)
     VT = np.vander(centers, N + 1, increasing=True)
     mrow = np.arange(M + 1, dtype=float)[:, None]
@@ -273,12 +273,11 @@ def range_box(G: Series2, tiles: int = 64) -> IntervalVector:
         out.append(Interval(
             math.nextafter(float(np.min(vals)) - slack, -math.inf),
             math.nextafter(float(np.max(vals)) + slack, math.inf)))
-    return IntervalVector.from_intervals(out)
+    return IntervalArray.of(out)
 
 
 def propagated_tail(m: MassTriple, p: PrimaryConfig, G: Series2,
-                    source_tail: float, defect: float,
-                    tiles: int = 64) -> float:
+                    source_tail: float, defect: float) -> float:
     """Gronwall tube bound for the chart's distance to the true flow.
 
     With eps0 the source-arc tail, D the defect and L a Jacobian
@@ -288,16 +287,15 @@ def propagated_tail(m: MassTriple, p: PrimaryConfig, G: Series2,
     delta, since the true trajectories then never leave the tube; the
     radius is inflated geometrically until that closes.
     """
-    box = range_box(G, tiles=tiles)
+    box = range_box(G)
     T = Interval.from_value(1.0) / Interval.from_value(abs(G.tau))
     eps0 = Interval.from_value(source_tail)
     D = Interval.from_value(defect)
     delta = max(1e-9, 8.0 * (source_tail + defect))
     for _ in range(40):
         pad = Interval(-delta, delta)
-        fat = IntervalVector.from_intervals(
-            [box[i] + pad for i in range(DIM)])
-        L = matrix_norm(poly_DF(m, p, State7.from_vector(fat)))
+        fat = State7(tuple(box[i] + pad for i in range(DIM)))
+        L = matrix_norm(poly_DF(m, p, fat))
         if (L * T).hi > 700.0:
             # exp would overflow, and wider tubes only grow faster
             break
@@ -316,14 +314,14 @@ def propagated_tail(m: MassTriple, p: PrimaryConfig, G: Series2,
 
 
 def check_collision(chart: FlowChart, p: PrimaryConfig,
-                    delta_min: float = 0.05, tiles: int = 64) -> None:
+                    delta_min: float = 0.05) -> None:
     """Reject charts whose position range approaches a primary.
 
     Near-collisions blow up the reciprocal-distance components and
     erode every downstream bound; raising here lets an atlas drop or
     subdivide the offending chart.
     """
-    box = range_box(chart.Gamma, tiles=tiles)
+    box = range_box(chart.Gamma)
     x, y = box[0], box[2]
     for j, (px, py) in enumerate(p.positions):
         dx = x - px

@@ -24,13 +24,7 @@ from .errors import (
     NewtonDiverged,
     NotSaddleFocus,
 )
-from .interval import (
-    CInterval,
-    Interval,
-    IntervalMatrix,
-    IntervalTensor3,
-    IntervalVector,
-)
+from .interval import CInterval, Interval, IntervalArray
 
 DEFAULT_CLEARANCE = 1e-3
 
@@ -88,9 +82,6 @@ class State4:
     def from_floats(cls, x: float, xdot: float, y: float, ydot: float) -> "State4":
         return cls(Interval.from_value(x), Interval.from_value(xdot),
                    Interval.from_value(y), Interval.from_value(ydot))
-
-    def as_vector(self) -> IntervalVector:
-        return IntervalVector.from_intervals([self.x, self.xdot, self.y, self.ydot])
 
 
 def primaries(m: MassTriple) -> PrimaryConfig:
@@ -182,10 +173,10 @@ def omega_first_partials(p: PrimaryConfig, m: MassTriple, x: Interval,
 
 
 def field_f(p: PrimaryConfig, m: MassTriple, s: State4,
-            clearance: float = 0.0) -> IntervalVector:
+            clearance: float = 0.0) -> IntervalArray:
     """Rotating-frame vector field (xdot, 2 ydot + Omega_x, ydot, -2 xdot + Omega_y)."""
     ox, oy = omega_first_partials(p, m, s.x, s.y, clearance)
-    return IntervalVector.from_intervals([
+    return IntervalArray.of([
         s.xdot,
         2 * s.ydot + ox,
         s.ydot,
@@ -204,13 +195,13 @@ def energy(p: PrimaryConfig, m: MassTriple, s: State4,
 
 
 def energy_gradient(p: PrimaryConfig, m: MassTriple, s: State4,
-                    clearance: float = 0.0) -> IntervalVector:
+                    clearance: float = 0.0) -> IntervalArray:
     """Gradient of the Jacobi integral in state order: (-Omega_x, xdot, -Omega_y, ydot).
 
     Kept for the proof of homoclinic connections, which needs the
     energy level set's normal."""
     ox, oy = omega_first_partials(p, m, s.x, s.y, clearance)
-    return IntervalVector.from_intervals([-ox, s.xdot, -oy, s.ydot])
+    return IntervalArray.of([-ox, s.xdot, -oy, s.ydot])
 
 
 def second_partials_g(p: PrimaryConfig, m: MassTriple, x: Interval,
@@ -234,7 +225,7 @@ def second_partials_g(p: PrimaryConfig, m: MassTriple, x: Interval,
 
 
 def jacobian_df(p: PrimaryConfig, m: MassTriple, s: State4,
-                clearance: float = 0.0) -> IntervalMatrix:
+                clearance: float = 0.0) -> IntervalArray:
     """Derivative of the vector field at a state.
 
     Velocities enter the field linearly, so the matrix depends on the
@@ -253,12 +244,12 @@ def jacobian_df(p: PrimaryConfig, m: MassTriple, s: State4,
     for (i, j), g in (((1, 0), g11), ((1, 2), g12), ((3, 0), g12), ((3, 2), g22)):
         lo[i, j] = g.lo
         hi[i, j] = g.hi
-    return IntervalMatrix(lo, hi)
+    return IntervalArray(lo, hi)
 
 
 def omega_second_partials(p: PrimaryConfig, m: MassTriple, x: Interval,
                           y: Interval, clearance: float = 0.0
-                          ) -> IntervalTensor3:
+                          ) -> IntervalArray:
     """Third partials of the potential as the 2x2x2 Hessian tensor of
     (Omega_x, Omega_y).
 
@@ -288,7 +279,7 @@ def omega_second_partials(p: PrimaryConfig, m: MassTriple, x: Interval,
     for idx, iv in grid.items():
         lo[idx] = iv.lo
         hi[idx] = iv.hi
-    return IntervalTensor3(lo, hi)
+    return IntervalArray(lo, hi)
 
 
 # ---------------------------------------------------------------------------

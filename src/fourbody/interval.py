@@ -1,4 +1,4 @@
-"""Rigorous interval arithmetic for scalars, vectors, matrices, and 3-tensors.
+"""Rigorous interval arithmetic for real and complex scalars and arrays.
 
 Every operation returns an enclosure of the exact real-arithmetic result.
 Outward rounding is done portably by widening endpoints with
@@ -15,19 +15,21 @@ widened by one ulp unless a factor is zero, while the scalar product
 falls back to rational arithmetic.  Inexact sums are padded with the standard ``n*u/(1-n*u)``
 term.  ``_imul_arr_fast`` and ``_pad_sum_fast`` always widen.
 
-``CIntervalArray`` holds arrays of complex intervals of any shape as
-one (lo, hi) pair with a leading (real, imaginary) axis; it is the only
-layout the package uses for them.
+``IntervalArray`` holds arrays of real intervals of any shape as one
+(lo, hi) pair, and ``CIntervalArray`` arrays of complex intervals with
+a leading (real, imaginary) axis; they are the only layouts the package
+uses for them.
 
-The module also provides the norms used throughout the certification
-pipeline (max-norm, matrix max-row-sum norm, tensor "matroid" norm) and a
-Krawczyk-style verified linear solver.
+The module also provides ``matrix_norm``, the one norm of the
+certification pipeline (the max norm of a vector, the row-sum norm of a
+matrix and the bilinear norm of a 3-tensor), and a Krawczyk-style
+verified linear solver.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -176,23 +178,6 @@ class Interval:
         """Degenerate (point) interval."""
         return cls(float(x), float(x))
 
-    @classmethod
-    def hull(cls, items: Iterable["Interval | float"]) -> "Interval":
-        """Smallest interval containing every argument."""
-        lo = _INF
-        hi = -_INF
-        for it in items:
-            if isinstance(it, Interval):
-                lo = min(lo, it.lo)
-                hi = max(hi, it.hi)
-            else:
-                x = float(it)
-                lo = min(lo, x)
-                hi = max(hi, x)
-        if lo > hi:
-            raise ValueError("hull of empty collection")
-        return cls(lo, hi)
-
     # -- predicates and measures --------------------------------------
 
     @property
@@ -226,9 +211,6 @@ class Interval:
 
     def is_subset(self, other: "Interval") -> bool:
         return other.lo <= self.lo and self.hi <= other.hi
-
-    def is_interior_subset(self, other: "Interval") -> bool:
-        return other.lo < self.lo and self.hi < other.hi
 
     def overlaps(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -308,11 +290,6 @@ class Interval:
         lo = _down(math.exp(self.lo))
         hi = _up(math.exp(self.hi))
         return Interval(max(0.0, lo), hi)
-
-    def log(self) -> "Interval":
-        if self.lo <= 0.0:
-            raise ValueError("log requires a strictly positive interval")
-        return Interval(_down(math.log(self.lo)), _up(math.log(self.hi)))
 
     # -- representation -----------------------------------------------
 
@@ -782,248 +759,96 @@ def _isub_arr(alo, ahi, blo, bhi):
     return _add_floor_arr(alo, -bhi), _add_ceil_arr(ahi, -blo)
 
 
-def _matvec_arr(Alo, Ahi, vlo, vhi):
-    plo, phi = _imul_arr(Alo, Ahi, vlo[np.newaxis, :], vhi[np.newaxis, :])
-    return _pad_sum(plo, phi, axis=1)
-
-
-def _matmul_arr(Alo, Ahi, Blo, Bhi):
-    plo, phi = _imul_arr(Alo[:, :, np.newaxis], Ahi[:, :, np.newaxis],
-                         Blo[np.newaxis, :, :], Bhi[np.newaxis, :, :])
-    return _pad_sum(plo, phi, axis=1)
-
-
 # ---------------------------------------------------------------------------
-# container types
+# real interval arrays
 
 
-class IntervalVector:
-    """Vector of intervals stored as parallel lo/hi float arrays."""
+class IntervalArray:
+    """An array of real intervals of any shape: equal-shape float
+    arrays ``lo`` and ``hi`` with lo <= hi entrywise.
+
+    Indexing to a single entry gives an ``Interval``; otherwise, as in
+    numpy, basic indexing returns a view that shares the endpoints.
+    ``+`` and ``-`` act
+    entrywise, and ``A @ B`` contracts A's last axis with B's first,
+    one interval product per term and one padded sum per result entry.
+    """
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+    def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo/hi must be equal-shape 1-d arrays")
+        if lo.shape != hi.shape:
+            raise ValueError("lo/hi must be equal-shape arrays")
         if not np.all(lo <= hi):
-            raise ValueError("invalid interval endpoints in vector")
+            raise ValueError("invalid interval endpoints in array")
         self.lo = lo
         self.hi = hi
 
     @classmethod
-    def from_points(cls, values) -> "IntervalVector":
-        a = np.asarray(values, dtype=float)
-        return cls(a.copy(), a.copy())
+    def from_points(cls, values) -> "IntervalArray":
+        a = np.array(values, dtype=float)
+        return cls(a, a.copy())
 
     @classmethod
-    def from_intervals(cls, items: Sequence[Interval]) -> "IntervalVector":
+    def of(cls, items: Sequence[Interval]) -> "IntervalArray":
+        """Intervals stacked into a vector."""
         return cls(np.array([it.lo for it in items]),
                    np.array([it.hi for it in items]))
 
-    @classmethod
-    def zeros(cls, n: int) -> "IntervalVector":
-        return cls(np.zeros(n), np.zeros(n))
-
     @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def __len__(self) -> int:
-        return self.dim
-
-    def __getitem__(self, i: int) -> Interval:
-        return Interval(float(self.lo[i]), float(self.hi[i]))
-
-    def __iter__(self):
-        for i in range(self.dim):
-            yield self[i]
-
-    def __add__(self, other: "IntervalVector") -> "IntervalVector":
-        lo, hi = _iadd_arr(self.lo, self.hi, other.lo, other.hi)
-        return IntervalVector(lo, hi)
-
-    def __sub__(self, other: "IntervalVector") -> "IntervalVector":
-        lo, hi = _isub_arr(self.lo, self.hi, other.lo, other.hi)
-        return IntervalVector(lo, hi)
-
-    def __neg__(self) -> "IntervalVector":
-        return IntervalVector(-self.hi.copy(), -self.lo.copy())
-
-    def scale(self, c: float | Interval) -> "IntervalVector":
-        c = Interval._coerce(c)
-        lo, hi = _imul_arr(self.lo, self.hi, np.full(self.dim, c.lo),
-                           np.full(self.dim, c.hi))
-        return IntervalVector(lo, hi)
-
-    def straddles_zero(self) -> bool:
-        return bool(np.all(self.lo <= 0.0) and np.all(self.hi >= 0.0))
-
-    def contains_point(self, x) -> bool:
-        a = np.asarray(x, dtype=float)
-        return bool(np.all(self.lo <= a) and np.all(a <= self.hi))
-
-    def mid(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def widths(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    def is_subset(self, other: "IntervalVector") -> bool:
-        return bool(np.all(other.lo <= self.lo) and np.all(self.hi <= other.hi))
-
-    def is_interior_subset(self, other: "IntervalVector") -> bool:
-        return bool(np.all(other.lo < self.lo) and np.all(self.hi < other.hi))
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"[{l:.6g},{h:.6g}]" for l, h in zip(self.lo, self.hi))
-        return f"IntervalVector({pairs})"
-
-
-class IntervalMatrix:
-    """Matrix of intervals stored as parallel lo/hi float arrays."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 2:
-            raise ValueError("lo/hi must be equal-shape 2-d arrays")
-        if not np.all(lo <= hi):
-            raise ValueError("invalid interval endpoints in matrix")
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def from_points(cls, values) -> "IntervalMatrix":
-        a = np.asarray(values, dtype=float)
-        return cls(a.copy(), a.copy())
-
-    @classmethod
-    def identity(cls, n: int) -> "IntervalMatrix":
-        e = np.eye(n)
-        return cls(e.copy(), e.copy())
-
-    @property
-    def shape(self):
+    def shape(self) -> tuple[int, ...]:
         return self.lo.shape
 
-    def entry(self, i: int, j: int) -> Interval:
-        return Interval(float(self.lo[i, j]), float(self.hi[i, j]))
+    def __getitem__(self, key) -> "Interval | IntervalArray":
+        lo, hi = self.lo[key], self.hi[key]
+        if np.ndim(lo) == 0:
+            return Interval(lo, hi)
+        return IntervalArray(lo, hi)
 
-    def __add__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        lo, hi = _iadd_arr(self.lo, self.hi, other.lo, other.hi)
-        return IntervalMatrix(lo, hi)
+    def __add__(self, other: "IntervalArray") -> "IntervalArray":
+        return IntervalArray(*_iadd_arr(self.lo, self.hi, other.lo, other.hi))
 
-    def __sub__(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        lo, hi = _isub_arr(self.lo, self.hi, other.lo, other.hi)
-        return IntervalMatrix(lo, hi)
+    def __sub__(self, other: "IntervalArray") -> "IntervalArray":
+        return IntervalArray(*_isub_arr(self.lo, self.hi, other.lo, other.hi))
 
-    def __neg__(self) -> "IntervalMatrix":
-        return IntervalMatrix(-self.hi.copy(), -self.lo.copy())
+    def __neg__(self) -> "IntervalArray":
+        return IntervalArray(-self.hi, -self.lo)
 
-    def matvec(self, v: IntervalVector) -> IntervalVector:
-        lo, hi = _matvec_arr(self.lo, self.hi, v.lo, v.hi)
-        return IntervalVector(lo, hi)
-
-    def matmul(self, other: "IntervalMatrix") -> "IntervalMatrix":
-        lo, hi = _matmul_arr(self.lo, self.hi, other.lo, other.hi)
-        return IntervalMatrix(lo, hi)
-
-    def __matmul__(self, other):
-        if isinstance(other, IntervalVector):
-            return self.matvec(other)
-        if isinstance(other, IntervalMatrix):
-            return self.matmul(other)
-        return NotImplemented
-
-    def scale(self, c: float | Interval) -> "IntervalMatrix":
-        c = Interval._coerce(c)
-        lo, hi = _imul_arr(self.lo, self.hi,
-                           np.full(self.shape, c.lo), np.full(self.shape, c.hi))
-        return IntervalMatrix(lo, hi)
+    def __matmul__(self, other: "IntervalArray") -> "IntervalArray":
+        if self.shape[-1] != other.shape[0]:
+            raise ValueError("shape mismatch")
+        # the terms on axes (*self.shape, *other.shape[1:]), summed over
+        # the shared one
+        k = self.lo.ndim - 1
+        a = (...,) + (np.newaxis,) * (other.lo.ndim - 1)
+        b = (np.newaxis,) * k + (...,)
+        plo, phi = _imul_arr(self.lo[a], self.hi[a], other.lo[b], other.hi[b])
+        return IntervalArray(*_pad_sum(plo, phi, axis=k))
 
     def mid(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def __repr__(self) -> str:
-        return f"IntervalMatrix(shape={self.shape})"
-
-
-class IntervalTensor3:
-    """Cubic 3-tensor of intervals (the Hessian 'matroid' container)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 3:
-            raise ValueError("lo/hi must be equal-shape 3-d arrays")
-        d = lo.shape[0]
-        if lo.shape != (d, d, d):
-            raise ValueError("tensor must be cubic")
-        if not np.all(lo <= hi):
-            raise ValueError("invalid interval endpoints in tensor")
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def from_points(cls, values) -> "IntervalTensor3":
-        a = np.asarray(values, dtype=float)
-        return cls(a.copy(), a.copy())
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    def entry(self, i: int, j: int, k: int) -> Interval:
-        return Interval(float(self.lo[i, j, k]), float(self.hi[i, j, k]))
-
-    def apply(self, u: IntervalVector, v: IntervalVector) -> IntervalVector:
-        """Bilinear action: result_i = sum_jk B_ijk u_j v_k."""
-        plo, phi = _imul_arr(u.lo[:, np.newaxis], u.hi[:, np.newaxis],
-                             v.lo[np.newaxis, :], v.hi[np.newaxis, :])
-        d = self.dim
-        qlo, qhi = _imul_arr(self.lo, self.hi,
-                             plo[np.newaxis, :, :], phi[np.newaxis, :, :])
-        slo, shi = _pad_sum(qlo.reshape(d, d * d), qhi.reshape(d, d * d), axis=1)
-        return IntervalVector(slo, shi)
+    def is_subset(self, other: "IntervalArray") -> bool:
+        return bool(np.all(other.lo <= self.lo) and np.all(self.hi <= other.hi))
 
     def __repr__(self) -> str:
-        return f"IntervalTensor3(dim={self.dim})"
+        return f"IntervalArray(shape={self.shape})"
 
 
-# ---------------------------------------------------------------------------
-# norms
+def matrix_norm(A: IntervalArray) -> Interval:
+    """Enclosure of max_i sum_j... |a_ij...|: the max over the first
+    index of the summed magnitudes over the others.
 
-
-def max_norm(v: IntervalVector) -> Interval:
-    """Enclosure of max_j |v_j| over all selections from the entries."""
-    migs = np.where((v.lo <= 0.0) & (v.hi >= 0.0), 0.0,
-                    np.minimum(np.abs(v.lo), np.abs(v.hi)))
-    mags = np.maximum(np.abs(v.lo), np.abs(v.hi))
-    return Interval(float(np.max(migs)), float(np.max(mags)))
-
-
-def matrix_norm(A: IntervalMatrix) -> Interval:
-    """Enclosure of the max row sum of absolute entries."""
+    That is the max norm of a vector, the max row sum of a matrix and
+    the bilinear-map norm max_i sum_jk |b_ijk| of a 3-tensor.
+    """
     migs = np.where((A.lo <= 0.0) & (A.hi >= 0.0), 0.0,
                     np.minimum(np.abs(A.lo), np.abs(A.hi)))
     mags = np.maximum(np.abs(A.lo), np.abs(A.hi))
-    lo_rows, hi_rows = _pad_sum(migs, mags, axis=1)
-    return Interval(max(0.0, float(np.max(lo_rows))), float(np.max(hi_rows)))
-
-
-def matroid_norm(B: IntervalTensor3) -> Interval:
-    """Enclosure of max_i sum_j sum_k |b_ijk|."""
-    d = B.dim
-    migs = np.where((B.lo <= 0.0) & (B.hi >= 0.0), 0.0,
-                    np.minimum(np.abs(B.lo), np.abs(B.hi)))
-    mags = np.maximum(np.abs(B.lo), np.abs(B.hi))
-    lo_rows, hi_rows = _pad_sum(migs.reshape(d, d * d), mags.reshape(d, d * d),
+    n = A.shape[0]
+    lo_rows, hi_rows = _pad_sum(migs.reshape(n, -1), mags.reshape(n, -1),
                                 axis=1)
     return Interval(max(0.0, float(np.max(lo_rows))), float(np.max(hi_rows)))
 
@@ -1031,9 +856,11 @@ def matroid_norm(B: IntervalTensor3) -> Interval:
 # ---------------------------------------------------------------------------
 # verified linear solve
 
+# epsilon-inflation attempts before verified_solve gives up
+_MAX_INFLATE = 20
 
-def verified_solve(A: IntervalMatrix, b: IntervalVector,
-                   max_inflate: int = 20) -> IntervalVector:
+
+def verified_solve(A: IntervalArray, b: IntervalArray) -> IntervalArray:
     """Enclosure of {A^-1 b : A in [A], b in [b]} for a regular matrix.
 
     Krawczyk-style: with Y an approximate inverse of mid(A) and x0 = Y mid(b),
@@ -1042,28 +869,28 @@ def verified_solve(A: IntervalMatrix, b: IntervalVector,
     verified by checking z + G e inside e (epsilon inflation on failure).
     """
     n = A.shape[0]
-    if A.shape[0] != A.shape[1] or b.dim != n:
+    if A.shape != (n, n) or b.shape != (n,):
         raise ValueError("shape mismatch")
     Am = A.mid()
     try:
         Y = np.linalg.inv(Am)
     except np.linalg.LinAlgError as exc:
         raise SingularEnclosure("midpoint matrix is singular") from exc
-    Yiv = IntervalMatrix.from_points(Y)
+    Yiv = IntervalArray.from_points(Y)
     x0 = Y @ b.mid()
-    x0v = IntervalVector.from_points(x0)
+    x0v = IntervalArray.from_points(x0)
     z = Yiv @ (b - (A @ x0v))
-    G = IntervalMatrix.identity(n) - (Yiv @ A)
+    G = IntervalArray.from_points(np.eye(n)) - (Yiv @ A)
     g = matrix_norm(G).hi
     if g >= 1.0:
         raise SingularEnclosure(f"contraction test failed: ||I - YA|| = {g}")
     if np.all(z.lo == 0.0) and np.all(z.hi == 0.0):
         # e = G e with ||G|| < 1 forces e = 0: the solution is exactly x0
         return x0v
-    rho = max_norm(z).hi / (1.0 - g)
+    rho = matrix_norm(z).hi / (1.0 - g)
     rho = rho * (1.0 + 2.0 ** -20) + 2.0 ** -1070
-    for _ in range(max_inflate):
-        e = IntervalVector(np.full(n, -rho), np.full(n, rho))
+    for _ in range(_MAX_INFLATE):
+        e = IntervalArray(np.full(n, -rho), np.full(n, rho))
         e_new = z + (G @ e)
         if e_new.is_subset(e):
             # tighten by a couple of fixed-point sweeps
@@ -1077,23 +904,17 @@ def verified_solve(A: IntervalMatrix, b: IntervalVector,
     raise SingularEnclosure("epsilon inflation failed to verify enclosure")
 
 
-def verified_solve_complex(A_re: IntervalMatrix, A_im: IntervalMatrix,
-                           b_re: IntervalVector, b_im: IntervalVector):
-    """Verified solve of (A_re + i A_im) x = (b_re + i b_im).
+def verified_solve_complex(A: CIntervalArray, b: CIntervalArray
+                           ) -> CIntervalArray:
+    """Verified solve of A x = b for an (n, n) A and an (n,) b.
 
-    Realified to the doubled system [[Ar, -Ai], [Ai, Ar]]; returns the
-    (re, im) IntervalVector pair of the solution.
+    Realified to the doubled system [[Ar, -Ai], [Ai, Ar]] (xr, xi) =
+    (br, bi).
     """
-    n = A_re.shape[0]
-    top = np.concatenate([A_re.lo, -A_im.hi], axis=1), \
-        np.concatenate([A_re.hi, -A_im.lo], axis=1)
-    bot = np.concatenate([A_im.lo, A_re.lo], axis=1), \
-        np.concatenate([A_im.hi, A_re.hi], axis=1)
-    big = IntervalMatrix(np.concatenate([top[0], bot[0]], axis=0),
-                         np.concatenate([top[1], bot[1]], axis=0))
-    rhs = IntervalVector(np.concatenate([b_re.lo, b_im.lo]),
-                         np.concatenate([b_re.hi, b_im.hi]))
-    sol = verified_solve(big, rhs)
-    return (IntervalVector(sol.lo[:n], sol.hi[:n]),
-            IntervalVector(sol.lo[n:], sol.hi[n:]))
-
+    lo, hi = A.lo, A.hi
+    big = IntervalArray(np.block([[lo[0], -hi[1]], [lo[1], lo[0]]]),
+                        np.block([[hi[0], -lo[1]], [hi[1], hi[0]]]))
+    n = b.shape[0]
+    sol = verified_solve(big, IntervalArray(b.lo.reshape(2 * n),
+                                            b.hi.reshape(2 * n)))
+    return CIntervalArray(sol.lo.reshape(2, n), sol.hi.reshape(2, n))

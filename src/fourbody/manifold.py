@@ -51,8 +51,7 @@ from .interval import (
     CInterval,
     CIntervalArray,
     Interval,
-    IntervalMatrix,
-    IntervalVector,
+    IntervalArray,
     verified_solve_complex,
 )
 from .nk import certify_equilibrium
@@ -175,26 +174,14 @@ class _DegreeInterpreter:
                 g[slots] = g[slots] + dv
 
 
-def _homological_solve(df: IntervalMatrix, mu: CInterval,
-                       c: Sequence[CInterval]) -> list[CInterval]:
+def _homological_solve(df: IntervalArray, mu: CInterval,
+                       c: CIntervalArray) -> CIntervalArray:
     """Verified solution of [DF(u0) - mu I] a = -c."""
-    are_lo = df.lo.copy()
-    are_hi = df.hi.copy()
-    aim_lo = np.zeros((DIM, DIM))
-    aim_hi = np.zeros((DIM, DIM))
-    for i in range(DIM):
-        d = Interval(df.lo[i, i], df.hi[i, i]) - mu.re
-        are_lo[i, i] = d.lo
-        are_hi[i, i] = d.hi
-        e = -mu.im
-        aim_lo[i, i] = e.lo
-        aim_hi[i, i] = e.hi
-    b_re = IntervalVector.from_intervals([(-ci).re for ci in c])
-    b_im = IntervalVector.from_intervals([(-ci).im for ci in c])
-    sol_re, sol_im = verified_solve_complex(
-        IntervalMatrix(are_lo, are_hi), IntervalMatrix(aim_lo, aim_hi),
-        b_re, b_im)
-    return [CInterval(sol_re[i], sol_im[i]) for i in range(DIM)]
+    zero = np.zeros_like(df.lo)
+    A = CIntervalArray(np.stack((df.lo, zero)), np.stack((df.hi, zero)))
+    diag = np.arange(DIM)
+    A[diag, diag] = A[diag, diag] - CIntervalArray.of([mu])
+    return verified_solve_complex(A, -c)
 
 
 def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
@@ -221,12 +208,12 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
     # degree-1 slots in increasing m: (0, 1), then (1, 0)
     ev.land(1, [CIntervalArray.of(pair) for pair in zip(v2, v1)])
     for d in range(2, 2 * N + 1):
-        c = ev.evaluate(d)
-        sols = []
-        for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d))):
-            mu = lam1 * float(mm) + lam2 * float(nn)
-            sols.append(_homological_solve(df, mu, [ci.at(r) for ci in c]))
-        ev.land(d, [CIntervalArray.of(col) for col in zip(*sols)])
+        c = CIntervalArray.of(ev.evaluate(d))
+        sols = CIntervalArray.of([
+            _homological_solve(df, lam1 * float(mm) + lam2 * float(nn),
+                               c[:, r])
+            for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d)))])
+        ev.land(d, [sols[:, i] for i in range(DIM)])
     return Series2(tuple(ev.grids[:DIM]), scale=1.0, tau=1.0,
                    real_symmetric=True)
 
@@ -355,7 +342,7 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
 # real charts
 
 
-def real_chart(M: LocalManifold, sigma1, sigma2) -> IntervalVector:
+def real_chart(M: LocalManifold, sigma1, sigma2) -> IntervalArray:
     """Evaluate the real conjugacy Q(sigma) = P(s1 + i s2, s1 - i s2).
 
     By conjugate symmetry the value is real; the imaginary enclosure
@@ -372,7 +359,7 @@ def real_chart(M: LocalManifold, sigma1, sigma2) -> IntervalVector:
         if not v.im.straddles_zero():
             raise SymmetryViolation(
                 f"component {i}: imaginary part {v.im} excludes zero")
-    return IntervalVector.from_intervals([v.re for v in vals])
+    return IntervalArray.of([v.re for v in vals])
 
 
 # ---------------------------------------------------------------------------

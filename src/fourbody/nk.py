@@ -37,14 +37,7 @@ from .crfbp import (
     omega_second_partials,
     second_partials_g,
 )
-from .interval import (
-    Interval,
-    IntervalMatrix,
-    IntervalVector,
-    matrix_norm,
-    matroid_norm,
-    max_norm,
-)
+from .interval import Interval, IntervalArray, matrix_norm
 
 SCHEMA_VERSION = 1
 
@@ -53,15 +46,17 @@ SCHEMA_VERSION = 1
 class NKProblem:
     """A zero-finding problem prepared for certification.
 
-    ``F_eval`` and ``DF_eval`` map an IntervalVector to enclosures of F
-    and DF; ``D2F_sup`` maps a box (IntervalVector) to an enclosure of
-    an upper bound for the second-derivative norm over that box.
+    ``F_eval`` and ``DF_eval`` map a (dim,) ``IntervalArray`` to
+    enclosures of F, shape (dim,), and DF, shape (dim, dim);
+    ``D2F_sup`` maps a box, a (dim,) ``IntervalArray``, to an enclosure
+    of an upper bound for the second-derivative norm over that box.
+    All norms are ``matrix_norm``.
     """
 
     dim: int
-    F_eval: Callable[[IntervalVector], IntervalVector]
-    DF_eval: Callable[[IntervalVector], IntervalMatrix]
-    D2F_sup: Callable[[IntervalVector], Interval]
+    F_eval: Callable[[IntervalArray], IntervalArray]
+    DF_eval: Callable[[IntervalArray], IntervalArray]
+    D2F_sup: Callable[[IntervalArray], Interval]
     x_bar: np.ndarray
     A_dagger: np.ndarray
     A: np.ndarray
@@ -86,11 +81,11 @@ class NKProblem:
         h.update(self.r_star.hex().encode())
         return h.hexdigest()
 
-    def box(self) -> IntervalVector:
+    def box(self) -> IntervalArray:
         """The closed certification box around x_bar."""
         lo = self.x_bar - self.r_star
         hi = self.x_bar + self.r_star
-        return IntervalVector(lo, hi)
+        return IntervalArray(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -156,14 +151,14 @@ class NKCertificate:
 
 def compute_bounds(prob: NKProblem) -> tuple[float, float, float, float]:
     """The four certification constants by rigorous interval evaluation."""
-    x_pt = IntervalVector.from_points(prob.x_bar)
-    A_iv = IntervalMatrix.from_points(prob.A)
-    Adag_iv = IntervalMatrix.from_points(prob.A_dagger)
+    x_pt = IntervalArray.from_points(prob.x_bar)
+    A_iv = IntervalArray.from_points(prob.A)
+    Adag_iv = IntervalArray.from_points(prob.A_dagger)
 
     Fx = prob.F_eval(x_pt)
-    Y0 = max_norm(A_iv @ Fx).hi
+    Y0 = matrix_norm(A_iv @ Fx).hi
 
-    eye = IntervalMatrix.from_points(np.eye(prob.dim))
+    eye = IntervalArray.from_points(np.eye(prob.dim))
     Z0 = matrix_norm(eye - A_iv @ Adag_iv).hi
 
     DFx = prob.DF_eval(x_pt)
@@ -290,7 +285,7 @@ def equilibrium_problem(p: PrimaryConfig, m: MassTriple,
     The map is the gradient of the potential, so D^2 F is the tensor
     of its third partials.  Z2 comes from one interval evaluation of
     that tensor over the box, in the bilinear-map norm of
-    ``matroid_norm`` (largest row sum of entry magnitudes), which
+    ``matrix_norm`` (largest row sum of entry magnitudes), which
     bounds sup ||D^2 F|| over the box since every point's tensor lies
     in the evaluated enclosure.
     """
@@ -300,18 +295,18 @@ def equilibrium_problem(p: PrimaryConfig, m: MassTriple,
     A_dagger = hess_omega_point(pos, masses, x_bar[0], x_bar[1])
     A = np.linalg.inv(A_dagger)
 
-    def F_eval(v: IntervalVector) -> IntervalVector:
+    def F_eval(v: IntervalArray) -> IntervalArray:
         ox, oy = omega_first_partials(p, m, v[0], v[1])
-        return IntervalVector.from_intervals([ox, oy])
+        return IntervalArray.of([ox, oy])
 
-    def DF_eval(v: IntervalVector) -> IntervalMatrix:
+    def DF_eval(v: IntervalArray) -> IntervalArray:
         g11, g12, g22 = second_partials_g(p, m, v[0], v[1])
         lo = np.array([[g11.lo, g12.lo], [g12.lo, g22.lo]])
         hi = np.array([[g11.hi, g12.hi], [g12.hi, g22.hi]])
-        return IntervalMatrix(lo, hi)
+        return IntervalArray(lo, hi)
 
-    def D2F_sup(box: IntervalVector) -> Interval:
-        return matroid_norm(omega_second_partials(p, m, box[0], box[1]))
+    def D2F_sup(box: IntervalArray) -> Interval:
+        return matrix_norm(omega_second_partials(p, m, box[0], box[1]))
 
     return NKProblem(dim=2, F_eval=F_eval, DF_eval=DF_eval, D2F_sup=D2F_sup,
                      x_bar=x_bar, A_dagger=A_dagger, A=A, r_star=r_star,
@@ -326,7 +321,7 @@ def certify_equilibrium(p: PrimaryConfig, m: MassTriple,
     xy = newton_equilibrium(p, m, seed)
     prob = equilibrium_problem(p, m, xy, r_star=r_star)
     Y0, Z0, Z1, Z2 = compute_bounds(prob)
-    a_norm = matrix_norm(IntervalMatrix.from_points(prob.A)).hi
+    a_norm = matrix_norm(IntervalArray.from_points(prob.A)).hi
     cert = radii_verify(Y0, Z0, Z1, Z2, r_star, a_norm=a_norm,
                         problem_fingerprint=prob.fingerprint())
     return cert, xy

@@ -28,13 +28,7 @@ import numpy as np
 
 from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .errors import DegenerateKernel
-from .interval import (
-    CInterval,
-    CIntervalArray,
-    Interval,
-    IntervalMatrix,
-    IntervalVector,
-)
+from .interval import CInterval, CIntervalArray, Interval, IntervalArray
 from .taylor import ScalarSeries2, Series2, product_column
 
 DIM = 7
@@ -56,13 +50,6 @@ class State7:
             raise ValueError(f"State7 needs {DIM} components, got {len(self.u)}")
         if self.on_s and not all(self.u[k].lo > 0.0 for k in (4, 5, 6)):
             raise ValueError("on-S state needs positive reciprocal distances")
-
-    @classmethod
-    def from_vector(cls, v: IntervalVector, on_s: bool = False) -> "State7":
-        return cls(tuple(v[k] for k in range(DIM)), on_s)
-
-    def as_vector(self) -> IntervalVector:
-        return IntervalVector.from_intervals(list(self.u))
 
 
 def embed_R(p: PrimaryConfig, s: State4, clearance: float = 0.0) -> State7:
@@ -321,7 +308,7 @@ def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
     return float(t_tail + s_tail) * _NORM_PAD
 
 
-def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalMatrix:
+def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalArray:
     """Jacobian of the polynomial field, one tangent pass per input;
     entries a pass never reaches are exact zeros."""
     prog = field_program(m, p)
@@ -335,26 +322,20 @@ def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalMatrix:
         for i, o in enumerate(prog.outputs):
             if ds[o] is not None:
                 lo[i, k], hi[i, k] = ds[o].lo, ds[o].hi
-    return IntervalMatrix(lo, hi)
-
-
-def kernel_a(m: MassTriple, u0: State7) -> Interval:
-    """The pivot quantity a = 1 - m1 u5^3 - m2 u6^3 - m3 u7^3."""
-    a = Interval.from_value(1.0)
-    for mj, w in zip((m.m1, m.m2, m.m3), u0.u[4:]):
-        a = a - mj * w.pow_int(3)
-    return a
+    return IntervalArray(lo, hi)
 
 
 def kernel_basis(m: MassTriple, p: PrimaryConfig, u0: State7
-                 ) -> tuple[IntervalVector, IntervalVector, IntervalVector]:
+                 ) -> tuple[IntervalArray, IntervalArray, IntervalArray]:
     """Explicit basis of the three-dimensional kernel of DF at a lifted
     equilibrium.
 
-    Raises DegenerateKernel if the Gaussian-elimination pivot a touches
-    zero.
+    Raises DegenerateKernel if the Gaussian-elimination pivot
+    a = 1 - m1 u5^3 - m2 u6^3 - m3 u7^3 touches zero.
     """
-    a = kernel_a(m, u0)
+    a = Interval.from_value(1.0)
+    for mj, w in zip((m.m1, m.m2, m.m3), u0.u[4:]):
+        a = a - mj * w.pow_int(3)
     if a.straddles_zero():
         raise DegenerateKernel(f"pivot quantity a encloses zero: {a}")
     ms = (m.m1, m.m2, m.m3)
@@ -368,7 +349,7 @@ def kernel_basis(m: MassTriple, p: PrimaryConfig, u0: State7
         c3 = 3 * mj * (u0.u[2] - py) * w2 / a
         comps = [c1, zero, c3, zero, zero, zero, zero]
         comps[4 + j] = one
-        out.append(IntervalVector.from_intervals(comps))
+        out.append(IntervalArray.of(comps))
     return tuple(out)
 
 

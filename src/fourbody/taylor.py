@@ -439,12 +439,11 @@ class Series2:
                    tail=d["tail"])
 
 
-def conj_symmetry_check(P: Series2, tol: float = 0.0) -> SymmetryReport:
+def conj_symmetry_check(P: Series2) -> SymmetryReport:
     """Verify a_nm = conjugate(a_mn) componentwise by interval overlap.
 
     The defect reported is the largest midpoint distance between a_nm
-    and conjugate(a_mn); symmetry holds when every pair overlaps within
-    ``tol``.
+    and conjugate(a_mn); symmetry holds when every pair overlaps.
     """
     M, N = P.orders
     if M != N:
@@ -463,7 +462,7 @@ def conj_symmetry_check(P: Series2, tol: float = 0.0) -> SymmetryReport:
                     worst = defect
                     worst_idx = (ci, m, n)
                 gap = max(_gap(a.re, b.re), _gap(a.im, b.im))
-                if gap > tol:
+                if gap > 0.0:
                     ok = False
     return SymmetryReport(symmetric=ok, max_defect=worst, worst_index=worst_idx)
 

@@ -9,9 +9,9 @@ import pytest
 
 from fourbody.advect import (
     FlowChart,
+    _defect_bound,
     choose_tau,
     collapse_time_one,
-    defect_bound,
     flow_line,
     range_box,
     reference_integrate,
@@ -304,7 +304,7 @@ class TestDefect:
         res = _chart_defect(m, pc, bad.Gamma)[0][1]
         assert not res.rlo[mm, 15] <= 0.0 <= res.rhi[mm, 15]
         assert mag_sum_bound(res) - base > 0.5 * 16.0 * mag
-        assert defect_bound(m, pc, bad) >= defect_bound(m, pc, chart)
+        assert _defect_bound(m, pc, bad.Gamma) >= _defect_bound(m, pc, G)
 
     def test_shallow_chart_defect_small(self, setup, chart15):
         # one more advection step at tau = 10 keeps the defect far

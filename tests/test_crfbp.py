@@ -30,7 +30,7 @@ from fourbody.crfbp import (
     second_partials_g,
 )
 from fourbody.errors import CollisionDomain, DegenerateMasses, NotSaddleFocus
-from fourbody.interval import CInterval, Interval, IntervalMatrix, IntervalVector
+from fourbody.interval import CInterval, Interval, IntervalArray
 
 # frozen 50-digit oracle values for masses (1/2, 3/10, 1/5), rounded to
 # nearest float
@@ -199,15 +199,15 @@ class TestFieldAndEnergy:
         J = jacobian_df(config, triple, State4.from_floats(0.9, 0.1, 0.2, -0.3))
         for (i, j), v in (((0, 1), 1.0), ((1, 3), 2.0), ((2, 3), 1.0),
                           ((3, 1), -2.0)):
-            e = J.entry(i, j)
+            e = J[i, j]
             assert e.lo == v and e.hi == v
         for (i, j) in ((0, 0), (0, 2), (0, 3), (1, 1), (2, 0), (2, 1),
                        (2, 2), (3, 3)):
-            e = J.entry(i, j)
+            e = J[i, j]
             assert e.lo == 0.0 and e.hi == 0.0
         # symmetric potential block
-        assert J.entry(1, 2).lo == J.entry(3, 0).lo
-        assert J.entry(1, 2).hi == J.entry(3, 0).hi
+        assert J[1, 2].lo == J[3, 0].lo
+        assert J[1, 2].hi == J[3, 0].hi
 
     def test_jacobian_fd_oracle(self, config, triple):
         pos = config.position_array()
@@ -222,7 +222,7 @@ class TestFieldAndEnergy:
             dm[j] -= h
             col = (field_point(pos, masses, dp) - field_point(pos, masses, dm)) / (2 * h)
             for i in range(4):
-                assert abs(J.entry(i, j).mid - col[i]) < 1e-7, (i, j)
+                assert abs(J[i, j].mid - col[i]) < 1e-7, (i, j)
 
     def test_third_partials_fd_oracle(self, config, triple):
         from fourbody.crfbp import hess_omega_point
@@ -240,23 +240,23 @@ class TestFieldAndEnergy:
         dx_hess = (hx_p - hx_m) / (2 * h)
         dy_hess = (hy_p - hy_m) / (2 * h)
         # tensor index (i, j, k): d2/dj dk of gradient component i
-        assert abs(T.entry(0, 0, 0).mid - dx_hess[0, 0]) < 1e-4
-        assert abs(T.entry(0, 0, 1).mid - dy_hess[0, 0]) < 1e-4
-        assert abs(T.entry(0, 1, 1).mid - dy_hess[0, 1]) < 1e-4
-        assert abs(T.entry(1, 0, 0).mid - dx_hess[0, 1]) < 1e-4
-        assert abs(T.entry(1, 0, 1).mid - dx_hess[1, 1]) < 1e-4
-        assert abs(T.entry(1, 1, 1).mid - dy_hess[1, 1]) < 1e-4
+        assert abs(T[0, 0, 0].mid - dx_hess[0, 0]) < 1e-4
+        assert abs(T[0, 0, 1].mid - dy_hess[0, 0]) < 1e-4
+        assert abs(T[0, 1, 1].mid - dy_hess[0, 1]) < 1e-4
+        assert abs(T[1, 0, 0].mid - dx_hess[0, 1]) < 1e-4
+        assert abs(T[1, 0, 1].mid - dx_hess[1, 1]) < 1e-4
+        assert abs(T[1, 1, 1].mid - dy_hess[1, 1]) < 1e-4
 
     def test_third_partials_symmetry_exact(self, config, triple):
         T = omega_second_partials(config, triple,
                                   Interval.from_value(0.9),
                                   Interval.from_value(0.2))
         for i in range(2):
-            assert T.entry(i, 0, 1).lo == T.entry(i, 1, 0).lo
-            assert T.entry(i, 0, 1).hi == T.entry(i, 1, 0).hi
+            assert T[i, 0, 1].lo == T[i, 1, 0].lo
+            assert T[i, 0, 1].hi == T[i, 1, 0].hi
         # cross-component equalities from the scalar potential
-        assert T.entry(0, 1, 1).lo == T.entry(1, 0, 1).lo
-        assert T.entry(0, 0, 1).lo == T.entry(1, 0, 0).lo
+        assert T[0, 1, 1].lo == T[1, 0, 1].lo
+        assert T[0, 0, 1].lo == T[1, 0, 0].lo
 
     def test_collision_guard(self, config, triple):
         x1 = config.positions[0][0].mid
@@ -313,11 +313,11 @@ class TestEquilibrium:
             assert fv[k].straddles_zero()
 
 
-def _complex_residual(J: IntervalMatrix, lam: CInterval,
+def _complex_residual(J: IntervalArray, lam: CInterval,
                       vec: tuple[CInterval, ...]) -> list[CInterval]:
     """Componentwise J v - lam v for a real interval matrix."""
-    re = IntervalVector.from_intervals([c.re for c in vec])
-    im = IntervalVector.from_intervals([c.im for c in vec])
+    re = IntervalArray.of([c.re for c in vec])
+    im = IntervalArray.of([c.im for c in vec])
     J_re = J @ re
     J_im = J @ im
     out = []

@@ -25,13 +25,9 @@ from fourbody.interval import (
     CInterval,
     CIntervalArray,
     Interval,
-    IntervalMatrix,
-    IntervalTensor3,
-    IntervalVector,
+    IntervalArray,
     _imul_arr,
     matrix_norm,
-    matroid_norm,
-    max_norm,
     verified_solve,
     verified_solve_complex,
 )
@@ -94,7 +90,6 @@ class TestScalarBasics:
         assert iv.mag == 2.0 and iv.mig == 0.0
         assert Interval(-3, -1).mig == 1.0
         assert iv.is_subset(Interval(-2, 3))
-        assert Interval.hull([Interval(0, 1), Interval(2, 3), -5.0]) == Interval(-5, 3)
 
 
 class TestContainmentFuzz:
@@ -177,22 +172,18 @@ def _nested_pairs(draw):
 
 
 class TestNaNEndpoints:
-    """NaN passes ``lo > hi``; the containers must refuse it as the
-    scalar Interval does."""
+    """NaN passes ``lo > hi``; the arrays must refuse it as the scalar
+    Interval does."""
 
-    def test_vector(self):
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_array_refuses_nan(self, rank):
+        shape = (2,) * rank
+        lo = np.zeros(shape)
+        lo[(1,) * rank] = np.nan
         with pytest.raises(ValueError):
-            IntervalVector(np.array([0.0, np.nan]), np.array([1.0, 1.0]))
-
-    def test_matrix(self):
+            IntervalArray(lo, np.ones(shape))
         with pytest.raises(ValueError):
-            IntervalMatrix(np.zeros((2, 2)), np.full((2, 2), np.nan))
-
-    def test_tensor(self):
-        lo = np.zeros((2, 2, 2))
-        lo[1, 0, 1] = np.nan
-        with pytest.raises(ValueError):
-            IntervalTensor3(lo, np.ones((2, 2, 2)))
+            IntervalArray(np.zeros(shape), np.full(shape, np.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -325,51 +316,54 @@ class TestInclusionMonotonicity:
 
 
 class TestNorms:
+    """``matrix_norm`` is the max norm on vectors, the row-sum norm on
+    matrices and the bilinear norm max_i sum_jk |b_ijk| on 3-tensors."""
+
     def test_max_norm_points(self):
-        v = IntervalVector.from_intervals(
-            [Interval(1, 1), Interval(-2, -2), Interval(0, 0)])
-        assert max_norm(v) == Interval(2, 2)
+        v = IntervalArray.of([Interval(1, 1), Interval(-2, -2), Interval(0, 0)])
+        assert matrix_norm(v) == Interval(2, 2)
 
     def test_max_norm_hull(self):
-        v = IntervalVector.from_intervals([Interval(-1, 1), Interval(0, 3)])
-        assert max_norm(v) == Interval(0, 3)
+        v = IntervalArray.of([Interval(-1, 1), Interval(0, 3)])
+        assert matrix_norm(v) == Interval(0, 3)
 
     def test_matrix_norm_identity(self):
-        assert matrix_norm(IntervalMatrix.identity(2)) == Interval(1, 1)
+        assert matrix_norm(IntervalArray.from_points(np.eye(2))) == Interval(1, 1)
 
     def test_matroid_norm_zero_and_single(self):
-        z = IntervalTensor3.from_points(np.zeros((3, 3, 3)))
-        assert matroid_norm(z) == Interval(0, 0)
+        z = IntervalArray.from_points(np.zeros((3, 3, 3)))
+        assert matrix_norm(z) == Interval(0, 0)
         t = np.zeros((2, 2, 2))
         t[0, 0, 0] = 2.0
-        assert matroid_norm(IntervalTensor3.from_points(t)) == Interval(2, 2)
+        assert matrix_norm(IntervalArray.from_points(t)) == Interval(2, 2)
 
     def test_matroid_norm_matches_bruteforce(self):
         rng = np.random.RandomState(21)
         for _ in range(50):
             t = rng.randn(3, 3, 3)
             oracle = np.max(np.sum(np.abs(t), axis=(1, 2)))
-            r = matroid_norm(IntervalTensor3.from_points(t))
+            r = matrix_norm(IntervalArray.from_points(t))
             assert r.lo <= oracle <= r.hi
             assert r.width < 1e-13 * max(1.0, oracle)
 
     def test_matvec_norm_bound(self):
         rng = np.random.RandomState(22)
         for _ in range(200):
-            A = IntervalMatrix.from_points(rng.randn(5, 5))
-            v = IntervalVector.from_points(rng.randn(5))
-            lhs = max_norm(A @ v)
-            rhs = matrix_norm(A) * max_norm(v)
+            A = IntervalArray.from_points(rng.randn(5, 5))
+            v = IntervalArray.from_points(rng.randn(5))
+            lhs = matrix_norm(A @ v)
+            rhs = matrix_norm(A) * matrix_norm(v)
             assert lhs.lo <= rhs.hi
 
     def test_bilinear_norm_bound(self):
         rng = np.random.RandomState(23)
         for _ in range(100):
-            B = IntervalTensor3.from_points(rng.randn(4, 4, 4))
-            u = IntervalVector.from_points(rng.randn(4))
-            v = IntervalVector.from_points(rng.randn(4))
-            lhs = max_norm(B.apply(u, v))
-            rhs = matroid_norm(B) * max_norm(u) * max_norm(v)
+            B = IntervalArray.from_points(rng.randn(4, 4, 4))
+            u = IntervalArray.from_points(rng.randn(4))
+            v = IntervalArray.from_points(rng.randn(4))
+            # B(u, v)_i = sum_jk B_ijk u_j v_k
+            lhs = matrix_norm(B @ v @ u)
+            rhs = matrix_norm(B) * matrix_norm(u) * matrix_norm(v)
             assert lhs.lo <= rhs.hi
 
     def test_matvec_containment(self):
@@ -377,7 +371,7 @@ class TestNorms:
         for _ in range(100):
             a = rng.randn(6, 6)
             v = rng.randn(6)
-            r = IntervalMatrix.from_points(a) @ IntervalVector.from_points(v)
+            r = IntervalArray.from_points(a) @ IntervalArray.from_points(v)
             exact = a @ v  # float oracle, then rational check on a few rows
             assert np.all(r.lo <= exact + 1e-9) and np.all(exact - 1e-9 <= r.hi)
             fa = [[Fraction(x) for x in row] for row in a]
@@ -387,46 +381,50 @@ class TestNorms:
                 assert Fraction(float(r.lo[i])) <= s <= Fraction(float(r.hi[i]))
 
 
+def _contains(x: IntervalArray, p) -> bool:
+    return bool(np.all(x.lo <= p) and np.all(p <= x.hi))
+
+
 class TestVerifiedSolve:
     def test_identity(self):
-        A = IntervalMatrix.identity(3)
-        b = IntervalVector.from_points([1.0, 0.0, 0.0])
+        A = IntervalArray.from_points(np.eye(3))
+        b = IntervalArray.from_points([1.0, 0.0, 0.0])
         x = verified_solve(A, b)
-        assert x.contains_point([1.0, 0.0, 0.0])
-        assert np.max(x.widths()) < 1e-14
+        assert _contains(x, [1.0, 0.0, 0.0])
+        assert np.max(x.hi - x.lo) < 1e-14
 
     def test_diagonal(self):
-        A = IntervalMatrix.from_points(np.diag([2.0, 4.0]))
-        b = IntervalVector.from_points([2.0, 4.0])
+        A = IntervalArray.from_points(np.diag([2.0, 4.0]))
+        b = IntervalArray.from_points([2.0, 4.0])
         x = verified_solve(A, b)
-        assert x.contains_point([1.0, 1.0])
+        assert _contains(x, [1.0, 1.0])
 
     def test_random_well_conditioned_vs_lu(self):
         rng = np.random.RandomState(31)
         for _ in range(25):
             a = rng.randn(7, 7) + 7.0 * np.eye(7)
             b = rng.randn(7)
-            x = verified_solve(IntervalMatrix.from_points(a),
-                               IntervalVector.from_points(b))
+            x = verified_solve(IntervalArray.from_points(a),
+                               IntervalArray.from_points(b))
             ref = np.linalg.solve(a, b)
             pad = 1e-13 * np.maximum(1.0, np.abs(ref))
             assert np.all(x.lo - pad <= ref) and np.all(ref <= x.hi + pad)
-            assert np.max(x.widths()) <= 1e-12
+            assert np.max(x.hi - x.lo) <= 1e-12
 
     def test_residual_straddles_zero(self):
         rng = np.random.RandomState(32)
         a = rng.randn(5, 5) + 5.0 * np.eye(5)
-        A = IntervalMatrix.from_points(a)
-        b = IntervalVector.from_points(rng.randn(5))
+        A = IntervalArray.from_points(a)
+        b = IntervalArray.from_points(rng.randn(5))
         x = verified_solve(A, b)
         res = (A @ x) - b
-        assert res.straddles_zero()
+        assert _contains(res, 0.0)
 
     def test_singular_raises(self):
         a = np.ones((3, 3))
         with pytest.raises(SingularEnclosure):
-            verified_solve(IntervalMatrix.from_points(a),
-                           IntervalVector.from_points([1.0, 2.0, 3.0]))
+            verified_solve(IntervalArray.from_points(a),
+                           IntervalArray.from_points([1.0, 2.0, 3.0]))
 
     def test_complex_solve(self):
         rng = np.random.RandomState(33)
@@ -435,13 +433,51 @@ class TestVerifiedSolve:
             ai = 0.3 * rng.randn(4, 4)
             br = rng.randn(4)
             bi = rng.randn(4)
-            xr, xi = verified_solve_complex(
-                IntervalMatrix.from_points(ar), IntervalMatrix.from_points(ai),
-                IntervalVector.from_points(br), IntervalVector.from_points(bi))
+            A = np.stack((ar, ai))
+            b = np.stack((br, bi))
+            x = verified_solve_complex(CIntervalArray(A, A),
+                                       CIntervalArray(b, b))
+            assert x.shape == (4,)
             ref = np.linalg.solve(ar + 1j * ai, br + 1j * bi)
             pad = 1e-12
-            assert np.all(xr.lo - pad <= ref.real) and np.all(ref.real <= xr.hi + pad)
-            assert np.all(xi.lo - pad <= ref.imag) and np.all(ref.imag <= xi.hi + pad)
+            for part, r in ((0, ref.real), (1, ref.imag)):
+                assert np.all(x.lo[part] - pad <= r)
+                assert np.all(r <= x.hi[part] + pad)
+
+
+class TestIntervalArray:
+    def test_indexing(self):
+        lo = np.arange(6.0).reshape(2, 3)
+        a = IntervalArray(lo, lo + 1.0)
+        assert a[1, 2] == Interval(5.0, 6.0)
+        assert a[0][1] == Interval(1.0, 2.0)
+        row = a[1, 1:]
+        assert isinstance(row, IntervalArray) and row.shape == (2,)
+        assert np.shares_memory(row.lo, a.lo)
+        assert np.shares_memory(row.hi, a.hi)
+
+    def test_matmul_shapes_and_entries(self):
+        rng = np.random.RandomState(25)
+        n, m, k = 3, 4, 5
+
+        def box(*shape):
+            c = rng.randn(*shape)
+            return IntervalArray(c - 0.01, c + 0.01), c
+
+        for (A, a), (B, b), shape in ((box(n, n), box(n), (n,)),
+                                      (box(n, n), box(n, m), (n, m)),
+                                      (box(k), box(k, m), (m,))):
+            C = A @ B
+            assert C.shape == shape
+            # each entry encloses the exact product of the centers
+            for idx in np.ndindex(*shape):
+                row, col = idx[:a.ndim - 1], idx[a.ndim - 1:]
+                exact = sum(Fraction(float(a[row + (j,)]))
+                            * Fraction(float(b[(j,) + col]))
+                            for j in range(a.shape[-1]))
+                assert Fraction(C[idx].lo) <= exact <= Fraction(C[idx].hi)
+        with pytest.raises(ValueError):
+            box(n, n)[0] @ box(m)[0]
 
 
 class TestComplexRectangles:

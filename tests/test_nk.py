@@ -14,12 +14,7 @@ from fourbody.crfbp import (
     omega_second_partials,
     primaries,
 )
-from fourbody.interval import (
-    Interval,
-    IntervalTensor3,
-    IntervalVector,
-    matroid_norm,
-)
+from fourbody.interval import Interval, IntervalArray, matrix_norm
 from fourbody.nk import (
     NKCertificate,
     NKProblem,
@@ -99,7 +94,7 @@ class TestHessianSup:
         lo[0, 0, 0] = 2.0
         lo[1, 0, 1] = 1.0
         lo[1, 1, 0] = 1.0
-        sup = matroid_norm(IntervalTensor3(lo, lo.copy()))
+        sup = matrix_norm(IntervalArray(lo, lo.copy()))
         assert sup.lo == 2.0 and sup.hi == 2.0
 
     def test_random_cubic_sampling_oracle(self):
@@ -127,9 +122,9 @@ class TestHessianSup:
                             for j in range(2)] for i in range(2)])
             hi = np.array([[[e[i, j, k].hi for k in range(2)]
                             for j in range(2)] for i in range(2)])
-            return IntervalTensor3(lo, hi)
+            return IntervalArray(lo, hi)
 
-        bound = matroid_norm(evaluator(IntervalVector(center - r, center + r)))
+        bound = matrix_norm(evaluator(IntervalArray(center - r, center + r)))
         worst = 0.0
         for _ in range(10_000):
             x = rng.uniform(center[0] - r, center[0] + r)
@@ -144,14 +139,14 @@ class TestHessianSup:
         r = 1e-6
         X = Interval(XEQ - r, XEQ + r)
         Y = Interval(YEQ - r, YEQ + r)
-        sup = matroid_norm(omega_second_partials(config, triple, X, Y))
+        sup = matrix_norm(omega_second_partials(config, triple, X, Y))
         assert 14.0 <= sup.hi <= 14.1
 
     def test_direct_bound_dominates_samples(self, config, triple):
         r = 1e-6
         X = Interval(XEQ - r, XEQ + r)
         Y = Interval(YEQ - r, YEQ + r)
-        direct = matroid_norm(omega_second_partials(config, triple, X, Y))
+        direct = matrix_norm(omega_second_partials(config, triple, X, Y))
         # it bounds the true sup; sample that through point tensors
         rng = np.random.RandomState(0)
         worst = 0.0
@@ -161,7 +156,7 @@ class TestHessianSup:
             T = omega_second_partials(config, triple, Interval.from_value(x),
                                       Interval.from_value(y))
             for i in range(2):
-                row = sum(max(abs(T.entry(i, j, k).lo), abs(T.entry(i, j, k).hi))
+                row = sum(max(abs(T[i, j, k].lo), abs(T[i, j, k].hi))
                           for j in range(2) for k in range(2))
                 worst = max(worst, row)
         assert direct.hi >= worst
@@ -272,8 +267,7 @@ class TestProblemValidation:
             return v
 
         def DF_eval(v):
-            return __import__("fourbody.interval", fromlist=["IntervalMatrix"]
-                              ).IntervalMatrix.from_points(np.eye(2))
+            return IntervalArray.from_points(np.eye(2))
 
         def D2F_sup(box):
             return Interval.from_value(0.0)
