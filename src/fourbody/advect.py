@@ -11,8 +11,10 @@ coefficients of every component as one ``CIntervalArray`` of shape
 production they come from ``polyfield.FieldColumns``, the column
 interpreter of the field program: one grid per program node, filled one
 time-order column at a time, so the whole run costs the same as a
-single full Cauchy product per node.  ``polyfield.field_defect`` runs
-the same interpreter once more over the finished chart for its defect.
+single full Cauchy product per node.  ``flow_line`` hands that same
+interpreter to ``polyfield.field_defect`` for the chart's defect,
+which fills only its last column: columns 0..N-1 already hold the
+field of the finished chart, so no column is computed twice.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -211,7 +213,7 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
         defect = None
         tail = float(tail_value) if tail_value is not None else 0.0
     else:
-        defect = _defect_bound(m, p, G)
+        defect = _defect_bound(rec, G)
         tail = propagated_tail(m, p, G, arc.gamma.tail, defect)
     G = Series2(G.components, scale=G.scale, tau=G.tau,
                 real_symmetric=False, tail=tail)
@@ -224,17 +226,24 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
 # defect accounting
 
 
-def _defect_bound(m: MassTriple, p: PrimaryConfig, G: Series2) -> float:
+def _defect_bound(cols: FieldColumns, G: Series2) -> float:
     """``polyfield.field_defect`` with left-hand side tau dGamma/dt,
     whose column n is tau (n + 1) Gamma[:, n + 1] and whose column N is
-    zero."""
+    zero.
+
+    ``cols`` is the interpreter that built G in ``taylor_flow``, or a
+    fresh one.  Reuse is sound: ``taylor_flow`` writes chart column
+    n + 1 only after ``b_column`` has read columns 0..n, and never
+    rewrites a column, so the columns 0..N-1 the interpreter filled
+    are F(G)'s, bit for bit, and ``field_defect`` adds column N.
+    """
     M, N = G.orders
     tau_iv = Interval.from_value(G.tau)
     coef = CIntervalArray.of(G.components)
     lhs = CIntervalArray.zeros((DIM, M + 1, N + 1))
     for n in range(N):
         lhs[:, :, n] = coef[:, :, n + 1] * (tau_iv * float(n + 1))
-    res, beyond = field_defect(field_program(m, p), G, lhs)
+    res, beyond = field_defect(cols, G, lhs)
     return max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
 
 

@@ -231,7 +231,8 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
     invariance defect lam1 z1 d1 P + lam2 z2 d2 P - F(P) of P.  Its
     left-hand side has the coefficients (m lam1 + n lam2) a_mn on P's
     (N, N) grid.  ``field_defect`` takes P grown with zeros to the
-    fixed grid K = ceil(3 N / 2), with input orders (N, N), and returns
+    fixed grid K = ceil(3 N / 2) and a fresh column interpreter with
+    input orders (N, N), runs every column of it, and returns
     the in-grid residual res_i and a bound lost_i on the coefficient
     mass of F_i(P) beyond the (K, K) grid.  The l1 norm of a series
     bounds its sup over the unit polydisc, so component i's defect is
@@ -250,8 +251,8 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
         lhs = CIntervalArray.zeros((DIM, K + 1, K + 1))
         lhs[:, : N + 1, : N + 1] = CIntervalArray.of(P.components) * mu
         G = Series2(tuple(_fit(c, K, K) for c in P.components))
-        res, beyond = field_defect(field_program(m, p), G, lhs,
-                                   input_orders=(N, N))
+        cols = FieldColumns(field_program(m, p), K, K, input_orders=(N, N))
+        res, beyond = field_defect(cols, G, lhs)
         tail = max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
     P = Series2(P.components, scale=P.scale, tau=1.0, real_symmetric=True,
                 tail=tail)

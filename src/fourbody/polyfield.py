@@ -13,9 +13,11 @@ program of ``Lin`` and ``Mul`` ops.  Every evaluator of F interprets it:
 ``evaluate``, ``tangent`` and the column interpreter ``FieldColumns``
 here, which gives every full series of F (advected charts,
 ``manifold.field_series``), and the per-degree interpreter of the
-homological solve in ``manifold``.  ``field_defect`` runs the column
-interpreter once to bound the defect of an invariance equation: the
-ODE defect of an advected chart and the tail of a local manifold.
+homological solve in ``manifold``.  ``field_defect`` finishes a column
+interpreter's run to bound the defect of an invariance equation: the
+ODE defect of an advected chart, on the interpreter whose columns
+0..N-1 built the chart, so each column is computed once, and the tail
+of a local manifold, on a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -193,6 +195,14 @@ class FieldColumns:
     or, at the clamp, of orders that products never bring back down.
     The grids are filled in place, so operands are always read as
     views of the current columns.
+
+    ``filled`` counts the columns filled so far, and ``b_column``
+    fills only the next one.  Since column n reads only columns 0..n,
+    the filled columns are F(G)'s for every later series G whose
+    columns 0..filled-1 are the ones the interpreter read: a caller
+    that builds G column by column, writing each column once before
+    it is read and never again, can hand the same interpreter on and
+    have the rest filled without recomputing any of them.
     """
 
     def __init__(self, prog: FieldProgram, M: int, N: int,
@@ -210,10 +220,16 @@ class FieldColumns:
                 self.orders.append((max(mk for mk, _ in terms),
                                     max(nk for _, nk in terms)))
         self.grids = [ScalarSeries2.zeros(M, N) for _ in prog.ops]
+        self.filled = 0
 
     def b_column(self, G: Series2, n: int) -> CIntervalArray:
         """Column n of every node; returns the outputs' as shape
-        (DIM, M + 1)."""
+        (DIM, M + 1).  Raises ValueError unless n is the next unfilled
+        column, since a product's column n reads its operands' columns
+        0..n, which would otherwise still be zero."""
+        if n != self.filled:
+            raise ValueError(f"column {n} requested, but the next "
+                             f"unfilled column is {self.filled}")
         nodes = list(G.components) + self.grids
         for op, dst, (rows, cols) in zip(self.prog.ops, self.grids,
                                          self.orders[DIM:]):
@@ -229,6 +245,7 @@ class FieldColumns:
             dst[: rows + 1, n] = col
             if n == 0 and isinstance(op, Lin):
                 dst[0, 0] = dst.at(0, 0) + CInterval(op.const)
+        self.filled = n + 1
         return CIntervalArray.of([nodes[o][:, n] for o in self.prog.outputs])
 
     def beyond_grid_bounds(self, G: Series2) -> list[float]:
@@ -258,31 +275,36 @@ class FieldColumns:
         return [lost[o] for o in self.prog.outputs]
 
 
-def field_defect(prog: FieldProgram, G: Series2, lhs: CIntervalArray,
-                 input_orders: tuple[int, int] | None = None
+def field_defect(cols: FieldColumns, G: Series2, lhs: CIntervalArray
                  ) -> tuple[list[ScalarSeries2], list[float]]:
-    """Defect lhs - F(G) of an invariance equation on G's (M, N) grid.
+    """Defect lhs - F(G) of an invariance equation on the interpreter's
+    (M, N) grid.
 
-    ``G`` covers (M, N) and is a polynomial of ``input_orders``
-    (default (M, N)); ``lhs`` has shape (DIM, M + 1, N + 1) and holds
-    the equation's other side, all of whose content lies on the grid.
-    Runs every column of ``FieldColumns`` once and returns the in-grid
-    residual series res_i = lhs_i - [F(G)]_i and, from
-    ``beyond_grid_bounds``, per component a bound lost_i on the
-    coefficient mass of F_i(G) outside the grid.  Theorem: on the
-    closed unit polydisc |z1^m z2^n| <= 1, so a series is bounded
-    there by the l1 norm of its coefficients, and
+    ``G`` covers (M, N) and is a polynomial of the interpreter's input
+    orders; ``lhs`` has shape (DIM, M + 1, N + 1) and holds the
+    equation's other side, all of whose content lies on the grid.
+    Fills columns ``cols.filled``..N of ``cols`` and returns the
+    in-grid residual series res_i = lhs_i - [F(G)]_i, formed in one
+    stacked subtraction over the output nodes' grids (outputs 1 and 3
+    are G's own components), and, from ``beyond_grid_bounds``, per
+    component a bound lost_i on the coefficient mass of F_i(G) outside
+    the grid.  Precondition: columns 0..cols.filled-1 of G are the
+    ones ``cols`` read when it filled them, so by the theorem of
+    ``FieldColumns`` every node grid then holds F(G)'s columns.
+    Theorem: on the closed unit polydisc |z1^m z2^n| <= 1, so a series
+    is bounded there by the l1 norm of its coefficients, and
         sup |lhs_i - F_i(G)| <= sum |res_i| + lost_i,
     with the in-grid sum bounded by ``taylor.mag_sum_bound``.
     """
-    M, N = G.orders
-    cols = FieldColumns(prog, M, N, input_orders)
-    res = [ScalarSeries2.zeros(M, N) for _ in range(DIM)]
-    for n in range(N + 1):
-        col = lhs[:, :, n] - cols.b_column(G, n)
-        for i, r in enumerate(res):
-            r[:, n] = col[i]
-    return res, cols.beyond_grid_bounds(G)
+    if G.orders != (cols.M, cols.N):
+        raise ValueError(f"series orders {G.orders} differ from the "
+                         f"interpreter's grid {(cols.M, cols.N)}")
+    for n in range(cols.filled, cols.N + 1):
+        cols.b_column(G, n)
+    nodes = list(G.components) + cols.grids
+    res = lhs - CIntervalArray.of([nodes[o] for o in cols.prog.outputs])
+    return ([ScalarSeries2._wrap(res.lo[:, i], res.hi[:, i])
+             for i in range(DIM)], cols.beyond_grid_bounds(G))
 
 
 _NORM_PAD = 1.0 + 1e-10

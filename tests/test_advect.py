@@ -9,6 +9,7 @@ import pytest
 
 from fourbody.advect import (
     FlowChart,
+    _arc_series,
     _defect_bound,
     choose_tau,
     collapse_time_one,
@@ -71,17 +72,27 @@ def _line_series(vals, M=0):
                    tail=0.0)
 
 
-def _chart_defect(m, pc, G):
-    """field_defect of tau dGamma/dt = F(Gamma): the in-grid residual
-    and the beyond-grid bounds, with left-hand side column n
-    tau (n + 1) Gamma[:, n + 1] and column N zero."""
+def _chart_lhs(G):
+    """Left-hand side tau dGamma/dt of the chart equation: column n is
+    tau (n + 1) Gamma[:, n + 1] and column N is zero."""
     M, N = G.orders
     lhs = CIntervalArray.zeros((7, M + 1, N + 1))
     for n in range(N):
         scale = Interval.from_value(G.tau) * float(n + 1)
         for i, c in enumerate(G.components):
             lhs[i, :, n] = c[:, n + 1] * scale
-    return field_defect(field_program(m, pc), G, lhs)
+    return lhs
+
+
+def _fresh_columns(m, pc, G):
+    """A column interpreter on G's grid that has filled no column."""
+    return FieldColumns(field_program(m, pc), *G.orders)
+
+
+def _chart_defect(m, pc, G):
+    """field_defect of tau dGamma/dt = F(Gamma) on a fresh interpreter:
+    the in-grid residual and the beyond-grid bounds."""
+    return field_defect(_fresh_columns(m, pc, G), G, _chart_lhs(G))
 
 
 def _linear_column(A):
@@ -304,7 +315,50 @@ class TestDefect:
         res = _chart_defect(m, pc, bad.Gamma)[0][1]
         assert not res.rlo[mm, 15] <= 0.0 <= res.rhi[mm, 15]
         assert mag_sum_bound(res) - base > 0.5 * 16.0 * mag
-        assert _defect_bound(m, pc, bad.Gamma) >= _defect_bound(m, pc, G)
+        assert (_defect_bound(_fresh_columns(m, pc, G), bad.Gamma)
+                >= _defect_bound(_fresh_columns(m, pc, G), G))
+
+    def test_recursion_interpreter_reuse_is_exact(self, setup, arcs15):
+        # the defect on the interpreter that built the chart, which
+        # fills only column N, against the defect on a fresh one over
+        # the finished chart, for a stable arc and for the same kind of
+        # arc advected forward as an unstable one: equal endpoints
+        m, pc = setup
+        prog = field_program(m, pc)
+        M, N = 15, 20
+        for arc, sign in ((arcs15[7], -1.0),
+                          (BoundaryArc(gamma=arcs15[12].gamma,
+                                       kind="unstable"), 1.0)):
+            rec = FieldColumns(prog, M, N)
+            G = taylor_flow(_arc_series(arc, M), rec.b_column, N, sign * 2.0)
+            assert rec.filled == N
+            lhs = _chart_lhs(G)
+            res, beyond = field_defect(rec, G, lhs)
+            assert rec.filled == N + 1
+            want, want_beyond = field_defect(FieldColumns(prog, M, N), G, lhs)
+            assert beyond == want_beyond
+            for r, w in zip(res, want):
+                assert np.array_equal(r.lo, w.lo)
+                assert np.array_equal(r.hi, w.hi)
+            chart = flow_line(arc, m, pc, orders=(M, N), tau=2.0)
+            assert chart.defect == max(mag_sum_bound(r) + b
+                                       for r, b in zip(res, beyond))
+
+    def test_one_interpreter_run_per_chart(self, setup, arcs15,
+                                           monkeypatch):
+        # N recursion columns plus the defect's column N: each of the
+        # N + 1 columns is computed once per chart
+        m, pc = setup
+        calls = []
+        b_column = FieldColumns.b_column
+
+        def counted(self, G, n):
+            calls.append(n)
+            return b_column(self, G, n)
+
+        monkeypatch.setattr(FieldColumns, "b_column", counted)
+        flow_line(arcs15[7], m, pc, orders=(15, 20), tau=2.0)
+        assert calls == list(range(21))
 
     def test_shallow_chart_defect_small(self, setup, chart15):
         # one more advection step at tau = 10 keeps the defect far

@@ -31,8 +31,8 @@ from fourbody.manifold import (
     real_chart,
     solve_homological,
 )
-from fourbody.polyfield import (field_defect, field_program, lift_eigvector,
-                                project_pi)
+from fourbody.polyfield import (FieldColumns, field_defect, field_program,
+                                lift_eigvector, project_pi)
 from fourbody.taylor import Series2, _fit, conj_symmetry_check, mag_sum_bound
 
 
@@ -81,9 +81,8 @@ def _invariance_defect(m, pc, M, K):
     the in-grid residual and the per-component beyond-grid bounds."""
     P = M.P
     G = Series2(tuple(_fit(c, K, K) for c in P.components))
-    return field_defect(field_program(m, pc), G,
-                        _invariance_lhs(P, M.lambda1, M.lambda2, K),
-                        input_orders=P.orders)
+    cols = FieldColumns(field_program(m, pc), K, K, input_orders=P.orders)
+    return field_defect(cols, G, _invariance_lhs(P, M.lambda1, M.lambda2, K))
 
 
 def _mig_sum(r) -> float:

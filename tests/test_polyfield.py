@@ -17,7 +17,8 @@ from fourbody.crfbp import (
     primaries,
 )
 from fourbody.errors import CollisionDomain, DegenerateKernel
-from fourbody.interval import CInterval, Interval, IntervalArray
+from fourbody.interval import (CInterval, CIntervalArray, Interval,
+                               IntervalArray)
 from fourbody.manifold import _DegreeInterpreter
 from fourbody.polyfield import (
     DIM,
@@ -25,6 +26,7 @@ from fourbody.polyfield import (
     State7,
     embed_R,
     evaluate,
+    field_defect,
     field_program,
     kernel_basis,
     lift_eigvector,
@@ -184,6 +186,25 @@ class TestFieldProgram:
         for k, (a, c) in enumerate(zip(full, coef.grids)):
             b = comps[k] if k < DIM else cols.grids[k - DIM]
             assert_overlap(a, b, c)
+
+    def test_column_interpreter_fills_columns_in_order(self, config,
+                                                       triple):
+        # a skipped column would read operand columns that are still
+        # zero, so only the next unfilled column may be asked for
+        comps = [ScalarSeries2.from_complex_points(np.ones((3, 3)))
+                 for _ in range(DIM)]
+        G = Series2(tuple(comps))
+        cols = FieldColumns(field_program(triple, config), 2, 2)
+        with pytest.raises(ValueError):
+            cols.b_column(G, 1)
+        cols.b_column(G, 0)
+        assert cols.filled == 1
+        with pytest.raises(ValueError):
+            cols.b_column(G, 0)
+        # field_defect finishes an interpreter only on its own grid
+        with pytest.raises(ValueError):
+            field_defect(FieldColumns(field_program(triple, config), 3, 2),
+                         G, CIntervalArray.zeros((DIM, 4, 3)))
 
     def test_column_interpreter_raises_node_orders(
             self, config, triple, full_product_nodes, assert_overlap):
