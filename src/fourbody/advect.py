@@ -328,14 +328,16 @@ def check_collision(chart: FlowChart, p: PrimaryConfig,
 
     Near-collisions blow up the reciprocal-distance components and
     erode every downstream bound; raising here lets an atlas drop or
-    subdivide the offending chart.
+    subdivide the offending chart.  The squared distance uses
+    ``Interval.sqr``, whose lower end is nonnegative; dx * dx has a
+    negative lower end whenever the x range straddles the primary's x.
     """
     box = range_box(chart.Gamma)
     x, y = box[0], box[2]
     for j, (px, py) in enumerate(p.positions):
         dx = x - px
         dy = y - py
-        d2 = dx * dx + dy * dy
+        d2 = dx.sqr() + dy.sqr()
         if d2.lo < delta_min ** 2:
             raise CollisionDomain(
                 f"chart range box comes within {delta_min} of primary {j}")

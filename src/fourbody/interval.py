@@ -12,8 +12,10 @@ kernels keep exact results too: ``_iadd_arr`` and ``_pad_sum`` from
 exact summation errors, ``_imul_arr`` from exact product residuals
 inside a magnitude guard.  Outside the guard an array product is
 widened by one ulp unless a factor is zero, while the scalar product
-falls back to rational arithmetic.  Inexact sums are padded with the standard ``n*u/(1-n*u)``
-term.  ``_imul_arr_fast`` and ``_pad_sum_fast`` always widen.
+falls back to rational arithmetic.  Inexact sums are padded with the
+standard ``n*u/(1-n*u)`` term.  ``_imul_arr_fast`` always widens; its
+one caller, ``taylor.product_column``, pads its float sums by that
+term too, row by row.
 
 ``IntervalArray`` holds arrays of real intervals of any shape as one
 (lo, hi) pair, and ``CIntervalArray`` arrays of complex intervals with
@@ -641,25 +643,6 @@ def _padded_cascade(lo: np.ndarray, hi: np.ndarray, g):
                       np.nextafter(out[0] - g * e_abs[0], -np.inf), out[0])
     out_hi = np.where(e_abs[1] > 0.0,
                       np.nextafter(out[1] + g * e_abs[1], np.inf), out[1])
-    return out_lo, out_hi
-
-
-def _pad_sum_fast(lo: np.ndarray, hi: np.ndarray, axis: int):
-    """Cheaper enclosure of interval sums for hot paths.
-
-    Plain float summation padded by the a-priori bound gamma_n * sum of
-    magnitudes; always widens, never loops.
-    """
-    n = lo.shape[axis]
-    s_lo = np.sum(lo, axis=axis)
-    s_hi = np.sum(hi, axis=axis)
-    if n <= 1:
-        return np.asarray(s_lo, dtype=float).copy(), \
-            np.asarray(s_hi, dtype=float).copy()
-    mags = np.sum(np.maximum(np.abs(lo), np.abs(hi)), axis=axis)
-    err = _gamma(n + 1) * mags
-    out_lo = np.nextafter(s_lo - err, -np.inf)
-    out_hi = np.nextafter(s_hi + err, np.inf)
     return out_lo, out_hi
 
 

@@ -24,7 +24,9 @@ that omit every summand containing the unknown coefficient).  The
 column interpreter ``polyfield.FieldColumns``, behind advection,
 ``manifold.field_series`` and every defect and tail bound
 (``polyfield.field_defect``), uses ``product_column``
-(one time-order column, one-ulp products and a-priori padded sums).
+(one time-order column from a cached plan of just the summed pairs,
+one-ulp products, and float sums each padded a priori by the gamma of
+its own row's term count).
 ``cauchy_product`` is the full truncated series by exact sums, one
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
 coefficient; the explicit hat_product_* functions are built on them,
@@ -46,7 +48,6 @@ from .interval import (
     Interval,
     _gamma,
     _imul_arr_fast,
-    _pad_sum_fast,
     _padded_cascade,
     _up,
 )
@@ -210,53 +211,95 @@ def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int
     return CIntervalArray._wrap(lo, hi)
 
 
+@functools.lru_cache(maxsize=256)
+def _column_plan(M: int, n: int, wa: int, wb: int):
+    """Gather plan of ``product_column(a, b, n, M)`` on grids of widths
+    wa and wb.
+
+    Lists the pairs (a_{m-i, n-k}, b_{i, k}), i <= m, k <= n, row m
+    after row m - 1 and i-major within a row, as flat indices into the
+    row-major (real or imaginary) part grids of a and b.  ``starts``
+    holds each row's first pair, and ``g`` the rows' summation bounds
+    for c_m = (m + 1)(n + 1) real summands (g[0]) and for the 2 c_m
+    of a complex row (g[1]).
+    """
+    counts = (np.arange(M + 1) + 1) * (n + 1)
+    starts = np.cumsum(counts) - counts
+    m = np.repeat(np.arange(M + 1), counts)
+    i, k = np.divmod(np.arange(counts.sum()) - starts[m], n + 1)
+    ia = (m - i) * wa + (n - k)
+    ib = i * wb + k
+    g = np.array([[_gamma(int(c) + 1) for c in counts],
+                  [_gamma(2 * int(c) + 1) for c in counts]])
+    for x in (ia, ib, starts, g):
+        x.flags.writeable = False  # shared by every caller of the cache
+    return ia, ib, starts, g
+
+
 def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
                    ) -> CIntervalArray:
     """Column n of the Cauchy product for s-orders 0..M.
 
-    One gathered tensor contraction replaces M + 1 separate coefficient
-    sums; advection consumes whole t-order columns, and the
-    per-coefficient path is too slow there.  Products round outward by
-    one ulp and the sums carry the a-priori gamma padding, so columns
-    are always slightly wider than the exact-sum path.  When both
-    factors are exactly real only the real products are formed.  Both
-    grids must cover s-orders 0..M and t-orders 0..n.  Returns shape
-    (M + 1,).
+    Row m sums the c_m = (m + 1)(n + 1) pairs (a_{m-i, n-k}, b_{i, k}),
+    i <= m, k <= n; a cached plan gathers exactly those pairs, row by
+    row, and one call forms their products and the rows' sums.
+    Advection consumes whole t-order columns, and the per-coefficient
+    path is too slow there.  When both factors are exactly real only
+    the real products are formed.  Both grids must cover s-orders 0..M
+    and t-orders 0..n.  Returns shape (M + 1,); row m depends on m and
+    n only, not on M.
+
+    Theorem: each product is enclosed by ``_imul_arr_fast``, one ulp
+    outward.  A real row sums c = c_m terms x_t, the lower (upper)
+    endpoints of its products; the real part of a complex row sums
+    the c products a_re b_re and the c negated a_im b_im, the
+    imaginary part a_re b_im and a_im b_re, so c = 2 c_m.  A float sum
+    of c terms, in any order, lies within gamma_(c-1) sum |x_t| of the
+    exact sum, gamma_k = k u / (1 - k u) (Rump, Verification methods,
+    Acta Numerica 19 (2010)).  The magnitudes w_t = max(|lo_t|, |hi_t|)
+    are summed in floats too, to W with sum w_t <= W / (1 - gamma_(c-1)),
+    and gamma_(c-1) / (1 - gamma_(c-1)) <= gamma_(c+1) while
+    (c^2 - 1) u <= 2.  So the exact endpoint sums lie within
+    gamma_(c+1) W of the float ones: each row is padded by that,
+    ``_gamma`` rounding gamma up with room for the relative rounding
+    of the product gamma W, and then stepped one ulp outward.  Float
+    sums meet their bound under gradual underflow too; the product
+    gamma W can lose up to 2^-1075 to underflow, and since the float
+    sum and the padding are multiples of 2^-1074, the one-ulp step
+    covers that loss as well as the rounding of the padding's
+    addition.  A row of a single product (row 0 of column 0, real
+    factors) is that product's enclosure.
     """
     Ma, Na = a.orders
     Mb, Nb = b.orders
     if min(Ma, Mb) < M or min(Na, Nb) < n:
         raise ValueError("factor grids do not cover the requested column")
-    real = not (a.lo[1].any() or a.hi[1].any() or b.lo[1].any()
-                or b.hi[1].any())
+    real = not (np.count_nonzero(a.lo[1]) or np.count_nonzero(a.hi[1])
+                or np.count_nonzero(b.lo[1]) or np.count_nonzero(b.hi[1]))
     parts = 1 if real else 2
-    rows = np.arange(M + 1)
-    dif = rows[:, None] - rows[None, :]
-    mask = (dif >= 0)[:, :, None]
-    idx = np.where(dif >= 0, dif, 0)
-    alo, ahi = (np.where(mask, x[:parts, : M + 1, n::-1][:, idx], 0.0)
+    ia, ib, starts, g = _column_plan(M, n, Na + 1, Nb + 1)
+    # one product per (a part, b part): [re, re], [re, im], [im, re], [im, im]
+    alo, ahi = (x.reshape(2, -1)[:parts, None].take(ia, axis=-1)
                 for x in (a.lo, a.hi))
-    blo, bhi = (x[:parts, None, : M + 1, : n + 1] for x in (b.lo, b.hi))
-    # summands of each row of the column, (a part, b part, sign):
-    # real ar*br - ai*bi and imaginary ar*bi + ai*br
-    terms = ((((0, 0, 1.0),),) if real else
-             (((0, 0, 1.0), (1, 1, -1.0)), ((0, 1, 1.0), (1, 0, 1.0))))
-    K = (M + 1) * (n + 1)
-    slo = np.empty((parts, M + 1, parts * K))
-    shi = np.empty_like(slo)
-    for r, row in enumerate(terms):
-        for t, (i, j, sign) in enumerate(row):
-            plo, phi = _imul_arr_fast(alo[i], ahi[i], blo[j], bhi[j])
-            if sign < 0.0:
-                plo, phi = -phi, -plo
-            slo[r, :, t * K:(t + 1) * K] = plo.reshape(M + 1, K)
-            shi[r, :, t * K:(t + 1) * K] = phi.reshape(M + 1, K)
-    # free the gathered blocks: at high orders the sums need the room
-    del alo, ahi, plo, phi
-    lo, hi = np.zeros((2, 2, M + 1))
-    for r in range(parts):
-        lo[r], hi[r] = _pad_sum_fast(slo[r], shi[r], axis=1)
-    return CIntervalArray._wrap(lo, hi)
+    blo, bhi = (x.reshape(2, -1)[None, :parts].take(ib, axis=-1)
+                for x in (b.lo, b.hi))
+    plo, phi = _imul_arr_fast(alo, ahi, blo, bhi)
+    # max(-lo, hi) is max(|lo|, |hi|) since lo <= hi
+    slo, shi, mag = (np.add.reduceat(x, starts, axis=-1)
+                     for x in (plo, phi, np.maximum(-plo, phi)))
+    if real:
+        lo, hi = np.zeros((2, 2, M + 1))
+        err = g[0] * mag[0, 0]
+        lo[0] = np.nextafter(slo[0, 0] - err, -np.inf)
+        hi[0] = np.nextafter(shi[0, 0] + err, np.inf)
+        if n == 0:
+            lo[0, 0], hi[0, 0] = plo[0, 0, 0], phi[0, 0, 0]
+        return CIntervalArray._wrap(lo, hi)
+    lo = np.stack((slo[0, 0] - shi[1, 1], slo[0, 1] + slo[1, 0]))
+    hi = np.stack((shi[0, 0] - slo[1, 1], shi[0, 1] + shi[1, 0]))
+    err = g[1] * np.stack((mag[0, 0] + mag[1, 1], mag[0, 1] + mag[1, 0]))
+    return CIntervalArray._wrap(np.nextafter(lo - err, -np.inf),
+                                np.nextafter(hi + err, np.inf))
 
 
 def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,

@@ -11,6 +11,7 @@ from fourbody.advect import (
     FlowChart,
     _arc_series,
     _defect_bound,
+    check_collision,
     choose_tau,
     collapse_time_one,
     flow_line,
@@ -420,6 +421,31 @@ class TestRangeBox:
             dx = box[0] - px
             dy = box[2] - py
             assert (dx * dx + dy * dy).lo > 0.05 ** 2
+
+
+class TestCheckCollision:
+    @staticmethod
+    def _segment_chart(x0, half_width, y0):
+        """A chart whose position runs along x0 + half_width * s at
+        height y0, every other component zero."""
+        comps = [ScalarSeries2.zeros(1, 0) for _ in range(7)]
+        comps[0][0, 0] = CInterval(x0)
+        comps[0][1, 0] = CInterval(half_width)
+        comps[2][0, 0] = CInterval(y0)
+        return FlowChart(Series2(tuple(comps)), kind="stable")
+
+    def test_range_straddling_a_primary_x_passes(self, setup):
+        # x spans the primary's x, y stays 0.3 above it: the squared
+        # distance is at least 0.09, not negative
+        _, pc = setup
+        px, py = (c.mid for c in pc.positions[0])
+        check_collision(self._segment_chart(px, 0.5, py + 0.3), pc)
+
+    def test_range_over_a_primary_raises(self, setup):
+        _, pc = setup
+        px, py = (c.mid for c in pc.positions[0])
+        with pytest.raises(CollisionDomain, match="primary 0"):
+            check_collision(self._segment_chart(px, 0.01, py), pc)
 
 
 class TestAgainstReference:

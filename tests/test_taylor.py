@@ -20,6 +20,7 @@ from fourbody.interval import (
 from fourbody.taylor import (
     ScalarSeries2,
     Series2,
+    _column_plan,
     antidiagonal,
     cauchy_product,
     conj_symmetry_check,
@@ -169,6 +170,129 @@ class TestCauchyProduct:
             product_column(a, a, 1, 5)
         with pytest.raises(ValueError):
             product_column(a, a, 4, 2)
+
+
+def _exact_column(a, b, n, M):
+    """Column n of the product for rows 0..M in exact rational
+    interval arithmetic: per row, the (lo, hi) Fractions of the real
+    and imaginary parts of sum (a_re + i a_im)(b_re + i b_im) over the
+    row's pairs, each part product the exact range of its four
+    endpoint products."""
+    def iv(s, part, m, k):
+        return (Fraction(s.lo[part, m, k]), Fraction(s.hi[part, m, k]))
+
+    def mul(x, y):
+        ps = [p * q for p in x for q in y]
+        return min(ps), max(ps)
+
+    rows = []
+    for m in range(M + 1):
+        re, im = [Fraction(0)] * 2, [Fraction(0)] * 2
+        for i in range(m + 1):
+            for k in range(n + 1):
+                ar, ai = iv(a, 0, m - i, n - k), iv(a, 1, m - i, n - k)
+                br, bi = iv(b, 0, i, k), iv(b, 1, i, k)
+                rr, ii = mul(ar, br), mul(ai, bi)
+                ri, ir = mul(ar, bi), mul(ai, br)
+                re = [re[0] + rr[0] - ii[1], re[1] + rr[1] - ii[0]]
+                im = [im[0] + ri[0] + ir[0], im[1] + ri[1] + ir[1]]
+        rows.append((re, im))
+    return rows
+
+
+# exact zeros, subnormals, ordinary values, magnitudes near 1e150, and
+# values whose products cancel in the float sums
+_COLUMN_VALUES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -3e-310]),
+    st.sampled_from([1.0, -1.0, 3.0, 2.0 ** 60, -(2.0 ** 60)]),
+    st.floats(-4.0, 4.0),
+    st.builds(lambda x, neg: -x if neg else x,
+              st.floats(1e149, 9e150), st.booleans()))
+
+
+@st.composite
+def _interval_grid(draw, M, N, real):
+    """A ScalarSeries2 on the (M, N) grid whose endpoints are drawn from
+    ``_COLUMN_VALUES``; exactly real when ``real``."""
+    shape = (2, M + 1, N + 1)
+    vals = st.lists(_COLUMN_VALUES, min_size=2 * (M + 1) * (N + 1),
+                    max_size=2 * (M + 1) * (N + 1))
+    ends = [np.array(draw(vals)).reshape((2,) + shape[1:])
+            for _ in range(2 - real)]
+    lo = np.zeros(shape)
+    hi = np.zeros(shape)
+    for part, e in enumerate(ends):
+        lo[part], hi[part] = np.minimum(*e), np.maximum(*e)
+    return ScalarSeries2._wrap(lo, hi)
+
+
+class TestProductColumn:
+    """``product_column`` against exact rational arithmetic, and the
+    properties its per-row padding promises."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_enclose_exact_column(self, data):
+        real = data.draw(st.booleans())
+        Ma, Na, Mb, Nb = (data.draw(st.integers(0, 3)) for _ in range(4))
+        a = data.draw(_interval_grid(Ma, Na, real))
+        b = data.draw(_interval_grid(Mb, Nb, real))
+        M = min(Ma, Mb)
+        for n in range(min(Na, Nb) + 1):
+            col = product_column(a, b, n, M)
+            assert col.shape == (M + 1,)
+            for m, parts in enumerate(_exact_column(a, b, n, M)):
+                for p, (lo, hi) in enumerate(parts):
+                    assert Fraction(col.lo[p, m]) <= lo
+                    assert Fraction(col.hi[p, m]) >= hi
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_padding_covers_float_summation(self, real):
+        # point coefficients over 60 binades: in some rows the float
+        # sum errs by more than the products' one-ulp steps cover, so
+        # those rows rest on the gamma padding
+        rng = np.random.default_rng(3 + real)
+        M, N = 4, 24
+
+        def grid():
+            g = rng.standard_normal((M + 1, N + 1)) * 2.0 ** rng.integers(
+                -30, 30, (M + 1, N + 1))
+            if not real:
+                g = g + 1j * rng.standard_normal((M + 1, N + 1)) \
+                    * 2.0 ** rng.integers(-30, 30, (M + 1, N + 1))
+            return ScalarSeries2.from_complex_points(g)
+
+        for _ in range(40):
+            a, b = grid(), grid()
+            col = product_column(a, b, N, M)
+            for m, parts in enumerate(_exact_column(a, b, N, M)):
+                for p, (lo, hi) in enumerate(parts):
+                    assert Fraction(col.lo[p, m]) <= lo
+                    assert Fraction(col.hi[p, m]) >= hi
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_rows_do_not_depend_on_column_length(self, real):
+        rng = np.random.default_rng(11 + real)
+        grid = rng.standard_normal((9, 7))
+        if not real:
+            grid = grid + 1j * rng.standard_normal((9, 7))
+        a = TestProductAntidiagonal._widen(
+            ScalarSeries2.from_complex_points(grid), rng, real=real)
+        b = ScalarSeries2.from_complex_points(grid[::-1, ::-1] * 1e-2)
+        for n in range(7):
+            full = product_column(a, b, n, 8)
+            for M in range(9):
+                col = product_column(a, b, n, M)
+                assert np.array_equal(col.lo, full.lo[:, : M + 1])
+                assert np.array_equal(col.hi, full.hi[:, : M + 1])
+
+    def test_plan_arrays_are_read_only(self):
+        for plan in (_column_plan(4, 3, 6, 5), _column_plan(0, 0, 1, 1)):
+            for x in plan:
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[...] = 0
 
 
 class TestHatProducts:
