@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .crfbp import MassTriple, PrimaryConfig, field_point
-from .errors import CollisionDomain, StepFailure, SymmetryViolation
+from .errors import CollisionDomain, StepFailure
 from .interval import (
     CIntervalArray,
     Interval,
@@ -124,23 +124,24 @@ def taylor_flow(gamma: Series2,
 def _arc_series(arc: BoundaryArc, M: int) -> Series2:
     """Arc coefficients as an exactly real series padded to order M.
 
-    The true arc is a real-analytic curve, so its coefficients are
-    real: every imaginary enclosure must straddle zero and is replaced
-    by exact zero, which keeps all downstream grids exactly real.
+    Arcs from ``boundary_mesh`` and ``collapse_time_one`` arrive real,
+    with exactly zero imaginary grids.  Any arc passes
+    ``BoundaryArc.real_part``: the true arc is a real-analytic curve,
+    so every imaginary enclosure must straddle zero, or
+    SymmetryViolation is raised, and is replaced by exact zero, which
+    keeps all downstream grids exactly real.
     """
     Ma, Na = arc.gamma.orders
     if Na != 0:
         raise ValueError("boundary arc must have time order 0")
     if M < Ma:
         raise ValueError(f"spatial order {M} is below the arc order {Ma}")
+    coef = arc.real_part()
     comps = []
-    for i, c in enumerate(arc.gamma.components):
-        if np.any(c.lo[1] > 0.0) or np.any(c.hi[1] < 0.0):
-            raise SymmetryViolation(
-                f"arc component {i} has an imaginary part excluding zero")
+    for lo, hi in zip(coef.lo, coef.hi):
         real = ScalarSeries2.zeros(M, 0)
-        real.lo[0, : Ma + 1] = c.lo[0]
-        real.hi[0, : Ma + 1] = c.hi[0]
+        real.lo[0, : Ma + 1, 0] = lo
+        real.hi[0, : Ma + 1, 0] = hi
         comps.append(real)
     return Series2(tuple(comps), scale=arc.gamma.scale, tau=1.0,
                    real_symmetric=False, tail=arc.gamma.tail)

@@ -15,7 +15,6 @@ repr-based float formatting of the json module.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -26,10 +25,10 @@ from .advect import (FlowChart, check_collision, choose_tau,
                      collapse_time_one, flow_line)
 from .crfbp import MassTriple, PrimaryConfig, primaries
 from .errors import CollisionDomain, SchemaVersionMismatch, SubdivisionLimit
-from .interval import CInterval, CIntervalArray, Interval
-from .manifold import BoundaryArc, LocalManifold, _mul_linear, boundary_mesh
+from .interval import IntervalArray
+from .manifold import BoundaryArc, LocalManifold, boundary_mesh
 from .polyfield import DIM
-from .taylor import ScalarSeries2, Series2
+from .taylor import ScalarSeries2, Series2, compose_affine
 
 SCHEMA_VERSION = 1
 
@@ -50,6 +49,15 @@ class ArcRecord:
     arc_time: float = 0.0
     parent_chart: Optional[int] = None
     split_from: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class StopReason:
+    """Why an arc was retired: the ``CollisionDomain`` message of its
+    last tau attempt, and how many attempts it had."""
+
+    message: str
+    tau_attempts: int
 
 
 @dataclass(frozen=True)
@@ -97,18 +105,22 @@ def arc_length(arc: BoundaryArc) -> float:
 def _affine_arc(arc: BoundaryArc, c: float, d: float) -> BoundaryArc:
     """Reparameterize by s = c + d sigma with rigorous coefficients.
 
-    The sup bound carried in the tail holds on the whole parent
-    domain, so the restriction inherits it unchanged.
+    One real Horner pass (``taylor.compose_affine``) over the arc's
+    real grid, ``BoundaryArc.real_part``, which raises
+    SymmetryViolation if an imaginary enclosure excludes zero; the
+    halves have exactly zero imaginary grids.  The sup bound carried
+    in the tail holds on the whole parent domain, so the restriction
+    inherits it unchanged.
     """
-    M = arc.gamma.orders[0]
-    # coef[i, mm]: coefficient mm of component i
-    coef = CIntervalArray.of([q[:, 0] for q in arc.gamma.components])
-    acc = ScalarSeries2.zeros(M, DIM - 1)
-    acc[0] = coef[:, M]
-    for mm in range(M - 1, -1, -1):
-        acc = _mul_linear(acc, c, d, M)
-        acc[0] = acc[0] + coef[:, mm]
-    out = tuple(acc[:, i:i + 1] for i in range(DIM))
+    coef = arc.real_part()
+    # coefficient k of component i at [k, i]
+    rows = IntervalArray(coef.lo.T, coef.hi.T)
+    acc = compose_affine([rows[k: k + 1] for k in range(rows.shape[0])],
+                         c, d)
+    zero = np.zeros_like(acc.lo)
+    grid = ScalarSeries2._wrap(np.stack((acc.lo, zero)),
+                               np.stack((acc.hi, zero)))
+    out = tuple(grid[:, i:i + 1] for i in range(DIM))
     gamma = Series2(out, scale=arc.gamma.scale, tau=1.0,
                     real_symmetric=False, tail=arc.gamma.tail)
     preimage = None
@@ -144,7 +156,8 @@ class Atlas:
     Charts point to the arcs they grew from; arcs point to the chart
     whose edge produced them, or to the arc they were split from during
     remeshing.  Arcs retired by the collision guard are kept in
-    ``stopped``.
+    ``stopped``, and ``stop_reasons`` maps each arc retired by this
+    atlas object to a ``StopReason``; it is not saved.
     """
 
     def __init__(self, kind: str, masses: MassTriple,
@@ -158,6 +171,7 @@ class Atlas:
         self.charts: dict[int, ChartRecord] = {}
         self.frontier: list[int] = []
         self.stopped: list[int] = []
+        self.stop_reasons: dict[int, StopReason] = {}
         self.meta: dict = dict(meta or {})
         self._next_arc = 0
         self._next_chart = 0
@@ -259,7 +273,9 @@ class Atlas:
                 tau_retries: int) -> Optional[FlowChart]:
         base = tau if tau is not None else \
             choose_tau(piece.arc, self.m, self.p, orders[0])
-        for attempt in range(tau_retries + 1):
+        attempts = range(tau_retries + 1)
+        reason = ""
+        for attempt in attempts:
             try:
                 chart = flow_line(
                     piece.arc, self.m, self.p, orders=orders,
@@ -268,8 +284,10 @@ class Atlas:
                     start_time=piece.arc_time)
                 check_collision(chart, self.p, delta_min=delta_min)
                 return chart
-            except CollisionDomain:
-                continue
+            except CollisionDomain as err:
+                reason = str(err)
+        self.stop_reasons[piece.arc_id] = StopReason(
+            message=reason, tau_attempts=len(attempts))
         return None
 
     # -- persistence
@@ -315,27 +333,6 @@ class Atlas:
             rec = _chart_from_json(d)
             atlas.charts[rec.chart_id] = rec
         return atlas
-
-    # -- export
-
-    def export_csv(self, path, n_s: int = 5, n_t: int = 5) -> None:
-        """Midpoint samples of every chart on an (s, t) grid.
-
-        Time samples run over [0, 1]: the advected region between the
-        source arc and the frontier edge.
-        """
-        with open(path, "w", newline="") as f:
-            wr = csv.writer(f)
-            wr.writerow(["chart_id", "s", "t", "x", "xdot", "y", "ydot"])
-            for rec in sorted(self.charts.values(),
-                              key=lambda r: r.chart_id):
-                for s in np.linspace(-1.0, 1.0, n_s):
-                    zs = CInterval(Interval.from_value(float(s)))
-                    for t in np.linspace(0.0, 1.0, n_t):
-                        zt = CInterval(Interval.from_value(float(t)))
-                        vals = rec.chart.Gamma.eval_box(zs, zt)
-                        wr.writerow([rec.chart_id, float(s), float(t),
-                                     *(vals[i].re.mid for i in range(4))])
 
 
 # ---------------------------------------------------------------------------

@@ -589,6 +589,30 @@ def _gamma(n: int) -> float:
     return _up((t / (1.0 - t)) * (1.0 + 2.0 ** -30))
 
 
+def _nonneg_upper(value: float, k: int, products: int = 0) -> float:
+    """Upper bound on an exact nonnegative quantity from its float
+    evaluation ``value``: sums of products of sums of nonnegative
+    floats, in which every exact summand passes through at most k
+    rounded operations and at most ``products`` products (or fused
+    multiply-adds) are formed.
+
+    Theorem: a float addition of nonnegative operands returns at least
+    (1 - u) times its exact result, and never loses to underflow; a
+    product returns at least (1 - u) times its exact result less
+    2^-1075, the most a result rounded into the subnormal range loses
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 2.2).  So, in any evaluation order, the value is at least
+    (1 - u)^k times the exact one less products * 2^-1075, and
+    (1 - u)^-k <= 1 + gamma_k.  The exact quantity is therefore at most
+    (value + products * 2^-1074) (1 + gamma_k), each step rounded up.
+    """
+    if products:
+        value = _up(value + products * 2.0 ** -1074)
+    if value == 0.0:
+        return 0.0
+    return _up(value + _up(value * _gamma(k)))
+
+
 def _cascade_sum(x: np.ndarray):
     """Sequential sum with exact per-step errors (vectorized TwoSum).
 
@@ -690,14 +714,17 @@ def _imul_arr(alo, ahi, blo, bhi):
     the guard p is stepped outward unless a factor is an exact zero,
     and an overflow is clamped to the largest finite float on the side
     the true product cannot reach.  Products that are exactly
-    representable stay exact.
+    representable stay exact.  A point factor, passed as the same
+    object for ``blo`` and ``bhi``, gives only the two distinct
+    candidates, and the same endpoints.
     """
     a = np.stack(np.broadcast_arrays(alo, ahi))
-    b = np.stack(np.broadcast_arrays(blo, bhi))
+    b = (np.asarray(blo, dtype=float)[None] if blo is bhi
+         else np.stack(np.broadcast_arrays(blo, bhi)))
     nd = max(a.ndim, b.ndim) - 1
     # candidates (lo, lo), (lo, hi), (hi, lo), (hi, hi) on two leading axes
     a = a.reshape((2, 1) + (1,) * (nd + 1 - a.ndim) + a.shape[1:])
-    b = b.reshape((1, 2) + (1,) * (nd + 1 - b.ndim) + b.shape[1:])
+    b = b.reshape((1, len(b)) + (1,) * (nd + 1 - b.ndim) + b.shape[1:])
     with np.errstate(invalid="ignore", over="ignore"):
         p = a * b
         e = _prod_err_arr(a, b, p)
@@ -713,7 +740,7 @@ def _imul_arr(alo, ahi, blo, bhi):
                      np.where(floor > 0.0, _MAXF, floor))
     ceil = np.where(np.isfinite(ceil), ceil,
                     np.where(ceil < 0.0, -_MAXF, ceil))
-    shape = (4,) + p.shape[2:]
+    shape = (-1,) + p.shape[2:]
     return (np.minimum.reduce(floor.reshape(shape), axis=0),
             np.maximum.reduce(ceil.reshape(shape), axis=0))
 
@@ -798,6 +825,12 @@ class IntervalArray:
 
     def __neg__(self) -> "IntervalArray":
         return IntervalArray(-self.hi, -self.lo)
+
+    def __mul__(self, c) -> "IntervalArray":
+        """Entrywise product with an Interval or a float, by
+        ``_imul_arr``."""
+        c = Interval._coerce(c)
+        return IntervalArray(*_imul_arr(self.lo, self.hi, c.lo, c.hi))
 
     def __matmul__(self, other: "IntervalArray") -> "IntervalArray":
         if self.shape[-1] != other.shape[0]:

@@ -32,13 +32,26 @@ product of its box at scale 1 with a box enclosing s^(m+n)
 (``Series2.rescale``).  For every eigenvector in the unit data's box,
 that product contains the exact coefficient at scale s.
 
-The rest of the module extracts real charts from the complex conjugate
-parameterization and meshes the fundamental-domain boundary into
-secant arcs with a parameter-plane transversality certificate.
+Everything downstream of P is real.  On z2 = conj(z1), P is the real
+chart Q(s1, s2) = P(s1 + i s2, s1 - i s2), a real polynomial of total
+degree 2N, built once per manifold (``LocalManifold.Q``) one total
+degree d at a time: Q_d = Re(T_d a_d), with a_d the degree-d
+antidiagonal of P and T_d[j, m] the coefficient of s1^j s2^(d-j) in
+(s1 + i s2)^m (s1 - i s2)^(d-m).  Theorem: the entries of T_d are
+Gaussian integers of modulus at most 2^d, exact floats while d <= 53
+and enclosed by neighbouring floats beyond; the products are exact
+interval products and the sums padded, so Q encloses the exact chart.
+For the exact, conjugate-symmetric solution Im(T_d a_d) = 0, so its
+enclosure must straddle zero, or SymmetryViolation is raised.
+``real_chart`` evaluates Q, and ``boundary_mesh`` meshes the
+fundamental-domain boundary into secant chords with a parameter-plane
+transversality certificate and composes Q with them by real Horner,
+so the mesh arcs are real from birth.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,12 +59,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .crfbp import EigenData, MassTriple, PrimaryConfig, State4, eigen_data
-from .errors import FourbodyError, SymmetryViolation, TangencyDetected
+from .errors import (DomainExceeded, FourbodyError, SymmetryViolation,
+                     TangencyDetected)
 from .interval import (
     CInterval,
     CIntervalArray,
     Interval,
     IntervalArray,
+    _imul_arr,
+    _pad_sum,
     verified_solve_complex,
 )
 from .nk import certify_equilibrium
@@ -63,6 +79,7 @@ from .taylor import (
     Series2,
     _fit,
     antidiagonal,
+    compose_affine,
     mag_sum_bound,
     product_antidiagonal,
     product_coeff,  # noqa: F401  (uncalled; see below)
@@ -103,6 +120,15 @@ class LocalManifold:
     def order(self) -> int:
         return self.P.orders[0]
 
+    @functools.cached_property
+    def Q(self) -> IntervalArray:
+        """The real chart Q(s1, s2) = P(s1 + i s2, s1 - i s2): coefficient
+        of s1^j s2^k of component i at [i, j, k], shape
+        (7, 2N + 1, 2N + 1), built on first use by ``_real_series``,
+        which raises SymmetryViolation if the imaginary part of Q
+        cannot be zero."""
+        return _real_series(self.P)
+
 
 @dataclass(frozen=True)
 class BoundaryArc:
@@ -114,6 +140,23 @@ class BoundaryArc:
     # chord endpoints in the z1 disk; None for arcs collapsed from
     # advected charts, whose preimage is no longer a chord
     preimage: Optional[tuple[complex, complex]] = None
+
+    def real_part(self) -> IntervalArray:
+        """The coefficients as a real array of shape (DIM, M_arc + 1).
+
+        The true arc is a real-analytic curve, so its coefficients are
+        real: every imaginary enclosure must straddle zero, or
+        SymmetryViolation is raised.  Arcs from ``boundary_mesh`` and
+        from advected charts have exactly zero imaginary grids; an
+        arc loaded from elsewhere may not.
+        """
+        for i, c in enumerate(self.gamma.components):
+            if np.any(c.lo[1] > 0.0) or np.any(c.hi[1] < 0.0):
+                raise SymmetryViolation(
+                    f"arc component {i} has an imaginary part excluding zero")
+        return IntervalArray(
+            np.stack([c.lo[0, :, 0] for c in self.gamma.components]),
+            np.stack([c.hi[0, :, 0] for c in self.gamma.components]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,27 +383,108 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
 
 
 # ---------------------------------------------------------------------------
-# real charts
+# the real chart
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_transform(d: int) -> CIntervalArray:
+    """Enclosure of T_d, shape (d + 1, d + 1): entry (j, m) is the
+    coefficient of s1^j s2^(d-j) in (s1 + i s2)^m (s1 - i s2)^(d-m).
+
+    Expanding both binomials, the coefficient of s2^k, k = d - j, is
+    (-i)^k sum_p (-1)^p C(m, p) C(d - m, k - p), a Gaussian integer
+    formed here in Python integers.  Its modulus is at most C(d, k)
+    <= 2^d, so it is an exact float pair while d <= 53; a part that is
+    not is enclosed by its two neighbouring floats.
+    """
+    lo = np.zeros((2, d + 1, d + 1))
+    hi = np.zeros((2, d + 1, d + 1))
+    for m in range(d + 1):
+        for j in range(d + 1):
+            k = d - j
+            # (-i)^k: 1, -i, -1, i
+            part, sign = ((0, 1), (1, -1), (0, -1), (1, 1))[k % 4]
+            v = sign * sum((-1) ** p * math.comb(m, p)
+                           * math.comb(d - m, k - p)
+                           for p in range(max(0, k - d + m), min(m, k) + 1))
+            # Python compares the int v and the float x exactly
+            x = float(v)
+            lo[part, j, m] = x if x <= v else math.nextafter(x, -math.inf)
+            hi[part, j, m] = x if x >= v else math.nextafter(x, math.inf)
+    for x in (lo, hi):
+        x.flags.writeable = False  # shared by every caller of the cache
+    return CIntervalArray._wrap(lo, hi)
+
+
+def _real_series(P: Series2) -> IntervalArray:
+    """Coefficients of the real chart Q(s1, s2) = P(s1 + i s2, s1 - i s2)
+    as a real array of shape (DIM, 2N + 1, 2N + 1), coefficient of
+    s1^j s2^k at [i, j, k], zero past the triangle j + k <= 2N.
+
+    Degree by degree, Q_d = Re(T_d a_d), with T_d from
+    ``_chart_transform`` and a_d the degree-d antidiagonal of P's
+    (N, N) grid; the terms Re(T) Re(a) and -Im(T) Im(a) are exact
+    ``_imul_arr`` products summed by one ``_pad_sum``.  Since
+    a_nm = conj(a_mn) for the exact solution, Im(T_d a_d) is zero: its
+    enclosure, formed alike, must straddle zero, or SymmetryViolation
+    is raised.
+    """
+    N = P.orders[0]
+    a = CIntervalArray.of(P.components)
+    lo = np.zeros((DIM, 2 * N + 1, 2 * N + 1))
+    hi = np.zeros_like(lo)
+    for d in range(2 * N + 1):
+        ms, ns = antidiagonal(N, N, d)
+        T = _chart_transform(d)[:, ms]
+        ad = a[:, ms, ns]
+        # terms T_re a_re, T_im a_im, T_re a_im, T_im a_re on axes
+        # (term kind, component, j, slot)
+        t, u = [0, 1, 0, 1], [0, 1, 1, 0]
+        plo, phi = _imul_arr(T.lo[t, None], T.hi[t, None],
+                             ad.lo[u, :, None], ad.hi[u, :, None])
+        im_lo, im_hi = _pad_sum(np.concatenate((plo[2], plo[3]), axis=-1),
+                                np.concatenate((phi[2], phi[3]), axis=-1),
+                                axis=-1)
+        bad = np.argwhere((im_lo > 0.0) | (im_hi < 0.0))
+        if bad.size:
+            i, j = bad[0]
+            raise SymmetryViolation(
+                f"component {i}, coefficient of s1^{j} s2^{d - j}: "
+                f"imaginary part [{im_lo[i, j]}, {im_hi[i, j]}] excludes zero")
+        js = np.arange(d + 1)
+        lo[:, js, d - js], hi[:, js, d - js] = _pad_sum(
+            np.concatenate((plo[0], -phi[1]), axis=-1),
+            np.concatenate((phi[0], -plo[1]), axis=-1), axis=-1)
+    return IntervalArray(lo, hi)
 
 
 def real_chart(M: LocalManifold, sigma1, sigma2) -> IntervalArray:
     """Evaluate the real conjugacy Q(sigma) = P(s1 + i s2, s1 - i s2).
 
-    By conjugate symmetry the value is real; the imaginary enclosure
-    must straddle zero and the real part is returned.  Raises
-    SymmetryViolation otherwise.  Kept for the proof of homoclinic
-    connections, which matches real charts of the two manifolds.
+    Real Horner on ``M.Q``, the series of Q, first in s2 for every
+    power of s1, then in s1; the value is padded by the manifold tail,
+    which bounds P over the unit polydisc, where |s1 + i s2| <= 1
+    puts the point.  Building Q checks that its imaginary part
+    straddles zero and raises SymmetryViolation otherwise.  Kept for
+    the proof of homoclinic connections, which matches real charts of
+    the two manifolds.
     """
     s1 = Interval._coerce(sigma1)
     s2 = Interval._coerce(sigma2)
-    z1 = CInterval(s1, s2)
-    z2 = CInterval(s1, -s2)
-    vals = M.P.eval_box(z1, z2)
-    for i, v in enumerate(vals):
-        if not v.im.straddles_zero():
-            raise SymmetryViolation(
-                f"component {i}: imaginary part {v.im} excludes zero")
-    return IntervalArray.of([v.re for v in vals])
+    r = CInterval(s1, s2).abs().hi
+    if r > 1.0 + 1e-12:
+        raise DomainExceeded(
+            f"evaluation point leaves the unit disk: |sigma| up to {r}")
+    Q = M.Q
+    D = Q.shape[1] - 1
+    rows = Q[:, :, D]
+    for k in range(D - 1, -1, -1):
+        rows = rows * s2 + Q[:, :, k]
+    v = rows[:, D]
+    for j in range(D - 1, -1, -1):
+        v = v * s1 + rows[:, j]
+    t = M.P.tail
+    return v + IntervalArray(np.full(DIM, -t), np.full(DIM, t))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +496,15 @@ def boundary_mesh(M: LocalManifold, R: float = 0.99, n_arcs: int = 20,
     """Secant-chord mesh of the circle |z1| = R, pushed through P.
 
     Chord j runs from R e^(2 pi i j / n) to the next vertex,
-    parameterized over s in [-1, 1]; composing with P gives a
-    polynomial arc of degree at most 2N, stored to ``arc_order``
-    (default exactly 2N).  Dropping higher chord-degrees, when
+    parameterized over s in [-1, 1] as z1 = c + h s with the float
+    points c (midpoint) and h (half chord).  On z2 = conj(z1), P is
+    the real chart Q at sigma = (Re z1, Im z1), so each arc is
+    Q(Re c + Re h s, Im c + Im h s), a real polynomial of degree at
+    most 2N, by one real Horner pass over every chord at once
+    (``_chord_arcs``); building ``M.Q`` checks that its imaginary part
+    straddles zero and raises SymmetryViolation otherwise.  Arcs are
+    stored to ``arc_order`` (default exactly 2N) with exactly zero
+    imaginary grids.  Dropping higher chord-degrees, when
     ``arc_order`` is smaller, adds the exact sum of dropped coefficient
     magnitudes to the arc tail.  Each chord must pass the
     parameter-plane transversality check: the flux of the linear field
@@ -396,7 +526,14 @@ def boundary_mesh(M: LocalManifold, R: float = 0.99, n_arcs: int = 20,
     chords = [(verts[k], verts[(k + 1) % n_arcs]) for k in range(n_arcs)]
     for p0, p1 in chords:
         _check_chord_flux(M, p0, p1)
-    acc = _compose_chords(M.P, chords, deg)
+    c = np.array([[z.real, z.imag] for z in (0.5 * (p0 + p1)
+                                             for p0, p1 in chords)])
+    h = np.array([[z.real, z.imag] for z in (0.5 * (p1 - p0)
+                                             for p0, p1 in chords)])
+    real = _chord_arcs(M.Q, c, h)
+    zero = np.zeros_like(real.lo)
+    acc = ScalarSeries2._wrap(np.stack((real.lo, zero)),
+                              np.stack((real.hi, zero)))
     arcs = []
     for k, (p0, p1) in enumerate(chords):
         comps = []
@@ -428,52 +565,28 @@ def _check_chord_flux(M: LocalManifold, p0: complex, p1: complex) -> None:
                 f"{'outflowing' if want_positive else 'inflowing'}")
 
 
-def _mul_linear(H: ScalarSeries2, c0, c1, deg: int) -> ScalarSeries2:
-    """Product with (c0 + c1 s) along the first axis, truncated at deg.
+def _chord_arcs(Q: IntervalArray, c: np.ndarray, h: np.ndarray
+                ) -> IntervalArray:
+    """Q along every line sigma = c[k] + h[k] s, c and h of shape
+    (chords, 2), as one real Horner pass over a stack whose column
+    k * DIM + i is component i along chord k.
 
-    Works on stacked grids of deg + 1 rows whose columns are
-    independent series; c0 and c1 are floats, CIntervals, or one-row
-    grids of per-column values.
+    For each power j of s1 an inner ``taylor.compose_affine`` pass in
+    s2 gives rows[j] = sum_k q_jk s2(s)^k, of degree D - j; the outer
+    pass composes those in s1.  Stacking the inner passes over j
+    instead would multiply the triangle's zeros, almost three times
+    the rows.  Per-column points broadcast, so every column equals a
+    pass over its chord alone.  Returns shape (D + 1, chords * DIM),
+    row r the s^r coefficient.
     """
-    shift = ScalarSeries2.zeros(*H.orders)
-    shift[1:] = (H * c1)[:deg]
-    return H * c0 + shift
-
-
-def _compose_chords(P: Series2, chords: Sequence[tuple[complex, complex]],
-                    deg: int) -> ScalarSeries2:
-    """P along every chord z1 = mid + half s, z2 = conj(z1), s in [-1, 1].
-
-    One nested Horner pass over a stacked grid whose rows are
-    chord-parameter degrees 0..deg and whose column k * DIM + i is
-    component i along chord k; per-column chord constants broadcast,
-    so every column equals a Horner pass over its chord alone.
-    """
-    N = P.orders[0]
-    n = len(chords)
-
-    def per_column(zs) -> ScalarSeries2:
-        return ScalarSeries2.from_complex_points(
-            np.repeat(np.array(zs, dtype=complex), DIM)[None])
-
-    a0 = per_column([0.5 * (p0 + p1) for p0, p1 in chords])
-    a1 = per_column([0.5 * (p1 - p0) for p0, p1 in chords])
-    b0 = per_column([(0.5 * (p0 + p1)).conjugate() for p0, p1 in chords])
-    b1 = per_column([(0.5 * (p1 - p0)).conjugate() for p0, p1 in chords])
-    # coef[k * DIM + i, mm, nn]: coefficient (mm, nn) of component i,
-    # repeated for every chord k
-    coef = CIntervalArray.of(P.components)[np.tile(np.arange(DIM), n)]
-
-    rows = []
-    for mm in range(N + 1):
-        acc = ScalarSeries2.zeros(deg, n * DIM - 1)
-        acc[0] = coef[:, mm, N]
-        for nn in range(N - 1, -1, -1):
-            acc = _mul_linear(acc, b0, b1, deg)
-            acc[0] = acc[0] + coef[:, mm, nn]
-        rows.append(acc)
-    acc = rows[N]
-    for mm in range(N - 1, -1, -1):
-        acc = _mul_linear(acc, a0, a1, deg)
-        acc = acc + rows[mm]
-    return acc
+    D = Q.shape[1] - 1
+    n = c.shape[0]
+    # coefficient (j, k) of component i at [j, k, col], every chord's col
+    qt = IntervalArray(np.tile(Q.lo.transpose(1, 2, 0), n),
+                       np.tile(Q.hi.transpose(1, 2, 0), n))
+    c1, c2, h1, h2 = (np.repeat(x, DIM) for x in (c[:, 0], c[:, 1],
+                                                  h[:, 0], h[:, 1]))
+    rows = [compose_affine([qt[j, k: k + 1] for k in range(D - j + 1)],
+                           c2, h2)
+            for j in range(D + 1)]
+    return compose_affine(rows, c1, h1)

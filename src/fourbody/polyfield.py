@@ -30,7 +30,8 @@ import numpy as np
 
 from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .errors import DegenerateKernel
-from .interval import CInterval, CIntervalArray, Interval, IntervalArray
+from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
+                       _nonneg_upper, _prod_ceil, _sum_ceil)
 from .taylor import ScalarSeries2, Series2, product_column
 
 DIM = 7
@@ -258,20 +259,29 @@ class FieldColumns:
         in-grid magnitudes, ||x|| their sum, and nothing lost on the
         inputs.  Truncation drops only high orders and multiplication
         only raises them, so lost content never lands back on the grid
-        and the in-grid coefficients stay exact.
+        and the in-grid coefficients stay exact.  Every float step is
+        bounded: ``CIntervalArray.mag`` rounds up, the norms and
+        ``_conv_tail`` are padded by gamma of their own rounding
+        counts (``interval._nonneg_upper``), and the recurrence rounds
+        each sum and product up.
         """
-        mags = [_mag_grid(s) for s in list(G.components) + self.grids]
-        norms = [float(g.sum()) * _NORM_PAD for g in mags]
+        mags = [s.mag() for s in list(G.components) + self.grids]
+        norms = [_nonneg_upper(float(np.sum(g)), g.size) for g in mags]
         lost = [0.0] * DIM
         for op in self.prog.ops:
             if isinstance(op, Mul):
                 a, b = op.a, op.b
-                loss = (_conv_tail(mags[a], mags[b], self.M, self.N)
-                        + lost[a] * (norms[b] + lost[b]) + norms[a] * lost[b])
+                loss = _sum_ceil(
+                    _sum_ceil(_conv_tail(mags[a], mags[b], self.M, self.N),
+                              _prod_ceil(lost[a],
+                                         _sum_ceil(norms[b], lost[b]))),
+                    _prod_ceil(norms[a], lost[b]))
             else:
-                loss = sum(Interval._coerce(c).mag * lost[k]
-                           for c, k in op.terms)
-            lost.append(loss * _NORM_PAD)
+                loss = 0.0
+                for c, k in op.terms:
+                    loss = _sum_ceil(loss, _prod_ceil(Interval._coerce(c).mag,
+                                                      lost[k]))
+            lost.append(loss)
         return [lost[o] for o in self.prog.outputs]
 
 
@@ -307,14 +317,6 @@ def field_defect(cols: FieldColumns, G: Series2, lhs: CIntervalArray
              for i in range(DIM)], cols.beyond_grid_bounds(G))
 
 
-_NORM_PAD = 1.0 + 1e-10
-
-
-def _mag_grid(s: ScalarSeries2) -> np.ndarray:
-    """Entrywise upper bound on coefficient magnitudes."""
-    return s.mag() * _NORM_PAD
-
-
 def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
     """Bound on a product's coefficient mass landing outside (M, N).
 
@@ -322,12 +324,20 @@ def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
     of total s-order above M contributes to the row-marginal
     convolution past index M, likewise in t past N, so the two
     convolution tails together cover every out-of-grid term at least
-    once.  Plain float sums of nonnegatives, padded far beyond their
-    worst-case rounding.
+    once.  The float evaluation from the nonnegative grids rounds each
+    exact summand, a product of two grid entries, at most
+    2 (M + N) + 1 times: in the t-direction in its two marginal sums of
+    M + 1 terms (M roundings each), its product, a convolution entry of
+    at most N + 1 products (N more) and the tail sum of N entries
+    (N - 1), then once more adding the two tails; the s-direction is
+    alike with M and N swapped.  The two convolutions form
+    (M + 1)^2 + (N + 1)^2 products, so ``interval._nonneg_upper`` with
+    those counts bounds the exact mass.
     """
     t_tail = np.convolve(amag.sum(axis=0), bmag.sum(axis=0))[N + 1:].sum()
     s_tail = np.convolve(amag.sum(axis=1), bmag.sum(axis=1))[M + 1:].sum()
-    return float(t_tail + s_tail) * _NORM_PAD
+    return _nonneg_upper(float(t_tail + s_tail), 2 * (M + N) + 1,
+                         (M + 1) ** 2 + (N + 1) ** 2)
 
 
 def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalArray:

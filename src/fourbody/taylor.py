@@ -31,13 +31,16 @@ its own row's term count).
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
 coefficient; the explicit hat_product_* functions are built on them,
 to state the hat identity and test it against full products.
+``compose_affine`` is the one real kernel: Horner composition of
+stacked real polynomials with the lines s -> c + h s, behind the
+boundary mesh of ``manifold`` and the remeshing of ``atlas``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -46,10 +49,13 @@ from .interval import (
     CInterval,
     CIntervalArray,
     Interval,
+    IntervalArray,
     _gamma,
+    _iadd_arr,
+    _imul_arr,
     _imul_arr_fast,
+    _nonneg_upper,
     _padded_cascade,
-    _up,
 )
 
 
@@ -379,10 +385,43 @@ def mag_sum_bound(s: CIntervalArray) -> float:
     gamma_(n-1) of the exact sum S, so S <= sum (1 + gamma_n), and
     that product is rounded up."""
     mags = s.mag()
-    total = float(np.sum(mags))
-    if total == 0.0:
-        return 0.0
-    return _up(total + _up(total * _gamma(mags.size)))
+    return _nonneg_upper(float(np.sum(mags)), mags.size)
+
+
+def compose_affine(coefs: Sequence[IntervalArray], c, h) -> IntervalArray:
+    """Coefficients in s of sum_k coefs[k](s) (c + h s)^k, by Horner.
+
+    Each ``coefs[k]`` is a stack of real polynomials in s: the
+    coefficient of s^r at index r of axis 0, the other axes
+    independent columns.  ``c`` and ``h`` are float points, scalars or
+    arrays broadcasting against the columns, so each column may run
+    along its own line.  The partial sum starts as the last entry;
+    each step multiplies it by c + h s, which adds one row, and adds
+    the next entry on that entry's rows.  So a step multiplies only
+    the rows populated so far.  Row r of the result is the s^r
+    coefficient; there are max_k (k + rows of coefs[k]) rows.
+    Theorem: ``_imul_arr`` encloses every product of a row with the
+    point c or h, and ``_iadd_arr`` every sum, so by induction the
+    result encloses the exact composition for every choice of the
+    coefficients in their boxes.
+    """
+    acc = coefs[-1]
+    ch = np.stack(np.broadcast_arrays(np.asarray(c, dtype=float),
+                                      np.asarray(h, dtype=float)))
+    ch = ch.reshape((2,) + (1,) * (acc.lo.ndim + 1 - ch.ndim) + ch.shape[1:])
+    for q in reversed(coefs[:-1]):
+        # products of every row with c (plo[0]) and with h (plo[1])
+        plo, phi = _imul_arr(acc.lo[None], acc.hi[None], ch, ch)
+        r = acc.shape[0]
+        lo = np.zeros((max(r + 1, q.shape[0]),) + plo.shape[2:])
+        hi = np.zeros_like(lo)
+        lo[:r], hi[:r] = plo[0], phi[0]
+        lo[1: r + 1], hi[1: r + 1] = _iadd_arr(lo[1: r + 1], hi[1: r + 1],
+                                               plo[1], phi[1])
+        rq = q.shape[0]
+        lo[:rq], hi[:rq] = _iadd_arr(lo[:rq], hi[:rq], q.lo, q.hi)
+        acc = IntervalArray(lo, hi)
+    return acc
 
 
 @dataclass

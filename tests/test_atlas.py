@@ -1,6 +1,5 @@
 """Tests for atlas growth, remeshing, and persistence."""
 
-import csv
 import filecmp
 import json
 
@@ -17,7 +16,8 @@ from fourbody.atlas import (
     subdivide_arc,
 )
 from fourbody.crfbp import MassTriple, primaries
-from fourbody.errors import SchemaVersionMismatch, SubdivisionLimit
+from fourbody.errors import (SchemaVersionMismatch, SubdivisionLimit,
+                             SymmetryViolation)
 from fourbody.interval import CInterval, Interval
 from fourbody.manifold import BoundaryArc, local_manifold
 from fourbody.taylor import ScalarSeries2, Series2
@@ -114,6 +114,28 @@ class TestSubdivision:
             assert max(vp[i].re.lo, vh[i].re.lo) <= \
                 min(vp[i].re.hi, vh[i].re.hi) + 1e-15
 
+    def test_mesh_halves_are_real_and_meet_parent(self, grown):
+        arc = grown.arcs[3].arc
+        for half, (s_lo, s_hi) in zip(subdivide_arc(arc),
+                                      ((-1.0, 0.0), (0.0, 1.0))):
+            for comp in half.gamma.components:
+                assert not np.any(comp.ilo) and not np.any(comp.ihi)
+            for sh, s in ((-1.0, s_lo), (1.0, s_hi)):
+                vp = arc.gamma.eval_box(CInterval(Interval.from_value(s)),
+                                        Z0)
+                vh = half.gamma.eval_box(CInterval(Interval.from_value(sh)),
+                                         Z0)
+                for i in range(7):
+                    assert max(vp[i].re.lo, vh[i].re.lo) <= \
+                        min(vp[i].re.hi, vh[i].re.hi)
+
+    def test_complex_arc_must_straddle_zero(self):
+        arc = _ramp_arc()
+        arc.gamma.components[2].ilo[1, 0] = 1e-3
+        arc.gamma.components[2].ihi[1, 0] = 2e-3
+        with pytest.raises(SymmetryViolation):
+            subdivide_arc(arc)
+
     def test_preimage_chord_is_split(self, grown):
         arc = grown.arcs[2].arc
         assert arc.preimage is not None
@@ -209,6 +231,10 @@ class TestGrow:
         assert atlas.charts == {}
         assert atlas.frontier == []
         assert sorted(atlas.stopped) == list(range(6))
+        assert sorted(atlas.stop_reasons) == list(range(6))
+        for reason in atlas.stop_reasons.values():
+            assert reason.message
+            assert reason.tau_attempts == 2
 
     def test_rejects_bad_kind(self, setup):
         m, _ = setup
@@ -284,24 +310,3 @@ class TestPersistence:
             rec = back.charts[cid]
             assert rec.generation == 1
             assert rec.chart.accumulated_time == pytest.approx(-1.5)
-
-
-class TestExportCsv:
-
-    def test_header_and_shape(self, grown, tmp_path):
-        path = tmp_path / "atlas.csv"
-        grown.export_csv(path, n_s=3, n_t=3)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["chart_id", "s", "t", "x", "xdot", "y", "ydot"]
-        assert len(rows) - 1 == len(grown.charts) * 9
-
-    def test_first_row_matches_midpoint_eval(self, grown, tmp_path):
-        path = tmp_path / "atlas.csv"
-        grown.export_csv(path, n_s=3, n_t=3)
-        row = next(csv.DictReader(path.open()))
-        cid = int(row["chart_id"])
-        zs = CInterval(Interval.from_value(float(row["s"])))
-        zt = CInterval(Interval.from_value(float(row["t"])))
-        vals = grown.charts[cid].chart.Gamma.eval_box(zs, zt)
-        for key, idx in (("x", 0), ("xdot", 1), ("y", 2), ("ydot", 3)):
-            assert float(row[key]) == vals[idx].re.mid

@@ -283,6 +283,15 @@ class TestFusedProduct:
         _assert_bitwise(_imul_arr(col[0], a[1] + np.inf, *row),
                         _two_pass_imul(col[0], a[1] + np.inf, *row))
 
+    @settings(max_examples=200, deadline=None)
+    @given(_interval_arrays((4, 5)), _interval_arrays((5,)))
+    def test_point_factor(self, a, b):
+        # the same object as both endpoints takes the two-candidate path
+        c = b[0]
+        _assert_bitwise(_imul_arr(*a, c, c), _two_pass_imul(*a, c, c))
+        x = float(b[0][0])
+        _assert_bitwise(_imul_arr(*a, x, x), _two_pass_imul(*a, x, x))
+
     @settings(max_examples=300, deadline=None)
     @given(_interval_arrays(()), _interval_arrays(()))
     def test_contains_scalar_product(self, a, b):

@@ -15,6 +15,7 @@ from fourbody.crfbp import (
     primaries,
 )
 from fourbody.errors import (
+    DomainExceeded,
     SingularEnclosure,
     SymmetryViolation,
     TangencyDetected,
@@ -23,7 +24,8 @@ from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import (
     BoundaryArc,
     LocalManifold,
-    _compose_chords,
+    _chart_transform,
+    _chord_arcs,
     boundary_mesh,
     field_series,
     local_manifold,
@@ -33,7 +35,8 @@ from fourbody.manifold import (
 )
 from fourbody.polyfield import (FieldColumns, field_defect, field_program,
                                 lift_eigvector, project_pi)
-from fourbody.taylor import Series2, _fit, conj_symmetry_check, mag_sum_bound
+from fourbody.taylor import (ScalarSeries2, Series2, _fit,
+                             conj_symmetry_check, mag_sum_bound)
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +349,120 @@ class TestRealChart:
             real_chart(broken, 0.4, 0.0)
 
 
+def _gaussian_transform(d):
+    """T_d by expanding (s1 + i s2)^m (s1 - i s2)^(d-m) in Python
+    integers: entry (j, m) as an (re, im) pair of ints."""
+    def times(poly, re, im):
+        # multiply a polynomial in s2 (s1 implicit) by re s1 + im i s2
+        out = [(0, 0)] * (len(poly) + 1)
+        for k, (a, b) in enumerate(poly):
+            out[k] = (out[k][0] + a, out[k][1] + b)
+            # (a + b i) (im i) = -b im + a im i
+            out[k + 1] = (out[k + 1][0] - b * im, out[k + 1][1] + a * im)
+        return out
+    T = [[None] * (d + 1) for _ in range(d + 1)]
+    for m in range(d + 1):
+        poly = [(1, 0)]
+        for _ in range(m):
+            poly = times(poly, 1, 1)
+        for _ in range(d - m):
+            poly = times(poly, 1, -1)
+        for k, v in enumerate(poly):
+            T[d - k][m] = v
+    return T
+
+
+def _mul_linear(H, c0, c1, deg):
+    """Product with (c0 + c1 s) along the first axis, truncated at deg,
+    in complex interval arithmetic."""
+    shift = ScalarSeries2.zeros(*H.orders)
+    shift[1:] = (H * c1)[:deg]
+    return H * c0 + shift
+
+
+def _complex_chords(P, chords, deg):
+    """P along every chord z1 = mid + half s, z2 = conj(z1), by nested
+    complex Horner over P's (N, N) grid; column k * 7 + i is component
+    i along chord k.  The reference the real chord pass replaced."""
+    N = P.orders[0]
+    n = len(chords)
+
+    def per_column(zs):
+        return ScalarSeries2.from_complex_points(
+            np.repeat(np.array(zs, dtype=complex), 7)[None])
+
+    a0 = per_column([0.5 * (p0 + p1) for p0, p1 in chords])
+    a1 = per_column([0.5 * (p1 - p0) for p0, p1 in chords])
+    b0 = per_column([(0.5 * (p0 + p1)).conjugate() for p0, p1 in chords])
+    b1 = per_column([(0.5 * (p1 - p0)).conjugate() for p0, p1 in chords])
+    coef = CIntervalArray.of(P.components)[np.tile(np.arange(7), n)]
+    rows = []
+    for mm in range(N + 1):
+        acc = ScalarSeries2.zeros(deg, n * 7 - 1)
+        acc[0] = coef[:, mm, N]
+        for nn in range(N - 1, -1, -1):
+            acc = _mul_linear(acc, b0, b1, deg)
+            acc[0] = acc[0] + coef[:, mm, nn]
+        rows.append(acc)
+    acc = rows[N]
+    for mm in range(N - 1, -1, -1):
+        acc = _mul_linear(acc, a0, a1, deg)
+        acc = acc + rows[mm]
+    return acc
+
+
+class TestRealSeries:
+    def test_transform_is_exact(self):
+        for d in range(21):
+            T = _chart_transform(d)
+            ref = _gaussian_transform(d)
+            for j in range(d + 1):
+                for m in range(d + 1):
+                    re, im = ref[j][m]
+                    assert T.lo[0, j, m] == re == T.hi[0, j, m]
+                    assert T.lo[1, j, m] == im == T.hi[1, j, m]
+
+    def test_transform_encloses_beyond_53(self):
+        d = 60
+        T = _chart_transform(d)
+        ref = _gaussian_transform(d)
+        inexact = 0
+        for j in range(d + 1):
+            for m in range(d + 1):
+                for part, v in enumerate(ref[j][m]):
+                    lo, hi = T.lo[part, j, m], T.hi[part, j, m]
+                    # Python compares int and float exactly
+                    assert lo <= v <= hi
+                    inexact += lo != hi
+        assert inexact > 0
+
+    @pytest.mark.parametrize("N", [4, 7])
+    def test_real_chart_overlaps_complex_evaluation(self, setup, N):
+        m, pc = setup
+        M = local_manifold(m, pc, "stable", N=N)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            r = 0.95 * math.sqrt(rng.uniform())
+            th = rng.uniform(0.0, 2 * math.pi)
+            s1, s2 = r * math.cos(th), r * math.sin(th)
+            v = real_chart(M, s1, s2)
+            ref = M.P.eval_box(CInterval(s1, s2), CInterval(s1, -s2))
+            for i in range(7):
+                assert _overlap(v[i], ref[i].re), (i, s1, s2)
+
+    def test_real_chart_stays_in_the_disk(self, stable4):
+        with pytest.raises(DomainExceeded):
+            real_chart(stable4, 0.8, 0.8)
+
+    def test_series_is_real_triangle(self, stable7):
+        Q = stable7.Q
+        assert Q.shape == (7, 15, 15)
+        j, k = np.indices((15, 15))
+        outside = j + k > 14
+        assert not np.any(Q.lo[:, outside]) and not np.any(Q.hi[:, outside])
+        assert stable7.Q is Q
+
+
 class TestFlowConjugacy:
     """Non-rigorous cross-check: advancing a chart point with a reference
     integrator lands on the chart point with exponentially advanced
@@ -434,13 +551,37 @@ class TestBoundaryMesh:
         # the one Horner pass over all chords gives every arc exactly
         # what a pass over its own chord alone gives
         arcs = boundary_mesh(stable4, R=0.9, n_arcs=6)
-        deg = 2 * stable4.P.orders[0]
         for arc in arcs:
-            alone = _compose_chords(stable4.P, [arc.preimage], deg)
+            p0, p1 = arc.preimage
+            c, h = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
+            alone = _chord_arcs(stable4.Q, np.array([[c.real, c.imag]]),
+                                np.array([[h.real, h.imag]]))
             for i, comp in enumerate(arc.gamma.components):
-                for f in ("rlo", "rhi", "ilo", "ihi"):
-                    assert np.array_equal(getattr(comp, f)[:, 0],
-                                          getattr(alone, f)[:, i])
+                assert np.array_equal(comp.rlo[:, 0], alone.lo[:, i])
+                assert np.array_equal(comp.rhi[:, 0], alone.hi[:, i])
+                assert not np.any(comp.ilo) and not np.any(comp.ihi)
+
+    @pytest.mark.parametrize("N", [3, 5, 7])
+    def test_real_arcs_overlap_complex_composition(self, setup, N):
+        m, pc = setup
+        M = local_manifold(m, pc, "stable", N=N)
+        arcs = boundary_mesh(M, R=0.99, n_arcs=20)
+        old = _complex_chords(M.P, [a.preimage for a in arcs], 2 * N)
+        for k, arc in enumerate(arcs):
+            for i, comp in enumerate(arc.gamma.components):
+                ref = old[:, k * 7 + i]
+                assert np.all(comp.rlo[:, 0] <= ref.hi[0])
+                assert np.all(ref.lo[0] <= comp.rhi[:, 0])
+
+    def test_mesh_symmetry_violation_raises(self, stable4):
+        comps = tuple(c.copy() for c in stable4.P.components)
+        c0 = comps[0].at(1, 0)
+        comps[0][1, 0] = CInterval(c0.re, c0.im + Interval.from_value(0.05))
+        broken = dataclasses.replace(
+            stable4, P=Series2(comps, scale=stable4.P.scale, tau=1.0,
+                               real_symmetric=False, tail=0.0))
+        with pytest.raises(SymmetryViolation):
+            boundary_mesh(broken, R=0.9, n_arcs=6)
 
     def test_truncated_arc_gets_tail(self, stable4):
         # 6 arcs keep every chord transverse to the spiral flow; 4 do not

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fourbody.crfbp import (
@@ -18,11 +22,12 @@ from fourbody.crfbp import (
 )
 from fourbody.errors import CollisionDomain, DegenerateKernel
 from fourbody.interval import (CInterval, CIntervalArray, Interval,
-                               IntervalArray)
+                               IntervalArray, _nonneg_upper)
 from fourbody.manifold import _DegreeInterpreter
 from fourbody.polyfield import (
     DIM,
     FieldColumns,
+    _conv_tail,
     State7,
     embed_R,
     evaluate,
@@ -405,3 +410,64 @@ class TestSurfaceDynamics:
         assert sol4.success and sol7.success
         lifted_end = self._lift_point(pos, sol4.y[:, -1])
         assert np.max(np.abs(sol7.y[:, -1] - lifted_end)) < 1e-8
+
+
+# nonnegative magnitudes: zeros, subnormals, the smallest normals, sizes
+# whose products underflow or sit near 1e300, and values that absorb
+# one another in a float sum
+_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 3e-310, 2.2250738585072014e-308, 1e-160,
+                     1e-16, 1.0, 1.0 + 2.0 ** -52, 3.0, 2.0 ** 60]),
+    st.floats(0.0, 4.0),
+    st.floats(1e149, 9e150))
+
+
+@st.composite
+def _mag_grid(draw):
+    M, N = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    vals = draw(st.lists(_MAGNITUDES, min_size=(M + 1) * (N + 1),
+                         max_size=(M + 1) * (N + 1)))
+    return np.array(vals).reshape(M + 1, N + 1)
+
+
+def _exact_tail(x, y, cut):
+    """Exact mass of the convolution of x and y past index cut."""
+    return sum(x[i] * y[j] for i in range(len(x)) for j in range(len(y))
+               if i + j > cut)
+
+
+class TestBeyondGridPadding:
+    """The float sums behind ``beyond_grid_bounds`` are padded by gamma
+    of their own rounding counts; the bounds must cover exact sums."""
+
+    @given(_mag_grid(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_conv_tail_covers_exact_mass(self, a, data):
+        M, N = a.shape[0] - 1, a.shape[1] - 1
+        vals = data.draw(st.lists(_MAGNITUDES, min_size=a.size,
+                                  max_size=a.size))
+        b = np.array(vals).reshape(a.shape)
+        A, B = ([[Fraction(v) for v in row] for row in g] for g in (a, b))
+        cols = [[sum(g[m][n] for m in range(M + 1)) for n in range(N + 1)]
+                for g in (A, B)]
+        rows = [[sum(g[m]) for m in range(M + 1)] for g in (A, B)]
+        exact = _exact_tail(*cols, N) + _exact_tail(*rows, M)
+        assert Fraction(_conv_tail(a, b, M, N)) >= exact
+
+    def test_conv_tail_covers_absorbed_terms(self):
+        # each 1e-16 is below half an ulp of 1, so every marginal sum
+        # rounds down, by 4 * 1e-16 in all, about 2 u
+        col = np.array([1.0] + [1e-16] * 4)
+        a = np.stack([col] * 5, axis=1)
+        cols = [1 + 4 * Fraction(1e-16)] * 5
+        rows = [5 * Fraction(v) for v in col]
+        exact = _exact_tail(cols, cols, 4) + _exact_tail(rows, rows, 4)
+        assert Fraction(_conv_tail(a, a, 4, 4)) >= exact
+
+    @given(_mag_grid())
+    @settings(max_examples=200, deadline=None)
+    def test_norm_covers_exact_sum(self, g):
+        exact = sum(Fraction(v) for v in g.ravel())
+        assert Fraction(_nonneg_upper(float(np.sum(g)), g.size)) >= exact
+
