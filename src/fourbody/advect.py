@@ -45,7 +45,7 @@ from .interval import (
 from .manifold import BoundaryArc
 from .polyfield import (DIM, FieldColumns, State7, field_defect,
                         field_program, poly_DF, poly_F_point)
-from .taylor import ScalarSeries2, Series2, mag_sum_bound
+from .taylor import Series2, _fit, mag_sum_bound
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,8 @@ def taylor_flow(gamma: Series2,
     t-order n as one CIntervalArray of shape (dim, M + 1), row i for
     component i, reading only columns 0..n of the partially built
     series it is handed; column n + 1 of the solution is then
-    b / (tau (n + 1)).  The field is supplied by the caller, so
+    b / (tau (n + 1)), written into the series' stacked coefficients
+    as one whole column.  The field is supplied by the caller, so
     harness fields (constant, linear) exercise the engine exactly.
     """
     if N < 1:
@@ -105,15 +106,12 @@ def taylor_flow(gamma: Series2,
         raise ValueError("initial line must have time order 0")
     M = gamma.orders[0]
     out = Series2.zeros(gamma.dim, M, N, scale=gamma.scale, tau=tau,
-                        real_symmetric=False, tail=gamma.tail)
-    for c, c0 in zip(out.components, gamma.components):
-        c[:, 0] = c0[:, 0]
+                        tail=gamma.tail)
+    out.coefs[:, :, 0] = gamma.coefs[:, :, 0]
     tau_iv = Interval.from_value(tau)
     for n in range(N):
         inv = Interval.from_value(1.0) / (tau_iv * float(n + 1))
-        col = b_column(out, n) * inv
-        for i, comp in enumerate(out.components):
-            comp[:, n + 1] = col[i]
+        out.coefs[:, :, n + 1] = b_column(out, n) * inv
     return out
 
 
@@ -126,35 +124,26 @@ def _arc_series(arc: BoundaryArc, M: int) -> Series2:
 
     Arcs from ``boundary_mesh`` and ``collapse_time_one`` arrive real,
     with exactly zero imaginary grids.  Any arc passes
-    ``BoundaryArc.real_part``: the true arc is a real-analytic curve,
-    so every imaginary enclosure must straddle zero, or
-    SymmetryViolation is raised, and is replaced by exact zero, which
-    keeps all downstream grids exactly real.
+    ``Series2.real_part``: the true arc is a real-analytic curve, so
+    every imaginary enclosure must straddle zero, or SymmetryViolation
+    is raised, and is replaced by exact zero, which keeps all
+    downstream grids exactly real.
     """
     Ma, Na = arc.gamma.orders
     if Na != 0:
         raise ValueError("boundary arc must have time order 0")
     if M < Ma:
         raise ValueError(f"spatial order {M} is below the arc order {Ma}")
-    coef = arc.real_part()
-    comps = []
-    for lo, hi in zip(coef.lo, coef.hi):
-        real = ScalarSeries2.zeros(M, 0)
-        real.lo[0, : Ma + 1, 0] = lo
-        real.hi[0, : Ma + 1, 0] = hi
-        comps.append(real)
-    return Series2(tuple(comps), scale=arc.gamma.scale, tau=1.0,
-                   real_symmetric=False, tail=arc.gamma.tail)
+    real = Series2.from_real(arc.gamma.real_part())
+    return Series2(_fit(real.coefs, M, 0), scale=arc.gamma.scale,
+                   tail=arc.gamma.tail)
 
 
 def _column_mag(G: Series2, n: int) -> float:
     """Largest sum of real and imaginary magnitudes in column n."""
-    best = 0.0
-    for c in G.components:
-        col = c[:, n]
-        mags = np.maximum(np.abs(col.lo), np.abs(col.hi))
-        best = max(best, float(np.max(mags[0] + mags[1])))
-    return best
+    col = G.coefs[:, :, n]
+    mags = np.maximum(np.abs(col.lo), np.abs(col.hi))
+    return float(np.max(mags[0] + mags[1]))
 
 
 # choose_tau's pilot order, the successive-column ratio it aims the
@@ -216,8 +205,7 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     else:
         defect = _defect_bound(rec, G)
         tail = propagated_tail(m, p, G, arc.gamma.tail, defect)
-    G = Series2(G.components, scale=G.scale, tau=G.tau,
-                real_symmetric=False, tail=tail)
+    G = Series2(G.coefs, scale=G.scale, tau=G.tau, tail=tail)
     return FlowChart(Gamma=G, kind=arc.kind, tail_policy=tail_policy,
                      defect=defect, source_arc=source_arc,
                      accumulated_time=start_time + 1.0 / (sign * tau))
@@ -240,10 +228,9 @@ def _defect_bound(cols: FieldColumns, G: Series2) -> float:
     """
     M, N = G.orders
     tau_iv = Interval.from_value(G.tau)
-    coef = CIntervalArray.of(G.components)
     lhs = CIntervalArray.zeros((DIM, M + 1, N + 1))
     for n in range(N):
-        lhs[:, :, n] = coef[:, :, n + 1] * (tau_iv * float(n + 1))
+        lhs[:, :, n] = G.coefs[:, :, n + 1] * (tau_iv * float(n + 1))
     res, beyond = field_defect(cols, G, lhs)
     return max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
 
@@ -270,9 +257,8 @@ def range_box(G: Series2) -> IntervalArray:
     ncol = np.arange(N + 1, dtype=float)[None, :]
     ops = (M + 1) * (N + 1) + M + N + 8
     out = []
-    for c in G.components:
-        # the chart is real: only the real parts enter
-        lo, hi = c.lo[0], c.hi[0]
+    # the chart is real: only the real parts enter
+    for lo, hi in zip(G.coefs.lo[0], G.coefs.hi[0]):
         mid = 0.5 * (lo + hi)
         vals = VS @ mid @ VT.T
         mags = np.maximum(np.abs(lo), np.abs(hi))
@@ -351,18 +337,15 @@ def check_collision(chart: FlowChart, p: PrimaryConfig,
 def collapse_time_one(chart: FlowChart) -> BoundaryArc:
     """Restrict a chart to its forward time edge t = 1 as a new arc.
 
-    The s-coefficients of Gamma(s, 1) are the grid's row sums; the
-    chart tail bounds the whole square, so the arc inherits it
-    unchanged.  The preimage is no longer a chord, so none is stored.
+    The s-coefficients of Gamma(s, 1) are the grid's row sums, one
+    padded sum over the t axis of the stacked coefficients; the chart
+    tail bounds the whole square, so the arc inherits it unchanged.
+    The preimage is no longer a chord, so none is stored.
     """
     G = chart.Gamma
-    comps = []
-    for c in G.components:
-        edge = ScalarSeries2.zeros(G.orders[0], 0)
-        edge[:, 0] = CIntervalArray(*_pad_sum(c.lo, c.hi, axis=-1))
-        comps.append(edge)
-    gamma = Series2(tuple(comps), scale=G.scale, tau=1.0,
-                    real_symmetric=False, tail=G.tail)
+    lo, hi = _pad_sum(G.coefs.lo, G.coefs.hi, axis=-1)
+    gamma = Series2(CIntervalArray(lo[..., None], hi[..., None]),
+                    scale=G.scale, tail=G.tail)
     return BoundaryArc(gamma=gamma, kind=chart.kind, preimage=None)
 
 

@@ -27,8 +27,7 @@ from .crfbp import MassTriple, PrimaryConfig, primaries
 from .errors import CollisionDomain, SchemaVersionMismatch, SubdivisionLimit
 from .interval import IntervalArray
 from .manifold import BoundaryArc, LocalManifold, boundary_mesh
-from .polyfield import DIM
-from .taylor import ScalarSeries2, Series2, compose_affine
+from .taylor import Series2, compose_affine
 
 SCHEMA_VERSION = 1
 
@@ -81,13 +80,9 @@ def arc_decay(arc: BoundaryArc) -> float:
     decay rate to the power of the order; values near one mean the
     polynomial is fighting its domain.
     """
-    top = 0.0
-    peak = 0.0
-    for c in arc.gamma.components:
-        mags = c.mag()[:, 0]
-        top = max(top, float(mags[-1]))
-        peak = max(peak, float(np.max(mags)))
-    return top / peak if peak > 0.0 else 0.0
+    mags = arc.gamma.coefs.mag()[:, :, 0]
+    peak = float(np.max(mags))
+    return float(np.max(mags[:, -1])) / peak if peak > 0.0 else 0.0
 
 
 def arc_length(arc: BoundaryArc) -> float:
@@ -106,23 +101,19 @@ def _affine_arc(arc: BoundaryArc, c: float, d: float) -> BoundaryArc:
     """Reparameterize by s = c + d sigma with rigorous coefficients.
 
     One real Horner pass (``taylor.compose_affine``) over the arc's
-    real grid, ``BoundaryArc.real_part``, which raises
-    SymmetryViolation if an imaginary enclosure excludes zero; the
-    halves have exactly zero imaginary grids.  The sup bound carried
-    in the tail holds on the whole parent domain, so the restriction
-    inherits it unchanged.
+    real grid, ``Series2.real_part``, which raises SymmetryViolation if
+    an imaginary enclosure excludes zero; the halves have exactly zero
+    imaginary grids.  The sup bound carried in the tail holds on the
+    whole parent domain, so the restriction inherits it unchanged.
     """
-    coef = arc.real_part()
+    coef = arc.gamma.real_part()
     # coefficient k of component i at [k, i]
-    rows = IntervalArray(coef.lo.T, coef.hi.T)
+    rows = IntervalArray(coef.lo[..., 0].T, coef.hi[..., 0].T)
     acc = compose_affine([rows[k: k + 1] for k in range(rows.shape[0])],
                          c, d)
-    zero = np.zeros_like(acc.lo)
-    grid = ScalarSeries2._wrap(np.stack((acc.lo, zero)),
-                               np.stack((acc.hi, zero)))
-    out = tuple(grid[:, i:i + 1] for i in range(DIM))
-    gamma = Series2(out, scale=arc.gamma.scale, tau=1.0,
-                    real_symmetric=False, tail=arc.gamma.tail)
+    gamma = Series2.from_real(IntervalArray(acc.lo.T[..., None],
+                                            acc.hi.T[..., None]),
+                              scale=arc.gamma.scale, tail=arc.gamma.tail)
     preimage = None
     if arc.preimage is not None:
         p0, p1 = arc.preimage

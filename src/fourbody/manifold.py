@@ -141,23 +141,6 @@ class BoundaryArc:
     # advected charts, whose preimage is no longer a chord
     preimage: Optional[tuple[complex, complex]] = None
 
-    def real_part(self) -> IntervalArray:
-        """The coefficients as a real array of shape (DIM, M_arc + 1).
-
-        The true arc is a real-analytic curve, so its coefficients are
-        real: every imaginary enclosure must straddle zero, or
-        SymmetryViolation is raised.  Arcs from ``boundary_mesh`` and
-        from advected charts have exactly zero imaginary grids; an
-        arc loaded from elsewhere may not.
-        """
-        for i, c in enumerate(self.gamma.components):
-            if np.any(c.lo[1] > 0.0) or np.any(c.hi[1] < 0.0):
-                raise SymmetryViolation(
-                    f"arc component {i} has an imaginary part excluding zero")
-        return IntervalArray(
-            np.stack([c.lo[0, :, 0] for c in self.gamma.components]),
-            np.stack([c.hi[0, :, 0] for c in self.gamma.components]))
-
 
 # ---------------------------------------------------------------------------
 # the homological solver
@@ -167,8 +150,9 @@ class _DegreeInterpreter:
     """Interpreter of the field program one total degree at a time on
     (N, N) grids.
 
-    One grid per node; the input grids are the components of P, and
-    the (0, 0) slots hold the scalar interpreter's values at
+    One grid per node; the input grids are the components of the series
+    ``P`` being solved, views into its stacked coefficients, and the
+    (0, 0) slots hold the scalar interpreter's values at
     ``origin``.  ``evaluate(d)`` fills every node's degree-d slots, a
     Lin node from its operands' slots, a Mul node by
     ``product_antidiagonal``.  Theorem: a degree-d slot (m', n') of a
@@ -188,7 +172,9 @@ class _DegreeInterpreter:
         self.prog = prog
         self.N = N
         self.base = evaluate(prog, origin)
-        self.grids = [ScalarSeries2.zeros(N, N) for _ in self.base]
+        self.P = Series2.zeros(DIM, N, N)
+        self.grids = (list(self.P.components)
+                      + [ScalarSeries2.zeros(N, N) for _ in prog.ops])
         for g, v in zip(self.grids, self.base):
             g[0, 0] = v
 
@@ -257,8 +243,7 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
                                c[:, r])
             for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d)))])
         ev.land(d, [sols[:, i] for i in range(DIM)])
-    return Series2(tuple(ev.grids[:DIM]), scale=1.0, tau=1.0,
-                   real_symmetric=True)
+    return ev.P
 
 
 def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
@@ -292,13 +277,11 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
         mu = (CIntervalArray.of([lam1]) * np.arange(N + 1.0)[:, None]
               + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
         lhs = CIntervalArray.zeros((DIM, K + 1, K + 1))
-        lhs[:, : N + 1, : N + 1] = CIntervalArray.of(P.components) * mu
-        G = Series2(tuple(_fit(c, K, K) for c in P.components))
+        lhs[:, : N + 1, : N + 1] = P.coefs * mu
         cols = FieldColumns(field_program(m, p), K, K, input_orders=(N, N))
-        res, beyond = field_defect(cols, G, lhs)
+        res, beyond = field_defect(cols, Series2(_fit(P.coefs, K, K)), lhs)
         tail = max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
-    P = Series2(P.components, scale=P.scale, tau=1.0, real_symmetric=True,
-                tail=tail)
+    P = Series2(P.coefs, scale=P.scale, tail=tail)
     return LocalManifold(P=P, kind=kind, eigen=eigen, scale=complex(P.scale),
                          lambda1=lam1, lambda2=lam2,
                          equilibrium=u0, tail_policy=tail_policy)
@@ -375,7 +358,7 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
     prog = field_program(m, p)
     cols = FieldColumns(prog, OM, ON, input_orders=(M0, N0))
-    G = Series2(tuple(_fit(c, OM, ON) for c in P.components))
+    G = Series2(_fit(P.coefs, OM, ON))
     for n in range(ON + 1):
         cols.b_column(G, n)
     nodes = list(G.components) + cols.grids
@@ -430,7 +413,7 @@ def _real_series(P: Series2) -> IntervalArray:
     is raised.
     """
     N = P.orders[0]
-    a = CIntervalArray.of(P.components)
+    a = P.coefs
     lo = np.zeros((DIM, 2 * N + 1, 2 * N + 1))
     hi = np.zeros_like(lo)
     for d in range(2 * N + 1):
@@ -463,16 +446,17 @@ def real_chart(M: LocalManifold, sigma1, sigma2) -> IntervalArray:
 
     Real Horner on ``M.Q``, the series of Q, first in s2 for every
     power of s1, then in s1; the value is padded by the manifold tail,
-    which bounds P over the unit polydisc, where |s1 + i s2| <= 1
-    puts the point.  Building Q checks that its imaginary part
-    straddles zero and raises SymmetryViolation otherwise.  Kept for
-    the proof of homoclinic connections, which matches real charts of
-    the two manifolds.
+    which bounds P only over the closed unit polydisc, where
+    |s1 + i s2| <= 1 puts the point: DomainExceeded is raised unless
+    the upper end of the enclosure of |s1 + i s2| is at most 1.
+    Building Q checks that its imaginary part straddles zero and raises
+    SymmetryViolation otherwise.  Kept for the proof of homoclinic
+    connections, which matches real charts of the two manifolds.
     """
     s1 = Interval._coerce(sigma1)
     s2 = Interval._coerce(sigma2)
     r = CInterval(s1, s2).abs().hi
-    if r > 1.0 + 1e-12:
+    if r > 1.0:
         raise DomainExceeded(
             f"evaluation point leaves the unit disk: |sigma| up to {r}")
     Q = M.Q
@@ -506,11 +490,8 @@ def boundary_mesh(M: LocalManifold, R: float = 0.99, n_arcs: int = 20,
     stored to ``arc_order`` (default exactly 2N) with exactly zero
     imaginary grids.  Dropping higher chord-degrees, when
     ``arc_order`` is smaller, adds the exact sum of dropped coefficient
-    magnitudes to the arc tail.  Each chord must pass the
-    parameter-plane transversality check: the flux of the linear field
-    lam1 z through the outward chord normal is sign-definite, which
-    needs checking only at the chord endpoints since the flux is linear
-    along the chord.
+    magnitudes to the arc tail.  Each composed chord c + h s must pass
+    the parameter-plane transversality check of ``_check_chord_flux``.
     """
     if not 0.0 < R < 1.0:
         raise ValueError("mesh radius must be in (0, 1)")
@@ -524,41 +505,44 @@ def boundary_mesh(M: LocalManifold, R: float = 0.99, n_arcs: int = 20,
                          math.sin(2.0 * math.pi * k / n_arcs))
              for k in range(n_arcs)]
     chords = [(verts[k], verts[(k + 1) % n_arcs]) for k in range(n_arcs)]
-    for p0, p1 in chords:
-        _check_chord_flux(M, p0, p1)
-    c = np.array([[z.real, z.imag] for z in (0.5 * (p0 + p1)
-                                             for p0, p1 in chords)])
-    h = np.array([[z.real, z.imag] for z in (0.5 * (p1 - p0)
-                                             for p0, p1 in chords)])
+    mids = [0.5 * (p0 + p1) for p0, p1 in chords]
+    halves = [0.5 * (p1 - p0) for p0, p1 in chords]
+    for c, h in zip(mids, halves):
+        _check_chord_flux(M, c, h)
+    c = np.array([[z.real, z.imag] for z in mids])
+    h = np.array([[z.real, z.imag] for z in halves])
     real = _chord_arcs(M.Q, c, h)
-    zero = np.zeros_like(real.lo)
-    acc = ScalarSeries2._wrap(np.stack((real.lo, zero)),
-                              np.stack((real.hi, zero)))
+    # coefficient r of component i along chord k at [k, i, r, 0]
+    lo, hi = (x.reshape(deg + 1, n_arcs, DIM).transpose(1, 2, 0)[..., None]
+              for x in (real.lo, real.hi))
     arcs = []
     for k, (p0, p1) in enumerate(chords):
-        comps = []
-        extra_tail = 0.0
-        for i in range(k * DIM, (k + 1) * DIM):
-            col = acc[:, i:i + 1]
-            if arc_order < deg:
-                extra_tail = max(extra_tail,
-                                 mag_sum_bound(col[arc_order + 1:]))
-            comps.append(_fit(col, arc_order, 0))
-        gamma = Series2(tuple(comps), scale=M.scale, tau=1.0,
-                        real_symmetric=False, tail=M.P.tail + extra_tail)
+        full = Series2.from_real(IntervalArray(lo[k], hi[k])).coefs
+        # mass of each component's dropped chord-degrees, 0 when none
+        cut = max(mag_sum_bound(full[i, arc_order + 1:]) for i in range(DIM))
+        gamma = Series2(_fit(full, arc_order, 0), scale=M.scale,
+                        tail=M.P.tail + cut)
         arcs.append(BoundaryArc(gamma=gamma, preimage=(p0, p1), kind=M.kind))
     return arcs
 
 
-def _check_chord_flux(M: LocalManifold, p0: complex, p1: complex) -> None:
-    normal = -1j * (p1 - p0)
-    fluxes = [
-        ((CInterval(normal.real, -normal.imag) * M.lambda1)
-         * CInterval(z.real, z.imag)).re
-        for z in (p0, p1)
-    ]
+def _check_chord_flux(M: LocalManifold, c: complex, h: complex) -> None:
+    """Transversality of the composed chord z1 = c + h s, s in [-1, 1]:
+    the flux Re(conj(nu) lam1 z1) of the linear field lam1 z1 through
+    the chord normal nu = -i h, outward for counterclockwise vertices,
+    must be positive for an unstable manifold and negative for a stable
+    one, or TangencyDetected is raised.  The flux is linear along the
+    chord, so its ends decide; they are enclosed as
+    CInterval(c) -+ CInterval(h), since the float sums c -+ h need not
+    be the vertices the chord was cut between.
+    """
+    cc = CInterval(c.real, c.imag)
+    hh = CInterval(h.real, h.imag)
+    # conj(nu) = conj(-i h) = Im h + i Re h, exactly
+    w = CInterval(h.imag, h.real) * M.lambda1
     want_positive = M.kind == "unstable"
-    for f in fluxes:
+    for z in (cc - hh, cc + hh):
+        f = (w * z).re
         if f.straddles_zero() or (f.hi > 0.0) != want_positive:
             raise TangencyDetected(
                 f"chord flux enclosure {f} is not "

@@ -286,7 +286,7 @@ class FieldColumns:
 
 
 def field_defect(cols: FieldColumns, G: Series2, lhs: CIntervalArray
-                 ) -> tuple[list[ScalarSeries2], list[float]]:
+                 ) -> tuple[tuple[ScalarSeries2, ...], list[float]]:
     """Defect lhs - F(G) of an invariance equation on the interpreter's
     (M, N) grid.
 
@@ -296,7 +296,8 @@ def field_defect(cols: FieldColumns, G: Series2, lhs: CIntervalArray
     Fills columns ``cols.filled``..N of ``cols`` and returns the
     in-grid residual series res_i = lhs_i - [F(G)]_i, formed in one
     stacked subtraction over the output nodes' grids (outputs 1 and 3
-    are G's own components), and, from ``beyond_grid_bounds``, per
+    are G's own components) and returned as the components of that one
+    stacked residual, and, from ``beyond_grid_bounds``, per
     component a bound lost_i on the coefficient mass of F_i(G) outside
     the grid.  Precondition: columns 0..cols.filled-1 of G are the
     ones ``cols`` read when it filled them, so by the theorem of
@@ -313,8 +314,7 @@ def field_defect(cols: FieldColumns, G: Series2, lhs: CIntervalArray
         cols.b_column(G, n)
     nodes = list(G.components) + cols.grids
     res = lhs - CIntervalArray.of([nodes[o] for o in cols.prog.outputs])
-    return ([ScalarSeries2._wrap(res.lo[:, i], res.hi[:, i])
-             for i in range(DIM)], cols.beyond_grid_bounds(G))
+    return Series2(res).components, cols.beyond_grid_bounds(G)
 
 
 def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:

@@ -1,13 +1,17 @@
 """Bivariate Taylor-polynomial algebra with complex interval coefficients.
 
 Series here represent truncated expansions P(z1, z2) = sum a_mn z1^m z2^n
-whose coefficients are rectangles (complex intervals).  A component
-``ScalarSeries2`` is the 2-D case of ``interval.CIntervalArray``: one
-(lo, hi) pair of float arrays of shape (2, M+1, N+1), the leading axis
-(real, imaginary), a_mn at index (m, n).  Every complex interval array
-of the package (slots of one degree, columns, stacked chords) has that
-layout, and only this module and ``interval`` name the four endpoint
-grids; the atlas JSON form (``Series2.to_json``) keeps them as the keys
+whose coefficients are rectangles (complex intervals).  A ``Series2``
+holds its components in one ``interval.CIntervalArray`` of shape
+(dim, M+1, N+1): a (lo, hi) pair of float arrays of shape
+(2, dim, M+1, N+1), the leading axis (real, imaginary), a_mn of
+component i at index (i, m, n).  Every complex interval array of the
+package (slots of one degree, columns, stacked chords) has that
+layout.  Other modules read and write a series through that array;
+only this module stacks components into one or splits it into
+``ScalarSeries2`` views, the 2-D case of ``CIntervalArray``.  Only
+this module and ``interval`` name the four endpoint grids; the atlas
+JSON form (``Series2.to_json``) keeps them, per component, as the keys
 rlo, rhi, ilo and ihi.
 
 The module supplies the Cauchy product kernels, rigorous evaluation
@@ -39,12 +43,12 @@ boundary mesh of ``manifold`` and the remeshing of ``atlas``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainExceeded
+from .errors import DomainExceeded, SymmetryViolation
 from .interval import (
     CInterval,
     CIntervalArray,
@@ -65,8 +69,9 @@ class ScalarSeries2(CIntervalArray):
 
     Built from the four endpoint grids, which are copied into the
     stacked storage and stay readable and writable as the views
-    ``rlo``, ``rhi``, ``ilo`` and ``ihi``.  Results of arithmetic and
-    indexing that are 2-D are series again.  Mutable while a builder
+    ``rlo``, ``rhi``, ``ilo`` and ``ihi``; ``Series2.components`` are
+    views of this class into a series' one array.  Results of arithmetic
+    and indexing that are 2-D are series again.  Mutable while a builder
     fills it, treated as immutable afterwards; the arithmetic never
     mutates its operands.
     """
@@ -122,31 +127,6 @@ class ScalarSeries2(CIntervalArray):
         for m in range(M - 1, -1, -1):
             acc = acc * z1 + rows[m]
         return acc
-
-    def rescale(self, s: complex) -> "ScalarSeries2":
-        """New series in the variable z / s: coefficients pick up s^(m+n).
-
-        One stacked product with the grid whose entry (m, n) encloses
-        s^(m+n): the powers are CInterval products from the point s,
-        so they enclose the exact powers, and every entry gets the
-        endpoints of the scalar CInterval product."""
-        if s == 0:
-            raise ValueError("scale must be nonzero")
-        M, N = self.orders
-        s_iv = CInterval.from_complex(complex(s))
-        powers = [CInterval(1.0)]
-        for _ in range(M + N):
-            powers.append(powers[-1] * s_iv)
-        degree = np.add.outer(np.arange(M + 1), np.arange(N + 1))
-        return self * CIntervalArray.of(powers)[degree]
-
-    def conj_reflect(self) -> "ScalarSeries2":
-        """The series with a_mn replaced by conjugate(a_nm) (square grids)."""
-        M, N = self.orders
-        if M != N:
-            raise ValueError("conjugate reflection needs a square grid")
-        return self._like(np.stack((self.lo[0].T, -self.hi[1].T)),
-                          np.stack((self.hi[0].T, -self.lo[1].T)))
 
 
 def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int
@@ -326,15 +306,17 @@ def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,
     return out
 
 
-def _fit(s: ScalarSeries2, m: int, n: int) -> ScalarSeries2:
-    """The series on exactly the (m, n) grid: truncated, or grown with
-    zero coefficients; a view when no growth is needed."""
-    M, N = s.orders
-    if M >= m and N >= n:
-        return s[: m + 1, : n + 1]
-    out = ScalarSeries2.zeros(m, n)
-    k, ell = min(M, m) + 1, min(N, n) + 1
-    out[:k, :ell] = s[:k, :ell]
+def _fit(s: CIntervalArray, m: int, n: int) -> CIntervalArray:
+    """The array on exactly the (m, n) grid of its last two axes:
+    truncated, or grown with zero coefficients; a view when no growth
+    is needed.  A series grid stays a ``ScalarSeries2``."""
+    *lead, rows, cols = s.shape
+    if rows > m and cols > n:
+        return s[..., : m + 1, : n + 1]
+    shape = (2, *lead, m + 1, n + 1)
+    out = s._like(np.zeros(shape), np.zeros(shape))
+    k, ell = min(rows, m + 1), min(cols, n + 1)
+    out[..., :k, :ell] = s[..., :k, :ell]
     return out
 
 
@@ -433,45 +415,84 @@ class SymmetryReport:
     worst_index: Optional[tuple[int, int, int]] = None  # (component, m, n)
 
 
-@dataclass
+@dataclass(init=False)
 class Series2:
-    """A vector-valued bivariate series: one ScalarSeries2 per component.
+    """A vector-valued bivariate series: all components in one
+    ``CIntervalArray`` of shape (dim, M+1, N+1), ``coefs``.
 
-    ``scale`` records the eigenvector scaling of the domain variables and
-    ``tau`` the time rescaling of the flow direction; both are metadata
-    that travel with the series into charts and certificates.  ``tail``
-    is a sup bound on the truncation error, added during evaluation.
+    Built from ``components``: that array, held as it is, or a sequence
+    of equal-order ``ScalarSeries2``, stacked into one (``from_json``,
+    ``dataclasses.replace``).  Read back, ``components`` are views of
+    ``coefs``.  ``scale`` records the eigenvector scaling of the domain
+    variables and ``tau`` the time rescaling of the flow direction;
+    both are metadata that travel with the series into charts and
+    certificates.  ``tail`` is a sup bound on the truncation error over
+    the unit polydisc, added during evaluation.
     """
 
-    components: tuple[ScalarSeries2, ...]
+    # not an init field: dataclasses.replace(s, components=...) passes
+    # the components and the metadata, and __init__ stacks them
+    coefs: CIntervalArray = field(init=False)
     scale: complex = 1.0
     tau: float = 1.0
-    real_symmetric: bool = False
     tail: float = 0.0
 
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("Series2 needs at least one component")
-        shapes = {c.orders for c in self.components}
-        if len(shapes) != 1:
-            raise ValueError("components must share orders")
+    def __init__(self, components, scale: complex = 1.0, tau: float = 1.0,
+                 tail: float = 0.0):
+        coefs = components
+        if not isinstance(coefs, CIntervalArray):
+            # the one stacking of components; it raises ValueError for
+            # no grids or unequal orders
+            coefs = CIntervalArray.of(coefs)
+        self.coefs = coefs
+        self.scale, self.tau, self.tail = scale, tau, tail
 
     @classmethod
     def zeros(cls, dim: int, M: int, N: int, **kw) -> "Series2":
-        return cls(tuple(ScalarSeries2.zeros(M, N) for _ in range(dim)), **kw)
+        return cls(CIntervalArray.zeros((dim, M + 1, N + 1)), **kw)
+
+    @classmethod
+    def from_real(cls, re: IntervalArray, **kw) -> "Series2":
+        """The series with real parts ``re``, of shape (dim, M+1, N+1),
+        and imaginary parts exactly zero."""
+        zero = np.zeros_like(re.lo)
+        return cls(CIntervalArray._wrap(np.stack((re.lo, zero)),
+                                        np.stack((re.hi, zero))), **kw)
+
+    @property
+    def components(self) -> tuple[ScalarSeries2, ...]:
+        """Component i as a ``ScalarSeries2`` view of ``coefs[i]``."""
+        c = self.coefs
+        return tuple(ScalarSeries2._wrap(c.lo[:, i], c.hi[:, i])
+                     for i in range(self.dim))
 
     @property
     def dim(self) -> int:
-        return len(self.components)
+        return self.coefs.shape[0]
 
     @property
     def orders(self) -> tuple[int, int]:
-        return self.components[0].orders
+        return self.coefs.shape[1] - 1, self.coefs.shape[2] - 1
+
+    def real_part(self) -> IntervalArray:
+        """The real parts of a series whose exact coefficients are real,
+        such as a phase-space arc: every imaginary enclosure must
+        straddle zero, or SymmetryViolation is raised."""
+        lo, hi = self.coefs.lo, self.coefs.hi
+        bad = np.argwhere((lo[1] > 0.0) | (hi[1] < 0.0))
+        if bad.size:
+            raise SymmetryViolation(f"component {bad[0][0]} has an "
+                                    "imaginary part excluding zero")
+        return IntervalArray(lo[0], hi[0])
 
     def eval_box(self, z1: CInterval, z2: CInterval) -> tuple[CInterval, ...]:
-        """Rigorous evaluation over a box in the unit polydisc."""
+        """Rigorous evaluation over a box in the closed unit polydisc.
+
+        The tail bounds the truncation error only there, so each box
+        must provably lie in it: DomainExceeded is raised unless the
+        upper end of every |z| enclosure is at most 1."""
         for z in (z1, z2):
-            if z.abs().hi > 1.0 + 1e-12:
+            if z.abs().hi > 1.0:
                 raise DomainExceeded(
                     f"evaluation box leaves the unit polydisc: |z| up to {z.abs().hi}")
         out = []
@@ -484,18 +505,29 @@ class Series2:
         return tuple(out)
 
     def rescale(self, s: complex) -> "Series2":
-        """The series P_s(z) = P(s z).
+        """The series P_s(z) = P(s z): one stacked product of the
+        coefficients with the grid whose entry (m, n) encloses s^(m+n),
+        so every coefficient gets the endpoints of the scalar CInterval
+        product.  The powers are CInterval products from the point s,
+        so they enclose the exact powers.
 
         The tail bounds a sup over the unit polydisc, and there s z
         ranges over the polydisc of radius |s|, so the tail carries
         over only for |s| <= 1; a positive tail with |s| > 1 raises
         ValueError."""
+        if s == 0:
+            raise ValueError("scale must be nonzero")
         if self.tail > 0.0 and abs(s) > 1.0:
             raise ValueError(f"tail {self.tail} bounds only |z| <= 1; "
                              f"cannot rescale by |s| = {abs(s)} > 1")
-        comps = tuple(c.rescale(s) for c in self.components)
-        return Series2(comps, scale=self.scale * s, tau=self.tau,
-                       real_symmetric=self.real_symmetric, tail=self.tail)
+        M, N = self.orders
+        s_iv = CInterval.from_complex(complex(s))
+        powers = [CInterval(1.0)]
+        for _ in range(M + N):
+            powers.append(powers[-1] * s_iv)
+        degree = np.add.outer(np.arange(M + 1), np.arange(N + 1))
+        return Series2(self.coefs * CIntervalArray.of(powers)[degree],
+                       scale=self.scale * s, tau=self.tau, tail=self.tail)
 
     def to_json(self) -> dict:
         """JSON form: metadata and every component's four endpoint
@@ -506,7 +538,6 @@ class Series2:
             "scale": [sc.real, sc.imag],
             "tau": self.tau,
             "tail": self.tail,
-            "real_symmetric": self.real_symmetric,
             "components": [{"rlo": c.rlo.tolist(), "rhi": c.rhi.tolist(),
                             "ilo": c.ilo.tolist(), "ihi": c.ihi.tolist()}
                            for c in self.components],
@@ -514,41 +545,40 @@ class Series2:
 
     @classmethod
     def from_json(cls, d: dict) -> "Series2":
-        comps = tuple(ScalarSeries2(c["rlo"], c["rhi"], c["ilo"], c["ihi"])
-                      for c in d["components"])
+        """Inverse of ``to_json``; other keys, such as the symmetry flag
+        that files of earlier versions carry, are ignored."""
+        comps = [ScalarSeries2(c["rlo"], c["rhi"], c["ilo"], c["ihi"])
+                 for c in d["components"]]
         return cls(comps, scale=complex(d["scale"][0], d["scale"][1]),
-                   tau=d["tau"], real_symmetric=d["real_symmetric"],
-                   tail=d["tail"])
+                   tau=d["tau"], tail=d["tail"])
 
 
 def conj_symmetry_check(P: Series2) -> SymmetryReport:
     """Verify a_nm = conjugate(a_mn) componentwise by interval overlap.
 
-    The defect reported is the largest midpoint distance between a_nm
-    and conjugate(a_mn); symmetry holds when every pair overlaps.
+    The defect reported is the largest midpoint distance between a_mn
+    and conjugate(a_nm), at the first index in (component, m, n) order
+    that attains it (None when every defect is zero); symmetry holds
+    when every pair overlaps.  One pass over the stacked coefficients.
     """
     M, N = P.orders
     if M != N:
         raise ValueError("symmetry check needs a square grid")
-    ok = True
-    worst = 0.0
-    worst_idx = None
-    for ci, comp in enumerate(P.components):
-        refl = comp.conj_reflect()
-        for m in range(M + 1):
-            for n in range(N + 1):
-                a = comp.at(m, n)
-                b = refl.at(m, n)
-                defect = max(abs(a.re.mid - b.re.mid), abs(a.im.mid - b.im.mid))
-                if defect > worst:
-                    worst = defect
-                    worst_idx = (ci, m, n)
-                gap = max(_gap(a.re, b.re), _gap(a.im, b.im))
-                if gap > 0.0:
-                    ok = False
-    return SymmetryReport(symmetric=ok, max_defect=worst, worst_index=worst_idx)
+    lo, hi = P.coefs.lo, P.coefs.hi
+    # conjugate(a_nm) at (m, n): a_nm's real part, its imaginary part negated
+    rlo = np.stack((lo[0], -hi[1])).swapaxes(-1, -2)
+    rhi = np.stack((hi[0], -lo[1])).swapaxes(-1, -2)
+    defect = np.max(np.abs(_mid(lo, hi) - _mid(rlo, rhi)), axis=0)
+    k = int(np.argmax(defect))
+    worst = float(defect.flat[k])
+    idx = (tuple(int(i) for i in np.unravel_index(k, defect.shape))
+           if worst > 0.0 else None)
+    ok = not np.any((lo > rhi) | (rlo > hi))
+    return SymmetryReport(symmetric=ok, max_defect=worst, worst_index=idx)
 
 
-def _gap(a: Interval, b: Interval) -> float:
-    """Separation between two intervals (0 when they overlap)."""
-    return max(0.0, a.lo - b.hi, b.lo - a.hi)
+def _mid(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Entrywise ``Interval.mid``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = 0.5 * (lo + hi)
+        return np.where(np.isfinite(m), m, 0.5 * lo + 0.5 * hi)

@@ -69,8 +69,7 @@ def _line_series(vals, M=0):
         rlo[0, 0] = v
         comps.append(ScalarSeries2(rlo, rlo.copy(), np.zeros((M + 1, 1)),
                                    np.zeros((M + 1, 1))))
-    return Series2(tuple(comps), scale=1.0, tau=1.0, real_symmetric=False,
-                   tail=0.0)
+    return Series2(tuple(comps), scale=1.0, tau=1.0, tail=0.0)
 
 
 def _chart_lhs(G):
@@ -311,7 +310,7 @@ class TestDefect:
         comps[1].rlo[mm, 16] = 0.0
         comps[1].rhi[mm, 16] = 0.0
         bad = FlowChart(Gamma=Series2(tuple(comps), scale=G.scale, tau=G.tau,
-                                      real_symmetric=False, tail=G.tail),
+                                      tail=G.tail),
                         kind=chart.kind, tail_policy="reported")
         res = _chart_defect(m, pc, bad.Gamma)[0][1]
         assert not res.rlo[mm, 15] <= 0.0 <= res.rhi[mm, 15]

@@ -57,8 +57,7 @@ def _ramp_arc(M=6, coeff=0.3):
             g.rlo[0, 0] = 0.5
             g.rhi[0, 0] = 0.5
         comps.append(g)
-    gamma = Series2(tuple(comps), scale=1.0, tau=1.0,
-                    real_symmetric=False, tail=1e-12)
+    gamma = Series2(tuple(comps), scale=1.0, tau=1.0, tail=1e-12)
     return BoundaryArc(gamma=gamma, kind="stable", preimage=None)
 
 
@@ -82,8 +81,7 @@ class TestArcQuality:
                 g.rlo[1, 0] = 0.1
                 g.rhi[1, 0] = 0.1
             comps.append(g)
-        gamma = Series2(tuple(comps), scale=1.0, tau=1.0,
-                        real_symmetric=False, tail=0.0)
+        gamma = Series2(tuple(comps), scale=1.0, tau=1.0, tail=0.0)
         arc = BoundaryArc(gamma=gamma, kind="stable", preimage=None)
         assert arc_length(arc) == pytest.approx(0.2, abs=1e-12)
 
@@ -291,6 +289,24 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaVersionMismatch):
             Atlas.load(path)
+
+    def test_files_with_the_symmetry_flag_load(self, grown, tmp_path):
+        # files that carry the unread "real_symmetric" series key, as
+        # earlier versions wrote them, load to the same series; saves
+        # no longer write it
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        doc = json.loads(path.read_text())
+        series = ([a["series"] for a in doc["arcs"]]
+                  + [c["series"] for c in doc["charts"]])
+        assert series and not any("real_symmetric" in s for s in series)
+        for s in series:
+            s["real_symmetric"] = False
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        back = tmp_path / "back.json"
+        Atlas.load(old).save(back)
+        assert filecmp.cmp(path, back, shallow=False)
 
     def test_meta_survives(self, setup, stable5, tmp_path):
         m, _ = setup

@@ -209,8 +209,7 @@ class TestInvarianceResidual:
         for c in comps:
             c[2, 1] = zero
         broken = dataclasses.replace(
-            M, P=Series2(comps, scale=M.P.scale, tau=1.0,
-                         real_symmetric=True, tail=0.0))
+            M, P=Series2(comps, scale=M.P.scale, tau=1.0, tail=0.0))
         res, _ = _invariance_defect(m, pc, broken, M.order)
         flagged = any(not r.at(2, 1).straddles_zero() for r in res)
         assert flagged
@@ -344,7 +343,7 @@ class TestRealChart:
         comps[0][1, 0] = CInterval(c0.re, c0.im + Interval.from_value(0.05))
         broken = dataclasses.replace(
             stable4, P=Series2(comps, scale=stable4.P.scale, tau=1.0,
-                               real_symmetric=False, tail=0.0))
+                               tail=0.0))
         with pytest.raises(SymmetryViolation):
             real_chart(broken, 0.4, 0.0)
 
@@ -454,6 +453,21 @@ class TestRealSeries:
         with pytest.raises(DomainExceeded):
             real_chart(stable4, 0.8, 0.8)
 
+    def test_domain_guard_is_exact(self, stable4):
+        # the tail bounds P only for |z| <= 1, so a point outside the
+        # unit disk by any margin is refused, and one on its edge is not
+        out = CInterval(Interval.from_value(1.0 + 5e-13))
+        zero = CInterval(Interval.from_value(0.0))
+        one = CInterval(Interval.from_value(1.0))
+        with pytest.raises(DomainExceeded):
+            real_chart(stable4, 1.0 + 5e-13, 0.0)
+        with pytest.raises(DomainExceeded):
+            stable4.P.eval_box(out, zero)
+        with pytest.raises(DomainExceeded):
+            stable4.P.eval_box(zero, out)
+        real_chart(stable4, 1.0, 0.0)
+        stable4.P.eval_box(one, one)
+
     def test_series_is_real_triangle(self, stable7):
         Q = stable7.Q
         assert Q.shape == (7, 15, 15)
@@ -541,6 +555,30 @@ class TestBoundaryMesh:
         with pytest.raises(TangencyDetected):
             boundary_mesh(broken, R=0.9, n_arcs=6)
 
+    def test_flux_checked_on_composed_chords(self, stable4, monkeypatch):
+        # the transversality check sees exactly the chords c + h s that
+        # are composed with Q, whose float ends c -+ h are not all the
+        # vertices the chords were cut between
+        checked, composed = [], []
+        check, compose = manifold._check_chord_flux, manifold._chord_arcs
+
+        def spy_check(M, *chord):
+            checked.append(chord)
+            check(M, *chord)
+
+        def spy_compose(Q, c, h):
+            composed.append((c.copy(), h.copy()))
+            return compose(Q, c, h)
+
+        monkeypatch.setattr(manifold, "_check_chord_flux", spy_check)
+        monkeypatch.setattr(manifold, "_chord_arcs", spy_compose)
+        arcs = boundary_mesh(stable4, R=0.99, n_arcs=20)
+        ((c, h),) = composed
+        assert checked == [(complex(*ck), complex(*hk))
+                           for ck, hk in zip(c, h)]
+        ends = [(ck - hk, ck + hk) for ck, hk in checked]
+        assert any(e != arc.preimage for e, arc in zip(ends, arcs))
+
     def test_invalid_radius(self, stable4):
         with pytest.raises(ValueError):
             boundary_mesh(stable4, R=1.2)
@@ -579,7 +617,7 @@ class TestBoundaryMesh:
         comps[0][1, 0] = CInterval(c0.re, c0.im + Interval.from_value(0.05))
         broken = dataclasses.replace(
             stable4, P=Series2(comps, scale=stable4.P.scale, tau=1.0,
-                               real_symmetric=False, tail=0.0))
+                               tail=0.0))
         with pytest.raises(SymmetryViolation):
             boundary_mesh(broken, R=0.9, n_arcs=6)
 

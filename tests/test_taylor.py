@@ -1,5 +1,6 @@
 """Tests for the bivariate interval-Taylor algebra."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from fourbody.interval import (
 from fourbody.taylor import (
     ScalarSeries2,
     Series2,
+    SymmetryReport,
     _column_plan,
     antidiagonal,
     cauchy_product,
@@ -609,11 +611,16 @@ class TestMagSumBound:
         assert Fraction(mag_sum_bound(s)) >= exact
 
 
+def _rescale(a, s):
+    """Component a rescaled by s, through a one-component Series2."""
+    return Series2([a]).rescale(s).components[0]
+
+
 class TestRescale:
     def test_dyadic_scale_exact(self):
         a = _dyadic_series(2, 2)
         s = 0.5
-        b = a.rescale(s)
+        b = _rescale(a, s)
         for m in range(3):
             for n in range(3):
                 want = a.at(m, n)
@@ -624,14 +631,14 @@ class TestRescale:
 
     def test_roundtrip_identity(self):
         a = _dyadic_series(2, 2)
-        b = a.rescale(0.5).rescale(2.0)
+        b = _rescale(_rescale(a, 0.5), 2.0)
         assert np.array_equal(a.rlo, b.rlo)
         assert np.array_equal(a.ihi, b.ihi)
 
     def test_eval_consistency(self):
         a = _random_series(3, 3)
         s = 0.37 + 0.11j
-        b = a.rescale(s)
+        b = _rescale(a, s)
         rng = np.random.default_rng(3)
         g = a.mid()
         for _ in range(10):
@@ -654,7 +661,7 @@ class TestRescale:
         a = _random_series(4, 3)
         a = a + a * CInterval(Interval(-1e-3, 1e-3), Interval(0.0, 2e-3))
         s = 0.37 + 0.11j
-        b = a.rescale(s)
+        b = _rescale(a, s)
         pw = [CInterval(1.0)]
         for _ in range(7):
             pw.append(pw[-1] * CInterval.from_complex(s))
@@ -665,7 +672,7 @@ class TestRescale:
     def test_zero_scale_rejected(self):
         a = _dyadic_series(1, 1)
         with pytest.raises(ValueError):
-            a.rescale(0.0)
+            _rescale(a, 0.0)
 
 
 class TestSeries2Container:
@@ -683,6 +690,53 @@ class TestSeries2Container:
         small = CInterval(Interval.from_value(0.0))
         with pytest.raises(DomainExceeded):
             P.eval_box(big, small)
+
+    def test_domain_guard_is_exact(self):
+        # the tail holds only on the closed unit polydisc: no slack
+        P = Series2.zeros(2, 1, 1, tail=0.125)
+        out = CInterval(Interval.from_value(1.0 + 5e-13))
+        one = CInterval(Interval.from_value(1.0))
+        with pytest.raises(DomainExceeded):
+            P.eval_box(one, out)
+        assert P.eval_box(one, one)[0].re == Interval(-0.125, 0.125)
+
+    def test_components_are_views_of_one_array(self):
+        comps = [_random_series(3, 2) for _ in range(4)]
+        P = Series2(comps, tail=0.5)
+        assert P.coefs.shape == (4, 4, 3)
+        assert (P.dim, P.orders) == (4, (3, 2))
+        for i, c in enumerate(P.components):
+            assert isinstance(c, ScalarSeries2)
+            assert np.shares_memory(c.lo, P.coefs.lo)
+            assert np.shares_memory(c.hi, P.coefs.hi)
+            assert not np.shares_memory(c.lo, comps[i].lo)
+            assert np.array_equal(c.lo, comps[i].lo)
+            assert np.array_equal(c.hi, comps[i].hi)
+        P.components[2][1, 1] = CInterval(7.0)
+        assert P.coefs.at(2, 1, 1) == CInterval(7.0)
+        # a stacked array is held as it is
+        assert Series2(P.coefs).coefs is P.coefs
+
+    def test_replace_components_rebuilds(self):
+        P = Series2([_random_series(2, 2) for _ in range(3)], scale=0.5,
+                    tau=-2.0, tail=0.25)
+        comps = list(P.components)
+        comps[1] = comps[1] * 2.0
+        Q = dataclasses.replace(P, components=comps)
+        assert (Q.scale, Q.tau, Q.tail) == (0.5, -2.0, 0.25)
+        assert np.array_equal(Q.coefs.lo[:, 1], 2.0 * P.coefs.lo[:, 1])
+        assert np.array_equal(Q.coefs.lo[:, 0], P.coefs.lo[:, 0])
+
+    def test_json_round_trip_without_symmetry_flag(self):
+        P = Series2([_random_series(2, 3) for _ in range(2)], scale=0.5j,
+                    tau=3.0, tail=1e-9)
+        d = P.to_json()
+        assert "real_symmetric" not in d
+        d["real_symmetric"] = True  # as files of earlier versions have
+        Q = Series2.from_json(d)
+        assert (Q.scale, Q.tau, Q.tail) == (0.5j, 3.0, 1e-9)
+        assert np.array_equal(Q.coefs.lo, P.coefs.lo)
+        assert np.array_equal(Q.coefs.hi, P.coefs.hi)
 
     def test_tail_padding(self):
         P = Series2.zeros(1, 1, 1, tail=0.125)
@@ -710,14 +764,28 @@ class TestSeries2Container:
         assert Series2.zeros(2, 1, 1).rescale(2.0).tail == 0.0
 
 
+def _symmetry_loop(P):
+    """Reference conjugate-symmetry check by a loop over scalar pairs."""
+    M = P.orders[0]
+    ok, worst, idx = True, 0.0, None
+    for ci, comp in enumerate(P.components):
+        for m in range(M + 1):
+            for n in range(M + 1):
+                a, b = comp.at(m, n), comp.at(n, m).conj()
+                d = max(abs(a.re.mid - b.re.mid), abs(a.im.mid - b.im.mid))
+                if d > worst:
+                    worst, idx = d, (ci, m, n)
+                ok = ok and a.re.overlaps(b.re) and a.im.overlaps(b.im)
+    return SymmetryReport(symmetric=ok, max_defect=worst, worst_index=idx)
+
+
 class TestConjSymmetry:
     def _symmetric_series(self, M):
         rng = np.random.default_rng(5)
         grid = (rng.integers(-8, 9, size=(M + 1, M + 1)) / 16.0
                 + 1j * rng.integers(-8, 9, size=(M + 1, M + 1)) / 16.0)
         sym = 0.5 * (grid + np.conj(grid.T))
-        return Series2((ScalarSeries2.from_complex_points(sym),),
-                       real_symmetric=True)
+        return Series2((ScalarSeries2.from_complex_points(sym),))
 
     def test_symmetric_passes(self):
         P = self._symmetric_series(3)
@@ -745,6 +813,26 @@ class TestConjSymmetry:
             z2 = CInterval(Interval.from_value(z.real), Interval.from_value(-z.imag))
             v = comp.eval_box(z1, z2)
             assert v.im.straddles_zero()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_loop(self, seed):
+        # the stacked check reports what a loop over the scalar pairs
+        # (a_mn, conjugate(a_nm)) reports: flag, largest midpoint
+        # distance and its first index in (component, m, n) order
+        rng = np.random.default_rng(seed)
+        comps = []
+        for _ in range(3):
+            k = rng.integers(-8, 9, size=(2, 5, 5)) / 16.0
+            grid = k[0] + 1j * k[1]
+            comps.append(ScalarSeries2.from_complex_points(
+                0.5 * (grid + np.conj(grid.T))))
+        P = Series2(comps)
+        P.coefs.hi[0] += rng.integers(0, 2, size=(3, 5, 5)) / 64.0
+        for _ in range(2):
+            i, m, n = rng.integers(0, (3, 5, 5))
+            P.coefs.lo[1, i, m, n] += 0.5
+            P.coefs.hi[1, i, m, n] += 0.5
+        assert conj_symmetry_check(P) == _symmetry_loop(P)
 
     def test_rectangular_grid_rejected(self):
         P = Series2.zeros(1, 2, 3)
