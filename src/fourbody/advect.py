@@ -39,7 +39,10 @@ from .interval import (
     CIntervalArray,
     Interval,
     IntervalArray,
+    _gamma,
+    _nonneg_upper,
     _pad_sum,
+    _sum_ceil,
     matrix_norm,
 )
 from .manifold import BoundaryArc
@@ -235,8 +238,42 @@ def _defect_bound(cols: FieldColumns, G: Series2) -> float:
     return max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
 
 
-# tiles per side of the range box's sample grid
+# tiles per side of the range box's sample grid, and the tile centers
 _TILES = 64
+_CENTERS = np.linspace(-1.0 + 1.0 / _TILES, 1.0 - 1.0 / _TILES, _TILES)
+
+
+def _tile_samples(mid: np.ndarray) -> tuple[np.ndarray, float]:
+    """Float samples of p(x, y) = sum_mn mid_mn x^m y^n, for float
+    coefficients ``mid`` of shape (M + 1, N + 1), at every pair of tile
+    centers (x at row i, y at column j), and a bound on every sample's
+    distance from the exact p at the same float centers.
+
+    The samples are (V_x mid) V_y^T, with ``np.vander`` powers.
+    Theorem: each exact summand mid_mn x^m y^n passes through at most
+    k = 2 (M + N) + 2 roundings: m - 1 in the power x^m (a running
+    product), one in its product with mid_mn, M in the sum over m, as
+    many again in y and n.  Each rounding is a factor (1 + delta),
+    |delta| <= u, or, for a result in the subnormal range, an absolute
+    error of at most 2^-1075 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 2.2); FMAs and any summation
+    order only round less.  The centers have modulus below 1, so every
+    power is at most 1, and at least 64^-170 > 2^-1022, never
+    subnormal, while M, N <= 170.  So a sample is off by at most
+    gamma_k sum_mn |mid_mn| from the roundings, plus 2^-1074 for each
+    of the ops = (N + 1)(2 M + 1) + 2 N + 1 products and sums of a
+    sample, since an absolute error is afterwards only multiplied by
+    powers of modulus at most 1 and by factors (1 + delta).  The sum
+    of |mid_mn| and that bound are evaluated by
+    ``interval._nonneg_upper``, which rounds them up.
+    """
+    M, N = mid.shape[0] - 1, mid.shape[1] - 1
+    VS = np.vander(_CENTERS, M + 1, increasing=True)
+    VT = np.vander(_CENTERS, N + 1, increasing=True)
+    vals = VS @ mid @ VT.T
+    ops = (N + 1) * (2 * M + 1) + 2 * N + 1
+    mass = _nonneg_upper(float(np.sum(np.abs(mid))), mid.size)
+    return vals, _nonneg_upper(_gamma(2 * (M + N) + 2) * mass, 1, ops + 1)
 
 
 def range_box(G: Series2) -> IntervalArray:
@@ -244,28 +281,41 @@ def range_box(G: Series2) -> IntervalArray:
 
     Interval Horner is uselessly wide at these orders, so the box
     comes from float samples of the coefficient-midpoint polynomial at
-    tile centers, padded by a mean-value slack: tile half-width times
-    global derivative sups, the coefficient radii, the chart tail and
-    a worst-case rounding bound for the sample evaluation.
+    tile centers (``_tile_samples``), padded by a slack that bounds the
+    distance of every point value of the chart from the nearest sample.
+    Theorem: every point of the square lies within h = 1 / _TILES of a
+    float center in each variable, so, for coefficients a in their
+    boxes, the mean-value theorem and |s|, |t| <= 1 give
+    |P_a(s, t) - P_a(c)| <= h sum_mn (m + n) |a_mn|, which ``sups``
+    bounds by the magnitudes; h carries a factor 1 + 1e-12, which
+    covers both the float centers' distance from the exact tile centers
+    and the rounding of that sum while it has under 8000 terms
+    (gamma_8002 < 9e-13).  |P_a(c) - P_mid(c)| is at most
+    sum |a_mn - mid_mn|, bounded by ``radii`` from the float midpoints
+    themselves, and the float sample is within ``_tile_samples``'s
+    bound of P_mid(c).  The chart tail covers the truncation.  The
+    terms are summed upward, and the box ends are stepped outward.
+    Raises ValueError for grids beyond those limits.
     """
     M, N = G.orders
+    if (M + 1) * (N + 1) >= 8000 or max(M, N) > 170:
+        raise ValueError(f"chart orders {G.orders} exceed the range "
+                         "box's rounding analysis")
     h = (1.0 / _TILES) * (1.0 + 1e-12)
-    centers = np.linspace(-1.0 + 1.0 / _TILES, 1.0 - 1.0 / _TILES, _TILES)
-    VS = np.vander(centers, M + 1, increasing=True)
-    VT = np.vander(centers, N + 1, increasing=True)
     mrow = np.arange(M + 1, dtype=float)[:, None]
     ncol = np.arange(N + 1, dtype=float)[None, :]
-    ops = (M + 1) * (N + 1) + M + N + 8
     out = []
     # the chart is real: only the real parts enter
     for lo, hi in zip(G.coefs.lo[0], G.coefs.hi[0]):
         mid = 0.5 * (lo + hi)
-        vals = VS @ mid @ VT.T
+        vals, fperr = _tile_samples(mid)
         mags = np.maximum(np.abs(lo), np.abs(hi))
         sups = h * float(np.sum((mrow + ncol) * mags))
-        radii = 0.5 * float(np.sum(hi - lo))
-        fperr = ops * 1.2e-16 * max(1.0, float(np.sum(np.abs(mid))))
-        slack = sups + radii + fperr + G.tail
+        # the rounded midpoint lies in [lo, hi], so both differences
+        # are nonnegative
+        radii = _nonneg_upper(float(np.sum(np.maximum(hi - mid, mid - lo))),
+                              mid.size)
+        slack = _sum_ceil(_sum_ceil(_sum_ceil(sups, radii), fperr), G.tail)
         out.append(Interval(
             math.nextafter(float(np.min(vals)) - slack, -math.inf),
             math.nextafter(float(np.max(vals)) + slack, math.inf)))

@@ -25,7 +25,8 @@ uses for them.
 The module also provides ``matrix_norm``, the one norm of the
 certification pipeline (the max norm of a vector, the row-sum norm of a
 matrix and the bilinear norm of a 3-tensor), and a Krawczyk-style
-verified linear solver.
+verified linear solver, which solves a whole stack of systems in one
+call.
 """
 
 from __future__ import annotations
@@ -477,12 +478,13 @@ class CIntervalArray:
 
     def __setitem__(self, key, value: "CIntervalArray | CInterval") -> None:
         # part by part, so numpy broadcasting aligns the value's shape
-        # with the target's
+        # with the target's; each part is indexed as an array of
+        # ``shape``, since an integer part index beside the key would
+        # move the key's advanced indices to the front
         v = _as_carray(value)
-        k = _index(key)
         for part in (0, 1):
-            self.lo[(part,) + k] = v.lo[part]
-            self.hi[(part,) + k] = v.hi[part]
+            self.lo[part][key] = v.lo[part]
+            self.hi[part][key] = v.hi[part]
 
     def copy(self) -> "CIntervalArray":
         return self._like(self.lo.copy(), self.hi.copy())
@@ -846,9 +848,6 @@ class IntervalArray:
     def mid(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
-    def is_subset(self, other: "IntervalArray") -> bool:
-        return bool(np.all(other.lo <= self.lo) and np.all(self.hi <= other.hi))
-
     def __repr__(self) -> str:
         return f"IntervalArray(shape={self.shape})"
 
@@ -876,61 +875,112 @@ def matrix_norm(A: IntervalArray) -> Interval:
 _MAX_INFLATE = 20
 
 
+def _matvec(alo, ahi, xlo, xhi):
+    """Interval products of stacked (..., n, k) matrices with stacked
+    (..., k) vectors, one padded sum over k per result entry; a point
+    factor passes one array as both of its endpoints, which gives its
+    products by the two-candidate path of ``_imul_arr``."""
+    xv = xlo[..., None, :]
+    if alo is ahi:
+        return _pad_sum(*_imul_arr(xv, xhi[..., None, :], alo, alo), axis=-1)
+    plo, phi = _imul_arr(alo, ahi, xv,
+                         xv if xhi is xlo else xhi[..., None, :])
+    return _pad_sum(plo, phi, axis=-1)
+
+
+def _row_norm(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Upper end of ``matrix_norm`` for each (n, k) matrix of a stack
+    (..., n, k): the largest padded row sum of entry magnitudes."""
+    mags = np.maximum(np.abs(lo), np.abs(hi))
+    return np.max(_pad_sum(mags, mags, axis=-1)[1], axis=-1)
+
+
 def verified_solve(A: IntervalArray, b: IntervalArray) -> IntervalArray:
-    """Enclosure of {A^-1 b : A in [A], b in [b]} for a regular matrix.
+    """Enclosure of {A^-1 b : A in [A], b in [b]} for each regular
+    matrix of a stack: A of shape (..., n, n), b of shape (..., n), and
+    the result of b's shape.  Without leading axes it is one system.
 
     Krawczyk-style: with Y an approximate inverse of mid(A) and x0 = Y mid(b),
     the error e = x - x0 satisfies e = z + G e where z = Y(b - A x0) and
     G = I - Y A.  If ||G|| < 1 a norm bound gives a candidate box for e,
     verified by checking z + G e inside e (epsilon inflation on failure).
+    Every stack entry has its own Y, contraction test, inflation radius
+    and two tightening sweeps, carried by masks: an entry's radius grows
+    only until its own box verifies, and its sweeps stop at its own
+    first failure, so each enclosure is the one its system would get
+    alone, up to the rounding of the float midpoint solve.  Raises
+    SingularEnclosure if any entry fails.
     """
-    n = A.shape[0]
-    if A.shape != (n, n) or b.shape != (n,):
+    n = A.shape[-1]
+    if A.shape[-2:] != (n, n) or b.shape != A.shape[:-1]:
         raise ValueError("shape mismatch")
-    Am = A.mid()
     try:
-        Y = np.linalg.inv(Am)
+        Y = np.linalg.inv(A.mid())
     except np.linalg.LinAlgError as exc:
         raise SingularEnclosure("midpoint matrix is singular") from exc
-    Yiv = IntervalArray.from_points(Y)
-    x0 = Y @ b.mid()
-    x0v = IntervalArray.from_points(x0)
-    z = Yiv @ (b - (A @ x0v))
-    G = IntervalArray.from_points(np.eye(n)) - (Yiv @ A)
-    g = matrix_norm(G).hi
-    if g >= 1.0:
-        raise SingularEnclosure(f"contraction test failed: ||I - YA|| = {g}")
-    if np.all(z.lo == 0.0) and np.all(z.hi == 0.0):
-        # e = G e with ||G|| < 1 forces e = 0: the solution is exactly x0
-        return x0v
-    rho = matrix_norm(z).hi / (1.0 - g)
+    x0 = (Y @ b.mid()[..., None])[..., 0]
+    r = _isub_arr(b.lo, b.hi, *_matvec(A.lo, A.hi, x0, x0))
+    zlo, zhi = _matvec(Y, Y, *r)
+    Yv = Y[..., None]
+    YA = _pad_sum(*_imul_arr(A.lo[..., None, :, :], A.hi[..., None, :, :],
+                             Yv, Yv), axis=-2)
+    eye = np.eye(n)
+    Glo, Ghi = _isub_arr(eye, eye, *YA)
+    g = _row_norm(Glo, Ghi)
+    if not np.all(g < 1.0):
+        raise SingularEnclosure(
+            f"contraction test failed: ||I - YA|| = {np.max(g)}")
+
+    def sweep(elo, ehi):
+        """z + G e, and whether it lies in e, per entry."""
+        nlo, nhi = _iadd_arr(zlo, zhi, *_matvec(Glo, Ghi, elo, ehi))
+        return nlo, nhi, np.all((elo <= nlo) & (nhi <= ehi), axis=-1)
+
+    # e = G e with ||G|| < 1 forces e = 0: where z is exactly zero, the
+    # solution is exactly x0
+    done = np.all((zlo == 0.0) & (zhi == 0.0), axis=-1)
+    elo = np.zeros_like(zlo)
+    ehi = np.zeros_like(zhi)
+    rho = _row_norm(zlo[..., None], zhi[..., None]) / (1.0 - g)
     rho = rho * (1.0 + 2.0 ** -20) + 2.0 ** -1070
     for _ in range(_MAX_INFLATE):
-        e = IntervalArray(np.full(n, -rho), np.full(n, rho))
-        e_new = z + (G @ e)
-        if e_new.is_subset(e):
-            # tighten by a couple of fixed-point sweeps
-            for _ in range(2):
-                e_next = z + (G @ e_new)
-                if not e_next.is_subset(e_new):
-                    break
-                e_new = e_next
-            return x0v + e_new
-        rho = rho * 2.0 + 2.0 ** -1070
-    raise SingularEnclosure("epsilon inflation failed to verify enclosure")
+        if np.all(done):
+            break
+        box = np.broadcast_to(rho[..., None], zlo.shape)
+        nlo, nhi, ok = sweep(-box, box)
+        ok &= ~done
+        elo = np.where(ok[..., None], nlo, elo)
+        ehi = np.where(ok[..., None], nhi, ehi)
+        done |= ok
+        rho = np.where(done, rho, rho * 2.0 + 2.0 ** -1070)
+    if not np.all(done):
+        raise SingularEnclosure("epsilon inflation failed to verify enclosure")
+    # tighten by a couple of fixed-point sweeps, each entry until its
+    # first sweep that leaves its box
+    active = np.ones(done.shape, dtype=bool)
+    for _ in range(2):
+        nlo, nhi, ok = sweep(elo, ehi)
+        active &= ok
+        elo = np.where(active[..., None], nlo, elo)
+        ehi = np.where(active[..., None], nhi, ehi)
+    return IntervalArray(*_iadd_arr(x0, x0, elo, ehi))
 
 
 def verified_solve_complex(A: CIntervalArray, b: CIntervalArray
                            ) -> CIntervalArray:
-    """Verified solve of A x = b for an (n, n) A and an (n,) b.
+    """Verified solve of A x = b for each (n, n) matrix of a stack: A of
+    shape (..., n, n), b of shape (..., n).
 
-    Realified to the doubled system [[Ar, -Ai], [Ai, Ar]] (xr, xi) =
-    (br, bi).
+    Realified to the doubled systems [[Ar, -Ai], [Ai, Ar]] (xr, xi) =
+    (br, bi), solved by one stacked ``verified_solve``, so each entry
+    keeps its own certificate and epsilon inflation, and any failure
+    raises SingularEnclosure.
     """
     lo, hi = A.lo, A.hi
     big = IntervalArray(np.block([[lo[0], -hi[1]], [lo[1], lo[0]]]),
                         np.block([[hi[0], -lo[1]], [hi[1], hi[0]]]))
-    n = b.shape[0]
-    sol = verified_solve(big, IntervalArray(b.lo.reshape(2 * n),
-                                            b.hi.reshape(2 * n)))
-    return CIntervalArray(sol.lo.reshape(2, n), sol.hi.reshape(2, n))
+    n = b.shape[-1]
+    sol = verified_solve(big, IntervalArray(np.concatenate(b.lo, axis=-1),
+                                            np.concatenate(b.hi, axis=-1)))
+    return CIntervalArray(np.stack((sol.lo[..., :n], sol.lo[..., n:])),
+                          np.stack((sol.hi[..., :n], sol.hi[..., n:])))

@@ -7,14 +7,20 @@ coefficients turns this into one linear "homological" equation per
 coefficient, [DF(u0) - (m lam1 + n lam2) I] a_mn = -c_mn, where c_mn
 collects products of strictly lower-order data.  The solver interprets
 the field program of ``polyfield`` one total degree d = m + n at a time,
-keeping one grid per program node and reading and writing a degree's
-slots as one ``CIntervalArray``: with every degree-d input slot at
-zero, one ``product_antidiagonal`` per product node gives the program's
-degree-d coefficients, which are exactly the lower-order ("hat") sums
-c_mn of all the degree's slots at once.  Each a_mn then comes from its
-own verified solve, and the tangent interpreter supplies the solved
-coefficients' linear contribution to every node, across the degree's
-slots.  ``field_series`` interprets the same program with the column
+keeping one grid per program node, all in one stacked array, and
+reading and writing a degree's slots as one ``CIntervalArray``: with
+every degree-d input slot at zero, one ``product_antidiagonal`` per
+product node gives the program's degree-d coefficients, which are
+exactly the lower-order ("hat") sums c_mn of the degree's slots.  The
+field is real and the first-order data conjugate (v2 = conj v1), so
+the exact solution, and every node series with it, has
+a_nm = conj(a_mn): only the half m >= n of a degree is evaluated and
+solved, and every grid's other half is filled by that exact swap.  The
+half's coefficients come from one stacked verified solve, each with its
+own Krawczyk certificate, and the node Jacobian at the expansion point
+(``polyfield.node_jacobian``, computed once) lands their linear
+contribution on every node in one stacked product.
+``field_series`` interprets the same program with the column
 interpreter of ``polyfield``, which advection also uses, and the tail
 of a finished manifold comes from ``polyfield.field_defect``, the
 bound that also gives an advected chart its defect.
@@ -73,7 +79,7 @@ from .interval import (
 from .nk import certify_equilibrium
 from .polyfield import (DIM, FieldColumns, FieldProgram, Mul, State7, embed_R,
                         evaluate, field_defect, field_program,
-                        lift_eigvector, poly_DF, tangent)
+                        lift_eigvector, node_jacobian)
 from .taylor import (
     ScalarSeries2,
     Series2,
@@ -150,42 +156,49 @@ class _DegreeInterpreter:
     """Interpreter of the field program one total degree at a time on
     (N, N) grids.
 
-    One grid per node; the input grids are the components of the series
-    ``P`` being solved, views into its stacked coefficients, and the
-    (0, 0) slots hold the scalar interpreter's values at
-    ``origin``.  ``evaluate(d)`` fills every node's degree-d slots, a
-    Lin node from its operands' slots, a Mul node by
-    ``product_antidiagonal``.  Theorem: a degree-d slot (m', n') of a
-    factor reaches the degree-d coefficient (m, n) of a product only
-    paired with the other factor's (0, 0) coefficient, at
-    (m', n') = (m, n).  So if all slots of degree below d enclose the
-    true coefficients, the degree-d values enclose the node
-    coefficients for the input values in the degree-d slots, and with
-    those all zero they are every hat sum of the degree at once.
-    ``land`` then adds the solved a_mn and, from ``tangent`` over the
-    (0, 0) values, their exact linear effect on every node, which
-    restores the hypothesis at degree d.
+    One grid per node, all of them views into one stacked array ``G``
+    of shape (nodes, N + 1, N + 1); the input grids are the components
+    of the series ``P`` being solved, and the (0, 0) slots hold the
+    scalar interpreter's values at ``origin``.  ``evaluate(d, m_min)``
+    fills every node's degree-d slots with m >= m_min, a Lin node from
+    its operands' slots, a Mul node by ``product_antidiagonal``.
+    Theorem: a degree-d slot (m', n') of a factor reaches the degree-d
+    coefficient (m, n) of a product only paired with the other factor's
+    (0, 0) coefficient, at (m', n') = (m, n).  So if all slots of degree
+    below d enclose the true coefficients, the degree-d values enclose
+    the node coefficients for the input values in the degree-d slots,
+    and with those all zero they are the hat sums of those slots.
+    ``land`` then adds the solved inputs a and their exact linear
+    effect on every node, J a, with J = ``node_jacobian`` at the (0, 0)
+    values (computed once): one stacked product and one padded sum over
+    the inputs, which restores the hypothesis at degree d.  By
+    sub-distributivity J a is no wider than the tangent chain that
+    multiplies a again at every node.  ``mirror(d)`` fills the other
+    half of a degree when every exact node series is conjugate-symmetric.
     """
 
     def __init__(self, prog: FieldProgram, N: int,
                  origin: Sequence[CInterval]):
         self.prog = prog
         self.N = N
-        self.base = evaluate(prog, origin)
-        self.P = Series2.zeros(DIM, N, N)
-        self.grids = (list(self.P.components)
-                      + [ScalarSeries2.zeros(N, N) for _ in prog.ops])
-        for g, v in zip(self.grids, self.base):
+        base = evaluate(prog, origin)
+        self.J = node_jacobian(prog, base)
+        self.G = CIntervalArray.zeros((len(base), N + 1, N + 1))
+        self.P = Series2(self.G[:DIM])
+        self.grids = [ScalarSeries2._wrap(self.G.lo[:, i], self.G.hi[:, i])
+                      for i in range(len(base))]
+        for g, v in zip(self.grids, base):
             g[0, 0] = v
 
-    def evaluate(self, d: int) -> list[CIntervalArray]:
-        """Node slots of degree d >= 1; returns the outputs'."""
-        slots = antidiagonal(self.N, self.N, d)
+    def evaluate(self, d: int, m_min: int = 0) -> list[CIntervalArray]:
+        """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns
+        the outputs'."""
+        slots = antidiagonal(self.N, self.N, d, m_min)
         g = self.grids
         vals = [x[slots] for x in g[:DIM]]
         for i, op in enumerate(self.prog.ops, DIM):
             if isinstance(op, Mul):
-                v = product_antidiagonal(g[op.a], g[op.b], d)
+                v = product_antidiagonal(g[op.a], g[op.b], d, m_min)
             else:
                 v = None
                 for c, k in op.terms:
@@ -194,23 +207,48 @@ class _DegreeInterpreter:
             vals.append(v)
         return [vals[o] for o in self.prog.outputs]
 
-    def land(self, d: int, vals: Sequence[CIntervalArray]) -> None:
-        """Install the degree-d inputs ``vals`` after ``evaluate`` on
-        zero input slots."""
-        slots = antidiagonal(self.N, self.N, d)
-        for g, dv in zip(self.grids, tangent(self.prog, self.base, vals)):
-            if dv is not None:
-                g[slots] = g[slots] + dv
+    def land(self, d: int, vals: Sequence[CIntervalArray],
+             m_min: int = 0) -> None:
+        """Install the inputs ``vals`` (one slot array per input) in the
+        degree-d slots with m >= m_min, after ``evaluate`` on zero input
+        slots: every node's slots gain J a, the inputs' exactly a."""
+        ms, ns = antidiagonal(self.N, self.N, d, m_min)
+        a = CIntervalArray.of(vals)
+        J = self.J
+        # terms J_re a_re, J_im a_im, J_re a_im, J_im a_re on axes
+        # (term kind, node, input, slot)
+        t, u = [0, 1, 0, 1], [0, 1, 1, 0]
+        plo, phi = _imul_arr(J.lo[t, ..., None], J.hi[t, ..., None],
+                             a.lo[u, None], a.hi[u, None])
+        lo, hi = _pad_sum(
+            np.stack((np.concatenate((plo[0], -phi[1]), axis=1),
+                      np.concatenate((plo[2], plo[3]), axis=1))),
+            np.stack((np.concatenate((phi[0], -plo[1]), axis=1),
+                      np.concatenate((phi[2], phi[3]), axis=1))), axis=2)
+        self.G[:, ms, ns] = self.G[:, ms, ns] + CIntervalArray._wrap(lo, hi)
 
-
-def _homological_solve(df: IntervalArray, mu: CInterval,
-                       c: CIntervalArray) -> CIntervalArray:
-    """Verified solution of [DF(u0) - mu I] a = -c."""
-    zero = np.zeros_like(df.lo)
-    A = CIntervalArray(np.stack((df.lo, zero)), np.stack((df.hi, zero)))
-    diag = np.arange(DIM)
-    A[diag, diag] = A[diag, diag] - CIntervalArray.of([mu])
-    return verified_solve_complex(A, -c)
+    def mirror(self, d: int) -> None:
+        """Fill every grid's degree-d slots with m < n by the exact swap
+        a_nm = conj(a_mn) from the slots with m > n, and narrow the
+        imaginary part of the slot (d/2, d/2) to its intersection with
+        its negation.  Sound when every exact node series is
+        conjugate-symmetric, as for real program constants, real (0, 0)
+        values and conjugate first-order data: the conjugate of an
+        enclosure of a_mn encloses conj(a_mn) = a_nm, and a_kk is real,
+        so both an enclosure and its conjugate contain it.  Raises
+        SymmetryViolation if a diagonal enclosure excludes the real
+        axis."""
+        lo, hi = self.G.lo, self.G.hi
+        ms, ns = antidiagonal(self.N, self.N, d, d // 2 + 1)
+        lo[0][:, ns, ms], hi[0][:, ns, ms] = lo[0][:, ms, ns], hi[0][:, ms, ns]
+        lo[1][:, ns, ms], hi[1][:, ns, ms] = -hi[1][:, ms, ns], -lo[1][:, ms, ns]
+        k = d // 2
+        if d % 2 == 0 and k <= self.N:
+            r = np.minimum(hi[1][:, k, k], -lo[1][:, k, k])
+            if np.any(r < 0.0):
+                raise SymmetryViolation(
+                    f"the imaginary part of slot ({k}, {k}) excludes zero")
+            lo[1][:, k, k], hi[1][:, k, k] = -r, r
 
 
 def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
@@ -218,31 +256,54 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
                       lam1: CInterval, lam2: CInterval, N: int) -> Series2:
     """Taylor coefficients of the conjugacy through the square grid (N, N).
 
-    First-order data is installed verbatim; each higher coefficient
-    comes from a verified solve of its homological equation, so the
-    returned enclosures contain the coefficients of the exact formal
-    solution.  Raises SingularEnclosure if a homological matrix cannot
-    be certified regular, which would mean m lam1 + n lam2 collides
-    with the spectrum of DF(u0) and contradicts the saddle-focus
-    certificate.
+    Only the half m >= n of each degree d is computed: one
+    ``evaluate`` of its hat sums, one stacked ``verified_solve_complex``
+    of the homological equations [DF(u0) - (m lam1 + n lam2) I] a_mn =
+    -c_mn over its slots, with DF(u0) the output rows of the
+    interpreter's node Jacobian, and one ``land``; ``mirror`` then
+    fills the rest by a_nm = conj(a_mn).  The first-order data v1 is
+    installed verbatim at (1, 0).  The returned enclosures contain the
+    coefficients of the exact formal solution for every point of the
+    data's boxes with v2 = conj(v1) and lam2 = conj(lam1), as the
+    eigendata of the real field have; since F is real, that solution is
+    conjugate-symmetric, and every node series of the program with it.
+    Raises ValueError unless v2 and lam2 equal the conjugates of v1 and
+    lam1 endpoint for endpoint, the premise of the mirror.  Raises
+    SingularEnclosure if a homological matrix cannot be certified
+    regular, which would mean m lam1 + n lam2 collides with the
+    spectrum of DF(u0) and contradicts the saddle-focus certificate.
     """
     if len(v1) != DIM or len(v2) != DIM:
         raise ValueError("first-order data must have 7 components")
     if N < 1:
         raise ValueError("order N must be at least 1")
-    ev = _DegreeInterpreter(field_program(m, p), N,
-                            [CInterval(ui) for ui in u0.u])
-    df = poly_DF(m, p, u0)
-    ev.evaluate(1)
-    # degree-1 slots in increasing m: (0, 1), then (1, 0)
-    ev.land(1, [CIntervalArray.of(pair) for pair in zip(v2, v1)])
+    if (any(b != a.conj() for a, b in zip(v1, v2))
+            or lam2 != lam1.conj()):
+        raise ValueError("the half solve needs v2 = conj(v1) and "
+                         "lam2 = conj(lam1), endpoint for endpoint")
+    prog = field_program(m, p)
+    ev = _DegreeInterpreter(prog, N, [CInterval(ui) for ui in u0.u])
+    df = ev.J[list(prog.outputs)]
+    diag = np.arange(DIM)
+    # degree 1 has no hat sums, since a product reaches it only by
+    # pairing a degree-1 slot with a (0, 0) one: slot (1, 0) takes v1
+    ev.land(1, [CIntervalArray.of([v]) for v in v1], 1)
+    ev.mirror(1)
     for d in range(2, 2 * N + 1):
-        c = CIntervalArray.of(ev.evaluate(d))
-        sols = CIntervalArray.of([
-            _homological_solve(df, lam1 * float(mm) + lam2 * float(nn),
-                               c[:, r])
-            for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d)))])
-        ev.land(d, [sols[:, i] for i in range(DIM)])
+        m_min = (d + 1) // 2
+        ms, ns = antidiagonal(N, N, d, m_min)
+        c = CIntervalArray.of(ev.evaluate(d, m_min))
+        mu = (CIntervalArray.of([lam1]) * ms.astype(float)
+              + CIntervalArray.of([lam2]) * ns.astype(float))
+        # the homological matrices and right-hand sides, stacked over slots
+        A = CIntervalArray._wrap(
+            np.repeat(df.lo[:, None], len(ms), axis=1),
+            np.repeat(df.hi[:, None], len(ms), axis=1))
+        A[:, diag, diag] = A[:, diag, diag] - mu[:, None]
+        rhs = CIntervalArray._wrap(-c.hi.swapaxes(1, 2), -c.lo.swapaxes(1, 2))
+        sols = verified_solve_complex(A, rhs)
+        ev.land(d, [sols[:, i] for i in range(DIM)], m_min)
+        ev.mirror(d)
     return ev.P
 
 

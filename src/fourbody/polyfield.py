@@ -13,11 +13,15 @@ program of ``Lin`` and ``Mul`` ops.  Every evaluator of F interprets it:
 ``evaluate``, ``tangent`` and the column interpreter ``FieldColumns``
 here, which gives every full series of F (advected charts,
 ``manifold.field_series``), and the per-degree interpreter of the
-homological solve in ``manifold``.  ``field_defect`` finishes a column
-interpreter's run to bound the defect of an invariance equation: the
-ODE defect of an advected chart, on the interpreter whose columns
-0..N-1 built the chart, so each column is computed once, and the tail
-of a local manifold, on a fresh interpreter.
+homological solve in ``manifold``.  ``node_jacobian`` runs ``tangent``
+once per input for the derivative of every node: its output rows are
+the Jacobian ``poly_DF``, and all its rows land a degree's solved
+coefficients on every node of the homological solve.  ``field_defect``
+finishes a column interpreter's run to bound the defect of an
+invariance equation: the ODE defect of an advected chart, on the
+interpreter whose columns 0..N-1 built the chart, so each column is
+computed once, and the tail of a local manifold, on a fresh
+interpreter.
 """
 
 from __future__ import annotations
@@ -340,21 +344,37 @@ def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
                          (M + 1) ** 2 + (N + 1) ** 2)
 
 
-def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalArray:
-    """Jacobian of the polynomial field, one tangent pass per input;
-    entries a pass never reaches are exact zeros."""
-    prog = field_program(m, p)
-    vals = evaluate(prog, u.u)
-    lo = np.zeros((DIM, DIM))
-    hi = np.zeros((DIM, DIM))
+def node_jacobian(prog: FieldProgram, vals: Sequence,
+                  rows: Sequence[int] | None = None) -> CIntervalArray:
+    """Jacobian of the program's nodes with respect to its inputs, at
+    the node values ``vals`` (Intervals or CIntervals): entry (r, k) is
+    d node_rows[r] / d u_k, shape (len(rows), DIM), every node when
+    ``rows`` is None.  One ``tangent`` pass per input, seeded with an
+    exact unit of the values' type; entries a pass never reaches are
+    exact zeros, and real values give exactly zero imaginary parts.
+    """
+    rows = range(len(vals)) if rows is None else rows
+    one = type(vals[0])(1.0)
+    lo = np.zeros((2, len(rows), DIM))
+    hi = np.zeros((2, len(rows), DIM))
     for k in range(DIM):
         seed = [None] * DIM
-        seed[k] = Interval.from_value(1.0)
+        seed[k] = one
         ds = tangent(prog, vals, seed)
-        for i, o in enumerate(prog.outputs):
-            if ds[o] is not None:
-                lo[i, k], hi[i, k] = ds[o].lo, ds[o].hi
-    return IntervalArray(lo, hi)
+        for r, i in enumerate(rows):
+            if ds[i] is not None:
+                v = CInterval._coerce(ds[i])
+                lo[:, r, k] = v.re.lo, v.im.lo
+                hi[:, r, k] = v.re.hi, v.im.hi
+    return CIntervalArray(lo, hi)
+
+
+def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalArray:
+    """Jacobian of the polynomial field: the output rows of
+    ``node_jacobian`` at u, which are real."""
+    prog = field_program(m, p)
+    J = node_jacobian(prog, evaluate(prog, u.u), prog.outputs)
+    return IntervalArray(J.lo[0], J.hi[0])
 
 
 def kernel_basis(m: MassTriple, p: PrimaryConfig, u0: State7

@@ -22,13 +22,13 @@ The lifted field itself is not written here: ``polyfield`` describes it
 once as a program of linear combinations and products, and its series
 interpreters evaluate that program with one kernel each.  The per-degree
 interpreter of ``manifold``'s homological solve uses
-``product_antidiagonal`` (every coefficient of one total degree, exact
-sums; with the unsolved degree at exact zero this yields the "hat" sums
-that omit every summand containing the unknown coefficient).  The
-column interpreter ``polyfield.FieldColumns``, behind advection,
-``manifold.field_series`` and every defect and tail bound
-(``polyfield.field_defect``), uses ``product_column``
-(one time-order column from a cached plan of just the summed pairs,
+``product_antidiagonal`` (the coefficients of one total degree from a
+lowest m on, exact sums; with the unsolved degree at exact zero this
+yields the "hat" sums that omit every summand containing the unknown
+coefficient).  The column interpreter ``polyfield.FieldColumns``,
+behind advection, ``manifold.field_series`` and every defect and tail
+bound (``polyfield.field_defect``), uses ``product_column`` (one
+time-order column from a cached plan of just the summed pairs,
 one-ulp products, and float sums each padded a priori by the gamma of
 its own row's term count).
 ``cauchy_product`` is the full truncated series by exact sums, one
@@ -140,25 +140,26 @@ def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int
     return product_antidiagonal(_fit(a, m, n), _fit(b, m, n), m + n).at(0)
 
 
-def antidiagonal(M: int, N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (m, d - m) of the total-degree-d slots of an (M, N) grid,
-    in increasing m."""
-    ms = np.arange(max(0, d - N), min(M, d) + 1)
+def antidiagonal(M: int, N: int, d: int, m_min: int = 0
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (m, d - m) of the total-degree-d slots of an (M, N) grid
+    with m >= m_min, in increasing m."""
+    ms = np.arange(max(m_min, d - N), min(M, d) + 1)
     return ms, d - ms
 
 
 @functools.lru_cache(maxsize=512)
-def _antidiagonal_plan(M: int, N: int, d: int):
+def _antidiagonal_plan(M: int, N: int, d: int, m_min: int):
     """Gather plan of ``product_antidiagonal`` on the (M, N) grid.
 
     Entry (t, r) of the (terms, slots) index blocks is summand t of
-    slot (m, n) = antidiagonal(M, N, d)[r], pairs (a_{m-j, n-k}, b_{j, k})
+    slot (m, n) = antidiagonal(M, N, d, m_min)[r], pairs (a_{m-j, n-k}, b_{j, k})
     with j-major (j, k), then the zero sentinel (M + 1, 0) up to the
     longest slot; each factor's index is a (row, column) pair of
     blocks into its grid grown by that one zero row.  ``g`` is each
     slot's summation bound for its own term count.
     """
-    ms, ns = antidiagonal(M, N, d)
+    ms, ns = antidiagonal(M, N, d, m_min)
     counts = (ms + 1) * (ns + 1)
     shape = (int(counts.max()), len(ms))
     ar, ac, br, bc = (np.zeros(shape, dtype=int) for _ in range(4))
@@ -173,10 +174,10 @@ def _antidiagonal_plan(M: int, N: int, d: int):
     return (ar, ac), (br, bc), g
 
 
-def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int
-                         ) -> CIntervalArray:
-    """Every coefficient (m, d - m) of the Cauchy product on the grid
-    both operands cover, m as in ``antidiagonal``.
+def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int,
+                         m_min: int = 0) -> CIntervalArray:
+    """Every coefficient (m, d - m), m >= m_min, of the Cauchy product
+    on the grid both operands cover, m as in ``antidiagonal``.
 
     The summands of all slots are gathered into one zero-padded block
     of shape (terms, slots), pairs (a_{m-j, n-k}, b_{j, k}) in j-major
@@ -189,7 +190,7 @@ def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int
     """
     M = min(a.orders[0], b.orders[0])
     N = min(a.orders[1], b.orders[1])
-    ia, ib, g = _antidiagonal_plan(M, N, d)
+    ia, ib, g = _antidiagonal_plan(M, N, d, m_min)
     # the common (M, N) corners, grown by the plan's zero sentinel row
     p = _fit(_fit(a, M, N), M + 1, N)[ia] * _fit(_fit(b, M, N), M + 1, N)[ib]
     lo, hi = _padded_cascade(np.moveaxis(p.lo, 1, 0),

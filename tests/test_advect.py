@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourbody.advect import (
+    _CENTERS,
     FlowChart,
     _arc_series,
+    _tile_samples,
     _defect_bound,
     check_collision,
     choose_tau,
@@ -420,6 +424,65 @@ class TestRangeBox:
             dx = box[0] - px
             dy = box[2] - py
             assert (dx * dx + dy * dy).lo > 0.05 ** 2
+
+
+def _scaled(x: float, S: int) -> int:
+    """The float x times 2^S, exactly, for S >= 1074."""
+    p, q = x.as_integer_ratio()
+    return p * (2 ** S // q)
+
+
+# coefficients of every binade, subnormals included; the grids also
+# come with cancelling sign patterns, or deep in the subnormals
+_coef = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 40))
+
+
+@st.composite
+def _midpoint_grids(draw):
+    M = draw(st.integers(0, 3))
+    N = draw(st.integers(0, 3))
+    unit = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(N + 1)]
+                     for _ in range(M + 1)])
+    kind = draw(st.sampled_from(["binades", "cancelling", "subnormal"]))
+    if kind == "binades":
+        return np.array([[draw(_coef) for _ in range(N + 1)]
+                         for _ in range(M + 1)])
+    if kind == "cancelling":
+        # equal magnitudes with alternating signs
+        signs = (-1.0) ** np.add.outer(np.arange(M + 1), np.arange(N + 1))
+        return signs * abs(draw(_coef)) * (1.0 + 1e-3 * unit)
+    # so small that the products underflow
+    return np.ldexp(unit, draw(st.integers(-1070, -1000)))
+
+
+class TestRangeBoxRounding:
+    @settings(max_examples=30, deadline=None)
+    @given(_midpoint_grids())
+    def test_samples_within_bound_of_exact(self, mid):
+        # every float sample lies within the bound of the exact value of
+        # the polynomial at the same float centers, all scaled by 2^S to
+        # integers
+        vals, err = _tile_samples(mid)
+        M, N = mid.shape[0] - 1, mid.shape[1] - 1
+        E = 1074
+        S = E * (1 + M + N)
+        c = [_scaled(float(x), E) for x in _CENTERS]
+        xp = [[ci ** m * 2 ** (E * (M - m)) for m in range(M + 1)] for ci in c]
+        yp = [[ci ** n * 2 ** (E * (N - n)) for n in range(N + 1)] for ci in c]
+        a = [[_scaled(float(x), E) for x in row] for row in mid]
+        rows = [[sum(xi[m] * a[m][n] for m in range(M + 1))
+                 for n in range(N + 1)] for xi in xp]
+        bound = _scaled(err, S)
+        for i, row in enumerate(rows):
+            for j, yj in enumerate(yp):
+                exact = sum(r * y for r, y in zip(row, yj))
+                assert abs(_scaled(float(vals[i, j]), S) - exact) <= bound
+
+    def test_bound_needs_no_unit_floor(self):
+        # the old padding charged ops * 1.2e-16 even for tiny
+        # coefficients; the derived bound scales with their mass
+        _, err = _tile_samples(np.full((3, 4), 1e-20))
+        assert err < 1e-33
 
 
 class TestCheckCollision:

@@ -454,6 +454,130 @@ class TestVerifiedSolve:
                 assert np.all(r <= x.hi[part] + pad)
 
 
+def _rel_width_gap(x, y) -> float:
+    """Largest relative difference of the entry widths of two arrays."""
+    wx, wy = x.hi - x.lo, y.hi - y.lo
+    top = np.maximum(wx, wy)
+    return float(np.max(np.where(top > 0.0, np.abs(wx - wy)
+                                 / np.where(top > 0.0, top, 1.0), 0.0)))
+
+
+def _overlaps(x, y) -> bool:
+    return bool(np.all(np.maximum(x.lo, y.lo) <= np.minimum(x.hi, y.hi)))
+
+
+class TestStackedSolve:
+    """One call over a stack of systems: each entry keeps its own
+    certificate, so it matches the one-at-a-time solve."""
+
+    def test_real_stack_matches_single_solves(self):
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(3, 4, 6, 6)) + 6.0 * np.eye(6)
+        w = 1e-9 * rng.uniform(size=a.shape)
+        b = rng.normal(size=(3, 4, 6))
+        x = verified_solve(IntervalArray(a - w, a + w),
+                           IntervalArray(b - 1e-10, b + 1e-10))
+        assert x.shape == (3, 4, 6)
+        for i in np.ndindex(3, 4):
+            one = verified_solve(IntervalArray(a[i] - w[i], a[i] + w[i]),
+                                 IntervalArray(b[i] - 1e-10, b[i] + 1e-10))
+            xi = IntervalArray(x.lo[i], x.hi[i])
+            assert _overlaps(xi, one)
+            assert _rel_width_gap(xi, one) <= 1e-12
+
+    def test_complex_stack_matches_single_solves(self):
+        rng = np.random.default_rng(42)
+        ar = rng.normal(size=(5, 4, 4)) + 4.0 * np.eye(4)
+        ai = 0.3 * rng.normal(size=(5, 4, 4))
+        A = np.stack((ar, ai))
+        b = rng.normal(size=(2, 5, 4))
+        x = verified_solve_complex(CIntervalArray(A - 1e-10, A + 1e-10),
+                                   CIntervalArray(b, b))
+        assert x.shape == (5, 4)
+        for i in range(5):
+            one = verified_solve_complex(
+                CIntervalArray(A[:, i] - 1e-10, A[:, i] + 1e-10),
+                CIntervalArray(b[:, i], b[:, i]))
+            xi = x[i]
+            assert _overlaps(xi, one)
+            assert _rel_width_gap(xi, one) <= 1e-12
+            ref = np.linalg.solve(ar[i] + 1j * ai[i], b[0, i] + 1j * b[1, i])
+            assert np.all(xi.lo[0] <= ref.real) and np.all(ref.real <= xi.hi[0])
+            assert np.all(xi.lo[1] <= ref.imag) and np.all(ref.imag <= xi.hi[1])
+
+    @pytest.mark.parametrize("bad", ["singular_midpoint", "no_contraction"])
+    def test_one_singular_member_raises(self, bad):
+        rng = np.random.default_rng(43)
+        a = rng.normal(size=(4, 3, 3)) + 3.0 * np.eye(3)
+        lo, hi = a.copy(), a.copy()
+        if bad == "singular_midpoint":
+            lo[2] = hi[2] = np.ones((3, 3))
+        else:
+            # regular midpoint, but the box holds singular matrices
+            lo[2], hi[2] = np.eye(3), np.eye(3)
+            lo[2, 1, 1], hi[2, 1, 1] = -0.5, 1.0
+        b = IntervalArray.from_points(rng.normal(size=(4, 3)))
+        with pytest.raises(SingularEnclosure):
+            verified_solve(IntervalArray(lo, hi), b)
+        # the other members solve on their own
+        keep = [0, 1, 3]
+        verified_solve(IntervalArray(lo[keep], hi[keep]),
+                       IntervalArray(b.lo[keep], b.hi[keep]))
+
+    def test_entries_inflate_independently(self, monkeypatch):
+        import fourbody.interval as iv
+
+        def rounds_needed(a, b):
+            for k in range(1, 4):
+                monkeypatch.setattr(iv, "_MAX_INFLATE", k)
+                try:
+                    verified_solve(a, b)
+                    return k
+                except SingularEnclosure:
+                    pass
+            return None
+
+        # a wide system with a right-hand side deep in the subnormals,
+        # where the first radius can miss by rounding
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            a = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+            slow = (IntervalArray(a - 0.2, a + 0.2),
+                    IntervalArray.from_points(rng.normal(size=3) * 1e-320))
+            if rounds_needed(*slow) == 2:
+                break
+        else:
+            pytest.fail("no system needing two inflation rounds")
+        rng = np.random.default_rng(44)
+        a = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
+        fast = (IntervalArray(a - 0.2, a + 0.2),
+                IntervalArray.from_points(rng.normal(size=3)))
+        assert rounds_needed(*fast) == 1
+        # a zero right-hand side verifies before any round: x is 0
+        zero = (fast[0], IntervalArray.from_points(np.zeros(3)))
+        monkeypatch.setattr(iv, "_MAX_INFLATE", 20)
+        systems = (slow, fast, zero)
+        x = verified_solve(
+            IntervalArray(np.stack([s[0].lo for s in systems]),
+                          np.stack([s[0].hi for s in systems])),
+            IntervalArray(np.stack([s[1].lo for s in systems]),
+                          np.stack([s[1].hi for s in systems])))
+        for i, s in enumerate(systems):
+            one = verified_solve(*s)
+            xi = IntervalArray(x.lo[i], x.hi[i])
+            assert _overlaps(xi, one)
+            assert _rel_width_gap(xi, one) <= 1e-12
+        assert np.all(x.lo[2] == 0.0) and np.all(x.hi[2] == 0.0)
+
+    def test_shape_mismatch(self):
+        A = IntervalArray.from_points(np.ones((2, 3, 3)))
+        with pytest.raises(ValueError):
+            verified_solve(A, IntervalArray.from_points(np.ones((3, 3, 3))))
+        with pytest.raises(ValueError):
+            verified_solve(IntervalArray.from_points(np.ones((2, 3, 4))),
+                           IntervalArray.from_points(np.ones((2, 3))))
+
+
 class TestIntervalArray:
     def test_indexing(self):
         lo = np.arange(6.0).reshape(2, 3)

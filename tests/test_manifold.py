@@ -20,10 +20,12 @@ from fourbody.errors import (
     SymmetryViolation,
     TangencyDetected,
 )
-from fourbody.interval import CInterval, CIntervalArray, Interval
+from fourbody.interval import (CInterval, CIntervalArray, Interval,
+                               verified_solve_complex)
 from fourbody.manifold import (
     BoundaryArc,
     LocalManifold,
+    _DegreeInterpreter,
     _chart_transform,
     _chord_arcs,
     boundary_mesh,
@@ -33,9 +35,10 @@ from fourbody.manifold import (
     real_chart,
     solve_homological,
 )
-from fourbody.polyfield import (FieldColumns, field_defect, field_program,
-                                lift_eigvector, project_pi)
-from fourbody.taylor import (ScalarSeries2, Series2, _fit,
+from fourbody.polyfield import (DIM, FieldColumns, field_defect,
+                                field_program, lift_eigvector, poly_DF,
+                                project_pi)
+from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              conj_symmetry_check, mag_sum_bound)
 
 
@@ -189,6 +192,93 @@ class TestHomologicalSolver:
         with pytest.raises(ValueError):
             solve_homological(m, pc, M.equilibrium, (zero,) * 7, (zero,) * 7,
                               M.lambda1, M.lambda2, 0)
+
+
+def _full_solve(m, pc, u0, v1, v2, lam1, lam2, N) -> Series2:
+    """Reference for the half solve: every slot of every degree, hat
+    sums from the generic per-degree interpreter on full antidiagonals
+    and one verified solve per coefficient, no mirror."""
+    ev = _DegreeInterpreter(field_program(m, pc), N,
+                            [CInterval(ui) for ui in u0.u])
+    df = poly_DF(m, pc, u0)
+    zero = np.zeros_like(df.lo)
+    diag = np.arange(DIM)
+    ev.evaluate(1)
+    ev.land(1, [CIntervalArray.of(pair) for pair in zip(v2, v1)])
+    for d in range(2, 2 * N + 1):
+        c = CIntervalArray.of(ev.evaluate(d))
+        sols = []
+        for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d))):
+            A = CIntervalArray(np.stack((df.lo, zero)),
+                               np.stack((df.hi, zero)))
+            mu = lam1 * float(mm) + lam2 * float(nn)
+            A[diag, diag] = A[diag, diag] - CIntervalArray.of([mu])
+            sols.append(verified_solve_complex(A, -c[:, r]))
+        sols = CIntervalArray.of(sols)
+        ev.land(d, [sols[:, i] for i in range(DIM)])
+    return ev.P
+
+
+class TestHalfSolve:
+    """solve_homological computes the slots m >= n of each degree and
+    mirrors the rest by a_nm = conj(a_mn)."""
+
+    @pytest.mark.parametrize("kind", ["stable", "unstable"])
+    def test_half_solve_overlaps_full_solve(self, setup, request, kind):
+        m, pc = setup
+        M = request.getfixturevalue(f"{kind}7")
+        u0 = M.equilibrium
+        xi = lift_eigvector(pc, project_pi(u0), M.eigen.eigenvector(kind, +1))
+        xc = tuple(c.conj() for c in xi)
+        for N in range(2, 8):
+            half = solve_homological(m, pc, u0, xi, xc, M.lambda1,
+                                     M.lambda2, N)
+            full = _full_solve(m, pc, u0, xi, xc, M.lambda1, M.lambda2, N)
+            a, b = half.coefs, full.coefs
+            assert np.all(np.maximum(a.lo, b.lo) <= np.minimum(a.hi, b.hi)), N
+            # the mirror is exact, so the check finds no defect at all
+            rep = conj_symmetry_check(half)
+            assert rep.symmetric and rep.max_defect == 0.0, (kind, N)
+
+    def test_built_manifolds_exactly_symmetric(self, stable7, unstable7):
+        for M in (stable7, unstable7):
+            assert conj_symmetry_check(M.P).max_defect == 0.0
+
+    def test_mirror_swaps_and_narrows_the_diagonal(self, setup):
+        m, pc = setup
+        ev = _DegreeInterpreter(field_program(m, pc), 2,
+                                [CInterval(1.0)] * DIM)
+        g = ev.grids[DIM + 3]
+        g[2, 0] = CInterval(Interval(1.0, 2.0), Interval(-3.0, 4.0))
+        g[1, 1] = CInterval(Interval(5.0, 6.0), Interval(-1.0, 2.0))
+        ev.mirror(2)
+        assert g.at(0, 2) == g.at(2, 0).conj()
+        # a real coefficient lies in the enclosure and in its conjugate
+        assert g.at(1, 1) == CInterval(Interval(5.0, 6.0), Interval(-1.0, 1.0))
+        g[1, 1] = CInterval(Interval(5.0, 6.0), Interval(0.5, 1.0))
+        with pytest.raises(SymmetryViolation):
+            ev.mirror(2)
+
+    def test_non_conjugate_data_rejected(self, setup, stable7):
+        m, pc = setup
+        M = stable7
+        u0 = M.equilibrium
+        xi = lift_eigvector(pc, project_pi(u0),
+                            M.eigen.eigenvector("stable", +1))
+        xc = tuple(c.conj() for c in xi)
+        lam1, lam2 = M.lambda1, M.lambda2
+        with pytest.raises(ValueError):
+            solve_homological(m, pc, u0, xi, xi, lam1, lam2, 2)
+        with pytest.raises(ValueError):
+            solve_homological(m, pc, u0, xi, xc, lam1, lam1, 2)
+        # one endpoint one ulp off is not the conjugate either
+        re = xc[3].re
+        bumped = CInterval(Interval(re.lo, math.nextafter(re.hi, math.inf)),
+                           xc[3].im)
+        with pytest.raises(ValueError):
+            solve_homological(m, pc, u0, xi, xc[:3] + (bumped,) + xc[4:],
+                              lam1, lam2, 2)
+        solve_homological(m, pc, u0, xi, xc, lam1, lam2, 2)
 
 
 class TestInvarianceResidual:
@@ -645,6 +735,15 @@ class TestLocalManifoldMetadata:
         local_manifold(m, pc, "unstable", N=2, scale=0.05,
                        tail_policy="reported")
         assert orders == [3, 2]
+
+    def test_order_20_builds(self, setup):
+        # paper-scale order: the half solve keeps N = 20 affordable
+        m, pc = setup
+        M = local_manifold(m, pc, "stable", N=20)
+        assert M.order == 20
+        assert math.isfinite(M.P.tail) and M.P.tail > 0.0
+        assert conj_symmetry_check(M.P).max_defect == 0.0
+        assert M.Q.shape == (7, 41, 41)
 
     def test_pilot_scale_hits_target(self, stable7):
         N = stable7.order
