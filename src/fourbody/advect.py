@@ -8,13 +8,13 @@ coefficients of the lifted polynomial field.  ``taylor_flow`` takes the
 field as a ``b_column(partial, n)`` callable that returns the t-order-n
 coefficients of every component as one ``CIntervalArray`` of shape
 (dim, M + 1), reading only columns 0..n of the partial chart.  In
-production they come from ``polyfield.FieldColumns``, the column
-interpreter of the field program: one grid per program node, filled one
-time-order column at a time, so the whole run costs the same as a
-single full Cauchy product per node.  ``flow_line`` hands that same
-interpreter to ``polyfield.field_defect`` for the chart's defect,
-which fills only its last column: columns 0..N-1 already hold the
-field of the finished chart, so no column is computed twice.
+production they come from ``polyfield.FieldNodes.b_column``, the series
+interpreter of the field program filled one time-order column at a
+time, so the whole run costs the same as a single full Cauchy product
+per node.  ``flow_line`` hands that same interpreter to
+``polyfield.field_defect`` for the chart's defect, which fills only its
+last column: columns 0..N-1 already hold the field of the finished
+chart, so no column is computed twice.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -46,7 +46,7 @@ from .interval import (
     matrix_norm,
 )
 from .manifold import BoundaryArc
-from .polyfield import (DIM, FieldColumns, State7, field_defect,
+from .polyfield import (DIM, FieldNodes, State7, field_defect,
                         field_program, poly_DF, poly_F_point)
 from .taylor import Series2, _fit, mag_sum_bound
 
@@ -64,7 +64,6 @@ class FlowChart:
 
     Gamma: Series2
     kind: str
-    tail_policy: str = "defect"
     defect: Optional[float] = None
     source_arc: Optional[int] = None
     accumulated_time: float = 0.0
@@ -166,7 +165,7 @@ def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     production run with successive-column ratios near the target.
     """
     sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = FieldColumns(field_program(m, p), M, _N_PILOT)
+    rec = FieldNodes(field_program(m, p), M, _N_PILOT)
     pilot = taylor_flow(_arc_series(arc, M), rec.b_column, _N_PILOT, sign)
     norms = [_column_mag(pilot, n) for n in range(_N_PILOT + 1)]
     ratios = [norms[k + 1] / norms[k]
@@ -179,8 +178,6 @@ def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
 def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
               orders: tuple[int, int] = (15, 50),
               tau: Optional[float] = None, *,
-              tail_policy: str = "defect",
-              tail_value: Optional[float] = None,
               source_arc: Optional[int] = None,
               start_time: float = 0.0) -> FlowChart:
     """Advect a boundary arc into a space-time chart.
@@ -188,29 +185,22 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     ``tau`` is the positive time rescaling; stable arcs advect in
     backward time, recorded by the sign of the stored ``Gamma.tau``.
     When omitted it is chosen so the trailing column ratio is about
-    one half.  Tail policy "defect" folds the source tail and the ODE
-    defect through a Gronwall tube over the chart's range box;
-    "reported" stores the supplied constant.
+    one half.  The tail folds the source tail and the ODE defect
+    through a Gronwall tube over the chart's range box.
     """
     M, N = orders
-    if tail_policy not in ("reported", "defect"):
-        raise ValueError(f"unknown tail policy {tail_policy!r}")
     if tau is not None and not tau > 0.0:
         raise ValueError("tau must be positive")
     if tau is None:
         tau = choose_tau(arc, m, p, M)
     sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = FieldColumns(field_program(m, p), M, N)
+    rec = FieldNodes(field_program(m, p), M, N)
     G = taylor_flow(_arc_series(arc, M), rec.b_column, N, sign * tau)
-    if tail_policy == "reported":
-        defect = None
-        tail = float(tail_value) if tail_value is not None else 0.0
-    else:
-        defect = _defect_bound(rec, G)
-        tail = propagated_tail(m, p, G, arc.gamma.tail, defect)
+    defect = _defect_bound(rec, G)
+    tail = propagated_tail(m, p, G, arc.gamma.tail, defect)
     G = Series2(G.coefs, scale=G.scale, tau=G.tau, tail=tail)
-    return FlowChart(Gamma=G, kind=arc.kind, tail_policy=tail_policy,
-                     defect=defect, source_arc=source_arc,
+    return FlowChart(Gamma=G, kind=arc.kind, defect=defect,
+                     source_arc=source_arc,
                      accumulated_time=start_time + 1.0 / (sign * tau))
 
 
@@ -218,16 +208,17 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
 # defect accounting
 
 
-def _defect_bound(cols: FieldColumns, G: Series2) -> float:
+def _defect_bound(cols: FieldNodes, G: Series2) -> float:
     """``polyfield.field_defect`` with left-hand side tau dGamma/dt,
     whose column n is tau (n + 1) Gamma[:, n + 1] and whose column N is
     zero.
 
     ``cols`` is the interpreter that built G in ``taylor_flow``, or a
     fresh one.  Reuse is sound: ``taylor_flow`` writes chart column
-    n + 1 only after ``b_column`` has read columns 0..n, and never
-    rewrites a column, so the columns 0..N-1 the interpreter filled
-    are F(G)'s, bit for bit, and ``field_defect`` adds column N.
+    n + 1 only after ``b_column`` has copied column n, and never
+    rewrites a column, so the interpreter's copies are G's columns
+    0..N-1, the columns it filled are F(G)'s, bit for bit, and
+    ``field_defect`` adds column N.
     """
     M, N = G.orders
     tau_iv = Interval.from_value(G.tau)

@@ -218,8 +218,6 @@ class Atlas:
     def grow(self, generations: int = 1, *,
              orders: tuple[int, int] = (15, 50),
              tau: Optional[float] = None,
-             tail_policy: str = "defect",
-             tail_value: Optional[float] = None,
              delta_min: float = 0.05,
              decay_tol: float = 0.1,
              max_len: float = 0.5,
@@ -241,8 +239,8 @@ class Atlas:
             for rec in frontier:
                 for piece in self._refined(rec, decay_tol, max_len,
                                            max_depth):
-                    chart = self._advect(piece, orders, tau, tail_policy,
-                                         tail_value, delta_min, tau_retries)
+                    chart = self._advect(piece, orders, tau, delta_min,
+                                         tau_retries)
                     if chart is None:
                         self.stopped.append(piece.arc_id)
                         continue
@@ -259,8 +257,7 @@ class Atlas:
         return new_charts
 
     def _advect(self, piece: ArcRecord, orders: tuple[int, int],
-                tau: Optional[float], tail_policy: str,
-                tail_value: Optional[float], delta_min: float,
+                tau: Optional[float], delta_min: float,
                 tau_retries: int) -> Optional[FlowChart]:
         base = tau if tau is not None else \
             choose_tau(piece.arc, self.m, self.p, orders[0])
@@ -270,8 +267,7 @@ class Atlas:
             try:
                 chart = flow_line(
                     piece.arc, self.m, self.p, orders=orders,
-                    tau=base * 2.0 ** attempt, tail_policy=tail_policy,
-                    tail_value=tail_value, source_arc=piece.arc_id,
+                    tau=base * 2.0 ** attempt, source_arc=piece.arc_id,
                     start_time=piece.arc_time)
                 check_collision(chart, self.p, delta_min=delta_min)
                 return chart
@@ -364,7 +360,6 @@ def _chart_to_json(rec: ChartRecord) -> dict:
         "arc_id": rec.arc_id,
         "generation": rec.generation,
         "kind": ch.kind,
-        "tail_policy": ch.tail_policy,
         "defect": ch.defect,
         "source_arc": ch.source_arc,
         "accumulated_time": ch.accumulated_time,
@@ -373,9 +368,10 @@ def _chart_to_json(rec: ChartRecord) -> dict:
 
 
 def _chart_from_json(d: dict) -> ChartRecord:
+    """Inverse of ``_chart_to_json``; other keys, such as the tail
+    policy that files of earlier versions carry, are ignored."""
     chart = FlowChart(Gamma=Series2.from_json(d["series"]), kind=d["kind"],
-                      tail_policy=d["tail_policy"], defect=d["defect"],
-                      source_arc=d["source_arc"],
+                      defect=d["defect"], source_arc=d["source_arc"],
                       accumulated_time=d["accumulated_time"])
     return ChartRecord(chart_id=d["chart_id"], arc_id=d["arc_id"],
                        generation=d["generation"], chart=chart)

@@ -42,10 +42,6 @@ class DegenerateEigvec(FourbodyError):
     """Eigenvector formula denominator encloses zero."""
 
 
-class DegenerateKernel(FourbodyError):
-    """Kernel basis denominator encloses zero."""
-
-
 # manifolds and atlases
 
 class SymmetryViolation(FourbodyError):

@@ -412,7 +412,9 @@ class CIntervalArray:
     which change at most the sign of a zero; a factor of exactly +-1 or
     +-2 scales exactly in floating point and skips the interval product
     unless that overflows.  Outside the magnitude guard of ``_imul_arr``
-    a product may be one ulp wider than the scalar one.
+    a product may be one ulp wider than the scalar one.  ``A @ B``
+    contracts A's last axis with B's first, one exact product per real
+    term and one padded sum per part of each result entry.
     """
 
     __slots__ = ("lo", "hi")
@@ -550,6 +552,29 @@ class CIntervalArray:
             if np.isfinite(lo).all() and np.isfinite(hi).all():
                 return self._like(lo, hi)
         return self._result(*_imul_arr(self.lo, self.hi, c.lo, c.hi))
+
+    def __matmul__(self, other: "CIntervalArray") -> "CIntervalArray":
+        """Contract self's last axis with other's first, as
+        ``IntervalArray.__matmul__`` does: every real product of the
+        terms is one exact ``_imul_arr`` product, and each part is one
+        ``_pad_sum``, the real part over the terms re re and -im im,
+        the imaginary part over re im and im re."""
+        if self.shape[-1] != other.shape[0]:
+            raise ValueError("shape mismatch")
+        k = self.ndim - 1
+        a = (...,) + (np.newaxis,) * (other.ndim - 1)
+        b = (slice(None),) + (np.newaxis,) * k
+        # terms re re, im im, re im, im re on axes
+        # (term kind, *self.shape, *other.shape[1:])
+        t, u = [0, 1, 0, 1], [0, 1, 1, 0]
+        plo, phi = _imul_arr(self.lo[t][a], self.hi[t][a],
+                             other.lo[u][b], other.hi[u][b])
+        lo, hi = _pad_sum(
+            np.stack((np.concatenate((plo[0], -phi[1]), axis=k),
+                      np.concatenate((plo[2], plo[3]), axis=k))),
+            np.stack((np.concatenate((phi[0], -plo[1]), axis=k),
+                      np.concatenate((phi[2], phi[3]), axis=k))), axis=k + 1)
+        return CIntervalArray._wrap(lo, hi)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self.shape})"

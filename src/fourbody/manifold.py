@@ -5,25 +5,22 @@ P(z1, z2) conjugating the linear flow exp(t diag(lam1, lam2)) to the
 lifted polynomial field: lam1 z1 d1 P + lam2 z2 d2 P = F(P).  Matching
 coefficients turns this into one linear "homological" equation per
 coefficient, [DF(u0) - (m lam1 + n lam2) I] a_mn = -c_mn, where c_mn
-collects products of strictly lower-order data.  The solver interprets
-the field program of ``polyfield`` one total degree d = m + n at a time,
-keeping one grid per program node, all in one stacked array, and
-reading and writing a degree's slots as one ``CIntervalArray``: with
-every degree-d input slot at zero, one ``product_antidiagonal`` per
-product node gives the program's degree-d coefficients, which are
-exactly the lower-order ("hat") sums c_mn of the degree's slots.  The
-field is real and the first-order data conjugate (v2 = conj v1), so
-the exact solution, and every node series with it, has
-a_nm = conj(a_mn): only the half m >= n of a degree is evaluated and
-solved, and every grid's other half is filled by that exact swap.  The
-half's coefficients come from one stacked verified solve, each with its
-own Krawczyk certificate, and the node Jacobian at the expansion point
+collects products of strictly lower-order data.  The solver fills the
+field program's node grids, one ``polyfield.FieldNodes``, one total
+degree d = m + n at a time (``FieldNodes.degree``): with every degree-d
+input slot at zero, the program's degree-d coefficients are exactly
+the lower-order ("hat") sums c_mn of the degree's slots.  The field is
+real and the first-order data conjugate (v2 = conj v1), so the exact
+solution, and every node series with it, has a_nm = conj(a_mn): only
+the half m >= n of a degree is evaluated and solved, and every grid's
+other half is filled by that exact swap.  The half's coefficients come
+from one stacked verified solve, each with its own Krawczyk
+certificate, and the node Jacobian at the expansion point
 (``polyfield.node_jacobian``, computed once) lands their linear
-contribution on every node in one stacked product.
-``field_series`` interprets the same program with the column
-interpreter of ``polyfield``, which advection also uses, and the tail
-of a finished manifold comes from ``polyfield.field_defect``, the
-bound that also gives an advected chart its defect.
+contribution on every node in one stacked product.  ``field_series``
+fills the same interpreter column by column, as advection does, and
+the tail of a finished manifold comes from ``polyfield.field_defect``,
+the bound that also gives an advected chart its defect.
 
 The formal solution scales exactly.  If P solves the invariance
 equation, so does P(s z1, s z2), whose first-order data are s v1 and
@@ -67,19 +64,12 @@ import numpy as np
 from .crfbp import EigenData, MassTriple, PrimaryConfig, State4, eigen_data
 from .errors import (DomainExceeded, FourbodyError, SymmetryViolation,
                      TangencyDetected)
-from .interval import (
-    CInterval,
-    CIntervalArray,
-    Interval,
-    IntervalArray,
-    _imul_arr,
-    _pad_sum,
-    verified_solve_complex,
-)
+from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
+                       verified_solve_complex)
 from .nk import certify_equilibrium
-from .polyfield import (DIM, FieldColumns, FieldProgram, Mul, State7, embed_R,
-                        evaluate, field_defect, field_program,
-                        lift_eigvector, node_jacobian)
+from .polyfield import (DIM, FieldNodes, State7, embed_R, evaluate,
+                        field_defect, field_program, lift_eigvector,
+                        node_jacobian)
 from .taylor import (
     ScalarSeries2,
     Series2,
@@ -87,7 +77,6 @@ from .taylor import (
     antidiagonal,
     compose_affine,
     mag_sum_bound,
-    product_antidiagonal,
     product_coeff,  # noqa: F401  (uncalled; see below)
 )
 
@@ -101,10 +90,8 @@ class LocalManifold:
     """A validated local manifold parameterization.
 
     ``P`` is the dim-7 series in the scaled conjugacy variables; its
-    ``tail`` field carries the truncation bound assigned by
-    ``tail_policy`` ("reported" for a user-supplied constant, "defect"
-    for a rigorous bound on the sup of the invariance defect over the
-    unit polydisc, see ``param_equilibrium``).
+    ``tail`` field carries a rigorous bound on the sup of the
+    invariance defect over the unit polydisc (``param_equilibrium``).
     """
 
     P: Series2
@@ -114,7 +101,6 @@ class LocalManifold:
     lambda1: CInterval
     lambda2: CInterval
     equilibrium: State7
-    tail_policy: str = "defect"
 
     def __post_init__(self):
         if self.kind not in ("stable", "unstable"):
@@ -152,103 +138,42 @@ class BoundaryArc:
 # the homological solver
 
 
-class _DegreeInterpreter:
-    """Interpreter of the field program one total degree at a time on
-    (N, N) grids.
+def _land(G: CIntervalArray, J: CIntervalArray, d: int,
+          vals: Sequence[CIntervalArray], m_min: int = 0) -> None:
+    """Install the inputs ``vals`` (one slot array per input) in the
+    degree-d slots with m >= m_min of the node grids ``G``, after
+    ``FieldNodes.degree`` on zero input slots: every node's slots gain
+    J a, the inputs' exactly a, with J the node Jacobian at the (0, 0)
+    values.  A product reaches a degree-d slot with a degree-d input
+    only by pairing it with (0, 0) values, so J a is exactly that
+    linear effect, and by sub-distributivity no wider than the tangent
+    chain that multiplies a again at every node."""
+    ms, ns = antidiagonal(G.shape[1] - 1, G.shape[2] - 1, d, m_min)
+    G[:, ms, ns] = G[:, ms, ns] + J @ CIntervalArray.of(vals)
 
-    One grid per node, all of them views into one stacked array ``G``
-    of shape (nodes, N + 1, N + 1); the input grids are the components
-    of the series ``P`` being solved, and the (0, 0) slots hold the
-    scalar interpreter's values at ``origin``.  ``evaluate(d, m_min)``
-    fills every node's degree-d slots with m >= m_min, a Lin node from
-    its operands' slots, a Mul node by ``product_antidiagonal``.
-    Theorem: a degree-d slot (m', n') of a factor reaches the degree-d
-    coefficient (m, n) of a product only paired with the other factor's
-    (0, 0) coefficient, at (m', n') = (m, n).  So if all slots of degree
-    below d enclose the true coefficients, the degree-d values enclose
-    the node coefficients for the input values in the degree-d slots,
-    and with those all zero they are the hat sums of those slots.
-    ``land`` then adds the solved inputs a and their exact linear
-    effect on every node, J a, with J = ``node_jacobian`` at the (0, 0)
-    values (computed once): one stacked product and one padded sum over
-    the inputs, which restores the hypothesis at degree d.  By
-    sub-distributivity J a is no wider than the tangent chain that
-    multiplies a again at every node.  ``mirror(d)`` fills the other
-    half of a degree when every exact node series is conjugate-symmetric.
-    """
 
-    def __init__(self, prog: FieldProgram, N: int,
-                 origin: Sequence[CInterval]):
-        self.prog = prog
-        self.N = N
-        base = evaluate(prog, origin)
-        self.J = node_jacobian(prog, base)
-        self.G = CIntervalArray.zeros((len(base), N + 1, N + 1))
-        self.P = Series2(self.G[:DIM])
-        self.grids = [ScalarSeries2._wrap(self.G.lo[:, i], self.G.hi[:, i])
-                      for i in range(len(base))]
-        for g, v in zip(self.grids, base):
-            g[0, 0] = v
-
-    def evaluate(self, d: int, m_min: int = 0) -> list[CIntervalArray]:
-        """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns
-        the outputs'."""
-        slots = antidiagonal(self.N, self.N, d, m_min)
-        g = self.grids
-        vals = [x[slots] for x in g[:DIM]]
-        for i, op in enumerate(self.prog.ops, DIM):
-            if isinstance(op, Mul):
-                v = product_antidiagonal(g[op.a], g[op.b], d, m_min)
-            else:
-                v = None
-                for c, k in op.terms:
-                    v = vals[k] * c if v is None else vals[k] * c + v
-            g[i][slots] = v
-            vals.append(v)
-        return [vals[o] for o in self.prog.outputs]
-
-    def land(self, d: int, vals: Sequence[CIntervalArray],
-             m_min: int = 0) -> None:
-        """Install the inputs ``vals`` (one slot array per input) in the
-        degree-d slots with m >= m_min, after ``evaluate`` on zero input
-        slots: every node's slots gain J a, the inputs' exactly a."""
-        ms, ns = antidiagonal(self.N, self.N, d, m_min)
-        a = CIntervalArray.of(vals)
-        J = self.J
-        # terms J_re a_re, J_im a_im, J_re a_im, J_im a_re on axes
-        # (term kind, node, input, slot)
-        t, u = [0, 1, 0, 1], [0, 1, 1, 0]
-        plo, phi = _imul_arr(J.lo[t, ..., None], J.hi[t, ..., None],
-                             a.lo[u, None], a.hi[u, None])
-        lo, hi = _pad_sum(
-            np.stack((np.concatenate((plo[0], -phi[1]), axis=1),
-                      np.concatenate((plo[2], plo[3]), axis=1))),
-            np.stack((np.concatenate((phi[0], -plo[1]), axis=1),
-                      np.concatenate((phi[2], phi[3]), axis=1))), axis=2)
-        self.G[:, ms, ns] = self.G[:, ms, ns] + CIntervalArray._wrap(lo, hi)
-
-    def mirror(self, d: int) -> None:
-        """Fill every grid's degree-d slots with m < n by the exact swap
-        a_nm = conj(a_mn) from the slots with m > n, and narrow the
-        imaginary part of the slot (d/2, d/2) to its intersection with
-        its negation.  Sound when every exact node series is
-        conjugate-symmetric, as for real program constants, real (0, 0)
-        values and conjugate first-order data: the conjugate of an
-        enclosure of a_mn encloses conj(a_mn) = a_nm, and a_kk is real,
-        so both an enclosure and its conjugate contain it.  Raises
-        SymmetryViolation if a diagonal enclosure excludes the real
-        axis."""
-        lo, hi = self.G.lo, self.G.hi
-        ms, ns = antidiagonal(self.N, self.N, d, d // 2 + 1)
-        lo[0][:, ns, ms], hi[0][:, ns, ms] = lo[0][:, ms, ns], hi[0][:, ms, ns]
-        lo[1][:, ns, ms], hi[1][:, ns, ms] = -hi[1][:, ms, ns], -lo[1][:, ms, ns]
-        k = d // 2
-        if d % 2 == 0 and k <= self.N:
-            r = np.minimum(hi[1][:, k, k], -lo[1][:, k, k])
-            if np.any(r < 0.0):
-                raise SymmetryViolation(
-                    f"the imaginary part of slot ({k}, {k}) excludes zero")
-            lo[1][:, k, k], hi[1][:, k, k] = -r, r
+def _mirror(G: CIntervalArray, d: int) -> None:
+    """Fill every grid's degree-d slots with m < n by the exact swap
+    a_nm = conj(a_mn) from the slots with m > n, and narrow the
+    imaginary part of the slot (d/2, d/2) to its intersection with
+    its negation.  Sound when every exact node series is
+    conjugate-symmetric, as for real program constants, real (0, 0)
+    values and conjugate first-order data: the conjugate of an
+    enclosure of a_mn encloses conj(a_mn) = a_nm, and a_kk is real, so
+    both an enclosure and its conjugate contain it.  Raises
+    SymmetryViolation if a diagonal enclosure excludes the real axis."""
+    lo, hi = G.lo, G.hi
+    N = G.shape[1] - 1
+    ms, ns = antidiagonal(N, N, d, d // 2 + 1)
+    lo[0][:, ns, ms], hi[0][:, ns, ms] = lo[0][:, ms, ns], hi[0][:, ms, ns]
+    lo[1][:, ns, ms], hi[1][:, ns, ms] = -hi[1][:, ms, ns], -lo[1][:, ms, ns]
+    k = d // 2
+    if d % 2 == 0 and k <= N:
+        r = np.minimum(hi[1][:, k, k], -lo[1][:, k, k])
+        if np.any(r < 0.0):
+            raise SymmetryViolation(
+                f"the imaginary part of slot ({k}, {k}) excludes zero")
+        lo[1][:, k, k], hi[1][:, k, k] = -r, r
 
 
 def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
@@ -256,12 +181,14 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
                       lam1: CInterval, lam2: CInterval, N: int) -> Series2:
     """Taylor coefficients of the conjugacy through the square grid (N, N).
 
-    Only the half m >= n of each degree d is computed: one
-    ``evaluate`` of its hat sums, one stacked ``verified_solve_complex``
-    of the homological equations [DF(u0) - (m lam1 + n lam2) I] a_mn =
-    -c_mn over its slots, with DF(u0) the output rows of the
-    interpreter's node Jacobian, and one ``land``; ``mirror`` then
-    fills the rest by a_nm = conj(a_mn).  The first-order data v1 is
+    The node grids are one ``polyfield.FieldNodes`` on (N, N), whose
+    (0, 0) slots hold the scalar interpreter's values at u0.  Only the
+    half m >= n of each degree d is computed: one ``FieldNodes.degree``
+    of its hat sums, one stacked ``verified_solve_complex`` of the
+    homological equations [DF(u0) - (m lam1 + n lam2) I] a_mn = -c_mn
+    over its slots, with DF(u0) the output rows of the node Jacobian J
+    at u0, computed once, and one ``_land``; ``_mirror`` then fills the
+    rest by a_nm = conj(a_mn).  The first-order data v1 is
     installed verbatim at (1, 0).  The returned enclosures contain the
     coefficients of the exact formal solution for every point of the
     data's boxes with v2 = conj(v1) and lam2 = conj(lam1), as the
@@ -282,17 +209,21 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
         raise ValueError("the half solve needs v2 = conj(v1) and "
                          "lam2 = conj(lam1), endpoint for endpoint")
     prog = field_program(m, p)
-    ev = _DegreeInterpreter(prog, N, [CInterval(ui) for ui in u0.u])
-    df = ev.J[list(prog.outputs)]
+    nodes = FieldNodes(prog, N, N)
+    G = nodes.G
+    base = evaluate(prog, [CInterval(ui) for ui in u0.u])
+    G[:, 0, 0] = CIntervalArray.of(base)
+    J = node_jacobian(prog, base)
+    df = J[list(prog.outputs)]
     diag = np.arange(DIM)
     # degree 1 has no hat sums, since a product reaches it only by
     # pairing a degree-1 slot with a (0, 0) one: slot (1, 0) takes v1
-    ev.land(1, [CIntervalArray.of([v]) for v in v1], 1)
-    ev.mirror(1)
+    _land(G, J, 1, [CIntervalArray.of([v]) for v in v1], 1)
+    _mirror(G, 1)
     for d in range(2, 2 * N + 1):
         m_min = (d + 1) // 2
         ms, ns = antidiagonal(N, N, d, m_min)
-        c = CIntervalArray.of(ev.evaluate(d, m_min))
+        c = nodes.degree(d, m_min)
         mu = (CIntervalArray.of([lam1]) * ms.astype(float)
               + CIntervalArray.of([lam2]) * ns.astype(float))
         # the homological matrices and right-hand sides, stacked over slots
@@ -302,50 +233,40 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
         A[:, diag, diag] = A[:, diag, diag] - mu[:, None]
         rhs = CIntervalArray._wrap(-c.hi.swapaxes(1, 2), -c.lo.swapaxes(1, 2))
         sols = verified_solve_complex(A, rhs)
-        ev.land(d, [sols[:, i] for i in range(DIM)], m_min)
-        ev.mirror(d)
-    return ev.P
+        _land(G, J, d, [sols[:, i] for i in range(DIM)], m_min)
+        _mirror(G, d)
+    return Series2(G[:DIM])
 
 
 def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
                       P: Series2, lam1: CInterval, lam2: CInterval, *,
-                      kind: str, eigen: EigenData,
-                      tail_policy: str = "defect",
-                      tail_value: Optional[float] = None) -> LocalManifold:
+                      kind: str, eigen: EigenData) -> LocalManifold:
     """Wrap a solved series P, at its eigenvector scale ``P.scale``,
-    in a LocalManifold with a tail.
+    in a LocalManifold whose tail bounds the sup over the unit polydisc
+    of the invariance defect lam1 z1 d1 P + lam2 z2 d2 P - F(P) of P.
 
-    The tail is assigned by policy: "reported" records the supplied
-    constant, "defect" bounds the sup over the unit polydisc of the
-    invariance defect lam1 z1 d1 P + lam2 z2 d2 P - F(P) of P.  Its
-    left-hand side has the coefficients (m lam1 + n lam2) a_mn on P's
-    (N, N) grid.  ``field_defect`` takes P grown with zeros to the
-    fixed grid K = ceil(3 N / 2) and a fresh column interpreter with
-    input orders (N, N), runs every column of it, and returns
-    the in-grid residual res_i and a bound lost_i on the coefficient
-    mass of F_i(P) beyond the (K, K) grid.  The l1 norm of a series
-    bounds its sup over the unit polydisc, so component i's defect is
-    at most mag_sum_bound(res_i) + lost_i there, and the tail is the
-    largest over i.
+    Its left-hand side has the coefficients (m lam1 + n lam2) a_mn on
+    P's (N, N) grid.  ``field_defect`` takes P grown with zeros to the
+    fixed grid K = ceil(3 N / 2) and a fresh ``FieldNodes`` with input
+    orders (N, N), fills every column of it, and returns the in-grid
+    residual res_i and a bound lost_i on the coefficient mass of
+    F_i(P) beyond the (K, K) grid.  The l1 norm of a series bounds its
+    sup over the unit polydisc, so component i's defect is at most
+    mag_sum_bound(res_i) + lost_i there, and the tail is the largest
+    over i.
     """
-    if tail_policy not in ("reported", "defect"):
-        raise ValueError(f"unknown tail policy {tail_policy!r}")
-    if tail_policy == "reported":
-        tail = float(tail_value) if tail_value is not None else 0.0
-    else:
-        N = P.orders[0]
-        K = -(-3 * N // 2)
-        mu = (CIntervalArray.of([lam1]) * np.arange(N + 1.0)[:, None]
-              + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
-        lhs = CIntervalArray.zeros((DIM, K + 1, K + 1))
-        lhs[:, : N + 1, : N + 1] = P.coefs * mu
-        cols = FieldColumns(field_program(m, p), K, K, input_orders=(N, N))
-        res, beyond = field_defect(cols, Series2(_fit(P.coefs, K, K)), lhs)
-        tail = max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
+    N = P.orders[0]
+    K = -(-3 * N // 2)
+    mu = (CIntervalArray.of([lam1]) * np.arange(N + 1.0)[:, None]
+          + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
+    lhs = CIntervalArray.zeros((DIM, K + 1, K + 1))
+    lhs[:, : N + 1, : N + 1] = P.coefs * mu
+    cols = FieldNodes(field_program(m, p), K, K, input_orders=(N, N))
+    res, beyond = field_defect(cols, Series2(_fit(P.coefs, K, K)), lhs)
+    tail = max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
     P = Series2(P.coefs, scale=P.scale, tail=tail)
     return LocalManifold(P=P, kind=kind, eigen=eigen, scale=complex(P.scale),
-                         lambda1=lam1, lambda2=lam2,
-                         equilibrium=u0, tail_policy=tail_policy)
+                         lambda1=lam1, lambda2=lam2, equilibrium=u0)
 
 
 # magnitude the order-N coefficients get from the default eigenvector scale
@@ -354,8 +275,6 @@ _TARGET = 1e-10
 
 def local_manifold(m: MassTriple, p: PrimaryConfig, kind: str, N: int = 7,
                    scale: Optional[float] = None,
-                   tail_policy: str = "defect",
-                   tail_value: Optional[float] = None,
                    seed: tuple[float, float] = (0.93, 0.22)) -> LocalManifold:
     """Certify the equilibrium, then parameterize its local manifold.
 
@@ -390,8 +309,7 @@ def local_manifold(m: MassTriple, p: PrimaryConfig, kind: str, N: int = 7,
                     for comp in P.components for mm in range(N + 1))
         scale = (_TARGET / g_top) ** (1.0 / N)
     return param_equilibrium(m, p, u0, P.rescale(float(scale)), lam1, lam2,
-                             kind=kind, eigen=eig, tail_policy=tail_policy,
-                             tail_value=tail_value)
+                             kind=kind, eigen=eig)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +319,7 @@ def local_manifold(m: MassTriple, p: PrimaryConfig, kind: str, N: int = 7,
 def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
                  orders: Optional[tuple[int, int]] = None
                  ) -> list[ScalarSeries2]:
-    """Coefficients of F(P) through ``orders``, by the column
+    """Coefficients of F(P) through ``orders``, by the series
     interpreter of the field program over every column.
 
     The default truncates to P's own grid.  The composition is a
@@ -418,12 +336,11 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     if OM < M0 or ON < N0:
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
     prog = field_program(m, p)
-    cols = FieldColumns(prog, OM, ON, input_orders=(M0, N0))
-    G = Series2(_fit(P.coefs, OM, ON))
+    cols = FieldNodes(prog, OM, ON, input_orders=(M0, N0))
+    S = Series2(_fit(P.coefs, OM, ON))
     for n in range(ON + 1):
-        cols.b_column(G, n)
-    nodes = list(G.components) + cols.grids
-    return [nodes[o].copy() for o in prog.outputs]
+        cols.b_column(S, n)
+    return [cols.grids[o].copy() for o in prog.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -467,28 +384,22 @@ def _real_series(P: Series2) -> IntervalArray:
 
     Degree by degree, Q_d = Re(T_d a_d), with T_d from
     ``_chart_transform`` and a_d the degree-d antidiagonal of P's
-    (N, N) grid; the terms Re(T) Re(a) and -Im(T) Im(a) are exact
-    ``_imul_arr`` products summed by one ``_pad_sum``.  Since
-    a_nm = conj(a_mn) for the exact solution, Im(T_d a_d) is zero: its
-    enclosure, formed alike, must straddle zero, or SymmetryViolation
-    is raised.
+    (N, N) grid, one column per component: one ``CIntervalArray`` ``@``
+    of exact products and padded sums.  Since a_nm = conj(a_mn) for the
+    exact solution, Im(T_d a_d) is zero: its enclosure must straddle
+    zero, or SymmetryViolation is raised.
     """
     N = P.orders[0]
-    a = P.coefs
+    # coefficient (m, n) of component i at [m, n, i]
+    a = CIntervalArray._wrap(P.coefs.lo.transpose(0, 2, 3, 1),
+                             P.coefs.hi.transpose(0, 2, 3, 1))
     lo = np.zeros((DIM, 2 * N + 1, 2 * N + 1))
     hi = np.zeros_like(lo)
     for d in range(2 * N + 1):
         ms, ns = antidiagonal(N, N, d)
-        T = _chart_transform(d)[:, ms]
-        ad = a[:, ms, ns]
-        # terms T_re a_re, T_im a_im, T_re a_im, T_im a_re on axes
-        # (term kind, component, j, slot)
-        t, u = [0, 1, 0, 1], [0, 1, 1, 0]
-        plo, phi = _imul_arr(T.lo[t, None], T.hi[t, None],
-                             ad.lo[u, :, None], ad.hi[u, :, None])
-        im_lo, im_hi = _pad_sum(np.concatenate((plo[2], plo[3]), axis=-1),
-                                np.concatenate((phi[2], phi[3]), axis=-1),
-                                axis=-1)
+        # entry (j, i): the s1^j s2^(d-j) coefficient of component i
+        q = _chart_transform(d)[:, ms] @ a[ms, ns]
+        im_lo, im_hi = q.lo[1].T, q.hi[1].T
         bad = np.argwhere((im_lo > 0.0) | (im_hi < 0.0))
         if bad.size:
             i, j = bad[0]
@@ -496,9 +407,7 @@ def _real_series(P: Series2) -> IntervalArray:
                 f"component {i}, coefficient of s1^{j} s2^{d - j}: "
                 f"imaginary part [{im_lo[i, j]}, {im_hi[i, j]}] excludes zero")
         js = np.arange(d + 1)
-        lo[:, js, d - js], hi[:, js, d - js] = _pad_sum(
-            np.concatenate((plo[0], -phi[1]), axis=-1),
-            np.concatenate((phi[0], -plo[1]), axis=-1), axis=-1)
+        lo[:, js, d - js], hi[:, js, d - js] = q.lo[0].T, q.hi[0].T
     return IntervalArray(lo, hi)
 
 

@@ -7,21 +7,20 @@ structure is what the series machinery downstream needs: Taylor
 coefficients of compositions become finite convolution sums.
 
 This module provides the embedding R, the projection back to the planar
-state, the explicit kernel basis of DF at a lifted equilibrium,
-eigenvector lifting, and the one definition of F: a straight-line
-program of ``Lin`` and ``Mul`` ops.  Every evaluator of F interprets it:
-``evaluate``, ``tangent`` and the column interpreter ``FieldColumns``
-here, which gives every full series of F (advected charts,
-``manifold.field_series``), and the per-degree interpreter of the
-homological solve in ``manifold``.  ``node_jacobian`` runs ``tangent``
+state, eigenvector lifting, and the one definition of F: a
+straight-line program of ``Lin`` and ``Mul`` ops.  Every evaluator of F
+interprets it: ``evaluate``, ``tangent`` and the series interpreter
+``FieldNodes``, which holds every node as a series in one stacked array
+and fills it one t-order column at a time (advected charts,
+``manifold.field_series``) or one total degree at a time (the
+homological solve in ``manifold``).  ``node_jacobian`` runs ``tangent``
 once per input for the derivative of every node: its output rows are
 the Jacobian ``poly_DF``, and all its rows land a degree's solved
 coefficients on every node of the homological solve.  ``field_defect``
-finishes a column interpreter's run to bound the defect of an
-invariance equation: the ODE defect of an advected chart, on the
-interpreter whose columns 0..N-1 built the chart, so each column is
-computed once, and the tail of a local manifold, on a fresh
-interpreter.
+finishes a column fill to bound the defect of an invariance equation:
+the ODE defect of an advected chart, on the interpreter whose columns
+0..N-1 built the chart, so each column is computed once, and the tail
+of a local manifold, on a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from typing import Sequence
 import numpy as np
 
 from .crfbp import MassTriple, PrimaryConfig, State4, _distances
-from .errors import DegenerateKernel
 from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
                        _nonneg_upper, _prod_ceil, _sum_ceil)
-from .taylor import ScalarSeries2, Series2, product_column
+from .taylor import (ScalarSeries2, Series2, antidiagonal,
+                     product_antidiagonal, product_column)
 
 DIM = 7
 
@@ -182,32 +181,45 @@ def tangent(prog: FieldProgram, vals: Sequence, seed: Sequence) -> list:
     return ds
 
 
-class FieldColumns:
-    """Column interpreter: every node of the program as a series on the
-    (M, N) grid, filled one t-order column at a time.
+class FieldNodes:
+    """Series interpreter: every node of the program as a series on the
+    (M, N) grid, filled either one t-order column at a time
+    (``b_column``) or one total degree at a time (``degree``).
 
-    One grid per node, allocated once; the inputs are the components of
-    the series handed to ``b_column``, which cover (M, N) and are
-    polynomials of ``input_orders`` (default (M, N)).  Each node has
-    orders from its operands: a product the sum of its factors', a sum
-    the largest of its terms', clamped to (M, N); its grid is zero past
-    them.  ``b_column(G, n)`` fills column n of every node, a Mul node
-    by ``product_column`` over its own rows, a Lin node from its
-    operands' columns (its constant enters at n = 0).  Theorem: if
-    columns 0..n of the inputs are enclosures, so are columns n of all
-    nodes, since a product's column n reads only columns 0..n, and the
-    coefficients a node drops lie past its orders, where they are zero
-    or, at the clamp, of orders that products never bring back down.
-    The grids are filled in place, so operands are always read as
-    views of the current columns.
+    Every node grid, inputs first, lives in one stacked array ``G`` of
+    shape (nodes, M + 1, N + 1); ``grids`` are per-node views of it.
+    Each node has orders from its operands, the inputs
+    ``input_orders`` (default (M, N)): a product the sum of its
+    factors', a sum the largest of its terms', clamped to (M, N).
 
-    ``filled`` counts the columns filled so far, and ``b_column``
-    fills only the next one.  Since column n reads only columns 0..n,
-    the filled columns are F(G)'s for every later series G whose
-    columns 0..filled-1 are the ones the interpreter read: a caller
-    that builds G column by column, writing each column once before
-    it is read and never again, can hand the same interpreter on and
-    have the rest filled without recomputing any of them.
+    ``b_column(S, n)`` copies column n of the series ``S`` into the
+    input rows and fills column n of every node whose orders reach it,
+    a Mul node by ``product_column`` over its own rows, a Lin node from
+    its operands' columns (its constant enters at n = 0); a node's grid
+    stays zero past its orders.  Theorem: if columns 0..n of the inputs
+    are enclosures, so are columns n of all nodes, since a product's
+    column n reads only columns 0..n, and the coefficients a node drops
+    lie past its orders, where they are zero or, at the clamp, of
+    orders that products never bring back down.  ``filled`` counts the
+    columns filled so far, and ``b_column`` fills only the next one.
+    The input columns read are the interpreter's own copies, so the
+    filled columns are F(S)'s for every later series S whose columns
+    0..filled-1 equal the ones copied: a caller that builds S column by
+    column, writing each column once before it is read and never
+    again, can hand the same interpreter on and have the rest filled
+    without recomputing any of them.
+
+    ``degree(d, m_min)`` fills every node's degree-d slots (m, d - m)
+    with m >= m_min, a Lin node from its operands' slots, a Mul node by
+    ``product_antidiagonal``; the caller keeps the inputs and the
+    (0, 0) slots in ``G``.  Theorem: a degree-d slot (m', n') of a
+    factor reaches the degree-d coefficient (m, n) of a product only
+    paired with the other factor's (0, 0) coefficient, at
+    (m', n') = (m, n).  So if all slots of degree below d enclose the
+    true coefficients, the degree-d values enclose the node
+    coefficients for the input values in the degree-d slots, and with
+    those all zero they are the "hat" sums of those slots, which omit
+    every summand containing an unknown degree-d coefficient.
     """
 
     def __init__(self, prog: FieldProgram, M: int, N: int,
@@ -224,10 +236,12 @@ class FieldColumns:
                 terms = [self.orders[k] for _, k in op.terms]
                 self.orders.append((max(mk for mk, _ in terms),
                                     max(nk for _, nk in terms)))
-        self.grids = [ScalarSeries2.zeros(M, N) for _ in prog.ops]
+        self.G = CIntervalArray.zeros((len(self.orders), M + 1, N + 1))
+        self.grids = [ScalarSeries2._wrap(self.G.lo[:, i], self.G.hi[:, i])
+                      for i in range(len(self.orders))]
         self.filled = 0
 
-    def b_column(self, G: Series2, n: int) -> CIntervalArray:
+    def b_column(self, S: Series2, n: int) -> CIntervalArray:
         """Column n of every node; returns the outputs' as shape
         (DIM, M + 1).  Raises ValueError unless n is the next unfilled
         column, since a product's column n reads its operands' columns
@@ -235,25 +249,43 @@ class FieldColumns:
         if n != self.filled:
             raise ValueError(f"column {n} requested, but the next "
                              f"unfilled column is {self.filled}")
-        nodes = list(G.components) + self.grids
-        for op, dst, (rows, cols) in zip(self.prog.ops, self.grids,
+        self.G[:DIM, :, n] = S.coefs[:, :, n]
+        g = self.grids
+        for op, dst, (rows, cols) in zip(self.prog.ops, g[DIM:],
                                          self.orders[DIM:]):
             if n > cols:
                 continue
             if isinstance(op, Mul):
-                col = product_column(nodes[op.a], nodes[op.b], n, rows)
+                col = product_column(g[op.a], g[op.b], n, rows)
             else:
                 col = None
                 for c, k in op.terms:
-                    term = nodes[k][: rows + 1, n] * c
+                    term = g[k][: rows + 1, n] * c
                     col = term if col is None else col + term
             dst[: rows + 1, n] = col
             if n == 0 and isinstance(op, Lin):
                 dst[0, 0] = dst.at(0, 0) + CInterval(op.const)
         self.filled = n + 1
-        return CIntervalArray.of([nodes[o][:, n] for o in self.prog.outputs])
+        return self.G[:, :, n][list(self.prog.outputs)]
 
-    def beyond_grid_bounds(self, G: Series2) -> list[float]:
+    def degree(self, d: int, m_min: int = 0) -> CIntervalArray:
+        """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns
+        the outputs' as shape (DIM, slots)."""
+        slots = antidiagonal(self.M, self.N, d, m_min)
+        g = self.grids
+        vals = [x[slots] for x in g[:DIM]]
+        for i, op in enumerate(self.prog.ops, DIM):
+            if isinstance(op, Mul):
+                v = product_antidiagonal(g[op.a], g[op.b], d, m_min)
+            else:
+                v = None
+                for c, k in op.terms:
+                    v = vals[k] * c if v is None else vals[k] * c + v
+            g[i][slots] = v
+            vals.append(v)
+        return CIntervalArray.of([vals[o] for o in self.prog.outputs])
+
+    def beyond_grid_bounds(self) -> list[float]:
         """Per-output bound on field content outside the (M, N) grid,
         once ``b_column`` has filled every column.
 
@@ -269,7 +301,7 @@ class FieldColumns:
         counts (``interval._nonneg_upper``), and the recurrence rounds
         each sum and product up.
         """
-        mags = [s.mag() for s in list(G.components) + self.grids]
+        mags = self.G.mag()
         norms = [_nonneg_upper(float(np.sum(g)), g.size) for g in mags]
         lost = [0.0] * DIM
         for op in self.prog.ops:
@@ -289,36 +321,35 @@ class FieldColumns:
         return [lost[o] for o in self.prog.outputs]
 
 
-def field_defect(cols: FieldColumns, G: Series2, lhs: CIntervalArray
+def field_defect(cols: FieldNodes, S: Series2, lhs: CIntervalArray
                  ) -> tuple[tuple[ScalarSeries2, ...], list[float]]:
-    """Defect lhs - F(G) of an invariance equation on the interpreter's
+    """Defect lhs - F(S) of an invariance equation on the interpreter's
     (M, N) grid.
 
-    ``G`` covers (M, N) and is a polynomial of the interpreter's input
+    ``S`` covers (M, N) and is a polynomial of the interpreter's input
     orders; ``lhs`` has shape (DIM, M + 1, N + 1) and holds the
     equation's other side, all of whose content lies on the grid.
     Fills columns ``cols.filled``..N of ``cols`` and returns the
-    in-grid residual series res_i = lhs_i - [F(G)]_i, formed in one
+    in-grid residual series res_i = lhs_i - [F(S)]_i, formed in one
     stacked subtraction over the output nodes' grids (outputs 1 and 3
-    are G's own components) and returned as the components of that one
+    are input nodes) and returned as the components of that one
     stacked residual, and, from ``beyond_grid_bounds``, per
-    component a bound lost_i on the coefficient mass of F_i(G) outside
-    the grid.  Precondition: columns 0..cols.filled-1 of G are the
-    ones ``cols`` read when it filled them, so by the theorem of
-    ``FieldColumns`` every node grid then holds F(G)'s columns.
+    component a bound lost_i on the coefficient mass of F_i(S) outside
+    the grid.  Precondition: columns 0..cols.filled-1 of S are the
+    ones ``cols`` copied when it filled them, so by the theorem of
+    ``FieldNodes`` every node grid then holds F(S)'s columns.
     Theorem: on the closed unit polydisc |z1^m z2^n| <= 1, so a series
     is bounded there by the l1 norm of its coefficients, and
-        sup |lhs_i - F_i(G)| <= sum |res_i| + lost_i,
+        sup |lhs_i - F_i(S)| <= sum |res_i| + lost_i,
     with the in-grid sum bounded by ``taylor.mag_sum_bound``.
     """
-    if G.orders != (cols.M, cols.N):
-        raise ValueError(f"series orders {G.orders} differ from the "
+    if S.orders != (cols.M, cols.N):
+        raise ValueError(f"series orders {S.orders} differ from the "
                          f"interpreter's grid {(cols.M, cols.N)}")
     for n in range(cols.filled, cols.N + 1):
-        cols.b_column(G, n)
-    nodes = list(G.components) + cols.grids
-    res = lhs - CIntervalArray.of([nodes[o] for o in cols.prog.outputs])
-    return Series2(res).components, cols.beyond_grid_bounds(G)
+        cols.b_column(S, n)
+    res = lhs - cols.G[list(cols.prog.outputs)]
+    return Series2(res).components, cols.beyond_grid_bounds()
 
 
 def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
@@ -375,34 +406,6 @@ def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalArray:
     prog = field_program(m, p)
     J = node_jacobian(prog, evaluate(prog, u.u), prog.outputs)
     return IntervalArray(J.lo[0], J.hi[0])
-
-
-def kernel_basis(m: MassTriple, p: PrimaryConfig, u0: State7
-                 ) -> tuple[IntervalArray, IntervalArray, IntervalArray]:
-    """Explicit basis of the three-dimensional kernel of DF at a lifted
-    equilibrium.
-
-    Raises DegenerateKernel if the Gaussian-elimination pivot
-    a = 1 - m1 u5^3 - m2 u6^3 - m3 u7^3 touches zero.
-    """
-    a = Interval.from_value(1.0)
-    for mj, w in zip((m.m1, m.m2, m.m3), u0.u[4:]):
-        a = a - mj * w.pow_int(3)
-    if a.straddles_zero():
-        raise DegenerateKernel(f"pivot quantity a encloses zero: {a}")
-    ms = (m.m1, m.m2, m.m3)
-    zero = Interval.from_value(0.0)
-    one = Interval.from_value(1.0)
-    out = []
-    for j, mj in enumerate(ms):
-        px, py = p.positions[j]
-        w2 = u0.u[4 + j].sqr()
-        c1 = 3 * mj * (u0.u[0] - px) * w2 / a
-        c3 = 3 * mj * (u0.u[2] - py) * w2 / a
-        comps = [c1, zero, c3, zero, zero, zero, zero]
-        comps[4 + j] = one
-        out.append(IntervalArray.of(comps))
-    return tuple(out)
 
 
 def lift_eigvector(p: PrimaryConfig, x0: State4, xi: tuple[CInterval, ...],

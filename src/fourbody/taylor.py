@@ -20,21 +20,22 @@ checking.
 
 The lifted field itself is not written here: ``polyfield`` describes it
 once as a program of linear combinations and products, and its series
-interpreters evaluate that program with one kernel each.  The per-degree
-interpreter of ``manifold``'s homological solve uses
-``product_antidiagonal`` (the coefficients of one total degree from a
-lowest m on, exact sums; with the unsolved degree at exact zero this
-yields the "hat" sums that omit every summand containing the unknown
-coefficient).  The column interpreter ``polyfield.FieldColumns``,
-behind advection, ``manifold.field_series`` and every defect and tail
-bound (``polyfield.field_defect``), uses ``product_column`` (one
+interpreter ``polyfield.FieldNodes`` evaluates that program with one
+kernel per fill.  Filling one total degree at a time, for
+``manifold``'s homological solve, it uses ``product_antidiagonal``
+(the coefficients of one total degree from a lowest m on, exact sums;
+with the unsolved degree at exact zero this yields the "hat" sums that
+omit every summand containing the unknown coefficient).  Filling one
+time-order column at a time, behind advection,
+``manifold.field_series`` and every defect and tail bound
+(``polyfield.field_defect``), it uses ``product_column`` (one
 time-order column from a cached plan of just the summed pairs,
 one-ulp products, and float sums each padded a priori by the gamma of
 its own row's term count).
 ``cauchy_product`` is the full truncated series by exact sums, one
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
-coefficient; the explicit hat_product_* functions are built on them,
-to state the hat identity and test it against full products.
+coefficient; ``hat_product_cubic`` is built on them, to state the hat
+identity and test it against full products.
 ``compose_affine`` is the one real kernel: Horner composition of
 stacked real polynomials with the lines s -> c + h s, behind the
 boundary mesh of ``manifold`` and the remeshing of ``atlas``.
@@ -100,11 +101,6 @@ class ScalarSeries2(CIntervalArray):
     @classmethod
     def zeros(cls, M: int, N: int) -> "ScalarSeries2":
         return super().zeros((M + 1, N + 1))
-
-    @classmethod
-    def from_complex_points(cls, grid) -> "ScalarSeries2":
-        a = np.asarray(grid, dtype=complex)
-        return cls(a.real, a.real, a.imag, a.imag)
 
     # -- shape and access -----------------------------------------------
 
@@ -333,32 +329,6 @@ def hat_product_cubic(a: ScalarSeries2, m: int, n: int) -> CInterval:
     a0 = _zero_at(a, m, n)
     sq = cauchy_product(a0, a0, orders=(m, n))
     return product_coeff(sq, a0, m, n)
-
-
-def hat_product_quartic(a: ScalarSeries2, b: ScalarSeries2, m: int,
-                        n: int) -> CInterval:
-    """Coefficient (m, n) of a*b^3 with summands containing a_mn or b_mn
-    omitted; equals the full coefficient minus 3 a_00 b_00^2 b_mn minus
-    b_00^3 a_mn."""
-    a0 = _zero_at(a, m, n)
-    b0 = _zero_at(b, m, n)
-    sq = cauchy_product(b0, b0, orders=(m, n))
-    cube = cauchy_product(sq, b0, orders=(m, n))
-    return product_coeff(cube, a0, m, n)
-
-
-def hat_product_quintic(a: ScalarSeries2, b: ScalarSeries2, c: ScalarSeries2,
-                        m: int, n: int) -> CInterval:
-    """Coefficient (m, n) of a*b*c^3 with summands containing a_mn, b_mn
-    or c_mn omitted; equals the full coefficient minus b_00 c_00^3 a_mn,
-    a_00 c_00^3 b_mn and 3 a_00 b_00 c_00^2 c_mn."""
-    a0 = _zero_at(a, m, n)
-    b0 = _zero_at(b, m, n)
-    c0 = _zero_at(c, m, n)
-    sq = cauchy_product(c0, c0, orders=(m, n))
-    cube = cauchy_product(sq, c0, orders=(m, n))
-    ab = cauchy_product(a0, b0, orders=(m, n))
-    return product_coeff(ab, cube, m, n)
 
 
 def mag_sum_bound(s: CIntervalArray) -> float:

@@ -3,9 +3,27 @@
 import numpy as np
 import pytest
 
-from fourbody.interval import CInterval
-from fourbody.polyfield import Mul
+from fourbody.interval import CInterval, CIntervalArray
+from fourbody.polyfield import FieldNodes, Mul, evaluate, node_jacobian
 from fourbody.taylor import ScalarSeries2, _fit, cauchy_product
+
+
+def from_complex_points(grid) -> ScalarSeries2:
+    """The series whose coefficients are the point intervals at the
+    complex numbers of ``grid``, a 2-d array."""
+    a = np.asarray(grid, dtype=complex)
+    return ScalarSeries2(a.real, a.real, a.imag, a.imag)
+
+
+def degree_nodes(prog, N, origin):
+    """A FieldNodes on (N, N) set up for degree fills, as the
+    homological solve sets it up: its (0, 0) slots hold the scalar
+    interpreter's values at ``origin``.  Returns it and the node
+    Jacobian there."""
+    nodes = FieldNodes(prog, N, N)
+    base = evaluate(prog, origin)
+    nodes.G[:, 0, 0] = CIntervalArray.of(base)
+    return nodes, node_jacobian(prog, base)
 
 
 def _full_product_nodes(prog, inputs, orders):
@@ -13,7 +31,7 @@ def _full_product_nodes(prog, inputs, orders):
     truncated Cauchy products: a product kept through the sum of its
     factors' orders, a sum through the largest of its terms', each
     clamped to ``orders``.  An interpreter independent of the column
-    and per-degree ones, for checking them."""
+    and degree fills of ``polyfield.FieldNodes``, for checking them."""
     OM, ON = orders
     nodes = list(inputs)
     for op in prog.ops:

@@ -33,8 +33,10 @@ from fourbody.errors import CollisionDomain, SymmetryViolation
 from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
     local_manifold
-from fourbody.polyfield import FieldColumns, field_defect, field_program
+from fourbody.polyfield import FieldNodes, field_defect, field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
+
+from conftest import from_complex_points
 
 Z0 = CInterval(Interval.from_value(0.0))
 Z1 = CInterval(Interval.from_value(1.0))
@@ -90,7 +92,7 @@ def _chart_lhs(G):
 
 def _fresh_columns(m, pc, G):
     """A column interpreter on G's grid that has filled no column."""
-    return FieldColumns(field_program(m, pc), *G.orders)
+    return FieldNodes(field_program(m, pc), *G.orders)
 
 
 def _chart_defect(m, pc, G):
@@ -188,8 +190,7 @@ class TestFlowLine:
 
     def test_stable_arcs_advect_backward(self, setup, arcs15):
         m, pc = setup
-        chart = flow_line(arcs15[0], m, pc, orders=(15, 10), tau=10.0,
-                          tail_policy="reported")
+        chart = flow_line(arcs15[0], m, pc, orders=(15, 10), tau=10.0)
         assert chart.kind == "stable"
         assert chart.tau == -10.0
         assert chart.accumulated_time == -0.1
@@ -219,13 +220,12 @@ class TestFlowLine:
         # runs it over every column, and checked against exact full
         # products at every output
         m, pc = setup
-        chart = flow_line(arcs15[7], m, pc, orders=(15, 20), tau=2.0,
-                          tail_policy="reported")
+        chart = flow_line(arcs15[7], m, pc, orders=(15, 20), tau=2.0)
         G = chart.Gamma
         prog = field_program(m, pc)
         b = field_series(m, pc, G, orders=(15, 20))
         full = full_product_nodes(prog, G.components, (15, 20))
-        rec = FieldColumns(prog, 15, 20)
+        rec = FieldNodes(prog, 15, 20)
         for n in range(21):
             col = rec.b_column(G, n)
             for i in range(7):
@@ -245,7 +245,7 @@ class TestFlowLine:
                           Interval(0.3 - d, 0.3 + d), Interval(0.2))
         point = MassTriple.from_floats(0.5 + d, 0.3 - d, 0.2)
         outer, inner = (flow_line(arc, mt, primaries(mt), orders=(10, 4),
-                                  tau=2.0, tail_policy="reported").Gamma
+                                  tau=2.0).Gamma
                         for mt in (wide, point))
         for co, ci in zip(outer.components, inner.components):
             assert np.all(co.rlo <= ci.rlo) and np.all(ci.rhi <= co.rhi)
@@ -257,9 +257,6 @@ class TestFlowLine:
             flow_line(arcs15[0], m, pc, orders=(15, 10), tau=-1.0)
         with pytest.raises(ValueError):
             flow_line(arcs15[0], m, pc, orders=(15, 10), tau=0.0)
-        with pytest.raises(ValueError):
-            flow_line(arcs15[0], m, pc, orders=(15, 10),
-                      tail_policy="hopeful")
         with pytest.raises(ValueError):
             # spatial order below the arc order drops arc content
             flow_line(arcs15[0], m, pc, orders=(8, 10), tau=1.0)
@@ -303,8 +300,7 @@ class TestDefect:
 
     def test_defect_detects_planted_fault(self, setup, arcs15):
         m, pc = setup
-        chart = flow_line(arcs15[5], m, pc, orders=(15, 16), tau=1.0,
-                          tail_policy="reported")
+        chart = flow_line(arcs15[5], m, pc, orders=(15, 16), tau=1.0)
         G = chart.Gamma
         base = mag_sum_bound(_chart_defect(m, pc, G)[0][1])
         c1 = G.components[1]
@@ -315,7 +311,7 @@ class TestDefect:
         comps[1].rhi[mm, 16] = 0.0
         bad = FlowChart(Gamma=Series2(tuple(comps), scale=G.scale, tau=G.tau,
                                       tail=G.tail),
-                        kind=chart.kind, tail_policy="reported")
+                        kind=chart.kind)
         res = _chart_defect(m, pc, bad.Gamma)[0][1]
         assert not res.rlo[mm, 15] <= 0.0 <= res.rhi[mm, 15]
         assert mag_sum_bound(res) - base > 0.5 * 16.0 * mag
@@ -333,13 +329,13 @@ class TestDefect:
         for arc, sign in ((arcs15[7], -1.0),
                           (BoundaryArc(gamma=arcs15[12].gamma,
                                        kind="unstable"), 1.0)):
-            rec = FieldColumns(prog, M, N)
+            rec = FieldNodes(prog, M, N)
             G = taylor_flow(_arc_series(arc, M), rec.b_column, N, sign * 2.0)
             assert rec.filled == N
             lhs = _chart_lhs(G)
             res, beyond = field_defect(rec, G, lhs)
             assert rec.filled == N + 1
-            want, want_beyond = field_defect(FieldColumns(prog, M, N), G, lhs)
+            want, want_beyond = field_defect(FieldNodes(prog, M, N), G, lhs)
             assert beyond == want_beyond
             for r, w in zip(res, want):
                 assert np.array_equal(r.lo, w.lo)
@@ -354,13 +350,13 @@ class TestDefect:
         # N + 1 columns is computed once per chart
         m, pc = setup
         calls = []
-        b_column = FieldColumns.b_column
+        b_column = FieldNodes.b_column
 
         def counted(self, G, n):
             calls.append(n)
             return b_column(self, G, n)
 
-        monkeypatch.setattr(FieldColumns, "b_column", counted)
+        monkeypatch.setattr(FieldNodes, "b_column", counted)
         flow_line(arcs15[7], m, pc, orders=(15, 20), tau=2.0)
         assert calls == list(range(21))
 
@@ -383,18 +379,17 @@ class TestDefect:
         # out of grid
         m, pc = setup
         arc = boundary_mesh(stable7, n_arcs=20, arc_order=6)[4]
-        chart = flow_line(arc, m, pc, orders=(6, 6), tau=2.0,
-                          tail_policy="reported").Gamma
+        chart = flow_line(arc, m, pc, orders=(6, 6), tau=2.0).Gamma
         rng = np.random.default_rng(1)
-        noise = Series2(tuple(ScalarSeries2.from_complex_points(
+        noise = Series2(tuple(from_complex_points(
             rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
             for _ in range(7)))
         for G in (chart, noise):
             M, N = G.orders
-            cols = FieldColumns(field_program(m, pc), M, N)
+            cols = FieldNodes(field_program(m, pc), M, N)
             for n in range(N + 1):
                 cols.b_column(G, n)
-            bounds = cols.beyond_grid_bounds(G)
+            bounds = cols.beyond_grid_bounds()
             full = field_series(m, pc, G, orders=(5 * M, 5 * N))
             for i, (f, bound) in enumerate(zip(full, bounds)):
                 mag = np.hypot(np.maximum(np.abs(f.rlo), np.abs(f.rhi)),

@@ -266,9 +266,9 @@ class TestPersistence:
             b = back.charts[cid]
             ga, gb = a.chart, b.chart
             assert (ga.tau, ga.tail, ga.defect, ga.accumulated_time,
-                    ga.source_arc, ga.tail_policy) == \
+                    ga.source_arc) == \
                    (gb.tau, gb.tail, gb.defect, gb.accumulated_time,
-                    gb.source_arc, gb.tail_policy)
+                    gb.source_arc)
             for ca, cb in zip(ga.Gamma.components, gb.Gamma.components):
                 for f in ("rlo", "rhi", "ilo", "ihi"):
                     assert np.array_equal(getattr(ca, f), getattr(cb, f))
@@ -307,6 +307,25 @@ class TestPersistence:
         back = tmp_path / "back.json"
         Atlas.load(old).save(back)
         assert filecmp.cmp(path, back, shallow=False)
+
+    def test_charts_load_with_and_without_the_tail_policy(self, grown,
+                                                          tmp_path):
+        # every chart tail is a certified bound, so saves write no tail
+        # policy; files of earlier versions carry "tail_policy":
+        # "defect" on every chart and load to the same atlas
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        doc = json.loads(path.read_text())
+        assert doc["charts"]
+        assert not any("tail_policy" in c for c in doc["charts"])
+        for c in doc["charts"]:
+            c["tail_policy"] = "defect"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        for src in (path, old):
+            back = tmp_path / "back.json"
+            Atlas.load(src).save(back)
+            assert filecmp.cmp(path, back, shallow=False)
 
     def test_meta_survives(self, setup, stable5, tmp_path):
         m, _ = setup

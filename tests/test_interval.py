@@ -741,6 +741,49 @@ class TestCIntervalArray:
                     z = arr.at(*idx)
                     assert z.re == op.re and z.im == op.im, (idx, kind)
 
+    def test_matmul_matches_scalar_loop(self):
+        # on dyadic endpoints every product and sum is exact, so the
+        # contraction equals the scalar CInterval loop endpoint for
+        # endpoint
+        rng = np.random.default_rng(12)
+
+        def dyadic(*shape):
+            lo = rng.integers(-8, 9, size=(2, *shape)) / 16.0
+            hi = lo + rng.integers(0, 3, size=lo.shape) / 16.0
+            return CIntervalArray(lo, hi)
+
+        for sa, sb in (((3, 4), (4, 2)), ((3, 4), (4,)),
+                       ((2, 3, 4), (4, 2)), ((4,), (4, 3))):
+            A, B = dyadic(*sa), dyadic(*sb)
+            C = A @ B
+            assert C.shape == sa[:-1] + sb[1:]
+            for idx in np.ndindex(*C.shape):
+                row, col = idx[:len(sa) - 1], idx[len(sa) - 1:]
+                want = CInterval(0.0)
+                for j in range(sa[-1]):
+                    want = want + A.at(*row, j) * B.at(j, *col)
+                got = C.at(*idx)
+                assert got.re == want.re and got.im == want.im, idx
+        with pytest.raises(ValueError):
+            dyadic(3, 4) @ dyadic(3)
+
+    def test_matmul_encloses_exact_product(self):
+        # point entries of mixed magnitude: every entry of the
+        # contraction encloses the exact complex sum of products
+        rng = np.random.default_rng(13)
+        a = _rand_floats(rng, 2 * 3 * 5).reshape(2, 3, 5)
+        b = _rand_floats(rng, 2 * 5 * 2).reshape(2, 5, 2)
+        C = CIntervalArray(a, a) @ CIntervalArray(b, b)
+        for i, k in np.ndindex(3, 2):
+            pairs = [[Fraction(float(x)) for x in (a[0, i, j], a[1, i, j],
+                                                   b[0, j, k], b[1, j, k])]
+                     for j in range(5)]
+            re = sum(ar * br - ai * bi for ar, ai, br, bi in pairs)
+            im = sum(ar * bi + ai * br for ar, ai, br, bi in pairs)
+            got = C.at(i, k)
+            assert Fraction(got.re.lo) <= re <= Fraction(got.re.hi)
+            assert Fraction(got.im.lo) <= im <= Fraction(got.im.hi)
+
     def test_indexing_views_and_stacking(self):
         a = CIntervalArray.zeros((3, 4))
         row = a[1]

@@ -25,9 +25,10 @@ from fourbody.interval import (CInterval, CIntervalArray, Interval,
 from fourbody.manifold import (
     BoundaryArc,
     LocalManifold,
-    _DegreeInterpreter,
     _chart_transform,
     _chord_arcs,
+    _land,
+    _mirror,
     boundary_mesh,
     field_series,
     local_manifold,
@@ -35,11 +36,13 @@ from fourbody.manifold import (
     real_chart,
     solve_homological,
 )
-from fourbody.polyfield import (DIM, FieldColumns, field_defect,
+from fourbody.polyfield import (DIM, FieldNodes, field_defect,
                                 field_program, lift_eigvector, poly_DF,
                                 project_pi)
 from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              conj_symmetry_check, mag_sum_bound)
+
+from conftest import degree_nodes, from_complex_points
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +65,8 @@ def unstable7(setup):
 
 @pytest.fixture(scope="module")
 def stable4(setup):
-    # reported policy: these tests compare coefficients, not tails
     m, pc = setup
-    return local_manifold(m, pc, "stable", N=4, scale=0.05,
-                          tail_policy="reported")
+    return local_manifold(m, pc, "stable", N=4, scale=0.05)
 
 
 def _overlap(a: Interval, b: Interval) -> bool:
@@ -87,7 +88,7 @@ def _invariance_defect(m, pc, M, K):
     the in-grid residual and the per-component beyond-grid bounds."""
     P = M.P
     G = Series2(tuple(_fit(c, K, K) for c in P.components))
-    cols = FieldColumns(field_program(m, pc), K, K, input_orders=P.orders)
+    cols = FieldNodes(field_program(m, pc), K, K, input_orders=P.orders)
     return field_defect(cols, G, _invariance_lhs(P, M.lambda1, M.lambda2, K))
 
 
@@ -196,17 +197,17 @@ class TestHomologicalSolver:
 
 def _full_solve(m, pc, u0, v1, v2, lam1, lam2, N) -> Series2:
     """Reference for the half solve: every slot of every degree, hat
-    sums from the generic per-degree interpreter on full antidiagonals
-    and one verified solve per coefficient, no mirror."""
-    ev = _DegreeInterpreter(field_program(m, pc), N,
-                            [CInterval(ui) for ui in u0.u])
+    sums from the degree fill on full antidiagonals and one verified
+    solve per coefficient, no mirror."""
+    ev, J = degree_nodes(field_program(m, pc), N,
+                          [CInterval(ui) for ui in u0.u])
     df = poly_DF(m, pc, u0)
     zero = np.zeros_like(df.lo)
     diag = np.arange(DIM)
-    ev.evaluate(1)
-    ev.land(1, [CIntervalArray.of(pair) for pair in zip(v2, v1)])
+    ev.degree(1)
+    _land(ev.G, J, 1, [CIntervalArray.of(pair) for pair in zip(v2, v1)])
     for d in range(2, 2 * N + 1):
-        c = CIntervalArray.of(ev.evaluate(d))
+        c = ev.degree(d)
         sols = []
         for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d))):
             A = CIntervalArray(np.stack((df.lo, zero)),
@@ -215,8 +216,8 @@ def _full_solve(m, pc, u0, v1, v2, lam1, lam2, N) -> Series2:
             A[diag, diag] = A[diag, diag] - CIntervalArray.of([mu])
             sols.append(verified_solve_complex(A, -c[:, r]))
         sols = CIntervalArray.of(sols)
-        ev.land(d, [sols[:, i] for i in range(DIM)])
-    return ev.P
+        _land(ev.G, J, d, [sols[:, i] for i in range(DIM)])
+    return Series2(ev.G[:DIM])
 
 
 class TestHalfSolve:
@@ -246,18 +247,18 @@ class TestHalfSolve:
 
     def test_mirror_swaps_and_narrows_the_diagonal(self, setup):
         m, pc = setup
-        ev = _DegreeInterpreter(field_program(m, pc), 2,
-                                [CInterval(1.0)] * DIM)
+        ev, _ = degree_nodes(field_program(m, pc), 2,
+                              [CInterval(1.0)] * DIM)
         g = ev.grids[DIM + 3]
         g[2, 0] = CInterval(Interval(1.0, 2.0), Interval(-3.0, 4.0))
         g[1, 1] = CInterval(Interval(5.0, 6.0), Interval(-1.0, 2.0))
-        ev.mirror(2)
+        _mirror(ev.G, 2)
         assert g.at(0, 2) == g.at(2, 0).conj()
         # a real coefficient lies in the enclosure and in its conjugate
         assert g.at(1, 1) == CInterval(Interval(5.0, 6.0), Interval(-1.0, 1.0))
         g[1, 1] = CInterval(Interval(5.0, 6.0), Interval(0.5, 1.0))
         with pytest.raises(SymmetryViolation):
-            ev.mirror(2)
+            _mirror(ev.G, 2)
 
     def test_non_conjugate_data_rejected(self, setup, stable7):
         m, pc = setup
@@ -477,7 +478,7 @@ def _complex_chords(P, chords, deg):
     n = len(chords)
 
     def per_column(zs):
-        return ScalarSeries2.from_complex_points(
+        return from_complex_points(
             np.repeat(np.array(zs, dtype=complex), 7)[None])
 
     a0 = per_column([0.5 * (p0 + p1) for p0, p1 in chords])
@@ -732,8 +733,7 @@ class TestLocalManifoldMetadata:
         monkeypatch.setattr(manifold, "solve_homological", counted)
         local_manifold(m, pc, "stable", N=3)
         assert orders == [3]
-        local_manifold(m, pc, "unstable", N=2, scale=0.05,
-                       tail_policy="reported")
+        local_manifold(m, pc, "unstable", N=2, scale=0.05)
         assert orders == [3, 2]
 
     def test_order_20_builds(self, setup):
@@ -750,13 +750,6 @@ class TestLocalManifoldMetadata:
         g_top = max(stable7.P.components[i].at(mm, N - mm).abs().hi
                     for i in range(7) for mm in range(N + 1))
         assert 1e-11 < g_top < 1e-9
-
-    def test_reported_tail_policy(self, setup):
-        m, pc = setup
-        M = local_manifold(m, pc, "stable", N=2, scale=0.05,
-                           tail_policy="reported", tail_value=5.048e-17)
-        assert M.P.tail == 5.048e-17
-        assert M.tail_policy == "reported"
 
     def test_bad_kind_rejected(self, setup, stable4):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for the polynomial lift: embedding, field, Jacobian, kernel."""
+"""Tests for the polynomial lift: embedding, field, interpreters, Jacobian."""
 
 from __future__ import annotations
 
@@ -20,26 +20,27 @@ from fourbody.crfbp import (
     newton_equilibrium,
     primaries,
 )
-from fourbody.errors import CollisionDomain, DegenerateKernel
+from fourbody.errors import CollisionDomain
 from fourbody.interval import (CInterval, CIntervalArray, Interval,
                                IntervalArray, _nonneg_upper)
-from fourbody.manifold import _DegreeInterpreter
+from fourbody.manifold import _land
 from fourbody.polyfield import (
     DIM,
-    FieldColumns,
+    FieldNodes,
     _conv_tail,
     State7,
     embed_R,
     evaluate,
     field_defect,
     field_program,
-    kernel_basis,
     lift_eigvector,
     poly_DF,
     poly_F_point,
     project_pi,
 )
-from fourbody.taylor import ScalarSeries2, Series2, _fit, antidiagonal
+from fourbody.taylor import Series2, _fit, antidiagonal
+
+from conftest import degree_nodes, from_complex_points
 
 # frozen reciprocal distances at the equilibrium used throughout
 U5 = 0.7244980416112365
@@ -169,37 +170,36 @@ class TestPolyField:
 class TestFieldProgram:
     def test_series_interpreters_agree(self, config, triple,
                                        full_product_nodes, assert_overlap):
-        # the per-degree (hat values plus tangent correction) and
-        # per-column interpreters enclose the same coefficients as exact
+        # the degree fill (hat values plus the node Jacobian's landing)
+        # and the column fill enclose the same coefficients as exact
         # full products at every program node
         K = 5
         rng = np.random.default_rng(7)
-        comps = [ScalarSeries2.from_complex_points(
+        comps = [from_complex_points(
             rng.normal(size=(K + 1, K + 1))
             + 1j * rng.normal(size=(K + 1, K + 1))) for _ in range(DIM)]
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (K, K))
-        cols = FieldColumns(prog, K, K)
+        cols = FieldNodes(prog, K, K)
         for n in range(K + 1):
             cols.b_column(Series2(tuple(comps)), n)
-        coef = _DegreeInterpreter(prog, K, [c.at(0, 0) for c in comps])
+        coef, J = degree_nodes(prog, K, [c.at(0, 0) for c in comps])
         for d in range(1, 2 * K + 1):
             slots = antidiagonal(K, K, d)
-            coef.evaluate(d)
-            coef.land(d, [c[slots] for c in comps])
-        assert len(full) == len(coef.grids) == DIM + len(cols.grids)
-        for k, (a, c) in enumerate(zip(full, coef.grids)):
-            b = comps[k] if k < DIM else cols.grids[k - DIM]
+            coef.degree(d)
+            _land(coef.G, J, d, [c[slots] for c in comps])
+        assert len(full) == len(coef.grids) == len(cols.grids)
+        for k, (a, b, c) in enumerate(zip(full, cols.grids, coef.grids)):
             assert_overlap(a, b, c)
 
     def test_column_interpreter_fills_columns_in_order(self, config,
                                                        triple):
         # a skipped column would read operand columns that are still
         # zero, so only the next unfilled column may be asked for
-        comps = [ScalarSeries2.from_complex_points(np.ones((3, 3)))
+        comps = [from_complex_points(np.ones((3, 3)))
                  for _ in range(DIM)]
         G = Series2(tuple(comps))
-        cols = FieldColumns(field_program(triple, config), 2, 2)
+        cols = FieldNodes(field_program(triple, config), 2, 2)
         with pytest.raises(ValueError):
             cols.b_column(G, 1)
         cols.b_column(G, 0)
@@ -208,24 +208,47 @@ class TestFieldProgram:
             cols.b_column(G, 0)
         # field_defect finishes an interpreter only on its own grid
         with pytest.raises(ValueError):
-            field_defect(FieldColumns(field_program(triple, config), 3, 2),
+            field_defect(FieldNodes(field_program(triple, config), 3, 2),
                          G, CIntervalArray.zeros((DIM, 4, 3)))
+
+    def test_column_fill_reads_its_own_input_copies(self, config, triple):
+        # rewriting a column of the series after b_column has read it
+        # changes no filled node column: products read the
+        # interpreter's copies of the input columns
+        rng = np.random.default_rng(9)
+        comps = [from_complex_points(
+            rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            for _ in range(DIM)]
+        prog = field_program(triple, config)
+        want = FieldNodes(prog, 3, 3)
+        got = FieldNodes(prog, 3, 3)
+        ref, S = Series2(tuple(comps)), Series2(tuple(comps))
+        for n in range(4):
+            want.b_column(ref, n)
+            got.b_column(S, n)
+            S.coefs[:, :, n] = S.coefs[:, :, n] * 3.0
+        assert np.array_equal(got.G.lo, want.G.lo)
+        assert np.array_equal(got.G.hi, want.G.hi)
+        # the input rows are copies of the columns as they were read
+        for k in range(DIM):
+            assert np.array_equal(got.grids[k].lo, comps[k].lo)
+            assert np.array_equal(got.grids[k].hi, comps[k].hi)
 
     def test_column_interpreter_raises_node_orders(
             self, config, triple, full_product_nodes, assert_overlap):
         # order-(3, 2) inputs on a (9, 8) grid: every node is kept
         # through its own orders, which are zero in the grid beyond them
         rng = np.random.default_rng(8)
-        comps = [ScalarSeries2.from_complex_points(
+        comps = [from_complex_points(
             rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
             for _ in range(DIM)]
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (9, 8))
-        cols = FieldColumns(prog, 9, 8, input_orders=(3, 2))
+        cols = FieldNodes(prog, 9, 8, input_orders=(3, 2))
         G = Series2(tuple(_fit(c, 9, 8) for c in comps))
         for n in range(9):
             cols.b_column(G, n)
-        for k, (a, b) in enumerate(zip(full[DIM:], cols.grids), DIM):
+        for k, (a, b) in enumerate(zip(full[DIM:], cols.grids[DIM:]), DIM):
             assert cols.orders[k] == a.orders, k
             assert_overlap(a, b)
             rows, nn = a.orders
@@ -274,27 +297,9 @@ class TestPolyJacobian:
 
 
 class TestKernelBasis:
-    def test_kernel_vectors_annihilated(self, config, triple, u0):
-        J = poly_DF(triple, config, u0)
-        for v in kernel_basis(triple, config, u0):
-            Jv = J @ v
-            # the Newton point is a zero only to machine precision, so
-            # pad the residual by the nonlinear defect scale
-            for k in range(7):
-                r = Jv[k]
-                assert Interval(r.lo - 1e-13, r.hi + 1e-13).straddles_zero(), k
-
-    def test_structure(self, config, triple, u0):
-        vs = kernel_basis(triple, config, u0)
-        for j, v in enumerate(vs):
-            for slot in (1, 3):
-                assert v[slot].lo == 0.0 and v[slot].hi == 0.0
-            for k in range(3):
-                e = v[4 + k]
-                if k == j:
-                    assert e.lo == 1.0 and e.hi == 1.0
-                else:
-                    assert e.lo == 0.0 and e.hi == 0.0
+    """DF(u0) has a three-dimensional kernel, spanned by vectors with
+    one unit reciprocal-distance slot each, when the pivot of its
+    elimination is nonzero."""
 
     def test_pivot_value(self, triple, u0):
         # a = 1 - sum m_j u_{4+j}^3 at the equilibrium is negative here
@@ -303,14 +308,6 @@ class TestKernelBasis:
             a = a - mj * w.pow_int(3)
         assert a.hi < 0.0
         assert not a.straddles_zero()
-
-    def test_degenerate_pivot_raises(self, config, triple):
-        u = State7((Interval.from_value(0.9), Interval.from_value(0.0),
-                    Interval.from_value(0.2), Interval.from_value(0.0),
-                    Interval(1.2599, 1.2600), Interval.from_value(0.01),
-                    Interval.from_value(0.01)))
-        with pytest.raises(DegenerateKernel):
-            kernel_basis(triple, config, u)
 
 
 def _complex_residual_7(J: IntervalArray, lam: CInterval,

@@ -23,17 +23,18 @@ from fourbody.taylor import (
     Series2,
     SymmetryReport,
     _column_plan,
+    _zero_at,
     antidiagonal,
     cauchy_product,
     conj_symmetry_check,
     hat_product_cubic,
-    hat_product_quartic,
-    hat_product_quintic,
     mag_sum_bound,
     product_antidiagonal,
     product_coeff,
     product_column,
 )
+
+from conftest import from_complex_points
 
 RNG = np.random.default_rng(20240817)
 
@@ -41,7 +42,7 @@ RNG = np.random.default_rng(20240817)
 def _random_series(M, N, rng=RNG, scale=1.0):
     grid = (rng.standard_normal((M + 1, N + 1))
             + 1j * rng.standard_normal((M + 1, N + 1))) * scale
-    return ScalarSeries2.from_complex_points(grid)
+    return from_complex_points(grid)
 
 
 def _dyadic_series(M, N, rng=RNG):
@@ -49,7 +50,31 @@ def _dyadic_series(M, N, rng=RNG):
     of these stay exactly representable."""
     k = rng.integers(-8, 9, size=(M + 1, N + 1))
     j = rng.integers(-8, 9, size=(M + 1, N + 1))
-    return ScalarSeries2.from_complex_points(k / 16.0 + 1j * (j / 16.0))
+    return from_complex_points(k / 16.0 + 1j * (j / 16.0))
+
+
+def hat_product_quartic(a, b, m, n):
+    """Coefficient (m, n) of a*b^3 with summands containing a_mn or b_mn
+    omitted; equals the full coefficient minus 3 a_00 b_00^2 b_mn minus
+    b_00^3 a_mn."""
+    a0 = _zero_at(a, m, n)
+    b0 = _zero_at(b, m, n)
+    sq = cauchy_product(b0, b0, orders=(m, n))
+    cube = cauchy_product(sq, b0, orders=(m, n))
+    return product_coeff(cube, a0, m, n)
+
+
+def hat_product_quintic(a, b, c, m, n):
+    """Coefficient (m, n) of a*b*c^3 with summands containing a_mn, b_mn
+    or c_mn omitted; equals the full coefficient minus b_00 c_00^3 a_mn,
+    a_00 c_00^3 b_mn and 3 a_00 b_00 c_00^2 c_mn."""
+    a0 = _zero_at(a, m, n)
+    b0 = _zero_at(b, m, n)
+    c0 = _zero_at(c, m, n)
+    sq = cauchy_product(c0, c0, orders=(m, n))
+    cube = cauchy_product(sq, c0, orders=(m, n))
+    ab = cauchy_product(a0, b0, orders=(m, n))
+    return product_coeff(ab, cube, m, n)
 
 
 def _product_coeff_oracle(a, b, m, n):
@@ -70,8 +95,8 @@ def _assert_point_equal(c: CInterval, z: complex):
 
 class TestCauchyProduct:
     def test_one_plus_z1_times_one_plus_z2(self):
-        a = ScalarSeries2.from_complex_points([[1.0, 0.0], [1.0, 0.0]])
-        b = ScalarSeries2.from_complex_points([[1.0, 1.0], [0.0, 0.0]])
+        a = from_complex_points([[1.0, 0.0], [1.0, 0.0]])
+        b = from_complex_points([[1.0, 1.0], [0.0, 0.0]])
         p = cauchy_product(a, b)
         for m in range(2):
             for n in range(2):
@@ -102,8 +127,8 @@ class TestCauchyProduct:
         pb = sum(int(kb[m, n]) * z1**m * z2**n
                  for m in range(3) for n in range(3))
         expanded = sympy.Poly(sympy.expand(pa * pb), z1, z2)
-        a = ScalarSeries2.from_complex_points(ka.astype(float))
-        b = ScalarSeries2.from_complex_points(kb.astype(float))
+        a = from_complex_points(ka.astype(float))
+        b = from_complex_points(kb.astype(float))
         p = cauchy_product(a, b, orders=(2, 2))
         for m in range(3):
             for n in range(3):
@@ -156,8 +181,8 @@ class TestCauchyProduct:
     def test_product_column_contains_exact_property(self, ints):
         vals = np.array(ints, dtype=float).reshape(2, 12) / 16.0
         grid = (vals[0] + 1j * vals[1]).reshape(4, 3)
-        a = ScalarSeries2.from_complex_points(grid)
-        b = ScalarSeries2.from_complex_points(grid[::-1, ::-1])
+        a = from_complex_points(grid)
+        b = from_complex_points(grid[::-1, ::-1])
         for n in range(3):
             col = product_column(a, b, n, 3)
             for m in range(4):
@@ -263,7 +288,7 @@ class TestProductColumn:
             if not real:
                 g = g + 1j * rng.standard_normal((M + 1, N + 1)) \
                     * 2.0 ** rng.integers(-30, 30, (M + 1, N + 1))
-            return ScalarSeries2.from_complex_points(g)
+            return from_complex_points(g)
 
         for _ in range(40):
             a, b = grid(), grid()
@@ -280,8 +305,8 @@ class TestProductColumn:
         if not real:
             grid = grid + 1j * rng.standard_normal((9, 7))
         a = TestProductAntidiagonal._widen(
-            ScalarSeries2.from_complex_points(grid), rng, real=real)
-        b = ScalarSeries2.from_complex_points(grid[::-1, ::-1] * 1e-2)
+            from_complex_points(grid), rng, real=real)
+        b = from_complex_points(grid[::-1, ::-1] * 1e-2)
         for n in range(7):
             full = product_column(a, b, n, 8)
             for M in range(9):
@@ -354,7 +379,7 @@ class TestHatProducts:
     def test_cubic_identity_exact_property(self, ints):
         vals = np.array(ints, dtype=float).reshape(2, 9) / 16.0
         grid = (vals[0] + 1j * vals[1]).reshape(3, 3)
-        a = ScalarSeries2.from_complex_points(grid)
+        a = from_complex_points(grid)
         m, n = 2, 2
         sq = cauchy_product(a, a, orders=(m, n))
         full = cauchy_product(sq, a, orders=(m, n)).at(m, n)
@@ -455,9 +480,9 @@ class TestProductAntidiagonal:
     def test_real_grids(self, M, N):
         rng = np.random.default_rng(M + 7 * N)
         grid = rng.standard_normal((M + 1, N + 1))
-        a = self._widen(ScalarSeries2.from_complex_points(grid), rng,
+        a = self._widen(from_complex_points(grid), rng,
                         real=True)
-        b = ScalarSeries2.from_complex_points(grid[::-1])
+        b = from_complex_points(grid[::-1])
         self._assert_matches_coeffs(a, b)
         for d in range(M + N + 1):
             got = product_antidiagonal(a, b, d)
@@ -491,8 +516,8 @@ class TestProductAntidiagonal:
                         if (j, k) != (0, 0):
                             acc -= ag[j, k] * bg[m - j, n - k]
                 bg[m, n] = acc
-        a = ScalarSeries2.from_complex_points(ag)
-        b = ScalarSeries2.from_complex_points(bg)
+        a = from_complex_points(ag)
+        b = from_complex_points(bg)
         self._assert_matches_coeffs(a, b)
 
     def test_operands_of_different_orders(self):
@@ -537,7 +562,7 @@ class TestNaNEndpoints:
 
 class TestEvaluation:
     def test_constant_series(self):
-        a = ScalarSeries2.from_complex_points([[2.5 + 0.5j]])
+        a = from_complex_points([[2.5 + 0.5j]])
         v = a.eval_box(CInterval(Interval(-1.0, 1.0)), CInterval(Interval(-1.0, 1.0)))
         assert v.re == Interval(2.5, 2.5)
         assert v.im == Interval(0.5, 0.5)
@@ -546,7 +571,7 @@ class TestEvaluation:
         M = 4
         grid = np.zeros((M + 1, 1), dtype=complex)
         grid[M, 0] = 1.0
-        a = ScalarSeries2.from_complex_points(grid)
+        a = from_complex_points(grid)
         v = a.eval_box(CInterval(Interval(-1.0, 1.0)), CInterval(Interval.from_value(0.0)))
         assert v.re.contains(1.0) and v.re.contains(-1.0)
 
@@ -599,7 +624,7 @@ def _magnitude_columns(draw):
         n = draw(st.integers(1, 3000))
         vals = [tiny] * n
         vals.insert(draw(st.integers(0, n)), big)
-    return ScalarSeries2.from_complex_points(
+    return from_complex_points(
         np.array(vals, dtype=complex)[:, None])
 
 
@@ -785,7 +810,7 @@ class TestConjSymmetry:
         grid = (rng.integers(-8, 9, size=(M + 1, M + 1)) / 16.0
                 + 1j * rng.integers(-8, 9, size=(M + 1, M + 1)) / 16.0)
         sym = 0.5 * (grid + np.conj(grid.T))
-        return Series2((ScalarSeries2.from_complex_points(sym),))
+        return Series2((from_complex_points(sym),))
 
     def test_symmetric_passes(self):
         P = self._symmetric_series(3)
@@ -824,7 +849,7 @@ class TestConjSymmetry:
         for _ in range(3):
             k = rng.integers(-8, 9, size=(2, 5, 5)) / 16.0
             grid = k[0] + 1j * k[1]
-            comps.append(ScalarSeries2.from_complex_points(
+            comps.append(from_complex_points(
                 0.5 * (grid + np.conj(grid.T))))
         P = Series2(comps)
         P.coefs.hi[0] += rng.integers(0, 2, size=(3, 5, 5)) / 64.0
