@@ -13,9 +13,10 @@ exact summation errors, ``_imul_arr`` from exact product residuals
 inside a magnitude guard.  Outside the guard an array product is
 widened by one ulp unless a factor is zero, while the scalar product
 falls back to rational arithmetic.  Inexact sums are padded with the
-standard ``n*u/(1-n*u)`` term.  ``_imul_arr_fast`` always widens; its
-one caller, ``taylor.product_column``, pads its float sums by that
-term too, row by row.
+standard ``n*u/(1-n*u)`` term.  ``taylor.product_column`` forms its
+products rounded to nearest and folds their rounding into that term,
+so each of its rows is padded once, by the gamma of its own term count
+plus an underflow term, and stepped one ulp outward.
 
 ``IntervalArray`` holds arrays of real intervals of any shape as one
 (lo, hi) pair, and ``CIntervalArray`` arrays of complex intervals with
@@ -401,8 +402,8 @@ class CIntervalArray:
     ``lo`` and ``hi`` are float arrays of shape (2, *shape) whose
     leading axis is (real, imaginary): the entry at index k is
     [lo[0][k], hi[0][k]] + i [lo[1][k], hi[1][k]].  Indexing acts on
-    ``shape`` and, as in numpy, basic indexing returns views that share
-    the endpoints.
+    ``shape`` as numpy indexing acts on an array of that shape; basic
+    indexing returns views that share the endpoints.
 
     ``+``, ``-`` and ``*`` broadcast over ``shape`` as numpy does, and
     every entry gets the endpoints of the scalar CInterval operation.
@@ -475,7 +476,14 @@ class CIntervalArray:
                          Interval(self.lo[im], self.hi[im]))
 
     def __getitem__(self, key) -> "CIntervalArray":
-        k = (slice(None),) + _index(key)
+        k = _index(key)
+        if any(isinstance(x, (list, np.ndarray)) for x in k):
+            # an advanced index copies anyway; each part is indexed as
+            # an array of ``shape``, since numpy moves advanced indices
+            # that a slice separates in front of a leading part index
+            return self._like(np.stack((self.lo[0][k], self.lo[1][k])),
+                              np.stack((self.hi[0][k], self.hi[1][k])))
+        k = (slice(None),) + k
         return self._like(self.lo[k], self.hi[k])
 
     def __setitem__(self, key, value: "CIntervalArray | CInterval") -> None:
@@ -770,22 +778,6 @@ def _imul_arr(alo, ahi, blo, bhi):
     shape = (-1,) + p.shape[2:]
     return (np.minimum.reduce(floor.reshape(shape), axis=0),
             np.maximum.reduce(ceil.reshape(shape), axis=0))
-
-
-def _imul_arr_fast(alo, ahi, blo, bhi):
-    """Elementwise interval product padded outward by one ulp.
-
-    Rounded-to-nearest endpoint candidates are within half an ulp of
-    the true products, so one nextafter step on the extremes is sound.
-    Never exact, unlike ``_imul_arr``, but a fraction of its cost.
-    """
-    c1 = alo * blo
-    c2 = alo * bhi
-    c3 = ahi * blo
-    c4 = ahi * bhi
-    lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
-    hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
-    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
 
 
 def _iadd_arr(alo, ahi, blo, bhi):

@@ -33,7 +33,8 @@ import numpy as np
 
 from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
-                       _nonneg_upper, _prod_ceil, _sum_ceil)
+                       _add_floor_arr, _iadd_arr, _imul_arr, _nonneg_upper,
+                       _prod_ceil, _sum_ceil)
 from .taylor import (ScalarSeries2, Series2, antidiagonal,
                      product_antidiagonal, product_column)
 
@@ -181,6 +182,81 @@ def tangent(prog: FieldProgram, vals: Sequence, seed: Sequence) -> list:
     return ds
 
 
+@dataclass(frozen=True)
+class _LinLevel:
+    """The ``Lin`` nodes of one dependency level, stacked: term t of
+    node ``nodes[j]`` reads node ``operands[t, j]`` and multiplies it
+    by ``scale[t, j]``, exactly (+-1 or +-2, or 0 on the padding terms
+    past a node's own), or, at the positions ``iv_at``, by the
+    interval ``[iv_lo, iv_hi]``; ``const_lo``/``const_hi`` hold the
+    nodes' constants as complex parts, shape (2, nodes)."""
+
+    nodes: np.ndarray
+    operands: np.ndarray
+    scale: np.ndarray
+    iv_at: tuple[np.ndarray, np.ndarray]
+    iv_lo: np.ndarray
+    iv_hi: np.ndarray
+    const_lo: np.ndarray
+    const_hi: np.ndarray
+
+    @classmethod
+    def of(cls, ops: Sequence[tuple[int, Lin]]) -> "_LinLevel":
+        """The level of the (node index, Lin op) pairs ``ops``."""
+        T = max(len(op.terms) for _, op in ops)
+        operands = np.zeros((T, len(ops)), dtype=int)
+        scale = np.zeros((T, len(ops), 1))
+        iv_t, iv_j, ivs = [], [], []
+        for j, (_, op) in enumerate(ops):
+            for t, (c, k) in enumerate(op.terms):
+                c = Interval._coerce(c)
+                operands[t, j] = k
+                exact = c.lo == c.hi and abs(c.lo) in (1.0, 2.0)
+                # an interval term is scaled by 1, then overwritten
+                scale[t, j] = c.lo if exact else 1.0
+                if not exact:
+                    iv_t.append(t)
+                    iv_j.append(j)
+                    ivs.append(c)
+        consts = [CInterval._coerce(op.const) for _, op in ops]
+        return cls(np.array([i for i, _ in ops]), operands, scale,
+                   (np.array(iv_t, dtype=int), np.array(iv_j, dtype=int)),
+                   np.array([c.lo for c in ivs])[:, None],
+                   np.array([c.hi for c in ivs])[:, None],
+                   np.array([[c.re.lo, c.im.lo] for c in consts]).T,
+                   np.array([[c.re.hi, c.im.hi] for c in consts]).T)
+
+    def values(self, G: CIntervalArray, rows, cols
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes' values at the slots (rows, cols) of ``G``, as lo
+        and hi of shape (2, nodes, slots): one gather of every term's
+        operand slots, exact scaling, one ``_imul_arr`` for the
+        interval coefficients, and one directed sum over the terms in
+        program order.  Each endpoint equals that of the scalar
+        CIntervalArray arithmetic term by term, up to the sign of a
+        zero, since the padding terms are exact zeros."""
+        at = (slice(None), self.operands[..., None], rows, cols)
+        xlo, xhi = G.lo[at], G.hi[at]
+        p, q = xlo * self.scale, xhi * self.scale
+        # lower ends and negated upper ends: rounding a sum of negated
+        # upper ends down rounds the upper ends' sum up, so one
+        # directed sum serves both
+        ends = np.stack((np.minimum(p, q), -np.maximum(p, q)))
+        if not np.isfinite(ends).all():
+            # a doubling overflowed: interval products clamp it
+            lo, hi = _imul_arr(xlo, xhi, self.scale, self.scale)
+            ends = np.stack((lo, -hi))
+        t, j = self.iv_at
+        if t.size:
+            lo, hi = _imul_arr(xlo[:, t, j], xhi[:, t, j],
+                               self.iv_lo, self.iv_hi)
+            ends[0][:, t, j], ends[1][:, t, j] = lo, -hi
+        acc = ends[:, :, 0]
+        for t in range(1, ends.shape[2]):
+            acc = _add_floor_arr(acc, ends[:, :, t])
+        return acc[0], -acc[1]
+
+
 class FieldNodes:
     """Series interpreter: every node of the program as a series on the
     (M, N) grid, filled either one t-order column at a time
@@ -192,17 +268,28 @@ class FieldNodes:
     ``input_orders`` (default (M, N)): a product the sum of its
     factors', a sum the largest of its terms', clamped to (M, N).
 
-    ``b_column(S, n)`` copies column n of the series ``S`` into the
-    input rows and fills column n of every node whose orders reach it,
-    a Mul node by ``product_column`` over its own rows, a Lin node from
-    its operands' columns (its constant enters at n = 0); a node's grid
-    stays zero past its orders.  Theorem: if columns 0..n of the inputs
-    are enclosures, so are columns n of all nodes, since a product's
-    column n reads only columns 0..n, and the coefficients a node drops
-    lie past its orders, where they are zero or, at the clamp, of
-    orders that products never bring back down.  ``filled`` counts the
-    columns filled so far, and ``b_column`` fills only the next one.
-    The input columns read are the interpreter's own copies, so the
+    The program is compiled once into dependency levels: the inputs
+    are level 0, and a node is one level above its deepest operand,
+    so the nodes of a level read only earlier levels.  Both fills run
+    the levels in order.  At each level every ``Mul`` node keeps its
+    own product kernel, and all ``Lin`` nodes run as one stacked pass
+    (``_LinLevel.values``), with the endpoints of evaluating each
+    node's terms one by one, up to the sign of a zero.
+
+    ``b_column(S, n)`` copies column n of the series ``S``, which is
+    zero past the input orders, into the input rows and fills column n
+    of every node, a Mul node by ``product_column`` over its own rows
+    when its orders reach column n, a Lin node from its operands'
+    columns (its constant enters at n = 0).  A node's grid stays zero
+    past its orders: a Mul node's is never written there, and a Lin
+    node's operands are zero there.
+    Theorem: if columns 0..n of the inputs are enclosures, so are
+    columns n of all nodes, since a product's column n reads only
+    columns 0..n, and the coefficients a node drops lie past its
+    orders, where they are zero or, at the clamp, of orders that
+    products never bring back down.  ``filled`` counts the columns
+    filled so far, and ``b_column`` fills only the next one.  The
+    input columns read are the interpreter's own copies, so the
     filled columns are F(S)'s for every later series S whose columns
     0..filled-1 equal the ones copied: a caller that builds S column by
     column, writing each column once before it is read and never
@@ -228,14 +315,27 @@ class FieldNodes:
         self.M = M
         self.N = N
         self.orders = [input_orders or (M, N)] * DIM
+        depth = [0] * DIM
         for op in prog.ops:
             if isinstance(op, Mul):
                 (ma, na), (mb, nb) = self.orders[op.a], self.orders[op.b]
                 self.orders.append((min(M, ma + mb), min(N, na + nb)))
+                reads = (op.a, op.b)
             else:
                 terms = [self.orders[k] for _, k in op.terms]
                 self.orders.append((max(mk for mk, _ in terms),
                                     max(nk for _, nk in terms)))
+                reads = [k for _, k in op.terms]
+            depth.append(1 + max(depth[k] for k in reads))
+        nodes = list(enumerate(prog.ops, DIM))
+        self.levels = []
+        for level in range(1, max(depth) + 1):
+            ops = [(i, op) for i, op in nodes if depth[i] == level]
+            lins = [(i, op) for i, op in ops if isinstance(op, Lin)]
+            self.levels.append(
+                ([(i, op) for i, op in ops if isinstance(op, Mul)],
+                 _LinLevel.of(lins) if lins else None))
+        self.outputs = np.array(prog.outputs)
         self.G = CIntervalArray.zeros((len(self.orders), M + 1, N + 1))
         self.grids = [ScalarSeries2._wrap(self.G.lo[:, i], self.G.hi[:, i])
                       for i in range(len(self.orders))]
@@ -251,39 +351,35 @@ class FieldNodes:
                              f"unfilled column is {self.filled}")
         self.G[:DIM, :, n] = S.coefs[:, :, n]
         g = self.grids
-        for op, dst, (rows, cols) in zip(self.prog.ops, g[DIM:],
-                                         self.orders[DIM:]):
-            if n > cols:
-                continue
-            if isinstance(op, Mul):
-                col = product_column(g[op.a], g[op.b], n, rows)
-            else:
-                col = None
-                for c, k in op.terms:
-                    term = g[k][: rows + 1, n] * c
-                    col = term if col is None else col + term
-            dst[: rows + 1, n] = col
-            if n == 0 and isinstance(op, Lin):
-                dst[0, 0] = dst.at(0, 0) + CInterval(op.const)
+        rows = np.arange(self.M + 1)
+        for muls, lin in self.levels:
+            for i, op in muls:
+                m, cols = self.orders[i]
+                if n <= cols:
+                    g[i][: m + 1, n] = product_column(g[op.a], g[op.b], n, m)
+            if lin is not None:
+                lo, hi = lin.values(self.G, rows, n)
+                if n == 0:
+                    lo[:, :, 0], hi[:, :, 0] = _iadd_arr(
+                        lo[:, :, 0], hi[:, :, 0], lin.const_lo, lin.const_hi)
+                self.G[lin.nodes[:, None], rows, n] = \
+                    CIntervalArray._wrap(lo, hi)
         self.filled = n + 1
-        return self.G[:, :, n][list(self.prog.outputs)]
+        return self.G[self.outputs, :, n]
 
     def degree(self, d: int, m_min: int = 0) -> CIntervalArray:
         """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns
         the outputs' as shape (DIM, slots)."""
-        slots = antidiagonal(self.M, self.N, d, m_min)
+        ms, ns = antidiagonal(self.M, self.N, d, m_min)
         g = self.grids
-        vals = [x[slots] for x in g[:DIM]]
-        for i, op in enumerate(self.prog.ops, DIM):
-            if isinstance(op, Mul):
-                v = product_antidiagonal(g[op.a], g[op.b], d, m_min)
-            else:
-                v = None
-                for c, k in op.terms:
-                    v = vals[k] * c if v is None else vals[k] * c + v
-            g[i][slots] = v
-            vals.append(v)
-        return CIntervalArray.of([vals[o] for o in self.prog.outputs])
+        for muls, lin in self.levels:
+            for i, op in muls:
+                g[i][ms, ns] = product_antidiagonal(g[op.a], g[op.b], d,
+                                                    m_min)
+            if lin is not None:
+                self.G[lin.nodes[:, None], ms, ns] = CIntervalArray._wrap(
+                    *lin.values(self.G, ms, ns))
+        return self.G[self.outputs[:, None], ms, ns]
 
     def beyond_grid_bounds(self) -> list[float]:
         """Per-output bound on field content outside the (M, N) grid,
@@ -348,7 +444,7 @@ def field_defect(cols: FieldNodes, S: Series2, lhs: CIntervalArray
                          f"interpreter's grid {(cols.M, cols.N)}")
     for n in range(cols.filled, cols.N + 1):
         cols.b_column(S, n)
-    res = lhs - cols.G[list(cols.prog.outputs)]
+    res = lhs - cols.G[cols.outputs]
     return Series2(res).components, cols.beyond_grid_bounds()
 
 

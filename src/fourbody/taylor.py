@@ -30,8 +30,9 @@ time-order column at a time, behind advection,
 ``manifold.field_series`` and every defect and tail bound
 (``polyfield.field_defect``), it uses ``product_column`` (one
 time-order column from a cached plan of just the summed pairs,
-one-ulp products, and float sums each padded a priori by the gamma of
-its own row's term count).
+products rounded to nearest, and float sums each padded a priori by
+the gamma of its own row's term count plus an underflow term, which
+covers the products' rounding as well as the sums').
 ``cauchy_product`` is the full truncated series by exact sums, one
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
 coefficient; ``hat_product_cubic`` is built on them, to state the hat
@@ -58,7 +59,6 @@ from .interval import (
     _gamma,
     _iadd_arr,
     _imul_arr,
-    _imul_arr_fast,
     _nonneg_upper,
     _padded_cascade,
 )
@@ -202,9 +202,10 @@ def _column_plan(M: int, n: int, wa: int, wb: int):
     Lists the pairs (a_{m-i, n-k}, b_{i, k}), i <= m, k <= n, row m
     after row m - 1 and i-major within a row, as flat indices into the
     row-major (real or imaginary) part grids of a and b.  ``starts``
-    holds each row's first pair, and ``g`` the rows' summation bounds
-    for c_m = (m + 1)(n + 1) real summands (g[0]) and for the 2 c_m
-    of a complex row (g[1]).
+    holds each row's first pair.  ``pad`` holds the rows' padding
+    factors gamma_(c+1) for c = c_m = (m + 1)(n + 1) real summands
+    (pad[0]) and for the c = 2 c_m of a complex row (pad[1]), and
+    ``tiny`` the matching underflow terms c 2^-1074.
     """
     counts = (np.arange(M + 1) + 1) * (n + 1)
     starts = np.cumsum(counts) - counts
@@ -212,11 +213,12 @@ def _column_plan(M: int, n: int, wa: int, wb: int):
     i, k = np.divmod(np.arange(counts.sum()) - starts[m], n + 1)
     ia = (m - i) * wa + (n - k)
     ib = i * wb + k
-    g = np.array([[_gamma(int(c) + 1) for c in counts],
-                  [_gamma(2 * int(c) + 1) for c in counts]])
-    for x in (ia, ib, starts, g):
+    pad = np.array([[_gamma(int(c) + 1) for c in counts],
+                    [_gamma(2 * int(c) + 1) for c in counts]])
+    tiny = np.stack((counts, 2 * counts)) * 2.0 ** -1074
+    for x in (ia, ib, starts, pad, tiny):
         x.flags.writeable = False  # shared by every caller of the cache
-    return ia, ib, starts, g
+    return ia, ib, starts, pad, tiny
 
 
 def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
@@ -225,33 +227,40 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
 
     Row m sums the c_m = (m + 1)(n + 1) pairs (a_{m-i, n-k}, b_{i, k}),
     i <= m, k <= n; a cached plan gathers exactly those pairs, row by
-    row, and one call forms their products and the rows' sums.
+    row, and one pass forms their products and the rows' sums.
     Advection consumes whole t-order columns, and the per-coefficient
     path is too slow there.  When both factors are exactly real only
     the real products are formed.  Both grids must cover s-orders 0..M
     and t-orders 0..n.  Returns shape (M + 1,); row m depends on m and
     n only, not on M.
 
-    Theorem: each product is enclosed by ``_imul_arr_fast``, one ulp
-    outward.  A real row sums c = c_m terms x_t, the lower (upper)
+    Theorem: a real row sums c = c_m terms x_t, the lower (upper)
     endpoints of its products; the real part of a complex row sums
     the c products a_re b_re and the c negated a_im b_im, the
-    imaginary part a_re b_im and a_im b_re, so c = 2 c_m.  A float sum
-    of c terms, in any order, lies within gamma_(c-1) sum |x_t| of the
-    exact sum, gamma_k = k u / (1 - k u) (Rump, Verification methods,
-    Acta Numerica 19 (2010)).  The magnitudes w_t = max(|lo_t|, |hi_t|)
-    are summed in floats too, to W with sum w_t <= W / (1 - gamma_(c-1)),
-    and gamma_(c-1) / (1 - gamma_(c-1)) <= gamma_(c+1) while
-    (c^2 - 1) u <= 2.  So the exact endpoint sums lie within
-    gamma_(c+1) W of the float ones: each row is padded by that,
-    ``_gamma`` rounding gamma up with room for the relative rounding
-    of the product gamma W, and then stepped one ulp outward.  Float
-    sums meet their bound under gradual underflow too; the product
-    gamma W can lose up to 2^-1075 to underflow, and since the float
-    sum and the padding are multiples of 2^-1074, the one-ulp step
-    covers that loss as well as the rounding of the padding's
-    addition.  A row of a single product (row 0 of column 0, real
-    factors) is that product's enclosure.
+    imaginary part a_re b_im and a_im b_re, so c = 2 c_m.  Each x_t
+    is the min (max) of four endpoint products rounded to nearest.
+    Rounding is monotone, so x_t is the rounded exact endpoint x_t*,
+    and |x_t - x_t*| <= u |x_t| + 2^-1075, the last term for a product
+    that underflows (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 2.2).  A float sum of c terms, in any
+    order, lies within gamma_(c-1) sum |x_t| of their exact sum,
+    gradual underflow included, gamma_k = k u / (1 - k u) (Rump,
+    Verification methods, Acta Numerica 19 (2010)).  With
+    gamma_(c-1) + u <= gamma_c, the float sum lies within
+    gamma_c sum w_t + c 2^-1075 of the exact endpoint sum, where
+    w_t = max(|lo_t|, |hi_t|) >= |x_t|.  The w_t are summed in floats
+    too, to W with sum w_t <= W / (1 - gamma_(c-1)), and
+    gamma_c / (1 - gamma_(c-1)) <= gamma_(c+1) while
+    (c^2 + c - 2) u <= 1.  So each row is padded by
+    gamma_(c+1) W + c 2^-1074 and then stepped one ulp outward.
+    ``_gamma`` rounds gamma up with room for the relative rounding of
+    the product gamma W, and the factor two on the underflow term
+    covers the 2^-1075 that product can lose to underflow and the
+    rounding of the padding's own sum once c >= 2; the one-ulp step
+    covers the rounding of the padding's addition to the sum.  A row
+    of a single product (row 0 of column 0, real factors) is that
+    product's rounded endpoints, stepped one ulp outward.  A side
+    whose float sums overflow comes out unbounded.
     """
     Ma, Na = a.orders
     Mb, Nb = b.orders
@@ -260,29 +269,40 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
     real = not (np.count_nonzero(a.lo[1]) or np.count_nonzero(a.hi[1])
                 or np.count_nonzero(b.lo[1]) or np.count_nonzero(b.hi[1]))
     parts = 1 if real else 2
-    ia, ib, starts, g = _column_plan(M, n, Na + 1, Nb + 1)
+    ia, ib, starts, pad, tiny = _column_plan(M, n, Na + 1, Nb + 1)
     # one product per (a part, b part): [re, re], [re, im], [im, re], [im, im]
     alo, ahi = (x.reshape(2, -1)[:parts, None].take(ia, axis=-1)
                 for x in (a.lo, a.hi))
     blo, bhi = (x.reshape(2, -1)[None, :parts].take(ib, axis=-1)
                 for x in (b.lo, b.hi))
-    plo, phi = _imul_arr_fast(alo, ahi, blo, bhi)
+    # the four endpoint candidates, rounded to nearest
+    c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    plo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
+    phi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
+    if not real:
+        # the real part subtracts the products a_im b_im: negate them
+        plo[1, 1], phi[1, 1] = -phi[1, 1], -plo[1, 1]
     # max(-lo, hi) is max(|lo|, |hi|) since lo <= hi
     slo, shi, mag = (np.add.reduceat(x, starts, axis=-1)
                      for x in (plo, phi, np.maximum(-plo, phi)))
     if real:
+        err = pad[0] * mag[0, 0] + tiny[0]
         lo, hi = np.zeros((2, 2, M + 1))
-        err = g[0] * mag[0, 0]
-        lo[0] = np.nextafter(slo[0, 0] - err, -np.inf)
-        hi[0] = np.nextafter(shi[0, 0] + err, np.inf)
+        lo[0], hi[0] = _outward(slo[0, 0] - err, shi[0, 0] + err)
         if n == 0:
-            lo[0, 0], hi[0, 0] = plo[0, 0, 0], phi[0, 0, 0]
+            lo[0, 0], hi[0, 0] = _outward(plo[0, 0, 0], phi[0, 0, 0])
         return CIntervalArray._wrap(lo, hi)
-    lo = np.stack((slo[0, 0] - shi[1, 1], slo[0, 1] + slo[1, 0]))
-    hi = np.stack((shi[0, 0] - slo[1, 1], shi[0, 1] + shi[1, 0]))
-    err = g[1] * np.stack((mag[0, 0] + mag[1, 1], mag[0, 1] + mag[1, 0]))
-    return CIntervalArray._wrap(np.nextafter(lo - err, -np.inf),
-                                np.nextafter(hi + err, np.inf))
+    # real part from [re, re] and [im, im], imaginary from [re, im], [im, re]
+    err = pad[1] * (mag[0] + mag[1, ::-1]) + tiny[1]
+    return CIntervalArray._wrap(*_outward(slo[0] + slo[1, ::-1] - err,
+                                          shi[0] + shi[1, ::-1] + err))
+
+
+def _outward(lo, hi):
+    """lo and hi stepped one ulp outward; a nan, from float sums of
+    opposite infinities, becomes the unbounded side."""
+    return (np.fmax(np.nextafter(lo, -np.inf), -np.inf),
+            np.fmin(np.nextafter(hi, np.inf), np.inf))
 
 
 def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,

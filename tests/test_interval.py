@@ -805,6 +805,32 @@ class TestCIntervalArray:
         with pytest.raises(ValueError):
             CIntervalArray(np.zeros((3, 3)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("key", [
+        ([0, 1, 2], slice(None), 2),
+        (np.array([[0], [3]]), slice(1, 3), np.array([1, 4])),
+        (1, slice(None), [0, 2]),
+        ([4, 0], slice(None), slice(None)),
+        (slice(None), [1, 3], [0, 4]),
+        (Ellipsis, [2, 0]),
+        [5, 6],
+    ])
+    def test_indexing_matches_each_part(self, key):
+        # advanced indices, also ones a slice separates, index the
+        # array as numpy indexes each part of shape (7, 4, 5)
+        rng = np.random.default_rng(17)
+        lo = rng.standard_normal((2, 7, 4, 5))
+        lo[1] += 10.0  # imaginary parts apart from the real ones
+        a = CIntervalArray(lo, lo + 1.0)
+        got = a[key]
+        k = tuple(key) if isinstance(key, tuple) else key
+        for part in (0, 1):
+            want = lo[part][k]
+            assert got.shape == want.shape
+            assert np.array_equal(got.lo[part], want)
+            assert np.array_equal(got.hi[part], want + 1.0)
+        first = (0,) * got.ndim
+        assert got.at(*first).im.lo == lo[1][k][first]
+
     def test_mag_bounds_exact_modulus(self):
         # hypot rounds to nearest, so on its own it undercuts the
         # modulus for about half of these pairs; mag never may, and

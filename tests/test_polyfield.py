@@ -27,6 +27,8 @@ from fourbody.manifold import _land
 from fourbody.polyfield import (
     DIM,
     FieldNodes,
+    Lin,
+    Mul,
     _conv_tail,
     State7,
     embed_R,
@@ -38,7 +40,8 @@ from fourbody.polyfield import (
     poly_F_point,
     project_pi,
 )
-from fourbody.taylor import Series2, _fit, antidiagonal
+from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
+                             product_antidiagonal, product_column)
 
 from conftest import degree_nodes, from_complex_points
 
@@ -255,6 +258,132 @@ class TestFieldProgram:
             assert not b[rows + 1:].mag().any()
             assert not b[:, nn + 1:].mag().any()
         assert cols.orders[-1] == (9, 8)
+
+
+def _node_by_node_column(nodes, S, n):
+    """Column n of every node of a fresh ``FieldNodes``' grids, one
+    node at a time in program order, each Lin node term by term through
+    CIntervalArray arithmetic: the reference for the stacked level
+    passes."""
+    g = nodes.grids
+    nodes.G[:DIM, :, n] = S.coefs[:, :, n]
+    for op, dst, (rows, cols) in zip(nodes.prog.ops, g[DIM:],
+                                     nodes.orders[DIM:]):
+        if n > cols:
+            continue
+        if isinstance(op, Mul):
+            col = product_column(g[op.a], g[op.b], n, rows)
+        else:
+            col = None
+            for c, k in op.terms:
+                term = g[k][: rows + 1, n] * c
+                col = term if col is None else col + term
+        dst[: rows + 1, n] = col
+        if n == 0 and isinstance(op, Lin):
+            dst[0, 0] = dst.at(0, 0) + CInterval(op.const)
+
+
+def _node_by_node_degree(nodes, d, m_min):
+    """``FieldNodes.degree`` one node at a time, as above."""
+    slots = antidiagonal(nodes.M, nodes.N, d, m_min)
+    g = nodes.grids
+    vals = [x[slots] for x in g[:DIM]]
+    for i, op in enumerate(nodes.prog.ops, DIM):
+        if isinstance(op, Mul):
+            v = product_antidiagonal(g[op.a], g[op.b], d, m_min)
+        else:
+            v = None
+            for c, k in op.terms:
+                v = vals[k] * c if v is None else vals[k] * c + v
+        g[i][slots] = v
+        vals.append(v)
+
+
+def _random_inputs(rng, M, N, real):
+    """DIM interval series on (M, N) over a few binades, some entries
+    points and some with width, exactly real when ``real``."""
+    def part():
+        return rng.standard_normal((M + 1, N + 1)) * 2.0 ** rng.integers(
+            -8, 3, (M + 1, N + 1))
+    comps = []
+    for _ in range(DIM):
+        re = part()
+        im = np.zeros_like(re) if real else part()
+        w = rng.random((2, M + 1, N + 1)) * 1e-9 * rng.integers(
+            0, 2, (2, M + 1, N + 1))
+        comps.append(ScalarSeries2(re - w[0], re + w[0],
+                                   im - w[1] * (not real),
+                                   im + w[1] * (not real)))
+    return Series2(comps)
+
+
+class TestLevelSchedule:
+    """The stacked level passes of ``FieldNodes`` give the endpoints of
+    evaluating every node on its own, up to the sign of a zero."""
+
+    def test_levels_respect_dependencies(self, config, triple):
+        nodes = FieldNodes(field_program(triple, config), 3, 3)
+        done = set(range(DIM))
+        for muls, lin in nodes.levels:
+            level = [i for i, _ in muls] + (
+                [] if lin is None else lin.nodes.tolist())
+            for i in level:
+                op = nodes.prog.ops[i - DIM]
+                reads = ((op.a, op.b) if isinstance(op, Mul)
+                         else [k for _, k in op.terms])
+                assert done.issuperset(reads)
+            done.update(level)
+        assert done == set(range(len(nodes.orders)))
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("orders, input_orders",
+                             [((4, 6), None), ((6, 6), (4, 4))])
+    def test_column_fill_equals_node_by_node(self, config, triple, real,
+                                             orders, input_orders):
+        # (6, 6) with input orders (4, 4) is the manifold-tail set-up:
+        # K = ceil(3 N / 2) with inputs zero past (N, N), so the nodes
+        # have mixed orders and some stop short of the last columns
+        rng = np.random.default_rng(31 + real)
+        prog = field_program(triple, config)
+        M, N = orders
+        S = _random_inputs(rng, *(input_orders or orders), real)
+        S = Series2(_fit(S.coefs, M, N))
+        got = FieldNodes(prog, M, N, input_orders)
+        want = FieldNodes(prog, M, N, input_orders)
+        for n in range(N + 1):
+            out = got.b_column(S, n)
+            _node_by_node_column(want, S, n)
+            # column 0 carries the Lin constants
+            assert np.array_equal(got.G.lo, want.G.lo), n
+            assert np.array_equal(got.G.hi, want.G.hi), n
+            ref = want.G[:, :, n][list(prog.outputs)]
+            assert np.array_equal(out.lo, ref.lo)
+            assert np.array_equal(out.hi, ref.hi)
+        if real:
+            assert not got.G.lo[1].any() and not got.G.hi[1].any()
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_degree_fill_equals_node_by_node(self, config, triple, real):
+        rng = np.random.default_rng(41 + real)
+        prog = field_program(triple, config)
+        K = 5
+        S = _random_inputs(rng, K, K, real)
+        got, _ = degree_nodes(prog, K, [S.coefs.at(i, 0, 0)
+                                        for i in range(DIM)])
+        want, _ = degree_nodes(prog, K, [S.coefs.at(i, 0, 0)
+                                         for i in range(DIM)])
+        for nodes in (got, want):
+            nodes.G[:DIM] = S.coefs
+        for d in range(1, 2 * K + 1):
+            for m_min in (0, (d + 1) // 2):
+                out = got.degree(d, m_min)
+                _node_by_node_degree(want, d, m_min)
+                assert np.array_equal(got.G.lo, want.G.lo), (d, m_min)
+                assert np.array_equal(got.G.hi, want.G.hi), (d, m_min)
+                ms, ns = antidiagonal(K, K, d, m_min)
+                for r, o in enumerate(prog.outputs):
+                    assert np.array_equal(out[r].lo, want.grids[o][ms, ns].lo)
+                    assert np.array_equal(out[r].hi, want.grids[o][ms, ns].hi)
 
 
 class TestPolyJacobian:

@@ -227,6 +227,40 @@ def _exact_column(a, b, n, M):
     return rows
 
 
+def _one_ulp_column(a, b, n, M):
+    """Column n of the product as ``product_column`` forms it, except
+    that every product is stepped one ulp outward before the rows'
+    sums and the same gamma padding, with no underflow term: a wider
+    reference for its rows.  Returns the (lo, hi) arrays."""
+    real = not (a.lo[1].any() or a.hi[1].any()
+                or b.lo[1].any() or b.hi[1].any())
+    parts = 1 if real else 2
+    ia, ib, starts, pad, _ = _column_plan(M, n, a.shape[1], b.shape[1])
+    alo, ahi = (x.reshape(2, -1)[:parts, None].take(ia, axis=-1)
+                for x in (a.lo, a.hi))
+    blo, bhi = (x.reshape(2, -1)[None, :parts].take(ib, axis=-1)
+                for x in (b.lo, b.hi))
+    c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    plo = np.nextafter(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4)),
+                       -np.inf)
+    phi = np.nextafter(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4)),
+                       np.inf)
+    slo, shi, mag = (np.add.reduceat(x, starts, axis=-1)
+                     for x in (plo, phi, np.maximum(-plo, phi)))
+    if real:
+        err = pad[0] * mag[0, 0]
+        lo = np.nextafter(slo[0, 0] - err, -np.inf)
+        hi = np.nextafter(shi[0, 0] + err, np.inf)
+        if n == 0:
+            lo[0], hi[0] = plo[0, 0, 0], phi[0, 0, 0]
+        zero = np.zeros(M + 1)
+        return np.stack((lo, zero)), np.stack((hi, zero))
+    lo = np.stack((slo[0, 0] - shi[1, 1], slo[0, 1] + slo[1, 0]))
+    hi = np.stack((shi[0, 0] - slo[1, 1], shi[0, 1] + shi[1, 0]))
+    err = pad[1] * np.stack((mag[0, 0] + mag[1, 1], mag[0, 1] + mag[1, 0]))
+    return np.nextafter(lo - err, -np.inf), np.nextafter(hi + err, np.inf)
+
+
 # exact zeros, subnormals, ordinary values, magnitudes near 1e150, and
 # values whose products cancel in the float sums
 _COLUMN_VALUES = st.one_of(
@@ -320,6 +354,69 @@ class TestProductColumn:
                 assert not x.flags.writeable
                 with pytest.raises(ValueError):
                     x[...] = 0
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_rows_within_one_ulp_product_rows(self, real):
+        # point and interval grids over 60 binades and over 400: every
+        # row lies inside the row whose products are each stepped one
+        # ulp outward before the same gamma padding, so it is no wider
+        rng = np.random.default_rng(21 + real)
+
+        def grid(M, N, spread):
+            def part():
+                return rng.standard_normal((M + 1, N + 1)) * 2.0 ** \
+                    rng.integers(-spread, spread + 1, (M + 1, N + 1))
+            re = part()
+            im = np.zeros_like(re) if real else part()
+            w = rng.random((2, M + 1, N + 1)) * 2.0 ** rng.integers(
+                -45, -5, (2, M + 1, N + 1)) * rng.integers(0, 2)
+            return ScalarSeries2(re - w[0] * abs(re), re + w[0] * abs(re),
+                                 im - w[1] * abs(im), im + w[1] * abs(im))
+
+        for M, N, spread in [(4, 24, 30), (10, 12, 200), (0, 5, 30),
+                             (7, 0, 30), (3, 3, 0)] * 8:
+            a, b = grid(M, N, spread), grid(M, N, spread)
+            for n in range(N + 1):
+                col = product_column(a, b, n, M)
+                lo, hi = _one_ulp_column(a, b, n, M)
+                assert np.all(col.lo >= lo) and np.all(col.hi <= hi)
+                if real:
+                    assert not col.lo[1].any() and not col.hi[1].any()
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_overflowing_rows_come_out_unbounded(self, real):
+        # products of 1e200 overflow, and a row's float sums meet
+        # opposite infinities: that side is unbounded, never nan
+        x = 1e200 * (np.ones((2, 2)) if real else (1 + 1j) * np.ones((2, 2)))
+        a = from_complex_points(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            col = product_column(a, a, 1, 1)
+        parts = 1 if real else 2
+        assert np.all(col.lo[:parts] == -np.inf)
+        assert np.all(col.hi[:parts] == np.inf)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_rows_enclose_exact_column_when_products_underflow(self, real):
+        # factors near 2^-540 give products near the subnormal floor
+        # 2^-1074, each rounded with an absolute error up to 2^-1075 that
+        # no relative bound covers; the rows' underflow term does
+        rng = np.random.default_rng(5 + real)
+        M, N = 3, 3
+
+        def part():
+            return (rng.choice([-1.0, 1.0], (M + 1, N + 1))
+                    * (1.0 + rng.random((M + 1, N + 1)))
+                    * 2.0 ** (rng.integers(-540, -535, (M + 1, N + 1))))
+
+        for _ in range(40):
+            a, b = (from_complex_points(part() + (0 if real else 1j * part()))
+                    for _ in range(2))
+            for n in range(N + 1):
+                col = product_column(a, b, n, M)
+                for m, parts in enumerate(_exact_column(a, b, n, M)):
+                    for p, (lo, hi) in enumerate(parts):
+                        assert Fraction(col.lo[p, m]) <= lo
+                        assert Fraction(col.hi[p, m]) >= hi
 
 
 class TestHatProducts:
