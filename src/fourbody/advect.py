@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .crfbp import MassTriple, PrimaryConfig, field_point
 from .errors import CollisionDomain, StepFailure
@@ -401,8 +400,11 @@ def reference_integrate(state, t: float, m: MassTriple, p: PrimaryConfig,
 
     ``state`` is the reduced (x, xdot, y, ydot) or the lifted
     7-component vector; the dimension picks the field.  Results never
-    enter certificates.
+    enter certificates.  SciPy is imported here, its one use, so that
+    importing the package does not load it.
     """
+    from scipy.integrate import solve_ivp
+
     y0 = np.asarray(state, dtype=float)
     pos = p.position_array()
     masses = np.array(m.as_floats())

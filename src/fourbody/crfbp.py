@@ -4,9 +4,10 @@ Three primaries with masses m1 >= m2 >= m3 (normalized to sum 1) sit at
 the vertices of Lagrange's equilateral triangle, rotating uniformly about
 their barycenter.  A massless particle moves in their rotating-frame
 field.  This module provides the primary positions, the effective
-potential and its derivatives through third order, the vector field,
-the Jacobi integral, and certified eigen-data of equilibria, all
-evaluable over points or interval boxes.
+potential and its derivatives through third order, the vector field's
+derivative, the Jacobi integral, and certified eigen-data of
+equilibria, all evaluable over interval boxes, and float evaluations
+of the field for Newton seeds and reference integration.
 
 State ordering everywhere is (x, xdot, y, ydot).
 """
@@ -25,8 +26,6 @@ from .errors import (
     NotSaddleFocus,
 )
 from .interval import CInterval, Interval, IntervalArray
-
-DEFAULT_CLEARANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -127,29 +126,26 @@ def _validate_primaries(cfg: PrimaryConfig, m: MassTriple) -> None:
             raise DegenerateMasses(f"barycenter component {k} off zero: {bary}")
 
 
-def _distances(p: PrimaryConfig, x: Interval, y: Interval,
-               clearance: float = 0.0) -> list[Interval]:
+def _distances(p: PrimaryConfig, x: Interval, y: Interval) -> list[Interval]:
     """Interval distances to the three primaries.
 
-    Raises CollisionDomain if any enclosure comes within ``clearance``
-    of zero (clearance 0 means: touches zero).
+    Raises CollisionDomain if any enclosure touches zero.
     """
     out = []
     for (px, py) in p.positions:
         dx = x - px
         dy = y - py
         r = (dx.sqr() + dy.sqr()).sqrt()
-        if r.lo <= clearance:
-            raise CollisionDomain(
-                f"distance enclosure {r} within clearance {clearance}")
+        if r.lo <= 0.0:
+            raise CollisionDomain(f"distance enclosure {r} touches zero")
         out.append(r)
     return out
 
 
-def omega(p: PrimaryConfig, m: MassTriple, x: Interval, y: Interval,
-          clearance: float = 0.0) -> Interval:
+def omega(p: PrimaryConfig, m: MassTriple, x: Interval, y: Interval
+          ) -> Interval:
     """Effective potential 0.5(x^2+y^2) + sum_j m_j / r_j."""
-    rs = _distances(p, x, y, clearance)
+    rs = _distances(p, x, y)
     ms = (m.m1, m.m2, m.m3)
     total = (x.sqr() + y.sqr()) * Interval.from_value(0.5)
     for mj, rj in zip(ms, rs):
@@ -158,10 +154,9 @@ def omega(p: PrimaryConfig, m: MassTriple, x: Interval, y: Interval,
 
 
 def omega_first_partials(p: PrimaryConfig, m: MassTriple, x: Interval,
-                         y: Interval, clearance: float = 0.0
-                         ) -> tuple[Interval, Interval]:
+                         y: Interval) -> tuple[Interval, Interval]:
     """Gradient of the effective potential (Omega_x, Omega_y)."""
-    rs = _distances(p, x, y, clearance)
+    rs = _distances(p, x, y)
     ms = (m.m1, m.m2, m.m3)
     ox = x
     oy = y
@@ -172,43 +167,29 @@ def omega_first_partials(p: PrimaryConfig, m: MassTriple, x: Interval,
     return ox, oy
 
 
-def field_f(p: PrimaryConfig, m: MassTriple, s: State4,
-            clearance: float = 0.0) -> IntervalArray:
-    """Rotating-frame vector field (xdot, 2 ydot + Omega_x, ydot, -2 xdot + Omega_y)."""
-    ox, oy = omega_first_partials(p, m, s.x, s.y, clearance)
-    return IntervalArray.of([
-        s.xdot,
-        2 * s.ydot + ox,
-        s.ydot,
-        -2 * s.xdot + oy,
-    ])
-
-
-def energy(p: PrimaryConfig, m: MassTriple, s: State4,
-           clearance: float = 0.0) -> Interval:
+def energy(p: PrimaryConfig, m: MassTriple, s: State4) -> Interval:
     """Jacobi integral E = 0.5(xdot^2 + ydot^2) - Omega.
 
     Kept for the proof of homoclinic connections, which works on an
     energy level set."""
     kin = (s.xdot.sqr() + s.ydot.sqr()) * Interval.from_value(0.5)
-    return kin - omega(p, m, s.x, s.y, clearance)
+    return kin - omega(p, m, s.x, s.y)
 
 
-def energy_gradient(p: PrimaryConfig, m: MassTriple, s: State4,
-                    clearance: float = 0.0) -> IntervalArray:
+def energy_gradient(p: PrimaryConfig, m: MassTriple, s: State4
+                    ) -> IntervalArray:
     """Gradient of the Jacobi integral in state order: (-Omega_x, xdot, -Omega_y, ydot).
 
     Kept for the proof of homoclinic connections, which needs the
     energy level set's normal."""
-    ox, oy = omega_first_partials(p, m, s.x, s.y, clearance)
+    ox, oy = omega_first_partials(p, m, s.x, s.y)
     return IntervalArray.of([-ox, s.xdot, -oy, s.ydot])
 
 
 def second_partials_g(p: PrimaryConfig, m: MassTriple, x: Interval,
-                      y: Interval, clearance: float = 0.0
-                      ) -> tuple[Interval, Interval, Interval]:
+                      y: Interval) -> tuple[Interval, Interval, Interval]:
     """Second partials of the potential: (g11, g12, g22) = (Omega_xx, Omega_xy, Omega_yy)."""
-    rs = _distances(p, x, y, clearance)
+    rs = _distances(p, x, y)
     ms = (m.m1, m.m2, m.m3)
     one = Interval.from_value(1.0)
     g11 = one
@@ -224,8 +205,8 @@ def second_partials_g(p: PrimaryConfig, m: MassTriple, x: Interval,
     return g11, g12, g22
 
 
-def jacobian_df(p: PrimaryConfig, m: MassTriple, s: State4,
-                clearance: float = 0.0) -> IntervalArray:
+def jacobian_df(p: PrimaryConfig, m: MassTriple, s: State4
+                ) -> IntervalArray:
     """Derivative of the vector field at a state.
 
     Velocities enter the field linearly, so the matrix depends on the
@@ -233,7 +214,7 @@ def jacobian_df(p: PrimaryConfig, m: MassTriple, s: State4,
     Kept for the proof of homoclinic connections, which needs the
     planar field's derivative.
     """
-    g11, g12, g22 = second_partials_g(p, m, s.x, s.y, clearance)
+    g11, g12, g22 = second_partials_g(p, m, s.x, s.y)
     z = np.zeros((4, 4))
     lo = z.copy()
     hi = z.copy()
@@ -248,8 +229,7 @@ def jacobian_df(p: PrimaryConfig, m: MassTriple, s: State4,
 
 
 def omega_second_partials(p: PrimaryConfig, m: MassTriple, x: Interval,
-                          y: Interval, clearance: float = 0.0
-                          ) -> IntervalArray:
+                          y: Interval) -> IntervalArray:
     """Third partials of the potential as the 2x2x2 Hessian tensor of
     (Omega_x, Omega_y).
 
@@ -257,7 +237,7 @@ def omega_second_partials(p: PrimaryConfig, m: MassTriple, x: Interval,
     planar gradient map; mixed-partial symmetry holds by construction
     since symmetric entries share one formula.
     """
-    rs = _distances(p, x, y, clearance)
+    rs = _distances(p, x, y)
     ms = (m.m1, m.m2, m.m3)
     oxxx = Interval.from_value(0.0)
     oxxy = Interval.from_value(0.0)
@@ -400,15 +380,6 @@ def hess_omega_point(pos: np.ndarray, masses: np.ndarray, x: float,
     g12 = np.sum(masses * 3.0 * dx * dy / r5)
     g22 = 1.0 + np.sum(masses * (2 * dy * dy - dx * dx) / r5)
     return np.array([[g11, g12], [g12, g22]])
-
-
-def energy_point(pos: np.ndarray, masses: np.ndarray, s: np.ndarray) -> float:
-    x, xd, y, yd = s
-    dx = x - pos[:, 0]
-    dy = y - pos[:, 1]
-    r = np.sqrt(dx * dx + dy * dy)
-    om = 0.5 * (x * x + y * y) + np.sum(masses / r)
-    return 0.5 * (xd * xd + yd * yd) - om
 
 
 def newton_equilibrium(p: PrimaryConfig, m: MassTriple,

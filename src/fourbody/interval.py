@@ -108,16 +108,18 @@ def _prod_cmp(a: float, b: float, p: float) -> int:
 
 
 def _prod_floor(a: float, b: float) -> float:
+    """Largest float <= a*b, with 0 * +-inf = 0."""
     p = a * b
     if not math.isfinite(p):
-        return _MAXF if p > 0 else p
+        return _MAXF if p > 0 else (0.0 if math.isnan(p) else p)
     return _down(p) if _prod_cmp(a, b, p) < 0 else p
 
 
 def _prod_ceil(a: float, b: float) -> float:
+    """Smallest float >= a*b, with 0 * +-inf = 0."""
     p = a * b
     if not math.isfinite(p):
-        return -_MAXF if p < 0 else p
+        return -_MAXF if p < 0 else (0.0 if math.isnan(p) else p)
     return _up(p) if _prod_cmp(a, b, p) > 0 else p
 
 
@@ -453,6 +455,13 @@ class CIntervalArray:
         full = (2,) + (tuple(shape) if isinstance(shape, tuple) else (shape,))
         return cls._wrap(np.zeros(full), np.zeros(full))
 
+    @classmethod
+    def from_real(cls, re: "IntervalArray") -> "CIntervalArray":
+        """The array with real parts ``re`` and imaginary parts exactly
+        zero."""
+        zero = np.zeros_like(re.lo)
+        return cls._wrap(np.stack((re.lo, zero)), np.stack((re.hi, zero)))
+
     @staticmethod
     def of(items) -> "CIntervalArray":
         """CIntervals, or equal-shape arrays of them, stacked along a new
@@ -748,8 +757,10 @@ def _imul_arr(alo, ahi, blo, bhi):
     a*b unless e < 0 (e > 0), and one nextafter step fixes it; outside
     the guard p is stepped outward unless a factor is an exact zero,
     and an overflow is clamped to the largest finite float on the side
-    the true product cannot reach.  Products that are exactly
-    representable stay exact.  A point factor, passed as the same
+    the true product cannot reach.  An exact zero times an infinite
+    endpoint is 0, in the same clamping pass, since every point of the
+    other factor is finite.  Products that are exactly representable
+    stay exact.  A point factor, passed as the same
     object for ``blo`` and ``bhi``, gives only the two distinct
     candidates, and the same endpoints.
     """
@@ -771,10 +782,13 @@ def _imul_arr(alo, ahi, blo, bhi):
                          np.nextafter(p, -np.inf), p)
         ceil = np.where(np.where(guard, e > 0.0, inexact),
                         np.nextafter(p, np.inf), p)
+    # endpoints of valid intervals are never nan, so the only nan
+    # candidate is 0 * +-inf, whose product is 0: fmin and fmax map it
+    # to 0 and keep the infinity on the side the product can reach
     floor = np.where(np.isfinite(floor), floor,
-                     np.where(floor > 0.0, _MAXF, floor))
+                     np.where(floor > 0.0, _MAXF, np.fmin(floor, 0.0)))
     ceil = np.where(np.isfinite(ceil), ceil,
-                    np.where(ceil < 0.0, -_MAXF, ceil))
+                    np.where(ceil < 0.0, -_MAXF, np.fmax(ceil, 0.0)))
     shape = (-1,) + p.shape[2:]
     return (np.minimum.reduce(floor.reshape(shape), axis=0),
             np.maximum.reduce(ceil.reshape(shape), axis=0))

@@ -15,12 +15,13 @@ solution, and every node series with it, has a_nm = conj(a_mn): only
 the half m >= n of a degree is evaluated and solved, and every grid's
 other half is filled by that exact swap.  The half's coefficients come
 from one stacked verified solve, each with its own Krawczyk
-certificate, and the node Jacobian at the expansion point
-(``polyfield.node_jacobian``, computed once) lands their linear
-contribution on every node in one stacked product.  ``field_series``
-fills the same interpreter column by column, as advection does, and
-the tail of a finished manifold comes from ``polyfield.field_defect``,
-the bound that also gives an advected chart its defect.
+certificate, and the node Jacobian at the expansion point lands their
+linear contribution on every node in one stacked product; one
+``polyfield.node_jets`` pass gives that Jacobian and the (0, 0) values
+of every node.  ``field_series`` fills the same interpreter column by
+column, as advection does, and the tail of a finished manifold comes
+from ``polyfield.field_defect``, the bound that also gives an advected
+chart its defect.
 
 The formal solution scales exactly.  If P solves the invariance
 equation, so does P(s z1, s z2), whose first-order data are s v1 and
@@ -67,9 +68,8 @@ from .errors import (DomainExceeded, FourbodyError, SymmetryViolation,
 from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
                        verified_solve_complex)
 from .nk import certify_equilibrium
-from .polyfield import (DIM, FieldNodes, State7, embed_R, evaluate,
-                        field_defect, field_program, lift_eigvector,
-                        node_jacobian)
+from .polyfield import (DIM, FieldNodes, State7, embed_R, field_defect,
+                        field_program, lift_eigvector, node_jets)
 from .taylor import (
     ScalarSeries2,
     Series2,
@@ -97,7 +97,6 @@ class LocalManifold:
     P: Series2
     kind: str
     eigen: EigenData
-    scale: complex
     lambda1: CInterval
     lambda2: CInterval
     equilibrium: State7
@@ -111,6 +110,11 @@ class LocalManifold:
     @property
     def order(self) -> int:
         return self.P.orders[0]
+
+    @property
+    def scale(self) -> complex:
+        """The eigenvector scale, the series' own ``P.scale``."""
+        return complex(self.P.scale)
 
     @functools.cached_property
     def Q(self) -> IntervalArray:
@@ -181,14 +185,15 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
                       lam1: CInterval, lam2: CInterval, N: int) -> Series2:
     """Taylor coefficients of the conjugacy through the square grid (N, N).
 
-    The node grids are one ``polyfield.FieldNodes`` on (N, N), whose
-    (0, 0) slots hold the scalar interpreter's values at u0.  Only the
-    half m >= n of each degree d is computed: one ``FieldNodes.degree``
-    of its hat sums, one stacked ``verified_solve_complex`` of the
-    homological equations [DF(u0) - (m lam1 + n lam2) I] a_mn = -c_mn
-    over its slots, with DF(u0) the output rows of the node Jacobian J
-    at u0, computed once, and one ``_land``; ``_mirror`` then fills the
-    rest by a_nm = conj(a_mn).  The first-order data v1 is
+    The node grids are one ``polyfield.FieldNodes`` on (N, N).  One
+    ``polyfield.node_jets`` pass at u0 gives every node's (0, 0) slot,
+    its value column, and the node Jacobian J, its gradient columns.
+    Only the half m >= n of each degree d is computed: one
+    ``FieldNodes.degree`` of its hat sums, one stacked
+    ``verified_solve_complex`` of the homological equations
+    [DF(u0) - (m lam1 + n lam2) I] a_mn = -c_mn over its slots, with
+    DF(u0) the output rows of J, and one ``_land``; ``_mirror`` then
+    fills the rest by a_nm = conj(a_mn).  The first-order data v1 is
     installed verbatim at (1, 0).  The returned enclosures contain the
     coefficients of the exact formal solution for every point of the
     data's boxes with v2 = conj(v1) and lam2 = conj(lam1), as the
@@ -211,9 +216,9 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
     prog = field_program(m, p)
     nodes = FieldNodes(prog, N, N)
     G = nodes.G
-    base = evaluate(prog, [CInterval(ui) for ui in u0.u])
-    G[:, 0, 0] = CIntervalArray.of(base)
-    J = node_jacobian(prog, base)
+    jets = CIntervalArray.from_real(node_jets(prog, u0.u))
+    G[:, 0, 0] = jets[:, 0]
+    J = jets[:, 1:]
     df = J[list(prog.outputs)]
     diag = np.arange(DIM)
     # degree 1 has no hat sums, since a product reaches it only by
@@ -247,10 +252,10 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
 
     Its left-hand side has the coefficients (m lam1 + n lam2) a_mn on
     P's (N, N) grid.  ``field_defect`` takes P grown with zeros to the
-    fixed grid K = ceil(3 N / 2) and a fresh ``FieldNodes`` with input
-    orders (N, N), fills every column of it, and returns the in-grid
-    residual res_i and a bound lost_i on the coefficient mass of
-    F_i(P) beyond the (K, K) grid.  The l1 norm of a series bounds its
+    fixed grid K = ceil(3 N / 2) and a fresh ``FieldNodes`` on (K, K),
+    fills every column of it, and returns the in-grid residual res_i
+    and a bound lost_i on the coefficient mass of F_i(P) beyond the
+    (K, K) grid.  The l1 norm of a series bounds its
     sup over the unit polydisc, so component i's defect is at most
     mag_sum_bound(res_i) + lost_i there, and the tail is the largest
     over i.
@@ -261,12 +266,12 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
           + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
     lhs = CIntervalArray.zeros((DIM, K + 1, K + 1))
     lhs[:, : N + 1, : N + 1] = P.coefs * mu
-    cols = FieldNodes(field_program(m, p), K, K, input_orders=(N, N))
+    cols = FieldNodes(field_program(m, p), K, K)
     res, beyond = field_defect(cols, Series2(_fit(P.coefs, K, K)), lhs)
     tail = max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
     P = Series2(P.coefs, scale=P.scale, tail=tail)
-    return LocalManifold(P=P, kind=kind, eigen=eigen, scale=complex(P.scale),
-                         lambda1=lam1, lambda2=lam2, equilibrium=u0)
+    return LocalManifold(P=P, kind=kind, eigen=eigen, lambda1=lam1,
+                         lambda2=lam2, equilibrium=u0)
 
 
 # magnitude the order-N coefficients get from the default eigenvector scale
@@ -326,8 +331,8 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     quintic polynomial in the components, so passing ``(5 M, 5 N)``
     captures every coefficient, a reference for the defect bounds of
     ``polyfield.field_defect``, which need no more than a fixed grid.
-    Each node is kept through its own orders, those of P's grid raised
-    by its products and clamped to the request.
+    P enters grown with zeros to the requested grid, on which every
+    node is kept.
     """
     M0, N0 = P.orders
     if orders is None:
@@ -336,7 +341,7 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     if OM < M0 or ON < N0:
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
     prog = field_program(m, p)
-    cols = FieldNodes(prog, OM, ON, input_orders=(M0, N0))
+    cols = FieldNodes(prog, OM, ON)
     S = Series2(_fit(P.coefs, OM, ON))
     for n in range(ON + 1):
         cols.b_column(S, n)

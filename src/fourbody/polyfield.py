@@ -6,17 +6,18 @@ conjugate to the original field on the surface S = image(R).  Polynomial
 structure is what the series machinery downstream needs: Taylor
 coefficients of compositions become finite convolution sums.
 
-This module provides the embedding R, the projection back to the planar
-state, eigenvector lifting, and the one definition of F: a
-straight-line program of ``Lin`` and ``Mul`` ops.  Every evaluator of F
-interprets it: ``evaluate``, ``tangent`` and the series interpreter
+This module provides the embedding R, eigenvector lifting, and the one
+definition of F: a straight-line program of ``Lin`` and ``Mul`` ops,
+compiled once per program into dependency levels (``_levels``).  Every
+interval evaluator of F runs those levels: the series interpreter
 ``FieldNodes``, which holds every node as a series in one stacked array
 and fills it one t-order column at a time (advected charts,
 ``manifold.field_series``) or one total degree at a time (the
-homological solve in ``manifold``).  ``node_jacobian`` runs ``tangent``
-once per input for the derivative of every node: its output rows are
-the Jacobian ``poly_DF``, and all its rows land a degree's solved
-coefficients on every node of the homological solve.  ``field_defect``
+homological solve in ``manifold``), and ``node_jets``, one pass for the
+value and gradient of every node over a box: its output rows give the
+Jacobian ``poly_DF``, and all its rows land a degree's solved
+coefficients on every node of the homological solve.  ``evaluate`` is
+the float interpreter behind ``poly_F_point``.  ``field_defect``
 finishes a column fill to bound the defect of an invariance equation:
 the ODE defect of an advected chart, on the interpreter whose columns
 0..N-1 built the chart, so each column is computed once, and the tail
@@ -59,17 +60,12 @@ class State7:
             raise ValueError("on-S state needs positive reciprocal distances")
 
 
-def embed_R(p: PrimaryConfig, s: State4, clearance: float = 0.0) -> State7:
+def embed_R(p: PrimaryConfig, s: State4) -> State7:
     """Lift a planar state by appending reciprocal primary distances."""
-    rs = _distances(p, s.x, s.y, clearance)
+    rs = _distances(p, s.x, s.y)
     one = Interval.from_value(1.0)
     return State7((s.x, s.xdot, s.y, s.ydot,
                    one / rs[0], one / rs[1], one / rs[2]), on_s=True)
-
-
-def project_pi(u: State7) -> State4:
-    """First-four-components projection; exact left inverse of embed_R."""
-    return State4(u.u[0], u.u[1], u.u[2], u.u[3])
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +155,6 @@ def evaluate(prog: FieldProgram, u: Sequence) -> list:
     return vals
 
 
-def tangent(prog: FieldProgram, vals: Sequence, seed: Sequence) -> list:
-    """Tangent interpreter: forward-mode derivative of every node along
-    the input direction ``seed`` (None is an exact zero), at the node
-    values ``vals``, by d(const + sum c_k x_k) = sum c_k dx_k and
-    d(x y) = x dy + dx y.  On intervals it encloses the exact
-    derivatives, as in ``evaluate``.  With ``vals`` the (0, 0)
-    coefficients of series nodes and ``seed`` a new input coefficient
-    a_mn, (m, n) != (0, 0), it gives exactly the part of every node's
-    (m, n) coefficient that is linear in a_mn, since a product reaches
-    (m, n) with a_mn only by pairing it with a (0, 0) coefficient.
-    """
-    ds = list(seed)
-    for op in prog.ops:
-        terms = (((vals[op.a], op.b), (vals[op.b], op.a))
-                 if isinstance(op, Mul) else op.terms)
-        acc = None
-        for c, k in terms:
-            if ds[k] is not None:
-                acc = ds[k] * c if acc is None else acc + ds[k] * c
-        ds.append(acc)
-    return ds
-
-
 @dataclass(frozen=True)
 class _LinLevel:
     """The ``Lin`` nodes of one dependency level, stacked: term t of
@@ -219,24 +192,28 @@ class _LinLevel:
                     iv_j.append(j)
                     ivs.append(c)
         consts = [CInterval._coerce(op.const) for _, op in ops]
-        return cls(np.array([i for i, _ in ops]), operands, scale,
-                   (np.array(iv_t, dtype=int), np.array(iv_j, dtype=int)),
-                   np.array([c.lo for c in ivs])[:, None],
-                   np.array([c.hi for c in ivs])[:, None],
-                   np.array([[c.re.lo, c.im.lo] for c in consts]).T,
-                   np.array([[c.re.hi, c.im.hi] for c in consts]).T)
+        level = cls(np.array([i for i, _ in ops]), operands, scale,
+                    (np.array(iv_t, dtype=int), np.array(iv_j, dtype=int)),
+                    np.array([c.lo for c in ivs])[:, None],
+                    np.array([c.hi for c in ivs])[:, None],
+                    np.array([[c.re.lo, c.im.lo] for c in consts]).T,
+                    np.array([[c.re.hi, c.im.hi] for c in consts]).T)
+        _read_only(level.nodes, operands, scale, *level.iv_at, level.iv_lo,
+                   level.iv_hi, level.const_lo, level.const_hi)
+        return level
 
-    def values(self, G: CIntervalArray, rows, cols
+    def values(self, lo: np.ndarray, hi: np.ndarray, *slots
                ) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes' values at the slots (rows, cols) of ``G``, as lo
-        and hi of shape (2, nodes, slots): one gather of every term's
-        operand slots, exact scaling, one ``_imul_arr`` for the
-        interval coefficients, and one directed sum over the terms in
-        program order.  Each endpoint equals that of the scalar
-        CIntervalArray arithmetic term by term, up to the sign of a
-        zero, since the padding terms are exact zeros."""
-        at = (slice(None), self.operands[..., None], rows, cols)
-        xlo, xhi = G.lo[at], G.hi[at]
+        """The nodes' values at ``slots`` of the node endpoint arrays
+        ``lo`` and ``hi``, of shape (parts, nodes, ...) for any number
+        of parts, as lo and hi of shape (parts, level nodes, slots):
+        one gather of every term's operand slots, exact scaling, one
+        ``_imul_arr`` for the interval coefficients, and one directed
+        sum over the terms in program order.  Each endpoint equals
+        that of the scalar interval arithmetic term by term, up to the
+        sign of a zero, since the padding terms are exact zeros."""
+        at = (slice(None), self.operands[..., None]) + slots
+        xlo, xhi = lo[at], hi[at]
         p, q = xlo * self.scale, xhi * self.scale
         # lower ends and negated upper ends: rounding a sum of negated
         # upper ends down rounds the upper ends' sum up, so one
@@ -244,17 +221,99 @@ class _LinLevel:
         ends = np.stack((np.minimum(p, q), -np.maximum(p, q)))
         if not np.isfinite(ends).all():
             # a doubling overflowed: interval products clamp it
-            lo, hi = _imul_arr(xlo, xhi, self.scale, self.scale)
-            ends = np.stack((lo, -hi))
+            plo, phi = _imul_arr(xlo, xhi, self.scale, self.scale)
+            ends = np.stack((plo, -phi))
         t, j = self.iv_at
         if t.size:
-            lo, hi = _imul_arr(xlo[:, t, j], xhi[:, t, j],
-                               self.iv_lo, self.iv_hi)
-            ends[0][:, t, j], ends[1][:, t, j] = lo, -hi
+            plo, phi = _imul_arr(xlo[:, t, j], xhi[:, t, j],
+                                 self.iv_lo, self.iv_hi)
+            ends[0][:, t, j], ends[1][:, t, j] = plo, -phi
         acc = ends[:, :, 0]
         for t in range(1, ends.shape[2]):
             acc = _add_floor_arr(acc, ends[:, :, t])
         return acc[0], -acc[1]
+
+    def add_consts(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Add the constants to slot 0 of ``values``' lo and hi, in place."""
+        k = len(lo)
+        lo[:, :, 0], hi[:, :, 0] = _iadd_arr(lo[:, :, 0], hi[:, :, 0],
+                                             self.const_lo[:k],
+                                             self.const_hi[:k])
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for x in arrays:
+        x.flags.writeable = False  # shared by every caller of the cache
+
+
+@functools.lru_cache(maxsize=16)
+def _levels(prog: FieldProgram
+            ) -> tuple[tuple[np.ndarray, _LinLevel | None], ...]:
+    """The program compiled into dependency levels: the inputs are
+    level 0, and a node is one level above its deepest operand, so the
+    nodes of a level read only earlier levels.  A level is its ``Mul``
+    nodes, as rows (node, factor a, factor b) of one index array,
+    node = a * b column by column, and its ``Lin`` nodes stacked, or
+    None.  Cached per program, with read-only arrays, so every
+    interpreter of one program shares one compiled object."""
+    depth = [0] * DIM
+    for op in prog.ops:
+        reads = ((op.a, op.b) if isinstance(op, Mul)
+                 else [k for _, k in op.terms])
+        depth.append(1 + max(depth[k] for k in reads))
+    nodes = list(enumerate(prog.ops, DIM))
+    levels = []
+    for level in range(1, max(depth) + 1):
+        ops = [(i, op) for i, op in nodes if depth[i] == level]
+        lins = [(i, op) for i, op in ops if isinstance(op, Lin)]
+        muls = np.array([(i, op.a, op.b) for i, op in ops
+                         if isinstance(op, Mul)], dtype=int).reshape(-1, 3).T
+        _read_only(muls)
+        levels.append((muls, _LinLevel.of(lins) if lins else None))
+    return tuple(levels)
+
+
+# the product rule's terms a_0 b_k for k = 0..DIM, then a_k b_0 for k >= 1
+_RULE_A = np.r_[[0] * (1 + DIM), 1:1 + DIM]
+_RULE_B = np.r_[0:1 + DIM, [0] * DIM]
+
+
+def node_jets(prog: FieldProgram, u: Sequence[Interval]) -> IntervalArray:
+    """Value and gradient of every node over the box ``u``: row i is
+    (x_i, dx_i/du_1, ..., dx_i/du_DIM), shape (nodes, 1 + DIM).
+
+    One forward pass over the compiled levels on real interval
+    endpoints, from the input boxes and an exact identity.  A level's
+    ``Mul`` nodes form a_0 b_k (k >= 0) and a_k b_0 (k >= 1) in one
+    ``_imul_arr`` call and d(a b) = a_0 db + da b_0 in one
+    ``_iadd_arr``; its ``Lin`` nodes run ``_LinLevel.values``, the
+    constant landing on the value only.  Theorem: every entry encloses
+    the exact value or partial derivative at every point of the box and
+    for every constant in its interval, since interval + and * are
+    inclusion-isotone.  A derivative the inputs never reach is an exact
+    zero, as 0 * x = 0 even for an unbounded x.
+    """
+    n = DIM + len(prog.ops)
+    lo = np.zeros((1, n, 1 + DIM))
+    hi = np.zeros((1, n, 1 + DIM))
+    lo[0, :DIM, 0] = [x.lo for x in u]
+    hi[0, :DIM, 0] = [x.hi for x in u]
+    lo[0, :DIM, 1:] = hi[0, :DIM, 1:] = np.eye(DIM)
+    cols = np.arange(1 + DIM)
+    for (i, a, b), lin in _levels(prog):
+        if i.size:
+            a, b = a[:, None], b[:, None]
+            plo, phi = _imul_arr(lo[0][a, _RULE_A], hi[0][a, _RULE_A],
+                                 lo[0][b, _RULE_B], hi[0][b, _RULE_B])
+            lo[0, i, 0], hi[0, i, 0] = plo[:, 0], phi[:, 0]
+            lo[0, i, 1:], hi[0, i, 1:] = _iadd_arr(
+                plo[:, 1:1 + DIM], phi[:, 1:1 + DIM],
+                plo[:, 1 + DIM:], phi[:, 1 + DIM:])
+        if lin is not None:
+            llo, lhi = lin.values(lo, hi, cols)
+            lin.add_consts(llo, lhi)
+            lo[:, lin.nodes], hi[:, lin.nodes] = llo, lhi
+    return IntervalArray(lo[0], hi[0])
 
 
 class FieldNodes:
@@ -264,37 +323,30 @@ class FieldNodes:
 
     Every node grid, inputs first, lives in one stacked array ``G`` of
     shape (nodes, M + 1, N + 1); ``grids`` are per-node views of it.
-    Each node has orders from its operands, the inputs
-    ``input_orders`` (default (M, N)): a product the sum of its
-    factors', a sum the largest of its terms', clamped to (M, N).
+    Both fills run the program's compiled levels (``_levels``, one
+    object per program, shared by every interpreter and by
+    ``node_jets``) in order.  At each level every ``Mul`` node keeps
+    its own product kernel call, and all ``Lin`` nodes run as one
+    stacked pass (``_LinLevel.values``), with the endpoints of
+    evaluating each node's terms one by one, up to the sign of a zero.
+    Stacking a level's products into one call gives the same endpoints
+    too, but measured slower: its temporaries outgrow the cache.
 
-    The program is compiled once into dependency levels: the inputs
-    are level 0, and a node is one level above its deepest operand,
-    so the nodes of a level read only earlier levels.  Both fills run
-    the levels in order.  At each level every ``Mul`` node keeps its
-    own product kernel, and all ``Lin`` nodes run as one stacked pass
-    (``_LinLevel.values``), with the endpoints of evaluating each
-    node's terms one by one, up to the sign of a zero.
-
-    ``b_column(S, n)`` copies column n of the series ``S``, which is
-    zero past the input orders, into the input rows and fills column n
-    of every node, a Mul node by ``product_column`` over its own rows
-    when its orders reach column n, a Lin node from its operands'
-    columns (its constant enters at n = 0).  A node's grid stays zero
-    past its orders: a Mul node's is never written there, and a Lin
-    node's operands are zero there.
+    ``b_column(S, n)`` copies column n of the series ``S`` into the
+    input rows and fills column n of every node on all M + 1 rows, a
+    Mul node by ``product_column``, a Lin node from its operands'
+    columns (its constant enters at n = 0).
     Theorem: if columns 0..n of the inputs are enclosures, so are
     columns n of all nodes, since a product's column n reads only
-    columns 0..n, and the coefficients a node drops lie past its
-    orders, where they are zero or, at the clamp, of orders that
-    products never bring back down.  ``filled`` counts the columns
-    filled so far, and ``b_column`` fills only the next one.  The
-    input columns read are the interpreter's own copies, so the
-    filled columns are F(S)'s for every later series S whose columns
-    0..filled-1 equal the ones copied: a caller that builds S column by
-    column, writing each column once before it is read and never
-    again, can hand the same interpreter on and have the rest filled
-    without recomputing any of them.
+    columns 0..n of its factors, and truncation to the grid drops only
+    coefficients of orders that products never bring back down.
+    ``filled`` counts the columns filled so far, and ``b_column`` fills
+    only the next one.  The input columns read are the interpreter's
+    own copies, so the filled columns are F(S)'s for every later series
+    S whose columns 0..filled-1 equal the ones copied: a caller that
+    builds S column by column, writing each column once before it is
+    read and never again, can hand the same interpreter on and have the
+    rest filled without recomputing any of them.
 
     ``degree(d, m_min)`` fills every node's degree-d slots (m, d - m)
     with m >= m_min, a Lin node from its operands' slots, a Mul node by
@@ -309,36 +361,16 @@ class FieldNodes:
     every summand containing an unknown degree-d coefficient.
     """
 
-    def __init__(self, prog: FieldProgram, M: int, N: int,
-                 input_orders: tuple[int, int] | None = None):
+    def __init__(self, prog: FieldProgram, M: int, N: int):
         self.prog = prog
         self.M = M
         self.N = N
-        self.orders = [input_orders or (M, N)] * DIM
-        depth = [0] * DIM
-        for op in prog.ops:
-            if isinstance(op, Mul):
-                (ma, na), (mb, nb) = self.orders[op.a], self.orders[op.b]
-                self.orders.append((min(M, ma + mb), min(N, na + nb)))
-                reads = (op.a, op.b)
-            else:
-                terms = [self.orders[k] for _, k in op.terms]
-                self.orders.append((max(mk for mk, _ in terms),
-                                    max(nk for _, nk in terms)))
-                reads = [k for _, k in op.terms]
-            depth.append(1 + max(depth[k] for k in reads))
-        nodes = list(enumerate(prog.ops, DIM))
-        self.levels = []
-        for level in range(1, max(depth) + 1):
-            ops = [(i, op) for i, op in nodes if depth[i] == level]
-            lins = [(i, op) for i, op in ops if isinstance(op, Lin)]
-            self.levels.append(
-                ([(i, op) for i, op in ops if isinstance(op, Mul)],
-                 _LinLevel.of(lins) if lins else None))
+        self.levels = _levels(prog)
         self.outputs = np.array(prog.outputs)
-        self.G = CIntervalArray.zeros((len(self.orders), M + 1, N + 1))
+        nodes = DIM + len(prog.ops)
+        self.G = CIntervalArray.zeros((nodes, M + 1, N + 1))
         self.grids = [ScalarSeries2._wrap(self.G.lo[:, i], self.G.hi[:, i])
-                      for i in range(len(self.orders))]
+                      for i in range(nodes)]
         self.filled = 0
 
     def b_column(self, S: Series2, n: int) -> CIntervalArray:
@@ -353,15 +385,12 @@ class FieldNodes:
         g = self.grids
         rows = np.arange(self.M + 1)
         for muls, lin in self.levels:
-            for i, op in muls:
-                m, cols = self.orders[i]
-                if n <= cols:
-                    g[i][: m + 1, n] = product_column(g[op.a], g[op.b], n, m)
+            for i, a, b in muls.T.tolist():
+                g[i][:, n] = product_column(g[a], g[b], n, self.M)
             if lin is not None:
-                lo, hi = lin.values(self.G, rows, n)
+                lo, hi = lin.values(self.G.lo, self.G.hi, rows, n)
                 if n == 0:
-                    lo[:, :, 0], hi[:, :, 0] = _iadd_arr(
-                        lo[:, :, 0], hi[:, :, 0], lin.const_lo, lin.const_hi)
+                    lin.add_consts(lo, hi)
                 self.G[lin.nodes[:, None], rows, n] = \
                     CIntervalArray._wrap(lo, hi)
         self.filled = n + 1
@@ -373,12 +402,11 @@ class FieldNodes:
         ms, ns = antidiagonal(self.M, self.N, d, m_min)
         g = self.grids
         for muls, lin in self.levels:
-            for i, op in muls:
-                g[i][ms, ns] = product_antidiagonal(g[op.a], g[op.b], d,
-                                                    m_min)
+            for i, a, b in muls.T.tolist():
+                g[i][ms, ns] = product_antidiagonal(g[a], g[b], d, m_min)
             if lin is not None:
                 self.G[lin.nodes[:, None], ms, ns] = CIntervalArray._wrap(
-                    *lin.values(self.G, ms, ns))
+                    *lin.values(self.G.lo, self.G.hi, ms, ns))
         return self.G[self.outputs[:, None], ms, ns]
 
     def beyond_grid_bounds(self) -> list[float]:
@@ -422,8 +450,8 @@ def field_defect(cols: FieldNodes, S: Series2, lhs: CIntervalArray
     """Defect lhs - F(S) of an invariance equation on the interpreter's
     (M, N) grid.
 
-    ``S`` covers (M, N) and is a polynomial of the interpreter's input
-    orders; ``lhs`` has shape (DIM, M + 1, N + 1) and holds the
+    ``S`` is a polynomial on the interpreter's (M, N) grid;
+    ``lhs`` has shape (DIM, M + 1, N + 1) and holds the
     equation's other side, all of whose content lies on the grid.
     Fills columns ``cols.filled``..N of ``cols`` and returns the
     in-grid residual series res_i = lhs_i - [F(S)]_i, formed in one
@@ -471,48 +499,23 @@ def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
                          (M + 1) ** 2 + (N + 1) ** 2)
 
 
-def node_jacobian(prog: FieldProgram, vals: Sequence,
-                  rows: Sequence[int] | None = None) -> CIntervalArray:
-    """Jacobian of the program's nodes with respect to its inputs, at
-    the node values ``vals`` (Intervals or CIntervals): entry (r, k) is
-    d node_rows[r] / d u_k, shape (len(rows), DIM), every node when
-    ``rows`` is None.  One ``tangent`` pass per input, seeded with an
-    exact unit of the values' type; entries a pass never reaches are
-    exact zeros, and real values give exactly zero imaginary parts.
-    """
-    rows = range(len(vals)) if rows is None else rows
-    one = type(vals[0])(1.0)
-    lo = np.zeros((2, len(rows), DIM))
-    hi = np.zeros((2, len(rows), DIM))
-    for k in range(DIM):
-        seed = [None] * DIM
-        seed[k] = one
-        ds = tangent(prog, vals, seed)
-        for r, i in enumerate(rows):
-            if ds[i] is not None:
-                v = CInterval._coerce(ds[i])
-                lo[:, r, k] = v.re.lo, v.im.lo
-                hi[:, r, k] = v.re.hi, v.im.hi
-    return CIntervalArray(lo, hi)
-
-
 def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalArray:
-    """Jacobian of the polynomial field: the output rows of
-    ``node_jacobian`` at u, which are real."""
+    """Jacobian of the polynomial field over the box u: the gradient
+    columns of the output rows of ``node_jets``."""
     prog = field_program(m, p)
-    J = node_jacobian(prog, evaluate(prog, u.u), prog.outputs)
-    return IntervalArray(J.lo[0], J.hi[0])
+    jets = node_jets(prog, u.u)[list(prog.outputs)]
+    return IntervalArray(jets.lo[:, 1:], jets.hi[:, 1:])
 
 
-def lift_eigvector(p: PrimaryConfig, x0: State4, xi: tuple[CInterval, ...],
-                   clearance: float = 0.0) -> tuple[CInterval, ...]:
+def lift_eigvector(p: PrimaryConfig, x0: State4, xi: tuple[CInterval, ...]
+                   ) -> tuple[CInterval, ...]:
     """Push a planar eigenvector through DR to a lifted eigenvector.
 
     The upper block of DR is the identity, so the planar components pass
     through unchanged; the reciprocal-distance rows apply the closed-form
     gradient of 1/r_j, which involves only the position slots.
     """
-    u0 = embed_R(p, x0, clearance)
+    u0 = embed_R(p, x0)
     out = list(xi)
     for j in range(3):
         px, py = p.positions[j]

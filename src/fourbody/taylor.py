@@ -446,9 +446,7 @@ class Series2:
     def from_real(cls, re: IntervalArray, **kw) -> "Series2":
         """The series with real parts ``re``, of shape (dim, M+1, N+1),
         and imaginary parts exactly zero."""
-        zero = np.zeros_like(re.lo)
-        return cls(CIntervalArray._wrap(np.stack((re.lo, zero)),
-                                        np.stack((re.hi, zero))), **kw)
+        return cls(CIntervalArray.from_real(re), **kw)
 
     @property
     def components(self) -> tuple[ScalarSeries2, ...]:

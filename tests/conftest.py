@@ -1,11 +1,73 @@
-"""Shared test helpers."""
+"""Shared test helpers and the scalar references they check against."""
 
 import numpy as np
 import pytest
 
-from fourbody.interval import CInterval, CIntervalArray
-from fourbody.polyfield import FieldNodes, Mul, evaluate, node_jacobian
+from fourbody.crfbp import State4, omega_first_partials
+from fourbody.interval import CInterval, CIntervalArray, IntervalArray
+from fourbody.polyfield import DIM, FieldNodes, Mul, evaluate
 from fourbody.taylor import ScalarSeries2, _fit, cauchy_product
+
+
+def project_pi(u):
+    """First-four-components projection of a State7; exact left inverse
+    of ``polyfield.embed_R``."""
+    return State4(u.u[0], u.u[1], u.u[2], u.u[3])
+
+
+def field_f(p, m, s):
+    """The planar rotating-frame field over the State4 box ``s``:
+    (xdot, 2 ydot + Omega_x, ydot, -2 xdot + Omega_y)."""
+    ox, oy = omega_first_partials(p, m, s.x, s.y)
+    return IntervalArray.of([s.xdot, 2 * s.ydot + ox, s.ydot,
+                             -2 * s.xdot + oy])
+
+
+def energy_point(pos, masses, s):
+    """The Jacobi integral at the float state ``s``, in floats."""
+    x, xd, y, yd = s
+    dx = x - pos[:, 0]
+    dy = y - pos[:, 1]
+    r = np.sqrt(dx * dx + dy * dy)
+    om = 0.5 * (x * x + y * y) + np.sum(masses / r)
+    return 0.5 * (xd * xd + yd * yd) - om
+
+
+def tangent(prog, vals, seed):
+    """Scalar tangent interpreter: forward-mode derivative of every node
+    along the input direction ``seed`` (None is an exact zero), at the
+    node values ``vals``, by d(const + sum c_k x_k) = sum c_k dx_k and
+    d(x y) = x dy + dx y, in the arithmetic of the values."""
+    ds = list(seed)
+    for op in prog.ops:
+        terms = (((vals[op.a], op.b), (vals[op.b], op.a))
+                 if isinstance(op, Mul) else op.terms)
+        acc = None
+        for c, k in terms:
+            if ds[k] is not None:
+                acc = ds[k] * c if acc is None else acc + ds[k] * c
+        ds.append(acc)
+    return ds
+
+
+def node_jacobian(prog, vals):
+    """Jacobian of every node with respect to the inputs at the node
+    values ``vals`` (Intervals or CIntervals), shape (nodes, DIM), by
+    one ``tangent`` pass per input seeded with an exact unit; entries a
+    pass never reaches are exact zeros, and real values give exactly
+    zero imaginary parts.  The reference for ``polyfield.node_jets``."""
+    one = type(vals[0])(1.0)
+    lo = np.zeros((2, len(vals), DIM))
+    hi = np.zeros((2, len(vals), DIM))
+    for k in range(DIM):
+        seed = [None] * DIM
+        seed[k] = one
+        for i, d in enumerate(tangent(prog, vals, seed)):
+            if d is not None:
+                v = CInterval._coerce(d)
+                lo[:, i, k] = v.re.lo, v.im.lo
+                hi[:, i, k] = v.re.hi, v.im.hi
+    return CIntervalArray(lo, hi)
 
 
 def from_complex_points(grid) -> ScalarSeries2:

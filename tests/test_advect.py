@@ -23,12 +23,7 @@ from fourbody.advect import (
     reference_integrate,
     taylor_flow,
 )
-from fourbody.crfbp import (
-    MassTriple,
-    energy_point,
-    newton_equilibrium,
-    primaries,
-)
+from fourbody.crfbp import MassTriple, newton_equilibrium, primaries
 from fourbody.errors import CollisionDomain, SymmetryViolation
 from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
@@ -36,7 +31,7 @@ from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
 from fourbody.polyfield import FieldNodes, field_defect, field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
 
-from conftest import from_complex_points
+from conftest import energy_point, from_complex_points
 
 Z0 = CInterval(Interval.from_value(0.0))
 Z1 = CInterval(Interval.from_value(1.0))

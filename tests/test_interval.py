@@ -215,7 +215,9 @@ def _two_pass_imul(alo, ahi, blo, bhi):
         e = residual(a, b, p)
         down = np.where(guard, e < 0.0, ~exact_zero)
         out = np.where(down, np.nextafter(p, -np.inf), p)
-        return np.where(np.isfinite(out), out, np.where(out > 0.0, _MAXF, out))
+        # 0 * +-inf is 0
+        return np.where(np.isnan(out), 0.0, np.where(
+            np.isfinite(out), out, np.where(out > 0.0, _MAXF, out)))
 
     def prod_ceil(a, b):
         p = a * b
@@ -225,7 +227,9 @@ def _two_pass_imul(alo, ahi, blo, bhi):
         e = residual(a, b, p)
         up = np.where(guard, e > 0.0, ~exact_zero)
         out = np.where(up, np.nextafter(p, np.inf), p)
-        return np.where(np.isfinite(out), out, np.where(out < 0.0, -_MAXF, out))
+        # 0 * +-inf is 0
+        return np.where(np.isnan(out), 0.0, np.where(
+            np.isfinite(out), out, np.where(out < 0.0, -_MAXF, out)))
 
     with np.errstate(all="ignore"):
         lo = np.minimum.reduce([prod_floor(alo, blo), prod_floor(alo, bhi),
@@ -307,6 +311,42 @@ class TestFusedProduct:
             for x in a for y in b)
         if guarded:
             assert (lo, hi) == (want.lo, want.hi)
+
+
+class TestZeroTimesInfinity:
+    """An exact zero times an infinite endpoint is 0: every point of an
+    interval is finite, so 0 * [1, inf] = [0, 0]."""
+
+    @pytest.mark.parametrize("unbounded", [(1.0, math.inf),
+                                           (-math.inf, 1.0),
+                                           (-math.inf, math.inf)])
+    def test_scalar_both_orders(self, unbounded):
+        zero, x = Interval(0.0), Interval(*unbounded)
+        for p in (zero * x, x * zero):
+            assert (p.lo, p.hi) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("unbounded", [(1.0, math.inf),
+                                           (-math.inf, 1.0),
+                                           (-math.inf, math.inf)])
+    def test_array_both_orders(self, unbounded):
+        z = np.zeros(3)
+        lo, hi = np.full(3, unbounded[0]), np.full(3, unbounded[1])
+        for p in (_imul_arr(z, z, lo, hi), _imul_arr(lo, hi, z, z)):
+            assert not np.isnan(p[0]).any() and not np.isnan(p[1]).any()
+            assert np.array_equal(p[0], z) and np.array_equal(p[1], z)
+        prod = CIntervalArray.zeros(3) * Interval(*unbounded)
+        assert not prod.lo.any() and not prod.hi.any()
+
+    def test_straddling_factor_stays_unbounded(self):
+        want = (-math.inf, math.inf)
+        p = Interval(-1.0, 2.0) * Interval(0.0, math.inf)
+        assert (p.lo, p.hi) == want
+        lo, hi = _imul_arr(np.array([-1.0]), np.array([2.0]),
+                           np.array([0.0]), np.array([math.inf]))
+        assert (lo[0], hi[0]) == want
+        lo, hi = _imul_arr(np.array([0.0]), np.array([math.inf]),
+                           np.array([-1.0]), np.array([2.0]))
+        assert (lo[0], hi[0]) == want
 
 
 class TestInclusionMonotonicity:

@@ -37,12 +37,11 @@ from fourbody.manifold import (
     solve_homological,
 )
 from fourbody.polyfield import (DIM, FieldNodes, field_defect,
-                                field_program, lift_eigvector, poly_DF,
-                                project_pi)
+                                field_program, lift_eigvector, poly_DF)
 from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              conj_symmetry_check, mag_sum_bound)
 
-from conftest import degree_nodes, from_complex_points
+from conftest import degree_nodes, from_complex_points, project_pi
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +87,7 @@ def _invariance_defect(m, pc, M, K):
     the in-grid residual and the per-component beyond-grid bounds."""
     P = M.P
     G = Series2(tuple(_fit(c, K, K) for c in P.components))
-    cols = FieldNodes(field_program(m, pc), K, K, input_orders=P.orders)
+    cols = FieldNodes(field_program(m, pc), K, K)
     return field_defect(cols, G, _invariance_lhs(P, M.lambda1, M.lambda2, K))
 
 
@@ -423,7 +422,7 @@ class TestRealChart:
         from fourbody.crfbp import _distances
         for s1, s2 in [(0.2, 0.1), (-0.4, 0.3), (0.0, 0.5)]:
             v = real_chart(stable7, s1, s2)
-            rs = _distances(pc, v[0], v[2], 0.0)
+            rs = _distances(pc, v[0], v[2])
             for j in range(3):
                 recip = Interval.from_value(1.0) / rs[j]
                 assert _overlap(recip, v[4 + j])

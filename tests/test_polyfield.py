@@ -15,7 +15,6 @@ from fourbody.crfbp import (
     PrimaryConfig,
     State4,
     eigen_data,
-    field_f,
     field_point,
     newton_equilibrium,
     primaries,
@@ -30,20 +29,22 @@ from fourbody.polyfield import (
     Lin,
     Mul,
     _conv_tail,
+    _levels,
     State7,
     embed_R,
     evaluate,
     field_defect,
     field_program,
     lift_eigvector,
+    node_jets,
     poly_DF,
     poly_F_point,
-    project_pi,
 )
 from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              product_antidiagonal, product_column)
 
-from conftest import degree_nodes, from_complex_points
+from conftest import (degree_nodes, field_f, from_complex_points,
+                      node_jacobian, project_pi)
 
 # frozen reciprocal distances at the equilibrium used throughout
 U5 = 0.7244980416112365
@@ -239,25 +240,20 @@ class TestFieldProgram:
 
     def test_column_interpreter_raises_node_orders(
             self, config, triple, full_product_nodes, assert_overlap):
-        # order-(3, 2) inputs on a (9, 8) grid: every node is kept
-        # through its own orders, which are zero in the grid beyond them
+        # order-(3, 2) inputs grown with zeros to a (9, 8) grid: every
+        # node, kept on the whole grid, overlaps the exact full products
         rng = np.random.default_rng(8)
         comps = [from_complex_points(
             rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
             for _ in range(DIM)]
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (9, 8))
-        cols = FieldNodes(prog, 9, 8, input_orders=(3, 2))
+        cols = FieldNodes(prog, 9, 8)
         G = Series2(tuple(_fit(c, 9, 8) for c in comps))
         for n in range(9):
             cols.b_column(G, n)
-        for k, (a, b) in enumerate(zip(full[DIM:], cols.grids[DIM:]), DIM):
-            assert cols.orders[k] == a.orders, k
+        for a, b in zip(full[DIM:], cols.grids[DIM:]):
             assert_overlap(a, b)
-            rows, nn = a.orders
-            assert not b[rows + 1:].mag().any()
-            assert not b[:, nn + 1:].mag().any()
-        assert cols.orders[-1] == (9, 8)
 
 
 def _node_by_node_column(nodes, S, n):
@@ -267,18 +263,15 @@ def _node_by_node_column(nodes, S, n):
     passes."""
     g = nodes.grids
     nodes.G[:DIM, :, n] = S.coefs[:, :, n]
-    for op, dst, (rows, cols) in zip(nodes.prog.ops, g[DIM:],
-                                     nodes.orders[DIM:]):
-        if n > cols:
-            continue
+    for op, dst in zip(nodes.prog.ops, g[DIM:]):
         if isinstance(op, Mul):
-            col = product_column(g[op.a], g[op.b], n, rows)
+            col = product_column(g[op.a], g[op.b], n, nodes.M)
         else:
             col = None
             for c, k in op.terms:
-                term = g[k][: rows + 1, n] * c
+                term = g[k][:, n] * c
                 col = term if col is None else col + term
-        dst[: rows + 1, n] = col
+        dst[:, n] = col
         if n == 0 and isinstance(op, Lin):
             dst[0, 0] = dst.at(0, 0) + CInterval(op.const)
 
@@ -322,34 +315,50 @@ class TestLevelSchedule:
     evaluating every node on its own, up to the sign of a zero."""
 
     def test_levels_respect_dependencies(self, config, triple):
-        nodes = FieldNodes(field_program(triple, config), 3, 3)
+        prog = field_program(triple, config)
         done = set(range(DIM))
-        for muls, lin in nodes.levels:
-            level = [i for i, _ in muls] + (
+        for muls, lin in _levels(prog):
+            for i, a, b in muls.T.tolist():
+                assert prog.ops[i - DIM] == Mul(a, b)
+            nodes = muls[0].tolist() + (
                 [] if lin is None else lin.nodes.tolist())
-            for i in level:
-                op = nodes.prog.ops[i - DIM]
+            for i in nodes:
+                op = prog.ops[i - DIM]
                 reads = ((op.a, op.b) if isinstance(op, Mul)
                          else [k for _, k in op.terms])
                 assert done.issuperset(reads)
-            done.update(level)
-        assert done == set(range(len(nodes.orders)))
+            done.update(nodes)
+        assert done == set(range(DIM + len(prog.ops)))
+
+    def test_one_compiled_program(self, config, triple, u0):
+        # every interpreter of a program, and the jet pass, reads the one
+        # cached compile, whose index arrays are read-only
+        prog = field_program(triple, config)
+        levels = _levels(prog)
+        assert FieldNodes(prog, 3, 3).levels is levels
+        assert FieldNodes(prog, 5, 2).levels is levels
+        misses = _levels.cache_info().misses
+        node_jets(prog, u0.u)
+        assert _levels.cache_info().misses == misses
+        for muls, lin in levels:
+            arrays = [muls] + ([] if lin is None else
+                               [lin.nodes, lin.operands, lin.scale])
+            assert not any(x.flags.writeable for x in arrays)
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("orders, input_orders",
                              [((4, 6), None), ((6, 6), (4, 4))])
     def test_column_fill_equals_node_by_node(self, config, triple, real,
                                              orders, input_orders):
-        # (6, 6) with input orders (4, 4) is the manifold-tail set-up:
-        # K = ceil(3 N / 2) with inputs zero past (N, N), so the nodes
-        # have mixed orders and some stop short of the last columns
+        # (6, 6) with inputs of orders (4, 4) is the manifold-tail
+        # set-up: K = ceil(3 N / 2) with inputs zero past (N, N)
         rng = np.random.default_rng(31 + real)
         prog = field_program(triple, config)
         M, N = orders
         S = _random_inputs(rng, *(input_orders or orders), real)
         S = Series2(_fit(S.coefs, M, N))
-        got = FieldNodes(prog, M, N, input_orders)
-        want = FieldNodes(prog, M, N, input_orders)
+        got = FieldNodes(prog, M, N)
+        want = FieldNodes(prog, M, N)
         for n in range(N + 1):
             out = got.b_column(S, n)
             _node_by_node_column(want, S, n)
@@ -423,6 +432,53 @@ class TestPolyJacobian:
                 combo = c1 * J[0, col] + c3 * J[2, col]
                 diff = J[4 + j, col] - combo
                 assert diff.straddles_zero(), (j, col)
+
+
+class TestNodeJets:
+    """``node_jets``, one stacked forward pass, against the seven scalar
+    ``tangent`` passes of the reference ``node_jacobian``."""
+
+    @staticmethod
+    def _reached(prog):
+        """The inputs each node depends on, by the program's structure."""
+        deps = [{k} for k in range(DIM)]
+        for op in prog.ops:
+            reads = ((op.a, op.b) if isinstance(op, Mul)
+                     else [k for _, k in op.terms])
+            deps.append(set().union(*(deps[k] for k in reads)))
+        return deps
+
+    def test_equals_scalar_tangent_passes(self, config, triple, u0):
+        prog = field_program(triple, config)
+        deps = self._reached(prog)
+        rng = np.random.default_rng(17)
+        mid = np.array([x.mid for x in u0.u])
+        boxes = [u0.u]
+        for _ in range(60):
+            r = 10.0 ** rng.uniform(-9, -1, DIM)
+            boxes.append(tuple(IntervalArray(mid - r, mid + r)))
+        for u in boxes:
+            vals = evaluate(prog, u)
+            ref = node_jacobian(prog, vals)
+            jets = node_jets(prog, u)
+            assert jets.shape == (DIM + len(prog.ops), 1 + DIM)
+            assert np.array_equal(jets.lo[:, 0], [v.lo for v in vals])
+            assert np.array_equal(jets.hi[:, 0], [v.hi for v in vals])
+            # equal endpoints, up to the sign of a zero
+            assert np.array_equal(jets.lo[:, 1:], ref.lo[0])
+            assert np.array_equal(jets.hi[:, 1:], ref.hi[0])
+            assert not ref.lo[1].any() and not ref.hi[1].any()
+            for i, d in enumerate(deps):
+                for k in set(range(DIM)) - d:
+                    assert jets.lo[i, 1 + k] == jets.hi[i, 1 + k] == 0.0
+
+    def test_poly_df_is_the_output_rows(self, config, triple, u0):
+        prog = field_program(triple, config)
+        jets = node_jets(prog, u0.u)
+        J = poly_DF(triple, config, u0)
+        rows = list(prog.outputs)
+        assert np.array_equal(J.lo, jets.lo[rows, 1:])
+        assert np.array_equal(J.hi, jets.hi[rows, 1:])
 
 
 class TestKernelBasis:
