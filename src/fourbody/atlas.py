@@ -296,8 +296,10 @@ class Atlas:
                        for rec in sorted(self.charts.values(),
                                          key=lambda r: r.chart_id)],
         }
+        # json.dumps runs the C encoder; json.dump, writing in chunks,
+        # always runs the pure-Python one, for the same bytes
         with open(path, "w") as f:
-            json.dump(doc, f)
+            f.write(json.dumps(doc))
 
     @classmethod
     def load(cls, path) -> "Atlas":

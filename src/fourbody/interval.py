@@ -13,10 +13,11 @@ exact summation errors, ``_imul_arr`` from exact product residuals
 inside a magnitude guard.  Outside the guard an array product is
 widened by one ulp unless a factor is zero, while the scalar product
 falls back to rational arithmetic.  Inexact sums are padded with the
-standard ``n*u/(1-n*u)`` term.  ``taylor.product_column`` forms its
-products rounded to nearest and folds their rounding into that term,
-so each of its rows is padded once, by the gamma of its own term count
-plus an underflow term, and stepped one ulp outward.
+standard ``n*u/(1-n*u)`` term.  The column kernel of ``taylor``
+(``product_columns`` and its one-pair case ``product_column``) forms
+its products rounded to nearest and folds their rounding into that
+term, so each of its rows is padded once, by the gamma of its own term
+count plus an underflow term, and stepped one ulp outward.
 
 ``IntervalArray`` holds arrays of real intervals of any shape as one
 (lo, hi) pair, and ``CIntervalArray`` arrays of complex intervals with

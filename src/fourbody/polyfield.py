@@ -37,7 +37,7 @@ from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
                        _add_floor_arr, _iadd_arr, _imul_arr, _nonneg_upper,
                        _prod_ceil, _sum_ceil)
 from .taylor import (ScalarSeries2, Series2, antidiagonal,
-                     product_antidiagonal, product_column)
+                     product_antidiagonal, product_columns)
 
 DIM = 7
 
@@ -161,8 +161,11 @@ class _LinLevel:
     node ``nodes[j]`` reads node ``operands[t, j]`` and multiplies it
     by ``scale[t, j]``, exactly (+-1 or +-2, or 0 on the padding terms
     past a node's own), or, at the positions ``iv_at``, by the
-    interval ``[iv_lo, iv_hi]``; ``const_lo``/``const_hi`` hold the
-    nodes' constants as complex parts, shape (2, nodes)."""
+    interval ``[iv_lo, iv_hi]``, one array for both ends (``iv_hi is
+    iv_lo``) when every such interval is a point, so that
+    ``_imul_arr`` forms two candidates instead of four, with the same
+    endpoints; ``const_lo``/``const_hi`` hold the nodes' constants as
+    complex parts, shape (2, nodes)."""
 
     nodes: np.ndarray
     operands: np.ndarray
@@ -192,10 +195,14 @@ class _LinLevel:
                     iv_j.append(j)
                     ivs.append(c)
         consts = [CInterval._coerce(op.const) for _, op in ops]
+        iv_lo = np.array([c.lo for c in ivs])[:, None]
+        # point coefficients, such as the masses of
+        # ``MassTriple.from_floats``, share one array for both ends
+        iv_hi = (iv_lo if all(c.lo == c.hi for c in ivs)
+                 else np.array([c.hi for c in ivs])[:, None])
         level = cls(np.array([i for i, _ in ops]), operands, scale,
                     (np.array(iv_t, dtype=int), np.array(iv_j, dtype=int)),
-                    np.array([c.lo for c in ivs])[:, None],
-                    np.array([c.hi for c in ivs])[:, None],
+                    iv_lo, iv_hi,
                     np.array([[c.re.lo, c.im.lo] for c in consts]).T,
                     np.array([[c.re.hi, c.im.hi] for c in consts]).T)
         _read_only(level.nodes, operands, scale, *level.iv_at, level.iv_lo,
@@ -325,17 +332,23 @@ class FieldNodes:
     shape (nodes, M + 1, N + 1); ``grids`` are per-node views of it.
     Both fills run the program's compiled levels (``_levels``, one
     object per program, shared by every interpreter and by
-    ``node_jets``) in order.  At each level every ``Mul`` node keeps
-    its own product kernel call, and all ``Lin`` nodes run as one
-    stacked pass (``_LinLevel.values``), with the endpoints of
+    ``node_jets``) in order.  At each level all ``Lin`` nodes run as
+    one stacked pass (``_LinLevel.values``), with the endpoints of
     evaluating each node's terms one by one, up to the sign of a zero.
-    Stacking a level's products into one call gives the same endpoints
-    too, but measured slower: its temporaries outgrow the cache.
 
     ``b_column(S, n)`` copies column n of the series ``S`` into the
     input rows and fills column n of every node on all M + 1 rows, a
-    Mul node by ``product_column``, a Lin node from its operands'
-    columns (its constant enters at n = 0).
+    Lin node from its operands' columns (its constant enters at
+    n = 0), and all ``Mul`` nodes of a level by one blocked pass of
+    ``taylor.product_columns``: it gathers their factor pairs straight
+    from ``G``, in blocks of at most ``taylor._COLUMN_BLOCK`` part
+    products so that a block's temporaries stay in cache, which makes
+    a shallow column's level one call and a deep column's one call per
+    node.  Whether every factor is exactly real is decided once per
+    column, from ``G``'s imaginary grids after the input copy.  Each
+    row equals ``product_column``'s for its pair, bit for bit, when
+    that decision agrees with the pair's own, as it does for real
+    charts and for inputs whose every component is complex.
     Theorem: if columns 0..n of the inputs are enclosures, so are
     columns n of all nodes, since a product's column n reads only
     columns 0..n of its factors, and truncation to the grid drops only
@@ -382,11 +395,14 @@ class FieldNodes:
             raise ValueError(f"column {n} requested, but the next "
                              f"unfilled column is {self.filled}")
         self.G[:DIM, :, n] = S.coefs[:, :, n]
-        g = self.grids
+        # the unfilled columns are zero, so this asks whether every
+        # factor of every product of this column is exactly real
+        real = not (self.G.lo[1].any() or self.G.hi[1].any())
         rows = np.arange(self.M + 1)
-        for muls, lin in self.levels:
-            for i, a, b in muls.T.tolist():
-                g[i][:, n] = product_column(g[a], g[b], n, self.M)
+        for (i, a, b), lin in self.levels:
+            if i.size:
+                self.G[i[:, None], rows, n] = product_columns(
+                    self.G, a, b, n, self.M, real)
             if lin is not None:
                 lo, hi = lin.values(self.G.lo, self.G.hi, rows, n)
                 if n == 0:

@@ -28,11 +28,15 @@ with the unsolved degree at exact zero this yields the "hat" sums that
 omit every summand containing the unknown coefficient).  Filling one
 time-order column at a time, behind advection,
 ``manifold.field_series`` and every defect and tail bound
-(``polyfield.field_defect``), it uses ``product_column`` (one
-time-order column from a cached plan of just the summed pairs,
-products rounded to nearest, and float sums each padded a priori by
-the gamma of its own row's term count plus an underflow term, which
-covers the products' rounding as well as the sums').
+(``polyfield.field_defect``), it uses ``product_columns``: one
+time-order column of every product of a dependency level, gathered
+straight from the interpreter's stacked grids by a cached plan of just
+the summed pairs, in cache-sized blocks, with products rounded to
+nearest and float sums each padded a priori by the gamma of its own
+row's term count plus an underflow term, which covers the products'
+rounding as well as the sums'.  ``product_column`` is its one-pair
+case, on two separate grids; both run the one column kernel
+``_column_rows``.
 ``cauchy_product`` is the full truncated series by exact sums, one
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
 coefficient; ``hat_product_cubic`` is built on them, to state the hat
@@ -227,12 +231,12 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
 
     Row m sums the c_m = (m + 1)(n + 1) pairs (a_{m-i, n-k}, b_{i, k}),
     i <= m, k <= n; a cached plan gathers exactly those pairs, row by
-    row, and one pass forms their products and the rows' sums.
-    Advection consumes whole t-order columns, and the per-coefficient
-    path is too slow there.  When both factors are exactly real only
-    the real products are formed.  Both grids must cover s-orders 0..M
-    and t-orders 0..n.  Returns shape (M + 1,); row m depends on m and
-    n only, not on M.
+    row, and one pass of the column kernel ``_column_rows`` forms their
+    products and the rows' sums: the one-pair case of
+    ``product_columns``.  When both factors are exactly real only the
+    real products are formed.  Both grids must cover s-orders 0..M and
+    t-orders 0..n.  Returns shape (M + 1,); row m depends on m and n
+    only, not on M.
 
     Theorem: a real row sums c = c_m terms x_t, the lower (upper)
     endpoints of its products; the real part of a complex row sums
@@ -270,32 +274,102 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
                 or np.count_nonzero(b.lo[1]) or np.count_nonzero(b.hi[1]))
     parts = 1 if real else 2
     ia, ib, starts, pad, tiny = _column_plan(M, n, Na + 1, Nb + 1)
-    # one product per (a part, b part): [re, re], [re, im], [im, re], [im, im]
-    alo, ahi = (x.reshape(2, -1)[:parts, None].take(ia, axis=-1)
+    alo, ahi = (x.reshape(2, -1)[:parts, None].take(ia[None], axis=-1)
                 for x in (a.lo, a.hi))
-    blo, bhi = (x.reshape(2, -1)[None, :parts].take(ib, axis=-1)
+    blo, bhi = (x.reshape(2, -1)[None, :parts].take(ib[None], axis=-1)
                 for x in (b.lo, b.hi))
-    # the four endpoint candidates, rounded to nearest
+    lo, hi = _column_rows(alo, ahi, blo, bhi, n, starts, pad, tiny)
+    return CIntervalArray._wrap(lo[:, 0], hi[:, 0])
+
+
+# Most part products per call of the column kernel: gathered pairs
+# times 1 for real factors, times 4 (re re, re im, im re, im im) for
+# complex ones.  A call keeps about a dozen temporaries of one double
+# per part product alive (gathered endpoints, the four candidates,
+# the products' ends and magnitudes), 32 KB each at 4,096, so a call
+# works inside a core's L2 cache next to the interpreter's grids;
+# whole levels of deep columns outgrow it and ran slower than one
+# call per product.
+_COLUMN_BLOCK = 4096
+
+
+def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
+                    n: int, M: int, real: bool) -> CIntervalArray:
+    """Column n, rows 0..M, of every product G[a[j]] G[b[j]] of the
+    stacked series grids ``G``, shape (nodes, rows, cols); returns
+    shape (len(a), M + 1).
+
+    The pairs are gathered straight from ``G`` by flat indices
+    node (rows cols) + plan index into ``_column_plan``, in blocks of
+    at most ``_COLUMN_BLOCK`` part products and at least one product,
+    and each block is one pass of ``_column_rows``.  ``real`` asserts
+    that every factor is exactly real, as the caller checks once for
+    the whole stack; the rows are then ``product_column``'s for each
+    pair, bit for bit, and with ``real`` false they are those of its
+    complex path, by the theorem there an enclosure for any factors.
+    """
+    _, rows, cols = G.shape
+    if rows <= M or cols <= n:
+        raise ValueError("factor grids do not cover the requested column")
+    ia, ib, starts, pad, tiny = _column_plan(M, n, cols, cols)
+    parts = 1 if real else 2
+    glo, ghi = (x.reshape(2, -1)[:parts] for x in (G.lo, G.hi))
+    ja = np.add.outer(np.asarray(a) * (rows * cols), ia)
+    jb = np.add.outer(np.asarray(b) * (rows * cols), ib)
+    lo, hi = np.empty((2, 2, len(ja), M + 1))
+    step = max(1, _COLUMN_BLOCK // (ia.size * parts * parts))
+    for s in range(0, len(ja), step):
+        at = slice(s, s + step)
+        lo[:, at], hi[:, at] = _column_rows(
+            glo.take(ja[at], axis=-1)[:, None],
+            ghi.take(ja[at], axis=-1)[:, None],
+            glo.take(jb[at], axis=-1)[None],
+            ghi.take(jb[at], axis=-1)[None], n, starts, pad, tiny)
+    return CIntervalArray._wrap(lo, hi)
+
+
+def _column_rows(alo, ahi, blo, bhi, n, starts, pad, tiny):
+    """The column kernel: rows of column n of k products from their
+    gathered pairs, as lo and hi of shape (2, k, rows).
+
+    ``alo`` and ``ahi`` hold the first factors' endpoints, shape
+    (parts, 1, k, pairs), ``blo`` and ``bhi`` the second's, shape
+    (1, parts, k, pairs), in the order of ``_column_plan``, whose
+    ``starts``, ``pad`` and ``tiny`` are passed; one part means real
+    factors.  Every row is formed as ``product_column``'s theorem
+    states."""
+    # one product per (a part, b part): [re, re], [re, im], [im, re],
+    # [im, im]; the four endpoint candidates, rounded to nearest
     c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    plo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
-    phi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
+    # the products' lower ends, upper ends and magnitudes, summed by
+    # one reduceat
+    ends = np.empty((3,) + c1.shape)
+    plo, phi, mag = ends
+    np.maximum(c1, c2, out=phi)
+    np.minimum(c1, c2, out=c1)
+    np.maximum(c3, c4, out=c2)
+    np.minimum(c3, c4, out=c3)
+    np.minimum(c1, c3, out=plo)
+    np.maximum(phi, c2, out=phi)
+    real = len(alo) == 1
     if not real:
         # the real part subtracts the products a_im b_im: negate them
         plo[1, 1], phi[1, 1] = -phi[1, 1], -plo[1, 1]
     # max(-lo, hi) is max(|lo|, |hi|) since lo <= hi
-    slo, shi, mag = (np.add.reduceat(x, starts, axis=-1)
-                     for x in (plo, phi, np.maximum(-plo, phi)))
+    np.maximum(np.negative(plo, out=mag), phi, out=mag)
+    slo, shi, mag = np.add.reduceat(ends, starts, axis=-1)
     if real:
         err = pad[0] * mag[0, 0] + tiny[0]
-        lo, hi = np.zeros((2, 2, M + 1))
+        lo, hi = np.zeros((2, 2) + err.shape)
         lo[0], hi[0] = _outward(slo[0, 0] - err, shi[0, 0] + err)
         if n == 0:
-            lo[0, 0], hi[0, 0] = _outward(plo[0, 0, 0], phi[0, 0, 0])
-        return CIntervalArray._wrap(lo, hi)
+            lo[0, :, 0], hi[0, :, 0] = _outward(plo[0, 0, :, 0],
+                                                phi[0, 0, :, 0])
+        return lo, hi
     # real part from [re, re] and [im, im], imaginary from [re, im], [im, re]
     err = pad[1] * (mag[0] + mag[1, ::-1]) + tiny[1]
-    return CIntervalArray._wrap(*_outward(slo[0] + slo[1, ::-1] - err,
-                                          shi[0] + shi[1, ::-1] + err))
+    return _outward(slo[0] + slo[1, ::-1] - err,
+                    shi[0] + shi[1, ::-1] + err)
 
 
 def _outward(lo, hi):

@@ -1,6 +1,7 @@
 """Tests for atlas growth, remeshing, and persistence."""
 
 import filecmp
+import io
 import json
 
 import numpy as np
@@ -279,6 +280,15 @@ class TestPersistence:
         grown.save(p1)
         Atlas.load(p1).save(p2)
         assert filecmp.cmp(p1, p2, shallow=False)
+
+    def test_save_writes_the_bytes_of_json_dump(self, grown, tmp_path):
+        # save encodes with json.dumps; the file is the one json.dump
+        # writes for the same document
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        ref = io.StringIO()
+        json.dump(json.loads(path.read_text()), ref)
+        assert path.read_text() == ref.getvalue()
 
     def test_schema_version_guard(self, grown, tmp_path):
         path = tmp_path / "atlas.json"

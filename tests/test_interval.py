@@ -283,9 +283,10 @@ class TestFusedProduct:
     def test_blocks_and_broadcast(self, a, b, col, row):
         _assert_bitwise(_imul_arr(*a, *b), _two_pass_imul(*a, *b))
         _assert_bitwise(_imul_arr(*col, *row), _two_pass_imul(*col, *row))
-        # one operand's lo and hi of different shapes
-        _assert_bitwise(_imul_arr(col[0], a[1] + np.inf, *row),
-                        _two_pass_imul(col[0], a[1] + np.inf, *row))
+        # one operand's lo and hi of different shapes, and unbounded
+        inf = np.full_like(a[1], np.inf)
+        _assert_bitwise(_imul_arr(col[0], inf, *row),
+                        _two_pass_imul(col[0], inf, *row))
 
     @settings(max_examples=200, deadline=None)
     @given(_interval_arrays((4, 5)), _interval_arrays((5,)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -345,13 +346,42 @@ class TestLevelSchedule:
                                [lin.nodes, lin.operands, lin.scale])
             assert not any(x.flags.writeable for x in arrays)
 
+    def test_point_coefficients_share_one_array(self, config, triple):
+        # the masses of MassTriple.from_floats are points: their level
+        # keeps one array for both ends, so _imul_arr forms two
+        # candidates, and the values equal, bit for bit, those of the
+        # four candidates from a separate copy of that array
+        rng = np.random.default_rng(51)
+        shape = (2, DIM + len(field_program(triple, config).ops), 4, 5)
+        mid = rng.standard_normal(shape)
+        w = rng.random(shape) * 1e-6 * rng.integers(0, 2, shape)
+        lo, hi = mid - w, mid + w
+        wide = MassTriple(Interval(0.5 - 1e-9, 0.5 + 1e-9), triple.m2,
+                          triple.m3)
+        for masses, point in ((triple, True), (wide, False)):
+            levels = [lin for _, lin in _levels(field_program(masses, config))
+                      if lin is not None and lin.iv_at[0].size]
+            assert levels
+            for lin in levels:
+                assert (lin.iv_hi is lin.iv_lo) == point
+                four = dataclasses.replace(lin, iv_hi=lin.iv_hi.copy())
+                for slots in ((np.arange(4), 2),
+                              (np.arange(4), np.array([4, 2, 1, 0]))):
+                    got = lin.values(lo, hi, *slots)
+                    want = four.values(lo, hi, *slots)
+                    for x, y in zip(got, want):
+                        assert x.tobytes() == y.tobytes()
+
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("orders, input_orders",
-                             [((4, 6), None), ((6, 6), (4, 4))])
+                             [((4, 6), None), ((6, 6), (4, 4)),
+                              ((10, 24), None)])
     def test_column_fill_equals_node_by_node(self, config, triple, real,
                                              orders, input_orders):
         # (6, 6) with inputs of orders (4, 4) is the manifold-tail
-        # set-up: K = ceil(3 N / 2) with inputs zero past (N, N)
+        # set-up: K = ceil(3 N / 2) with inputs zero past (N, N); on
+        # (10, 24) the deeper columns of a level outgrow the product
+        # kernel's block budget, so blocks split the level
         rng = np.random.default_rng(31 + real)
         prog = field_program(triple, config)
         M, N = orders

@@ -9,9 +9,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbody import taylor
 from fourbody.errors import DomainExceeded
 from fourbody.interval import (
     CInterval,
+    CIntervalArray,
     Interval,
     _iadd_arr,
     _imul_arr,
@@ -32,6 +34,7 @@ from fourbody.taylor import (
     product_antidiagonal,
     product_coeff,
     product_column,
+    product_columns,
 )
 
 from conftest import from_complex_points
@@ -417,6 +420,71 @@ class TestProductColumn:
                     for p, (lo, hi) in enumerate(parts):
                         assert Fraction(col.lo[p, m]) <= lo
                         assert Fraction(col.hi[p, m]) >= hi
+
+
+class TestProductColumns:
+    """The stacked entry ``product_columns`` gives, pair by pair, the
+    rows of ``product_column`` bit for bit, whatever its blocks."""
+
+    @staticmethod
+    def _stack(rng, nodes, M, N, real, kind):
+        """``nodes`` interval grids on (M, N) as one CIntervalArray:
+        ordinary values, values near 1e200 whose products overflow, or
+        values near 2^-540 whose products underflow."""
+        shape = (nodes, M + 1, N + 1)
+
+        def part():
+            x = rng.standard_normal(shape) * 2.0 ** rng.integers(-8, 3, shape)
+            if kind == "overflow":
+                big = rng.random(shape) < 0.3
+                x = np.where(big, np.sign(x) * 1e200, x)
+            elif kind == "underflow":
+                x = np.sign(x) * (1.0 + rng.random(shape)) * 2.0 ** \
+                    rng.integers(-540, -535, shape)
+            return x
+
+        lo, hi = np.zeros((2,) + shape), np.zeros((2,) + shape)
+        for p in range(2 - real):
+            x = part()
+            w = abs(x) * 2.0 ** -30 * rng.integers(0, 2, shape)
+            lo[p], hi[p] = x - w, x + w
+        return CIntervalArray._wrap(lo, hi)
+
+    @pytest.mark.parametrize("block", [1, 40, taylor._COLUMN_BLOCK])
+    @pytest.mark.parametrize("kind", ["plain", "overflow", "underflow"])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_equals_product_column_per_pair(self, monkeypatch, block, kind,
+                                            real):
+        # block budgets of one product per call, a few products and
+        # the default; column 0 holds the single-product row
+        monkeypatch.setattr(taylor, "_COLUMN_BLOCK", block)
+        rng = np.random.default_rng(61 + real)
+        M, N, nodes = 4, 5, 6
+        G = self._stack(rng, nodes, M, N, real, kind)
+        a, b = rng.integers(0, nodes, (2, 9))
+        for rows in (M, M - 2):
+            for n in range(N + 1):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = product_columns(G, a, b, n, rows, real)
+                    assert got.shape == (len(a), rows + 1)
+                    for j in range(len(a)):
+                        want = product_column(
+                            ScalarSeries2._wrap(G.lo[:, a[j]], G.hi[:, a[j]]),
+                            ScalarSeries2._wrap(G.lo[:, b[j]], G.hi[:, b[j]]),
+                            n, rows)
+                        for x, y in ((got.lo[:, j], want.lo),
+                                     (got.hi[:, j], want.hi)):
+                            assert (np.ascontiguousarray(x).tobytes()
+                                    == y.tobytes()), (n, j)
+        if kind == "overflow":
+            assert np.isinf(got.hi).any()
+
+    def test_rejects_small_grids(self):
+        G = CIntervalArray.zeros((2, 3, 3))
+        with pytest.raises(ValueError):
+            product_columns(G, [0], [1], 3, 2, True)
+        with pytest.raises(ValueError):
+            product_columns(G, [0], [1], 0, 3, True)
 
 
 class TestHatProducts:
