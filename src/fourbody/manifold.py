@@ -323,7 +323,7 @@ def local_manifold(m: MassTriple, p: PrimaryConfig, kind: str, N: int = 7,
 
 def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
                  orders: Optional[tuple[int, int]] = None
-                 ) -> list[ScalarSeries2]:
+                 ) -> tuple[ScalarSeries2, ...]:
     """Coefficients of F(P) through ``orders``, by the series
     interpreter of the field program over every column.
 
@@ -345,7 +345,7 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     S = Series2(_fit(P.coefs, OM, ON))
     for n in range(ON + 1):
         cols.b_column(S, n)
-    return [cols.grids[o].copy() for o in prog.outputs]
+    return Series2(cols.G[cols.outputs]).components
 
 
 # ---------------------------------------------------------------------------

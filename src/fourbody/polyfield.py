@@ -11,9 +11,9 @@ definition of F: a straight-line program of ``Lin`` and ``Mul`` ops,
 compiled once per program into dependency levels (``_levels``).  Every
 interval evaluator of F runs those levels: the series interpreter
 ``FieldNodes``, which holds every node as a series in one stacked array
-and fills it one t-order column at a time (advected charts,
-``manifold.field_series``) or one total degree at a time (the
-homological solve in ``manifold``), and ``node_jets``, one pass for the
+and fills it, by one stacked pass per level, one t-order column at a
+time (advected charts, ``manifold.field_series``) or one total degree
+at a time (the homological solve), and ``node_jets``, one pass for the
 value and gradient of every node over a box: its output rows give the
 Jacobian ``poly_DF``, and all its rows land a degree's solved
 coefficients on every node of the homological solve.  ``evaluate`` is
@@ -37,7 +37,7 @@ from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
                        _add_floor_arr, _iadd_arr, _imul_arr, _nonneg_upper,
                        _prod_ceil, _sum_ceil)
 from .taylor import (ScalarSeries2, Series2, antidiagonal,
-                     product_antidiagonal, product_columns)
+                     product_antidiagonals, product_columns)
 
 DIM = 7
 
@@ -103,9 +103,9 @@ def _program(masses: tuple, positions: tuple) -> FieldProgram:
     """The lifted field with the given masses and primary positions.
 
     With w_j = u_{5+j}, dx_j = u1 - x_j, dy_j = u3 - y_j and
-    g_j = dx_j u2 + dy_j u4:
+    ng_j = -dx_j u2 - dy_j u4, whose terms carry the tails' sign:
     F = (u2, 2 u4 + u1 - sum m_j dx_j w_j^3, u4,
-         -2 u2 + u3 - sum m_j dy_j w_j^3, -w_j^3 g_j for j = 1, 2, 3).
+         -2 u2 + u3 - sum m_j dy_j w_j^3, w_j^3 ng_j for j = 1, 2, 3).
     """
     ops: list[Lin | Mul] = []
 
@@ -124,8 +124,9 @@ def _program(masses: tuple, positions: tuple) -> FieldProgram:
         cu = node(Mul(sq, w))
         f2.append((-mj, node(Mul(dx, cu))))
         f4.append((-mj, node(Mul(dy, cu))))
-        g = node(Lin(0.0, ((1.0, node(Mul(dx, 1))), (1.0, node(Mul(dy, 3))))))
-        tail.append(node(Lin(0.0, ((-1.0, node(Mul(cu, g))),))))
+        ng = node(Lin(0.0, ((-1.0, node(Mul(dx, 1))),
+                            (-1.0, node(Mul(dy, 3))))))
+        tail.append(node(Mul(cu, ng)))
     f2_node = node(Lin(0.0, tuple(f2)))
     f4_node = node(Lin(0.0, tuple(f4)))
     return FieldProgram(tuple(ops), (1, f2_node, 3, f4_node, *tail))
@@ -329,26 +330,23 @@ class FieldNodes:
     (``b_column``) or one total degree at a time (``degree``).
 
     Every node grid, inputs first, lives in one stacked array ``G`` of
-    shape (nodes, M + 1, N + 1); ``grids`` are per-node views of it.
-    Both fills run the program's compiled levels (``_levels``, one
+    shape (nodes, M + 1, N + 1).  Both fills run one level pass,
+    ``_fill``, over the program's compiled levels (``_levels``, one
     object per program, shared by every interpreter and by
-    ``node_jets``) in order.  At each level all ``Lin`` nodes run as
-    one stacked pass (``_LinLevel.values``), with the endpoints of
-    evaluating each node's terms one by one, up to the sign of a zero.
+    ``node_jets``): at each level all ``Mul`` nodes by one call of the
+    fill's stacked product kernel, which gathers their factor pairs
+    straight from ``G``, then all ``Lin`` nodes by one
+    ``_LinLevel.values``, with the endpoints of evaluating each node's
+    terms one by one, up to the sign of a zero.
 
     ``b_column(S, n)`` copies column n of the series ``S`` into the
-    input rows and fills column n of every node on all M + 1 rows, a
-    Lin node from its operands' columns (its constant enters at
-    n = 0), and all ``Mul`` nodes of a level by one blocked pass of
-    ``taylor.product_columns``: it gathers their factor pairs straight
-    from ``G``, in blocks of at most ``taylor._COLUMN_BLOCK`` part
-    products so that a block's temporaries stay in cache, which makes
-    a shallow column's level one call and a deep column's one call per
-    node.  Whether every factor is exactly real is decided once per
-    column, from ``G``'s imaginary grids after the input copy.  Each
-    row equals ``product_column``'s for its pair, bit for bit, when
-    that decision agrees with the pair's own, as it does for real
-    charts and for inputs whose every component is complex.
+    input rows and fills column n of every node on all M + 1 rows by
+    ``taylor.product_columns``; the constants enter at n = 0.  Whether
+    every factor is exactly real is decided once per column, from
+    ``G``'s imaginary grids after the input copy.  Each row equals
+    ``product_column``'s for its pair, bit for bit, when that decision
+    agrees with the pair's own, as it does for real charts and for
+    inputs whose every component is complex.
     Theorem: if columns 0..n of the inputs are enclosures, so are
     columns n of all nodes, since a product's column n reads only
     columns 0..n of its factors, and truncation to the grid drops only
@@ -362,11 +360,11 @@ class FieldNodes:
     rest filled without recomputing any of them.
 
     ``degree(d, m_min)`` fills every node's degree-d slots (m, d - m)
-    with m >= m_min, a Lin node from its operands' slots, a Mul node by
-    ``product_antidiagonal``; the caller keeps the inputs and the
-    (0, 0) slots in ``G``.  Theorem: a degree-d slot (m', n') of a
-    factor reaches the degree-d coefficient (m, n) of a product only
-    paired with the other factor's (0, 0) coefficient, at
+    with m >= m_min by ``taylor.product_antidiagonals``; the caller
+    keeps the inputs and the (0, 0) slots in ``G``.  Theorem: a
+    degree-d slot (m', n') of a factor reaches the degree-d
+    coefficient (m, n) of a product only paired with the other
+    factor's (0, 0) coefficient, at
     (m', n') = (m, n).  So if all slots of degree below d enclose the
     true coefficients, the degree-d values enclose the node
     coefficients for the input values in the degree-d slots, and with
@@ -380,11 +378,22 @@ class FieldNodes:
         self.N = N
         self.levels = _levels(prog)
         self.outputs = np.array(prog.outputs)
-        nodes = DIM + len(prog.ops)
-        self.G = CIntervalArray.zeros((nodes, M + 1, N + 1))
-        self.grids = [ScalarSeries2._wrap(self.G.lo[:, i], self.G.hi[:, i])
-                      for i in range(nodes)]
+        self.G = CIntervalArray.zeros((DIM + len(prog.ops), M + 1, N + 1))
         self.filled = 0
+
+    def _fill(self, slots: tuple, products, consts: bool) -> None:
+        """Fill every node at ``slots`` level by level; ``products``
+        maps the factor stacks a and b to their products there, and the
+        constants land on the first slot when ``consts``."""
+        for (i, a, b), lin in self.levels:
+            if i.size:
+                self.G[(i[:, None],) + slots] = products(a, b)
+            if lin is not None:
+                lo, hi = lin.values(self.G.lo, self.G.hi, *slots)
+                if consts:
+                    lin.add_consts(lo, hi)
+                self.G[(lin.nodes[:, None],) + slots] = \
+                    CIntervalArray._wrap(lo, hi)
 
     def b_column(self, S: Series2, n: int) -> CIntervalArray:
         """Column n of every node; returns the outputs' as shape
@@ -398,17 +407,8 @@ class FieldNodes:
         # the unfilled columns are zero, so this asks whether every
         # factor of every product of this column is exactly real
         real = not (self.G.lo[1].any() or self.G.hi[1].any())
-        rows = np.arange(self.M + 1)
-        for (i, a, b), lin in self.levels:
-            if i.size:
-                self.G[i[:, None], rows, n] = product_columns(
-                    self.G, a, b, n, self.M, real)
-            if lin is not None:
-                lo, hi = lin.values(self.G.lo, self.G.hi, rows, n)
-                if n == 0:
-                    lin.add_consts(lo, hi)
-                self.G[lin.nodes[:, None], rows, n] = \
-                    CIntervalArray._wrap(lo, hi)
+        self._fill((np.arange(self.M + 1), n), lambda a, b: product_columns(
+            self.G, a, b, n, self.M, real), n == 0)
         self.filled = n + 1
         return self.G[self.outputs, :, n]
 
@@ -416,13 +416,8 @@ class FieldNodes:
         """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns
         the outputs' as shape (DIM, slots)."""
         ms, ns = antidiagonal(self.M, self.N, d, m_min)
-        g = self.grids
-        for muls, lin in self.levels:
-            for i, a, b in muls.T.tolist():
-                g[i][ms, ns] = product_antidiagonal(g[a], g[b], d, m_min)
-            if lin is not None:
-                self.G[lin.nodes[:, None], ms, ns] = CIntervalArray._wrap(
-                    *lin.values(self.G.lo, self.G.hi, ms, ns))
+        self._fill((ms, ns), lambda a, b: product_antidiagonals(
+            self.G, a, b, d, m_min), False)
         return self.G[self.outputs[:, None], ms, ns]
 
     def beyond_grid_bounds(self) -> list[float]:

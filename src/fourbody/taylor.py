@@ -21,22 +21,21 @@ checking.
 The lifted field itself is not written here: ``polyfield`` describes it
 once as a program of linear combinations and products, and its series
 interpreter ``polyfield.FieldNodes`` evaluates that program with one
-kernel per fill.  Filling one total degree at a time, for
-``manifold``'s homological solve, it uses ``product_antidiagonal``
-(the coefficients of one total degree from a lowest m on, exact sums;
-with the unsolved degree at exact zero this yields the "hat" sums that
-omit every summand containing the unknown coefficient).  Filling one
-time-order column at a time, behind advection,
-``manifold.field_series`` and every defect and tail bound
-(``polyfield.field_defect``), it uses ``product_columns``: one
-time-order column of every product of a dependency level, gathered
-straight from the interpreter's stacked grids by a cached plan of just
-the summed pairs, in cache-sized blocks, with products rounded to
-nearest and float sums each padded a priori by the gamma of its own
-row's term count plus an underflow term, which covers the products'
-rounding as well as the sums'.  ``product_column`` is its one-pair
-case, on two separate grids; both run the one column kernel
-``_column_rows``.
+stacked kernel per fill, which forms every product of a dependency
+level from pairs gathered straight from the interpreter's stacked
+grids by a cached plan of just the summed pairs.  Filling one total
+degree at a time, for ``manifold``'s homological solve, it uses
+``product_antidiagonals`` (the coefficients of one total degree from a
+lowest m on, exact sums; with the unsolved degree at exact zero this
+yields the "hat" sums that omit every summand containing the unknown
+coefficient).  Filling one time-order column at a time, behind
+advection, ``manifold.field_series`` and every defect and tail bound
+(``polyfield.field_defect``), it uses ``product_columns``, in
+cache-sized blocks, with products rounded to nearest and float sums
+each padded a priori by the gamma of its own row's term count plus an
+underflow term, which covers the products' rounding as well as the
+sums'.  ``product_antidiagonal`` and ``product_column`` are their
+one-pair cases, on the two-node stack of their factors.
 ``cauchy_product`` is the full truncated series by exact sums, one
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
 coefficient; ``hat_product_cubic`` is built on them, to state the hat
@@ -150,73 +149,88 @@ def antidiagonal(M: int, N: int, d: int, m_min: int = 0
 
 @functools.lru_cache(maxsize=512)
 def _antidiagonal_plan(M: int, N: int, d: int, m_min: int):
-    """Gather plan of ``product_antidiagonal`` on the (M, N) grid.
+    """Gather plan of ``product_antidiagonals`` on the (M, N) grid.
 
-    Entry (t, r) of the (terms, slots) index blocks is summand t of
-    slot (m, n) = antidiagonal(M, N, d, m_min)[r], pairs (a_{m-j, n-k}, b_{j, k})
-    with j-major (j, k), then the zero sentinel (M + 1, 0) up to the
-    longest slot; each factor's index is a (row, column) pair of
-    blocks into its grid grown by that one zero row.  ``g`` is each
+    Entry (t, r) of the (terms, slots) blocks ``ia`` and ``ib`` is
+    summand t of slot (m, n) = antidiagonal(M, N, d, m_min)[r], the
+    pair (a_{m-j, n-k}, b_{j, k}) with j-major (j, k), as flat indices
+    into a row-major grid; past a slot's own term count the summands
+    are padding, marked by ``pad`` and read at index 0.  ``g`` is each
     slot's summation bound for its own term count.
     """
     ms, ns = antidiagonal(M, N, d, m_min)
     counts = (ms + 1) * (ns + 1)
-    shape = (int(counts.max()), len(ms))
-    ar, ac, br, bc = (np.zeros(shape, dtype=int) for _ in range(4))
-    ar[:] = br[:] = M + 1
-    for r, (m, n) in enumerate(zip(ms, ns)):
-        j, k = np.divmod(np.arange(counts[r]), n + 1)
-        ar[: counts[r], r], ac[: counts[r], r] = m - j, n - k
-        br[: counts[r], r], bc[: counts[r], r] = j, k
+    t = np.arange(counts.max())[:, None]
+    pad = t >= counts
+    j, k = np.divmod(t, ns + 1)
+    ia = np.where(pad, 0, (ms - j) * (N + 1) + ns - k)
+    ib = np.where(pad, 0, j * (N + 1) + k)
     g = np.array([_gamma(int(c) + 2) for c in counts])
-    for x in (ar, ac, br, bc, g):
+    for x in (ia, ib, pad, g):
         x.flags.writeable = False  # shared by every caller of the cache
-    return (ar, ac), (br, bc), g
+    return ia, ib, pad, g
+
+
+def product_antidiagonals(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
+                          d: int, m_min: int = 0) -> CIntervalArray:
+    """Every coefficient (m, d - m), m >= m_min, of every product
+    G[a[j]] G[b[j]] of the stacked series grids ``G``, shape
+    (nodes, M + 1, N + 1), m as in ``antidiagonal``; returns shape
+    (len(a), slots).
+
+    Every pair's summands are gathered straight from ``G`` by flat
+    indices node (M + 1)(N + 1) + plan index into
+    ``_antidiagonal_plan``; one complex product of the blocks follows,
+    the padding summands set to exact zeros, and one compensated
+    cascade over the term axis.  Exact zeros leave the cascade's sum
+    and errors unchanged, and each slot is padded by the gamma of its
+    own term count, so every endpoint equals the single padded sum of
+    that slot's terms (a -0.0 may come out as +0.0).
+    """
+    _, rows, cols = G.shape
+    ia, ib, pad, g = _antidiagonal_plan(rows - 1, cols - 1, d, m_min)
+    glo, ghi = G.lo.reshape(2, -1), G.hi.reshape(2, -1)
+    ja = np.add.outer(np.asarray(a) * (rows * cols), ia)
+    jb = np.add.outer(np.asarray(b) * (rows * cols), ib)
+    p = (CIntervalArray._wrap(glo.take(ja, axis=-1), ghi.take(ja, axis=-1))
+         * CIntervalArray._wrap(glo.take(jb, axis=-1), ghi.take(jb, axis=-1)))
+    p.lo[..., pad] = p.hi[..., pad] = 0.0
+    lo, hi = _padded_cascade(np.moveaxis(p.lo, 2, 0),
+                             np.moveaxis(p.hi, 2, 0), g)
+    return CIntervalArray._wrap(lo, hi)
 
 
 def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int,
                          m_min: int = 0) -> CIntervalArray:
     """Every coefficient (m, d - m), m >= m_min, of the Cauchy product
-    on the grid both operands cover, m as in ``antidiagonal``.
-
-    The summands of all slots are gathered into one zero-padded block
-    of shape (terms, slots), pairs (a_{m-j, n-k}, b_{j, k}) in j-major
-    order; one complex product of the blocks and one compensated
-    cascade over the term axis follow.  Padding summands are exact
-    zeros, which leave the cascade's sum and errors unchanged, and each
-    slot is padded by the gamma of its own term count, so every
-    endpoint equals the single padded sum of that slot's terms (a -0.0
-    may come out as +0.0).  Returns one entry per slot.
+    on the grid both operands cover, m as in ``antidiagonal``: the
+    one-pair case of ``product_antidiagonals``, on the two-node stack
+    of that common grid.  Returns one entry per slot.
     """
-    M = min(a.orders[0], b.orders[0])
-    N = min(a.orders[1], b.orders[1])
-    ia, ib, g = _antidiagonal_plan(M, N, d, m_min)
-    # the common (M, N) corners, grown by the plan's zero sentinel row
-    p = _fit(_fit(a, M, N), M + 1, N)[ia] * _fit(_fit(b, M, N), M + 1, N)[ib]
-    lo, hi = _padded_cascade(np.moveaxis(p.lo, 1, 0),
-                             np.moveaxis(p.hi, 1, 0), g)
-    return CIntervalArray._wrap(lo, hi)
+    M, N = map(min, a.orders, b.orders)
+    G = CIntervalArray.of([_fit(a, M, N), _fit(b, M, N)])
+    return product_antidiagonals(G, [0], [1], d, m_min)[0]
 
 
 @functools.lru_cache(maxsize=256)
-def _column_plan(M: int, n: int, wa: int, wb: int):
-    """Gather plan of ``product_column(a, b, n, M)`` on grids of widths
-    wa and wb.
+def _column_plan(M: int, n: int, w: int):
+    """Gather plan of column n, rows 0..M, of a product on grids of
+    width w.
 
     Lists the pairs (a_{m-i, n-k}, b_{i, k}), i <= m, k <= n, row m
-    after row m - 1 and i-major within a row, as flat indices into the
-    row-major (real or imaginary) part grids of a and b.  ``starts``
-    holds each row's first pair.  ``pad`` holds the rows' padding
-    factors gamma_(c+1) for c = c_m = (m + 1)(n + 1) real summands
-    (pad[0]) and for the c = 2 c_m of a complex row (pad[1]), and
-    ``tiny`` the matching underflow terms c 2^-1074.
+    after row m - 1 and i-major within a row, as flat indices ``ia``
+    and ``ib`` into a row-major (real or imaginary) part grid.
+    ``starts`` holds each row's first pair.  ``pad`` holds the rows'
+    padding factors gamma_(c+1) for c = c_m = (m + 1)(n + 1) real
+    summands (pad[0]) and for the c = 2 c_m of a complex row (pad[1]),
+    and ``tiny`` the matching underflow terms c 2^-1074.
     """
     counts = (np.arange(M + 1) + 1) * (n + 1)
     starts = np.cumsum(counts) - counts
     m = np.repeat(np.arange(M + 1), counts)
     i, k = np.divmod(np.arange(counts.sum()) - starts[m], n + 1)
-    ia = (m - i) * wa + (n - k)
-    ib = i * wb + k
+    ia = (m - i) * w + (n - k)
+    ib = i * w + k
     pad = np.array([[_gamma(int(c) + 1) for c in counts],
                     [_gamma(2 * int(c) + 1) for c in counts]])
     tiny = np.stack((counts, 2 * counts)) * 2.0 ** -1074
@@ -230,13 +244,11 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
     """Column n of the Cauchy product for s-orders 0..M.
 
     Row m sums the c_m = (m + 1)(n + 1) pairs (a_{m-i, n-k}, b_{i, k}),
-    i <= m, k <= n; a cached plan gathers exactly those pairs, row by
-    row, and one pass of the column kernel ``_column_rows`` forms their
-    products and the rows' sums: the one-pair case of
-    ``product_columns``.  When both factors are exactly real only the
-    real products are formed.  Both grids must cover s-orders 0..M and
-    t-orders 0..n.  Returns shape (M + 1,); row m depends on m and n
-    only, not on M.
+    i <= m, k <= n: the one-pair case of ``product_columns``, on the
+    two-node stack of the factors' (M, n) corners.  When both factors
+    are exactly real only the real products are formed.  Both grids
+    must cover s-orders 0..M and t-orders 0..n.  Returns shape
+    (M + 1,); row m depends on m and n only, not on M.
 
     Theorem: a real row sums c = c_m terms x_t, the lower (upper)
     endpoints of its products; the real part of a complex row sums
@@ -266,20 +278,12 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
     product's rounded endpoints, stepped one ulp outward.  A side
     whose float sums overflow comes out unbounded.
     """
-    Ma, Na = a.orders
-    Mb, Nb = b.orders
+    (Ma, Na), (Mb, Nb) = a.orders, b.orders
     if min(Ma, Mb) < M or min(Na, Nb) < n:
         raise ValueError("factor grids do not cover the requested column")
-    real = not (np.count_nonzero(a.lo[1]) or np.count_nonzero(a.hi[1])
-                or np.count_nonzero(b.lo[1]) or np.count_nonzero(b.hi[1]))
-    parts = 1 if real else 2
-    ia, ib, starts, pad, tiny = _column_plan(M, n, Na + 1, Nb + 1)
-    alo, ahi = (x.reshape(2, -1)[:parts, None].take(ia[None], axis=-1)
-                for x in (a.lo, a.hi))
-    blo, bhi = (x.reshape(2, -1)[None, :parts].take(ib[None], axis=-1)
-                for x in (b.lo, b.hi))
-    lo, hi = _column_rows(alo, ahi, blo, bhi, n, starts, pad, tiny)
-    return CIntervalArray._wrap(lo[:, 0], hi[:, 0])
+    real = not any(x[1].any() for x in (a.lo, a.hi, b.lo, b.hi))
+    G = CIntervalArray.of([_fit(a, M, n), _fit(b, M, n)])
+    return product_columns(G, [0], [1], n, M, real)[0]
 
 
 # Most part products per call of the column kernel: gathered pairs
@@ -302,16 +306,17 @@ def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     The pairs are gathered straight from ``G`` by flat indices
     node (rows cols) + plan index into ``_column_plan``, in blocks of
     at most ``_COLUMN_BLOCK`` part products and at least one product,
-    and each block is one pass of ``_column_rows``.  ``real`` asserts
-    that every factor is exactly real, as the caller checks once for
-    the whole stack; the rows are then ``product_column``'s for each
-    pair, bit for bit, and with ``real`` false they are those of its
-    complex path, by the theorem there an enclosure for any factors.
+    and each block is one pass of ``_column_rows``, so a row depends
+    on its pair only, not on the blocks.  ``real`` asserts that every
+    factor is exactly real, as the caller checks once for the whole
+    stack, and only the real products are formed; with ``real`` false
+    every row is complex, by the theorem of ``product_column`` an
+    enclosure for any factors.
     """
     _, rows, cols = G.shape
     if rows <= M or cols <= n:
         raise ValueError("factor grids do not cover the requested column")
-    ia, ib, starts, pad, tiny = _column_plan(M, n, cols, cols)
+    ia, ib, starts, pad, tiny = _column_plan(M, n, cols)
     parts = 1 if real else 2
     glo, ghi = (x.reshape(2, -1)[:parts] for x in (G.lo, G.hi))
     ja = np.add.outer(np.asarray(a) * (rows * cols), ia)

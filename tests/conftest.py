@@ -5,7 +5,8 @@ import pytest
 
 from fourbody.crfbp import State4, omega_first_partials
 from fourbody.interval import CInterval, CIntervalArray, IntervalArray
-from fourbody.polyfield import DIM, FieldNodes, Mul, evaluate
+from fourbody.polyfield import (DIM, FieldNodes, FieldProgram, Lin, Mul,
+                                evaluate)
 from fourbody.taylor import ScalarSeries2, _fit, cauchy_product
 
 
@@ -75,6 +76,36 @@ def from_complex_points(grid) -> ScalarSeries2:
     complex numbers of ``grid``, a 2-d array."""
     a = np.asarray(grid, dtype=complex)
     return ScalarSeries2(a.real, a.real, a.imag, a.imag)
+
+
+def unfolded_program(m, p) -> FieldProgram:
+    """``polyfield.field_program`` as it was before the tails' sign was
+    folded into their last linear node: g_j = dx_j u2 + dy_j u4, each
+    tail a one-term Lin -1 * (w_j^3 g_j); 42 nodes in 5 levels.  The
+    reference for the folded program's outputs."""
+    ops = []
+
+    def node(op):
+        ops.append(op)
+        return DIM + len(ops) - 1
+
+    f2 = [(2.0, 3), (1.0, 0)]
+    f4 = [(-2.0, 1), (1.0, 2)]
+    tail = []
+    masses = (m.m1, m.m2, m.m3)
+    for j, (mj, (px, py)) in enumerate(zip(masses, p.positions)):
+        w = 4 + j
+        dx = node(Lin(-px, ((1.0, 0),)))
+        dy = node(Lin(-py, ((1.0, 2),)))
+        sq = node(Mul(w, w))
+        cu = node(Mul(sq, w))
+        f2.append((-mj, node(Mul(dx, cu))))
+        f4.append((-mj, node(Mul(dy, cu))))
+        g = node(Lin(0.0, ((1.0, node(Mul(dx, 1))), (1.0, node(Mul(dy, 3))))))
+        tail.append(node(Lin(0.0, ((-1.0, node(Mul(cu, g))),))))
+    f2_node = node(Lin(0.0, tuple(f2)))
+    f4_node = node(Lin(0.0, tuple(f4)))
+    return FieldProgram(tuple(ops), (1, f2_node, 3, f4_node, *tail))
 
 
 def degree_nodes(prog, N, origin):

@@ -248,7 +248,7 @@ class TestHalfSolve:
         m, pc = setup
         ev, _ = degree_nodes(field_program(m, pc), 2,
                               [CInterval(1.0)] * DIM)
-        g = ev.grids[DIM + 3]
+        g = Series2(ev.G).components[DIM + 3]
         g[2, 0] = CInterval(Interval(1.0, 2.0), Interval(-3.0, 4.0))
         g[1, 1] = CInterval(Interval(5.0, 6.0), Interval(-1.0, 2.0))
         _mirror(ev.G, 2)

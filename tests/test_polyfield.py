@@ -45,7 +45,7 @@ from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              product_antidiagonal, product_column)
 
 from conftest import (degree_nodes, field_f, from_complex_points,
-                      node_jacobian, project_pi)
+                      node_jacobian, project_pi, unfolded_program)
 
 # frozen reciprocal distances at the equilibrium used throughout
 U5 = 0.7244980416112365
@@ -193,8 +193,10 @@ class TestFieldProgram:
             slots = antidiagonal(K, K, d)
             coef.degree(d)
             _land(coef.G, J, d, [c[slots] for c in comps])
-        assert len(full) == len(coef.grids) == len(cols.grids)
-        for k, (a, b, c) in enumerate(zip(full, cols.grids, coef.grids)):
+        col_grids = Series2(cols.G).components
+        coef_grids = Series2(coef.G).components
+        assert len(full) == len(coef_grids) == len(col_grids)
+        for k, (a, b, c) in enumerate(zip(full, col_grids, coef_grids)):
             assert_overlap(a, b, c)
 
     def test_column_interpreter_fills_columns_in_order(self, config,
@@ -235,9 +237,10 @@ class TestFieldProgram:
         assert np.array_equal(got.G.lo, want.G.lo)
         assert np.array_equal(got.G.hi, want.G.hi)
         # the input rows are copies of the columns as they were read
+        grids = Series2(got.G).components
         for k in range(DIM):
-            assert np.array_equal(got.grids[k].lo, comps[k].lo)
-            assert np.array_equal(got.grids[k].hi, comps[k].hi)
+            assert np.array_equal(grids[k].lo, comps[k].lo)
+            assert np.array_equal(grids[k].hi, comps[k].hi)
 
     def test_column_interpreter_raises_node_orders(
             self, config, triple, full_product_nodes, assert_overlap):
@@ -253,7 +256,7 @@ class TestFieldProgram:
         G = Series2(tuple(_fit(c, 9, 8) for c in comps))
         for n in range(9):
             cols.b_column(G, n)
-        for a, b in zip(full[DIM:], cols.grids[DIM:]):
+        for a, b in zip(full[DIM:], Series2(cols.G).components[DIM:]):
             assert_overlap(a, b)
 
 
@@ -262,7 +265,7 @@ def _node_by_node_column(nodes, S, n):
     node at a time in program order, each Lin node term by term through
     CIntervalArray arithmetic: the reference for the stacked level
     passes."""
-    g = nodes.grids
+    g = Series2(nodes.G).components
     nodes.G[:DIM, :, n] = S.coefs[:, :, n]
     for op, dst in zip(nodes.prog.ops, g[DIM:]):
         if isinstance(op, Mul):
@@ -280,7 +283,7 @@ def _node_by_node_column(nodes, S, n):
 def _node_by_node_degree(nodes, d, m_min):
     """``FieldNodes.degree`` one node at a time, as above."""
     slots = antidiagonal(nodes.M, nodes.N, d, m_min)
-    g = nodes.grids
+    g = Series2(nodes.G).components
     vals = [x[slots] for x in g[:DIM]]
     for i, op in enumerate(nodes.prog.ops, DIM):
         if isinstance(op, Mul):
@@ -420,9 +423,59 @@ class TestLevelSchedule:
                 assert np.array_equal(got.G.lo, want.G.lo), (d, m_min)
                 assert np.array_equal(got.G.hi, want.G.hi), (d, m_min)
                 ms, ns = antidiagonal(K, K, d, m_min)
+                grids = Series2(want.G).components
                 for r, o in enumerate(prog.outputs):
-                    assert np.array_equal(out[r].lo, want.grids[o][ms, ns].lo)
-                    assert np.array_equal(out[r].hi, want.grids[o][ms, ns].hi)
+                    assert np.array_equal(out[r].lo, grids[o][ms, ns].lo)
+                    assert np.array_equal(out[r].hi, grids[o][ms, ns].hi)
+
+
+class TestFoldedTails:
+    """The tails' sign folded into ng_j = -dx_j u2 - dy_j u4 gives every
+    interpreter the outputs of the unfolded program, up to the sign of
+    a zero, in one node and one level fewer per tail."""
+
+    def test_shape(self, config, triple):
+        prog = field_program(triple, config)
+        assert DIM + len(prog.ops) == 39
+        assert DIM + len(unfolded_program(triple, config).ops) == 42
+        levels = _levels(prog)
+        assert len(levels) == 4
+        assert sum(lin is not None for _, lin in levels) == 3
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_fills_equal_unfolded(self, config, triple, real):
+        rng = np.random.default_rng(71 + real)
+        progs = field_program(triple, config), unfolded_program(triple,
+                                                                 config)
+        M, N = 5, 7
+        S = _random_inputs(rng, M, N, real)
+        cols = [FieldNodes(prog, M, N) for prog in progs]
+        for n in range(N + 1):
+            got, want = (c.b_column(S, n) for c in cols)
+            assert np.array_equal(got.lo, want.lo), n
+            assert np.array_equal(got.hi, want.hi), n
+        K = 5
+        S = _random_inputs(rng, K, K, real)
+        origin = [S.coefs.at(i, 0, 0) for i in range(DIM)]
+        degs = [degree_nodes(prog, K, origin)[0] for prog in progs]
+        for nodes in degs:
+            nodes.G[:DIM] = S.coefs
+        for d in range(1, 2 * K + 1):
+            for m_min in (0, (d + 1) // 2):
+                got, want = (nodes.degree(d, m_min) for nodes in degs)
+                assert np.array_equal(got.lo, want.lo), (d, m_min)
+                assert np.array_equal(got.hi, want.hi), (d, m_min)
+
+    def test_jets_equal_unfolded(self, config, triple, u0):
+        rng = np.random.default_rng(73)
+        for r in (0.0, 1e-9, 1e-2):
+            u = [Interval(x.lo - r * rng.random(), x.hi + r * rng.random())
+                 for x in u0.u]
+            got, want = (node_jets(prog, u)[list(prog.outputs)]
+                         for prog in (field_program(triple, config),
+                                      unfolded_program(triple, config)))
+            assert np.array_equal(got.lo, want.lo)
+            assert np.array_equal(got.hi, want.hi)
 
 
 class TestPolyJacobian:

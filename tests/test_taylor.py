@@ -17,14 +17,17 @@ from fourbody.interval import (
     Interval,
     _iadd_arr,
     _imul_arr,
+    _gamma,
     _isub_arr,
     _pad_sum,
+    _padded_cascade,
 )
 from fourbody.taylor import (
     ScalarSeries2,
     Series2,
     SymmetryReport,
     _column_plan,
+    _fit,
     _zero_at,
     antidiagonal,
     cauchy_product,
@@ -32,6 +35,7 @@ from fourbody.taylor import (
     hat_product_cubic,
     mag_sum_bound,
     product_antidiagonal,
+    product_antidiagonals,
     product_coeff,
     product_column,
     product_columns,
@@ -238,7 +242,7 @@ def _one_ulp_column(a, b, n, M):
     real = not (a.lo[1].any() or a.hi[1].any()
                 or b.lo[1].any() or b.hi[1].any())
     parts = 1 if real else 2
-    ia, ib, starts, pad, _ = _column_plan(M, n, a.shape[1], b.shape[1])
+    ia, ib, starts, pad, _ = _column_plan(M, n, a.shape[1])
     alo, ahi = (x.reshape(2, -1)[:parts, None].take(ia, axis=-1)
                 for x in (a.lo, a.hi))
     blo, bhi = (x.reshape(2, -1)[None, :parts].take(ib, axis=-1)
@@ -352,7 +356,7 @@ class TestProductColumn:
                 assert np.array_equal(col.hi, full.hi[:, : M + 1])
 
     def test_plan_arrays_are_read_only(self):
-        for plan in (_column_plan(4, 3, 6, 5), _column_plan(0, 0, 1, 1)):
+        for plan in (_column_plan(4, 3, 6), _column_plan(0, 0, 1)):
             for x in plan:
                 assert not x.flags.writeable
                 with pytest.raises(ValueError):
@@ -485,6 +489,62 @@ class TestProductColumns:
             product_columns(G, [0], [1], 3, 2, True)
         with pytest.raises(ValueError):
             product_columns(G, [0], [1], 0, 3, True)
+
+
+def _sentinel_antidiagonal(a, b, d, m_min):
+    """``product_antidiagonal`` with the gather it had before the
+    stacked entry: both factors' common (M, N) corners grown by one
+    zero row, every padding summand the product of that zero sentinel
+    row's entries (M + 1, 0), then the same complex product and padded
+    cascade.  The reference for ``product_antidiagonals``."""
+    M = min(a.orders[0], b.orders[0])
+    N = min(a.orders[1], b.orders[1])
+    ms, ns = antidiagonal(M, N, d, m_min)
+    counts = (ms + 1) * (ns + 1)
+    shape = (int(counts.max()), len(ms))
+    ar, ac, br, bc = (np.zeros(shape, dtype=int) for _ in range(4))
+    ar[:] = br[:] = M + 1
+    for r, (m, n) in enumerate(zip(ms, ns)):
+        j, k = np.divmod(np.arange(counts[r]), n + 1)
+        ar[: counts[r], r], ac[: counts[r], r] = m - j, n - k
+        br[: counts[r], r], bc[: counts[r], r] = j, k
+    g = np.array([_gamma(int(c) + 2) for c in counts])
+    p = (_fit(_fit(a, M, N), M + 1, N)[ar, ac]
+         * _fit(_fit(b, M, N), M + 1, N)[br, bc])
+    lo, hi = _padded_cascade(np.moveaxis(p.lo, 1, 0),
+                             np.moveaxis(p.hi, 1, 0), g)
+    return CIntervalArray._wrap(lo, hi)
+
+
+class TestProductAntidiagonals:
+    """The stacked entry ``product_antidiagonals`` gives, pair by pair,
+    the slots of the sentinel-row gather bit for bit."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("M,N", [(6, 6), (4, 7), (7, 3)])
+    def test_equals_sentinel_gather(self, M, N, real):
+        # every degree, beyond min(M, N) too, from m = 0 and from the
+        # half solve's m_min = ceil(d / 2) wherever that leaves slots
+        rng = np.random.default_rng(7 * M + N + real)
+        nodes = 5
+        G = TestProductColumns._stack(rng, nodes, M, N, real, "plain")
+        a, b = [0, 2, 4, 1, 3], [1, 2, 0, 3, 3]
+        grid = [ScalarSeries2._wrap(G.lo[:, i], G.hi[:, i])
+                for i in range(nodes)]
+        for d in range(1, M + N + 1):
+            for m_min in (0, (d + 1) // 2):
+                if not antidiagonal(M, N, d, m_min)[0].size:
+                    continue
+                got = product_antidiagonals(G, a, b, d, m_min)
+                assert got.shape == (len(a),) + antidiagonal(
+                    M, N, d, m_min)[0].shape
+                for j in range(len(a)):
+                    want = _sentinel_antidiagonal(grid[a[j]], grid[b[j]],
+                                                  d, m_min)
+                    for x, y in ((got.lo[:, j], want.lo),
+                                 (got.hi[:, j], want.hi)):
+                        assert (np.ascontiguousarray(x).tobytes()
+                                == y.tobytes()), (d, m_min, j)
 
 
 class TestHatProducts:
