@@ -11,10 +11,13 @@ coefficients of every component as one ``CIntervalArray`` of shape
 production they come from ``polyfield.FieldNodes.b_column``, the series
 interpreter of the field program filled one time-order column at a
 time, so the whole run costs the same as a single full Cauchy product
-per node.  ``flow_line`` hands that same interpreter to
-``polyfield.field_defect`` for the chart's defect, which fills only its
-last column: columns 0..N-1 already hold the field of the finished
-chart, so no column is computed twice.
+per node.  An ``ArcFill`` holds that run and its interpreter, and its
+``finish`` hands the interpreter to ``polyfield.field_defect`` for the
+chart's defect, which fills only its last column: columns 0..N-1
+already hold the field of the finished chart.  A retry at doubled tau
+retimes the fill (``ArcFill.retime``), scaling column n of the chart
+and of every node by 2^-n, so no column is computed twice, across
+retries too.  ``flow_line`` is one fill and its finish.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -39,6 +42,7 @@ from .interval import (
     Interval,
     IntervalArray,
     _gamma,
+    _ldexp_arr,
     _nonneg_upper,
     _pad_sum,
     _sum_ceil,
@@ -174,33 +178,93 @@ def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     return max(max(ratios) / _TARGET_RATIO, _TAU_FLOOR)
 
 
+class ArcFill:
+    """One Taylor fill of a boundary arc, and the charts made from it.
+
+    ``ArcFill(arc, m, p, orders, tau)`` runs ``taylor_flow`` once, at
+    the positive time rescaling ``tau``, on a ``FieldNodes`` that only
+    this object holds; stable arcs advect in backward time, so ``G``,
+    the chart series, carries the signed rescaling in ``G.tau`` and the
+    source arc's tail.  ``finish`` makes the chart: defect, Gronwall
+    tube and ``FlowChart``.  ``retime`` doubles tau without refilling,
+    so a chart retried at 2^k tau costs k retimes, not k fills.
+    """
+
+    def __init__(self, arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
+                 orders: tuple[int, int], tau: float):
+        if not tau > 0.0:
+            raise ValueError("tau must be positive")
+        M, N = orders
+        sign = -1.0 if arc.kind == "stable" else 1.0
+        self.arc, self.m, self.p = arc, m, p
+        self._nodes = FieldNodes(field_program(m, p), M, N)
+        self.G = taylor_flow(_arc_series(arc, M), self._nodes.b_column, N,
+                             sign * tau)
+
+    def retime(self) -> None:
+        """Double tau: column n of the chart and of every node of the
+        interpreter, inputs included, is scaled by 2^-n.
+
+        Theorem: G'(s, t) = G(s, t / 2) solves 2 tau dG'/dt = F(G')
+        when G solves tau dG/dt = F(G), and, F being a polynomial,
+        F(G')(s, t) = F(G)(s, t / 2), so column n of G' and of every
+        node of F(G') is 2^-n times G's and F(G)'s.  The scaling is
+        ``interval._ldexp_arr``: exact unless a result is subnormal,
+        and then stepped one ulp outward.  So for every chart G in the
+        fill's boxes, G' lies in the retimed boxes and the retimed node
+        boxes enclose F(G')'s columns; the defect and tube ``finish``
+        bounds then hold for the retime of every chart the fill
+        encloses.  The columns the interpreter had filled stay filled,
+        and ``finish`` adds only what is left.
+        The chart series is replaced, not written, so a chart already
+        made from this fill keeps its coefficients; the interpreter is
+        scaled in place.
+        """
+        tau = 2.0 * self.G.tau
+        if not math.isfinite(tau):
+            raise ValueError("tau must be finite and nonzero")
+        e = -np.arange(self.G.orders[1] + 1)
+        nodes = self._nodes.G
+        nodes.lo[...], nodes.hi[...] = _ldexp_arr(nodes.lo, nodes.hi, e)
+        coefs = CIntervalArray(*_ldexp_arr(self.G.coefs.lo,
+                                           self.G.coefs.hi, e))
+        self.G = Series2(coefs, scale=self.G.scale, tau=tau,
+                         tail=self.G.tail)
+
+    def finish(self, *, source_arc: Optional[int] = None,
+               start_time: float = 0.0) -> FlowChart:
+        """The chart of the fill at its current tau: the tail folds the
+        source tail and the ODE defect through a Gronwall tube over the
+        chart's range box.  Raises CollisionDomain if the tube does not
+        close."""
+        G = self.G
+        defect = _defect_bound(self._nodes, G)
+        tail = propagated_tail(self.m, self.p, G, self.arc.gamma.tail,
+                               defect)
+        return FlowChart(Gamma=Series2(G.coefs, scale=G.scale, tau=G.tau,
+                                       tail=tail),
+                         kind=self.arc.kind, defect=defect,
+                         source_arc=source_arc,
+                         accumulated_time=start_time + 1.0 / G.tau)
+
+
 def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
               orders: tuple[int, int] = (15, 50),
               tau: Optional[float] = None, *,
               source_arc: Optional[int] = None,
               start_time: float = 0.0) -> FlowChart:
-    """Advect a boundary arc into a space-time chart.
+    """Advect a boundary arc into a space-time chart: one ``ArcFill``
+    and its ``finish``.
 
     ``tau`` is the positive time rescaling; stable arcs advect in
     backward time, recorded by the sign of the stored ``Gamma.tau``.
     When omitted it is chosen so the trailing column ratio is about
-    one half.  The tail folds the source tail and the ODE defect
-    through a Gronwall tube over the chart's range box.
+    one half.
     """
-    M, N = orders
-    if tau is not None and not tau > 0.0:
-        raise ValueError("tau must be positive")
     if tau is None:
-        tau = choose_tau(arc, m, p, M)
-    sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = FieldNodes(field_program(m, p), M, N)
-    G = taylor_flow(_arc_series(arc, M), rec.b_column, N, sign * tau)
-    defect = _defect_bound(rec, G)
-    tail = propagated_tail(m, p, G, arc.gamma.tail, defect)
-    G = Series2(G.coefs, scale=G.scale, tau=G.tau, tail=tail)
-    return FlowChart(Gamma=G, kind=arc.kind, defect=defect,
-                     source_arc=source_arc,
-                     accumulated_time=start_time + 1.0 / (sign * tau))
+        tau = choose_tau(arc, m, p, orders[0])
+    return ArcFill(arc, m, p, orders, tau).finish(source_arc=source_arc,
+                                                   start_time=start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +281,8 @@ def _defect_bound(cols: FieldNodes, G: Series2) -> float:
     n + 1 only after ``b_column`` has copied column n, and never
     rewrites a column, so the interpreter's copies are G's columns
     0..N-1, the columns it filled are F(G)'s, bit for bit, and
-    ``field_defect`` adds column N.
+    ``field_defect`` adds column N.  ``ArcFill.retime`` keeps this:
+    it scales the copies and the filled columns alike.
     """
     M, N = G.orders
     tau_iv = Interval.from_value(G.tau)

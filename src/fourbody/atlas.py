@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .advect import (FlowChart, check_collision, choose_tau,
-                     collapse_time_one, flow_line)
+from .advect import (ArcFill, FlowChart, check_collision, choose_tau,
+                     collapse_time_one)
 from .crfbp import MassTriple, PrimaryConfig, primaries
 from .errors import CollisionDomain, SchemaVersionMismatch, SubdivisionLimit
 from .interval import IntervalArray
@@ -229,8 +229,12 @@ class Atlas:
         error tube or the collision guard is retried with the time
         rescaling doubled, since halving the flow time shrinks both
         the range box and the accumulated error; after ``tau_retries``
-        doublings the arc is retired to ``stopped``.  Surviving charts
-        hand their collapsed time-1 edges to the next frontier.
+        doublings the arc is retired to ``stopped``.  Each arc piece is
+        filled once (``advect.ArcFill``), and a retry retimes that fill
+        instead of refilling it, so no column is computed twice, across
+        retries too; every attempt still bounds its own defect, tube and
+        collision guard.  Surviving charts hand their collapsed time-1
+        edges to the next frontier.
         """
         new_charts: list[int] = []
         for _ in range(generations):
@@ -261,14 +265,15 @@ class Atlas:
                 tau_retries: int) -> Optional[FlowChart]:
         base = tau if tau is not None else \
             choose_tau(piece.arc, self.m, self.p, orders[0])
+        fill = ArcFill(piece.arc, self.m, self.p, orders, base)
         attempts = range(tau_retries + 1)
         reason = ""
         for attempt in attempts:
+            if attempt:
+                fill.retime()
             try:
-                chart = flow_line(
-                    piece.arc, self.m, self.p, orders=orders,
-                    tau=base * 2.0 ** attempt, source_arc=piece.arc_id,
-                    start_time=piece.arc_time)
+                chart = fill.finish(source_arc=piece.arc_id,
+                                    start_time=piece.arc_time)
                 check_collision(chart, self.p, delta_min=delta_min)
                 return chart
             except CollisionDomain as err:

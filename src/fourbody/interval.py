@@ -790,7 +790,7 @@ def _imul_arr(alo, ahi, blo, bhi):
                      np.where(floor > 0.0, _MAXF, np.fmin(floor, 0.0)))
     ceil = np.where(np.isfinite(ceil), ceil,
                     np.where(ceil < 0.0, -_MAXF, np.fmax(ceil, 0.0)))
-    shape = (-1,) + p.shape[2:]
+    shape = (p.shape[0] * p.shape[1],) + p.shape[2:]
     return (np.minimum.reduce(floor.reshape(shape), axis=0),
             np.maximum.reduce(ceil.reshape(shape), axis=0))
 
@@ -801,6 +801,23 @@ def _iadd_arr(alo, ahi, blo, bhi):
 
 def _isub_arr(alo, ahi, blo, bhi):
     return _add_floor_arr(alo, -bhi), _add_ceil_arr(ahi, -blo)
+
+
+def _ldexp_arr(lo, hi, e):
+    """Enclosure of [lo, hi] 2^e for integer exponents ``e`` <= 0 that
+    broadcast against the endpoints.
+
+    ``np.ldexp`` rounds to nearest, so y = ldexp(x, e) is exact unless
+    it is subnormal, and then within one ulp, 2^-1074, of x 2^e.  Scaling
+    back up is exact, so ldexp(y, -e) != x exactly when y is inexact,
+    and only there is y stepped one ulp outward.  Zeros and infinities
+    keep their signs.
+    """
+    ylo, yhi = np.ldexp(lo, e), np.ldexp(hi, e)
+    return (np.where(np.ldexp(ylo, -e) != lo,
+                     np.nextafter(ylo, -np.inf), ylo),
+            np.where(np.ldexp(yhi, -e) != hi,
+                     np.nextafter(yhi, np.inf), yhi))
 
 
 # ---------------------------------------------------------------------------

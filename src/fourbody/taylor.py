@@ -156,11 +156,12 @@ def _antidiagonal_plan(M: int, N: int, d: int, m_min: int):
     pair (a_{m-j, n-k}, b_{j, k}) with j-major (j, k), as flat indices
     into a row-major grid; past a slot's own term count the summands
     are padding, marked by ``pad`` and read at index 0.  ``g`` is each
-    slot's summation bound for its own term count.
+    slot's summation bound for its own term count.  With no slot, all
+    four are empty.
     """
     ms, ns = antidiagonal(M, N, d, m_min)
     counts = (ms + 1) * (ns + 1)
-    t = np.arange(counts.max())[:, None]
+    t = np.arange(counts.max(initial=0))[:, None]
     pad = t >= counts
     j, k = np.divmod(t, ns + 1)
     ia = np.where(pad, 0, (ms - j) * (N + 1) + ns - k)
@@ -185,10 +186,13 @@ def product_antidiagonals(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     cascade over the term axis.  Exact zeros leave the cascade's sum
     and errors unchanged, and each slot is padded by the gamma of its
     own term count, so every endpoint equals the single padded sum of
-    that slot's terms (a -0.0 may come out as +0.0).
+    that slot's terms (a -0.0 may come out as +0.0).  When degree d has
+    no slot with m >= m_min the result has shape (len(a), 0).
     """
     _, rows, cols = G.shape
     ia, ib, pad, g = _antidiagonal_plan(rows - 1, cols - 1, d, m_min)
+    if not g.size:
+        return CIntervalArray.zeros((len(a), 0))
     glo, ghi = G.lo.reshape(2, -1), G.hi.reshape(2, -1)
     ja = np.add.outer(np.asarray(a) * (rows * cols), ia)
     jb = np.add.outer(np.asarray(b) * (rows * cols), ib)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from fourbody.advect import check_collision, choose_tau, flow_line
+from fourbody.atlas import StopReason
 from fourbody.crfbp import State4, omega_first_partials
+from fourbody.errors import CollisionDomain
 from fourbody.interval import CInterval, CIntervalArray, IntervalArray
 from fourbody.polyfield import (DIM, FieldNodes, FieldProgram, Lin, Mul,
                                 evaluate)
@@ -117,6 +120,29 @@ def degree_nodes(prog, N, origin):
     base = evaluate(prog, origin)
     nodes.G[:, 0, 0] = CIntervalArray.of(base)
     return nodes, node_jacobian(prog, base)
+
+
+def fresh_advect(self, piece, orders, tau, delta_min, tau_retries):
+    """``Atlas._advect`` as it was before a retry retimed the arc's one
+    fill: one fresh ``flow_line`` per tau attempt.  The reference for
+    ``Atlas.grow``."""
+    base = tau if tau is not None else \
+        choose_tau(piece.arc, self.m, self.p, orders[0])
+    attempts = range(tau_retries + 1)
+    reason = ""
+    for attempt in attempts:
+        try:
+            chart = flow_line(
+                piece.arc, self.m, self.p, orders=orders,
+                tau=base * 2.0 ** attempt, source_arc=piece.arc_id,
+                start_time=piece.arc_time)
+            check_collision(chart, self.p, delta_min=delta_min)
+            return chart
+        except CollisionDomain as err:
+            reason = str(err)
+    self.stop_reasons[piece.arc_id] = StopReason(
+        message=reason, tau_attempts=len(attempts))
+    return None
 
 
 def _full_product_nodes(prog, inputs, orders):

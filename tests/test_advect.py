@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fourbody.advect import (
     _CENTERS,
+    ArcFill,
     FlowChart,
     _arc_series,
     _tile_samples,
@@ -264,6 +265,123 @@ class TestFlowLine:
         arc = BoundaryArc(gamma=gamma, kind="unstable")
         with pytest.raises(SymmetryViolation):
             flow_line(arc, m, pc, orders=(4, 6), tau=1.0)
+
+
+@pytest.fixture(scope="module", params=["stable", "unstable"])
+def retried(request, setup):
+    """An arc of a 6-arc, order-10 mesh of an N = 5 manifold whose tube
+    fails at ``choose_tau``'s rescaling and closes at twice it, as in
+    an atlas retry, and half that rescaling."""
+    m, pc = setup
+    kind = request.param
+    M = local_manifold(m, pc, kind, N=5)
+    arc = boundary_mesh(M, n_arcs=6, arc_order=10)[
+        0 if kind == "stable" else 1]
+    return arc, 0.5 * choose_tau(arc, m, pc, 10)
+
+
+def _attempt(make):
+    """The chart ``make()`` returns, or the message of its
+    CollisionDomain."""
+    try:
+        return make()
+    except CollisionDomain as err:
+        return str(err)
+
+
+class TestRetime:
+    """A retry retimes the one fill of its arc: column n of the chart
+    and of every interpreter node is scaled by 2^-n."""
+
+    def test_attempts_equal_fresh_flow_lines(self, setup, retried):
+        # real endpoints, tail, defect, tau and time bit-equal to a
+        # fresh flow_line at 2^k tau; imaginary grids, exact zeros, equal
+        # up to the signs of zeros
+        m, pc = setup
+        arc, tau = retried
+        fill = ArcFill(arc, m, pc, (10, 18), tau)
+        outcomes = []
+        for k in range(4):
+            if k:
+                fill.retime()
+            got = _attempt(lambda: fill.finish(source_arc=4,
+                                               start_time=-0.5))
+            want = _attempt(lambda: flow_line(
+                arc, m, pc, orders=(10, 18), tau=tau * 2.0 ** k,
+                source_arc=4, start_time=-0.5))
+            outcomes.append(isinstance(want, FlowChart))
+            if not isinstance(want, FlowChart):
+                assert got == want
+                continue
+            G, W = got.Gamma, want.Gamma
+            for x, y in ((G.coefs.lo, W.coefs.lo), (G.coefs.hi, W.coefs.hi)):
+                assert x[0].tobytes() == y[0].tobytes(), k
+                assert np.array_equal(x[1], y[1]) and not x[1].any(), k
+            assert (got.tail, got.defect, got.tau, got.accumulated_time,
+                    got.kind, got.source_arc) == (
+                want.tail, want.defect, want.tau, want.accumulated_time,
+                want.kind, want.source_arc)
+        # the tube fails at tau and 2 tau and closes at 4 tau and 8 tau
+        assert outcomes == [False, False, True, True]
+
+    def test_scales_chart_and_nodes_without_refilling(self, setup,
+                                                      retried,
+                                                      monkeypatch):
+        m, pc = setup
+        arc, tau = retried
+        fill = ArcFill(arc, m, pc, (10, 18), 4.0 * tau)
+        chart = fill.finish()
+        kept = chart.Gamma.coefs.copy()
+        nodes = fill._nodes
+        before, G = nodes.G.copy(), fill.G
+        calls = []
+        monkeypatch.setattr(FieldNodes, "b_column",
+                            lambda *a: calls.append(a))
+        fill.retime()
+        assert calls == [] and nodes.filled == 19
+        e = -np.arange(19)
+        for old, new in ((G.coefs, fill.G.coefs), (before, nodes.G)):
+            assert np.array_equal(new.lo, np.ldexp(old.lo, e))
+            assert np.array_equal(new.hi, np.ldexp(old.hi, e))
+        assert fill.G.tau == 2.0 * G.tau and fill.G.tail == G.tail
+        # the chart made before the retime is not written
+        assert chart.Gamma.coefs.lo.tobytes() == kept.lo.tobytes()
+        assert chart.Gamma.coefs.hi.tobytes() == kept.hi.tobytes()
+        monkeypatch.undo()
+        again = fill.finish()
+        assert calls == [] and again.tau == 2.0 * chart.tau
+
+    def test_special_values_pass_through(self, setup, retried):
+        # planted in column 1 of the chart and of a node: normal values
+        # halve exactly, a subnormal result encloses the exact half, and
+        # zeros and infinities keep their signs
+        m, pc = setup
+        arc, tau = retried
+        fill = ArcFill(arc, m, pc, (10, 2), tau)
+        tiny = 2.0 ** -1074
+        lo = np.array([3.0, tiny, -0.0, 0.0, -np.inf, -tiny])
+        hi = np.array([3.0, tiny, -0.0, 0.0, 1.0, np.inf])
+        for G in (fill.G.coefs, fill._nodes.G[30]):
+            G.lo[0, ..., :6, 1], G.hi[0, ..., :6, 1] = lo, hi
+        fill.retime()
+        for G in (fill.G.coefs, fill._nodes.G[30]):
+            glo, ghi = G.lo[0, ..., :6, 1], G.hi[0, ..., :6, 1]
+            assert np.all(glo[..., 0] == 1.5) and np.all(ghi[..., 0] == 1.5)
+            # 2^-1075 lies in [-2^-1074, 2^-1074] but is no float
+            assert np.all(glo[..., 1] == -tiny) and np.all(ghi[..., 1] == tiny)
+            assert np.all(glo[..., 5] == -tiny)
+            for j in (2, 3):
+                assert np.all(np.signbit(glo[..., j]) == np.signbit(lo[j]))
+                assert np.all(np.signbit(ghi[..., j]) == np.signbit(hi[j]))
+            assert np.all(glo[..., 4] == -np.inf)
+            assert np.all(ghi[..., 4] == 0.5) and np.all(ghi[..., 5] == np.inf)
+
+    def test_rejects_bad_tau(self, setup, retried):
+        m, pc = setup
+        arc, _ = retried
+        for tau in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive"):
+                ArcFill(arc, m, pc, (10, 2), tau)
 
 
 class TestDefect:

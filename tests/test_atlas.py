@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbody.advect import ArcFill
 from fourbody.atlas import (
     Atlas,
     SCHEMA_VERSION,
@@ -22,6 +23,8 @@ from fourbody.errors import (SchemaVersionMismatch, SubdivisionLimit,
 from fourbody.interval import CInterval, Interval
 from fourbody.manifold import BoundaryArc, local_manifold
 from fourbody.taylor import ScalarSeries2, Series2
+
+from conftest import fresh_advect
 
 Z0 = CInterval(Interval.from_value(0.0))
 
@@ -239,6 +242,91 @@ class TestGrow:
         m, _ = setup
         with pytest.raises(ValueError, match="kind"):
             Atlas("sideways", m)
+
+
+@pytest.fixture(scope="module")
+def unstable5(setup):
+    m, pc = setup
+    return local_manifold(m, pc, "unstable", N=5)
+
+
+class TestRetimedRetries:
+    """``Atlas.grow`` fills each arc piece once and retimes that fill
+    for every retry; the atlas it grows equals the one grown by one
+    fresh ``flow_line`` per tau attempt (``conftest.fresh_advect``)."""
+
+    @staticmethod
+    def _grow_both(monkeypatch, manifold, m, **kw):
+        retimes = []
+        retime = ArcFill.retime
+
+        def counted(self):
+            retimes.append(self)
+            retime(self)
+
+        atlases = []
+        for advect in (None, fresh_advect):
+            with monkeypatch.context() as mp:
+                mp.setattr(ArcFill, "retime", counted)
+                if advect is not None:
+                    mp.setattr(Atlas, "_advect", advect)
+                atlas = Atlas.from_manifold(manifold, m, n_arcs=6,
+                                            arc_order=10)
+                atlas.grow(**kw)
+            atlases.append(atlas)
+        return atlases, len(retimes)
+
+    @staticmethod
+    def _assert_same_bytes(got, want, tmp_path):
+        got.save(tmp_path / "got.json")
+        want.save(tmp_path / "want.json")
+        assert filecmp.cmp(tmp_path / "got.json", tmp_path / "want.json",
+                           shallow=False)
+        assert got.stop_reasons == want.stop_reasons
+
+    def test_unstable_growth_with_retries(self, setup, unstable5,
+                                          monkeypatch, tmp_path):
+        # the benchmark's growth: automatic tau, two generations
+        m, _ = setup
+        (got, want), retimes = self._grow_both(
+            monkeypatch, unstable5, m, generations=2, orders=(10, 18))
+        assert retimes > 0 and len(got.charts) > 6
+        self._assert_same_bytes(got, want, tmp_path)
+
+    def test_all_stopped(self, setup, stable5, monkeypatch, tmp_path):
+        m, _ = setup
+        (got, want), retimes = self._grow_both(
+            monkeypatch, stable5, m, generations=1, orders=(10, 18),
+            tau=1.0, delta_min=2.0, tau_retries=1)
+        assert retimes == 6 and got.charts == {}
+        assert sorted(got.stopped) == list(range(6))
+        self._assert_same_bytes(got, want, tmp_path)
+
+    def test_stable_charts_differ_at_most_in_zero_signs(self, setup,
+                                                        stable5,
+                                                        monkeypatch):
+        # two doublings from tau = 0.25: the exact zeros of the
+        # imaginary grids may differ in sign, nothing else may
+        m, _ = setup
+        (got, want), retimes = self._grow_both(
+            monkeypatch, stable5, m, generations=1, orders=(10, 18),
+            tau=0.25)
+        assert retimes > 0 and len(got.charts) == 6
+        assert got.stopped == want.stopped == []
+        for g, w in zip(got.charts.values(), want.charts.values()):
+            G, W = g.chart.Gamma, w.chart.Gamma
+            for x, y in ((G.coefs.lo, W.coefs.lo), (G.coefs.hi, W.coefs.hi)):
+                assert x[0].tobytes() == y[0].tobytes()
+                assert np.array_equal(x[1], y[1]) and not x[1].any()
+            assert (g.chart.tail, g.chart.defect, g.chart.tau,
+                    g.chart.accumulated_time) == (
+                w.chart.tail, w.chart.defect, w.chart.tau,
+                w.chart.accumulated_time)
+        for aid in got.frontier:
+            a, b = got.arcs[aid].arc.gamma, want.arcs[aid].arc.gamma
+            assert a.coefs.lo[0].tobytes() == b.coefs.lo[0].tobytes()
+            assert a.coefs.hi[0].tobytes() == b.coefs.hi[0].tobytes()
+            assert a.tail == b.tail
 
 
 class TestPersistence:

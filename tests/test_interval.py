@@ -27,6 +27,7 @@ from fourbody.interval import (
     Interval,
     IntervalArray,
     _imul_arr,
+    _ldexp_arr,
     matrix_norm,
     verified_solve,
     verified_solve_complex,
@@ -348,6 +349,49 @@ class TestZeroTimesInfinity:
         lo, hi = _imul_arr(np.array([0.0]), np.array([math.inf]),
                            np.array([-1.0]), np.array([2.0]))
         assert (lo[0], hi[0]) == want
+
+
+class TestPowerOfTwoScaling:
+    """``_ldexp_arr`` scales by 2^e exactly where the result is
+    normal, and otherwise encloses the exact scaled interval."""
+
+    TINY = 2.0 ** -1074
+
+    def test_normal_values_scale_exactly(self):
+        rng = np.random.default_rng(11)
+        x = _rand_floats(rng, 1000)
+        e = -rng.integers(0, 60, 1000)
+        lo, hi = _ldexp_arr(x, x, e)
+        want = np.array([math.ldexp(v, int(k)) for v, k in zip(x, e)])
+        assert np.array_equal(lo, want) and np.array_equal(hi, want)
+
+    def test_subnormal_results_enclose_the_exact_value(self):
+        # 2^-1074 / 2 = 2^-1075 is no float; ldexp rounds it to 0
+        lo, hi = _ldexp_arr(np.array([self.TINY]), np.array([self.TINY]), -1)
+        assert lo[0] <= 0.0 and hi[0] == self.TINY
+        rng = np.random.default_rng(12)
+        x = rng.integers(1, 2 ** 20, 500) * self.TINY * rng.choice(
+            [-1.0, 1.0], 500)
+        e = -rng.integers(1, 30, 500)
+        lo, hi = _ldexp_arr(x, x, e)
+        for v, k, a, b in zip(x, e, lo, hi):
+            exact = Fraction(v) * Fraction(2) ** int(k)
+            assert Fraction(a) <= exact <= Fraction(b)
+            assert b - a <= 2 * self.TINY
+
+    def test_zeros_and_infinities_are_kept(self):
+        x = np.array([0.0, -0.0, math.inf, -math.inf])
+        for e in (0, -1, -40):
+            lo, hi = _ldexp_arr(x, x, e)
+            for got in (lo, hi):
+                assert np.array_equal(got, x)
+                assert np.array_equal(np.signbit(got), np.signbit(x))
+
+    def test_exponents_broadcast_along_the_last_axis(self):
+        x = np.full((2, 3, 4), 3.0)
+        lo, hi = _ldexp_arr(x, x, -np.arange(4))
+        assert np.array_equal(lo, 3.0 / 2.0 ** np.arange(4) + 0 * x)
+        assert np.array_equal(hi, lo)
 
 
 class TestInclusionMonotonicity:

@@ -428,6 +428,16 @@ class TestLevelSchedule:
                     assert np.array_equal(out[r].lo, grids[o][ms, ns].lo)
                     assert np.array_equal(out[r].hi, grids[o][ms, ns].hi)
 
+    def test_degree_without_slots_leaves_the_nodes(self, config, triple):
+        # a (4, 7) grid has no degree-11 slot with m >= 6
+        rng = np.random.default_rng(5)
+        nodes = FieldNodes(field_program(triple, config), 4, 7)
+        nodes.G[:DIM] = _random_inputs(rng, 4, 7, False).coefs
+        before = nodes.G.copy()
+        assert nodes.degree(11, 6).shape == (DIM, 0)
+        assert np.array_equal(nodes.G.lo, before.lo)
+        assert np.array_equal(nodes.G.hi, before.hi)
+
 
 class TestFoldedTails:
     """The tails' sign folded into ng_j = -dx_j u2 - dy_j u4 gives every

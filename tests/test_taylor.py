@@ -500,6 +500,8 @@ def _sentinel_antidiagonal(a, b, d, m_min):
     M = min(a.orders[0], b.orders[0])
     N = min(a.orders[1], b.orders[1])
     ms, ns = antidiagonal(M, N, d, m_min)
+    if not ms.size:
+        return CIntervalArray.zeros((0,))
     counts = (ms + 1) * (ns + 1)
     shape = (int(counts.max()), len(ms))
     ar, ac, br, bc = (np.zeros(shape, dtype=int) for _ in range(4))
@@ -524,7 +526,8 @@ class TestProductAntidiagonals:
     @pytest.mark.parametrize("M,N", [(6, 6), (4, 7), (7, 3)])
     def test_equals_sentinel_gather(self, M, N, real):
         # every degree, beyond min(M, N) too, from m = 0 and from the
-        # half solve's m_min = ceil(d / 2) wherever that leaves slots
+        # half solve's m_min = ceil(d / 2), which on the (4, 7) grid
+        # leaves no slot at some degrees
         rng = np.random.default_rng(7 * M + N + real)
         nodes = 5
         G = TestProductColumns._stack(rng, nodes, M, N, real, "plain")
@@ -533,8 +536,6 @@ class TestProductAntidiagonals:
                 for i in range(nodes)]
         for d in range(1, M + N + 1):
             for m_min in (0, (d + 1) // 2):
-                if not antidiagonal(M, N, d, m_min)[0].size:
-                    continue
                 got = product_antidiagonals(G, a, b, d, m_min)
                 assert got.shape == (len(a),) + antidiagonal(
                     M, N, d, m_min)[0].shape
@@ -545,6 +546,15 @@ class TestProductAntidiagonals:
                                  (got.hi[:, j], want.hi)):
                         assert (np.ascontiguousarray(x).tobytes()
                                 == y.tobytes()), (d, m_min, j)
+
+    def test_degree_without_slots_is_empty(self):
+        # a (4, 7) grid has no degree-11 slot with m >= 6
+        rng = np.random.default_rng(3)
+        G = TestProductColumns._stack(rng, 3, 4, 7, False, "plain")
+        assert not antidiagonal(4, 7, 11, 6)[0].size
+        got = product_antidiagonals(G, [0, 1], [2, 2], 11, 6)
+        assert got.shape == (2, 0)
+        assert got.lo.shape == got.hi.shape == (2, 2, 0)
 
 
 class TestHatProducts:
