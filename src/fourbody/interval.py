@@ -1,19 +1,26 @@
 """Rigorous interval arithmetic for real and complex scalars and arrays.
 
 Every operation returns an enclosure of the exact real-arithmetic result.
-Outward rounding is done portably by widening endpoints with
-``math.nextafter`` instead of switching hardware rounding modes, so all
-values are plain floats and freely shareable across threads.
+Outward rounding is done portably by widening endpoints one ulp, with
+``math.nextafter`` for scalars and by stepping the bit pattern for
+arrays (``_ulp_step``), instead of switching hardware rounding modes, so
+all values are plain floats and freely shareable across threads.
 
 Operations skip the widening when the double-precision result is
 provably exact (error-free transformation checks), so simple cases like
 ``[1,2] + [3,4] -> [4,6]`` come out with exact endpoints.  The array
 kernels keep exact results too: ``_iadd_arr`` and ``_pad_sum`` from
 exact summation errors, ``_imul_arr`` from exact product residuals
-inside a magnitude guard.  Outside the guard an array product is
-widened by one ulp unless a factor is zero, while the scalar product
-falls back to rational arithmetic.  Inexact sums are padded with the
-standard ``n*u/(1-n*u)`` term.  The column kernel of ``taylor``
+inside a magnitude guard.  Each kernel rounds an endpoint once: rounding
+to nearest is monotone, so the (product, residual) pairs of the
+endpoint candidates order their exact products lexicographically, and
+``_imul_arr`` steps only the least and the greatest pair; ``_iadd_arr``
+and ``_isub_arr`` sum both ends in one pass.  Outside the guard an
+array product is widened by one ulp unless a factor is zero, while the
+scalar product falls back to rational arithmetic.  ``_pad_sum`` sums
+by a pairwise TwoSum tree, and inexact sums are padded with the
+standard ``n*u/(1-n*u)`` term, which bounds the errors' float sum in
+any summation order.  The column kernel of ``taylor``
 (``product_columns`` and its one-pair case ``product_column``) forms
 its products rounded to nearest and folds their rounding into that
 term, so each of its rows is padded once, by the gamma of its own term
@@ -535,7 +542,7 @@ class CIntervalArray:
         h2_floor = np.where(err[0] < 0.0, np.nextafter(sq[0], -np.inf),
                             sq[0])
         covers = ((x == 0.0) | (y == 0.0)
-                  | (guard & (h2_floor >= _add_ceil_arr(ceil[1], ceil[2]))))
+                  | (guard & (h2_floor >= _directed_sum(ceil[1], ceil[2], 1))))
         return np.where(covers, h, np.nextafter(h, np.inf))
 
     def __add__(self, other: "CIntervalArray") -> "CIntervalArray":
@@ -659,33 +666,63 @@ def _nonneg_upper(value: float, k: int, products: int = 0) -> float:
 
 
 def _cascade_sum(x: np.ndarray):
-    """Sequential sum with exact per-step errors (vectorized TwoSum).
+    """Pairwise sum over axis 0 with exact per-node errors: a TwoSum
+    tree over adjacent pairs, ceil(log2 n) vector steps for n terms.
 
-    Returns (s, e_sum, e_abs): the float sum, the accumulated error terms,
-    and the accumulated error magnitudes.  When e_abs is zero the sum s is
-    exact.
+    Returns (s, e_sum, e_abs): the float sum, the float sum of the
+    nodes' errors and that of their magnitudes.  Each level sums the
+    pairs (x_0, x_1), (x_2, x_3), ... and carries an odd last term
+    unchanged, which is pairing it with a zero up to the sign of a
+    zero sum; the errors are paired along with the sums.  So the pairs
+    do not depend on the length: exact zeros appended to the axis
+    change no bit of e_sum and e_abs, and s at most in the sign of a
+    zero, which s + e_sum drops since no error is -0.  When e_abs is
+    zero the sum s is exact.
+
+    Theorem: a TwoSum node is error-free, t + e = a + b exactly for
+    finite a, b when t does not overflow (Knuth; Ogita, Rump & Oishi,
+    Accurate sum and dot product, SIAM J. Sci. Comput. 26 (2005),
+    Alg. 3.1), so the exact sum is s plus the errors of at most n - 1
+    nodes, whatever the tree.  A float sum of m terms in any order lies
+    within gamma_(m-1) times their magnitude sum of their exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 4.2), so the bound ``_padded_cascade`` derives from e_abs
+    holds for this order as for any other.
     """
-    s = x[0].astype(float).copy()
-    e_sum = np.zeros_like(s)
-    e_abs = np.zeros_like(s)
-    for i in range(1, x.shape[0]):
-        b = x[i]
-        t = s + b
-        bv = t - s
-        av = t - bv
-        e = (s - av) + (b - bv)
-        e_sum += e
-        e_abs += np.abs(e)
-        s = t
-    return s, e_sum, e_abs
+    s, e_sum, e_abs = x, None, None
+    while len(s) > 1:
+        h = len(s) // 2
+        a, b = s[0:2 * h:2], s[1:2 * h:2]
+        t = np.empty((len(s) - h,) + s.shape[1:])
+        np.add(a, b, out=t[:h])
+        bv = t[:h] - a
+        e = (a - (t[:h] - bv)) + (b - bv)
+        sums, mags = np.empty_like(t), np.empty_like(t)
+        if e_sum is None:
+            sums[:h], mags[:h] = e, np.abs(e)
+        else:
+            np.add(e_sum[0:2 * h:2], e_sum[1:2 * h:2], out=sums[:h])
+            sums[:h] += e
+            np.add(e_abs[0:2 * h:2], e_abs[1:2 * h:2], out=mags[:h])
+            mags[:h] += np.abs(e)
+        if len(t) > h:
+            t[h] = s[-1]
+            sums[h], mags[h] = ((0.0, 0.0) if e_sum is None
+                                else (e_sum[-1], e_abs[-1]))
+        s, e_sum, e_abs = t, sums, mags
+    if e_sum is None:
+        return s[0], np.zeros_like(s[0]), np.zeros_like(s[0])
+    return s[0], e_sum[0], e_abs[0]
 
 
 def _pad_sum(lo: np.ndarray, hi: np.ndarray, axis: int):
     """Enclosure of the sum of intervals along an axis.
 
-    Endpoint sums are done with a compensated cascade whose per-step
-    errors are exact, so provably exact sums come out unwidened; inexact
-    sums are padded by the compensation residual bound and one ulp.
+    Endpoint sums are done with a compensated TwoSum tree whose
+    per-node errors are exact, so provably exact sums come out
+    unwidened; inexact sums are padded by the compensation residual
+    bound and one ulp, and a side whose sum overflows or meets an
+    infinite term comes out unbounded.
     """
     lo_m = np.moveaxis(np.asarray(lo, dtype=float), axis, 0)
     hi_m = np.moveaxis(np.asarray(hi, dtype=float), axis, 0)
@@ -704,15 +741,25 @@ def _padded_cascade(lo: np.ndarray, hi: np.ndarray, g):
     ``g`` bounds the compensation residual per unit of accumulated error
     magnitude, ``_gamma(n + 2)`` for n summands; an array of them pads
     each sum by its own term count when the axis is zero-padded beyond
-    it, since exact zeros leave the cascade's sum and errors unchanged.
+    it, since exact zeros leave the tree's sum and errors unchanged.
+
+    Theorem: the exact sum is s + E, E the sum of the at most n - 1
+    node errors of ``_cascade_sum``, and any summation order of E's
+    terms stays within gamma_(n-2) of e_abs; gamma_(n+2) e_abs also
+    covers the rounding of s + e_sum and of the pad, with the one-ulp
+    step, for every order, the sequential one and the tree alike.  A
+    step that overflows, or an infinite term, leaves a nan in e_sum;
+    that side comes out unbounded, as an overflowing side of the
+    column kernel does.
     """
-    s, e_sum, e_abs = _cascade_sum(np.stack((lo, hi), axis=1))
-    out = s + e_sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, e_sum, e_abs = _cascade_sum(np.stack((lo, hi), axis=1))
+        out = s + e_sum
     out_lo = np.where(e_abs[0] > 0.0,
                       np.nextafter(out[0] - g * e_abs[0], -np.inf), out[0])
     out_hi = np.where(e_abs[1] > 0.0,
                       np.nextafter(out[1] + g * e_abs[1], np.inf), out[1])
-    return out_lo, out_hi
+    return np.fmax(out_lo, -np.inf), np.fmin(out_hi, np.inf)
 
 
 def _sum_err_arr(a, b, s):
@@ -721,86 +768,159 @@ def _sum_err_arr(a, b, s):
     return (a - (s - bb)) + (b - bb)
 
 
-def _prod_err_arr(a, b, p):
-    """Vectorized Dekker product residual; valid only under the same
-    magnitude guard as the scalar path."""
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
+def _split_arr(x):
+    """Dekker's split of x into a high and a low half, x = h + l."""
+    c = _SPLITTER * x
+    h = c - (c - x)
+    return h, x - h
+
+
+def _residual_arr(ah, al, bh, bl, p):
+    """Dekker's product residual a*b - p from the splits of a and b."""
     return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _add_floor_arr(a, b):
-    s = a + b
-    with np.errstate(invalid="ignore"):
-        e = _sum_err_arr(a, b, s)
-    out = np.where(e < 0.0, np.nextafter(s, -np.inf), s)
-    return np.where(np.isfinite(s), out, np.where(s > 0.0, _MAXF, s))
+def _prod_err_arr(a, b, p):
+    """Vectorized Dekker product residual; valid only under the same
+    magnitude guard as the scalar path."""
+    return _residual_arr(*_split_arr(a), *_split_arr(b), p)
 
 
-def _add_ceil_arr(a, b):
-    s = a + b
-    with np.errstate(invalid="ignore"):
-        e = _sum_err_arr(a, b, s)
-    out = np.where(e > 0.0, np.nextafter(s, np.inf), s)
-    return np.where(np.isfinite(s), out, np.where(s < 0.0, -_MAXF, s))
+# the outward direction of the lower and the upper end, and the signs
+# that turn the residuals of the lower end and of the negated upper
+# end into residuals of floors
+_OUTWARD = np.array([-1, 1])
+_AS_FLOORS = np.array([1.0, -1.0])
+
+
+def _ulp_step(x, step):
+    """x moved one ulp toward -inf where the int64 ``step`` is -1 and
+    toward +inf where it is 1, for nonzero x, through its bit pattern.
+
+    The doubles of one sign are ordered as their bit patterns read as
+    integers (IEEE 754), so for nonzero x the neighbours are the
+    patterns one away, away from or toward zero by x's sign bit.  That
+    is ``nextafter`` for nonzero finite x and for a step inward from an
+    infinity; callers never step a zero, or an infinity outward.
+    """
+    bits = x.view(np.int64)
+    return (bits + step * ((bits >> 63) | 1)).view(np.float64)
 
 
 def _imul_arr(alo, ahi, blo, bhi):
     """Elementwise interval product of broadcastable lo/hi arrays.
 
-    The four endpoint candidates go through one stacked pass: each
-    product p and its Dekker residual e = a*b - p are computed once.
-    Where the magnitude guard makes e exact, p is the floor (ceil) of
-    a*b unless e < 0 (e > 0), and one nextafter step fixes it; outside
-    the guard p is stepped outward unless a factor is an exact zero,
-    and an overflow is clamped to the largest finite float on the side
-    the true product cannot reach.  An exact zero times an infinite
-    endpoint is 0, in the same clamping pass, since every point of the
-    other factor is finite.  Products that are exactly representable
-    stay exact.  A point factor, passed as the same
-    object for ``blo`` and ``bhi``, gives only the two distinct
-    candidates, and the same endpoints.
+    The endpoint candidates, the four products of an end of a with an
+    end of b, go through one stacked pass: each nearest product p and
+    its Dekker residual e = a*b - p are computed once.  Where the
+    magnitude guard makes e exact, the floor (ceil) of a*b is p, or p's
+    neighbour toward -inf (+inf) if e < 0 (e > 0); outside the guard p
+    steps outward unless a factor is an exact zero.  Only one candidate
+    per endpoint is stepped.
+
+    Theorem: rounding to nearest is monotone, so the exact products
+    are ordered lexicographically by their pairs (p, e): x y < x' y'
+    gives p <= p', and p < p' gives floor(x y) <= p <= pred(p') <=
+    floor(x' y') (Rump, Verification methods: rigorous results using
+    floating-point arithmetic, Acta Numerica 19 (2010)).  So the least
+    floor is the floor of the least pair: the least p, stepped down if
+    any candidate of that p steps down; the greatest ceil likewise.
+    Products under 2^-1021 in magnitude, zeros included, lie outside
+    the guard and have ulp 2^-1074, so an inexact one (nonzero factors)
+    has the exact floor p - 2^-1074 and ceil -(-p - 2^-1074), with the
+    zero signs of ``nextafter``, and is ranked by that value with no
+    further step.  Among equal floors numpy's minimum keeps the last,
+    as it does over the stepped candidates, which matters only for the
+    sign of a zero.  An exact zero times an infinite endpoint is 0,
+    since every point of the other factor is finite.  A product that
+    overflows steps inward to the largest finite float on the side the
+    true product cannot reach.  Products that are exactly representable
+    stay exact.  A point factor c, passed as the same object for
+    ``blo`` and ``bhi``, has the two candidates a_lo c and a_hi c, one
+    product and residual per end; the sign of c orders them, and the
+    selection above follows it, ties included.
     """
-    a = np.stack(np.broadcast_arrays(alo, ahi))
-    b = (np.asarray(blo, dtype=float)[None] if blo is bhi
-         else np.stack(np.broadcast_arrays(blo, bhi)))
-    nd = max(a.ndim, b.ndim) - 1
-    # candidates (lo, lo), (lo, hi), (hi, lo), (hi, hi) on two leading axes
-    a = a.reshape((2, 1) + (1,) * (nd + 1 - a.ndim) + a.shape[1:])
-    b = b.reshape((1, len(b)) + (1,) * (nd + 1 - b.ndim) + b.shape[1:])
+    shape = np.broadcast(alo, ahi, blo, bhi).shape
+    # the factors' ends in one array, laid out in full so every pass
+    # runs over contiguous memory; candidates (lo, lo), (lo, hi),
+    # (hi, lo), (hi, hi) on two leading axes
+    f = (_stacked(shape, alo, ahi, blo) if blo is bhi
+         else _stacked(shape, alo, ahi, blo, bhi))
+    a, b = f[:2, None], f[None, 2:]
     with np.errstate(invalid="ignore", over="ignore"):
+        fh, fl = _split_arr(f)
         p = a * b
-        e = _prod_err_arr(a, b, p)
-        abs_p = np.abs(p)
-        guard = ((abs_p > 1e-200) & (abs_p < 1e200)
-                 & (np.abs(a) < _SPLIT_SAFE) & (np.abs(b) < _SPLIT_SAFE))
-        inexact = (a != 0.0) & (b != 0.0)
-        floor = np.where(np.where(guard, e < 0.0, inexact),
-                         np.nextafter(p, -np.inf), p)
-        ceil = np.where(np.where(guard, e > 0.0, inexact),
-                        np.nextafter(p, np.inf), p)
+        e = _residual_arr(fh[:2, None], fl[:2, None],
+                          fh[None, 2:], fl[None, 2:], p)
+    abs_p = np.abs(p)
+    safe = np.abs(f) < _SPLIT_SAFE
+    nonzero = f != 0.0
+    guard = ((abs_p > 1e-200) & (abs_p < 1e200)
+             & (safe[:2, None] & safe[None, 2:]))
+    # a product of 2^-1021 or more, or an infinite one, has nonzero
+    # factors; a smaller one is inexact where both factors are nonzero
+    step = abs_p >= 2.0 ** -1021
+    tiny = ((abs_p < 2.0 ** -1021) & (nonzero[:2, None] & nonzero[None, 2:])
+            ) * 2.0 ** -1074
     # endpoints of valid intervals are never nan, so the only nan
-    # candidate is 0 * +-inf, whose product is 0: fmin and fmax map it
-    # to 0 and keep the infinity on the side the product can reach
-    floor = np.where(np.isfinite(floor), floor,
-                     np.where(floor > 0.0, _MAXF, np.fmin(floor, 0.0)))
-    ceil = np.where(np.isfinite(ceil), ceil,
-                    np.where(ceil < 0.0, -_MAXF, np.fmax(ceil, 0.0)))
-    shape = (p.shape[0] * p.shape[1],) + p.shape[2:]
-    return (np.minimum.reduce(floor.reshape(shape), axis=0),
-            np.maximum.reduce(ceil.reshape(shape), axis=0))
+    # candidate is 0 * +-inf, whose product is 0
+    p[np.isnan(p)] = 0.0
+    # the floors' keys, and the ceils' negated, ranked as one minimum:
+    # an end steps toward -inf where its outward residual is negative
+    q = np.empty((2,) + p.shape)
+    np.subtract(p, tiny, out=q[0])
+    np.negative(p, out=q[1])
+    q[1] -= tiny
+    with np.errstate(invalid="ignore"):
+        down = np.where(guard, e * _AS_FLOORS.reshape((2,) + (1,) * p.ndim)
+                        < 0.0, step)
+    flat = (2, p.shape[0] * p.shape[1]) + shape
+    q, down = q.reshape(flat), down.reshape(flat)
+    m = np.minimum.reduce(q, axis=1)
+    down = np.logical_or.reduce((q == m[:, None]) & down, axis=1)
+    # an infinity stays where it would step outward
+    m = _ulp_step(m, (down & (m > -_INF)) * -1)
+    return m[0], -m[1]
+
+
+def _directed_sum(a, b, way):
+    """The floor (``way`` -1) or the ceil (``way`` 1) of a + b, with
+    ``way`` broadcasting against the sums, by one float sum and one
+    TwoSum residual: a residual on the side of ``way`` steps its
+    rounded sum one ulp that way (a sum that rounds to zero is exact),
+    and a sum that overflows away from ``way`` steps inward to the
+    largest finite float on that side."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a + b
+        e = _sum_err_arr(a, b, s)
+    out = _ulp_step(s, (e * way > 0.0) * way)
+    return np.where(out * way == -_INF, -way * _MAXF, out)
+
+
+def _stacked(shape, *xs):
+    """The arrays ``xs`` broadcast to ``shape`` and stacked on a new
+    leading axis, as one contiguous float array."""
+    out = np.empty((len(xs),) + shape)
+    for i, x in enumerate(xs):
+        out[i] = x
+    return out
 
 
 def _iadd_arr(alo, ahi, blo, bhi):
-    return _add_floor_arr(alo, blo), _add_ceil_arr(ahi, bhi)
+    """Both ends of [alo, ahi] + [blo, bhi] as one stacked directed sum."""
+    shape = np.broadcast(alo, ahi, blo, bhi).shape
+    out = _directed_sum(_stacked(shape, alo, ahi), _stacked(shape, blo, bhi),
+                        _OUTWARD.reshape((2,) + (1,) * len(shape)))
+    return out[0], out[1]
 
 
 def _isub_arr(alo, ahi, blo, bhi):
-    return _add_floor_arr(alo, -bhi), _add_ceil_arr(ahi, -blo)
+    """Both ends of [alo, ahi] - [blo, bhi] as one stacked directed sum."""
+    shape = np.broadcast(alo, ahi, blo, bhi).shape
+    b = _stacked(shape, bhi, blo)
+    out = _directed_sum(_stacked(shape, alo, ahi), np.negative(b, out=b),
+                        _OUTWARD.reshape((2,) + (1,) * len(shape)))
+    return out[0], out[1]
 
 
 def _ldexp_arr(lo, hi, e):

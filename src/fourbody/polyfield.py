@@ -34,7 +34,7 @@ import numpy as np
 
 from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
-                       _add_floor_arr, _iadd_arr, _imul_arr, _nonneg_upper,
+                       _directed_sum, _iadd_arr, _imul_arr, _nonneg_upper,
                        _prod_ceil, _sum_ceil)
 from .taylor import (ScalarSeries2, Series2, antidiagonal,
                      product_antidiagonals, product_columns)
@@ -238,7 +238,7 @@ class _LinLevel:
             ends[0][:, t, j], ends[1][:, t, j] = plo, -phi
         acc = ends[:, :, 0]
         for t in range(1, ends.shape[2]):
-            acc = _add_floor_arr(acc, ends[:, :, t])
+            acc = _directed_sum(acc, ends[:, :, t], -1)
         return acc[0], -acc[1]
 
     def add_consts(self, lo: np.ndarray, hi: np.ndarray) -> None:

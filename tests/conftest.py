@@ -81,6 +81,27 @@ def from_complex_points(grid) -> ScalarSeries2:
     return ScalarSeries2(a.real, a.real, a.imag, a.imag)
 
 
+def sequential_cascade_sum(x):
+    """The compensated sum ``interval._cascade_sum`` replaced: one
+    TwoSum per term, c - 1 vector steps along axis 0, each error added
+    to running sums of the errors and of their magnitudes.  Returns
+    (s, e_sum, e_abs) as the tree does.  The reference for the tree:
+    both must enclose the same exact sums."""
+    s = x[0].astype(float).copy()
+    e_sum = np.zeros_like(s)
+    e_abs = np.zeros_like(s)
+    for i in range(1, x.shape[0]):
+        b = x[i]
+        t = s + b
+        bv = t - s
+        av = t - bv
+        e = (s - av) + (b - bv)
+        e_sum += e
+        e_abs += np.abs(e)
+        s = t
+    return s, e_sum, e_abs
+
+
 def unfolded_program(m, p) -> FieldProgram:
     """``polyfield.field_program`` as it was before the tails' sign was
     folded into their last linear node: g_j = dx_j u2 + dy_j u4, each

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import sequential_cascade_sum
 from fourbody.errors import (
     DivisionByZeroInterval,
     NegativeSqrt,
@@ -26,8 +27,12 @@ from fourbody.interval import (
     CIntervalArray,
     Interval,
     IntervalArray,
+    _cascade_sum,
+    _gamma,
     _imul_arr,
     _ldexp_arr,
+    _pad_sum,
+    _padded_cascade,
     matrix_norm,
     verified_solve,
     verified_solve_complex,
@@ -349,6 +354,191 @@ class TestZeroTimesInfinity:
         lo, hi = _imul_arr(np.array([0.0]), np.array([math.inf]),
                            np.array([-1.0]), np.array([2.0]))
         assert (lo[0], hi[0]) == want
+
+
+class TestLexicographicEndpoints:
+    """``_imul_arr`` steps one candidate per endpoint, the least
+    (greatest) by (product, residual); the point path ranks its two
+    candidates the same way."""
+
+    # x1 < x2 adjacent, and x1 * 3, x2 * 3 round to the same float p
+    # with residuals of opposite signs, negative for x1
+    X1, X2 = 1.5000000000000004, 1.5000000000000007
+
+    def test_tie_fixture(self):
+        p = self.X1 * 3.0
+        assert math.nextafter(self.X1, 2.0) == self.X2 and self.X2 * 3.0 == p
+        assert Fraction(self.X1) * 3 < Fraction(p) < Fraction(self.X2) * 3
+
+    @pytest.mark.parametrize("c", [3.0, -3.0])
+    def test_tie_with_opposite_residuals(self, c):
+        # the tied candidates are a_lo c and a_hi c, in that order: for
+        # c = 3 the first has e < 0 but the ceil must step up, for
+        # c = -3 the first has e > 0 but the floor must step down
+        p = self.X1 * c
+        want = (math.nextafter(p, -math.inf), math.nextafter(p, math.inf))
+        alo, ahi = np.array([self.X1]), np.array([self.X2])
+        cs = np.array([c])
+        for got in (_imul_arr(alo, ahi, cs, cs),
+                    _imul_arr(alo, ahi, cs, cs.copy()),
+                    _imul_arr(cs, cs.copy(), alo, ahi)):
+            assert (got[0][0], got[1][0]) == want
+        exact = Interval(self.X1, self.X2) * Interval(c)
+        assert (exact.lo, exact.hi) == want
+
+    @pytest.mark.parametrize("a,c", [
+        ((-1.0, 1.0), 0.0), ((-1.0, 1.0), -0.0), ((-0.0, 0.0), 0.0),
+        ((-0.0, 5e-324), 1.0), ((-5e-324, 0.0), -1.0),
+        ((0.0, 1e-300), 1e-300), ((-math.inf, math.inf), 0.0),
+        ((-math.inf, -0.0), -0.0), ((0.0, 1.0), math.inf),
+        ((2.0 ** -1022, 2.0 ** -1021), 0.5), ((-3.0, 7.0), 5e-324)])
+    def test_point_factor_edges(self, a, c):
+        # zero signs, products that underflow to or from zero, and
+        # zero times an infinity, bit for bit against the reference
+        alo, ahi = np.array([a[0]]), np.array([a[1]])
+        cs = np.array([c])
+        _assert_bitwise(_imul_arr(alo, ahi, cs, cs),
+                        _two_pass_imul(alo, ahi, cs, cs))
+        _assert_bitwise(_imul_arr(alo, ahi, c, c),
+                        _two_pass_imul(alo, ahi, c, c))
+
+    _special_points = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022,
+                         -(2.0 ** -1022), 1.0, -1.0, math.inf, -math.inf]),
+        st.floats(min_value=-(2.0 ** -1022), max_value=2.0 ** -1022),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(_interval_arrays((6, 5)), st.lists(_special_points, min_size=5,
+                                              max_size=5),
+           st.integers(min_value=0, max_value=29))
+    def test_point_factor_at_zero_subnormal_and_infinite(self, a, cs, k):
+        # one endpoint of the other factor made infinite, so every
+        # point c meets an infinity somewhere in the block
+        alo, ahi = a[0].copy(), a[1].copy()
+        alo.flat[k] = -math.inf
+        ahi.flat[29 - k] = math.inf
+        c = np.array(cs)
+        _assert_bitwise(_imul_arr(alo, ahi, c, c),
+                        _two_pass_imul(alo, ahi, c, c))
+        x = float(c[k % 5])
+        _assert_bitwise(_imul_arr(alo, ahi, x, x),
+                        _two_pass_imul(alo, ahi, x, x))
+
+
+def _exact_sum(x):
+    return sum(map(Fraction, x), Fraction(0))
+
+
+_dyadic_terms = st.lists(
+    st.integers(min_value=-2 ** 40, max_value=2 ** 40), min_size=1,
+    max_size=70)
+_float_terms = st.lists(
+    st.floats(min_value=-1e30, max_value=1e30, allow_subnormal=True),
+    min_size=1, max_size=70)
+
+
+class TestTreeSum:
+    """``_cascade_sum`` is a pairwise TwoSum tree: exact sums stay
+    exact, appended zeros change no bit, and its padded sums enclose
+    the exact sum as the sequential cascade's do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_dyadic_terms, st.integers(min_value=-60, max_value=60))
+    def test_exact_dyadic_sums_are_unpadded(self, ints, k):
+        # integers below 2^40 times one power of two: every partial sum
+        # of at most 70 terms is exact, so the tree must be too
+        x = np.ldexp(np.array(ints, dtype=float), k)
+        lo, hi = _pad_sum(x, x, axis=0)
+        assert lo == hi and Fraction(float(lo)) == _exact_sum(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_float_terms, _float_terms)
+    def test_encloses_exact_sum(self, xs, ys):
+        n = min(len(xs), len(ys))
+        lo = np.minimum(xs[:n], ys[:n])
+        hi = np.maximum(xs[:n], ys[:n])
+        slo, shi = _pad_sum(lo, hi, axis=0)
+        assert Fraction(float(slo)) <= _exact_sum(lo)
+        assert _exact_sum(hi) <= Fraction(float(shi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_float_terms, st.integers(min_value=1, max_value=40))
+    def test_trailing_zeros_change_no_bit(self, xs, zeros):
+        x = np.array(xs)
+        padded = np.concatenate((x, np.zeros(zeros)))
+        g = _gamma(len(x) + 2)
+        _assert_bitwise(_padded_cascade(padded, padded, g),
+                        _padded_cascade(x, x, g))
+        got, want = _cascade_sum(padded), _cascade_sum(x)
+        _assert_bitwise(got[1:], want[1:])
+        assert got[0] == want[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_float_terms)
+    def test_matches_sequential_reference(self, xs):
+        # the same padding on the reference's sum and errors: both
+        # enclose the exact sum, and their widths, each under
+        # gamma_(n+2) sum |x|, differ by less than that
+        x = np.array(xs)
+        n = len(x)
+        g = _gamma(n + 2)
+        exact = _exact_sum(x)
+        for s, e_sum, e_abs in (_cascade_sum(x), sequential_cascade_sum(x)):
+            out = s + e_sum
+            lo = np.nextafter(out - g * e_abs, -math.inf) if e_abs else out
+            hi = np.nextafter(out + g * e_abs, math.inf) if e_abs else out
+            assert Fraction(float(lo)) <= exact <= Fraction(float(hi))
+        lo, hi = _pad_sum(x, x, axis=0)
+        assert Fraction(float(lo)) <= exact <= Fraction(float(hi))
+        s, e_sum, e_abs = sequential_cascade_sum(x)
+        out = s + e_sum
+        ref = (2.0 * (float(np.nextafter(out + g * e_abs, math.inf)) - out)
+               if e_abs else 0.0)
+        bound = g * float(np.sum(np.abs(x))) + 2.0 ** -1070
+        assert ref <= bound and hi - lo <= bound
+        assert abs((hi - lo) - ref) <= bound
+
+    def test_pairs_adjacent_terms(self):
+        # (1 + 1) + (2^-52 + 2^-52) is exact; summed in sequence, each
+        # 2^-52 is a tie against 2 and rounds away
+        x = np.array([1.0, 1.0, 2.0 ** -52, 2.0 ** -52])
+        s, e_sum, e_abs = _cascade_sum(x)
+        assert (s, e_sum, e_abs) == (2.0 + 2.0 ** -51, 0.0, 0.0)
+        s, e_sum, e_abs = sequential_cascade_sum(x)
+        assert (s, e_sum, e_abs) == (2.0, 2.0 ** -51, 2.0 ** -51)
+
+
+class TestNonFiniteSums:
+    """A side whose compensated sum overflows or meets an infinite term
+    comes out unbounded, never nan."""
+
+    def test_pad_sum_overflow(self):
+        x = np.array([1e308, 1e308])
+        lo, hi = _pad_sum(x, x, axis=0)
+        assert (lo, hi) == (-math.inf, math.inf)
+        lo, hi = _pad_sum(np.array([-1.0, 2.0, 3.0]),
+                          np.array([1.0, 2.0, math.inf]), axis=0)
+        assert (lo, hi) == (4.0, math.inf)
+
+    def test_interval_array_matmul_overflow(self):
+        A = IntervalArray.from_points([[1e308, 1e308], [1.0, 2.0]])
+        x = IntervalArray.from_points([[1.0], [1.0]])
+        y = A @ x
+        assert (y.lo[0, 0], y.hi[0, 0]) == (-math.inf, math.inf)
+        assert (y.lo[1, 0], y.hi[1, 0]) == (3.0, 3.0)
+
+    def test_cinterval_array_matmul_overflow(self):
+        big = np.array([[1e308, 1e308], [1.0, 2.0]])
+        A = CIntervalArray(np.stack((big, np.zeros((2, 2)))),
+                           np.stack((big, np.zeros((2, 2)))))
+        one = np.ones((2, 1))
+        x = CIntervalArray(np.stack((one, one)), np.stack((one, one)))
+        y = A @ x
+        assert not np.isnan(y.lo).any() and not np.isnan(y.hi).any()
+        assert (y.lo[:, 0, 0] == -math.inf).all()
+        assert (y.hi[:, 0, 0] == math.inf).all()
+        assert (y.lo[:, 1, 0] == 3.0).all() and (y.hi[:, 1, 0] == 3.0).all()
 
 
 class TestPowerOfTwoScaling:

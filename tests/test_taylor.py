@@ -557,6 +557,47 @@ class TestProductAntidiagonals:
         assert got.lo.shape == got.hi.shape == (2, 2, 0)
 
 
+class TestAntidiagonalOverflow:
+    """Slots whose products or sums overflow come out unbounded on the
+    overflowing side, never nan, as the column kernel's rows do."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_huge_coefficients_give_unbounded_slots(self, real):
+        big = np.full((4, 4), 1e200)
+        grid = big + (0.0 if real else 1j) * big
+        a = from_complex_points(grid)
+        b = from_complex_points(grid[::-1])
+        for d in range(7):
+            got = product_antidiagonal(a, b, d)
+            assert not np.isnan(got.lo).any() and not np.isnan(got.hi).any()
+            # every product exceeds 1e400: a lower end is a float at
+            # most that, or unbounded where its sum overflows
+            assert ((got.lo[0] == -np.inf) | (got.lo[0] >= 1e308)).all()
+            assert (got.lo[0] == -np.inf).any() or d == 0
+            assert (got.hi[0] == np.inf).all()
+            if real:
+                assert not got.lo[1].any() and not got.hi[1].any()
+
+    def test_bounded_slots_keep_their_sums(self):
+        # only the slot that meets the huge coefficient is unbounded
+        grid = np.ones((3, 3))
+        grid[2, 2] = 1e200
+        a = from_complex_points(grid)
+        b = from_complex_points(1e200 * np.ones((3, 3)))
+        for d in range(5):
+            got = product_antidiagonal(a, b, d)
+            assert not np.isnan(got.lo).any() and not np.isnan(got.hi).any()
+            ms, ns = antidiagonal(2, 2, d)
+            for r, (m, n) in enumerate(zip(ms, ns)):
+                if (m, n) == (2, 2):
+                    # the product 1e400 overflows: its upper sum too
+                    assert got.lo[0, r] >= 1e308 and got.hi[0, r] == np.inf
+                else:
+                    want = (m + 1) * (n + 1) * Fraction(1e200)
+                    assert (Fraction(got.lo[0, r]) <= want
+                            <= Fraction(got.hi[0, r]))
+
+
 class TestHatProducts:
     """The hat coefficient plus the omitted pattern must reproduce the
     full product coefficient, exactly so on dyadic inputs."""
