@@ -4,20 +4,21 @@ A boundary arc gamma(s) is carried into a space-time chart
 Gamma(s, t) = Phi(gamma(s), t / tau) by matching powers of the rescaled
 time variable: tau dGamma/dt = F(Gamma) becomes the recursion
 Gamma_{m,n+1} = b_mn / (tau (n + 1)), with b_mn the Cauchy-product
-coefficients of the lifted polynomial field.  ``taylor_flow`` takes the
-field as a ``b_column(partial, n)`` callable that returns the t-order-n
-coefficients of every component as one ``CIntervalArray`` of shape
-(dim, M + 1), reading only columns 0..n of the partial chart.  In
-production they come from ``polyfield.FieldNodes.b_column``, the series
-interpreter of the field program filled one time-order column at a
-time, so the whole run costs the same as a single full Cauchy product
-per node.  An ``ArcFill`` holds that run and its interpreter, and its
-``finish`` hands the interpreter to ``polyfield.field_defect`` for the
-chart's defect, which fills only its last column: columns 0..N-1
-already hold the field of the finished chart.  A retry at doubled tau
-retimes the fill (``ArcFill.retime``), scaling column n of the chart
-and of every node by 2^-n, so no column is computed twice, across
-retries too.  ``flow_line`` is one fill and its finish.
+coefficients of the lifted polynomial field.  ``taylor_flow`` fills
+a chart in place from its column 0, the arc, and takes the field as a
+``b_column(n)`` callable that returns the t-order-n coefficients of
+every component as one ``CIntervalArray`` of shape (dim, M + 1),
+reading only columns 0..n of the chart.  In production they come from
+``polyfield.FieldNodes.b_column``, the series interpreter of the field
+program filled one time-order column at a time, so the whole run costs
+the same as a single full Cauchy product per node.  An ``ArcFill``
+holds that run and its interpreter, whose input rows are the chart,
+and its ``finish`` hands the interpreter to ``polyfield.field_defect``
+for the chart's defect, which fills only its last column.  A retry at
+doubled tau retimes the fill (``ArcFill.retime``), scaling column n of
+every node, the chart's rows included, by 2^-n, so no column is
+computed twice, across retries too.  ``flow_line`` is one fill and its
+finish.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -42,6 +43,7 @@ from .interval import (
     Interval,
     IntervalArray,
     _gamma,
+    _imul_arr,
     _ldexp_arr,
     _nonneg_upper,
     _pad_sum,
@@ -51,7 +53,7 @@ from .interval import (
 from .manifold import BoundaryArc
 from .polyfield import (DIM, FieldNodes, State7, field_defect,
                         field_program, poly_DF, poly_F_point)
-from .taylor import Series2, _fit, mag_sum_bound
+from .taylor import Series2, _fit
 
 
 @dataclass(frozen=True)
@@ -90,42 +92,38 @@ class FlowChart:
 # the recursion engine
 
 
-def taylor_flow(gamma: Series2,
-                b_column: Callable[[Series2, int], CIntervalArray], N: int,
-                tau: float) -> Series2:
-    """Integrate tau dGamma/dt = F(Gamma) by the coefficient recursion.
+def taylor_flow(out: Series2, b_column: Callable[[int], CIntervalArray],
+                tau: float) -> None:
+    """Integrate tau dGamma/dt = F(Gamma) by the coefficient recursion,
+    filling columns 1..N of ``out`` in place from its column 0, the
+    initial line.
 
-    ``b_column(partial, n)`` must return the field coefficients of
-    t-order n as one CIntervalArray of shape (dim, M + 1), row i for
-    component i, reading only columns 0..n of the partially built
-    series it is handed; column n + 1 of the solution is then
-    b / (tau (n + 1)), written into the series' stacked coefficients
-    as one whole column.  The field is supplied by the caller, so
-    harness fields (constant, linear) exercise the engine exactly.
+    ``b_column(n)`` must return the field coefficients of t-order n as
+    one CIntervalArray of shape (dim, M + 1), row i for component i,
+    reading only columns 0..n of ``out``; column n + 1 of the solution
+    is then b / (tau (n + 1)), written into ``out``'s stacked
+    coefficients as one whole column.  The field is supplied by the
+    caller, so harness fields (constant, linear) exercise the engine
+    exactly.
     """
+    N = out.orders[1]
     if N < 1:
         raise ValueError("time order N must be at least 1")
     if tau == 0.0 or not math.isfinite(tau):
         raise ValueError("tau must be finite and nonzero")
-    if gamma.orders[1] != 0:
-        raise ValueError("initial line must have time order 0")
-    M = gamma.orders[0]
-    out = Series2.zeros(gamma.dim, M, N, scale=gamma.scale, tau=tau,
-                        tail=gamma.tail)
-    out.coefs[:, :, 0] = gamma.coefs[:, :, 0]
     tau_iv = Interval.from_value(tau)
     for n in range(N):
         inv = Interval.from_value(1.0) / (tau_iv * float(n + 1))
-        out.coefs[:, :, n + 1] = b_column(out, n) * inv
-    return out
+        out.coefs[:, :, n + 1] = b_column(n) * inv
 
 
 # ---------------------------------------------------------------------------
 # arcs in, charts out
 
 
-def _arc_series(arc: BoundaryArc, M: int) -> Series2:
-    """Arc coefficients as an exactly real series padded to order M.
+def _arc_column(arc: BoundaryArc, M: int) -> CIntervalArray:
+    """Arc coefficients as an exactly real column padded to order M,
+    shape (dim, M + 1).
 
     Arcs from ``boundary_mesh`` and ``collapse_time_one`` arrive real,
     with exactly zero imaginary grids.  Any arc passes
@@ -139,9 +137,8 @@ def _arc_series(arc: BoundaryArc, M: int) -> Series2:
         raise ValueError("boundary arc must have time order 0")
     if M < Ma:
         raise ValueError(f"spatial order {M} is below the arc order {Ma}")
-    real = Series2.from_real(arc.gamma.real_part())
-    return Series2(_fit(real.coefs, M, 0), scale=arc.gamma.scale,
-                   tail=arc.gamma.tail)
+    real = CIntervalArray.from_real(arc.gamma.real_part())
+    return _fit(real, M, 0)[:, :, 0]
 
 
 def _column_mag(G: Series2, n: int) -> float:
@@ -167,9 +164,7 @@ def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     dividing the trailing column ratio by ``_TARGET_RATIO`` leaves the
     production run with successive-column ratios near the target.
     """
-    sign = -1.0 if arc.kind == "stable" else 1.0
-    rec = FieldNodes(field_program(m, p), M, _N_PILOT)
-    pilot = taylor_flow(_arc_series(arc, M), rec.b_column, _N_PILOT, sign)
+    pilot = ArcFill(arc, m, p, (M, _N_PILOT), 1.0).G
     norms = [_column_mag(pilot, n) for n in range(_N_PILOT + 1)]
     ratios = [norms[k + 1] / norms[k]
               for k in range(_N_PILOT - 2, _N_PILOT) if norms[k] > 0.0]
@@ -183,11 +178,13 @@ class ArcFill:
 
     ``ArcFill(arc, m, p, orders, tau)`` runs ``taylor_flow`` once, at
     the positive time rescaling ``tau``, on a ``FieldNodes`` that only
-    this object holds; stable arcs advect in backward time, so ``G``,
-    the chart series, carries the signed rescaling in ``G.tau`` and the
-    source arc's tail.  ``finish`` makes the chart: defect, Gronwall
-    tube and ``FlowChart``.  ``retime`` doubles tau without refilling,
-    so a chart retried at 2^k tau costs k retimes, not k fills.
+    this object holds.  ``G``, the chart series, is a view of that
+    interpreter's input rows, so the chart and the inputs are one
+    array; stable arcs advect in backward time, so ``G`` carries the
+    signed rescaling in ``G.tau``, and the source arc's tail.
+    ``finish`` makes the chart: defect, Gronwall tube and
+    ``FlowChart``.  ``retime`` doubles tau without refilling, so a
+    chart retried at 2^k tau costs k retimes, not k fills.
     """
 
     def __init__(self, arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
@@ -198,12 +195,14 @@ class ArcFill:
         sign = -1.0 if arc.kind == "stable" else 1.0
         self.arc, self.m, self.p = arc, m, p
         self._nodes = FieldNodes(field_program(m, p), M, N)
-        self.G = taylor_flow(_arc_series(arc, M), self._nodes.b_column, N,
-                             sign * tau)
+        self.G = Series2(self._nodes.G[:DIM], scale=arc.gamma.scale,
+                         tau=sign * tau, tail=arc.gamma.tail)
+        self.G.coefs[:, :, 0] = _arc_column(arc, M)
+        taylor_flow(self.G, self._nodes.b_column, sign * tau)
 
     def retime(self) -> None:
-        """Double tau: column n of the chart and of every node of the
-        interpreter, inputs included, is scaled by 2^-n.
+        """Double tau: column n of every node of the interpreter, the
+        chart's input rows included, is scaled by 2^-n.
 
         Theorem: G'(s, t) = G(s, t / 2) solves 2 tau dG'/dt = F(G')
         when G solves tau dG/dt = F(G), and, F being a polynomial,
@@ -216,33 +215,28 @@ class ArcFill:
         bounds then hold for the retime of every chart the fill
         encloses.  The columns the interpreter had filled stay filled,
         and ``finish`` adds only what is left.
-        The chart series is replaced, not written, so a chart already
-        made from this fill keeps its coefficients; the interpreter is
-        scaled in place.
         """
         tau = 2.0 * self.G.tau
         if not math.isfinite(tau):
             raise ValueError("tau must be finite and nonzero")
-        e = -np.arange(self.G.orders[1] + 1)
         nodes = self._nodes.G
-        nodes.lo[...], nodes.hi[...] = _ldexp_arr(nodes.lo, nodes.hi, e)
-        coefs = CIntervalArray(*_ldexp_arr(self.G.coefs.lo,
-                                           self.G.coefs.hi, e))
-        self.G = Series2(coefs, scale=self.G.scale, tau=tau,
-                         tail=self.G.tail)
+        nodes.lo[...], nodes.hi[...] = _ldexp_arr(
+            nodes.lo, nodes.hi, -np.arange(self._nodes.N + 1))
+        self.G.tau = tau
 
     def finish(self, *, source_arc: Optional[int] = None,
                start_time: float = 0.0) -> FlowChart:
         """The chart of the fill at its current tau: the tail folds the
         source tail and the ODE defect through a Gronwall tube over the
-        chart's range box.  Raises CollisionDomain if the tube does not
-        close."""
+        chart's range box.  The chart holds a copy of the coefficients,
+        so a later retime leaves it as it is.  Raises CollisionDomain if
+        the tube does not close."""
         G = self.G
         defect = _defect_bound(self._nodes, G)
         tail = propagated_tail(self.m, self.p, G, self.arc.gamma.tail,
                                defect)
-        return FlowChart(Gamma=Series2(G.coefs, scale=G.scale, tau=G.tau,
-                                       tail=tail),
+        return FlowChart(Gamma=Series2(G.coefs.copy(), scale=G.scale,
+                                       tau=G.tau, tail=tail),
                          kind=self.arc.kind, defect=defect,
                          source_arc=source_arc,
                          accumulated_time=start_time + 1.0 / G.tau)
@@ -272,25 +266,18 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
 
 
 def _defect_bound(cols: FieldNodes, G: Series2) -> float:
-    """``polyfield.field_defect`` with left-hand side tau dGamma/dt,
-    whose column n is tau (n + 1) Gamma[:, n + 1] and whose column N is
-    zero.
-
-    ``cols`` is the interpreter that built G in ``taylor_flow``, or a
-    fresh one.  Reuse is sound: ``taylor_flow`` writes chart column
-    n + 1 only after ``b_column`` has copied column n, and never
-    rewrites a column, so the interpreter's copies are G's columns
-    0..N-1, the columns it filled are F(G)'s, bit for bit, and
-    ``field_defect`` adds column N.  ``ArcFill.retime`` keeps this:
-    it scales the copies and the filled columns alike.
-    """
+    """``polyfield.field_defect`` for the chart G in the input rows of
+    ``cols``, with left-hand side tau dGamma/dt: column n is
+    tau (n + 1) Gamma[:, n + 1], one stacked product of G's columns
+    1..N with the scalar enclosures of tau (n + 1), and column N is
+    zero."""
     M, N = G.orders
     tau_iv = Interval.from_value(G.tau)
+    scales = IntervalArray.of([tau_iv * float(n + 1) for n in range(N)])
     lhs = CIntervalArray.zeros((DIM, M + 1, N + 1))
-    for n in range(N):
-        lhs[:, :, n] = G.coefs[:, :, n + 1] * (tau_iv * float(n + 1))
-    res, beyond = field_defect(cols, G, lhs)
-    return max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
+    lhs.lo[..., :N], lhs.hi[..., :N] = _imul_arr(
+        G.coefs.lo[..., 1:], G.coefs.hi[..., 1:], scales.lo, scales.hi)
+    return field_defect(cols, lhs)
 
 
 # tiles per side of the range box's sample grid, and the tile centers

@@ -21,7 +21,9 @@ linear contribution on every node in one stacked product; one
 of every node.  ``field_series`` fills the same interpreter column by
 column, as advection does, and the tail of a finished manifold comes
 from ``polyfield.field_defect``, the bound that also gives an advected
-chart its defect.
+chart its defect.  Every fill reads P where it is written, in the
+interpreter's input rows: column n of every node is F of input columns
+0..n.
 
 The formal solution scales exactly.  If P solves the invariance
 equation, so does P(s z1, s z2), whose first-order data are s v1 and
@@ -251,14 +253,13 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
     of the invariance defect lam1 z1 d1 P + lam2 z2 d2 P - F(P) of P.
 
     Its left-hand side has the coefficients (m lam1 + n lam2) a_mn on
-    P's (N, N) grid.  ``field_defect`` takes P grown with zeros to the
-    fixed grid K = ceil(3 N / 2) and a fresh ``FieldNodes`` on (K, K),
-    fills every column of it, and returns the in-grid residual res_i
-    and a bound lost_i on the coefficient mass of F_i(P) beyond the
-    (K, K) grid.  The l1 norm of a series bounds its
-    sup over the unit polydisc, so component i's defect is at most
-    mag_sum_bound(res_i) + lost_i there, and the tail is the largest
-    over i.
+    P's (N, N) grid.  P is written into the input rows of a fresh
+    ``FieldNodes`` on the fixed grid K = ceil(3 N / 2), zero past
+    (N, N), and ``field_defect`` fills every column of it and returns
+    the tail: the largest over i of the l1 norm of the in-grid residual
+    res_i plus a bound lost_i on the coefficient mass of F_i(P) beyond
+    the (K, K) grid, which bounds component i's defect over the unit
+    polydisc.
     """
     N = P.orders[0]
     K = -(-3 * N // 2)
@@ -267,9 +268,8 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
     lhs = CIntervalArray.zeros((DIM, K + 1, K + 1))
     lhs[:, : N + 1, : N + 1] = P.coefs * mu
     cols = FieldNodes(field_program(m, p), K, K)
-    res, beyond = field_defect(cols, Series2(_fit(P.coefs, K, K)), lhs)
-    tail = max(mag_sum_bound(r) + b for r, b in zip(res, beyond))
-    P = Series2(P.coefs, scale=P.scale, tail=tail)
+    cols.G[:DIM, : N + 1, : N + 1] = P.coefs
+    P = Series2(P.coefs, scale=P.scale, tail=field_defect(cols, lhs))
     return LocalManifold(P=P, kind=kind, eigen=eigen, lambda1=lam1,
                          lambda2=lam2, equilibrium=u0)
 
@@ -331,8 +331,8 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     quintic polynomial in the components, so passing ``(5 M, 5 N)``
     captures every coefficient, a reference for the defect bounds of
     ``polyfield.field_defect``, which need no more than a fixed grid.
-    P enters grown with zeros to the requested grid, on which every
-    node is kept.
+    P is written into the input rows of an interpreter on the requested
+    grid, zero past P's own, on which every node is kept.
     """
     M0, N0 = P.orders
     if orders is None:
@@ -340,11 +340,10 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     OM, ON = orders
     if OM < M0 or ON < N0:
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
-    prog = field_program(m, p)
-    cols = FieldNodes(prog, OM, ON)
-    S = Series2(_fit(P.coefs, OM, ON))
+    cols = FieldNodes(field_program(m, p), OM, ON)
+    cols.G[:DIM, : M0 + 1, : N0 + 1] = P.coefs
     for n in range(ON + 1):
-        cols.b_column(S, n)
+        cols.b_column(n)
     return Series2(cols.G[cols.outputs]).components
 
 

@@ -19,9 +19,10 @@ Jacobian ``poly_DF``, and all its rows land a degree's solved
 coefficients on every node of the homological solve.  ``evaluate`` is
 the float interpreter behind ``poly_F_point``.  ``field_defect``
 finishes a column fill to bound the defect of an invariance equation:
-the ODE defect of an advected chart, on the interpreter whose columns
-0..N-1 built the chart, so each column is computed once, and the tail
-of a local manifold, on a fresh interpreter.
+the ODE defect of an advected chart and the tail of a local manifold.
+An interpreter owns its inputs: its input rows ``G[:DIM]`` are the
+series being filled, written by the caller, and column n of every node
+is F of input columns 0..n.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
                        _directed_sum, _iadd_arr, _imul_arr, _nonneg_upper,
                        _prod_ceil, _sum_ceil)
-from .taylor import (ScalarSeries2, Series2, antidiagonal,
-                     product_antidiagonals, product_columns)
+from .taylor import (antidiagonal, mag_sum_bound, product_antidiagonals,
+                     product_columns)
 
 DIM = 7
 
@@ -339,25 +340,23 @@ class FieldNodes:
     ``_LinLevel.values``, with the endpoints of evaluating each node's
     terms one by one, up to the sign of a zero.
 
-    ``b_column(S, n)`` copies column n of the series ``S`` into the
-    input rows and fills column n of every node on all M + 1 rows by
+    The input rows ``G[:DIM]`` are the series being filled: the caller
+    writes them, and neither fill writes them.  ``b_column(n)`` fills
+    column n of every node on all M + 1 rows by
     ``taylor.product_columns``; the constants enter at n = 0.  Whether
     every factor is exactly real is decided once per column, from
-    ``G``'s imaginary grids after the input copy.  Each row equals
-    ``product_column``'s for its pair, bit for bit, when that decision
-    agrees with the pair's own, as it does for real charts and for
-    inputs whose every component is complex.
-    Theorem: if columns 0..n of the inputs are enclosures, so are
-    columns n of all nodes, since a product's column n reads only
-    columns 0..n of its factors, and truncation to the grid drops only
-    coefficients of orders that products never bring back down.
-    ``filled`` counts the columns filled so far, and ``b_column`` fills
-    only the next one.  The input columns read are the interpreter's
-    own copies, so the filled columns are F(S)'s for every later series
-    S whose columns 0..filled-1 equal the ones copied: a caller that
-    builds S column by column, writing each column once before it is
-    read and never again, can hand the same interpreter on and have the
-    rest filled without recomputing any of them.
+    ``G``'s imaginary grids, which show input columns past n too, so
+    the decision is conservative when the caller wrote them ahead.
+    Each row equals ``product_column``'s for its pair, bit for bit,
+    when that decision agrees with the pair's own, as it does for
+    inputs that are all real or all complex, and overlaps it otherwise.
+    Theorem: if input columns 0..n are enclosures, so are columns n of
+    all nodes, since a product's column n reads only columns 0..n of
+    its factors, and truncation to the grid drops only coefficients of
+    orders that products never bring back down.  ``filled`` counts the
+    columns filled so far, and ``b_column`` fills only the next one, so
+    the caller may write input column n at any time before filling it
+    (``advect.taylor_flow`` writes it just before), but not after.
 
     ``degree(d, m_min)`` fills every node's degree-d slots (m, d - m)
     with m >= m_min by ``taylor.product_antidiagonals``; the caller
@@ -395,7 +394,7 @@ class FieldNodes:
                 self.G[(lin.nodes[:, None],) + slots] = \
                     CIntervalArray._wrap(lo, hi)
 
-    def b_column(self, S: Series2, n: int) -> CIntervalArray:
+    def b_column(self, n: int) -> CIntervalArray:
         """Column n of every node; returns the outputs' as shape
         (DIM, M + 1).  Raises ValueError unless n is the next unfilled
         column, since a product's column n reads its operands' columns
@@ -403,9 +402,9 @@ class FieldNodes:
         if n != self.filled:
             raise ValueError(f"column {n} requested, but the next "
                              f"unfilled column is {self.filled}")
-        self.G[:DIM, :, n] = S.coefs[:, :, n]
-        # the unfilled columns are zero, so this asks whether every
-        # factor of every product of this column is exactly real
+        # the unfilled node columns are zero, so this asks whether
+        # every factor of every product of this column is exactly real,
+        # or an input column past n is complex
         real = not (self.G.lo[1].any() or self.G.hi[1].any())
         self._fill((np.arange(self.M + 1), n), lambda a, b: product_columns(
             self.G, a, b, n, self.M, real), n == 0)
@@ -456,35 +455,33 @@ class FieldNodes:
         return [lost[o] for o in self.prog.outputs]
 
 
-def field_defect(cols: FieldNodes, S: Series2, lhs: CIntervalArray
-                 ) -> tuple[tuple[ScalarSeries2, ...], list[float]]:
-    """Defect lhs - F(S) of an invariance equation on the interpreter's
-    (M, N) grid.
+def field_defect(cols: FieldNodes, lhs: CIntervalArray) -> float:
+    """Bound on the defect sup |lhs_i - F_i(S)| of an invariance
+    equation over the closed unit polydisc, largest over i, for the
+    series S in the input rows of ``cols``.
 
-    ``S`` is a polynomial on the interpreter's (M, N) grid;
-    ``lhs`` has shape (DIM, M + 1, N + 1) and holds the
-    equation's other side, all of whose content lies on the grid.
-    Fills columns ``cols.filled``..N of ``cols`` and returns the
-    in-grid residual series res_i = lhs_i - [F(S)]_i, formed in one
-    stacked subtraction over the output nodes' grids (outputs 1 and 3
-    are input nodes) and returned as the components of that one
-    stacked residual, and, from ``beyond_grid_bounds``, per
-    component a bound lost_i on the coefficient mass of F_i(S) outside
-    the grid.  Precondition: columns 0..cols.filled-1 of S are the
-    ones ``cols`` copied when it filled them, so by the theorem of
-    ``FieldNodes`` every node grid then holds F(S)'s columns.
+    ``lhs`` has shape (DIM, M + 1, N + 1) on the interpreter's (M, N)
+    grid and holds the equation's other side, all of whose content
+    lies on the grid.  Fills columns ``cols.filled``..N of ``cols``,
+    so by the theorem of ``FieldNodes`` every node grid holds F(S)'s
+    columns, and forms the in-grid residual res_i = lhs_i - [F(S)]_i in
+    one stacked subtraction over the output nodes' grids (outputs 1 and
+    3 are input nodes); ``beyond_grid_bounds`` gives per component a
+    bound lost_i on the coefficient mass of F_i(S) outside the grid.
     Theorem: on the closed unit polydisc |z1^m z2^n| <= 1, so a series
     is bounded there by the l1 norm of its coefficients, and
         sup |lhs_i - F_i(S)| <= sum |res_i| + lost_i,
-    with the in-grid sum bounded by ``taylor.mag_sum_bound``.
+    with the in-grid sum bounded by ``taylor.mag_sum_bound``.  Raises
+    ValueError unless ``lhs`` lies on the interpreter's grid.
     """
-    if S.orders != (cols.M, cols.N):
-        raise ValueError(f"series orders {S.orders} differ from the "
-                         f"interpreter's grid {(cols.M, cols.N)}")
+    if lhs.shape != (DIM, cols.M + 1, cols.N + 1):
+        raise ValueError(f"left-hand side of shape {lhs.shape} is off "
+                         f"the interpreter's grid {(cols.M, cols.N)}")
     for n in range(cols.filled, cols.N + 1):
-        cols.b_column(S, n)
+        cols.b_column(n)
     res = lhs - cols.G[cols.outputs]
-    return Series2(res).components, cols.beyond_grid_bounds()
+    lost = cols.beyond_grid_bounds()
+    return max(mag_sum_bound(res[i]) + lost[i] for i in range(DIM))
 
 
 def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbody import advect
 from fourbody.advect import (
     _CENTERS,
     ArcFill,
     FlowChart,
-    _arc_series,
     _tile_samples,
     _defect_bound,
     check_collision,
@@ -29,7 +29,7 @@ from fourbody.errors import CollisionDomain, SymmetryViolation
 from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
     local_manifold
-from fourbody.polyfield import FieldNodes, field_defect, field_program
+from fourbody.polyfield import DIM, FieldNodes, field_defect, field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
 
 from conftest import energy_point, from_complex_points
@@ -63,14 +63,15 @@ def chart15(setup, arcs15):
     return chart, time.perf_counter() - t0
 
 
-def _line_series(vals, M=0):
-    """Constant-in-s line with the given component values at (0, 0)."""
+def _line_series(vals, M=0, N=0):
+    """Constant-in-s line with the given component values at (0, 0),
+    on the (M, N) grid: with N > 0, the series a flow fills."""
     comps = []
     for v in vals:
-        rlo = np.zeros((M + 1, 1))
+        rlo = np.zeros((M + 1, N + 1))
         rlo[0, 0] = v
-        comps.append(ScalarSeries2(rlo, rlo.copy(), np.zeros((M + 1, 1)),
-                                   np.zeros((M + 1, 1))))
+        comps.append(ScalarSeries2(rlo, rlo.copy(), np.zeros((M + 1, N + 1)),
+                                   np.zeros((M + 1, N + 1))))
     return Series2(tuple(comps), scale=1.0, tau=1.0, tail=0.0)
 
 
@@ -87,21 +88,28 @@ def _chart_lhs(G):
 
 
 def _fresh_columns(m, pc, G):
-    """A column interpreter on G's grid that has filled no column."""
-    return FieldNodes(field_program(m, pc), *G.orders)
+    """A column interpreter on G's grid, with G in its input rows, that
+    has filled no column."""
+    cols = FieldNodes(field_program(m, pc), *G.orders)
+    cols.G[:DIM] = G.coefs
+    return cols
 
 
 def _chart_defect(m, pc, G):
     """field_defect of tau dGamma/dt = F(Gamma) on a fresh interpreter:
     the in-grid residual and the beyond-grid bounds."""
-    return field_defect(_fresh_columns(m, pc, G), G, _chart_lhs(G))
+    cols, lhs = _fresh_columns(m, pc, G), _chart_lhs(G)
+    field_defect(cols, lhs)
+    return (Series2(lhs - cols.G[cols.outputs]).components,
+            cols.beyond_grid_bounds())
 
 
-def _linear_column(A):
-    """Harness field F(u) = A u, summed with the interval kernels."""
+def _linear_column(A, G):
+    """Harness field F(u) = A u on the series G, summed with the
+    interval kernels."""
     A = [[float(x) for x in row] for row in A]
 
-    def bcol(G, n):
+    def bcol(n):
         dim = len(G.components)
         rows = []
         for i in range(dim):
@@ -121,14 +129,15 @@ class TestTaylorFlow:
         # dyadic tau and c
         c = np.array([0.75, -1.5])
 
-        def bcol(G, n):
-            b = CIntervalArray.zeros((2, G.orders[0] + 1))
+        def bcol(n):
+            b = CIntervalArray.zeros((2, 2))
             if n == 0:
                 b[:, 0] = CIntervalArray.of([CInterval(x) for x in c])
             return b
 
         gamma = _line_series([2.0, -0.25], M=1)
-        out = taylor_flow(gamma, bcol, 4, 0.5)
+        out = _line_series([2.0, -0.25], M=1, N=4)
+        taylor_flow(out, bcol, 0.5)
         for i, comp in enumerate(out.components):
             assert comp.rlo[0, 0] == gamma.components[i].rlo[0, 0]
             assert comp.rlo[0, 1] == c[i] / 0.5
@@ -140,8 +149,8 @@ class TestTaylorFlow:
     def test_nilpotent_field_terminates(self):
         # F(u) = (u2, 0): the flow is gamma1 + (t / tau) gamma2, and
         # every later column must be exactly zero
-        gamma = _line_series([0.5, 3.0])
-        out = taylor_flow(gamma, _linear_column([[0, 1], [0, 0]]), 6, 2.0)
+        out = _line_series([0.5, 3.0], N=6)
+        taylor_flow(out, _linear_column([[0, 1], [0, 0]], out), 2.0)
         u1, u2 = out.components
         assert u1.rlo[0, 1] == 3.0 / 2.0
         assert np.all(u1.rlo[:, 2:] == 0.0) and np.all(u1.rhi[:, 2:] == 0.0)
@@ -151,8 +160,8 @@ class TestTaylorFlow:
         # F(u) = (u2, -u1) from (1, 0): columns are the cosine and sine
         # coefficients 1 / n!, compared against exact rationals
         N = 12
-        out = taylor_flow(_line_series([1.0, 0.0]),
-                          _linear_column([[0, 1], [-1, 0]]), N, 1.0)
+        out = _line_series([1.0, 0.0], N=N)
+        taylor_flow(out, _linear_column([[0, 1], [-1, 0]], out), 1.0)
         cur = [Fraction(1), Fraction(0)]
         for n in range(N + 1):
             for i, comp in enumerate(out.components):
@@ -162,17 +171,15 @@ class TestTaylorFlow:
             cur = [cur[1] / (n + 1), -cur[0] / (n + 1)]
 
     def test_rejects_bad_arguments(self):
-        gamma = _line_series([1.0, 0.0])
-        bcol = _linear_column([[0, 0], [0, 0]])
+        line = _line_series([1.0, 0.0])
         with pytest.raises(ValueError):
-            taylor_flow(gamma, bcol, 0, 1.0)
+            taylor_flow(line, _linear_column([[0, 0], [0, 0]], line), 1.0)
+        out = _line_series([1.0, 0.0], N=3)
+        bcol = _linear_column([[0, 0], [0, 0]], out)
         with pytest.raises(ValueError):
-            taylor_flow(gamma, bcol, 3, 0.0)
+            taylor_flow(out, bcol, 0.0)
         with pytest.raises(ValueError):
-            taylor_flow(gamma, bcol, 3, math.inf)
-        square = taylor_flow(gamma, bcol, 3, 1.0)
-        with pytest.raises(ValueError):
-            taylor_flow(square, bcol, 3, 1.0)
+            taylor_flow(out, bcol, math.inf)
 
 
 class TestFlowLine:
@@ -221,9 +228,9 @@ class TestFlowLine:
         prog = field_program(m, pc)
         b = field_series(m, pc, G, orders=(15, 20))
         full = full_product_nodes(prog, G.components, (15, 20))
-        rec = FieldNodes(prog, 15, 20)
+        rec = _fresh_columns(m, pc, G)
         for n in range(21):
-            col = rec.b_column(G, n)
+            col = rec.b_column(n)
             for i in range(7):
                 want = b[i][:, n]
                 assert np.array_equal(col[i].lo, want.lo)
@@ -333,17 +340,21 @@ class TestRetime:
         chart = fill.finish()
         kept = chart.Gamma.coefs.copy()
         nodes = fill._nodes
-        before, G = nodes.G.copy(), fill.G
+        # the chart is the interpreter's input rows: one store
+        assert np.shares_memory(fill.G.coefs.lo, nodes.G[:DIM].lo)
+        assert np.shares_memory(fill.G.coefs.hi, nodes.G[:DIM].hi)
+        before, G = nodes.G.copy(), fill.G.coefs.copy()
+        tau0, tail0 = fill.G.tau, fill.G.tail
         calls = []
         monkeypatch.setattr(FieldNodes, "b_column",
                             lambda *a: calls.append(a))
         fill.retime()
         assert calls == [] and nodes.filled == 19
         e = -np.arange(19)
-        for old, new in ((G.coefs, fill.G.coefs), (before, nodes.G)):
+        for old, new in ((G, fill.G.coefs), (before, nodes.G)):
             assert np.array_equal(new.lo, np.ldexp(old.lo, e))
             assert np.array_equal(new.hi, np.ldexp(old.hi, e))
-        assert fill.G.tau == 2.0 * G.tau and fill.G.tail == G.tail
+        assert fill.G.tau == 2.0 * tau0 and fill.G.tail == tail0
         # the chart made before the retime is not written
         assert chart.Gamma.coefs.lo.tobytes() == kept.lo.tobytes()
         assert chart.Gamma.coefs.hi.tobytes() == kept.hi.tobytes()
@@ -428,7 +439,7 @@ class TestDefect:
         res = _chart_defect(m, pc, bad.Gamma)[0][1]
         assert not res.rlo[mm, 15] <= 0.0 <= res.rhi[mm, 15]
         assert mag_sum_bound(res) - base > 0.5 * 16.0 * mag
-        assert (_defect_bound(_fresh_columns(m, pc, G), bad.Gamma)
+        assert (_defect_bound(_fresh_columns(m, pc, bad.Gamma), bad.Gamma)
                 >= _defect_bound(_fresh_columns(m, pc, G), G))
 
     def test_recursion_interpreter_reuse_is_exact(self, setup, arcs15):
@@ -437,25 +448,50 @@ class TestDefect:
         # the finished chart, for a stable arc and for the same kind of
         # arc advected forward as an unstable one: equal endpoints
         m, pc = setup
-        prog = field_program(m, pc)
         M, N = 15, 20
-        for arc, sign in ((arcs15[7], -1.0),
-                          (BoundaryArc(gamma=arcs15[12].gamma,
-                                       kind="unstable"), 1.0)):
-            rec = FieldNodes(prog, M, N)
-            G = taylor_flow(_arc_series(arc, M), rec.b_column, N, sign * 2.0)
+        for arc in (arcs15[7], BoundaryArc(gamma=arcs15[12].gamma,
+                                           kind="unstable")):
+            fill = ArcFill(arc, m, pc, (M, N), 2.0)
+            rec, G = fill._nodes, fill.G
             assert rec.filled == N
             lhs = _chart_lhs(G)
-            res, beyond = field_defect(rec, G, lhs)
+            bound = field_defect(rec, lhs)
             assert rec.filled == N + 1
-            want, want_beyond = field_defect(FieldNodes(prog, M, N), G, lhs)
-            assert beyond == want_beyond
-            for r, w in zip(res, want):
-                assert np.array_equal(r.lo, w.lo)
-                assert np.array_equal(r.hi, w.hi)
+            fresh = _fresh_columns(m, pc, G)
+            assert field_defect(fresh, lhs) == bound
+            assert rec.beyond_grid_bounds() == fresh.beyond_grid_bounds()
+            for cols in (rec, fresh):
+                assert np.array_equal(cols.G[:DIM].lo, G.coefs.lo)
+                assert np.array_equal(cols.G[:DIM].hi, G.coefs.hi)
+            res = lhs - rec.G[rec.outputs]
+            want = lhs - fresh.G[fresh.outputs]
+            assert np.array_equal(res.lo, want.lo)
+            assert np.array_equal(res.hi, want.hi)
             chart = flow_line(arc, m, pc, orders=(M, N), tau=2.0)
-            assert chart.defect == max(mag_sum_bound(r) + b
-                                       for r, b in zip(res, beyond))
+            assert chart.defect == max(
+                mag_sum_bound(r) + b for r, b in zip(
+                    Series2(res).components, rec.beyond_grid_bounds()))
+
+    def test_stacked_lhs_equals_column_products(self, setup, arcs15,
+                                                chart15, monkeypatch):
+        # the left-hand side tau dGamma/dt of _defect_bound, one stacked
+        # product, against one product per column: real endpoints bit
+        # for bit, the imaginary exact zeros up to the sign of a zero;
+        # tau = 1 and 2 make some scales exact 1 and 2, which the
+        # per-column product scales without an interval product
+        m, pc = setup
+        charts = [chart15[0].Gamma] + [
+            ArcFill(arcs15[k], m, pc, (15, 12), tau).G
+            for k, tau in ((7, 1.0), (12, 2.0), (5, 0.5))]
+        got = []
+        monkeypatch.setattr(advect, "field_defect",
+                            lambda cols, lhs: got.append(lhs) or 0.0)
+        for G in charts:
+            _defect_bound(_fresh_columns(m, pc, G), G)
+            want = _chart_lhs(G)
+            for x, y in ((got[-1].lo, want.lo), (got[-1].hi, want.hi)):
+                assert x[0].tobytes() == y[0].tobytes()
+                assert np.array_equal(x[1], y[1]) and not x[1].any()
 
     def test_one_interpreter_run_per_chart(self, setup, arcs15,
                                            monkeypatch):
@@ -465,9 +501,9 @@ class TestDefect:
         calls = []
         b_column = FieldNodes.b_column
 
-        def counted(self, G, n):
+        def counted(self, n):
             calls.append(n)
-            return b_column(self, G, n)
+            return b_column(self, n)
 
         monkeypatch.setattr(FieldNodes, "b_column", counted)
         flow_line(arcs15[7], m, pc, orders=(15, 20), tau=2.0)
@@ -499,9 +535,9 @@ class TestDefect:
             for _ in range(7)))
         for G in (chart, noise):
             M, N = G.orders
-            cols = FieldNodes(field_program(m, pc), M, N)
+            cols = _fresh_columns(m, pc, G)
             for n in range(N + 1):
-                cols.b_column(G, n)
+                cols.b_column(n)
             bounds = cols.beyond_grid_bounds()
             full = field_series(m, pc, G, orders=(5 * M, 5 * N))
             for i, (f, bound) in enumerate(zip(full, bounds)):

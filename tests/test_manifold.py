@@ -86,9 +86,12 @@ def _invariance_defect(m, pc, M, K):
     """field_defect of the invariance equation of M on the (K, K) grid:
     the in-grid residual and the per-component beyond-grid bounds."""
     P = M.P
-    G = Series2(tuple(_fit(c, K, K) for c in P.components))
     cols = FieldNodes(field_program(m, pc), K, K)
-    return field_defect(cols, G, _invariance_lhs(P, M.lambda1, M.lambda2, K))
+    cols.G[:DIM] = Series2(tuple(_fit(c, K, K) for c in P.components)).coefs
+    lhs = _invariance_lhs(P, M.lambda1, M.lambda2, K)
+    field_defect(cols, lhs)
+    return (Series2(lhs - cols.G[cols.outputs]).components,
+            cols.beyond_grid_bounds())
 
 
 def _mig_sum(r) -> float:

@@ -186,8 +186,9 @@ class TestFieldProgram:
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (K, K))
         cols = FieldNodes(prog, K, K)
+        cols.G[:DIM] = Series2(tuple(comps)).coefs
         for n in range(K + 1):
-            cols.b_column(Series2(tuple(comps)), n)
+            cols.b_column(n)
         coef, J = degree_nodes(prog, K, [c.at(0, 0) for c in comps])
         for d in range(1, 2 * K + 1):
             slots = antidiagonal(K, K, d)
@@ -205,42 +206,47 @@ class TestFieldProgram:
         # zero, so only the next unfilled column may be asked for
         comps = [from_complex_points(np.ones((3, 3)))
                  for _ in range(DIM)]
-        G = Series2(tuple(comps))
         cols = FieldNodes(field_program(triple, config), 2, 2)
+        cols.G[:DIM] = Series2(tuple(comps)).coefs
         with pytest.raises(ValueError):
-            cols.b_column(G, 1)
-        cols.b_column(G, 0)
+            cols.b_column(1)
+        cols.b_column(0)
         assert cols.filled == 1
         with pytest.raises(ValueError):
-            cols.b_column(G, 0)
+            cols.b_column(0)
         # field_defect finishes an interpreter only on its own grid
         with pytest.raises(ValueError):
             field_defect(FieldNodes(field_program(triple, config), 3, 2),
-                         G, CIntervalArray.zeros((DIM, 4, 3)))
+                         CIntervalArray.zeros((DIM, 3, 3)))
 
-    def test_column_fill_reads_its_own_input_copies(self, config, triple):
-        # rewriting a column of the series after b_column has read it
-        # changes no filled node column: products read the
-        # interpreter's copies of the input columns
+    @pytest.mark.parametrize("parts", ["complex", "real", "real-then-complex"])
+    def test_inputs_written_ahead(self, config, triple, parts):
+        # one interpreter with every input column written before column 0
+        # is filled, as param_equilibrium and field_series write them,
+        # and one written column by column, as taylor_flow writes them:
+        # bit-equal node grids when the inputs are all complex or all
+        # real, and overlapping ones for real early columns and complex
+        # later ones, where the real-ness scan sees the later columns
+        # and takes the complex path
         rng = np.random.default_rng(9)
-        comps = [from_complex_points(
-            rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-            for _ in range(DIM)]
+        M, N = 4, 5
+        S = _random_inputs(rng, M, N, parts == "real")
+        if parts == "real-then-complex":
+            S.coefs.lo[1][:, :, :2] = S.coefs.hi[1][:, :, :2] = 0.0
         prog = field_program(triple, config)
-        want = FieldNodes(prog, 3, 3)
-        got = FieldNodes(prog, 3, 3)
-        ref, S = Series2(tuple(comps)), Series2(tuple(comps))
-        for n in range(4):
-            want.b_column(ref, n)
-            got.b_column(S, n)
-            S.coefs[:, :, n] = S.coefs[:, :, n] * 3.0
-        assert np.array_equal(got.G.lo, want.G.lo)
-        assert np.array_equal(got.G.hi, want.G.hi)
-        # the input rows are copies of the columns as they were read
-        grids = Series2(got.G).components
-        for k in range(DIM):
-            assert np.array_equal(grids[k].lo, comps[k].lo)
-            assert np.array_equal(grids[k].hi, comps[k].hi)
+        ahead = FieldNodes(prog, M, N)
+        ahead.G[:DIM] = S.coefs
+        by_column = FieldNodes(prog, M, N)
+        for n in range(N + 1):
+            by_column.G[:DIM, :, n] = S.coefs[:, :, n]
+            ahead.b_column(n)
+            by_column.b_column(n)
+        if parts == "real-then-complex":
+            assert np.all(ahead.G.lo <= by_column.G.hi)
+            assert np.all(by_column.G.lo <= ahead.G.hi)
+        else:
+            assert np.array_equal(ahead.G.lo, by_column.G.lo)
+            assert np.array_equal(ahead.G.hi, by_column.G.hi)
 
     def test_column_interpreter_raises_node_orders(
             self, config, triple, full_product_nodes, assert_overlap):
@@ -253,9 +259,9 @@ class TestFieldProgram:
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (9, 8))
         cols = FieldNodes(prog, 9, 8)
-        G = Series2(tuple(_fit(c, 9, 8) for c in comps))
+        cols.G[:DIM] = Series2(tuple(_fit(c, 9, 8) for c in comps)).coefs
         for n in range(9):
-            cols.b_column(G, n)
+            cols.b_column(n)
         for a, b in zip(full[DIM:], Series2(cols.G).components[DIM:]):
             assert_overlap(a, b)
 
@@ -393,7 +399,8 @@ class TestLevelSchedule:
         got = FieldNodes(prog, M, N)
         want = FieldNodes(prog, M, N)
         for n in range(N + 1):
-            out = got.b_column(S, n)
+            got.G[:DIM, :, n] = S.coefs[:, :, n]
+            out = got.b_column(n)
             _node_by_node_column(want, S, n)
             # column 0 carries the Lin constants
             assert np.array_equal(got.G.lo, want.G.lo), n
@@ -460,8 +467,10 @@ class TestFoldedTails:
         M, N = 5, 7
         S = _random_inputs(rng, M, N, real)
         cols = [FieldNodes(prog, M, N) for prog in progs]
+        for c in cols:
+            c.G[:DIM] = S.coefs
         for n in range(N + 1):
-            got, want = (c.b_column(S, n) for c in cols)
+            got, want = (c.b_column(n) for c in cols)
             assert np.array_equal(got.lo, want.lo), n
             assert np.array_equal(got.hi, want.hi), n
         K = 5
