@@ -5,19 +5,24 @@ Gamma(s, t) = Phi(gamma(s), t / tau) by matching powers of the rescaled
 time variable: tau dGamma/dt = F(Gamma) becomes the recursion
 Gamma_{m,n+1} = b_mn / (tau (n + 1)), with b_mn the Cauchy-product
 coefficients of the lifted polynomial field.  ``taylor_flow`` fills
-a chart in place from its column 0, the arc, and takes the field as a
-``b_column(n)`` callable that returns the t-order-n coefficients of
-every component as one ``CIntervalArray`` of shape (dim, M + 1),
-reading only columns 0..n of the chart.  In production they come from
+K charts at once in place from their column 0, the arcs, and takes the
+field as a ``b_column(n)`` callable that returns the t-order-n
+coefficients of every component of every chart as one
+``CIntervalArray`` of shape (K dim, M + 1), reading only columns 0..n
+of the charts.  In production they come from
 ``polyfield.FieldNodes.b_column``, the series interpreter of the field
-program filled one time-order column at a time, so the whole run costs
-the same as a single full Cauchy product per node.  An ``ArcFill``
-holds that run and its interpreter, whose input rows are the chart,
-and its ``finish`` hands the interpreter to ``polyfield.field_defect``
-for the chart's defect, which fills only its last column.  A retry at
-doubled tau retimes the fill (``ArcFill.retime``), scaling column n of
-every node, the chart's rows included, by 2^-n, so no column is
-computed twice, across retries too.  ``flow_line`` is one fill and its
+program on K copies of its node set, filled one time-order column at a
+time, so the whole run costs the same as a single full Cauchy product
+per node, and each level pass serves every chart.  An ``ArcFill``
+holds that run and its interpreter, whose input rows are the charts;
+an atlas generation is one ``ArcFill`` of all its arc pieces, its
+``choose_tau`` pilots another, and a single arc is K = 1.  Its
+``finish(k)`` hands the interpreter to ``polyfield.field_defect`` for
+chart k's defect; the first finish fills the last column of every
+chart's nodes.  A retry at doubled tau retimes chart k's rows of the
+fill (``ArcFill.retime``), scaling column n of every node of that
+chart, its input rows included, by 2^-n, so no column is computed
+twice, across retries too.  ``flow_line`` is a fill of one arc and its
 finish.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -92,29 +97,43 @@ class FlowChart:
 # the recursion engine
 
 
-def taylor_flow(out: Series2, b_column: Callable[[int], CIntervalArray],
-                tau: float) -> None:
-    """Integrate tau dGamma/dt = F(Gamma) by the coefficient recursion,
-    filling columns 1..N of ``out`` in place from its column 0, the
-    initial line.
+def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
+                taus: Sequence[float]) -> None:
+    """Integrate tau_k dGamma_k/dt = F(Gamma_k) for K charts at once by
+    the coefficient recursion, filling columns 1..N of ``out`` in place
+    from its column 0, the initial lines.
 
-    ``b_column(n)`` must return the field coefficients of t-order n as
-    one CIntervalArray of shape (dim, M + 1), row i for component i,
-    reading only columns 0..n of ``out``; column n + 1 of the solution
-    is then b / (tau (n + 1)), written into ``out``'s stacked
-    coefficients as one whole column.  The field is supplied by the
-    caller, so harness fields (constant, linear) exercise the engine
-    exactly.
+    ``out`` has shape (K, dim, M + 1, N + 1), chart k at ``out[k]``,
+    and ``taus[k]`` is chart k's time rescaling.  ``b_column(n)`` must
+    return the field coefficients of t-order n of every chart as one
+    CIntervalArray of shape (K dim, M + 1), row k dim + i for component
+    i of chart k, reading only columns 0..n of ``out``; column n + 1 of
+    chart k is then b_k / (tau_k (n + 1)), and all K are written by one
+    stacked ``_imul_arr`` with the enclosures of 1 / (tau_k (n + 1)).
+    Each entry gets the endpoints of its own interval product, so a
+    chart's columns do not depend on the other charts; where a scale
+    is exactly +-1 or +-2, they equal those of ``CIntervalArray``'s
+    exact scaling up to the sign of a zero.  The field is supplied by
+    the caller, so harness fields (constant, linear) exercise the
+    engine exactly.
     """
-    N = out.orders[1]
+    K, dim, rows, cols = out.shape
+    N = cols - 1
     if N < 1:
         raise ValueError("time order N must be at least 1")
-    if tau == 0.0 or not math.isfinite(tau):
+    if len(taus) != K:
+        raise ValueError(f"{len(taus)} rescalings for {K} charts")
+    if not all(tau != 0.0 and math.isfinite(tau) for tau in taus):
         raise ValueError("tau must be finite and nonzero")
-    tau_iv = Interval.from_value(tau)
+    one = Interval.from_value(1.0)
+    tau_ivs = [Interval.from_value(tau) for tau in taus]
     for n in range(N):
-        inv = Interval.from_value(1.0) / (tau_iv * float(n + 1))
-        out.coefs[:, :, n + 1] = b_column(n) * inv
+        invs = IntervalArray.of([one / (tau * float(n + 1))
+                                 for tau in tau_ivs])
+        b = b_column(n)
+        out.lo[..., n + 1], out.hi[..., n + 1] = _imul_arr(
+            b.lo.reshape(2, K, dim, rows), b.hi.reshape(2, K, dim, rows),
+            invs.lo[:, None, None], invs.hi[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -155,54 +174,72 @@ _TARGET_RATIO = 0.5
 _TAU_FLOOR = 1e-6
 
 
-def choose_tau(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
-               M: int) -> float:
-    """Pick the time rescaling from a short pilot run.
+def choose_tau(arcs: Sequence[BoundaryArc], m: MassTriple,
+               p: PrimaryConfig, M: int) -> list[float]:
+    """Pick each arc's time rescaling from one short pilot fill of all
+    the arcs.
 
     Column norms of a Taylor flow decay like (tau R)^-n with R the
     flow-time convergence radius, so running a pilot at tau = 1 and
     dividing the trailing column ratio by ``_TARGET_RATIO`` leaves the
-    production run with successive-column ratios near the target.
+    production run with successive-column ratios near the target.  The
+    pilots are one ``ArcFill`` of the arcs, so each arc's tau is the
+    one a pilot of that arc alone gives.
     """
-    pilot = ArcFill(arc, m, p, (M, _N_PILOT), 1.0).G
-    norms = [_column_mag(pilot, n) for n in range(_N_PILOT + 1)]
-    ratios = [norms[k + 1] / norms[k]
-              for k in range(_N_PILOT - 2, _N_PILOT) if norms[k] > 0.0]
-    if not ratios:
-        return 1.0
-    return max(max(ratios) / _TARGET_RATIO, _TAU_FLOOR)
+    taus = []
+    for G in ArcFill(arcs, m, p, (M, _N_PILOT), [1.0] * len(arcs)).G:
+        norms = [_column_mag(G, n) for n in range(_N_PILOT + 1)]
+        ratios = [norms[k + 1] / norms[k]
+                  for k in range(_N_PILOT - 2, _N_PILOT) if norms[k] > 0.0]
+        taus.append(max(max(ratios) / _TARGET_RATIO, _TAU_FLOOR)
+                    if ratios else 1.0)
+    return taus
 
 
 class ArcFill:
-    """One Taylor fill of a boundary arc, and the charts made from it.
+    """One Taylor fill of a list of boundary arcs, and the charts made
+    from it.
 
-    ``ArcFill(arc, m, p, orders, tau)`` runs ``taylor_flow`` once, at
-    the positive time rescaling ``tau``, on a ``FieldNodes`` that only
-    this object holds.  ``G``, the chart series, is a view of that
-    interpreter's input rows, so the chart and the inputs are one
-    array; stable arcs advect in backward time, so ``G`` carries the
-    signed rescaling in ``G.tau``, and the source arc's tail.
-    ``finish`` makes the chart: defect, Gronwall tube and
-    ``FlowChart``.  ``retime`` doubles tau without refilling, so a
-    chart retried at 2^k tau costs k retimes, not k fills.
+    ``ArcFill(arcs, m, p, orders, taus)`` runs ``taylor_flow`` once,
+    arc k at the positive time rescaling ``taus[k]``, on one
+    ``FieldNodes`` with one copy per arc that only this object holds,
+    so every level pass serves all the arcs (a single arc is K = 1).
+    ``G[k]``, arc k's chart series, is a view of copy k's input rows,
+    so the charts and the inputs are one array; stable arcs advect in
+    backward time, so ``G[k]`` carries the signed rescaling in its
+    ``tau``, and the source arc's tail.  The interpreter decides
+    real-ness for all the arcs together (``FieldNodes``): atlas arcs
+    are exactly real, so each chart is bit-equal to that of a fill of
+    its arc alone.  ``finish(k)`` makes arc k's chart: defect, Gronwall
+    tube and ``FlowChart``.  ``retime(k)`` doubles arc k's tau without
+    refilling, so a chart retried at 2^j tau costs j retimes, not j
+    fills.
     """
 
-    def __init__(self, arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
-                 orders: tuple[int, int], tau: float):
-        if not tau > 0.0:
+    def __init__(self, arcs: Sequence[BoundaryArc], m: MassTriple,
+                 p: PrimaryConfig, orders: tuple[int, int],
+                 taus: Sequence[float]):
+        arcs, taus = list(arcs), list(taus)
+        if len(taus) != len(arcs):
+            raise ValueError(f"{len(taus)} rescalings for {len(arcs)} arcs")
+        if not all(tau > 0.0 for tau in taus):
             raise ValueError("tau must be positive")
         M, N = orders
-        sign = -1.0 if arc.kind == "stable" else 1.0
-        self.arc, self.m, self.p = arc, m, p
-        self._nodes = FieldNodes(field_program(m, p), M, N)
-        self.G = Series2(self._nodes.G[:DIM], scale=arc.gamma.scale,
-                         tau=sign * tau, tail=arc.gamma.tail)
-        self.G.coefs[:, :, 0] = _arc_column(arc, M)
-        taylor_flow(self.G, self._nodes.b_column, sign * tau)
+        self.arcs, self.m, self.p = arcs, m, p
+        self._nodes = FieldNodes(field_program(m, p), M, N, len(arcs))
+        charts = self._nodes.blocks[:, :DIM]
+        charts[:, :, :, 0] = CIntervalArray.of([_arc_column(arc, M)
+                                                for arc in arcs])
+        self.G = [Series2(charts[k], scale=arc.gamma.scale,
+                          tau=-tau if arc.kind == "stable" else tau,
+                          tail=arc.gamma.tail)
+                  for k, (arc, tau) in enumerate(zip(arcs, taus))]
+        taylor_flow(charts, self._nodes.b_column, [G.tau for G in self.G])
 
-    def retime(self) -> None:
-        """Double tau: column n of every node of the interpreter, the
-        chart's input rows included, is scaled by 2^-n.
+    def retime(self, k: int) -> None:
+        """Double arc k's tau: column n of every node of copy k of the
+        interpreter, the chart's input rows included, is scaled by
+        2^-n; the other arcs' rows are left as they are.
 
         Theorem: G'(s, t) = G(s, t / 2) solves 2 tau dG'/dt = F(G')
         when G solves tau dG/dt = F(G), and, F being a polynomial,
@@ -216,28 +253,30 @@ class ArcFill:
         encloses.  The columns the interpreter had filled stay filled,
         and ``finish`` adds only what is left.
         """
-        tau = 2.0 * self.G.tau
+        G = self.G[k]
+        tau = 2.0 * G.tau
         if not math.isfinite(tau):
             raise ValueError("tau must be finite and nonzero")
-        nodes = self._nodes.G
-        nodes.lo[...], nodes.hi[...] = _ldexp_arr(
-            nodes.lo, nodes.hi, -np.arange(self._nodes.N + 1))
-        self.G.tau = tau
+        rows = self._nodes.blocks[k]
+        rows.lo[...], rows.hi[...] = _ldexp_arr(
+            rows.lo, rows.hi, -np.arange(self._nodes.N + 1))
+        G.tau = tau
 
-    def finish(self, *, source_arc: Optional[int] = None,
+    def finish(self, k: int, *, source_arc: Optional[int] = None,
                start_time: float = 0.0) -> FlowChart:
-        """The chart of the fill at its current tau: the tail folds the
-        source tail and the ODE defect through a Gronwall tube over the
-        chart's range box.  The chart holds a copy of the coefficients,
+        """Arc k's chart at its current tau: the tail folds the source
+        tail and the ODE defect through a Gronwall tube over the
+        chart's range box.  The first finish of the fill fills the
+        interpreter's last column for every arc, and the defect bounds
+        arc k's copy only.  The chart holds a copy of the coefficients,
         so a later retime leaves it as it is.  Raises CollisionDomain if
         the tube does not close."""
-        G = self.G
-        defect = _defect_bound(self._nodes, G)
-        tail = propagated_tail(self.m, self.p, G, self.arc.gamma.tail,
-                               defect)
+        G, arc = self.G[k], self.arcs[k]
+        defect = _defect_bound(self._nodes, G, k)
+        tail = propagated_tail(self.m, self.p, G, arc.gamma.tail, defect)
         return FlowChart(Gamma=Series2(G.coefs.copy(), scale=G.scale,
                                        tau=G.tau, tail=tail),
-                         kind=self.arc.kind, defect=defect,
+                         kind=arc.kind, defect=defect,
                          source_arc=source_arc,
                          accumulated_time=start_time + 1.0 / G.tau)
 
@@ -248,7 +287,7 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
               source_arc: Optional[int] = None,
               start_time: float = 0.0) -> FlowChart:
     """Advect a boundary arc into a space-time chart: one ``ArcFill``
-    and its ``finish``.
+    of the arc alone and its ``finish``.
 
     ``tau`` is the positive time rescaling; stable arcs advect in
     backward time, recorded by the sign of the stored ``Gamma.tau``.
@@ -256,18 +295,18 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     one half.
     """
     if tau is None:
-        tau = choose_tau(arc, m, p, orders[0])
-    return ArcFill(arc, m, p, orders, tau).finish(source_arc=source_arc,
-                                                   start_time=start_time)
+        tau, = choose_tau([arc], m, p, orders[0])
+    return ArcFill([arc], m, p, orders, [tau]).finish(
+        0, source_arc=source_arc, start_time=start_time)
 
 
 # ---------------------------------------------------------------------------
 # defect accounting
 
 
-def _defect_bound(cols: FieldNodes, G: Series2) -> float:
+def _defect_bound(cols: FieldNodes, G: Series2, k: int = 0) -> float:
     """``polyfield.field_defect`` for the chart G in the input rows of
-    ``cols``, with left-hand side tau dGamma/dt: column n is
+    copy k of ``cols``, with left-hand side tau dGamma/dt: column n is
     tau (n + 1) Gamma[:, n + 1], one stacked product of G's columns
     1..N with the scalar enclosures of tau (n + 1), and column N is
     zero."""
@@ -277,7 +316,7 @@ def _defect_bound(cols: FieldNodes, G: Series2) -> float:
     lhs = CIntervalArray.zeros((DIM, M + 1, N + 1))
     lhs.lo[..., :N], lhs.hi[..., :N] = _imul_arr(
         G.coefs.lo[..., 1:], G.coefs.hi[..., 1:], scales.lo, scales.hi)
-    return field_defect(cols, lhs)
+    return field_defect(cols, lhs, k)
 
 
 # tiles per side of the range box's sample grid, and the tile centers

@@ -1,12 +1,13 @@
 """Atlas growth: advected charts tiling a manifold's outward extension.
 
 Generation zero is the boundary mesh of a local manifold.  Each growth
-step advects every frontier arc into a space-time chart, collapses the
-chart's time-1 edge into a new arc, and carries it to the next
-frontier.  Arcs whose polynomial quality has degraded (slow coefficient
-decay or excessive physical length) are first split in half, since an
-affine shrink of the parameter restores geometric decay; charts whose
-range box approaches a primary are dropped and their arcs retired.
+step advects every frontier arc into a space-time chart, all of them in
+one stacked Taylor fill (``advect.ArcFill``), collapses each chart's
+time-1 edge into a new arc, and carries it to the next frontier.  Arcs
+whose polynomial quality has degraded (slow coefficient decay or
+excessive physical length) are first split in half, since an affine
+shrink of the parameter restores geometric decay; charts whose range
+box approaches a primary are dropped and their arcs retired.
 
 Everything is serializable: the JSON schema stores coefficient
 endpoints as plain numbers, which round-trip bit-exactly through the
@@ -137,6 +138,40 @@ def subdivide_arc(arc: BoundaryArc) -> tuple[BoundaryArc, BoundaryArc]:
     return _affine_arc(arc, -0.5, 0.5), _affine_arc(arc, 0.5, 0.5)
 
 
+def _splits(arc: BoundaryArc, arc_id: int, decay_tol: float,
+            max_len: float, max_depth: int
+            ) -> list[tuple[BoundaryArc, int]]:
+    """The halves that remeshing cuts ``arc`` into, in the order they
+    get ids: pairs (half, parent), parent the position in this list of
+    the arc the half was cut from, or -1 for ``arc``.  An arc whose
+    decay exceeds ``decay_tol`` or whose length exceeds ``max_len`` is
+    cut in half, and each half is refined in turn before the next is
+    cut; the list is empty when ``arc`` is fit.  Raises
+    SubdivisionLimit when a piece is still unfit after ``max_depth``
+    splits; ``arc_id`` names the arc in its message."""
+    out: list[tuple[BoundaryArc, int]] = []
+
+    def refine(a: BoundaryArc, parent: int, depth: int) -> None:
+        if arc_decay(a) <= decay_tol and arc_length(a) <= max_len:
+            return
+        if depth >= max_depth:
+            raise SubdivisionLimit(f"a piece of arc {arc_id} is still "
+                                   f"unfit after {max_depth} splits")
+        for half in subdivide_arc(a):
+            out.append((half, parent))
+            refine(half, len(out) - 1, depth + 1)
+
+    refine(arc, -1, 0)
+    return out
+
+
+def _leaves(split: list[tuple[BoundaryArc, int]]) -> list[int]:
+    """Positions of the halves of ``_splits`` that no half was cut
+    from: the pieces, in order."""
+    parents = {parent for _, parent in split}
+    return [j for j in range(len(split)) if j not in parents]
+
+
 # ---------------------------------------------------------------------------
 # the atlas
 
@@ -194,27 +229,6 @@ class Atlas:
 
     # -- growth
 
-    def _refined(self, rec: ArcRecord, decay_tol: float, max_len: float,
-                 max_depth: int, depth: int = 0) -> list[ArcRecord]:
-        if arc_decay(rec.arc) <= decay_tol \
-                and arc_length(rec.arc) <= max_len:
-            return [rec]
-        if depth >= max_depth:
-            raise SubdivisionLimit(
-                f"arc {rec.arc_id} still unfit after {max_depth} splits")
-        out = []
-        for half in subdivide_arc(rec.arc):
-            arc_id = self._next_arc
-            self._next_arc += 1
-            child = ArcRecord(arc_id=arc_id, generation=rec.generation,
-                              arc=half, arc_time=rec.arc_time,
-                              parent_chart=rec.parent_chart,
-                              split_from=rec.arc_id)
-            self.arcs[arc_id] = child
-            out.extend(self._refined(child, decay_tol, max_len, max_depth,
-                                     depth + 1))
-        return out
-
     def grow(self, generations: int = 1, *,
              orders: tuple[int, int] = (15, 50),
              tau: Optional[float] = None,
@@ -225,62 +239,99 @@ class Atlas:
              tau_retries: int = 3) -> list[int]:
         """Advect the frontier, one chart per (possibly split) arc.
 
-        Returns the ids of the new charts.  A chart that fails its
-        error tube or the collision guard is retried with the time
-        rescaling doubled, since halving the flow time shrinks both
-        the range box and the accumulated error; after ``tau_retries``
-        doublings the arc is retired to ``stopped``.  Each arc piece is
-        filled once (``advect.ArcFill``), and a retry retimes that fill
-        instead of refilling it, so no column is computed twice, across
-        retries too; every attempt still bounds its own defect, tube and
-        collision guard.  Surviving charts hand their collapsed time-1
-        edges to the next frontier.
+        Returns the ids of the new charts.  Each generation first
+        refines every frontier arc (``_splits``), before it changes the
+        atlas, so a SubdivisionLimit leaves the atlas as it was.  One
+        ``advect.choose_tau`` pilot fill, unless ``tau`` is given, and
+        one ``advect.ArcFill`` then serve every piece of the
+        generation.  A chart that fails its error tube or the collision
+        guard is retried with the time rescaling doubled, since halving
+        the flow time shrinks both the range box and the accumulated
+        error; after ``tau_retries`` doublings the arc is retired to
+        ``stopped``.  A retry retimes the piece's rows of the fill
+        instead of refilling them, so no column is computed twice,
+        across retries too; every attempt still bounds its own defect,
+        tube and collision guard.  Split arcs, charts and collapsed
+        arcs get their ids frontier arc by frontier arc, piece by
+        piece, as if each piece were advected on its own.  Surviving
+        charts hand their collapsed time-1 edges to the next frontier.
+        Raises ValueError for negative ``tau_retries``.
         """
+        if tau_retries < 0:
+            raise ValueError("tau_retries must be nonnegative")
         new_charts: list[int] = []
         for _ in range(generations):
             frontier = [self.arcs[i] for i in self.frontier]
+            splits = [_splits(rec.arc, rec.arc_id, decay_tol, max_len,
+                              max_depth) for rec in frontier]
+            arcs = [arc for rec, split in zip(frontier, splits)
+                    for arc in ([split[j][0] for j in _leaves(split)]
+                                or [rec.arc])]
+            if not arcs:
+                continue
+            taus = (choose_tau(arcs, self.m, self.p, orders[0])
+                    if tau is None else [tau] * len(arcs))
+            fill = ArcFill(arcs, self.m, self.p, orders, taus)
             self.frontier = []
-            for rec in frontier:
-                for piece in self._refined(rec, decay_tol, max_len,
-                                           max_depth):
-                    chart = self._advect(piece, orders, tau, delta_min,
-                                         tau_retries)
-                    if chart is None:
-                        self.stopped.append(piece.arc_id)
-                        continue
-                    chart_id = self._next_chart
-                    self._next_chart += 1
-                    self.charts[chart_id] = ChartRecord(
-                        chart_id=chart_id, arc_id=piece.arc_id,
-                        generation=piece.generation, chart=chart)
-                    new_charts.append(chart_id)
-                    self._add_arc(collapse_time_one(chart),
-                                  generation=piece.generation + 1,
-                                  arc_time=chart.accumulated_time,
-                                  parent_chart=chart_id)
+            # lazy, so each frontier arc's splits get their ids just
+            # before its pieces are advected
+            pieces = (piece for rec, split in zip(frontier, splits)
+                      for piece in self._add_splits(rec, split))
+            for k, piece in enumerate(pieces):
+                chart = self._advect(fill, k, piece, delta_min, tau_retries)
+                if chart is None:
+                    self.stopped.append(piece.arc_id)
+                    continue
+                chart_id = self._next_chart
+                self._next_chart += 1
+                self.charts[chart_id] = ChartRecord(
+                    chart_id=chart_id, arc_id=piece.arc_id,
+                    generation=piece.generation, chart=chart)
+                new_charts.append(chart_id)
+                self._add_arc(collapse_time_one(chart),
+                              generation=piece.generation + 1,
+                              arc_time=chart.accumulated_time,
+                              parent_chart=chart_id)
         return new_charts
 
-    def _advect(self, piece: ArcRecord, orders: tuple[int, int],
-                tau: Optional[float], delta_min: float,
-                tau_retries: int) -> Optional[FlowChart]:
-        base = tau if tau is not None else \
-            choose_tau(piece.arc, self.m, self.p, orders[0])
-        fill = ArcFill(piece.arc, self.m, self.p, orders, base)
-        attempts = range(tau_retries + 1)
+    def _add_splits(self, rec: ArcRecord,
+                    split: list[tuple[BoundaryArc, int]]) -> list[ArcRecord]:
+        """Record the halves ``_splits`` cut from ``rec``, in its order,
+        and return the pieces to advect: the halves no half was cut
+        from, or ``rec`` itself."""
+        ids: list[int] = []
+        for half, parent in split:
+            arc_id = self._next_arc
+            self._next_arc += 1
+            ids.append(arc_id)
+            self.arcs[arc_id] = ArcRecord(
+                arc_id=arc_id, generation=rec.generation, arc=half,
+                arc_time=rec.arc_time, parent_chart=rec.parent_chart,
+                split_from=ids[parent] if parent >= 0 else rec.arc_id)
+        return [self.arcs[ids[j]] for j in _leaves(split)] or [rec]
+
+    def _advect(self, fill: ArcFill, k: int, piece: ArcRecord,
+                delta_min: float, tau_retries: int) -> Optional[FlowChart]:
+        """The chart of arc k of the generation's fill, ``piece``: its
+        finish, retimed and finished again until the tube closes and
+        the collision guard passes, or None once ``tau_retries``
+        retimes have failed too, with the last failure in
+        ``stop_reasons``."""
         reason = ""
-        for attempt in attempts:
+        for attempt in range(tau_retries + 1):
             if attempt:
-                fill.retime()
+                fill.retime(k)
             try:
-                chart = fill.finish(source_arc=piece.arc_id,
+                chart = fill.finish(k, source_arc=piece.arc_id,
                                     start_time=piece.arc_time)
                 check_collision(chart, self.p, delta_min=delta_min)
                 return chart
             except CollisionDomain as err:
                 reason = str(err)
         self.stop_reasons[piece.arc_id] = StopReason(
-            message=reason, tau_attempts=len(attempts))
+            message=reason, tau_attempts=tau_retries + 1)
         return None
+
 
     # -- persistence
 

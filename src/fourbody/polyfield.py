@@ -10,9 +10,10 @@ This module provides the embedding R, eigenvector lifting, and the one
 definition of F: a straight-line program of ``Lin`` and ``Mul`` ops,
 compiled once per program into dependency levels (``_levels``).  Every
 interval evaluator of F runs those levels: the series interpreter
-``FieldNodes``, which holds every node as a series in one stacked array
-and fills it, by one stacked pass per level, one t-order column at a
-time (advected charts, ``manifold.field_series``) or one total degree
+``FieldNodes``, which holds every node as a series in one stacked array,
+for K input series at once, and fills it, by one stacked pass per level,
+one t-order column at a time (advected charts, all the arcs of an atlas
+generation together, and ``manifold.field_series``) or one total degree
 at a time (the homological solve), and ``node_jets``, one pass for the
 value and gradient of every node over a box: its output rows give the
 Jacobian ``poly_DF``, and all its rows land a degree's solved
@@ -20,9 +21,9 @@ coefficients on every node of the homological solve.  ``evaluate`` is
 the float interpreter behind ``poly_F_point``.  ``field_defect``
 finishes a column fill to bound the defect of an invariance equation:
 the ODE defect of an advected chart and the tail of a local manifold.
-An interpreter owns its inputs: its input rows ``G[:DIM]`` are the
+An interpreter owns its inputs: the input rows of each copy are the
 series being filled, written by the caller, and column n of every node
-is F of input columns 0..n.
+is F of its copy's input columns 0..n.
 """
 
 from __future__ import annotations
@@ -211,6 +212,29 @@ class _LinLevel:
                    level.iv_hi, level.const_lo, level.const_hi)
         return level
 
+    def stacked(self, K: int, size: int) -> "_LinLevel":
+        """The level on K copies of the node set, copy k's nodes at
+        k size + i: every node index offset by k size, every position
+        index on the level's nodes by k times their count, and the
+        scales, coefficients and constants repeated in that order.
+        Point coefficients keep one array for both ends."""
+        J = len(self.nodes)
+        off = size * np.arange(K)[:, None]
+        t, j = self.iv_at
+        iv_lo = np.tile(self.iv_lo, (K, 1))
+        level = _LinLevel(
+            (self.nodes + off).ravel(),
+            (self.operands[:, None] + off).reshape(-1, K * J),
+            np.tile(self.scale, (1, K, 1)),
+            (np.tile(t, K), (j + J * np.arange(K)[:, None]).ravel()),
+            iv_lo,
+            iv_lo if self.iv_hi is self.iv_lo else np.tile(self.iv_hi,
+                                                             (K, 1)),
+            np.tile(self.const_lo, K), np.tile(self.const_hi, K))
+        _read_only(level.nodes, level.operands, level.scale, *level.iv_at,
+                   level.iv_lo, level.iv_hi, level.const_lo, level.const_hi)
+        return level
+
     def values(self, lo: np.ndarray, hi: np.ndarray, *slots
                ) -> tuple[np.ndarray, np.ndarray]:
         """The nodes' values at ``slots`` of the node endpoint arrays
@@ -255,16 +279,30 @@ def _read_only(*arrays: np.ndarray) -> None:
         x.flags.writeable = False  # shared by every caller of the cache
 
 
-@functools.lru_cache(maxsize=16)
-def _levels(prog: FieldProgram
+@functools.lru_cache(maxsize=64)
+def _levels(prog: FieldProgram, K: int
             ) -> tuple[tuple[np.ndarray, _LinLevel | None], ...]:
-    """The program compiled into dependency levels: the inputs are
-    level 0, and a node is one level above its deepest operand, so the
-    nodes of a level read only earlier levels.  A level is its ``Mul``
-    nodes, as rows (node, factor a, factor b) of one index array,
-    node = a * b column by column, and its ``Lin`` nodes stacked, or
-    None.  Cached per program, with read-only arrays, so every
-    interpreter of one program shares one compiled object."""
+    """The program compiled into dependency levels, on K copies of its
+    node set: the inputs are level 0, and a node is one level above its
+    deepest operand, so the nodes of a level read only earlier levels.
+    A level is its ``Mul`` nodes, as rows (node, factor a, factor b) of
+    one index array, node = a * b column by column, and its ``Lin``
+    nodes stacked, or None.  Copy k's node i is node k size + i, with
+    size = DIM + len(prog.ops); for K > 1 the levels are those of
+    K = 1 with every index offset by k size (``_LinLevel.stacked``), so
+    the program is compiled once.  Cached per (program, K), with
+    read-only arrays, so every interpreter of one program and K shares
+    one compiled object."""
+    if K > 1:
+        size = DIM + len(prog.ops)
+        off = size * np.arange(K)[:, None]
+        levels = []
+        for muls, lin in _levels(prog, 1):
+            stacked = (muls[:, None] + off).reshape(3, -1)
+            _read_only(stacked)
+            levels.append((stacked,
+                           None if lin is None else lin.stacked(K, size)))
+        return tuple(levels)
     depth = [0] * DIM
     for op in prog.ops:
         reads = ((op.a, op.b) if isinstance(op, Mul)
@@ -309,7 +347,7 @@ def node_jets(prog: FieldProgram, u: Sequence[Interval]) -> IntervalArray:
     hi[0, :DIM, 0] = [x.hi for x in u]
     lo[0, :DIM, 1:] = hi[0, :DIM, 1:] = np.eye(DIM)
     cols = np.arange(1 + DIM)
-    for (i, a, b), lin in _levels(prog):
+    for (i, a, b), lin in _levels(prog, 1):
         if i.size:
             a, b = a[:, None], b[:, None]
             plo, phi = _imul_arr(lo[0][a, _RULE_A], hi[0][a, _RULE_A],
@@ -327,35 +365,43 @@ def node_jets(prog: FieldProgram, u: Sequence[Interval]) -> IntervalArray:
 
 class FieldNodes:
     """Series interpreter: every node of the program as a series on the
-    (M, N) grid, filled either one t-order column at a time
-    (``b_column``) or one total degree at a time (``degree``).
+    (M, N) grid, for K input series at once, filled either one t-order
+    column at a time (``b_column``) or one total degree at a time
+    (``degree``).
 
-    Every node grid, inputs first, lives in one stacked array ``G`` of
-    shape (nodes, M + 1, N + 1).  Both fills run one level pass,
-    ``_fill``, over the program's compiled levels (``_levels``, one
-    object per program, shared by every interpreter and by
-    ``node_jets``): at each level all ``Mul`` nodes by one call of the
-    fill's stacked product kernel, which gathers their factor pairs
-    straight from ``G``, then all ``Lin`` nodes by one
-    ``_LinLevel.values``, with the endpoints of evaluating each node's
-    terms one by one, up to the sign of a zero.
+    Every node grid of every copy lives in one stacked array ``G`` of
+    shape (K size, M + 1, N + 1), size = DIM + len(prog.ops): copy k's
+    node i is row k size + i, and ``blocks`` views ``G`` as shape
+    (K, size, M + 1, N + 1).  Both fills run one level pass, ``_fill``,
+    over the program's compiled levels on K copies (``_levels``, one
+    object per program and K, shared by every such interpreter; K = 1
+    is also ``node_jets``'): at each level all ``Mul`` nodes of every
+    copy by one call of the fill's stacked product kernel, which
+    gathers their factor pairs straight from ``G``, then all ``Lin``
+    nodes by one ``_LinLevel.values``, with the endpoints of evaluating
+    each node's terms one by one, up to the sign of a zero.  Every
+    kernel forms each row from its own pair or terms only, so copy k's
+    grids are those of a one-copy interpreter on copy k's inputs,
+    given the same real-ness decision below.
 
-    The input rows ``G[:DIM]`` are the series being filled: the caller
-    writes them, and neither fill writes them.  ``b_column(n)`` fills
-    column n of every node on all M + 1 rows by
-    ``taylor.product_columns``; the constants enter at n = 0.  Whether
-    every factor is exactly real is decided once per column, from
-    ``G``'s imaginary grids, which show input columns past n too, so
-    the decision is conservative when the caller wrote them ahead.
-    Each row equals ``product_column``'s for its pair, bit for bit,
-    when that decision agrees with the pair's own, as it does for
-    inputs that are all real or all complex, and overlaps it otherwise.
-    Theorem: if input columns 0..n are enclosures, so are columns n of
-    all nodes, since a product's column n reads only columns 0..n of
-    its factors, and truncation to the grid drops only coefficients of
-    orders that products never bring back down.  ``filled`` counts the
-    columns filled so far, and ``b_column`` fills only the next one, so
-    the caller may write input column n at any time before filling it
+    The input rows ``blocks[k, :DIM]`` of each copy are the series
+    being filled: the caller writes them, and neither fill writes
+    them.  ``b_column(n)`` fills column n of every node on all M + 1
+    rows by ``taylor.product_columns``; the constants enter at n = 0.
+    Whether every factor is exactly real is decided once per column for
+    all K copies together, from ``G``'s imaginary grids, which show
+    input columns past n too, so the decision is conservative when one
+    copy is complex or the caller wrote columns ahead.  Each row equals
+    ``product_column``'s for its pair, bit for bit, when that decision
+    agrees with the pair's own, as it does when every copy's inputs are
+    exactly real, as the arcs of an atlas are, or all complex, and
+    overlaps it otherwise.  Theorem: if input columns 0..n are
+    enclosures, so are columns n of all nodes, since a product's column
+    n reads only columns 0..n of its factors, and truncation to the
+    grid drops only coefficients of orders that products never bring
+    back down.  ``filled`` counts the columns filled so far, for all
+    copies, and ``b_column`` fills only the next one, so the caller may
+    write input column n at any time before filling it
     (``advect.taylor_flow`` writes it just before), but not after.
 
     ``degree(d, m_min)`` fills every node's degree-d slots (m, d - m)
@@ -371,13 +417,22 @@ class FieldNodes:
     every summand containing an unknown degree-d coefficient.
     """
 
-    def __init__(self, prog: FieldProgram, M: int, N: int):
+    def __init__(self, prog: FieldProgram, M: int, N: int, K: int = 1):
+        if K < 1:
+            raise ValueError("an interpreter needs at least one copy")
         self.prog = prog
         self.M = M
         self.N = N
-        self.levels = _levels(prog)
+        self.levels = _levels(prog, K)
         self.outputs = np.array(prog.outputs)
-        self.G = CIntervalArray.zeros((DIM + len(prog.ops), M + 1, N + 1))
+        size = DIM + len(prog.ops)
+        # every copy's outputs, copy by copy
+        self._out_rows = (size * np.arange(K)[:, None]
+                          + self.outputs).ravel()
+        self.G = CIntervalArray.zeros((K * size, M + 1, N + 1))
+        self.blocks = CIntervalArray._wrap(
+            *(x.reshape(2, K, size, M + 1, N + 1)
+              for x in (self.G.lo, self.G.hi)))
         self.filled = 0
 
     def _fill(self, slots: tuple, products, consts: bool) -> None:
@@ -395,33 +450,36 @@ class FieldNodes:
                     CIntervalArray._wrap(lo, hi)
 
     def b_column(self, n: int) -> CIntervalArray:
-        """Column n of every node; returns the outputs' as shape
-        (DIM, M + 1).  Raises ValueError unless n is the next unfilled
-        column, since a product's column n reads its operands' columns
-        0..n, which would otherwise still be zero."""
+        """Column n of every node of every copy; returns the outputs',
+        copy by copy, as shape (K DIM, M + 1).  Whether the products
+        are exactly real is decided for the whole batch of copies: a
+        conservative choice, bit-equal to one copy's own when every
+        copy is real, as atlas arcs are.  Raises ValueError unless n is
+        the next unfilled column, since a product's column n reads its
+        operands' columns 0..n, which would otherwise still be zero."""
         if n != self.filled:
             raise ValueError(f"column {n} requested, but the next "
                              f"unfilled column is {self.filled}")
         # the unfilled node columns are zero, so this asks whether
-        # every factor of every product of this column is exactly real,
-        # or an input column past n is complex
+        # every factor of every product of this column, in every copy,
+        # is exactly real, or an input column past n is complex
         real = not (self.G.lo[1].any() or self.G.hi[1].any())
         self._fill((np.arange(self.M + 1), n), lambda a, b: product_columns(
             self.G, a, b, n, self.M, real), n == 0)
         self.filled = n + 1
-        return self.G[self.outputs, :, n]
+        return self.G[self._out_rows, :, n]
 
     def degree(self, d: int, m_min: int = 0) -> CIntervalArray:
         """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns
-        the outputs' as shape (DIM, slots)."""
+        the outputs', copy by copy, as shape (K DIM, slots)."""
         ms, ns = antidiagonal(self.M, self.N, d, m_min)
         self._fill((ms, ns), lambda a, b: product_antidiagonals(
             self.G, a, b, d, m_min), False)
-        return self.G[self.outputs[:, None], ms, ns]
+        return self.G[self._out_rows[:, None], ms, ns]
 
-    def beyond_grid_bounds(self) -> list[float]:
-        """Per-output bound on field content outside the (M, N) grid,
-        once ``b_column`` has filled every column.
+    def beyond_grid_bounds(self, k: int = 0) -> list[float]:
+        """Per-output bound on copy k's field content outside the
+        (M, N) grid, once ``b_column`` has filled every column.
 
         The content a node's grid misses ("lost") follows from
         lost(x y) = conv_tail(|x|, |y|) + lost_x (||y|| + lost_y)
@@ -435,7 +493,7 @@ class FieldNodes:
         counts (``interval._nonneg_upper``), and the recurrence rounds
         each sum and product up.
         """
-        mags = self.G.mag()
+        mags = self.blocks[k].mag()
         norms = [_nonneg_upper(float(np.sum(g)), g.size) for g in mags]
         lost = [0.0] * DIM
         for op in self.prog.ops:
@@ -448,28 +506,29 @@ class FieldNodes:
                     _prod_ceil(norms[a], lost[b]))
             else:
                 loss = 0.0
-                for c, k in op.terms:
+                for c, i in op.terms:
                     loss = _sum_ceil(loss, _prod_ceil(Interval._coerce(c).mag,
-                                                      lost[k]))
+                                                      lost[i]))
             lost.append(loss)
         return [lost[o] for o in self.prog.outputs]
 
 
-def field_defect(cols: FieldNodes, lhs: CIntervalArray) -> float:
+def field_defect(cols: FieldNodes, lhs: CIntervalArray, k: int = 0) -> float:
     """Bound on the defect sup |lhs_i - F_i(S)| of an invariance
     equation over the closed unit polydisc, largest over i, for the
-    series S in the input rows of ``cols``.
+    series S in the input rows of copy k of ``cols``.
 
     ``lhs`` has shape (DIM, M + 1, N + 1) on the interpreter's (M, N)
     grid and holds the equation's other side, all of whose content
-    lies on the grid.  Fills columns ``cols.filled``..N of ``cols``,
-    so by the theorem of ``FieldNodes`` every node grid holds F(S)'s
-    columns, and forms the in-grid residual res_i = lhs_i - [F(S)]_i in
-    one stacked subtraction over the output nodes' grids (outputs 1 and
-    3 are input nodes); ``beyond_grid_bounds`` gives per component a
-    bound lost_i on the coefficient mass of F_i(S) outside the grid.
-    Theorem: on the closed unit polydisc |z1^m z2^n| <= 1, so a series
-    is bounded there by the l1 norm of its coefficients, and
+    lies on the grid.  Fills columns ``cols.filled``..N of every copy
+    of ``cols``, so by the theorem of ``FieldNodes`` every node grid
+    holds F(S)'s columns, and forms the in-grid residual
+    res_i = lhs_i - [F(S)]_i in one stacked subtraction over copy k's
+    output grids (outputs 1 and 3 are input nodes);
+    ``beyond_grid_bounds(k)`` gives per component a bound lost_i on the
+    coefficient mass of F_i(S) outside the grid.  Theorem: on the
+    closed unit polydisc |z1^m z2^n| <= 1, so a series is bounded there
+    by the l1 norm of its coefficients, and
         sup |lhs_i - F_i(S)| <= sum |res_i| + lost_i,
     with the in-grid sum bounded by ``taylor.mag_sum_bound``.  Raises
     ValueError unless ``lhs`` lies on the interpreter's grid.
@@ -479,8 +538,8 @@ def field_defect(cols: FieldNodes, lhs: CIntervalArray) -> float:
                          f"the interpreter's grid {(cols.M, cols.N)}")
     for n in range(cols.filled, cols.N + 1):
         cols.b_column(n)
-    res = lhs - cols.G[cols.outputs]
-    lost = cols.beyond_grid_bounds()
+    res = lhs - cols.blocks[k][cols.outputs]
+    lost = cols.beyond_grid_bounds(k)
     return max(mag_sum_bound(res[i]) + lost[i] for i in range(DIM))
 
 

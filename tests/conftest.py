@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from fourbody.advect import check_collision, choose_tau, flow_line
-from fourbody.atlas import StopReason
+from fourbody.advect import (ArcFill, check_collision, choose_tau,
+                             collapse_time_one, flow_line)
+from fourbody.atlas import (ArcRecord, ChartRecord, StopReason, arc_decay,
+                            arc_length, subdivide_arc)
 from fourbody.crfbp import State4, omega_first_partials
-from fourbody.errors import CollisionDomain
+from fourbody.errors import CollisionDomain, SubdivisionLimit
 from fourbody.interval import CInterval, CIntervalArray, IntervalArray
 from fourbody.polyfield import (DIM, FieldNodes, FieldProgram, Lin, Mul,
                                 evaluate)
@@ -143,27 +145,102 @@ def degree_nodes(prog, N, origin):
     return nodes, node_jacobian(prog, base)
 
 
-def fresh_advect(self, piece, orders, tau, delta_min, tau_retries):
+def fresh_advect(atlas, piece, orders, tau, delta_min, tau_retries):
     """``Atlas._advect`` as it was before a retry retimed the arc's one
-    fill: one fresh ``flow_line`` per tau attempt.  The reference for
-    ``Atlas.grow``."""
+    fill: one fresh ``flow_line`` per tau attempt."""
     base = tau if tau is not None else \
-        choose_tau(piece.arc, self.m, self.p, orders[0])
+        choose_tau([piece.arc], atlas.m, atlas.p, orders[0])[0]
     attempts = range(tau_retries + 1)
     reason = ""
     for attempt in attempts:
         try:
             chart = flow_line(
-                piece.arc, self.m, self.p, orders=orders,
+                piece.arc, atlas.m, atlas.p, orders=orders,
                 tau=base * 2.0 ** attempt, source_arc=piece.arc_id,
                 start_time=piece.arc_time)
-            check_collision(chart, self.p, delta_min=delta_min)
+            check_collision(chart, atlas.p, delta_min=delta_min)
             return chart
         except CollisionDomain as err:
             reason = str(err)
-    self.stop_reasons[piece.arc_id] = StopReason(
+    atlas.stop_reasons[piece.arc_id] = StopReason(
         message=reason, tau_attempts=len(attempts))
     return None
+
+
+def one_arc_advect(atlas, piece, orders, tau, delta_min, tau_retries):
+    """``Atlas._advect`` as it was before one fill served a whole
+    generation: a pilot and a fill of the piece alone, retimed for every
+    retry."""
+    base = tau if tau is not None else \
+        choose_tau([piece.arc], atlas.m, atlas.p, orders[0])[0]
+    fill = ArcFill([piece.arc], atlas.m, atlas.p, orders, [base])
+    reason = ""
+    for attempt in range(tau_retries + 1):
+        if attempt:
+            fill.retime(0)
+        try:
+            chart = fill.finish(0, source_arc=piece.arc_id,
+                                start_time=piece.arc_time)
+            check_collision(chart, atlas.p, delta_min=delta_min)
+            return chart
+        except CollisionDomain as err:
+            reason = str(err)
+    atlas.stop_reasons[piece.arc_id] = StopReason(
+        message=reason, tau_attempts=tau_retries + 1)
+    return None
+
+
+def _refined(atlas, rec, decay_tol, max_len, max_depth, depth=0):
+    """The pieces of ``rec`` that remeshing advects, recording every
+    half in ``atlas`` as it is cut, depth first."""
+    if arc_decay(rec.arc) <= decay_tol and arc_length(rec.arc) <= max_len:
+        return [rec]
+    if depth >= max_depth:
+        raise SubdivisionLimit(
+            f"arc {rec.arc_id} still unfit after {max_depth} splits")
+    out = []
+    for half in subdivide_arc(rec.arc):
+        arc_id = atlas._next_arc
+        atlas._next_arc += 1
+        child = ArcRecord(arc_id=arc_id, generation=rec.generation,
+                          arc=half, arc_time=rec.arc_time,
+                          parent_chart=rec.parent_chart,
+                          split_from=rec.arc_id)
+        atlas.arcs[arc_id] = child
+        out.extend(_refined(atlas, child, decay_tol, max_len, max_depth,
+                            depth + 1))
+    return out
+
+
+def piece_grow(atlas, generations=1, *, orders=(15, 50), tau=None,
+               delta_min=0.05, decay_tol=0.1, max_len=0.5, max_depth=12,
+               tau_retries=3, advect=one_arc_advect):
+    """``Atlas.grow`` as it was before one fill served a whole
+    generation: frontier arc by frontier arc, each is refined and each
+    of its pieces advected on its own by ``advect``, with the same
+    arguments as ``Atlas.grow``.  The reference for ``Atlas.grow``."""
+    new_charts = []
+    for _ in range(generations):
+        frontier = [atlas.arcs[i] for i in atlas.frontier]
+        atlas.frontier = []
+        for rec in frontier:
+            for piece in _refined(atlas, rec, decay_tol, max_len, max_depth):
+                chart = advect(atlas, piece, orders, tau, delta_min,
+                               tau_retries)
+                if chart is None:
+                    atlas.stopped.append(piece.arc_id)
+                    continue
+                chart_id = atlas._next_chart
+                atlas._next_chart += 1
+                atlas.charts[chart_id] = ChartRecord(
+                    chart_id=chart_id, arc_id=piece.arc_id,
+                    generation=piece.generation, chart=chart)
+                new_charts.append(chart_id)
+                atlas._add_arc(collapse_time_one(chart),
+                               generation=piece.generation + 1,
+                               arc_time=chart.accumulated_time,
+                               parent_chart=chart_id)
+    return new_charts
 
 
 def _full_product_nodes(prog, inputs, orders):

@@ -137,7 +137,7 @@ class TestTaylorFlow:
 
         gamma = _line_series([2.0, -0.25], M=1)
         out = _line_series([2.0, -0.25], M=1, N=4)
-        taylor_flow(out, bcol, 0.5)
+        taylor_flow(out.coefs[None], bcol, [0.5])
         for i, comp in enumerate(out.components):
             assert comp.rlo[0, 0] == gamma.components[i].rlo[0, 0]
             assert comp.rlo[0, 1] == c[i] / 0.5
@@ -150,7 +150,8 @@ class TestTaylorFlow:
         # F(u) = (u2, 0): the flow is gamma1 + (t / tau) gamma2, and
         # every later column must be exactly zero
         out = _line_series([0.5, 3.0], N=6)
-        taylor_flow(out, _linear_column([[0, 1], [0, 0]], out), 2.0)
+        taylor_flow(out.coefs[None], _linear_column([[0, 1], [0, 0]], out),
+                    [2.0])
         u1, u2 = out.components
         assert u1.rlo[0, 1] == 3.0 / 2.0
         assert np.all(u1.rlo[:, 2:] == 0.0) and np.all(u1.rhi[:, 2:] == 0.0)
@@ -161,7 +162,8 @@ class TestTaylorFlow:
         # coefficients 1 / n!, compared against exact rationals
         N = 12
         out = _line_series([1.0, 0.0], N=N)
-        taylor_flow(out, _linear_column([[0, 1], [-1, 0]], out), 1.0)
+        taylor_flow(out.coefs[None], _linear_column([[0, 1], [-1, 0]], out),
+                    [1.0])
         cur = [Fraction(1), Fraction(0)]
         for n in range(N + 1):
             for i, comp in enumerate(out.components):
@@ -173,13 +175,14 @@ class TestTaylorFlow:
     def test_rejects_bad_arguments(self):
         line = _line_series([1.0, 0.0])
         with pytest.raises(ValueError):
-            taylor_flow(line, _linear_column([[0, 0], [0, 0]], line), 1.0)
+            taylor_flow(line.coefs[None],
+                        _linear_column([[0, 0], [0, 0]], line), [1.0])
         out = _line_series([1.0, 0.0], N=3)
         bcol = _linear_column([[0, 0], [0, 0]], out)
         with pytest.raises(ValueError):
-            taylor_flow(out, bcol, 0.0)
+            taylor_flow(out.coefs[None], bcol, [0.0])
         with pytest.raises(ValueError):
-            taylor_flow(out, bcol, math.inf)
+            taylor_flow(out.coefs[None], bcol, [math.inf])
 
 
 class TestFlowLine:
@@ -213,7 +216,7 @@ class TestFlowLine:
     def test_auto_tau_is_deterministic(self, setup, arcs15, chart15):
         m, pc = setup
         chart, _ = chart15
-        assert choose_tau(arcs15[3], m, pc, 15) == abs(chart.tau)
+        assert choose_tau([arcs15[3]], m, pc, 15) == [abs(chart.tau)]
 
     def test_recursion_matches_field_series(self, setup, arcs15,
                                             full_product_nodes,
@@ -284,7 +287,7 @@ def retried(request, setup):
     M = local_manifold(m, pc, kind, N=5)
     arc = boundary_mesh(M, n_arcs=6, arc_order=10)[
         0 if kind == "stable" else 1]
-    return arc, 0.5 * choose_tau(arc, m, pc, 10)
+    return arc, 0.5 * choose_tau([arc], m, pc, 10)[0]
 
 
 def _attempt(make):
@@ -294,6 +297,121 @@ def _attempt(make):
         return make()
     except CollisionDomain as err:
         return str(err)
+
+
+# time rescalings for the stacked fills: 1 makes the first column's
+# scale an exact 1
+_TAUS = (1.0, 2.5, 0.75, 4.0, 1.6, 3.2)
+
+
+def _mixed_arcs(arcs, K):
+    """K arcs of the stable mesh ``arcs``, every other one advected
+    forward as an unstable arc, so the signed rescalings differ too."""
+    picked = [arcs[(3 * j) % len(arcs)] for j in range(K)]
+    return [a if j % 2 == 0 else BoundaryArc(gamma=a.gamma, kind="unstable")
+            for j, a in enumerate(picked)]
+
+
+def _same_bytes(x, y):
+    """Equal endpoints, bit for bit, zero signs included."""
+    return x.lo.tobytes() == y.lo.tobytes() and \
+        x.hi.tobytes() == y.hi.tobytes()
+
+
+def _same_outcome(got, want):
+    """Two finishes gave the same chart, bit for bit, or the same
+    CollisionDomain message."""
+    if not isinstance(want, FlowChart):
+        return got == want
+    return (_same_bytes(got.Gamma.coefs, want.Gamma.coefs)
+            and (got.tail, got.defect, got.tau, got.accumulated_time,
+                 got.kind, got.source_arc)
+            == (want.tail, want.defect, want.tau, want.accumulated_time,
+                want.kind, want.source_arc))
+
+
+class TestStackedFill:
+    """One ``ArcFill`` of K arcs against K fills of one arc each: every
+    node grid, retime and finish equal, bit for bit."""
+
+    @pytest.mark.parametrize("K", [1, 2, 6])
+    def test_node_grids_equal_one_arc_fills(self, setup, arcs15, K):
+        m, pc = setup
+        arcs, taus = _mixed_arcs(arcs15, K), _TAUS[:K]
+        fill = ArcFill(arcs, m, pc, (15, 12), taus)
+        ones = [ArcFill([a], m, pc, (15, 12), [t])
+                for a, t in zip(arcs, taus)]
+        assert fill._nodes.G.shape[0] == K * ones[0]._nodes.G.shape[0]
+        # columns 0..N - 1 of the recursion, then the defect's column N,
+        # which the first finish fills for every copy
+        for filled in (12, 13):
+            assert fill._nodes.filled == filled
+            for k, one in enumerate(ones):
+                assert _same_bytes(fill._nodes.blocks[k], one._nodes.G), k
+                assert _same_bytes(fill.G[k].coefs, one.G[0].coefs), k
+                assert fill.G[k].tau == one.G[0].tau
+            _defect_bound(fill._nodes, fill.G[0], 0)
+            for one in ones:
+                _defect_bound(one._nodes, one.G[0])
+
+    def test_retime_scales_one_copy(self, setup, arcs15):
+        m, pc = setup
+        fill = ArcFill(_mixed_arcs(arcs15, 3), m, pc, (15, 12), _TAUS[:3])
+        blocks = fill._nodes.blocks
+        before = blocks.copy()
+        taus = [G.tau for G in fill.G]
+        fill.retime(1)
+        for k in range(3):
+            if k == 1:
+                e = -np.arange(13)
+                assert np.array_equal(blocks.lo[:, k],
+                                      np.ldexp(before.lo[:, k], e))
+                assert np.array_equal(blocks.hi[:, k],
+                                      np.ldexp(before.hi[:, k], e))
+            else:
+                assert _same_bytes(blocks[k], before[k])
+        assert [G.tau for G in fill.G] == [taus[0], 2.0 * taus[1], taus[2]]
+
+    def test_finish_equals_one_arc_fill(self, setup, arcs15):
+        # arc 2 is retimed before the first finish fills column N, the
+        # others after it, as the atlas retries them; each one-arc fill
+        # runs the same steps on its own
+        m, pc = setup
+        arcs, taus = _mixed_arcs(arcs15, 4), _TAUS[1:5]
+        retimes = (0, 2, 1, 1)
+        fill = ArcFill(arcs, m, pc, (15, 12), taus)
+        fill.retime(2)
+        got = {0: _attempt(lambda: fill.finish(0, source_arc=0,
+                                               start_time=-0.5))}
+        for k in (3, 1, 2):
+            for _ in range(retimes[k] - (k == 2)):
+                fill.retime(k)
+            got[k] = _attempt(lambda: fill.finish(k, source_arc=k,
+                                                  start_time=-0.5))
+        for k, (arc, tau) in enumerate(zip(arcs, taus)):
+            one = ArcFill([arc], m, pc, (15, 12), [tau])
+            if k != 2:
+                _attempt(lambda: one.finish(0))
+            for _ in range(retimes[k]):
+                one.retime(0)
+            want = _attempt(lambda: one.finish(0, source_arc=k,
+                                               start_time=-0.5))
+            assert isinstance(want, FlowChart)
+            assert _same_outcome(got[k], want), k
+
+    def test_stacked_pilots_equal_one_arc_pilots(self, setup, arcs15):
+        m, pc = setup
+        arcs = _mixed_arcs(arcs15, 6)
+        assert choose_tau(arcs, m, pc, 15) == [
+            choose_tau([a], m, pc, 15)[0] for a in arcs]
+
+    def test_rejects_mismatched_taus(self, setup, arcs15):
+        m, pc = setup
+        with pytest.raises(ValueError, match="rescalings"):
+            ArcFill(arcs15[:2], m, pc, (15, 4), [1.0])
+        with pytest.raises(ValueError, match="rescalings"):
+            taylor_flow(CIntervalArray.zeros((2, 7, 3, 4)),
+                        lambda n: None, [1.0])
 
 
 class TestRetime:
@@ -306,12 +424,12 @@ class TestRetime:
         # up to the signs of zeros
         m, pc = setup
         arc, tau = retried
-        fill = ArcFill(arc, m, pc, (10, 18), tau)
+        fill = ArcFill([arc], m, pc, (10, 18), [tau])
         outcomes = []
         for k in range(4):
             if k:
-                fill.retime()
-            got = _attempt(lambda: fill.finish(source_arc=4,
+                fill.retime(0)
+            got = _attempt(lambda: fill.finish(0, source_arc=4,
                                                start_time=-0.5))
             want = _attempt(lambda: flow_line(
                 arc, m, pc, orders=(10, 18), tau=tau * 2.0 ** k,
@@ -336,30 +454,30 @@ class TestRetime:
                                                       monkeypatch):
         m, pc = setup
         arc, tau = retried
-        fill = ArcFill(arc, m, pc, (10, 18), 4.0 * tau)
-        chart = fill.finish()
+        fill = ArcFill([arc], m, pc, (10, 18), [4.0 * tau])
+        chart = fill.finish(0)
         kept = chart.Gamma.coefs.copy()
         nodes = fill._nodes
         # the chart is the interpreter's input rows: one store
-        assert np.shares_memory(fill.G.coefs.lo, nodes.G[:DIM].lo)
-        assert np.shares_memory(fill.G.coefs.hi, nodes.G[:DIM].hi)
-        before, G = nodes.G.copy(), fill.G.coefs.copy()
-        tau0, tail0 = fill.G.tau, fill.G.tail
+        assert np.shares_memory(fill.G[0].coefs.lo, nodes.G[:DIM].lo)
+        assert np.shares_memory(fill.G[0].coefs.hi, nodes.G[:DIM].hi)
+        before, G = nodes.G.copy(), fill.G[0].coefs.copy()
+        tau0, tail0 = fill.G[0].tau, fill.G[0].tail
         calls = []
         monkeypatch.setattr(FieldNodes, "b_column",
                             lambda *a: calls.append(a))
-        fill.retime()
+        fill.retime(0)
         assert calls == [] and nodes.filled == 19
         e = -np.arange(19)
-        for old, new in ((G, fill.G.coefs), (before, nodes.G)):
+        for old, new in ((G, fill.G[0].coefs), (before, nodes.G)):
             assert np.array_equal(new.lo, np.ldexp(old.lo, e))
             assert np.array_equal(new.hi, np.ldexp(old.hi, e))
-        assert fill.G.tau == 2.0 * tau0 and fill.G.tail == tail0
+        assert fill.G[0].tau == 2.0 * tau0 and fill.G[0].tail == tail0
         # the chart made before the retime is not written
         assert chart.Gamma.coefs.lo.tobytes() == kept.lo.tobytes()
         assert chart.Gamma.coefs.hi.tobytes() == kept.hi.tobytes()
         monkeypatch.undo()
-        again = fill.finish()
+        again = fill.finish(0)
         assert calls == [] and again.tau == 2.0 * chart.tau
 
     def test_special_values_pass_through(self, setup, retried):
@@ -368,14 +486,14 @@ class TestRetime:
         # zeros and infinities keep their signs
         m, pc = setup
         arc, tau = retried
-        fill = ArcFill(arc, m, pc, (10, 2), tau)
+        fill = ArcFill([arc], m, pc, (10, 2), [tau])
         tiny = 2.0 ** -1074
         lo = np.array([3.0, tiny, -0.0, 0.0, -np.inf, -tiny])
         hi = np.array([3.0, tiny, -0.0, 0.0, 1.0, np.inf])
-        for G in (fill.G.coefs, fill._nodes.G[30]):
+        for G in (fill.G[0].coefs, fill._nodes.G[30]):
             G.lo[0, ..., :6, 1], G.hi[0, ..., :6, 1] = lo, hi
-        fill.retime()
-        for G in (fill.G.coefs, fill._nodes.G[30]):
+        fill.retime(0)
+        for G in (fill.G[0].coefs, fill._nodes.G[30]):
             glo, ghi = G.lo[0, ..., :6, 1], G.hi[0, ..., :6, 1]
             assert np.all(glo[..., 0] == 1.5) and np.all(ghi[..., 0] == 1.5)
             # 2^-1075 lies in [-2^-1074, 2^-1074] but is no float
@@ -392,7 +510,7 @@ class TestRetime:
         arc, _ = retried
         for tau in (0.0, -1.0):
             with pytest.raises(ValueError, match="positive"):
-                ArcFill(arc, m, pc, (10, 2), tau)
+                ArcFill([arc], m, pc, (10, 2), [tau])
 
 
 class TestDefect:
@@ -451,8 +569,8 @@ class TestDefect:
         M, N = 15, 20
         for arc in (arcs15[7], BoundaryArc(gamma=arcs15[12].gamma,
                                            kind="unstable")):
-            fill = ArcFill(arc, m, pc, (M, N), 2.0)
-            rec, G = fill._nodes, fill.G
+            fill = ArcFill([arc], m, pc, (M, N), [2.0])
+            rec, G = fill._nodes, fill.G[0]
             assert rec.filled == N
             lhs = _chart_lhs(G)
             bound = field_defect(rec, lhs)
@@ -481,11 +599,11 @@ class TestDefect:
         # per-column product scales without an interval product
         m, pc = setup
         charts = [chart15[0].Gamma] + [
-            ArcFill(arcs15[k], m, pc, (15, 12), tau).G
+            ArcFill([arcs15[k]], m, pc, (15, 12), [tau]).G[0]
             for k, tau in ((7, 1.0), (12, 2.0), (5, 0.5))]
         got = []
         monkeypatch.setattr(advect, "field_defect",
-                            lambda cols, lhs: got.append(lhs) or 0.0)
+                            lambda cols, lhs, k: got.append(lhs) or 0.0)
         for G in charts:
             _defect_bound(_fresh_columns(m, pc, G), G)
             want = _chart_lhs(G)

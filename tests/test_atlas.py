@@ -1,6 +1,7 @@
 """Tests for atlas growth, remeshing, and persistence."""
 
 import filecmp
+import functools
 import io
 import json
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbody import atlas as atlas_module
 from fourbody.advect import ArcFill
 from fourbody.atlas import (
     Atlas,
@@ -24,7 +26,7 @@ from fourbody.interval import CInterval, Interval
 from fourbody.manifold import BoundaryArc, local_manifold
 from fourbody.taylor import ScalarSeries2, Series2
 
-from conftest import fresh_advect
+from conftest import fresh_advect, piece_grow
 
 Z0 = CInterval(Interval.from_value(0.0))
 
@@ -219,11 +221,38 @@ class TestGrow:
         assert keep not in advected
 
     def test_subdivision_limit(self, setup, stable5):
+        # a generation is refined before the atlas changes, so the raise
+        # leaves every arc, the frontier and the id counters as they were,
+        # and the frontier still grows afterwards
+        m, _ = setup
+        for depth in (2, 4):
+            atlas = Atlas.from_manifold(stable5, m, n_arcs=6, arc_order=10)
+            before = (dict(atlas.arcs), list(atlas.frontier),
+                      list(atlas.stopped), atlas._next_arc,
+                      atlas._next_chart)
+            with pytest.raises(SubdivisionLimit):
+                atlas.grow(1, orders=(10, 18), tau=1.0, max_len=0.0,
+                           max_depth=depth)
+            assert (atlas.arcs, atlas.frontier, atlas.stopped,
+                    atlas._next_arc, atlas._next_chart) == before
+            assert atlas.charts == {} and atlas.stop_reasons == {}
+        assert len(atlas.grow(1, orders=(10, 18), tau=1.0)) == 6
+
+    def test_negative_retries_raise_before_any_fill(self, setup, stable5,
+                                                    monkeypatch):
         m, _ = setup
         atlas = Atlas.from_manifold(stable5, m, n_arcs=6, arc_order=10)
-        with pytest.raises(SubdivisionLimit):
-            atlas.grow(1, orders=(10, 18), tau=1.0, max_len=0.0,
-                       max_depth=4)
+
+        def no_fill(*args, **kwargs):
+            raise AssertionError("filled")
+
+        monkeypatch.setattr(atlas_module, "ArcFill", no_fill)
+        monkeypatch.setattr(atlas_module, "choose_tau", no_fill)
+        for tau in (None, 1.0):
+            with pytest.raises(ValueError, match="tau_retries"):
+                atlas.grow(1, orders=(10, 18), tau=tau, tau_retries=-1)
+        assert atlas.frontier == list(range(6))
+        assert atlas.stopped == [] and atlas.stop_reasons == {}
 
     def test_collision_guard_retires_arcs(self, setup, stable5):
         m, _ = setup
@@ -251,30 +280,36 @@ def unstable5(setup):
 
 
 class TestRetimedRetries:
-    """``Atlas.grow`` fills each arc piece once and retimes that fill
-    for every retry; the atlas it grows equals the one grown by one
-    fresh ``flow_line`` per tau attempt (``conftest.fresh_advect``)."""
+    """``Atlas.grow`` fills every arc piece of a generation in one
+    stacked fill and retimes a piece's rows for every retry; the atlas
+    it grows equals, byte for byte, the one grown piece by piece with a
+    fill of each piece alone (``conftest.piece_grow``), and the one
+    grown by one fresh ``flow_line`` per tau attempt
+    (``conftest.fresh_advect``) up to the signs of exact zeros."""
 
     @staticmethod
-    def _grow_both(monkeypatch, manifold, m, **kw):
+    def _grow_all(monkeypatch, manifold, m, **kw):
+        """The atlases grown by ``Atlas.grow``, by ``piece_grow`` and by
+        ``piece_grow`` with fresh flow lines, and the retimes of the
+        first."""
         retimes = []
         retime = ArcFill.retime
 
-        def counted(self):
-            retimes.append(self)
-            retime(self)
+        def counted(self, k):
+            retimes.append(k)
+            retime(self, k)
 
-        atlases = []
-        for advect in (None, fresh_advect):
+        atlases, counts = [], []
+        for grow in (Atlas.grow, piece_grow,
+                     functools.partial(piece_grow, advect=fresh_advect)):
             with monkeypatch.context() as mp:
                 mp.setattr(ArcFill, "retime", counted)
-                if advect is not None:
-                    mp.setattr(Atlas, "_advect", advect)
                 atlas = Atlas.from_manifold(manifold, m, n_arcs=6,
                                             arc_order=10)
-                atlas.grow(**kw)
+                grow(atlas, **kw)
             atlases.append(atlas)
-        return atlases, len(retimes)
+            counts.append(len(retimes))
+        return atlases, counts[0]
 
     @staticmethod
     def _assert_same_bytes(got, want, tmp_path):
@@ -288,30 +323,35 @@ class TestRetimedRetries:
                                           monkeypatch, tmp_path):
         # the benchmark's growth: automatic tau, two generations
         m, _ = setup
-        (got, want), retimes = self._grow_both(
+        (got, piece, fresh), retimes = self._grow_all(
             monkeypatch, unstable5, m, generations=2, orders=(10, 18))
         assert retimes > 0 and len(got.charts) > 6
-        self._assert_same_bytes(got, want, tmp_path)
+        self._assert_same_bytes(got, piece, tmp_path)
+        self._assert_same_bytes(got, fresh, tmp_path)
 
     def test_all_stopped(self, setup, stable5, monkeypatch, tmp_path):
         m, _ = setup
-        (got, want), retimes = self._grow_both(
+        (got, piece, fresh), retimes = self._grow_all(
             monkeypatch, stable5, m, generations=1, orders=(10, 18),
             tau=1.0, delta_min=2.0, tau_retries=1)
         assert retimes == 6 and got.charts == {}
         assert sorted(got.stopped) == list(range(6))
-        self._assert_same_bytes(got, want, tmp_path)
+        self._assert_same_bytes(got, piece, tmp_path)
+        self._assert_same_bytes(got, fresh, tmp_path)
 
     def test_stable_charts_differ_at_most_in_zero_signs(self, setup,
                                                         stable5,
-                                                        monkeypatch):
-        # two doublings from tau = 0.25: the exact zeros of the
-        # imaginary grids may differ in sign, nothing else may
+                                                        monkeypatch,
+                                                        tmp_path):
+        # two doublings from tau = 0.25: against fresh flow lines the
+        # exact zeros of the imaginary grids may differ in sign, nothing
+        # else may
         m, _ = setup
-        (got, want), retimes = self._grow_both(
+        (got, piece, want), retimes = self._grow_all(
             monkeypatch, stable5, m, generations=1, orders=(10, 18),
             tau=0.25)
         assert retimes > 0 and len(got.charts) == 6
+        self._assert_same_bytes(got, piece, tmp_path)
         assert got.stopped == want.stopped == []
         for g, w in zip(got.charts.values(), want.charts.values()):
             G, W = g.chart.Gamma, w.chart.Gamma
@@ -327,6 +367,26 @@ class TestRetimedRetries:
             assert a.coefs.lo[0].tobytes() == b.coefs.lo[0].tobytes()
             assert a.coefs.hi[0].tobytes() == b.coefs.hi[0].tobytes()
             assert a.tail == b.tail
+
+    def test_split_ids_interleave_with_collapsed_arcs(self, setup,
+                                                      unstable5, monkeypatch,
+                                                      tmp_path):
+        # the arcs of length 0.007 are cut twice and those of 0.0063
+        # once, so split halves, quarters and collapsed arcs take their
+        # ids in the order of advecting one piece at a time
+        m, _ = setup
+        (got, piece, _), _ = self._grow_all(
+            monkeypatch, unstable5, m, generations=1, orders=(10, 18),
+            max_len=0.0034)
+        self._assert_same_bytes(got, piece, tmp_path)
+        splits = [r for r in got.arcs.values() if r.split_from is not None]
+        assert {r.split_from for r in splits} > set(range(6))
+        # the first arc's halves and quarters, then its collapsed arcs
+        assert [got.arcs[i].split_from for i in range(6, 12)] == \
+            [0, 6, 6, 0, 9, 9]
+        assert [got.arcs[i].parent_chart for i in range(12, 16)] == \
+            [0, 1, 2, 3]
+        assert got.arcs[16].split_from == 1
 
 
 class TestPersistence:

@@ -320,6 +320,12 @@ def _random_inputs(rng, M, N, real):
     return Series2(comps)
 
 
+def _same(x, y):
+    """Equal endpoints, bit for bit, zero signs included."""
+    return (x.lo.tobytes() == y.lo.tobytes()
+            and x.hi.tobytes() == y.hi.tobytes())
+
+
 class TestLevelSchedule:
     """The stacked level passes of ``FieldNodes`` give the endpoints of
     evaluating every node on its own, up to the sign of a zero."""
@@ -327,7 +333,7 @@ class TestLevelSchedule:
     def test_levels_respect_dependencies(self, config, triple):
         prog = field_program(triple, config)
         done = set(range(DIM))
-        for muls, lin in _levels(prog):
+        for muls, lin in _levels(prog, 1):
             for i, a, b in muls.T.tolist():
                 assert prog.ops[i - DIM] == Mul(a, b)
             nodes = muls[0].tolist() + (
@@ -344,7 +350,7 @@ class TestLevelSchedule:
         # every interpreter of a program, and the jet pass, reads the one
         # cached compile, whose index arrays are read-only
         prog = field_program(triple, config)
-        levels = _levels(prog)
+        levels = _levels(prog, 1)
         assert FieldNodes(prog, 3, 3).levels is levels
         assert FieldNodes(prog, 5, 2).levels is levels
         misses = _levels.cache_info().misses
@@ -354,6 +360,103 @@ class TestLevelSchedule:
             arrays = [muls] + ([] if lin is None else
                                [lin.nodes, lin.operands, lin.scale])
             assert not any(x.flags.writeable for x in arrays)
+
+    def test_stacked_levels_offset_the_compiled_program(self, config,
+                                                         triple):
+        # K copies: the K = 1 index arrays offset copy by copy, cached per
+        # (program, K) and read-only, with one coefficient array for both
+        # ends exactly when the masses are points
+        wide = MassTriple(Interval(0.5 - 1e-9, 0.5 + 1e-9), triple.m2,
+                          triple.m3)
+        for masses in (triple, wide):
+            prog = field_program(masses, config)
+            size = DIM + len(prog.ops)
+            for K in (2, 6):
+                levels = _levels(prog, K)
+                assert _levels(prog, K) is levels
+                assert FieldNodes(prog, 3, 2, K).levels is levels
+                for (muls1, lin1), (muls, lin) in zip(_levels(prog, 1),
+                                                      levels):
+                    w = muls1.shape[1]
+                    arrays = [muls]
+                    for k in range(K):
+                        assert np.array_equal(muls[:, k * w:(k + 1) * w],
+                                              muls1 + k * size)
+                    if lin1 is None:
+                        assert lin is None
+                        continue
+                    J = len(lin1.nodes)
+                    for k in range(K):
+                        at = slice(k * J, (k + 1) * J)
+                        assert np.array_equal(lin.nodes[at],
+                                              lin1.nodes + k * size)
+                        assert np.array_equal(lin.operands[:, at],
+                                              lin1.operands + k * size)
+                        assert np.array_equal(lin.scale[:, at], lin1.scale)
+                        assert np.array_equal(lin.const_lo[:, at],
+                                              lin1.const_lo)
+                    # interval coefficient i of copy k sits at copy k's
+                    # position of the K = 1 coefficient i
+                    (t, j), (t1, j1) = lin.iv_at, lin1.iv_at
+                    assert np.array_equal(t, np.tile(t1, K))
+                    assert np.array_equal(j % J, np.tile(j1, K))
+                    assert np.array_equal(j // J,
+                                          np.repeat(np.arange(K), j1.size))
+                    assert np.array_equal(lin.iv_lo,
+                                          np.tile(lin1.iv_lo, (K, 1)))
+                    assert np.array_equal(lin.iv_hi,
+                                          np.tile(lin1.iv_hi, (K, 1)))
+                    assert (lin.iv_hi is lin.iv_lo) == (
+                        lin1.iv_hi is lin1.iv_lo) == (
+                        masses is triple or not t1.size)
+                    arrays += [lin.nodes, lin.operands, lin.scale, t, j,
+                               lin.iv_lo, lin.iv_hi, lin.const_lo,
+                               lin.const_hi]
+                    assert not any(x.flags.writeable for x in arrays)
+
+    @pytest.mark.parametrize("parts", ["real", "complex", "mixed"])
+    def test_copies_fill_as_one_copy_each(self, config, triple, parts):
+        # K copies fill every column, and every degree, as K one-copy
+        # interpreters do; with one complex copy every copy takes the
+        # complex path, so a real copy's grids overlap its own
+        # interpreter's, which takes the real path
+        rng = np.random.default_rng(61)
+        M, N, K = 4, 5, 3
+        inputs = [_random_inputs(rng, M, N, parts == "real"
+                                 or (parts == "mixed" and k != 1))
+                  for k in range(K)]
+        prog = field_program(triple, config)
+        nodes = FieldNodes(prog, M, N, K)
+        ones = [FieldNodes(prog, M, N) for _ in inputs]
+        for k, (one, S) in enumerate(zip(ones, inputs)):
+            nodes.blocks[k, :DIM] = S.coefs
+            one.G[:DIM] = S.coefs
+        for n in range(N + 1):
+            out = nodes.b_column(n)
+            want = [one.b_column(n) for one in ones]
+            assert out.shape == (K * DIM, M + 1)
+            for k, w in enumerate(want):
+                if parts == "mixed" and k != 1:
+                    got = out[k * DIM:(k + 1) * DIM]
+                    assert np.all(got.lo <= w.hi) and np.all(w.lo <= got.hi)
+                else:
+                    assert _same(out[k * DIM:(k + 1) * DIM], w), (n, k)
+        for k, one in enumerate(ones):
+            if parts != "mixed" or k == 1:
+                assert _same(nodes.blocks[k], one.G), k
+        if parts == "mixed":
+            return
+        origin = [[S.coefs.at(i, 0, 0) for i in range(DIM)] for S in inputs]
+        degs = [degree_nodes(prog, M, o)[0] for o in origin]
+        nodes = FieldNodes(prog, M, M, K)
+        for k, one in enumerate(degs):
+            one.G[:DIM] = _fit(inputs[k].coefs, M, M)
+            nodes.blocks[k] = one.G
+        for d in range(1, 2 * M + 1):
+            out = nodes.degree(d)
+            want = [one.degree(d) for one in degs]
+            for k, w in enumerate(want):
+                assert _same(out[k * DIM:(k + 1) * DIM], w), (d, k)
 
     def test_point_coefficients_share_one_array(self, config, triple):
         # the masses of MassTriple.from_floats are points: their level
@@ -368,7 +471,8 @@ class TestLevelSchedule:
         wide = MassTriple(Interval(0.5 - 1e-9, 0.5 + 1e-9), triple.m2,
                           triple.m3)
         for masses, point in ((triple, True), (wide, False)):
-            levels = [lin for _, lin in _levels(field_program(masses, config))
+            levels = [lin for _, lin in
+                      _levels(field_program(masses, config), 1)
                       if lin is not None and lin.iv_at[0].size]
             assert levels
             for lin in levels:
@@ -455,7 +559,7 @@ class TestFoldedTails:
         prog = field_program(triple, config)
         assert DIM + len(prog.ops) == 39
         assert DIM + len(unfolded_program(triple, config).ops) == 42
-        levels = _levels(prog)
+        levels = _levels(prog, 1)
         assert len(levels) == 4
         assert sum(lin is not None for _, lin in levels) == 3
 
