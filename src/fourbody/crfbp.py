@@ -382,20 +382,22 @@ def hess_omega_point(pos: np.ndarray, masses: np.ndarray, x: float,
     return np.array([[g11, g12], [g12, g22]])
 
 
+_NEWTON_ITERS, _NEWTON_TOL = 50, 1e-14  # step limit, residual max norm
+
+
 def newton_equilibrium(p: PrimaryConfig, m: MassTriple,
-                       seed: tuple[float, float], max_iter: int = 50,
-                       tol: float = 1e-14) -> tuple[float, float]:
+                       seed: tuple[float, float]) -> tuple[float, float]:
     """Float Newton iteration for a zero of the planar gradient map.
 
-    Raises NewtonDiverged if the residual fails to reach ``tol`` or an
-    iterate leaves a generous bounding box.
+    Raises NewtonDiverged if the residual fails to reach ``_NEWTON_TOL``
+    or an iterate leaves a generous bounding box.
     """
     pos = p.position_array()
     masses = np.array(m.as_floats())
     xy = np.array(seed, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERS):
         g = grad_omega_point(pos, masses, xy[0], xy[1])
-        if np.max(np.abs(g)) < tol:
+        if np.max(np.abs(g)) < _NEWTON_TOL:
             return float(xy[0]), float(xy[1])
         H = hess_omega_point(pos, masses, xy[0], xy[1])
         try:
@@ -406,6 +408,6 @@ def newton_equilibrium(p: PrimaryConfig, m: MassTriple,
         if np.max(np.abs(xy)) > 1e3 or not np.all(np.isfinite(xy)):
             raise NewtonDiverged(f"iterate escaped: {xy}")
     g = grad_omega_point(pos, masses, xy[0], xy[1])
-    if np.max(np.abs(g)) < tol:
+    if np.max(np.abs(g)) < _NEWTON_TOL:
         return float(xy[0]), float(xy[1])
-    raise NewtonDiverged(f"no convergence after {max_iter} iterations")
+    raise NewtonDiverged(f"no convergence after {_NEWTON_ITERS} iterations")

@@ -16,11 +16,13 @@ to nearest is monotone, so the (product, residual) pairs of the
 endpoint candidates order their exact products lexicographically, and
 ``_imul_arr`` steps only the least and the greatest pair; ``_iadd_arr``
 and ``_isub_arr`` sum both ends in one pass.  Outside the guard an
-array product is widened by one ulp unless a factor is zero, while the
-scalar product falls back to rational arithmetic.  ``_pad_sum`` sums
-by a pairwise TwoSum tree, and inexact sums are padded with the
-standard ``n*u/(1-n*u)`` term, which bounds the errors' float sum in
-any summation order.  The column kernel of ``taylor``
+array product is widened by one ulp unless a factor is zero; a scalar
+floor or ceil (sum, product, reciprocal q, root s) steps by the exact
+sign of a float residual, ``_prod_cmp``'s for a*b - p, q x - 1 and
+s s - x, with rational arithmetic only outside the guard.
+``_pad_sum`` sums by a pairwise TwoSum tree, and inexact sums are
+padded with the standard ``n*u/(1-n*u)`` term, which bounds the errors'
+float sum in any summation order.  The column kernel of ``taylor``
 (``product_columns`` and its one-pair case ``product_column``) forms
 its products rounded to nearest and folds their rounding into that
 term, so each of its rows is padded once, by the gamma of its own term
@@ -70,28 +72,12 @@ def _up(x: float) -> float:
 _MAXF = 1.7976931348623157e308
 
 
-def _sum_err(a: float, b: float, s: float) -> float:
-    """2Sum: the exact error (a + b) - s as a float."""
-    bv = s - a
-    av = s - bv
-    return (a - av) + (b - bv)
-
-
-def _prod_err(a: float, b: float, p: float) -> float:
-    """Dekker two-product: the exact error a*b - p, assuming no overflow."""
-    ah = _SPLITTER * a - (_SPLITTER * a - a)
-    al = a - ah
-    bh = _SPLITTER * b - (_SPLITTER * b - b)
-    bl = b - bh
-    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
-
-
 def _sum_floor(a: float, b: float) -> float:
     """Largest float <= the exact sum a + b (directed rounding down)."""
     s = a + b
     if not math.isfinite(s):
         return _MAXF if s > 0 else s
-    return _down(s) if _sum_err(a, b, s) < 0.0 else s
+    return _down(s) if _sum_err_arr(a, b, s) < 0.0 else s
 
 
 def _sum_ceil(a: float, b: float) -> float:
@@ -99,17 +85,29 @@ def _sum_ceil(a: float, b: float) -> float:
     s = a + b
     if not math.isfinite(s):
         return -_MAXF if s < 0 else s
-    return _up(s) if _sum_err(a, b, s) > 0.0 else s
+    return _up(s) if _sum_err_arr(a, b, s) > 0.0 else s
 
 
 def _prod_cmp(a: float, b: float, p: float) -> int:
-    """Sign of (a*b - p), computed exactly."""
+    """Sign of (a*b - p), exactly, for finite a, b and p.
+
+    Theorem: with r = a*b rounded to nearest in the guard
+    1e-200 < |r| < 1e200, |a|, |b| < ``_SPLIT_SAFE``, Dekker's residual
+    e = a*b - r is exact: no split overflows, and no partial product,
+    a multiple of ulp(a) ulp(b) > 2^-108 |r|, underflows.  For p within
+    a factor two of r, r - p is exact (Sterbenz), so a*b - p is the sum
+    (r - p) + e of two floats, whose rounding has the exact sign, since
+    a sum of two floats under 2^-1022 is exact.  Otherwise: Fractions.
+    """
     if a == 0.0 or b == 0.0:
         return (0.0 > p) - (0.0 < p)
-    if 1e-200 < abs(p) < 1e200 and abs(a) < _SPLIT_SAFE and abs(b) < _SPLIT_SAFE:
-        # Dekker error is exact here (no overflow, error term stays normal)
-        e = _prod_err(a, b, p)
-        return (e > 0.0) - (e < 0.0)
+    r = a * b
+    if (1e-200 < abs(r) < 1e200 and abs(a) < _SPLIT_SAFE
+            and abs(b) < _SPLIT_SAFE
+            and (r == p or 0.5 * r <= p <= 2.0 * r
+                 or 2.0 * r <= p <= 0.5 * r)):
+        d = (r - p) + _prod_err_arr(a, b, r)
+        return (d > 0.0) - (d < 0.0)
     from fractions import Fraction
     d = Fraction(a) * Fraction(b) - Fraction(p)
     return (d > 0) - (d < 0)
@@ -131,40 +129,44 @@ def _prod_ceil(a: float, b: float) -> float:
     return _up(p) if _prod_cmp(a, b, p) > 0 else p
 
 
-def _recip_floor(x: float) -> float:
-    """Largest float <= 1/x, for x != 0."""
-    from fractions import Fraction
-    q = 1.0 / x
-    if not math.isfinite(q):
-        return _MAXF if q > 0 else q
-    return _down(q) if Fraction(q) > Fraction(1, 1) / Fraction(x) else q
-
-
 def _recip_ceil(x: float) -> float:
-    """Smallest float >= 1/x, for x != 0."""
-    from fractions import Fraction
+    """Smallest float >= 1/x, for x != 0; 1/+-inf is exactly 0.  The
+    rounded q falls short of 1/x when q x - 1 has the sign of -x."""
     q = 1.0 / x
+    if math.isinf(x):
+        return q
     if not math.isfinite(q):
         return -_MAXF if q < 0 else q
-    return _up(q) if Fraction(q) < Fraction(1, 1) / Fraction(x) else q
+    return _up(q) if _prod_cmp(q, x, 1.0) * x < 0.0 else q
+
+
+def _recip_floor(x: float) -> float:
+    """Largest float <= 1/x: -ceil(1/-x), as rounding to nearest is odd."""
+    return -_recip_ceil(-x)
 
 
 def _sqrt_floor(x: float) -> float:
     """Largest float <= sqrt(x), for x >= 0."""
-    from fractions import Fraction
     s = math.sqrt(x)
     if not math.isfinite(s):
         return _MAXF
-    return _down(s) if Fraction(s) * Fraction(s) > Fraction(x) else s
+    return _down(s) if _prod_cmp(s, s, x) > 0 else s
 
 
 def _sqrt_ceil(x: float) -> float:
     """Smallest float >= sqrt(x), for x >= 0."""
-    from fractions import Fraction
     s = math.sqrt(x)
     if not math.isfinite(s):
         return s
-    return _up(s) if Fraction(s) * Fraction(s) < Fraction(x) else s
+    return _up(s) if _prod_cmp(s, s, x) < 0 else s
+
+
+def _exp(x: float) -> float:
+    """``math.exp``, +inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return _INF
 
 
 class Interval:
@@ -301,8 +303,12 @@ class Interval:
         return Interval(self.mig, self.mag)
 
     def exp(self) -> "Interval":
-        lo = _down(math.exp(self.lo))
-        hi = _up(math.exp(self.hi))
+        """Enclosure of e^x, unbounded above where e^hi overflows.
+        Premise, which the Gronwall tube's growth factor rests on: the
+        platform ``math.exp`` is within one ulp of e^x, so one outward
+        step encloses."""
+        lo = _down(_exp(self.lo))
+        hi = _up(_exp(self.hi))
         return Interval(max(0.0, lo), hi)
 
     # -- representation -----------------------------------------------
@@ -768,22 +774,13 @@ def _sum_err_arr(a, b, s):
     return (a - (s - bb)) + (b - bb)
 
 
-def _split_arr(x):
-    """Dekker's split of x into a high and a low half, x = h + l."""
-    c = _SPLITTER * x
-    h = c - (c - x)
-    return h, x - h
-
-
-def _residual_arr(ah, al, bh, bl, p):
-    """Dekker's product residual a*b - p from the splits of a and b."""
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _prod_err_arr(a, b, p):
-    """Vectorized Dekker product residual; valid only under the same
-    magnitude guard as the scalar path."""
-    return _residual_arr(*_split_arr(a), *_split_arr(b), p)
+    """Dekker's residual a*b - p of floats or arrays, exact for p = a*b
+    rounded to nearest under the guard of ``_prod_cmp``."""
+    ca, cb = _SPLITTER * a, _SPLITTER * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 # the outward direction of the lower and the upper end, and the signs
@@ -848,10 +845,8 @@ def _imul_arr(alo, ahi, blo, bhi):
          else _stacked(shape, alo, ahi, blo, bhi))
     a, b = f[:2, None], f[None, 2:]
     with np.errstate(invalid="ignore", over="ignore"):
-        fh, fl = _split_arr(f)
         p = a * b
-        e = _residual_arr(fh[:2, None], fl[:2, None],
-                          fh[None, 2:], fl[None, 2:], p)
+        e = _prod_err_arr(a, b, p)
     abs_p = np.abs(p)
     safe = np.abs(f) < _SPLIT_SAFE
     nonzero = f != 0.0

@@ -78,6 +78,7 @@ from .taylor import (
     _fit,
     antidiagonal,
     compose_affine,
+    horner_box,
     mag_sum_bound,
     product_coeff,  # noqa: F401  (uncalled; see below)
 )
@@ -418,7 +419,7 @@ def _real_series(P: Series2) -> IntervalArray:
 def real_chart(M: LocalManifold, sigma1, sigma2) -> IntervalArray:
     """Evaluate the real conjugacy Q(sigma) = P(s1 + i s2, s1 - i s2).
 
-    Real Horner on ``M.Q``, the series of Q, first in s2 for every
+    ``horner_box`` on ``M.Q``, the series of Q, first in s2 for every
     power of s1, then in s1; the value is padded by the manifold tail,
     which bounds P only over the closed unit polydisc, where
     |s1 + i s2| <= 1 puts the point: DomainExceeded is raised unless
@@ -433,14 +434,7 @@ def real_chart(M: LocalManifold, sigma1, sigma2) -> IntervalArray:
     if r > 1.0:
         raise DomainExceeded(
             f"evaluation point leaves the unit disk: |sigma| up to {r}")
-    Q = M.Q
-    D = Q.shape[1] - 1
-    rows = Q[:, :, D]
-    for k in range(D - 1, -1, -1):
-        rows = rows * s2 + Q[:, :, k]
-    v = rows[:, D]
-    for j in range(D - 1, -1, -1):
-        v = v * s1 + rows[:, j]
+    v = horner_box(M.Q, s1, s2)
     t = M.P.tail
     return v + IntervalArray(np.full(DIM, -t), np.full(DIM, t))
 

@@ -15,8 +15,9 @@ JSON form (``Series2.to_json``) keeps them, per component, as the keys
 rlo, rhi, ilo and ihi.
 
 The module supplies the Cauchy product kernels, rigorous evaluation
-over boxes, rescaling of the domain variables, and conjugate-symmetry
-checking.
+over boxes by one stacked Horner pass (``horner_box``, behind both
+``eval_box`` methods and ``manifold.real_chart``), rescaling of the
+domain variables, and conjugate-symmetry checking.
 
 The lifted field itself is not written here: ``polyfield`` describes it
 once as a program of linear combinations and products, and its series
@@ -57,7 +58,6 @@ from .errors import DomainExceeded, SymmetryViolation
 from .interval import (
     CInterval,
     CIntervalArray,
-    Interval,
     IntervalArray,
     _gamma,
     _iadd_arr,
@@ -114,18 +114,28 @@ class ScalarSeries2(CIntervalArray):
     # -- evaluation ------------------------------------------------------
 
     def eval_box(self, z1: CInterval, z2: CInterval) -> CInterval:
-        """Horner evaluation over a box of the two variables."""
-        M, N = self.orders
-        rows = []
-        for m in range(M + 1):
-            acc = self.at(m, N)
-            for n in range(N - 1, -1, -1):
-                acc = acc * z2 + self.at(m, n)
-            rows.append(acc)
-        acc = rows[M]
-        for m in range(M - 1, -1, -1):
-            acc = acc * z1 + rows[m]
-        return acc
+        """``horner_box`` over a box of the two variables."""
+        return horner_box(self, z1, z2).at()
+
+
+def horner_box(c, z1, z2):
+    """sum_mn c[..., m, n] z1^m z2^n over a box, for a real
+    ``IntervalArray`` c at Interval points or a ``CIntervalArray`` at
+    CInterval points: acc = acc z2 + c[..., n] over every row of every
+    series at once, then the rows' Horner in z1, each step one stacked
+    product and one stacked directed sum.  Theorem: each step encloses
+    the exact one for all operands in their boxes; inside the guard of
+    ``_imul_arr`` each entry gets the endpoints of the scalar Interval
+    or CInterval operation, so the result equals the scalar Horner in
+    this order up to the sign of a zero, and outside it a product may
+    be one ulp wider."""
+    acc = c[..., -1]
+    for n in range(c.shape[-1] - 2, -1, -1):
+        acc = acc * z2 + c[..., n]
+    val = acc[..., -1]
+    for m in range(acc.shape[-1] - 2, -1, -1):
+        val = val * z1 + acc[..., m]
+    return val
 
 
 def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int
@@ -567,14 +577,11 @@ class Series2:
             if z.abs().hi > 1.0:
                 raise DomainExceeded(
                     f"evaluation box leaves the unit polydisc: |z| up to {z.abs().hi}")
-        out = []
-        pad = Interval(-self.tail, self.tail)
-        for c in self.components:
-            v = c.eval_box(z1, z2)
-            if self.tail > 0.0:
-                v = CInterval(v.re + pad, v.im + pad)
-            out.append(v)
-        return tuple(out)
+        v = horner_box(self.coefs, z1, z2)
+        if self.tail > 0.0:
+            pad = np.full((2, 1), self.tail)
+            v = v + CIntervalArray._wrap(-pad, pad)
+        return tuple(v.at(i) for i in range(self.dim))
 
     def rescale(self, s: complex) -> "Series2":
         """The series P_s(z) = P(s z): one stacked product of the

@@ -83,6 +83,39 @@ def from_complex_points(grid) -> ScalarSeries2:
     return ScalarSeries2(a.real, a.real, a.imag, a.imag)
 
 
+def eval_box_loop(s, z1, z2) -> CInterval:
+    """Scalar Horner of one series over a box, one CInterval operation
+    per coefficient: every row m in z2 from its last column, then the
+    rows in z1.  ``ScalarSeries2.eval_box`` before the stacked
+    ``taylor.horner_box``, kept as its reference."""
+    M, N = s.orders
+    rows = []
+    for m in range(M + 1):
+        acc = s.at(m, N)
+        for n in range(N - 1, -1, -1):
+            acc = acc * z2 + s.at(m, n)
+        rows.append(acc)
+    acc = rows[M]
+    for m in range(M - 1, -1, -1):
+        acc = acc * z1 + rows[m]
+    return acc
+
+
+def real_chart_loop(Q, s1, s2) -> IntervalArray:
+    """Real Horner of the stacked real chart ``Q``, shape (DIM, D+1,
+    D+1), at the Interval points s1 and s2, untailed: every s1-power's
+    row in s2, then the rows in s1, as ``manifold.real_chart`` did
+    before the stacked ``taylor.horner_box``."""
+    D = Q.shape[1] - 1
+    rows = Q[:, :, D]
+    for k in range(D - 1, -1, -1):
+        rows = rows * s2 + Q[:, :, k]
+    v = rows[:, D]
+    for j in range(D - 1, -1, -1):
+        v = v * s1 + rows[:, j]
+    return v
+
+
 def sequential_cascade_sum(x):
     """The compensated sum ``interval._cascade_sum`` replaced: one
     TwoSum per term, c - 1 vector steps along axis 0, each error added

@@ -33,6 +33,14 @@ from fourbody.interval import (
     _ldexp_arr,
     _pad_sum,
     _padded_cascade,
+    _prod_ceil,
+    _prod_floor,
+    _recip_ceil,
+    _recip_floor,
+    _sqrt_ceil,
+    _sqrt_floor,
+    _sum_ceil,
+    _sum_floor,
     matrix_norm,
     verified_solve,
     verified_solve_complex,
@@ -153,6 +161,126 @@ class TestContainmentFuzz:
                 exact = op(fa, fb)
                 rv = op(a, b)
                 assert Fraction(rv.lo) <= exact <= Fraction(rv.hi)
+
+
+_MAXF = 1.7976931348623157e308
+
+
+def _all_binades(rng, n):
+    """Signed finite floats drawn uniformly from their bit patterns, so
+    every binade, the subnormal one included, is equally likely."""
+    bits = rng.integers(0, 0x7FF0000000000000, size=n, dtype=np.int64)
+    sign = rng.integers(0, 2, size=n, dtype=np.int64) << 63
+    return (bits | sign).view(np.float64).tolist()
+
+
+# floats at the edges of the format: zeros, subnormals, the least
+# normal, powers of two near both ends, values near overflow
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1073, 2.0 ** -1022,
+          math.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1022 * 3, 2.0 ** 1022,
+          -2.0 ** 1022, 2.0 ** 1023, _MAXF, -_MAXF, 0.5 * _MAXF,
+          math.nextafter(_MAXF, 0.0), 1.0, -1.0, 3.0, 1e-200, 1e200,
+          1e150, 1e-150]
+
+
+def _nearest(q):
+    """q rounded to nearest, clamped to the finite floats."""
+    try:
+        f = float(q)
+    except OverflowError:
+        f = math.inf if q > 0 else -math.inf
+    return max(-_MAXF, min(_MAXF, f))
+
+
+def _floor(q):
+    f = _nearest(q)
+    return math.nextafter(f, -math.inf) if Fraction(f) > q else f
+
+
+def _ceil(q):
+    f = _nearest(q)
+    return math.nextafter(f, math.inf) if Fraction(f) < q else f
+
+
+def _sqrt_floor_ref(x):
+    s = math.sqrt(x)
+    while Fraction(s) ** 2 > Fraction(x):
+        s = math.nextafter(s, -math.inf)
+    while Fraction(math.nextafter(s, math.inf)) ** 2 <= Fraction(x):
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def _sqrt_ceil_ref(x):
+    s = math.sqrt(x)
+    while Fraction(s) ** 2 < Fraction(x):
+        s = math.nextafter(s, math.inf)
+    while s > 0.0 and Fraction(math.nextafter(s, 0.0)) ** 2 >= Fraction(x):
+        s = math.nextafter(s, 0.0)
+    return s
+
+
+class TestDirectedScalarRounding:
+    """Every scalar floor and ceil against rational arithmetic, over
+    random binades and the edges of the format (``==`` ignores the
+    sign of a zero)."""
+
+    def _operands(self, seed, n=2000):
+        rng = np.random.default_rng(seed)
+        xs = _all_binades(rng, n) + _EDGES
+        ys = _all_binades(rng, n) + _EDGES[::-1]
+        return list(zip(xs, ys)) + [(x, y) for x in _EDGES for y in _EDGES]
+
+    def test_sum(self):
+        for x, y in self._operands(31):
+            q = Fraction(x) + Fraction(y)
+            assert _sum_floor(x, y) == _floor(q), (x, y)
+            assert _sum_ceil(x, y) == _ceil(q), (x, y)
+
+    def test_product(self):
+        for x, y in self._operands(32):
+            q = Fraction(x) * Fraction(y)
+            assert _prod_floor(x, y) == _floor(q), (x, y)
+            assert _prod_ceil(x, y) == _ceil(q), (x, y)
+
+    def test_reciprocal(self):
+        for x, _ in self._operands(33):
+            if x != 0.0:
+                q = 1 / Fraction(x)
+                assert _recip_floor(x) == _floor(q), x
+                assert _recip_ceil(x) == _ceil(q), x
+
+    def test_sqrt(self):
+        for x, _ in self._operands(34, n=1000):
+            x = abs(x)
+            assert _sqrt_floor(x) == _sqrt_floor_ref(x), x
+            assert _sqrt_ceil(x) == _sqrt_ceil_ref(x), x
+
+    def test_infinite_operands(self):
+        inf = math.inf
+        for x in (inf, -inf):
+            assert _recip_floor(x) == 0.0 and _recip_ceil(x) == 0.0
+            assert _prod_floor(0.0, x) == 0.0 and _prod_ceil(-0.0, x) == 0.0
+        assert _sqrt_floor(inf) == _MAXF and _sqrt_ceil(inf) == inf
+        # an unbounded side stays unbounded
+        assert _sum_floor(-inf, 1.0) == -inf and _sum_ceil(inf, -1.0) == inf
+        assert _prod_floor(-inf, 2.0) == -inf and _prod_ceil(inf, 2.0) == inf
+
+    def test_division_by_unbounded_interval(self):
+        inf = math.inf
+        assert Interval(1, 2) / Interval(-inf, -1) == Interval(-2.0, 0.0)
+        assert Interval(1, 2) / Interval(1, inf) == Interval(0.0, 2.0)
+        assert Interval(-3, 2) / Interval(4, inf) == Interval(-0.75, 0.5)
+
+    def test_exp_overflow_is_unbounded_above(self):
+        r = Interval(0, 800).exp()
+        assert r.lo <= 1.0 and r.hi == math.inf
+        assert Interval(710, 800).exp() == Interval(_MAXF, math.inf)
+        assert Interval(-math.inf, 0).exp().lo == 0.0
+        with mpmath.workdps(40):
+            r = Interval(709, 709.5).exp()
+            assert mpmath.mpf(r.lo) <= mpmath.exp(709)
+            assert mpmath.exp(mpmath.mpf(709.5)) <= mpmath.mpf(r.hi)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False,

@@ -21,7 +21,7 @@ from fourbody.errors import (
     TangencyDetected,
 )
 from fourbody.interval import (CInterval, CIntervalArray, Interval,
-                               verified_solve_complex)
+                               IntervalArray, verified_solve_complex)
 from fourbody.manifold import (
     BoundaryArc,
     LocalManifold,
@@ -41,7 +41,8 @@ from fourbody.polyfield import (DIM, FieldNodes, field_defect,
 from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              conj_symmetry_check, mag_sum_bound)
 
-from conftest import degree_nodes, from_complex_points, project_pi
+from conftest import (degree_nodes, from_complex_points, project_pi,
+                      real_chart_loop)
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +542,19 @@ class TestRealSeries:
             ref = M.P.eval_box(CInterval(s1, s2), CInterval(s1, -s2))
             for i in range(7):
                 assert _overlap(v[i], ref[i].re), (i, s1, s2)
+
+    def test_real_chart_equals_loop(self, stable7):
+        # the stacked Horner pass keeps the old loop's endpoints, up to
+        # the sign of a zero, and adds the tail to them
+        t = stable7.P.tail
+        for s1, s2 in [(0.0, 0.0), (0.2, -0.1), (-0.55, 0.4),
+                       (Interval(0.1, 0.125), Interval(-0.3, -0.25))]:
+            ref = real_chart_loop(stable7.Q, Interval._coerce(s1),
+                                  Interval._coerce(s2))
+            ref = ref + IntervalArray(np.full(DIM, -t), np.full(DIM, t))
+            v = real_chart(stable7, s1, s2)
+            assert np.array_equal(v.lo, ref.lo)
+            assert np.array_equal(v.hi, ref.hi)
 
     def test_real_chart_stays_in_the_disk(self, stable4):
         with pytest.raises(DomainExceeded):

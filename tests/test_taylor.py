@@ -15,6 +15,7 @@ from fourbody.interval import (
     CInterval,
     CIntervalArray,
     Interval,
+    IntervalArray,
     _iadd_arr,
     _imul_arr,
     _gamma,
@@ -33,6 +34,7 @@ from fourbody.taylor import (
     cauchy_product,
     conj_symmetry_check,
     hat_product_cubic,
+    horner_box,
     mag_sum_bound,
     product_antidiagonal,
     product_antidiagonals,
@@ -41,7 +43,7 @@ from fourbody.taylor import (
     product_columns,
 )
 
-from conftest import from_complex_points
+from conftest import eval_box_loop, from_complex_points
 
 RNG = np.random.default_rng(20240817)
 
@@ -883,6 +885,103 @@ class TestEvaluation:
         vo = a.eval_box(outer1, outer2)
         assert vi.re.is_subset(vo.re)
         assert vi.im.is_subset(vo.im)
+
+
+def _random_box(rng, r=0.45, w=0.05):
+    """A complex box of half-width up to w around a point of modulus at
+    most about r."""
+    c = rng.uniform(-r, r, 2)
+    h = rng.uniform(0.0, w, 2)
+    return CInterval(Interval(c[0] - h[0], c[0] + h[0]),
+                     Interval(c[1] - h[1], c[1] + h[1]))
+
+
+def _widened(a, rng, rel=1e-3):
+    """The series with every coefficient box widened by a random
+    relative radius, so the products meet wide intervals."""
+    w = rng.uniform(0.0, rel, (2,) + a.shape) * np.abs(a.lo)
+    return ScalarSeries2._wrap(a.lo - w, a.hi + w)
+
+
+def _encloses(outer, inner):
+    return (outer.re.lo <= inner.re.lo and inner.re.hi <= outer.re.hi
+            and outer.im.lo <= inner.im.lo and inner.im.hi <= outer.im.hi)
+
+
+class TestHornerBox:
+    """The one stacked Horner pass against the per-coefficient scalar
+    loop it replaced: equal endpoints inside the magnitude guard of
+    ``_imul_arr`` (``==`` on Intervals ignores the sign of a zero), an
+    enclosure of the loop's outside it."""
+
+    def test_scalar_series_equals_loop(self):
+        rng = np.random.default_rng(41)
+        for M, N in [(0, 0), (3, 0), (0, 4), (3, 5)]:
+            a = _widened(_random_series(M, N, rng), rng)
+            for _ in range(4):
+                z1, z2 = _random_box(rng), _random_box(rng)
+                assert a.eval_box(z1, z2) == eval_box_loop(a, z1, z2)
+
+    def test_series_equals_loop_per_component(self):
+        rng = np.random.default_rng(42)
+        P = Series2([_widened(_random_series(2, 4, rng), rng)
+                     for _ in range(3)])
+        for _ in range(4):
+            z1, z2 = _random_box(rng), _random_box(rng)
+            got = P.eval_box(z1, z2)
+            assert got == tuple(eval_box_loop(c, z1, z2)
+                                for c in P.components)
+
+    @pytest.mark.parametrize("planted", [1e-210, 1e160])
+    def test_encloses_loop_outside_guard(self, planted):
+        # coefficients whose products leave the guard: the stacked
+        # product steps one ulp where the scalar one may be exact, so
+        # some endpoints differ
+        rng = np.random.default_rng(43)
+        a = _widened(_random_series(3, 3, rng, scale=planted), rng)
+        P = Series2([a, _widened(_random_series(3, 3, rng), rng)])
+        differ = 0
+        for _ in range(4):
+            z1, z2 = _random_box(rng), _random_box(rng)
+            got = P.eval_box(z1, z2)
+            ref = eval_box_loop(a, z1, z2)
+            assert _encloses(got[0], ref)
+            differ += got[0] != ref
+            assert got[1] == eval_box_loop(P.components[1], z1, z2)
+        assert differ
+
+    def test_tail_pad_and_domain_as_before(self):
+        rng = np.random.default_rng(44)
+        comps = [_random_series(2, 2, rng) for _ in range(2)]
+        P = Series2(comps, tail=2.0 ** -20)
+        pad = Interval(-P.tail, P.tail)
+        z1, z2 = _random_box(rng), _random_box(rng)
+        for got, c in zip(P.eval_box(z1, z2), comps):
+            ref = eval_box_loop(c, z1, z2)
+            assert got == CInterval(ref.re + pad, ref.im + pad)
+        edge = CInterval(Interval(0.0, 1.0))
+        P.eval_box(edge, edge)
+        out = CInterval(Interval(0.0, 1.0), Interval(0.0, 1e-8))
+        with pytest.raises(DomainExceeded):
+            P.eval_box(z1, out)
+        with pytest.raises(DomainExceeded):
+            P.eval_box(out, z2)
+
+    def test_real_stack(self):
+        # a real stack at Interval points equals the loop on each of
+        # its series, with the complex arithmetic of exactly zero
+        # imaginary parts
+        rng = np.random.default_rng(45)
+        re = rng.standard_normal((2, 3, 4))
+        w = rng.uniform(0.0, 1e-3, re.shape)
+        Q = IntervalArray(re - w, re + w)
+        s1, s2 = Interval(0.1, 0.125), Interval(-0.3, -0.25)
+        got = horner_box(Q, s1, s2)
+        zero = np.zeros((3, 4))
+        for i in range(2):
+            ref = eval_box_loop(ScalarSeries2(Q.lo[i], Q.hi[i], zero, zero),
+                                CInterval(s1), CInterval(s2))
+            assert got[i] == ref.re
 
 
 @st.composite
