@@ -17,13 +17,18 @@ per node, and each level pass serves every chart.  An ``ArcFill``
 holds that run and its interpreter, whose input rows are the charts;
 an atlas generation is one ``ArcFill`` of all its arc pieces, its
 ``choose_tau`` pilots another, and a single arc is K = 1.  Its
-``finish(k)`` hands the interpreter to ``polyfield.field_defect`` for
-chart k's defect; the first finish fills the last column of every
-chart's nodes.  A retry at doubled tau retimes chart k's rows of the
-fill (``ArcFill.retime``), scaling column n of every node of that
-chart, its input rows included, by 2^-n, so no column is computed
-twice, across retries too.  ``flow_line`` is a fill of one arc and its
-finish.
+``finish(copies)`` makes the charts of any list of its arcs at once,
+each step one stacked pass over the list: the defects from the
+interpreter (``polyfield.field_defect``; the first finish fills the
+last column of every chart's nodes), the range boxes from one stacked
+sampling (``range_box``), the Gronwall tubes from one stacked Jacobian
+pass per batch of radii (``propagated_tail``) and the collision guard
+(``check_collision``) over the same samples.  A retry at doubled tau
+retimes chart k's rows of the fill (``ArcFill.retime``), scaling
+column n of every node of that chart, its input rows included, by
+2^-n, so no column is computed twice, across retries too; an atlas
+finishes all the retries of one round together.  ``flow_line`` is a
+fill of one arc and its finish.
 
 Error accounting is by defect: the sup of tau dGamma/dt - F(Gamma)
 over the domain square measures how far the polynomial chart is from
@@ -47,17 +52,19 @@ from .interval import (
     CIntervalArray,
     Interval,
     IntervalArray,
+    _directed_sum,
     _gamma,
+    _iadd_arr,
     _imul_arr,
+    _irecip_arr,
     _ldexp_arr,
     _nonneg_upper,
     _pad_sum,
-    _sum_ceil,
     matrix_norm,
 )
 from .manifold import BoundaryArc
-from .polyfield import (DIM, FieldNodes, State7, field_defect,
-                        field_program, poly_DF, poly_F_point)
+from .polyfield import (DIM, FieldNodes, field_defect, field_program, poly_DF,
+                        poly_F_point)
 from .taylor import Series2, _fit
 
 
@@ -109,13 +116,17 @@ def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
     CIntervalArray of shape (K dim, M + 1), row k dim + i for component
     i of chart k, reading only columns 0..n of ``out``; column n + 1 of
     chart k is then b_k / (tau_k (n + 1)), and all K are written by one
-    stacked ``_imul_arr`` with the enclosures of 1 / (tau_k (n + 1)).
-    Each entry gets the endpoints of its own interval product, so a
-    chart's columns do not depend on the other charts; where a scale
-    is exactly +-1 or +-2, they equal those of ``CIntervalArray``'s
-    exact scaling up to the sign of a zero.  The field is supplied by
-    the caller, so harness fields (constant, linear) exercise the
-    engine exactly.
+    stacked ``_imul_arr`` with the enclosures of 1 / (tau_k (n + 1)),
+    all K N of them formed before the first column by one stacked
+    product (``_time_scales``) and one stacked directed reciprocal
+    (``interval._irecip_arr``), each equal to the scalar
+    ``1 / (tau * (n + 1))`` of ``Interval`` inside the guards of those
+    kernels.  Each entry gets the endpoints of its own interval
+    product, so a chart's columns do not depend on the other charts;
+    where a scale is exactly +-1 or +-2, they equal those of
+    ``CIntervalArray``'s exact scaling up to the sign of a zero.  The
+    field is supplied by the caller, so harness fields (constant,
+    linear) exercise the engine exactly.
     """
     K, dim, rows, cols = out.shape
     N = cols - 1
@@ -125,15 +136,25 @@ def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
         raise ValueError(f"{len(taus)} rescalings for {K} charts")
     if not all(tau != 0.0 and math.isfinite(tau) for tau in taus):
         raise ValueError("tau must be finite and nonzero")
-    one = Interval.from_value(1.0)
-    tau_ivs = [Interval.from_value(tau) for tau in taus]
+    inv_lo, inv_hi = _irecip_arr(*_time_scales(taus, N))
     for n in range(N):
-        invs = IntervalArray.of([one / (tau * float(n + 1))
-                                 for tau in tau_ivs])
         b = b_column(n)
         out.lo[..., n + 1], out.hi[..., n + 1] = _imul_arr(
             b.lo.reshape(2, K, dim, rows), b.hi.reshape(2, K, dim, rows),
-            invs.lo[:, None, None], invs.hi[:, None, None])
+            inv_lo[:, n, None, None], inv_hi[:, n, None, None])
+
+
+def _time_scales(taus: Sequence[float], N: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Enclosures of tau_k (n + 1) for every rescaling tau_k and
+    n = 0..N - 1, as lo and hi of shape (K, N): one stacked point
+    product by ``_imul_arr``.  Inside its guard, |tau| < 1e150 and
+    1e-200 < |tau (n + 1)| < 1e200, each entry is the floor and the
+    ceil of the exact product, as the scalar ``Interval`` product
+    gives; outside it, at most one ulp wider."""
+    t, n = np.broadcast_arrays(np.asarray(taus, dtype=float)[:, None],
+                               np.arange(1.0, N + 1.0))
+    return _imul_arr(t, t, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +231,12 @@ class ArcFill:
     ``tau``, and the source arc's tail.  The interpreter decides
     real-ness for all the arcs together (``FieldNodes``): atlas arcs
     are exactly real, so each chart is bit-equal to that of a fill of
-    its arc alone.  ``finish(k)`` makes arc k's chart: defect, Gronwall
-    tube and ``FlowChart``.  ``retime(k)`` doubles arc k's tau without
-    refilling, so a chart retried at 2^j tau costs j retimes, not j
-    fills.
+    its arc alone.  ``finish(copies)`` makes the charts of a list of
+    arcs together: their defects, range boxes, Gronwall tubes and
+    collision guards, each as one stacked pass over the list.
+    ``retime(k)`` doubles arc k's tau without refilling, so a chart
+    retried at 2^j tau costs j retimes, not j fills, and an atlas
+    finishes all its retries of one round in one call.
     """
 
     def __init__(self, arcs: Sequence[BoundaryArc], m: MassTriple,
@@ -262,23 +285,59 @@ class ArcFill:
             rows.lo, rows.hi, -np.arange(self._nodes.N + 1))
         G.tau = tau
 
-    def finish(self, k: int, *, source_arc: Optional[int] = None,
-               start_time: float = 0.0) -> FlowChart:
-        """Arc k's chart at its current tau: the tail folds the source
-        tail and the ODE defect through a Gronwall tube over the
-        chart's range box.  The first finish of the fill fills the
-        interpreter's last column for every arc, and the defect bounds
-        arc k's copy only.  The chart holds a copy of the coefficients,
-        so a later retime leaves it as it is.  Raises CollisionDomain if
-        the tube does not close."""
-        G, arc = self.G[k], self.arcs[k]
-        defect = _defect_bound(self._nodes, G, k)
-        tail = propagated_tail(self.m, self.p, G, arc.gamma.tail, defect)
-        return FlowChart(Gamma=Series2(G.coefs.copy(), scale=G.scale,
-                                       tau=G.tau, tail=tail),
-                         kind=arc.kind, defect=defect,
-                         source_arc=source_arc,
-                         accumulated_time=start_time + 1.0 / G.tau)
+    def finish(self, copies: Sequence[int], *,
+               source_arcs: Optional[Sequence[Optional[int]]] = None,
+               start_times: Optional[Sequence[float]] = None,
+               delta_min: Optional[float] = None
+               ) -> list[FlowChart | CollisionDomain]:
+        """The charts of arcs ``copies`` at their current taus, in that
+        order: for each, a ``FlowChart`` or the ``CollisionDomain`` that
+        refuses it.
+
+        The first finish of the fill fills the interpreter's last
+        column for every arc (``field_defect``).  Then, each as one
+        stacked pass over the copies: the defects (``_defect_bounds``),
+        the range boxes before their tails (``range_box``), the
+        Gronwall tubes over those boxes padded by the source tails
+        (``propagated_tail``), and, when ``delta_min`` is given, the
+        collision guard (``check_collision``) of every chart whose tube
+        closed, over the same samples padded by its own tail.  Every
+        step treats the copies entrywise, so each outcome is that of
+        finishing its arc alone.  A chart holds a copy of the
+        coefficients, so a later retime leaves it as it is.
+        ``source_arcs`` and ``start_times`` give each chart's
+        ``source_arc`` and the flow time of its arc (default None and
+        0)."""
+        copies = list(copies)
+        if source_arcs is None:
+            source_arcs = [None] * len(copies)
+        if start_times is None:
+            start_times = [0.0] * len(copies)
+        Gs = [self.G[k] for k in copies]
+        taus = [G.tau for G in Gs]
+        arc_tails = [G.tail for G in Gs]
+        defects = _defect_bounds(self._nodes, copies, taus)
+        ranges = range_box(Gs)
+        tails = propagated_tail(self.m, self.p, ranges.padded(arc_tails),
+                                taus, arc_tails, defects)
+        out: list[FlowChart | CollisionDomain] = [
+            tail if isinstance(tail, CollisionDomain) else FlowChart(
+                Gamma=Series2(G.coefs.copy(), scale=G.scale, tau=G.tau,
+                              tail=tail),
+                kind=self.arcs[k].kind, defect=float(defect),
+                source_arc=arc, accumulated_time=start + 1.0 / G.tau)
+            for k, G, tail, defect, arc, start in zip(
+                copies, Gs, tails, defects, source_arcs, start_times)]
+        if delta_min is not None:
+            closed = [j for j, chart in enumerate(out)
+                      if isinstance(chart, FlowChart)]
+            boxes = ranges.padded([chart.tail if j in closed else 0.0
+                                   for j, chart in enumerate(out)])
+            for j, err in zip(closed, check_collision(boxes[closed], self.p,
+                                                      delta_min)):
+                if err is not None:
+                    out[j] = err
+        return out
 
 
 def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
@@ -287,7 +346,8 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
               source_arc: Optional[int] = None,
               start_time: float = 0.0) -> FlowChart:
     """Advect a boundary arc into a space-time chart: one ``ArcFill``
-    of the arc alone and its ``finish``.
+    of the arc alone and its ``finish``, whose CollisionDomain is
+    raised.
 
     ``tau`` is the positive time rescaling; stable arcs advect in
     backward time, recorded by the sign of the stored ``Gamma.tau``.
@@ -296,27 +356,33 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     """
     if tau is None:
         tau, = choose_tau([arc], m, p, orders[0])
-    return ArcFill([arc], m, p, orders, [tau]).finish(
-        0, source_arc=source_arc, start_time=start_time)
+    chart, = ArcFill([arc], m, p, orders, [tau]).finish(
+        [0], source_arcs=[source_arc], start_times=[start_time])
+    if isinstance(chart, CollisionDomain):
+        raise chart
+    return chart
 
 
 # ---------------------------------------------------------------------------
 # defect accounting
 
 
-def _defect_bound(cols: FieldNodes, G: Series2, k: int = 0) -> float:
-    """``polyfield.field_defect`` for the chart G in the input rows of
-    copy k of ``cols``, with left-hand side tau dGamma/dt: column n is
-    tau (n + 1) Gamma[:, n + 1], one stacked product of G's columns
-    1..N with the scalar enclosures of tau (n + 1), and column N is
-    zero."""
-    M, N = G.orders
-    tau_iv = Interval.from_value(G.tau)
-    scales = IntervalArray.of([tau_iv * float(n + 1) for n in range(N)])
-    lhs = CIntervalArray.zeros((DIM, M + 1, N + 1))
+def _defect_bounds(cols: FieldNodes, copies: Sequence[int],
+                   taus: Sequence[float]) -> np.ndarray:
+    """``polyfield.field_defect`` for the charts in the input rows of
+    ``copies`` of ``cols``, at the signed rescalings ``taus``, with
+    left-hand sides tau dGamma/dt: column n of copy j's is
+    tau_j (n + 1) Gamma[:, n + 1], and column N is zero.  All of them
+    are one stacked ``_imul_arr`` of the charts' columns 1..N with the
+    enclosures of tau_j (n + 1) from ``_time_scales``."""
+    N = cols.N
+    slo, shi = _time_scales(taus, N)
+    glo, ghi = (x[:, copies, :DIM, :, 1:]
+                for x in (cols.blocks.lo, cols.blocks.hi))
+    lhs = CIntervalArray.zeros((len(copies), DIM, cols.M + 1, N + 1))
     lhs.lo[..., :N], lhs.hi[..., :N] = _imul_arr(
-        G.coefs.lo[..., 1:], G.coefs.hi[..., 1:], scales.lo, scales.hi)
-    return field_defect(cols, lhs, k)
+        glo, ghi, slo[:, None, None], shi[:, None, None])
+    return field_defect(cols, lhs, copies)
 
 
 # tiles per side of the range box's sample grid, and the tile centers
@@ -324,46 +390,84 @@ _TILES = 64
 _CENTERS = np.linspace(-1.0 + 1.0 / _TILES, 1.0 - 1.0 / _TILES, _TILES)
 
 
-def _tile_samples(mid: np.ndarray) -> tuple[np.ndarray, float]:
-    """Float samples of p(x, y) = sum_mn mid_mn x^m y^n, for float
-    coefficients ``mid`` of shape (M + 1, N + 1), at every pair of tile
-    centers (x at row i, y at column j), and a bound on every sample's
-    distance from the exact p at the same float centers.
+def _grid_sums(x: np.ndarray) -> np.ndarray:
+    """Float sums of x over its last two axes, one per grid: a
+    contiguous sum of each grid, in the order ``np.sum`` gives one grid
+    alone."""
+    return np.ascontiguousarray(x).reshape(x.shape[:-2] + (-1,)).sum(-1)
 
-    The samples are (V_x mid) V_y^T, with ``np.vander`` powers.
-    Theorem: each exact summand mid_mn x^m y^n passes through at most
-    k = 2 (M + N) + 2 roundings: m - 1 in the power x^m (a running
-    product), one in its product with mid_mn, M in the sum over m, as
-    many again in y and n.  Each rounding is a factor (1 + delta),
-    |delta| <= u, or, for a result in the subnormal range, an absolute
-    error of at most 2^-1075 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., sec. 2.2); FMAs and any summation
-    order only round less.  The centers have modulus below 1, so every
-    power is at most 1, and at least 64^-170 > 2^-1022, never
-    subnormal, while M, N <= 170.  So a sample is off by at most
-    gamma_k sum_mn |mid_mn| from the roundings, plus 2^-1074 for each
-    of the ops = (N + 1)(2 M + 1) + 2 N + 1 products and sums of a
-    sample, since an absolute error is afterwards only multiplied by
-    powers of modulus at most 1 and by factors (1 + delta).  The sum
-    of |mid_mn| and that bound are evaluated by
+
+def _tile_samples(mid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float samples of p(x, y) = sum_mn mid_mn x^m y^n, for float
+    coefficients ``mid`` of shape (..., M + 1, N + 1), a stack of grids,
+    at every pair of tile centers (x at row i, y at column j), and a
+    bound on every sample's distance from the exact p at the same
+    float centers, one per grid.
+
+    The samples are (V_x mid) V_y^T, with ``np.vander`` powers, as one
+    stacked matrix product.  Theorem: each exact summand
+    mid_mn x^m y^n passes through at most k = 2 (M + N) + 2 roundings:
+    m - 1 in the power x^m (a running product), one in its product
+    with mid_mn, M in the sum over m, as many again in y and n.  Each
+    rounding is a factor (1 + delta), |delta| <= u, or, for a result in
+    the subnormal range, an absolute error of at most 2^-1075 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 2.2);
+    FMAs and any summation order only round less.  The centers have
+    modulus below 1, so every power is at most 1, and at least
+    64^-170 > 2^-1022, never subnormal, while M, N <= 170.  So a sample
+    is off by at most gamma_k sum_mn |mid_mn| from the roundings, plus
+    2^-1074 for each of the ops = (N + 1)(2 M + 1) + 2 N + 1 products
+    and sums of a sample, since an absolute error is afterwards only
+    multiplied by powers of modulus at most 1 and by factors
+    (1 + delta).  The sum of |mid_mn| and that bound are evaluated by
     ``interval._nonneg_upper``, which rounds them up.
     """
-    M, N = mid.shape[0] - 1, mid.shape[1] - 1
+    M, N = mid.shape[-2] - 1, mid.shape[-1] - 1
     VS = np.vander(_CENTERS, M + 1, increasing=True)
     VT = np.vander(_CENTERS, N + 1, increasing=True)
     vals = VS @ mid @ VT.T
     ops = (N + 1) * (2 * M + 1) + 2 * N + 1
-    mass = _nonneg_upper(float(np.sum(np.abs(mid))), mid.size)
+    mass = _nonneg_upper(_grid_sums(np.abs(mid)), (M + 1) * (N + 1))
     return vals, _nonneg_upper(_gamma(2 * (M + N) + 2) * mass, 1, ops + 1)
 
 
-def range_box(G: Series2) -> IntervalArray:
-    """Enclosure of the chart's real range over the domain square.
+@dataclass(frozen=True)
+class RangeBoxes:
+    """The range boxes of a stack of charts before their tails: per
+    chart and component, the least and the greatest float sample
+    ``lo`` and ``hi`` and the ``slack`` that puts every point value of
+    the polynomial part within [lo - slack, hi + slack], each of shape
+    (charts, DIM)."""
 
-    Interval Horner is uselessly wide at these orders, so the box
-    comes from float samples of the coefficient-midpoint polynomial at
-    tile centers (``_tile_samples``), padded by a slack that bounds the
-    distance of every point value of the chart from the nearest sample.
+    lo: np.ndarray
+    hi: np.ndarray
+    slack: np.ndarray
+
+    def padded(self, tails: Sequence[float]) -> IntervalArray:
+        """The boxes of the charts with the given tails, shape
+        (charts, DIM): the slack plus the tail, rounded up, and both
+        ends stepped outward.  A component whose samples or padded
+        slack are not finite, as after an overflow, is unbounded, which
+        encloses anything."""
+        s = _directed_sum(self.slack, np.asarray(tails, dtype=float)[:, None],
+                          1)
+        with np.errstate(invalid="ignore"):
+            lo = np.nextafter(self.lo - s, -np.inf)
+            hi = np.nextafter(self.hi + s, np.inf)
+        bad = ~(np.isfinite(self.lo) & np.isfinite(self.hi) & np.isfinite(s))
+        return IntervalArray(np.where(bad, -np.inf, lo),
+                             np.where(bad, np.inf, hi))
+
+
+def range_box(charts: Sequence[Series2]) -> RangeBoxes:
+    """Enclosures of the real ranges of equal-order charts over the
+    domain square, before their tails.
+
+    Interval Horner is uselessly wide at these orders, so the boxes
+    come from float samples of the coefficient-midpoint polynomials at
+    tile centers (``_tile_samples``, one stacked pass over every
+    component of every chart), padded by a slack that bounds the
+    distance of every point value of a chart from the nearest sample.
     Theorem: every point of the square lies within h = 1 / _TILES of a
     float center in each variable, so, for coefficients a in their
     boxes, the mean-value theorem and |s|, |t| <= 1 give
@@ -374,91 +478,150 @@ def range_box(G: Series2) -> IntervalArray:
     (gamma_8002 < 9e-13).  |P_a(c) - P_mid(c)| is at most
     sum |a_mn - mid_mn|, bounded by ``radii`` from the float midpoints
     themselves, and the float sample is within ``_tile_samples``'s
-    bound of P_mid(c).  The chart tail covers the truncation.  The
-    terms are summed upward, and the box ends are stepped outward.
-    Raises ValueError for grids beyond those limits.
+    bound of P_mid(c).  ``RangeBoxes.padded`` adds a tail, which covers
+    the truncation.  The terms are summed upward, and the box ends are
+    stepped outward.  Raises ValueError for grids beyond those limits.
     """
-    M, N = G.orders
+    M, N = charts[0].orders
     if (M + 1) * (N + 1) >= 8000 or max(M, N) > 170:
-        raise ValueError(f"chart orders {G.orders} exceed the range "
+        raise ValueError(f"chart orders {(M, N)} exceed the range "
                          "box's rounding analysis")
     h = (1.0 / _TILES) * (1.0 + 1e-12)
-    mrow = np.arange(M + 1, dtype=float)[:, None]
-    ncol = np.arange(N + 1, dtype=float)[None, :]
-    out = []
-    # the chart is real: only the real parts enter
-    for lo, hi in zip(G.coefs.lo[0], G.coefs.hi[0]):
+    # the charts are real: only the real parts enter
+    lo = np.stack([G.coefs.lo[0] for G in charts])
+    hi = np.stack([G.coefs.hi[0] for G in charts])
+    # unbounded coefficients give non-finite samples, which ``padded``
+    # turns into unbounded components
+    with np.errstate(invalid="ignore", over="ignore"):
         mid = 0.5 * (lo + hi)
         vals, fperr = _tile_samples(mid)
         mags = np.maximum(np.abs(lo), np.abs(hi))
-        sups = h * float(np.sum((mrow + ncol) * mags))
+        orders = np.arange(M + 1.0)[:, None] + np.arange(N + 1.0)
+        sups = h * _grid_sums(orders * mags)
         # the rounded midpoint lies in [lo, hi], so both differences
         # are nonnegative
-        radii = _nonneg_upper(float(np.sum(np.maximum(hi - mid, mid - lo))),
-                              mid.size)
-        slack = _sum_ceil(_sum_ceil(_sum_ceil(sups, radii), fperr), G.tail)
-        out.append(Interval(
-            math.nextafter(float(np.min(vals)) - slack, -math.inf),
-            math.nextafter(float(np.max(vals)) + slack, math.inf)))
-    return IntervalArray.of(out)
+        radii = _nonneg_upper(_grid_sums(np.maximum(hi - mid, mid - lo)),
+                              (M + 1) * (N + 1))
+        return RangeBoxes(np.min(vals, axis=(-2, -1)),
+                          np.max(vals, axis=(-2, -1)),
+                          _directed_sum(_directed_sum(sups, radii, 1), fperr,
+                                        1))
 
 
-def propagated_tail(m: MassTriple, p: PrimaryConfig, G: Series2,
-                    source_tail: float, defect: float) -> float:
-    """Gronwall tube bound for the chart's distance to the true flow.
+# radii the Gronwall tube tries, and how many of them one stacked
+# Jacobian pass takes
+_TUBE_RADII = 40
+_TUBE_BATCH = 8
+_TUBE_FAILED = ("Gronwall tube failed to close; the chart's range box is "
+                "too large or too close to a primary for a useful Jacobian "
+                "bound")
 
-    With eps0 the source-arc tail, D the defect and L a Jacobian
-    inf-norm bound over the range box inflated by a tube radius delta,
+
+def propagated_tail(m: MassTriple, p: PrimaryConfig, boxes: IntervalArray,
+                    taus: Sequence[float], source_tails: Sequence[float],
+                    defects: Sequence[float]) -> list[float | CollisionDomain]:
+    """Gronwall tube bounds for a stack of charts' distances to the true
+    flow: for chart j, with range box ``boxes[j]``, signed rescaling
+    ``taus[j]``, source-arc tail eps0 = ``source_tails[j]`` and defect
+    D = ``defects[j]``, its tail, or a CollisionDomain if the tube does
+    not close.
+
+    Theorem: with L a Jacobian inf-norm bound over the range box
+    inflated by a tube radius delta,
     err(T) <= eps0 e^(L T) + D (e^(L T) - 1) / L over the chart's
     flow-time span T = 1 / |tau|.  The bound is valid once it is below
-    delta, since the true trajectories then never leave the tube; the
-    radius is inflated geometrically until that closes.
+    delta, since the true trajectories then never leave the tube.  The
+    radii are delta0 4^j, j < 40, with delta0 = max(1e-9,
+    8 (eps0 + D)); each chart keeps the first that closes, and fails
+    once L T exceeds 700, where exp would overflow and wider tubes only
+    grow faster.  The radii go _TUBE_BATCH at a time: one stacked
+    ``poly_DF`` and one stacked ``matrix_norm`` over the fattened boxes
+    of every open chart, then the scalar closing test radius by radius
+    in that order, so each tail is the one a loop over single radii
+    gives.  A box or radius that is not finite gives no finite bound,
+    and the chart fails.  Raises ValueError, before any Jacobian, if a
+    source tail or a defect is negative or NaN.
     """
-    box = range_box(G)
-    T = Interval.from_value(1.0) / Interval.from_value(abs(G.tau))
-    eps0 = Interval.from_value(source_tail)
-    D = Interval.from_value(defect)
-    delta = max(1e-9, 8.0 * (source_tail + defect))
-    for _ in range(40):
-        pad = Interval(-delta, delta)
-        fat = State7(tuple(box[i] + pad for i in range(DIM)))
-        L = matrix_norm(poly_DF(m, p, fat))
-        if (L * T).hi > 700.0:
-            # exp would overflow, and wider tubes only grow faster
+    for name, vals in (("source tail", source_tails), ("defect", defects)):
+        for v in vals:
+            if not v >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {v}")
+    one = Interval.from_value(1.0)
+    C = len(taus)
+    T = [one / Interval.from_value(abs(tau)) for tau in taus]
+    eps0 = [Interval.from_value(t) for t in source_tails]
+    D = [Interval.from_value(d) for d in defects]
+    delta = [max(1e-9, 8.0 * (t + d)) for t, d in zip(source_tails, defects)]
+    finite = np.isfinite(boxes.lo).all(-1) & np.isfinite(boxes.hi).all(-1)
+    # a chart's tail once it closes; None while open, or once it fails
+    out: list[Optional[float]] = [None] * C
+    live = [j for j in range(C) if finite[j]]
+    for start in range(0, _TUBE_RADII, _TUBE_BATCH):
+        if not live:
             break
-        growth = (L * T).exp()
-        if L.lo <= 0.0:
-            extra = D * T * growth
-        else:
-            extra = D * (growth - Interval.from_value(1.0)) / L
-        tail = (eps0 * growth + extra).hi
-        if tail < delta:
-            return float(tail)
-        delta *= 4.0
-    raise CollisionDomain(
-        "Gronwall tube failed to close; the chart's range box is too "
-        "large or too close to a primary for a useful Jacobian bound")
+        n = min(_TUBE_BATCH, _TUBE_RADII - start)
+        radii = np.empty((len(live), n))
+        for row, j in enumerate(live):
+            for i in range(n):
+                radii[row, i] = delta[j]
+                delta[j] *= 4.0
+        flo, fhi = _iadd_arr(boxes.lo[live][:, None], boxes.hi[live][:, None],
+                             -radii[..., None], radii[..., None])
+        ok = np.isfinite(radii)
+        norms = matrix_norm(poly_DF(m, p, IntervalArray(flo[ok], fhi[ok])),
+                            stacked=True)
+        # the position of each finite radius's box in that stack
+        at = np.cumsum(ok.ravel()).reshape(ok.shape) - 1
+        still = []
+        for row, j in enumerate(live):
+            for i in range(n):
+                if not ok[row, i]:
+                    break
+                L = norms[int(at[row, i])]
+                LT = L * T[j]
+                if LT.hi > 700.0:
+                    break
+                growth = LT.exp()
+                if L.lo <= 0.0:
+                    extra = D[j] * T[j] * growth
+                else:
+                    extra = D[j] * (growth - one) / L
+                tail = (eps0[j] * growth + extra).hi
+                if tail < radii[row, i]:
+                    out[j] = float(tail)
+                    break
+            else:
+                still.append(j)
+        live = still
+    return [CollisionDomain(_TUBE_FAILED) if t is None else t for t in out]
 
 
-def check_collision(chart: FlowChart, p: PrimaryConfig,
-                    delta_min: float = 0.05) -> None:
-    """Reject charts whose position range approaches a primary.
+def check_collision(boxes: IntervalArray, p: PrimaryConfig,
+                    delta_min: float = 0.05) -> list[Optional[CollisionDomain]]:
+    """The collision guard of a stack of range boxes, shape
+    (charts, DIM): for each, the CollisionDomain that refuses it if its
+    position range approaches a primary within ``delta_min``, or None.
 
     Near-collisions blow up the reciprocal-distance components and
-    erode every downstream bound; raising here lets an atlas drop or
+    erode every downstream bound; refusing here lets an atlas drop or
     subdivide the offending chart.  The squared distance uses
     ``Interval.sqr``, whose lower end is nonnegative; dx * dx has a
     negative lower end whenever the x range straddles the primary's x.
     """
-    box = range_box(chart.Gamma)
-    x, y = box[0], box[2]
-    for j, (px, py) in enumerate(p.positions):
-        dx = x - px
-        dy = y - py
-        d2 = dx.sqr() + dy.sqr()
-        if d2.lo < delta_min ** 2:
-            raise CollisionDomain(
-                f"chart range box comes within {delta_min} of primary {j}")
+    out: list[Optional[CollisionDomain]] = []
+    for c in range(boxes.shape[0]):
+        x, y = boxes[c, 0], boxes[c, 2]
+        err = None
+        for j, (px, py) in enumerate(p.positions):
+            dx = x - px
+            dy = y - py
+            d2 = dx.sqr() + dy.sqr()
+            if d2.lo < delta_min ** 2:
+                err = CollisionDomain(
+                    f"chart range box comes within {delta_min} of primary {j}")
+                break
+        out.append(err)
+    return out
 
 
 # ---------------------------------------------------------------------------

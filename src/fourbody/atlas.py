@@ -2,7 +2,8 @@
 
 Generation zero is the boundary mesh of a local manifold.  Each growth
 step advects every frontier arc into a space-time chart, all of them in
-one stacked Taylor fill (``advect.ArcFill``), collapses each chart's
+one stacked Taylor fill (``advect.ArcFill``) that is finished in rounds,
+every retry of a round by one stacked finish, collapses each chart's
 time-1 edge into a new arc, and carries it to the next frontier.  Arcs
 whose polynomial quality has degraded (slow coefficient decay or
 excessive physical length) are first split in half, since an affine
@@ -22,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .advect import (ArcFill, FlowChart, check_collision, choose_tau,
-                     collapse_time_one)
+from .advect import ArcFill, FlowChart, choose_tau, collapse_time_one
 from .crfbp import MassTriple, PrimaryConfig, primaries
 from .errors import CollisionDomain, SchemaVersionMismatch, SubdivisionLimit
 from .interval import IntervalArray
@@ -172,6 +172,36 @@ def _leaves(split: list[tuple[BoundaryArc, int]]) -> list[int]:
     return [j for j in range(len(split)) if j not in parents]
 
 
+def _rounds(fill: ArcFill, start_times: list[float], delta_min: float,
+            tau_retries: int) -> list[FlowChart | CollisionDomain]:
+    """Every arc of ``fill`` finished in rounds: round 0 finishes them
+    all, with the collision guard at ``delta_min``, and round r
+    retimes every arc whose attempt r - 1 failed and finishes those
+    together, for r up to ``tau_retries``.  Returns each arc's chart,
+    or the CollisionDomain of its last attempt.  A retry retimes the
+    arc's rows of the fill instead of refilling them, so no column is
+    computed twice, and every attempt bounds its own defect, tube and
+    collision guard.  A retime changes only its arc's rows, and a
+    finish treats its arcs entrywise, so each outcome is that of
+    retrying the arc on its own.  ``source_arc`` is left unset, since
+    the atlas assigns the ids afterwards."""
+    outcomes: list = [None] * len(start_times)
+    pending = list(range(len(start_times)))
+    for attempt in range(tau_retries + 1):
+        if not pending:
+            break
+        if attempt:
+            for k in pending:
+                fill.retime(k)
+        done = fill.finish(pending, delta_min=delta_min,
+                           start_times=[start_times[k] for k in pending])
+        for k, chart in zip(pending, done):
+            outcomes[k] = chart
+        pending = [k for k, chart in zip(pending, done)
+                   if isinstance(chart, CollisionDomain)]
+    return outcomes
+
+
 # ---------------------------------------------------------------------------
 # the atlas
 
@@ -239,23 +269,22 @@ class Atlas:
              tau_retries: int = 3) -> list[int]:
         """Advect the frontier, one chart per (possibly split) arc.
 
-        Returns the ids of the new charts.  Each generation first
-        refines every frontier arc (``_splits``), before it changes the
-        atlas, so a SubdivisionLimit leaves the atlas as it was.  One
+        Returns the ids of the new charts.  Each generation computes
+        everything before it changes the atlas, so an exception, such
+        as a SubdivisionLimit, leaves the atlas as that generation found
+        it.  It first refines every frontier arc (``_splits``).  One
         ``advect.choose_tau`` pilot fill, unless ``tau`` is given, and
         one ``advect.ArcFill`` then serve every piece of the
-        generation.  A chart that fails its error tube or the collision
-        guard is retried with the time rescaling doubled, since halving
-        the flow time shrinks both the range box and the accumulated
-        error; after ``tau_retries`` doublings the arc is retired to
-        ``stopped``.  A retry retimes the piece's rows of the fill
-        instead of refilling them, so no column is computed twice,
-        across retries too; every attempt still bounds its own defect,
-        tube and collision guard.  Split arcs, charts and collapsed
-        arcs get their ids frontier arc by frontier arc, piece by
-        piece, as if each piece were advected on its own.  Surviving
-        charts hand their collapsed time-1 edges to the next frontier.
-        Raises ValueError for negative ``tau_retries``.
+        generation, which ``_rounds`` finishes in rounds.  A chart that
+        fails its error tube or the collision guard is retried with the
+        time rescaling doubled, since halving the flow time shrinks
+        both the range box and the accumulated error; after
+        ``tau_retries`` doublings the arc is retired to ``stopped``,
+        with its last failure in ``stop_reasons``.  Split arcs, charts
+        and collapsed arcs then get their ids frontier arc by frontier
+        arc, piece by piece, as if each piece were advected on its own.
+        Surviving charts hand their collapsed time-1 edges to the next
+        frontier.  Raises ValueError for negative ``tau_retries``.
         """
         if tau_retries < 0:
             raise ValueError("tau_retries must be nonnegative")
@@ -264,24 +293,27 @@ class Atlas:
             frontier = [self.arcs[i] for i in self.frontier]
             splits = [_splits(rec.arc, rec.arc_id, decay_tol, max_len,
                               max_depth) for rec in frontier]
-            arcs = [arc for rec, split in zip(frontier, splits)
-                    for arc in ([split[j][0] for j in _leaves(split)]
-                                or [rec.arc])]
-            if not arcs:
+            pieces = [(rec, arc) for rec, split in zip(frontier, splits)
+                      for arc in ([split[j][0] for j in _leaves(split)]
+                                  or [rec.arc])]
+            if not pieces:
                 continue
+            arcs = [arc for _, arc in pieces]
             taus = (choose_tau(arcs, self.m, self.p, orders[0])
                     if tau is None else [tau] * len(arcs))
-            fill = ArcFill(arcs, self.m, self.p, orders, taus)
+            outcomes = _rounds(ArcFill(arcs, self.m, self.p, orders, taus),
+                               [rec.arc_time for rec, _ in pieces],
+                               delta_min, tau_retries)
             self.frontier = []
-            # lazy, so each frontier arc's splits get their ids just
-            # before its pieces are advected
-            pieces = (piece for rec, split in zip(frontier, splits)
-                      for piece in self._add_splits(rec, split))
-            for k, piece in enumerate(pieces):
-                chart = self._advect(fill, k, piece, delta_min, tau_retries)
-                if chart is None:
+            records = (piece for rec, split in zip(frontier, splits)
+                       for piece in self._add_splits(rec, split))
+            for piece, chart in zip(records, outcomes):
+                if isinstance(chart, CollisionDomain):
                     self.stopped.append(piece.arc_id)
+                    self.stop_reasons[piece.arc_id] = StopReason(
+                        message=str(chart), tau_attempts=tau_retries + 1)
                     continue
+                chart = replace(chart, source_arc=piece.arc_id)
                 chart_id = self._next_chart
                 self._next_chart += 1
                 self.charts[chart_id] = ChartRecord(
@@ -309,29 +341,6 @@ class Atlas:
                 arc_time=rec.arc_time, parent_chart=rec.parent_chart,
                 split_from=ids[parent] if parent >= 0 else rec.arc_id)
         return [self.arcs[ids[j]] for j in _leaves(split)] or [rec]
-
-    def _advect(self, fill: ArcFill, k: int, piece: ArcRecord,
-                delta_min: float, tau_retries: int) -> Optional[FlowChart]:
-        """The chart of arc k of the generation's fill, ``piece``: its
-        finish, retimed and finished again until the tube closes and
-        the collision guard passes, or None once ``tau_retries``
-        retimes have failed too, with the last failure in
-        ``stop_reasons``."""
-        reason = ""
-        for attempt in range(tau_retries + 1):
-            if attempt:
-                fill.retime(k)
-            try:
-                chart = fill.finish(k, source_arc=piece.arc_id,
-                                    start_time=piece.arc_time)
-                check_collision(chart, self.p, delta_min=delta_min)
-                return chart
-            except CollisionDomain as err:
-                reason = str(err)
-        self.stop_reasons[piece.arc_id] = StopReason(
-            message=reason, tau_attempts=tau_retries + 1)
-        return None
-
 
     # -- persistence
 

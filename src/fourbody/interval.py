@@ -19,7 +19,9 @@ and ``_isub_arr`` sum both ends in one pass.  Outside the guard an
 array product is widened by one ulp unless a factor is zero; a scalar
 floor or ceil (sum, product, reciprocal q, root s) steps by the exact
 sign of a float residual, ``_prod_cmp``'s for a*b - p, q x - 1 and
-s s - x, with rational arithmetic only outside the guard.
+s s - x, with rational arithmetic only outside the guard, and the
+stacked reciprocals of ``_irecip_arr`` step by the same residual
+q x - 1, with the scalar functions outside its range.
 ``_pad_sum`` sums by a pairwise TwoSum tree, and inexact sums are
 padded with the standard ``n*u/(1-n*u)`` term, which bounds the errors'
 float sum in any summation order.  The column kernel of ``taylor``
@@ -534,7 +536,11 @@ class CIntervalArray:
         the modulus: a part is zero, where hypot(x, 0) = |x| exactly
         (IEEE 754), or the rigorous floor of h^2 is at least the ceil
         of x^2 + y^2."""
-        x, y = np.maximum(np.abs(self.lo), np.abs(self.hi))
+        lo, hi = self.lo, self.hi
+        if not (lo[1].any() or hi[1].any()):
+            # hypot(x, 0) = |x| = x
+            return np.maximum(np.abs(lo[0]), np.abs(hi[0]))
+        x, y = np.maximum(np.abs(lo), np.abs(hi))
         h = np.hypot(x, y)
         if not np.any((x != 0.0) & (y != 0.0)):
             return h
@@ -647,12 +653,14 @@ def _gamma(n: int) -> float:
     return _up((t / (1.0 - t)) * (1.0 + 2.0 ** -30))
 
 
-def _nonneg_upper(value: float, k: int, products: int = 0) -> float:
+def _nonneg_upper(value, k: int, products: int = 0):
     """Upper bound on an exact nonnegative quantity from its float
     evaluation ``value``: sums of products of sums of nonnegative
     floats, in which every exact summand passes through at most k
     rounded operations and at most ``products`` products (or fused
-    multiply-adds) are formed.
+    multiply-adds) are formed.  ``value`` is a float, or an array of
+    them with the same counts, bounded entry by entry with the float
+    steps of the scalar case; a float gives a float.
 
     Theorem: a float addition of nonnegative operands returns at least
     (1 - u) times its exact result, and never loses to underflow; a
@@ -664,11 +672,12 @@ def _nonneg_upper(value: float, k: int, products: int = 0) -> float:
     (1 - u)^-k <= 1 + gamma_k.  The exact quantity is therefore at most
     (value + products * 2^-1074) (1 + gamma_k), each step rounded up.
     """
+    v = np.asarray(value, dtype=float)
     if products:
-        value = _up(value + products * 2.0 ** -1074)
-    if value == 0.0:
-        return 0.0
-    return _up(value + _up(value * _gamma(k)))
+        v = np.nextafter(v + products * 2.0 ** -1074, _INF)
+    out = np.where(v == 0.0, 0.0,
+                   np.nextafter(v + np.nextafter(v * _gamma(k), _INF), _INF))
+    return out if out.ndim else float(out)
 
 
 def _cascade_sum(x: np.ndarray):
@@ -935,6 +944,44 @@ def _ldexp_arr(lo, hi, e):
                      np.nextafter(yhi, np.inf), yhi))
 
 
+# reciprocals are decided by residuals for divisors in this range
+_RECIP_SAFE = 1e150
+
+
+def _irecip_arr(lo, hi):
+    """Both ends of 1 / [lo, hi], entrywise, for intervals that exclude
+    zero: the floor of 1/hi and the ceil of 1/lo, each equal to the
+    scalar ``_recip_floor(hi)`` and ``_recip_ceil(lo)``.
+
+    Theorem: q = fl(1/x) is a float within half an ulp of 1/x, so
+    q x - 1 has the sign of q - 1/x times that of x, and q is the ceil
+    of 1/x unless q x - 1 has the sign of -x, when the ceil is q's
+    upper neighbour; the floor is q's lower neighbour when q x - 1 has
+    the sign of x (rounding to nearest is odd, so floor(1/x) =
+    -ceil(1/-x)).  For 1e-150 < |x| < 1e150, q and x are below the
+    splitting bound, and their nearest product p lies within a factor
+    two of 1, so p - 1 is exact (Sterbenz) and Dekker's residual
+    e = q x - p is exact, as in ``_prod_cmp``'s guard; the float sum
+    (p - 1) + e then has the exact sign of q x - 1.  Outside that range
+    the scalar functions decide, entry by entry.
+    """
+    x = np.stack(np.broadcast_arrays(np.asarray(hi, dtype=float),
+                                     np.asarray(lo, dtype=float)))
+    ends = (2,) + (1,) * (x.ndim - 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = 1.0 / x
+        p = q * x
+        sign = np.sign((p - 1.0) + _prod_err_arr(q, x, p)) * np.sign(x)
+    # the floor (row 0) steps down where sign > 0, the ceil up where < 0
+    out = _ulp_step(q, (sign * _AS_FLOORS.reshape(ends) > 0.0)
+                    * _OUTWARD.reshape(ends))
+    for i, *at in np.argwhere(~((np.abs(x) > 1.0 / _RECIP_SAFE)
+                                & (np.abs(x) < _RECIP_SAFE))):
+        f = _recip_ceil if i else _recip_floor
+        out[(i, *at)] = f(float(x[(i, *at)]))
+    return out[0], out[1]
+
+
 # ---------------------------------------------------------------------------
 # real interval arrays
 
@@ -1016,20 +1063,27 @@ class IntervalArray:
         return f"IntervalArray(shape={self.shape})"
 
 
-def matrix_norm(A: IntervalArray) -> Interval:
+def matrix_norm(A: IntervalArray, stacked: bool = False
+                ) -> Interval | IntervalArray:
     """Enclosure of max_i sum_j... |a_ij...|: the max over the first
     index of the summed magnitudes over the others.
 
     That is the max norm of a vector, the max row sum of a matrix and
-    the bilinear-map norm max_i sum_jk |b_ijk| of a 3-tensor.
+    the bilinear-map norm max_i sum_jk |b_ijk| of a 3-tensor.  With
+    ``stacked``, A's first axis indexes a stack of such arrays, and the
+    result is the IntervalArray of their norms from one padded sum over
+    the whole stack; each equals the norm of its array alone, since the
+    sums are entrywise.
     """
     migs = np.where((A.lo <= 0.0) & (A.hi >= 0.0), 0.0,
                     np.minimum(np.abs(A.lo), np.abs(A.hi)))
     mags = np.maximum(np.abs(A.lo), np.abs(A.hi))
-    n = A.shape[0]
-    lo_rows, hi_rows = _pad_sum(migs.reshape(n, -1), mags.reshape(n, -1),
-                                axis=1)
-    return Interval(max(0.0, float(np.max(lo_rows))), float(np.max(hi_rows)))
+    rows = A.shape[:1 + stacked] + (-1,)
+    lo_rows, hi_rows = _pad_sum(migs.reshape(rows), mags.reshape(rows),
+                                axis=-1)
+    lo = np.maximum(0.0, np.max(lo_rows, axis=-1))
+    hi = np.max(hi_rows, axis=-1)
+    return IntervalArray(lo, hi) if stacked else Interval(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,8 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
     prog = field_program(m, p)
     nodes = FieldNodes(prog, N, N)
     G = nodes.G
-    jets = CIntervalArray.from_real(node_jets(prog, u0.u))
+    jets = CIntervalArray.from_real(node_jets(prog,
+                                              IntervalArray.of(u0.u)[None])[0])
     G[:, 0, 0] = jets[:, 0]
     J = jets[:, 1:]
     df = J[list(prog.outputs)]
@@ -266,11 +267,12 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
     K = -(-3 * N // 2)
     mu = (CIntervalArray.of([lam1]) * np.arange(N + 1.0)[:, None]
           + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
-    lhs = CIntervalArray.zeros((DIM, K + 1, K + 1))
-    lhs[:, : N + 1, : N + 1] = P.coefs * mu
+    lhs = CIntervalArray.zeros((1, DIM, K + 1, K + 1))
+    lhs[0, :, : N + 1, : N + 1] = P.coefs * mu
     cols = FieldNodes(field_program(m, p), K, K)
     cols.G[:DIM, : N + 1, : N + 1] = P.coefs
-    P = Series2(P.coefs, scale=P.scale, tail=field_defect(cols, lhs))
+    tail, = field_defect(cols, lhs)
+    P = Series2(P.coefs, scale=P.scale, tail=float(tail))
     return LocalManifold(P=P, kind=kind, eigen=eigen, lambda1=lam1,
                          lambda2=lam2, equilibrium=u0)
 

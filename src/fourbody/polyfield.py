@@ -15,9 +15,10 @@ for K input series at once, and fills it, by one stacked pass per level,
 one t-order column at a time (advected charts, all the arcs of an atlas
 generation together, and ``manifold.field_series``) or one total degree
 at a time (the homological solve), and ``node_jets``, one pass for the
-value and gradient of every node over a box: its output rows give the
-Jacobian ``poly_DF``, and all its rows land a degree's solved
-coefficients on every node of the homological solve.  ``evaluate`` is
+value and gradient of every node over each box of a stack: its output
+rows give the Jacobians ``poly_DF`` of every box of a Gronwall tube,
+and all its rows, over one box, land a degree's solved coefficients on
+every node of the homological solve.  ``evaluate`` is
 the float interpreter behind ``poly_F_point``.  ``field_defect``
 finishes a column fill to bound the defect of an invariance equation:
 the ODE defect of an advected chart and the tail of a local manifold.
@@ -36,8 +37,7 @@ import numpy as np
 
 from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
-                       _directed_sum, _iadd_arr, _imul_arr, _nonneg_upper,
-                       _prod_ceil, _sum_ceil)
+                       _directed_sum, _iadd_arr, _imul_arr, _nonneg_upper)
 from .taylor import (antidiagonal, mag_sum_bound, product_antidiagonals,
                      product_columns)
 
@@ -325,42 +325,48 @@ _RULE_A = np.r_[[0] * (1 + DIM), 1:1 + DIM]
 _RULE_B = np.r_[0:1 + DIM, [0] * DIM]
 
 
-def node_jets(prog: FieldProgram, u: Sequence[Interval]) -> IntervalArray:
-    """Value and gradient of every node over the box ``u``: row i is
-    (x_i, dx_i/du_1, ..., dx_i/du_DIM), shape (nodes, 1 + DIM).
+def node_jets(prog: FieldProgram, boxes: IntervalArray) -> IntervalArray:
+    """Value and gradient of every node over each box of a stack:
+    ``boxes`` has shape (B, DIM), and entry (b, i) of the result is
+    (x_i, dx_i/du_1, ..., dx_i/du_DIM) over box b, shape
+    (B, nodes, 1 + DIM).
 
-    One forward pass over the compiled levels on real interval
-    endpoints, from the input boxes and an exact identity.  A level's
-    ``Mul`` nodes form a_0 b_k (k >= 0) and a_k b_0 (k >= 1) in one
-    ``_imul_arr`` call and d(a b) = a_0 db + da b_0 in one
-    ``_iadd_arr``; its ``Lin`` nodes run ``_LinLevel.values``, the
-    constant landing on the value only.  Theorem: every entry encloses
-    the exact value or partial derivative at every point of the box and
-    for every constant in its interval, since interval + and * are
+    One forward pass over the compiled levels of K = 1 on real interval
+    endpoints, from the input boxes and an exact identity, with the
+    boxes on a leading axis, which ``_LinLevel.values`` takes as its
+    parts.  A level's ``Mul`` nodes form a_0 b_k (k >= 0) and a_k b_0
+    (k >= 1) in one ``_imul_arr`` call and d(a b) = a_0 db + da b_0 in
+    one ``_iadd_arr``; its ``Lin`` nodes run ``_LinLevel.values``, and
+    their constants, which are real, land on the value of every box.
+    Every kernel is entrywise, so each box gets the endpoints of a pass
+    over it alone.  Theorem: every entry encloses the exact value or
+    partial derivative at every point of its box and for every
+    constant in its interval, since interval + and * are
     inclusion-isotone.  A derivative the inputs never reach is an exact
     zero, as 0 * x = 0 even for an unbounded x.
     """
+    B = boxes.shape[0]
     n = DIM + len(prog.ops)
-    lo = np.zeros((1, n, 1 + DIM))
-    hi = np.zeros((1, n, 1 + DIM))
-    lo[0, :DIM, 0] = [x.lo for x in u]
-    hi[0, :DIM, 0] = [x.hi for x in u]
-    lo[0, :DIM, 1:] = hi[0, :DIM, 1:] = np.eye(DIM)
+    lo = np.zeros((B, n, 1 + DIM))
+    hi = np.zeros((B, n, 1 + DIM))
+    lo[:, :DIM, 0], hi[:, :DIM, 0] = boxes.lo, boxes.hi
+    lo[:, :DIM, 1:] = hi[:, :DIM, 1:] = np.eye(DIM)
     cols = np.arange(1 + DIM)
     for (i, a, b), lin in _levels(prog, 1):
         if i.size:
             a, b = a[:, None], b[:, None]
-            plo, phi = _imul_arr(lo[0][a, _RULE_A], hi[0][a, _RULE_A],
-                                 lo[0][b, _RULE_B], hi[0][b, _RULE_B])
-            lo[0, i, 0], hi[0, i, 0] = plo[:, 0], phi[:, 0]
-            lo[0, i, 1:], hi[0, i, 1:] = _iadd_arr(
-                plo[:, 1:1 + DIM], phi[:, 1:1 + DIM],
-                plo[:, 1 + DIM:], phi[:, 1 + DIM:])
+            plo, phi = _imul_arr(lo[:, a, _RULE_A], hi[:, a, _RULE_A],
+                                 lo[:, b, _RULE_B], hi[:, b, _RULE_B])
+            lo[:, i, 0], hi[:, i, 0] = plo[..., 0], phi[..., 0]
+            lo[:, i, 1:], hi[:, i, 1:] = _iadd_arr(
+                plo[..., 1:1 + DIM], phi[..., 1:1 + DIM],
+                plo[..., 1 + DIM:], phi[..., 1 + DIM:])
         if lin is not None:
             llo, lhi = lin.values(lo, hi, cols)
-            lin.add_consts(llo, lhi)
+            llo[:, :, 0], lhi[:, :, 0] = _iadd_arr(
+                llo[:, :, 0], lhi[:, :, 0], lin.const_lo[0], lin.const_hi[0])
             lo[:, lin.nodes], hi[:, lin.nodes] = llo, lhi
-    return IntervalArray(lo[0], hi[0])
+    return IntervalArray(lo, hi)
 
 
 class FieldNodes:
@@ -477,9 +483,10 @@ class FieldNodes:
             self.G, a, b, d, m_min), False)
         return self.G[self._out_rows[:, None], ms, ns]
 
-    def beyond_grid_bounds(self, k: int = 0) -> list[float]:
-        """Per-output bound on copy k's field content outside the
-        (M, N) grid, once ``b_column`` has filled every column.
+    def beyond_grid_bounds(self, copies: Sequence[int]) -> np.ndarray:
+        """Per-output bounds on the field content outside the (M, N)
+        grid of each copy in ``copies``, once ``b_column`` has filled
+        every column: shape (len(copies), DIM).
 
         The content a node's grid misses ("lost") follows from
         lost(x y) = conv_tail(|x|, |y|) + lost_x (||y|| + lost_y)
@@ -491,60 +498,88 @@ class FieldNodes:
         bounded: ``CIntervalArray.mag`` rounds up, the norms and
         ``_conv_tail`` are padded by gamma of their own rounding
         counts (``interval._nonneg_upper``), and the recurrence rounds
-        each sum and product up.
+        each sum and product up, by ``_directed_sum`` and the upper end
+        of ``_imul_arr``.  The recurrence runs once over the compiled
+        levels of K = 1, on arrays over the copies and a level's nodes,
+        a ``Lin`` node's terms summed in program order (its padding
+        terms add exact zeros); every step is entrywise, so a copy's
+        bounds are those of a run over its ops alone.
         """
-        mags = self.blocks[k].mag()
-        norms = [_nonneg_upper(float(np.sum(g)), g.size) for g in mags]
-        lost = [0.0] * DIM
-        for op in self.prog.ops:
-            if isinstance(op, Mul):
-                a, b = op.a, op.b
-                loss = _sum_ceil(
-                    _sum_ceil(_conv_tail(mags[a], mags[b], self.M, self.N),
-                              _prod_ceil(lost[a],
-                                         _sum_ceil(norms[b], lost[b]))),
-                    _prod_ceil(norms[a], lost[b]))
-            else:
-                loss = 0.0
-                for c, i in op.terms:
-                    loss = _sum_ceil(loss, _prod_ceil(Interval._coerce(c).mag,
-                                                      lost[i]))
-            lost.append(loss)
-        return [lost[o] for o in self.prog.outputs]
+        mags = CIntervalArray._wrap(self.blocks.lo[:, copies],
+                                    self.blocks.hi[:, copies]).mag()
+        C, size = mags.shape[:2]
+        norms = _nonneg_upper(mags.reshape(C, size, -1).sum(axis=-1),
+                              mags[0, 0].size)
+        lost = np.zeros((C, size))
+        for (i, a, b), lin in _levels(self.prog, 1):
+            if i.size:
+                p = _prod_up(np.stack((lost[:, a], norms[:, a])),
+                             np.stack((_directed_sum(norms[:, b], lost[:, b],
+                                                     1), lost[:, b])))
+                lost[:, i] = _directed_sum(_directed_sum(_conv_tail(
+                    mags[:, a], mags[:, b], self.M, self.N), p[0], 1),
+                    p[1], 1)
+            if lin is not None:
+                # the terms' coefficient magnitudes, zero on the padding
+                coef = np.abs(lin.scale[..., 0])
+                coef[lin.iv_at] = np.maximum(np.abs(lin.iv_lo[:, 0]),
+                                             np.abs(lin.iv_hi[:, 0]))
+                loss = np.zeros((C, len(lin.nodes)))
+                for t in range(len(coef)):
+                    loss = _directed_sum(
+                        loss, _prod_up(coef[t], lost[:, lin.operands[t]]), 1)
+                lost[:, lin.nodes] = loss
+        return lost[:, self.outputs]
 
 
-def field_defect(cols: FieldNodes, lhs: CIntervalArray, k: int = 0) -> float:
-    """Bound on the defect sup |lhs_i - F_i(S)| of an invariance
+def _prod_up(a, b):
+    """An upper bound on a b for nonnegative a and b, entrywise: the
+    upper end of the point product, the ceil inside ``_imul_arr``'s
+    guard and one ulp above it outside."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    return _imul_arr(a, a, b, b)[1]
+
+
+def field_defect(cols: FieldNodes, lhs: CIntervalArray,
+                 copies: Sequence[int] = (0,)) -> np.ndarray:
+    """Bounds on the defect sup |lhs_i - F_i(S)| of an invariance
     equation over the closed unit polydisc, largest over i, for the
-    series S in the input rows of copy k of ``cols``.
+    series S in the input rows of each copy in ``copies`` of ``cols``.
 
-    ``lhs`` has shape (DIM, M + 1, N + 1) on the interpreter's (M, N)
-    grid and holds the equation's other side, all of whose content
-    lies on the grid.  Fills columns ``cols.filled``..N of every copy
-    of ``cols``, so by the theorem of ``FieldNodes`` every node grid
-    holds F(S)'s columns, and forms the in-grid residual
-    res_i = lhs_i - [F(S)]_i in one stacked subtraction over copy k's
-    output grids (outputs 1 and 3 are input nodes);
-    ``beyond_grid_bounds(k)`` gives per component a bound lost_i on the
-    coefficient mass of F_i(S) outside the grid.  Theorem: on the
-    closed unit polydisc |z1^m z2^n| <= 1, so a series is bounded there
-    by the l1 norm of its coefficients, and
+    ``lhs`` has shape (len(copies), DIM, M + 1, N + 1) on the
+    interpreter's (M, N) grid, entry j for copy ``copies[j]``, and
+    holds the equation's other side, all of whose content lies on the
+    grid.  Fills columns ``cols.filled``..N of every copy of ``cols``,
+    so by the theorem of ``FieldNodes`` every node grid holds F(S)'s
+    columns, and forms the in-grid residuals res_i = lhs_i - [F(S)]_i
+    in one stacked subtraction over the copies' output grids (outputs 1
+    and 3 are input nodes); ``beyond_grid_bounds(copies)`` gives per
+    component a bound lost_i on the coefficient mass of F_i(S) outside
+    the grid.  Theorem: on the closed unit polydisc |z1^m z2^n| <= 1, so
+    a series is bounded there by the l1 norm of its coefficients, and
         sup |lhs_i - F_i(S)| <= sum |res_i| + lost_i,
-    with the in-grid sum bounded by ``taylor.mag_sum_bound``.  Raises
-    ValueError unless ``lhs`` lies on the interpreter's grid.
+    with the in-grid sums bounded by ``taylor.mag_sum_bound``, one call
+    for the stack.  Returns one bound per copy.  Raises ValueError
+    unless ``lhs`` lies on the interpreter's grid.
     """
-    if lhs.shape != (DIM, cols.M + 1, cols.N + 1):
+    copies = list(copies)
+    if lhs.shape != (len(copies), DIM, cols.M + 1, cols.N + 1):
         raise ValueError(f"left-hand side of shape {lhs.shape} is off "
-                         f"the interpreter's grid {(cols.M, cols.N)}")
+                         f"the interpreter's grid {(cols.M, cols.N)} for "
+                         f"{len(copies)} copies")
     for n in range(cols.filled, cols.N + 1):
         cols.b_column(n)
-    res = lhs - cols.blocks[k][cols.outputs]
-    lost = cols.beyond_grid_bounds(k)
-    return max(mag_sum_bound(res[i]) + lost[i] for i in range(DIM))
+    at = (slice(None), np.array(copies)[:, None], cols.outputs)
+    res = lhs - CIntervalArray._wrap(cols.blocks.lo[at], cols.blocks.hi[at])
+    return np.max(mag_sum_bound(res) + cols.beyond_grid_bounds(copies),
+                  axis=-1)
 
 
-def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
-    """Bound on a product's coefficient mass landing outside (M, N).
+def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int):
+    """Bound on a product's coefficient mass landing outside (M, N), for
+    the magnitude grids of its factors, or for stacks of them on a
+    leading axis, one bound per pair (a float for one pair).
 
     Pairs the factors' row and column 1-norm marginals: a product term
     of total s-order above M contributes to the row-marginal
@@ -558,20 +593,27 @@ def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int) -> float:
     (N - 1), then once more adding the two tails; the s-direction is
     alike with M and N swapped.  The two convolutions form
     (M + 1)^2 + (N + 1)^2 products, so ``interval._nonneg_upper`` with
-    those counts bounds the exact mass.
+    those counts bounds the exact mass.  The marginals of a stack come
+    from one sum each, every pair's as its own grid's sum gives them.
     """
-    t_tail = np.convolve(amag.sum(axis=0), bmag.sum(axis=0))[N + 1:].sum()
-    s_tail = np.convolve(amag.sum(axis=1), bmag.sum(axis=1))[M + 1:].sum()
-    return _nonneg_upper(float(t_tail + s_tail), 2 * (M + N) + 1,
+    cols = [x.sum(axis=-2).reshape(-1, N + 1) for x in (amag, bmag)]
+    rows = [x.sum(axis=-1).reshape(-1, M + 1) for x in (amag, bmag)]
+    mass = np.array([np.convolve(ca, cb)[N + 1:].sum()
+                     + np.convolve(ra, rb)[M + 1:].sum()
+                     for ca, cb, ra, rb in zip(*cols, *rows)])
+    return _nonneg_upper(mass.reshape(amag.shape[:-2]), 2 * (M + N) + 1,
                          (M + 1) ** 2 + (N + 1) ** 2)
 
 
-def poly_DF(m: MassTriple, p: PrimaryConfig, u: State7) -> IntervalArray:
-    """Jacobian of the polynomial field over the box u: the gradient
-    columns of the output rows of ``node_jets``."""
+def poly_DF(m: MassTriple, p: PrimaryConfig,
+            boxes: IntervalArray) -> IntervalArray:
+    """Jacobians of the polynomial field over each box of a stack of
+    shape (B, DIM): the gradient columns of the output rows of one
+    stacked ``node_jets``, shape (B, DIM, DIM)."""
     prog = field_program(m, p)
-    jets = node_jets(prog, u.u)[list(prog.outputs)]
-    return IntervalArray(jets.lo[:, 1:], jets.hi[:, 1:])
+    jets = node_jets(prog, boxes)
+    out = list(prog.outputs)
+    return IntervalArray(jets.lo[:, out, 1:], jets.hi[:, out, 1:])
 
 
 def lift_eigvector(p: PrimaryConfig, x0: State4, xi: tuple[CInterval, ...]

@@ -16,7 +16,8 @@ rlo, rhi, ilo and ihi.
 
 The module supplies the Cauchy product kernels, rigorous evaluation
 over boxes by one stacked Horner pass (``horner_box``, behind both
-``eval_box`` methods and ``manifold.real_chart``), rescaling of the
+``eval_box`` methods, which run it on real grids at real points, and
+``manifold.real_chart``), rescaling of the
 domain variables, and conjugate-symmetry checking.
 
 The lifted field itself is not written here: ``polyfield`` describes it
@@ -114,8 +115,9 @@ class ScalarSeries2(CIntervalArray):
     # -- evaluation ------------------------------------------------------
 
     def eval_box(self, z1: CInterval, z2: CInterval) -> CInterval:
-        """``horner_box`` over a box of the two variables."""
-        return horner_box(self, z1, z2).at()
+        """``horner_box`` over a box of the two variables
+        (``_eval_points``)."""
+        return _eval_points(self, z1, z2).at()
 
 
 def horner_box(c, z1, z2):
@@ -136,6 +138,22 @@ def horner_box(c, z1, z2):
     for m in range(acc.shape[-1] - 2, -1, -1):
         val = val * z1 + acc[..., m]
     return val
+
+
+def _eval_points(c: CIntervalArray, z1: CInterval, z2: CInterval
+                 ) -> CIntervalArray:
+    """``horner_box`` of the complex series stack c at the CInterval
+    points z1 and z2.  When both points are exactly real, the real and
+    imaginary grids run as one real stack at the real parts: one real
+    product per entry and step, not the four of a complex product.
+    Theorem: for x real, (a + i b) x = a x + i b x, and the complex
+    product's extra terms b 0 and a 0 are exact zeros, whose directed
+    sums with a x and b x are exact; so the result equals the complex
+    pass's up to the sign of a zero."""
+    if all(z.im.lo == 0.0 == z.im.hi for z in (z1, z2)):
+        v = horner_box(IntervalArray(c.lo, c.hi), z1.re, z2.re)
+        return CIntervalArray._wrap(v.lo, v.hi)
+    return horner_box(c, z1, z2)
 
 
 def product_coeff(a: ScalarSeries2, b: ScalarSeries2, m: int, n: int
@@ -444,14 +462,18 @@ def hat_product_cubic(a: ScalarSeries2, m: int, n: int) -> CInterval:
     return product_coeff(sq, a0, m, n)
 
 
-def mag_sum_bound(s: CIntervalArray) -> float:
+def mag_sum_bound(s: CIntervalArray):
     """Upper bound for sup |s| over the unit polydisc: the sum of the
     coefficient moduli, each bounded by ``CIntervalArray.mag``.  In any
     summation order, the float sum of n nonnegative terms is within
     gamma_(n-1) of the exact sum S, so S <= sum (1 + gamma_n), and
-    that product is rounded up."""
+    that product is rounded up.  The grid is s's last two axes: a
+    stack of series gives an array of bounds, one sum per grid, and a
+    single grid a float."""
     mags = s.mag()
-    return _nonneg_upper(float(np.sum(mags)), mags.size)
+    grid = mags.shape[-2] * mags.shape[-1]
+    return _nonneg_upper(mags.reshape(mags.shape[:-2] + (grid,)).sum(-1),
+                         grid)
 
 
 def compose_affine(coefs: Sequence[IntervalArray], c, h) -> IntervalArray:
@@ -577,7 +599,7 @@ class Series2:
             if z.abs().hi > 1.0:
                 raise DomainExceeded(
                     f"evaluation box leaves the unit polydisc: |z| up to {z.abs().hi}")
-        v = horner_box(self.coefs, z1, z2)
+        v = _eval_points(self.coefs, z1, z2)
         if self.tail > 0.0:
             pad = np.full((2, 1), self.tail)
             v = v + CIntervalArray._wrap(-pad, pad)

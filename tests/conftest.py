@@ -1,18 +1,31 @@
 """Shared test helpers and the scalar references they check against."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fourbody.advect import (ArcFill, check_collision, choose_tau,
-                             collapse_time_one, flow_line)
+from fourbody.advect import (_TILES, _TUBE_FAILED, ArcFill, FlowChart,
+                             _tile_samples, choose_tau, collapse_time_one,
+                             flow_line)
 from fourbody.atlas import (ArcRecord, ChartRecord, StopReason, arc_decay,
                             arc_length, subdivide_arc)
 from fourbody.crfbp import State4, omega_first_partials
 from fourbody.errors import CollisionDomain, SubdivisionLimit
-from fourbody.interval import CInterval, CIntervalArray, IntervalArray
+from fourbody.interval import (CInterval, CIntervalArray, Interval,
+                               IntervalArray, _imul_arr, _nonneg_upper,
+                               _prod_ceil, _sum_ceil, matrix_norm)
 from fourbody.polyfield import (DIM, FieldNodes, FieldProgram, Lin, Mul,
-                                evaluate)
-from fourbody.taylor import ScalarSeries2, _fit, cauchy_product
+                                _conv_tail, evaluate, poly_DF)
+from fourbody.taylor import ScalarSeries2, Series2, _fit, cauchy_product, \
+    mag_sum_bound
+
+
+def stack_boxes(*boxes) -> IntervalArray:
+    """The boxes, each a sequence of DIM Intervals, stacked into the
+    (B, DIM) array that ``node_jets`` and ``poly_DF`` take."""
+    return IntervalArray(np.array([[x.lo for x in u] for u in boxes]),
+                         np.array([[x.hi for x in u] for u in boxes]))
 
 
 def project_pi(u):
@@ -178,9 +191,126 @@ def degree_nodes(prog, N, origin):
     return nodes, node_jacobian(prog, base)
 
 
+def beyond_grid_loop(cols, k):
+    """``FieldNodes.beyond_grid_bounds`` of copy k as it was before it
+    ran on arrays over the copies: one scalar recurrence per copy, each
+    sum and product rounded up by the scalar ``_sum_ceil`` and
+    ``_prod_ceil``."""
+    mags = cols.blocks[k].mag()
+    norms = [_nonneg_upper(float(np.sum(g)), g.size) for g in mags]
+    lost = [0.0] * DIM
+    for op in cols.prog.ops:
+        if isinstance(op, Mul):
+            a, b = op.a, op.b
+            loss = _sum_ceil(
+                _sum_ceil(_conv_tail(mags[a], mags[b], cols.M, cols.N),
+                          _prod_ceil(lost[a], _sum_ceil(norms[b], lost[b]))),
+                _prod_ceil(norms[a], lost[b]))
+        else:
+            loss = 0.0
+            for c, i in op.terms:
+                loss = _sum_ceil(loss, _prod_ceil(Interval._coerce(c).mag,
+                                                  lost[i]))
+        lost.append(loss)
+    return [lost[o] for o in cols.prog.outputs]
+
+
+def defect_loop(cols, G, k):
+    """The defect of the chart G in the input rows of copy k of
+    ``cols`` as ``ArcFill.finish`` bounded it one chart at a time: the
+    left-hand side tau dGamma/dt from scalar enclosures of tau (n + 1),
+    the residual of copy k alone and ``beyond_grid_loop``."""
+    M, N = G.orders
+    tau_iv = Interval.from_value(G.tau)
+    scales = IntervalArray.of([tau_iv * float(n + 1) for n in range(N)])
+    lhs = CIntervalArray.zeros((DIM, M + 1, N + 1))
+    lhs.lo[..., :N], lhs.hi[..., :N] = _imul_arr(
+        G.coefs.lo[..., 1:], G.coefs.hi[..., 1:], scales.lo, scales.hi)
+    for n in range(cols.filled, cols.N + 1):
+        cols.b_column(n)
+    res = lhs - cols.blocks[k][cols.outputs]
+    lost = beyond_grid_loop(cols, k)
+    return max(mag_sum_bound(res[i]) + lost[i] for i in range(DIM))
+
+
+def range_box_loop(G):
+    """``advect.range_box`` of one chart as it was before it was
+    stacked, with the chart's own tail: one component at a time."""
+    M, N = G.orders
+    h = (1.0 / _TILES) * (1.0 + 1e-12)
+    mrow = np.arange(M + 1, dtype=float)[:, None]
+    ncol = np.arange(N + 1, dtype=float)[None, :]
+    out = []
+    for lo, hi in zip(G.coefs.lo[0], G.coefs.hi[0]):
+        mid = 0.5 * (lo + hi)
+        vals, fperr = _tile_samples(mid)
+        mags = np.maximum(np.abs(lo), np.abs(hi))
+        sups = h * float(np.sum((mrow + ncol) * mags))
+        radii = _nonneg_upper(float(np.sum(np.maximum(hi - mid, mid - lo))),
+                              mid.size)
+        slack = _sum_ceil(_sum_ceil(_sum_ceil(sups, radii), fperr), G.tail)
+        out.append(Interval(
+            math.nextafter(float(np.min(vals)) - slack, -math.inf),
+            math.nextafter(float(np.max(vals)) + slack, math.inf)))
+    return IntervalArray.of(out)
+
+
+def tube_loop(m, p, G, source_tail, defect, radii=40):
+    """``advect.propagated_tail`` of one chart as it was before the
+    tubes were stacked: one radius, and one ``poly_DF`` of one box, at a
+    time, up to ``radii`` radii.  Raises the tube's CollisionDomain."""
+    box = range_box_loop(G)
+    T = Interval.from_value(1.0) / Interval.from_value(abs(G.tau))
+    eps0 = Interval.from_value(source_tail)
+    D = Interval.from_value(defect)
+    delta = max(1e-9, 8.0 * (source_tail + defect))
+    for _ in range(radii):
+        pad = Interval(-delta, delta)
+        fat = [box[i] + pad for i in range(DIM)]
+        L = matrix_norm(poly_DF(m, p, stack_boxes(fat))[0])
+        if (L * T).hi > 700.0:
+            break
+        growth = (L * T).exp()
+        if L.lo <= 0.0:
+            extra = D * T * growth
+        else:
+            extra = D * (growth - Interval.from_value(1.0)) / L
+        tail = (eps0 * growth + extra).hi
+        if tail < delta:
+            return float(tail)
+        delta *= 4.0
+    raise CollisionDomain(_TUBE_FAILED)
+
+
+def finish_one(fill, k, *, source_arc=None, start_time=0.0):
+    """``ArcFill.finish`` of arc k alone, as it was before the finish
+    was stacked: ``defect_loop``, then ``tube_loop``.  Raises the
+    tube's CollisionDomain.  The reference for the stacked finish."""
+    G, arc = fill.G[k], fill.arcs[k]
+    defect = defect_loop(fill._nodes, G, k)
+    tail = tube_loop(fill.m, fill.p, G, arc.gamma.tail, defect)
+    return FlowChart(Gamma=Series2(G.coefs.copy(), scale=G.scale,
+                                   tau=G.tau, tail=tail),
+                     kind=arc.kind, defect=defect, source_arc=source_arc,
+                     accumulated_time=start_time + 1.0 / G.tau)
+
+
+def collision_loop(chart, p, delta_min=0.05):
+    """``advect.check_collision`` of one chart as it was before it took
+    a stack of boxes: its own ``range_box_loop``, and a raise."""
+    box = range_box_loop(chart.Gamma)
+    x, y = box[0], box[2]
+    for j, (px, py) in enumerate(p.positions):
+        d2 = (x - px).sqr() + (y - py).sqr()
+        if d2.lo < delta_min ** 2:
+            raise CollisionDomain(
+                f"chart range box comes within {delta_min} of primary {j}")
+
+
 def fresh_advect(atlas, piece, orders, tau, delta_min, tau_retries):
-    """``Atlas._advect`` as it was before a retry retimed the arc's one
-    fill: one fresh ``flow_line`` per tau attempt."""
+    """``Atlas.grow``'s advection of one piece as it was before a retry
+    retimed the arc's one fill: one fresh ``flow_line`` per tau
+    attempt."""
     base = tau if tau is not None else \
         choose_tau([piece.arc], atlas.m, atlas.p, orders[0])[0]
     attempts = range(tau_retries + 1)
@@ -191,7 +321,7 @@ def fresh_advect(atlas, piece, orders, tau, delta_min, tau_retries):
                 piece.arc, atlas.m, atlas.p, orders=orders,
                 tau=base * 2.0 ** attempt, source_arc=piece.arc_id,
                 start_time=piece.arc_time)
-            check_collision(chart, atlas.p, delta_min=delta_min)
+            collision_loop(chart, atlas.p, delta_min=delta_min)
             return chart
         except CollisionDomain as err:
             reason = str(err)
@@ -201,9 +331,10 @@ def fresh_advect(atlas, piece, orders, tau, delta_min, tau_retries):
 
 
 def one_arc_advect(atlas, piece, orders, tau, delta_min, tau_retries):
-    """``Atlas._advect`` as it was before one fill served a whole
-    generation: a pilot and a fill of the piece alone, retimed for every
-    retry."""
+    """``Atlas.grow``'s advection of one piece as it was before one
+    fill served a whole generation: a pilot and a fill of the piece
+    alone, retimed for every retry, and the per-chart references
+    ``finish_one`` and ``collision_loop``."""
     base = tau if tau is not None else \
         choose_tau([piece.arc], atlas.m, atlas.p, orders[0])[0]
     fill = ArcFill([piece.arc], atlas.m, atlas.p, orders, [base])
@@ -212,9 +343,9 @@ def one_arc_advect(atlas, piece, orders, tau, delta_min, tau_retries):
         if attempt:
             fill.retime(0)
         try:
-            chart = fill.finish(0, source_arc=piece.arc_id,
-                                start_time=piece.arc_time)
-            check_collision(chart, atlas.p, delta_min=delta_min)
+            chart = finish_one(fill, 0, source_arc=piece.arc_id,
+                               start_time=piece.arc_time)
+            collision_loop(chart, atlas.p, delta_min=delta_min)
             return chart
         except CollisionDomain as err:
             reason = str(err)

@@ -15,7 +15,7 @@ from fourbody.advect import (
     ArcFill,
     FlowChart,
     _tile_samples,
-    _defect_bound,
+    _defect_bounds,
     check_collision,
     choose_tau,
     collapse_time_one,
@@ -26,13 +26,16 @@ from fourbody.advect import (
 )
 from fourbody.crfbp import MassTriple, newton_equilibrium, primaries
 from fourbody.errors import CollisionDomain, SymmetryViolation
-from fourbody.interval import CInterval, CIntervalArray, Interval
+from fourbody.interval import CInterval, CIntervalArray, Interval, \
+    IntervalArray, _irecip_arr
 from fourbody.manifold import BoundaryArc, boundary_mesh, field_series, \
     local_manifold
 from fourbody.polyfield import DIM, FieldNodes, field_defect, field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
 
-from conftest import energy_point, from_complex_points
+import conftest
+from conftest import (collision_loop, energy_point, finish_one,
+                      from_complex_points)
 
 Z0 = CInterval(Interval.from_value(0.0))
 Z1 = CInterval(Interval.from_value(1.0))
@@ -99,9 +102,20 @@ def _chart_defect(m, pc, G):
     """field_defect of tau dGamma/dt = F(Gamma) on a fresh interpreter:
     the in-grid residual and the beyond-grid bounds."""
     cols, lhs = _fresh_columns(m, pc, G), _chart_lhs(G)
-    field_defect(cols, lhs)
+    field_defect(cols, _stacked(lhs))
     return (Series2(lhs - cols.G[cols.outputs]).components,
-            cols.beyond_grid_bounds())
+            list(cols.beyond_grid_bounds([0])[0]))
+
+
+def _stacked(lhs):
+    """A left-hand side of shape (DIM, M + 1, N + 1) as the stack of
+    one that ``field_defect`` takes."""
+    return CIntervalArray._wrap(lhs.lo[:, None], lhs.hi[:, None])
+
+
+def _defect(cols, G):
+    """``_defect_bounds`` of the one chart G in copy 0 of ``cols``."""
+    return _defect_bounds(cols, [0], [G.tau])[0]
 
 
 def _linear_column(A, G):
@@ -299,6 +313,15 @@ def _attempt(make):
         return str(err)
 
 
+def _finish(fill, k, **kw):
+    """``fill.finish`` of arc k alone: its chart, or the message of its
+    CollisionDomain; ``source_arc`` and ``start_time`` as for
+    ``flow_line``."""
+    chart, = fill.finish([k], source_arcs=[kw.get("source_arc")],
+                         start_times=[kw.get("start_time", 0.0)])
+    return str(chart) if isinstance(chart, CollisionDomain) else chart
+
+
 # time rescalings for the stacked fills: 1 makes the first column's
 # scale an exact 1
 _TAUS = (1.0, 2.5, 0.75, 4.0, 1.6, 3.2)
@@ -350,9 +373,9 @@ class TestStackedFill:
                 assert _same_bytes(fill._nodes.blocks[k], one._nodes.G), k
                 assert _same_bytes(fill.G[k].coefs, one.G[0].coefs), k
                 assert fill.G[k].tau == one.G[0].tau
-            _defect_bound(fill._nodes, fill.G[0], 0)
+            _defect_bounds(fill._nodes, [0], [fill.G[0].tau])
             for one in ones:
-                _defect_bound(one._nodes, one.G[0])
+                _defect(one._nodes, one.G[0])
 
     def test_retime_scales_one_copy(self, setup, arcs15):
         m, pc = setup
@@ -381,21 +404,18 @@ class TestStackedFill:
         retimes = (0, 2, 1, 1)
         fill = ArcFill(arcs, m, pc, (15, 12), taus)
         fill.retime(2)
-        got = {0: _attempt(lambda: fill.finish(0, source_arc=0,
-                                               start_time=-0.5))}
+        got = {0: _finish(fill, 0, source_arc=0, start_time=-0.5)}
         for k in (3, 1, 2):
             for _ in range(retimes[k] - (k == 2)):
                 fill.retime(k)
-            got[k] = _attempt(lambda: fill.finish(k, source_arc=k,
-                                                  start_time=-0.5))
+            got[k] = _finish(fill, k, source_arc=k, start_time=-0.5)
         for k, (arc, tau) in enumerate(zip(arcs, taus)):
             one = ArcFill([arc], m, pc, (15, 12), [tau])
             if k != 2:
-                _attempt(lambda: one.finish(0))
+                _finish(one, 0)
             for _ in range(retimes[k]):
                 one.retime(0)
-            want = _attempt(lambda: one.finish(0, source_arc=k,
-                                               start_time=-0.5))
+            want = _finish(one, 0, source_arc=k, start_time=-0.5)
             assert isinstance(want, FlowChart)
             assert _same_outcome(got[k], want), k
 
@@ -429,8 +449,7 @@ class TestRetime:
         for k in range(4):
             if k:
                 fill.retime(0)
-            got = _attempt(lambda: fill.finish(0, source_arc=4,
-                                               start_time=-0.5))
+            got = _finish(fill, 0, source_arc=4, start_time=-0.5)
             want = _attempt(lambda: flow_line(
                 arc, m, pc, orders=(10, 18), tau=tau * 2.0 ** k,
                 source_arc=4, start_time=-0.5))
@@ -455,7 +474,7 @@ class TestRetime:
         m, pc = setup
         arc, tau = retried
         fill = ArcFill([arc], m, pc, (10, 18), [4.0 * tau])
-        chart = fill.finish(0)
+        chart, = fill.finish([0])
         kept = chart.Gamma.coefs.copy()
         nodes = fill._nodes
         # the chart is the interpreter's input rows: one store
@@ -477,7 +496,7 @@ class TestRetime:
         assert chart.Gamma.coefs.lo.tobytes() == kept.lo.tobytes()
         assert chart.Gamma.coefs.hi.tobytes() == kept.hi.tobytes()
         monkeypatch.undo()
-        again = fill.finish(0)
+        again, = fill.finish([0])
         assert calls == [] and again.tau == 2.0 * chart.tau
 
     def test_special_values_pass_through(self, setup, retried):
@@ -557,8 +576,8 @@ class TestDefect:
         res = _chart_defect(m, pc, bad.Gamma)[0][1]
         assert not res.rlo[mm, 15] <= 0.0 <= res.rhi[mm, 15]
         assert mag_sum_bound(res) - base > 0.5 * 16.0 * mag
-        assert (_defect_bound(_fresh_columns(m, pc, bad.Gamma), bad.Gamma)
-                >= _defect_bound(_fresh_columns(m, pc, G), G))
+        assert (_defect(_fresh_columns(m, pc, bad.Gamma), bad.Gamma)
+                >= _defect(_fresh_columns(m, pc, G), G))
 
     def test_recursion_interpreter_reuse_is_exact(self, setup, arcs15):
         # the defect on the interpreter that built the chart, which
@@ -573,11 +592,12 @@ class TestDefect:
             rec, G = fill._nodes, fill.G[0]
             assert rec.filled == N
             lhs = _chart_lhs(G)
-            bound = field_defect(rec, lhs)
+            bound = field_defect(rec, _stacked(lhs))
             assert rec.filled == N + 1
             fresh = _fresh_columns(m, pc, G)
-            assert field_defect(fresh, lhs) == bound
-            assert rec.beyond_grid_bounds() == fresh.beyond_grid_bounds()
+            assert field_defect(fresh, _stacked(lhs)) == bound
+            assert np.array_equal(rec.beyond_grid_bounds([0]),
+                                  fresh.beyond_grid_bounds([0]))
             for cols in (rec, fresh):
                 assert np.array_equal(cols.G[:DIM].lo, G.coefs.lo)
                 assert np.array_equal(cols.G[:DIM].hi, G.coefs.hi)
@@ -588,7 +608,7 @@ class TestDefect:
             chart = flow_line(arc, m, pc, orders=(M, N), tau=2.0)
             assert chart.defect == max(
                 mag_sum_bound(r) + b for r, b in zip(
-                    Series2(res).components, rec.beyond_grid_bounds()))
+                    Series2(res).components, rec.beyond_grid_bounds([0])[0]))
 
     def test_stacked_lhs_equals_column_products(self, setup, arcs15,
                                                 chart15, monkeypatch):
@@ -603,9 +623,10 @@ class TestDefect:
             for k, tau in ((7, 1.0), (12, 2.0), (5, 0.5))]
         got = []
         monkeypatch.setattr(advect, "field_defect",
-                            lambda cols, lhs, k: got.append(lhs) or 0.0)
+                            lambda cols, lhs, copies: got.append(lhs[0])
+                            or np.zeros(1))
         for G in charts:
-            _defect_bound(_fresh_columns(m, pc, G), G)
+            _defect(_fresh_columns(m, pc, G), G)
             want = _chart_lhs(G)
             for x, y in ((got[-1].lo, want.lo), (got[-1].hi, want.hi)):
                 assert x[0].tobytes() == y[0].tobytes()
@@ -656,7 +677,7 @@ class TestDefect:
             cols = _fresh_columns(m, pc, G)
             for n in range(N + 1):
                 cols.b_column(n)
-            bounds = cols.beyond_grid_bounds()
+            bounds = cols.beyond_grid_bounds([0])[0]
             full = field_series(m, pc, G, orders=(5 * M, 5 * N))
             for i, (f, bound) in enumerate(zip(full, bounds)):
                 mag = np.hypot(np.maximum(np.abs(f.rlo), np.abs(f.rhi)),
@@ -670,7 +691,7 @@ class TestDefect:
 class TestRangeBox:
     def test_contains_samples(self, chart15):
         chart, _ = chart15
-        box = range_box(chart.Gamma)
+        box = range_box([chart.Gamma]).padded([chart.tail])[0]
         rng = np.random.default_rng(5)
         for s, t in rng.uniform(-1.0, 1.0, size=(25, 2)):
             vals = chart.Gamma.eval_box(CInterval(Interval.from_value(s)),
@@ -681,7 +702,7 @@ class TestRangeBox:
     def test_stays_clear_of_primaries(self, setup, chart15):
         _, pc = setup
         chart, _ = chart15
-        box = range_box(chart.Gamma)
+        box = range_box([chart.Gamma]).padded([chart.tail])[0]
         for px, py in pc.positions:
             dx = box[0] - px
             dy = box[2] - py
@@ -749,27 +770,35 @@ class TestRangeBoxRounding:
 
 class TestCheckCollision:
     @staticmethod
-    def _segment_chart(x0, half_width, y0):
-        """A chart whose position runs along x0 + half_width * s at
-        height y0, every other component zero."""
+    def _segment_box(x0, half_width, y0):
+        """The range box, as a stack of one, of a chart whose position
+        runs along x0 + half_width * s at height y0, every other
+        component zero."""
         comps = [ScalarSeries2.zeros(1, 0) for _ in range(7)]
         comps[0][0, 0] = CInterval(x0)
         comps[0][1, 0] = CInterval(half_width)
         comps[2][0, 0] = CInterval(y0)
-        return FlowChart(Series2(tuple(comps)), kind="stable")
+        return range_box([Series2(tuple(comps))]).padded([0.0])
 
     def test_range_straddling_a_primary_x_passes(self, setup):
         # x spans the primary's x, y stays 0.3 above it: the squared
         # distance is at least 0.09, not negative
         _, pc = setup
         px, py = (c.mid for c in pc.positions[0])
-        check_collision(self._segment_chart(px, 0.5, py + 0.3), pc)
+        assert check_collision(self._segment_box(px, 0.5, py + 0.3),
+                               pc) == [None]
 
     def test_range_over_a_primary_raises(self, setup):
         _, pc = setup
         px, py = (c.mid for c in pc.positions[0])
-        with pytest.raises(CollisionDomain, match="primary 0"):
-            check_collision(self._segment_chart(px, 0.01, py), pc)
+        far = self._segment_box(px, 0.01, py + 0.3)
+        near = self._segment_box(px, 0.01, py)
+        stack = IntervalArray(np.concatenate((far.lo, near.lo)),
+                              np.concatenate((far.hi, near.hi)))
+        clear, err = check_collision(stack, pc)
+        assert clear is None
+        assert isinstance(err, CollisionDomain)
+        assert "primary 0" in str(err)
 
 
 class TestAgainstReference:
@@ -893,3 +922,199 @@ class TestChartAccuracy:
         for v, w in zip(vals, yT):
             assert v.re.lo - 1e-15 <= w <= v.re.hi + 1e-15
         assert max(abs(v.re.mid - w) for v, w in zip(vals, yT)) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def unstable_mesh(setup):
+    """The 6-arc, order-10 mesh of the N = 5 unstable manifold and its
+    ``choose_tau`` rescalings: at them, the tubes of arcs 1 and 4 fail
+    and the others close."""
+    m, pc = setup
+    arcs = boundary_mesh(local_manifold(m, pc, "unstable", N=5), n_arcs=6,
+                         arc_order=10)
+    return arcs, choose_tau(arcs, m, pc, 10)
+
+
+def _message(chart):
+    """A finish outcome, with a CollisionDomain as its message."""
+    return str(chart) if isinstance(chart, CollisionDomain) else chart
+
+
+def _reference(fill, k, delta_min=None, **kw):
+    """``conftest.finish_one`` of arc k and, when ``delta_min`` is
+    given, ``conftest.collision_loop`` of its chart: the chart, or the
+    message of the CollisionDomain."""
+    try:
+        chart = finish_one(fill, k, **kw)
+        if delta_min is not None:
+            collision_loop(chart, fill.p, delta_min)
+        return chart
+    except CollisionDomain as err:
+        return str(err)
+
+
+class TestStackedFinish:
+    """``ArcFill.finish`` of many arcs at once against the per-chart
+    references of ``conftest``, which bound one chart at a time, with
+    one radius, one box and one scalar time scale at a time: equal
+    charts, tails, defects, taus and messages."""
+
+    def test_rounds_equal_per_chart_references(self, setup, unstable_mesh):
+        # the atlas's rounds: every arc, then the failed ones retimed
+        # and finished together, against a twin fill retimed alike
+        m, pc = setup
+        arcs, taus = unstable_mesh
+        fill, twin = (ArcFill(arcs, m, pc, (10, 18), taus) for _ in range(2))
+        pending, rounds = list(range(6)), 0
+        while pending:
+            got = fill.finish(pending, source_arcs=[10 + k for k in pending],
+                              start_times=[0.5 * k for k in pending],
+                              delta_min=0.05)
+            for k, chart in zip(pending, got):
+                want = _reference(twin, k, 0.05, source_arc=10 + k,
+                                  start_time=0.5 * k)
+                assert _same_outcome(_message(chart), want), (rounds, k)
+            pending = [k for k, c in zip(pending, got)
+                       if isinstance(c, CollisionDomain)]
+            for k in pending:
+                fill.retime(k)
+                twin.retime(k)
+            rounds += 1
+        assert rounds == 2
+
+    def test_guard_and_tube_fail_in_one_round(self, setup, unstable_mesh):
+        m, pc = setup
+        arcs, taus = unstable_mesh
+        fill = ArcFill(arcs, m, pc, (10, 18), taus)
+        got = [_message(c) for c in fill.finish(range(6), delta_min=0.66)]
+        twin = ArcFill(arcs, m, pc, (10, 18), taus)
+        for k, g in enumerate(got):
+            assert _same_outcome(g, _reference(twin, k, 0.66)), k
+        # a chart, a failed tube and a failed guard in the one round
+        kinds = {type(g).__name__ if isinstance(g, FlowChart) else g[:10]
+                 for g in got}
+        assert kinds == {"FlowChart", "Gronwall t", "chart rang"}
+
+    def test_tube_needs_more_than_one_batch(self, setup, unstable_mesh,
+                                            monkeypatch):
+        # arc 1's chart at tau 0.3 closes at the 11th radius: the
+        # second batch of radii, with the tail of the loop over single
+        # radii, and a tube that needs more than the 40 radii fails
+        m, pc = setup
+        arcs, taus = unstable_mesh
+        G = ArcFill(arcs[1:2], m, pc, (10, 18), taus[1:2]).G[0]
+        S = Series2(G.coefs, scale=G.scale, tau=0.3, tail=G.tail)
+        calls = []
+        single = conftest.poly_DF
+        monkeypatch.setattr(conftest, "poly_DF",
+                            lambda *a: calls.append(a[2].shape) or single(*a))
+        want = conftest.tube_loop(m, pc, S, G.tail, 1e-12)
+        assert len(calls) == 11
+        box = range_box([S]).padded([S.tail])
+        stacked = advect.poly_DF
+        calls.clear()
+        monkeypatch.setattr(advect, "poly_DF",
+                            lambda *a: calls.append(a[2].shape) or stacked(*a))
+        got, = advect.propagated_tail(m, pc, box, [0.3], [G.tail], [1e-12])
+        assert got == want
+        assert calls == [(8, DIM), (8, DIM)]
+        with pytest.raises(CollisionDomain):
+            conftest.tube_loop(m, pc, S, G.tail, 1e-12, radii=10)
+
+    def test_recorded_tube_boxes_stack_bit_for_bit(self, setup,
+                                                   unstable_mesh,
+                                                   monkeypatch):
+        # the fattened boxes of the reference tubes of every arc, at
+        # tau and 2 tau, in one stacked poly_DF against one call each
+        m, pc = setup
+        arcs, taus = unstable_mesh
+        fill = ArcFill(arcs, m, pc, (10, 18), taus)
+        boxes = []
+        single = conftest.poly_DF
+        monkeypatch.setattr(conftest, "poly_DF",
+                            lambda *a: boxes.append(a[2]) or single(*a))
+        for _ in range(2):
+            for k in range(6):
+                _reference(fill, k)
+                fill.retime(k)
+        assert len(boxes) > 12
+        stack = IntervalArray(np.concatenate([b.lo for b in boxes]),
+                              np.concatenate([b.hi for b in boxes]))
+        J = advect.poly_DF(m, pc, stack)
+        for b, box in enumerate(boxes):
+            one = single(m, pc, box)
+            assert J.lo[b].tobytes() == one.lo[0].tobytes()
+            assert J.hi[b].tobytes() == one.hi[0].tobytes()
+
+    def test_rejects_negative_or_nan_tails(self, setup, unstable_mesh,
+                                           monkeypatch):
+        m, pc = setup
+        arcs, taus = unstable_mesh
+        G = ArcFill(arcs[:1], m, pc, (10, 6), taus[:1]).G[0]
+        box = range_box([G]).padded([G.tail])
+        monkeypatch.setattr(advect, "poly_DF", None)
+        for tail, defect, name in ((-1.0, 1e-10, "source tail"),
+                                   (math.nan, 1e-10, "source tail"),
+                                   (1e-10, -0.5, "defect"),
+                                   (1e-10, math.nan, "defect")):
+            with pytest.raises(ValueError, match=name):
+                advect.propagated_tail(m, pc, box, [G.tau], [tail],
+                                       [defect])
+
+    def test_unbounded_range_box_fails_the_tube(self, setup, unstable_mesh):
+        # samples that overflow or are NaN make their component of the
+        # box unbounded, a valid enclosure, and the tube then fails
+        m, pc = setup
+        arcs, taus = unstable_mesh
+        G = ArcFill(arcs[:1], m, pc, (10, 6), taus[:1]).G[0]
+        bad = Series2(G.coefs.copy(), scale=G.scale, tau=G.tau,
+                      tail=G.tail)
+        bad.coefs.lo[0, 2, 3, 4] = -np.inf
+        bad.coefs.hi[0, 5, 1, 1] = np.inf
+        box = range_box([G, bad]).padded([G.tail, G.tail])
+        assert np.isfinite(box.lo).all(axis=1).tolist() == [True, False]
+        assert box.lo[1, 2] == box.lo[1, 5] == -np.inf
+        assert box.hi[1, 2] == box.hi[1, 5] == np.inf
+        assert np.isfinite(box.lo[1, [0, 1, 3, 4, 6]]).all()
+        good, fail = advect.propagated_tail(m, pc, box, [G.tau] * 2,
+                                            [G.tail] * 2, [1e-12] * 2)
+        assert isinstance(good, float)
+        assert isinstance(fail, CollisionDomain)
+        assert str(fail).startswith("Gronwall tube failed to close")
+
+    def test_time_scales_and_reciprocals_against_fractions(self):
+        # tau (n + 1) and 1 / (tau (n + 1)) for n < 50, over binades and
+        # the rescalings of the workloads, signed: floors and ceils, but
+        # for products outside the guard of _imul_arr, which may be one
+        # ulp wider
+        rng = np.random.default_rng(51)
+        taus = [0.6440162388507692, 0.49886018063726606, 2.5, 1.0, 1e-30,
+                1e-6, 3.2, 1e5, 0.1, 2.0 ** -1000, 1e300]
+        taus += (10.0 ** rng.uniform(-300, 300, 30)).tolist()
+        taus += [-t for t in taus[:6]]
+        slo, shi = advect._time_scales(taus, 50)
+        ilo, ihi = _irecip_arr(slo, shi)
+        for k, tau in enumerate(taus):
+            for n in range(50):
+                x = Fraction(tau) * (n + 1)
+                lo, hi = _floor_f(x), _ceil_f(x)
+                if 1e-200 < abs(x) < 1e200 and abs(tau) < 1e150:
+                    assert (lo, hi) == (slo[k, n], shi[k, n])
+                else:
+                    assert slo[k, n] in (lo, math.nextafter(lo, -math.inf))
+                    assert shi[k, n] in (hi, math.nextafter(hi, math.inf))
+                ends = (Fraction(float(shi[k, n])), Fraction(float(slo[k, n])))
+                assert ilo[k, n] == _floor_f(1 / ends[0])
+                assert ihi[k, n] == _ceil_f(1 / ends[1])
+
+
+def _floor_f(q):
+    """The largest float at most the rational q."""
+    x = float(q)
+    return x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+
+
+def _ceil_f(q):
+    """The smallest float at least the rational q."""
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)

@@ -389,6 +389,62 @@ class TestRetimedRetries:
         assert got.arcs[16].split_from == 1
 
 
+    @pytest.mark.parametrize("masses", [
+        (0.4996601795201282, 0.30022397151364016, 0.20011584896623164),
+        (0.5001822588566572, 0.3001044339368187, 0.19971330720652408),
+        (0.49988168849622433, 0.30011282470539313, 0.20000548679838254)])
+    def test_benchmark_seeds_equal_piece_grow(self, masses, monkeypatch,
+                                              tmp_path):
+        # the masses of the benchmark's seeds 1-3: one generation with
+        # its retries, by rounds and by the per-piece reference
+        m = MassTriple.from_floats(*masses)
+        manifold = local_manifold(m, primaries(m), "unstable", N=5)
+        retimes = []
+        retime = ArcFill.retime
+        monkeypatch.setattr(ArcFill, "retime",
+                            lambda self, k: retimes.append(k)
+                            or retime(self, k))
+        got, want = (Atlas.from_manifold(manifold, m, n_arcs=6,
+                                         arc_order=10) for _ in range(2))
+        got.grow(1, orders=(10, 18))
+        assert retimes
+        piece_grow(want, 1, orders=(10, 18))
+        self._assert_same_bytes(got, want, tmp_path)
+
+    def test_overflowing_fill_retires_its_arcs(self, setup, unstable5):
+        # at tau = 1e-30 the coefficients overflow: the defects are
+        # +inf, the range boxes unbounded, and every tube fails, so
+        # each arc is retried and retired with its reason
+        m, _ = setup
+        atlas = Atlas.from_manifold(unstable5, m, n_arcs=6, arc_order=10)
+        assert atlas.grow(1, orders=(10, 18), tau=1e-30) == []
+        assert atlas.charts == {} and atlas.frontier == []
+        assert atlas.stopped == list(range(6))
+        assert sorted(atlas.stop_reasons) == list(range(6))
+        for reason in atlas.stop_reasons.values():
+            assert reason.message.startswith("Gronwall tube failed")
+            assert reason.tau_attempts == 4
+
+    def test_failed_round_leaves_the_atlas(self, setup, unstable5,
+                                           monkeypatch):
+        # an exception while a generation is finished leaves the atlas
+        # as that generation found it
+        m, _ = setup
+        atlas = Atlas.from_manifold(unstable5, m, n_arcs=6, arc_order=10)
+        before = (dict(atlas.arcs), list(atlas.frontier), atlas._next_arc,
+                  atlas._next_chart)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("finish failed")
+
+        monkeypatch.setattr(ArcFill, "finish", broken)
+        with pytest.raises(RuntimeError):
+            atlas.grow(1, orders=(10, 18), tau=1.0, max_len=0.004)
+        assert (atlas.arcs, atlas.frontier, atlas._next_arc,
+                atlas._next_chart) == before
+        assert atlas.charts == {} and atlas.stopped == []
+
+
 class TestPersistence:
 
     def test_round_trip_is_bit_exact(self, grown, tmp_path):

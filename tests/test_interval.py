@@ -30,6 +30,7 @@ from fourbody.interval import (
     _cascade_sum,
     _gamma,
     _imul_arr,
+    _irecip_arr,
     _ldexp_arr,
     _pad_sum,
     _padded_cascade,
@@ -249,6 +250,21 @@ class TestDirectedScalarRounding:
                 q = 1 / Fraction(x)
                 assert _recip_floor(x) == _floor(q), x
                 assert _recip_ceil(x) == _ceil(q), x
+
+    def test_stacked_reciprocal(self):
+        # one stacked pass gives every entry the scalar floor and ceil,
+        # divisors in the residual's range and outside it alike
+        xs = np.array([x for x, _ in self._operands(35) if x != 0.0])
+        lo, hi = _irecip_arr(xs, xs)
+        for x, f, c in zip(xs.tolist(), lo, hi):
+            q = 1 / Fraction(x)
+            assert f == _floor(q) == _recip_floor(x), x
+            assert c == _ceil(q) == _recip_ceil(x), x
+        # an interval's ends: the floor of 1/hi and the ceil of 1/lo,
+        # on either side of zero
+        lo, hi = _irecip_arr(np.array([2.0, -4.0]), np.array([3.0, -2.0]))
+        assert list(lo) == [_recip_floor(3.0), -0.5]
+        assert list(hi) == [0.5, _recip_ceil(-4.0)]
 
     def test_sqrt(self):
         for x, _ in self._operands(34, n=1000):
@@ -777,6 +793,20 @@ class TestNorms:
             lhs = matrix_norm(B @ v @ u)
             rhs = matrix_norm(B) * matrix_norm(u) * matrix_norm(v)
             assert lhs.lo <= rhs.hi
+
+    def test_stacked_norms_equal_single(self):
+        # a stack of matrices, some straddling zero, one call: each
+        # norm's endpoints are those of its matrix alone
+        rng = np.random.RandomState(25)
+        mid = rng.randn(40, 7, 7) * 10.0 ** rng.uniform(-8, 3, (40, 1, 1))
+        rad = np.abs(rng.randn(40, 7, 7)) * 10.0 ** rng.uniform(-12, 1,
+                                                                (40, 1, 1))
+        A = IntervalArray(mid - rad, mid + rad)
+        got = matrix_norm(A, stacked=True)
+        assert got.shape == (40,)
+        for b in range(40):
+            want = matrix_norm(A[b])
+            assert (got.lo[b], got.hi[b]) == (want.lo, want.hi)
 
     def test_matvec_containment(self):
         rng = np.random.RandomState(24)

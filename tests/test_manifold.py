@@ -42,7 +42,7 @@ from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              conj_symmetry_check, mag_sum_bound)
 
 from conftest import (degree_nodes, from_complex_points, project_pi,
-                      real_chart_loop)
+                      real_chart_loop, stack_boxes)
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +90,9 @@ def _invariance_defect(m, pc, M, K):
     cols = FieldNodes(field_program(m, pc), K, K)
     cols.G[:DIM] = Series2(tuple(_fit(c, K, K) for c in P.components)).coefs
     lhs = _invariance_lhs(P, M.lambda1, M.lambda2, K)
-    field_defect(cols, lhs)
+    field_defect(cols, CIntervalArray._wrap(lhs.lo[:, None], lhs.hi[:, None]))
     return (Series2(lhs - cols.G[cols.outputs]).components,
-            cols.beyond_grid_bounds())
+            list(cols.beyond_grid_bounds([0])[0]))
 
 
 def _mig_sum(r) -> float:
@@ -153,8 +153,7 @@ class TestHomologicalSolver:
             return at
 
         # midpoint Jacobian of the lifted field at the equilibrium
-        from fourbody.polyfield import poly_DF, State7
-        df_iv = poly_DF(m, pc, M.equilibrium)
+        df_iv = poly_DF(m, pc, stack_boxes(M.equilibrium.u))[0]
         df = 0.5 * (df_iv.lo + df_iv.hi)
         for (mm, nn) in [(2, 0), (1, 1), (0, 2)]:
             hatg = [g.copy() for g in grids]
@@ -204,7 +203,7 @@ def _full_solve(m, pc, u0, v1, v2, lam1, lam2, N) -> Series2:
     solve per coefficient, no mirror."""
     ev, J = degree_nodes(field_program(m, pc), N,
                           [CInterval(ui) for ui in u0.u])
-    df = poly_DF(m, pc, u0)
+    df = poly_DF(m, pc, stack_boxes(u0.u))[0]
     zero = np.zeros_like(df.lo)
     diag = np.arange(DIM)
     ev.degree(1)

@@ -45,7 +45,9 @@ from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              product_antidiagonal, product_column)
 
 from conftest import (degree_nodes, field_f, from_complex_points,
-                      node_jacobian, project_pi, unfolded_program)
+                      node_jacobian, project_pi, stack_boxes,
+                      beyond_grid_loop,
+                      unfolded_program)
 
 # frozen reciprocal distances at the equilibrium used throughout
 U5 = 0.7244980416112365
@@ -217,7 +219,7 @@ class TestFieldProgram:
         # field_defect finishes an interpreter only on its own grid
         with pytest.raises(ValueError):
             field_defect(FieldNodes(field_program(triple, config), 3, 2),
-                         CIntervalArray.zeros((DIM, 3, 3)))
+                         CIntervalArray.zeros((1, DIM, 3, 3)))
 
     @pytest.mark.parametrize("parts", ["complex", "real", "real-then-complex"])
     def test_inputs_written_ahead(self, config, triple, parts):
@@ -354,7 +356,7 @@ class TestLevelSchedule:
         assert FieldNodes(prog, 3, 3).levels is levels
         assert FieldNodes(prog, 5, 2).levels is levels
         misses = _levels.cache_info().misses
-        node_jets(prog, u0.u)
+        node_jets(prog, stack_boxes(u0.u))
         assert _levels.cache_info().misses == misses
         for muls, lin in levels:
             arrays = [muls] + ([] if lin is None else
@@ -594,7 +596,7 @@ class TestFoldedTails:
         for r in (0.0, 1e-9, 1e-2):
             u = [Interval(x.lo - r * rng.random(), x.hi + r * rng.random())
                  for x in u0.u]
-            got, want = (node_jets(prog, u)[list(prog.outputs)]
+            got, want = (node_jets(prog, stack_boxes(u))[0][list(prog.outputs)]
                          for prog in (field_program(triple, config),
                                       unfolded_program(triple, config)))
             assert np.array_equal(got.lo, want.lo)
@@ -607,7 +609,7 @@ class TestPolyJacobian:
         masses = np.array(triple.as_floats())
         u_pt = np.array([0.9, 0.1, 0.2, -0.3, 0.8, 1.1, 1.3])
         u = State7(tuple(IntervalArray.from_points(u_pt)))
-        J = poly_DF(triple, config, u)
+        J = poly_DF(triple, config, stack_boxes(u.u))[0]
         h = 1e-6
         for j in range(7):
             dp = u_pt.copy()
@@ -620,7 +622,7 @@ class TestPolyJacobian:
                 assert abs(J[i, j].mid - col[i]) < 1e-6, (i, j)
 
     def test_d4_block_vanishes_at_equilibrium(self, config, triple, u0):
-        J = poly_DF(triple, config, u0)
+        J = poly_DF(triple, config, stack_boxes(u0.u))[0]
         for j in range(3):
             for col in (0, 2, 4 + j):
                 e = J[4 + j, col]
@@ -628,7 +630,7 @@ class TestPolyJacobian:
 
     def test_rows_5_to_7_dependent_at_equilibrium(self, config, triple, u0):
         # row 4+j = c1 * row0 + c3 * row2 with the displayed coefficients
-        J = poly_DF(triple, config, u0)
+        J = poly_DF(triple, config, stack_boxes(u0.u))[0]
         for j in range(3):
             px, py = config.positions[j]
             w3 = u0.u[4 + j].pow_int(3)
@@ -666,7 +668,7 @@ class TestNodeJets:
         for u in boxes:
             vals = evaluate(prog, u)
             ref = node_jacobian(prog, vals)
-            jets = node_jets(prog, u)
+            jets = node_jets(prog, stack_boxes(u))[0]
             assert jets.shape == (DIM + len(prog.ops), 1 + DIM)
             assert np.array_equal(jets.lo[:, 0], [v.lo for v in vals])
             assert np.array_equal(jets.hi[:, 0], [v.hi for v in vals])
@@ -678,10 +680,33 @@ class TestNodeJets:
                 for k in set(range(DIM)) - d:
                     assert jets.lo[i, 1 + k] == jets.hi[i, 1 + k] == 0.0
 
+    def test_stacked_equals_per_box(self, config, triple, u0):
+        # one pass over 80 boxes of every width, point boxes and boxes
+        # straddling zero in every input included, against one pass per
+        # box: equal endpoints, zero signs included
+        prog = field_program(triple, config)
+        rng = np.random.default_rng(18)
+        mid = np.array([x.mid for x in u0.u])
+        r = 10.0 ** rng.uniform(-12, 0.5, (80, DIM))
+        r[:5] = 0.0
+        c = mid + rng.standard_normal((80, DIM)) * 0.1
+        c[5:10] = 0.0
+        boxes = IntervalArray(c - r, c + r)
+        jets = node_jets(prog, boxes)
+        J = poly_DF(triple, config, boxes)
+        assert J.shape == (80, DIM, DIM)
+        for b in range(80):
+            one = node_jets(prog, boxes[b:b + 1])
+            assert jets.lo[b].tobytes() == one.lo[0].tobytes(), b
+            assert jets.hi[b].tobytes() == one.hi[0].tobytes(), b
+            single = poly_DF(triple, config, boxes[b:b + 1])
+            assert J.lo[b].tobytes() == single.lo[0].tobytes(), b
+            assert J.hi[b].tobytes() == single.hi[0].tobytes(), b
+
     def test_poly_df_is_the_output_rows(self, config, triple, u0):
         prog = field_program(triple, config)
-        jets = node_jets(prog, u0.u)
-        J = poly_DF(triple, config, u0)
+        jets = node_jets(prog, stack_boxes(u0.u))[0]
+        J = poly_DF(triple, config, stack_boxes(u0.u))[0]
         rows = list(prog.outputs)
         assert np.array_equal(J.lo, jets.lo[rows, 1:])
         assert np.array_equal(J.hi, jets.hi[rows, 1:])
@@ -725,7 +750,7 @@ class TestEigvectorLift:
     def test_lifted_residuals_straddle_zero(self, config, triple,
                                             equilibrium, u0):
         eig = eigen_data(config, triple, equilibrium)
-        J = poly_DF(triple, config, u0)
+        J = poly_DF(triple, config, stack_boxes(u0.u))[0]
         for kind in ("stable", "unstable"):
             for branch in (1, -1):
                 lam = eig.eigenvalue(kind, branch)
@@ -823,6 +848,32 @@ def _exact_tail(x, y, cut):
     """Exact mass of the convolution of x and y past index cut."""
     return sum(x[i] * y[j] for i in range(len(x)) for j in range(len(y))
                if i + j > cut)
+
+
+class TestStackedBeyondGrid:
+    """``beyond_grid_bounds`` over a list of copies, one recurrence on
+    arrays, against the scalar recurrence of each copy alone
+    (``conftest.beyond_grid_loop``): equal bounds, bit for bit."""
+
+    def test_equals_scalar_recurrence(self, config, triple):
+        rng = np.random.default_rng(19)
+        K, M, N = 4, 3, 5
+        nodes = FieldNodes(field_program(triple, config), M, N, K)
+        # real inputs of every scale, one copy complex
+        re = rng.standard_normal((K, DIM, M + 1, N + 1))
+        re *= 10.0 ** rng.uniform(-6, 1, (K, DIM, 1, 1))
+        im = np.zeros_like(re)
+        im[2] = 1e-3 * rng.standard_normal(im[2].shape)
+        w = 1e-9 * np.abs(rng.standard_normal(re.shape))
+        nodes.blocks[:, :DIM] = CIntervalArray(np.stack((re - w, im)),
+                                               np.stack((re + w, im)))
+        for n in range(N + 1):
+            nodes.b_column(n)
+        for copies in ([0, 1, 2, 3], [3, 1], [2]):
+            got = nodes.beyond_grid_bounds(copies)
+            assert got.shape == (len(copies), DIM)
+            for row, k in zip(got, copies):
+                assert row.tolist() == beyond_grid_loop(nodes, k), k
 
 
 class TestBeyondGridPadding:

@@ -967,6 +967,32 @@ class TestHornerBox:
         with pytest.raises(DomainExceeded):
             P.eval_box(out, z2)
 
+    def test_real_points_take_real_grids(self, monkeypatch):
+        # at exactly real points the real and imaginary grids run as one
+        # real stack: equal to the loop up to the sign of a zero, with
+        # no complex product; complex points still take the complex pass
+        rng = np.random.default_rng(46)
+        P = Series2([_widened(_random_series(3, 4, rng), rng)
+                     for _ in range(3)], tail=2.0 ** -30)
+        points = [CInterval(Interval.from_value(x)) for x in (-0.7, 0.0, 1.0)]
+        points.append(CInterval(Interval(0.25, 0.5)))
+        pad = Interval(-P.tail, P.tail)
+        mul = CIntervalArray.__mul__
+        calls = []
+        monkeypatch.setattr(CIntervalArray, "__mul__",
+                            lambda *a: calls.append(1) or mul(*a))
+        for z1 in points:
+            for z2 in points:
+                got = P.eval_box(z1, z2)
+                assert calls == []
+                for g, c in zip(got, P.components):
+                    ref = eval_box_loop(c, z1, z2)
+                    assert g == CInterval(ref.re + pad, ref.im + pad)
+                    assert c.eval_box(z1, z2) == ref
+        z = CInterval(Interval.from_value(0.5), Interval.from_value(1e-3))
+        P.eval_box(z, points[0])
+        assert calls
+
     def test_real_stack(self):
         # a real stack at Interval points equals the loop on each of
         # its series, with the complex arithmetic of exactly zero
