@@ -789,7 +789,13 @@ def _prod_err_arr(a, b, p):
     ca, cb = _SPLITTER * a, _SPLITTER * b
     ah, bh = ca - (ca - a), cb - (cb - b)
     al, bl = a - ah, b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    # ((ah bh - p) + ah bl + al bh) + al bl, accumulated in place
+    e = ah * bh
+    e -= p
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    return e
 
 
 # the outward direction of the lower and the upper end, and the signs
@@ -845,6 +851,18 @@ def _imul_arr(alo, ahi, blo, bhi):
     ``blo`` and ``bhi``, has the two candidates a_lo c and a_hi c, one
     product and residual per end; the sign of c orders them, and the
     selection above follows it, ties included.
+
+    In range: when every factor endpoint is 0 or has magnitude in
+    [2^-330, 2^330], as one check over the factors decides, the masks
+    above are constant and are not built.  Every nonzero candidate then
+    has |p| in [2^-660, 2^660], inside (1e-200, 1e200) (the powers of
+    two bounding the exact product are floats, so rounding keeps p
+    between them), with factors below ``_SPLIT_SAFE``: the guard holds,
+    no product is under 2^-1021, overflows or is nan.  A zero candidate
+    has p = +-0 and residual +-0, so it never steps, as outside the
+    guard.  The keys are p and -p, ranked by the same minimum in the
+    same candidate order, so every endpoint, zero signs included, is
+    that of the guarded pass.
     """
     shape = np.broadcast(alo, ahi, blo, bhi).shape
     # the factors' ends in one array, laid out in full so every pass
@@ -853,32 +871,39 @@ def _imul_arr(alo, ahi, blo, bhi):
     f = (_stacked(shape, alo, ahi, blo) if blo is bhi
          else _stacked(shape, alo, ahi, blo, bhi))
     a, b = f[:2, None], f[None, 2:]
-    with np.errstate(invalid="ignore", over="ignore"):
-        p = a * b
-        e = _prod_err_arr(a, b, p)
-    abs_p = np.abs(p)
-    safe = np.abs(f) < _SPLIT_SAFE
-    nonzero = f != 0.0
-    guard = ((abs_p > 1e-200) & (abs_p < 1e200)
-             & (safe[:2, None] & safe[None, 2:]))
-    # a product of 2^-1021 or more, or an infinite one, has nonzero
-    # factors; a smaller one is inexact where both factors are nonzero
-    step = abs_p >= 2.0 ** -1021
-    tiny = ((abs_p < 2.0 ** -1021) & (nonzero[:2, None] & nonzero[None, 2:])
-            ) * 2.0 ** -1074
-    # endpoints of valid intervals are never nan, so the only nan
-    # candidate is 0 * +-inf, whose product is 0
-    p[np.isnan(p)] = 0.0
+    mag = np.abs(f)
     # the floors' keys, and the ceils' negated, ranked as one minimum:
     # an end steps toward -inf where its outward residual is negative
-    q = np.empty((2,) + p.shape)
-    np.subtract(p, tiny, out=q[0])
-    np.negative(p, out=q[1])
-    q[1] -= tiny
-    with np.errstate(invalid="ignore"):
-        down = np.where(guard, e * _AS_FLOORS.reshape((2,) + (1,) * p.ndim)
-                        < 0.0, step)
-    flat = (2, p.shape[0] * p.shape[1]) + shape
+    q = np.empty((2, 2, len(f) - 2) + shape)
+    as_floors = _AS_FLOORS.reshape((2,) + (1,) * (q.ndim - 1))
+    if ((mag <= 2.0 ** 330) & ((mag >= 2.0 ** -330) | (f == 0.0))).all():
+        p = np.multiply(a, b, out=q[0])
+        down = _prod_err_arr(a, b, p) * as_floors < 0.0
+        np.negative(p, out=q[1])
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = a * b
+            e = _prod_err_arr(a, b, p)
+        abs_p = np.abs(p)
+        safe = mag < _SPLIT_SAFE
+        nonzero = f != 0.0
+        guard = ((abs_p > 1e-200) & (abs_p < 1e200)
+                 & (safe[:2, None] & safe[None, 2:]))
+        # a product of 2^-1021 or more, or an infinite one, has nonzero
+        # factors; a smaller one is inexact where both factors are
+        # nonzero
+        step = abs_p >= 2.0 ** -1021
+        tiny = ((abs_p < 2.0 ** -1021)
+                & (nonzero[:2, None] & nonzero[None, 2:])) * 2.0 ** -1074
+        # endpoints of valid intervals are never nan, so the only nan
+        # candidate is 0 * +-inf, whose product is 0
+        p[np.isnan(p)] = 0.0
+        np.subtract(p, tiny, out=q[0])
+        np.negative(p, out=q[1])
+        q[1] -= tiny
+        with np.errstate(invalid="ignore"):
+            down = np.where(guard, e * as_floors < 0.0, step)
+    flat = (2, q.shape[1] * q.shape[2]) + shape
     q, down = q.reshape(flat), down.reshape(flat)
     m = np.minimum.reduce(q, axis=1)
     down = np.logical_or.reduce((q == m[:, None]) & down, axis=1)
@@ -893,11 +918,15 @@ def _directed_sum(a, b, way):
     TwoSum residual: a residual on the side of ``way`` steps its
     rounded sum one ulp that way (a sum that rounds to zero is exact),
     and a sum that overflows away from ``way`` steps inward to the
-    largest finite float on that side."""
+    largest finite float on that side.  That clamp runs only when some
+    rounded sum is not finite: a finite sum steps to a neighbour on the
+    side of ``way``, which is never the infinity it repairs."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = a + b
         e = _sum_err_arr(a, b, s)
     out = _ulp_step(s, (e * way > 0.0) * way)
+    if np.isfinite(s).all():
+        return out
     return np.where(out * way == -_INF, -way * _MAXF, out)
 
 

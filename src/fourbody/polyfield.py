@@ -283,11 +283,18 @@ def _read_only(*arrays: np.ndarray) -> None:
 def _levels(prog: FieldProgram, K: int
             ) -> tuple[tuple[np.ndarray, _LinLevel | None], ...]:
     """The program compiled into dependency levels, on K copies of its
-    node set: the inputs are level 0, and a node is one level above its
-    deepest operand, so the nodes of a level read only earlier levels.
-    A level is its ``Mul`` nodes, as rows (node, factor a, factor b) of
-    one index array, node = a * b column by column, and its ``Lin``
-    nodes stacked, or None.  Copy k's node i is node k size + i, with
+    node set.  A level is its ``Mul`` nodes, as rows (node, factor a,
+    factor b) of one index array, node = a * b column by column, and
+    its ``Lin`` nodes stacked, or None; every interpreter runs a level's
+    ``Mul`` pass, then its ``Lin`` pass.  The inputs are done before
+    level 0; a ``Mul`` is one level deeper than its deepest operand, and
+    a ``Lin`` sits at the level of its deepest operand, or one deeper
+    when that operand is a ``Lin``.  So a ``Mul`` pass reads only
+    earlier levels and a ``Lin`` pass also its own level's products,
+    and a chain of products costs one ``Mul`` pass per factor depth,
+    however many ``Lin`` nodes sit between them: the lifted field takes
+    three, with the shifts dx_j, dy_j alone at level 0.  Empty levels
+    are dropped.  Copy k's node i is node k size + i, with
     size = DIM + len(prog.ops); for K > 1 the levels are those of
     K = 1 with every index offset by k size (``_LinLevel.stacked``), so
     the program is compiled once.  Cached per (program, K), with
@@ -304,14 +311,19 @@ def _levels(prog: FieldProgram, K: int
                            None if lin is None else lin.stacked(K, size)))
         return tuple(levels)
     depth = [0] * DIM
+    is_lin = [False] * DIM
     for op in prog.ops:
-        reads = ((op.a, op.b) if isinstance(op, Mul)
-                 else [k for _, k in op.terms])
-        depth.append(1 + max(depth[k] for k in reads))
+        if isinstance(op, Mul):
+            depth.append(1 + max(depth[op.a], depth[op.b]))
+        else:
+            depth.append(max(depth[k] + is_lin[k] for _, k in op.terms))
+        is_lin.append(isinstance(op, Lin))
     nodes = list(enumerate(prog.ops, DIM))
     levels = []
-    for level in range(1, max(depth) + 1):
+    for level in range(max(depth) + 1):
         ops = [(i, op) for i, op in nodes if depth[i] == level]
+        if not ops:
+            continue
         lins = [(i, op) for i, op in ops if isinstance(op, Lin)]
         muls = np.array([(i, op.a, op.b) for i, op in ops
                          if isinstance(op, Mul)], dtype=int).reshape(-1, 3).T
@@ -336,8 +348,9 @@ def node_jets(prog: FieldProgram, boxes: IntervalArray) -> IntervalArray:
     boxes on a leading axis, which ``_LinLevel.values`` takes as its
     parts.  A level's ``Mul`` nodes form a_0 b_k (k >= 0) and a_k b_0
     (k >= 1) in one ``_imul_arr`` call and d(a b) = a_0 db + da b_0 in
-    one ``_iadd_arr``; its ``Lin`` nodes run ``_LinLevel.values``, and
-    their constants, which are real, land on the value of every box.
+    one ``_iadd_arr``; then its ``Lin`` nodes, which may read that
+    level's products, run ``_LinLevel.values``, and their constants,
+    which are real, land on the value of every box.
     Every kernel is entrywise, so each box gets the endpoints of a pass
     over it alone.  Theorem: every entry encloses the exact value or
     partial derivative at every point of its box and for every
@@ -384,8 +397,10 @@ class FieldNodes:
     is also ``node_jets``'): at each level all ``Mul`` nodes of every
     copy by one call of the fill's stacked product kernel, which
     gathers their factor pairs straight from ``G``, then all ``Lin``
-    nodes by one ``_LinLevel.values``, with the endpoints of evaluating
-    each node's terms one by one, up to the sign of a zero.  Every
+    nodes, which may read that level's products, by one
+    ``_LinLevel.values``, with the endpoints of evaluating each node's
+    terms one by one, up to the sign of a zero.  The lifted field takes
+    three product passes per column and per degree.  Every
     kernel forms each row from its own pair or terms only, so copy k's
     grids are those of a one-copy interpreter on copy k's inputs,
     given the same real-ness decision below.

@@ -28,6 +28,7 @@ from fourbody.interval import (
     Interval,
     IntervalArray,
     _cascade_sum,
+    _directed_sum,
     _gamma,
     _imul_arr,
     _irecip_arr,
@@ -568,6 +569,151 @@ class TestLexicographicEndpoints:
         x = float(c[k % 5])
         _assert_bitwise(_imul_arr(alo, ahi, x, x),
                         _two_pass_imul(alo, ahi, x, x))
+
+
+# factor endpoints of the in-range pass of ``_imul_arr``: zeros of both
+# signs and magnitudes in [2^-330, 2^330], with the tie pair of
+# ``TestLexicographicEndpoints``, its factors +-3 and the range's ends
+_IN_RANGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -3.0,
+                     TestLexicographicEndpoints.X1,
+                     TestLexicographicEndpoints.X2,
+                     -TestLexicographicEndpoints.X1,
+                     -TestLexicographicEndpoints.X2,
+                     2.0 ** -330, -(2.0 ** -330), 2.0 ** 330,
+                     -(2.0 ** 330)]),
+    st.builds(operator.mul, st.sampled_from([1.0, -1.0]),
+              st.floats(min_value=2.0 ** -330, max_value=2.0 ** 330)),
+)
+# one endpoint just past the range, so the guarded pass runs
+_OUT_OF_RANGE = [2.0 ** 331, -(2.0 ** 331), 2.0 ** -331, -(2.0 ** -331),
+                 5e-324, -(2.0 ** -1030), math.inf, -math.inf]
+
+
+@st.composite
+def _in_range_arrays(draw, shape):
+    x = draw(hnp.arrays(np.float64, shape, elements=_IN_RANGE))
+    y = draw(hnp.arrays(np.float64, shape, elements=_IN_RANGE))
+    return np.minimum(x, y), np.maximum(x, y)
+
+
+def _moved_out(a, k, v):
+    """The interval array a with entry k's interval widened or moved to
+    have the endpoint v."""
+    lo, hi = a[0].copy(), a[1].copy()
+    h = hi.flat[k]
+    lo.flat[k], hi.flat[k] = min(v, h), max(v, h)
+    return lo, hi
+
+
+class TestInRangeProduct:
+    """Where every factor endpoint is 0 or has magnitude in
+    [2^-330, 2^330], ``_imul_arr`` skips its masks; its endpoints equal
+    the two-pass reference's bit for bit, and still do with one entry
+    moved out of that range, where the guarded pass runs."""
+
+    @staticmethod
+    def _cases(a, b):
+        """Blocks, a column times a row, point and scalar factors, and
+        zero factors, from two (4, 5) interval blocks."""
+        col, row = (a[0][:, :1], a[1][:, :1]), (b[0][:1], b[1][:1])
+        c, x = b[0][0], float(b[1][0, 0])
+        zero = np.zeros_like(a[0])
+        return [(*a, *b), (*col, *row), (*row, *col), (*a, c, c),
+                (*a, x, x), (x, x, *a), (*a, zero, zero), (zero, -zero, *b)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(_in_range_arrays((4, 5)), _in_range_arrays((4, 5)))
+    def test_in_range_equals_two_pass(self, a, b):
+        for case in self._cases(a, b):
+            _assert_bitwise(_imul_arr(*case), _two_pass_imul(*case))
+
+    @settings(max_examples=25, deadline=None)
+    @given(_in_range_arrays((4, 5)), _in_range_arrays((4, 5)),
+           st.integers(min_value=0, max_value=19),
+           st.sampled_from(_OUT_OF_RANGE), st.booleans())
+    def test_one_entry_out_of_range_equals_two_pass(self, a, b, k, v,
+                                                    first):
+        # in the first block, or in the second block's first row, so
+        # that the point, scalar and row factors carry it too
+        a, b = (_moved_out(a, k, v), b) if first else (a, _moved_out(
+            b, k % 5, v))
+        for case in self._cases(a, b):
+            _assert_bitwise(_imul_arr(*case), _two_pass_imul(*case))
+
+    @pytest.mark.parametrize("c", [3.0, -3.0])
+    def test_tie_pair_in_a_block(self, c):
+        # the tie of TestLexicographicEndpoints among in-range entries,
+        # then the same block with a subnormal entry
+        X1, X2 = TestLexicographicEndpoints.X1, TestLexicographicEndpoints.X2
+        alo, ahi = np.array([X1, -2.0, 0.0, 1e-90]), np.array([X2, 5.0,
+                                                             -0.0, 1e90])
+        ahi[2] = 0.0
+        cs = np.full(4, c)
+        p = X1 * c
+        for blo in (alo, np.where(np.arange(4) == 3, 5e-324, alo)):
+            got = _imul_arr(blo, ahi, cs, cs)
+            _assert_bitwise(got, _two_pass_imul(blo, ahi, cs, cs))
+            assert (got[0][0], got[1][0]) == (math.nextafter(p, -math.inf),
+                                              math.nextafter(p, math.inf))
+
+
+def _floor_ref(x: Fraction) -> float:
+    """The largest float <= x, -inf below every finite float."""
+    if x > _MAXF:
+        return _MAXF
+    if x < -_MAXF:
+        return -math.inf
+    f = float(x)
+    return math.nextafter(f, -math.inf) if Fraction(f) > x else f
+
+
+_sum_terms = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0 ** -52, 1e308, -1e308, 5e-324]),
+)
+
+
+class TestDirectedSum:
+    """``_directed_sum`` rounds every sum to its floor or ceil, checked
+    against exact rational sums, with and without the overflow clamp."""
+
+    @staticmethod
+    def _check(a, b):
+        for way in (-1, 1):
+            got = _directed_sum(a, b, way)
+            assert isinstance(got, np.ndarray) and got.shape == a.shape
+            for x, y, g in zip(a.flat, b.flat, got.flat):
+                exact = Fraction(x) + Fraction(y)
+                want = (_floor_ref(exact) if way < 0
+                        else -_floor_ref(-exact))
+                assert g == want, (x, y, way)
+        both = _directed_sum(np.stack((a, a)), np.stack((b, b)),
+                             np.array([-1, 1]).reshape((2,) + (1,) * a.ndim))
+        _assert_bitwise(both, np.stack((_directed_sum(a, b, -1),
+                                        _directed_sum(a, b, 1))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, (3, 4), elements=_sum_terms),
+           hnp.arrays(np.float64, (3, 4), elements=_sum_terms))
+    def test_floors_and_ceils(self, a, b):
+        self._check(a, b)
+
+    def test_exact_sums_and_sums_to_zero(self):
+        a = np.array([1.0, 3.0, -2.5, 1e300, 5e-324, 0.1, -0.0])
+        b = np.array([2.0 ** -52, -3.0, 2.5, -1e300, 5e-324, -0.1, -0.0])
+        self._check(a, b)
+        ceil, floor = _directed_sum(a, b, 1), _directed_sum(a, b, -1)
+        assert np.array_equal(ceil, floor)
+        assert (ceil[1:3] == 0.0).all() and (ceil[5] == 0.0)
+
+    def test_one_overflowing_sum_in_a_block(self):
+        a = np.array([[1e308, -1e308, 1.0], [0.1, 2.0, _MAXF]])
+        b = np.array([[1e308, -1e308, 2.0 ** -60], [0.2, 3.0, -1.0]])
+        self._check(a, b)
+        assert (_directed_sum(a, b, -1)[0, :2] == [_MAXF, -math.inf]).all()
+        assert (_directed_sum(a, b, 1)[0, :2] == [math.inf, -_MAXF]).all()
 
 
 def _exact_sum(x):

@@ -27,6 +27,7 @@ from fourbody.manifold import _land
 from fourbody.polyfield import (
     DIM,
     FieldNodes,
+    FieldProgram,
     Lin,
     Mul,
     _conv_tail,
@@ -322,6 +323,22 @@ def _random_inputs(rng, M, N, real):
     return Series2(comps)
 
 
+def _chained_program() -> FieldProgram:
+    """A small program whose levels hold a Lin of the inputs at level
+    0, Lin nodes reading Lin nodes and a level of Lin nodes alone.  As
+    in the field, only one-term Lin nodes carry a constant, so the
+    scalar interpreter adds terms and constant in the order of the
+    stacked passes."""
+    return FieldProgram((
+        Lin(0.5, ((1.0, 0),)),                           # 7, level 0
+        Lin(0.0, ((2.0, 7), (1.0, 2))),                  # 8, level 1
+        Mul(7, 3),                                       # 9, level 1
+        Lin(0.0, ((Interval(0.3, 0.31), 9), (1.0, 8))),  # 10, level 2
+        Mul(10, 8),                                      # 11, level 3
+        Lin(-1.0, ((1.0, 11),)),                         # 12, level 3
+    ), (7, 8, 9, 10, 11, 12, 4))
+
+
 def _same(x, y):
     """Equal endpoints, bit for bit, zero signs included."""
     return (x.lo.tobytes() == y.lo.tobytes()
@@ -332,21 +349,80 @@ class TestLevelSchedule:
     """The stacked level passes of ``FieldNodes`` give the endpoints of
     evaluating every node on its own, up to the sign of a zero."""
 
-    def test_levels_respect_dependencies(self, config, triple):
-        prog = field_program(triple, config)
+    @staticmethod
+    def _passes(prog):
+        """The compiled schedule as a list of passes, each a set of
+        nodes, after checking it against the program: every level's
+        ``Mul`` pass before its ``Lin`` pass, each node reading only
+        nodes finished by an earlier pass, and every node placed once."""
         done = set(range(DIM))
+        passes = []
         for muls, lin in _levels(prog, 1):
             for i, a, b in muls.T.tolist():
                 assert prog.ops[i - DIM] == Mul(a, b)
-            nodes = muls[0].tolist() + (
-                [] if lin is None else lin.nodes.tolist())
-            for i in nodes:
-                op = prog.ops[i - DIM]
-                reads = ((op.a, op.b) if isinstance(op, Mul)
-                         else [k for _, k in op.terms])
-                assert done.issuperset(reads)
-            done.update(nodes)
+            for nodes in (muls[0].tolist(),
+                          [] if lin is None else lin.nodes.tolist()):
+                for i in nodes:
+                    op = prog.ops[i - DIM]
+                    reads = ((op.a, op.b) if isinstance(op, Mul)
+                             else [k for _, k in op.terms])
+                    assert done.issuperset(reads), i
+                    assert i not in done
+                done.update(nodes)
+                passes.append(set(nodes))
         assert done == set(range(DIM + len(prog.ops)))
+        return passes
+
+    def test_levels_respect_dependencies(self, config, triple):
+        # a level's Lin pass reads that level's products: the field
+        # takes three product passes, the shifts alone at level 0
+        prog = field_program(triple, config)
+        passes = self._passes(prog)
+        muls = passes[0::2]
+        assert len(muls) == 4 and not muls[0]
+        assert sum(bool(m) for m in muls) == 3
+        kinds = [[type(prog.ops[i - DIM]).__name__ for i in sorted(p)]
+                 for p in passes]
+        assert [len(p) for p in passes] == [0, 6, 9, 3, 3, 0, 9, 2]
+        assert all(set(k) <= {"Lin"} for k in kinds[1::2])
+        assert all(set(k) <= {"Mul"} for k in kinds[0::2])
+
+    def test_chained_linear_nodes(self, config, triple, u0):
+        # a Lin of the inputs at level 0, a Lin reading a Lin, and a
+        # level of Lin nodes alone: every fill and the jet pass give
+        # each node the endpoints of evaluating it on its own, up to
+        # the sign of a zero
+        prog = _chained_program()
+        passes = self._passes(prog)
+        assert passes == [set(), {7}, {9}, {8}, set(), {10}, {11}, {12}]
+        rng = np.random.default_rng(83)
+        for real in (True, False):
+            M, N = 3, 4
+            S = _random_inputs(rng, M, N, real)
+            got, want = FieldNodes(prog, M, N), FieldNodes(prog, M, N)
+            for n in range(N + 1):
+                got.G[:DIM, :, n] = S.coefs[:, :, n]
+                got.b_column(n)
+                _node_by_node_column(want, S, n)
+                assert np.array_equal(got.G.lo, want.G.lo), (real, n)
+                assert np.array_equal(got.G.hi, want.G.hi), (real, n)
+            S = _random_inputs(rng, M, M, real)
+            origin = [S.coefs.at(i, 0, 0) for i in range(DIM)]
+            got, want = (degree_nodes(prog, M, origin)[0] for _ in "ab")
+            for nodes in (got, want):
+                nodes.G[:DIM] = S.coefs
+            for d in range(1, 2 * M + 1):
+                got.degree(d)
+                _node_by_node_degree(want, d, 0)
+                assert np.array_equal(got.G.lo, want.G.lo), (real, d)
+                assert np.array_equal(got.G.hi, want.G.hi), (real, d)
+        mid = np.array([x.mid for x in u0.u])
+        for r in (0.0, 1e-9, 1e-2):
+            u = tuple(IntervalArray(mid - r, mid + r))
+            vals = evaluate(prog, u)
+            jets = node_jets(prog, stack_boxes(u))[0]
+            assert np.array_equal(jets.lo[:, 0], [v.lo for v in vals])
+            assert np.array_equal(jets.hi[:, 0], [v.hi for v in vals])
 
     def test_one_compiled_program(self, config, triple, u0):
         # every interpreter of a program, and the jet pass, reads the one
