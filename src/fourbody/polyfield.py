@@ -575,7 +575,9 @@ def field_defect(cols: FieldNodes, lhs: CIntervalArray,
     a series is bounded there by the l1 norm of its coefficients, and
         sup |lhs_i - F_i(S)| <= sum |res_i| + lost_i,
     with the in-grid sums bounded by ``taylor.mag_sum_bound``, one call
-    for the stack.  Returns one bound per copy.  Raises ValueError
+    for the stack, and each component's two bounds added rounding up
+    (``_directed_sum``), so no bound falls half an ulp below their exact
+    sum.  Returns one bound per copy.  Raises ValueError
     unless ``lhs`` lies on the interpreter's grid.
     """
     copies = list(copies)
@@ -587,8 +589,8 @@ def field_defect(cols: FieldNodes, lhs: CIntervalArray,
         cols.b_column(n)
     at = (slice(None), np.array(copies)[:, None], cols.outputs)
     res = lhs - CIntervalArray._wrap(cols.blocks.lo[at], cols.blocks.hi[at])
-    return np.max(mag_sum_bound(res) + cols.beyond_grid_bounds(copies),
-                  axis=-1)
+    return np.max(_directed_sum(mag_sum_bound(res),
+                                cols.beyond_grid_bounds(copies), 1), axis=-1)
 
 
 def _conv_tail(amag: np.ndarray, bmag: np.ndarray, M: int, N: int):

@@ -219,7 +219,8 @@ def defect_loop(cols, G, k):
     """The defect of the chart G in the input rows of copy k of
     ``cols`` as ``ArcFill.finish`` bounded it one chart at a time: the
     left-hand side tau dGamma/dt from scalar enclosures of tau (n + 1),
-    the residual of copy k alone and ``beyond_grid_loop``."""
+    the residual of copy k alone and ``beyond_grid_loop``, each
+    component's two bounds added by the scalar ``_sum_ceil``."""
     M, N = G.orders
     tau_iv = Interval.from_value(G.tau)
     scales = IntervalArray.of([tau_iv * float(n + 1) for n in range(N)])
@@ -230,7 +231,14 @@ def defect_loop(cols, G, k):
         cols.b_column(n)
     res = lhs - cols.blocks[k][cols.outputs]
     lost = beyond_grid_loop(cols, k)
-    return max(mag_sum_bound(res[i]) + lost[i] for i in range(DIM))
+    return defect_sum([mag_sum_bound(res[i]) for i in range(DIM)], lost)
+
+
+def defect_sum(inner, beyond) -> float:
+    """The defect bound from per-component in-grid and beyond-grid
+    bounds: the largest of their sums, each rounded up by the scalar
+    ``_sum_ceil``."""
+    return max(_sum_ceil(float(a), float(b)) for a, b in zip(inner, beyond))
 
 
 def range_box_loop(G):

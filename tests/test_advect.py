@@ -34,7 +34,7 @@ from fourbody.polyfield import DIM, FieldNodes, field_defect, field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
 
 import conftest
-from conftest import (collision_loop, energy_point, finish_one,
+from conftest import (collision_loop, defect_sum, energy_point, finish_one,
                       from_complex_points)
 
 Z0 = CInterval(Interval.from_value(0.0))
@@ -552,8 +552,7 @@ class TestDefect:
         chart, _ = chart15
         N = chart.Gamma.orders[1]
         res, beyond = _chart_defect(m, pc, chart.Gamma)
-        assert chart.defect == max(mag_sum_bound(r) + b
-                                   for r, b in zip(res, beyond))
+        assert chart.defect == defect_sum(map(mag_sum_bound, res), beyond)
         for r in res:
             assert np.all(r.rlo[:, :N] <= 0.0)
             assert np.all(r.rhi[:, :N] >= 0.0)
@@ -606,9 +605,9 @@ class TestDefect:
             assert np.array_equal(res.lo, want.lo)
             assert np.array_equal(res.hi, want.hi)
             chart = flow_line(arc, m, pc, orders=(M, N), tau=2.0)
-            assert chart.defect == max(
-                mag_sum_bound(r) + b for r, b in zip(
-                    Series2(res).components, rec.beyond_grid_bounds([0])[0]))
+            assert chart.defect == defect_sum(
+                map(mag_sum_bound, Series2(res).components),
+                rec.beyond_grid_bounds([0])[0])
 
     def test_stacked_lhs_equals_column_products(self, setup, arcs15,
                                                 chart15, monkeypatch):

@@ -41,8 +41,8 @@ from fourbody.polyfield import (DIM, FieldNodes, field_defect,
 from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              conj_symmetry_check, mag_sum_bound)
 
-from conftest import (degree_nodes, from_complex_points, project_pi,
-                      real_chart_loop, stack_boxes)
+from conftest import (defect_sum, degree_nodes, from_complex_points,
+                      project_pi, real_chart_loop, stack_boxes)
 
 
 @pytest.fixture(scope="module")
@@ -346,8 +346,7 @@ class TestInvarianceResidual:
              else local_manifold(m, pc, kind, N=N))
         K = math.ceil(1.5 * N)
         res, beyond = _invariance_defect(m, pc, M, K)
-        assert M.P.tail == max(mag_sum_bound(r) + b
-                               for r, b in zip(res, beyond))
+        assert M.P.tail == defect_sum(map(mag_sum_bound, res), beyond)
         full = CIntervalArray.of(field_series(m, pc, M.P, (5 * N, 5 * N)))
         resid = _invariance_lhs(M.P, M.lambda1, M.lambda2, 5 * N) - full
         for i in range(7):

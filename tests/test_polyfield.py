@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from fourbody import polyfield
 from fourbody.crfbp import (
     MassTriple,
     PrimaryConfig,
@@ -221,6 +223,25 @@ class TestFieldProgram:
         with pytest.raises(ValueError):
             field_defect(FieldNodes(field_program(triple, config), 3, 2),
                          CIntervalArray.zeros((1, DIM, 3, 3)))
+
+    def test_defect_rounds_its_sum_up(self, config, triple, monkeypatch):
+        # a planted pair of component bounds whose float sum rounds to
+        # nearest below the exact sum: 1 + 2^-54 rounds to 1, and the
+        # defect must round up to the next float
+        small = 2.0 ** -54
+        assert 1.0 + small == 1.0
+        cols = FieldNodes(field_program(triple, config), 2, 2)
+        inner = np.full((1, DIM), 0.5)
+        inner[0, 3] = 1.0
+        lost = np.zeros((1, DIM))
+        lost[0, 3] = small
+        monkeypatch.setattr(polyfield, "mag_sum_bound", lambda res: inner)
+        monkeypatch.setattr(FieldNodes, "beyond_grid_bounds",
+                            lambda self, copies: lost)
+        got = field_defect(cols, CIntervalArray.zeros((1, DIM, 3, 3)))
+        assert got.shape == (1,)
+        assert Fraction(float(got[0])) >= 1 + Fraction(small)
+        assert got[0] == math.nextafter(1.0, 2.0)
 
     @pytest.mark.parametrize("parts", ["complex", "real", "real-then-complex"])
     def test_inputs_written_ahead(self, config, triple, parts):
