@@ -646,14 +646,13 @@ class TestInRangeProduct:
         # the tie of TestLexicographicEndpoints among in-range entries,
         # then the same block with a subnormal entry
         X1, X2 = TestLexicographicEndpoints.X1, TestLexicographicEndpoints.X2
-        alo, ahi = np.array([X1, -2.0, 0.0, 1e-90]), np.array([X2, 5.0,
-                                                             -0.0, 1e90])
-        ahi[2] = 0.0
+        alo = np.array([X1, -2.0, -0.0, 1e-90])
+        ahi = np.array([X2, 5.0, 0.0, 1e90])
         cs = np.full(4, c)
         p = X1 * c
-        for blo in (alo, np.where(np.arange(4) == 3, 5e-324, alo)):
-            got = _imul_arr(blo, ahi, cs, cs)
-            _assert_bitwise(got, _two_pass_imul(blo, ahi, cs, cs))
+        for lo in (alo, np.where(np.arange(4) == 3, 5e-324, alo)):
+            got = _imul_arr(lo, ahi, cs, cs)
+            _assert_bitwise(got, _two_pass_imul(lo, ahi, cs, cs))
             assert (got[0][0], got[1][0]) == (math.nextafter(p, -math.inf),
                                               math.nextafter(p, math.inf))
 
