@@ -8,25 +8,27 @@ coefficients of the lifted polynomial field.  ``taylor_flow`` fills
 K charts at once in place from their column 0, the arcs, and takes the
 field as a ``b_column(n)`` callable that returns the t-order-n
 coefficients of every component of every chart as one
-``CIntervalArray`` of shape (K dim, M + 1), reading only columns 0..n
+``CIntervalArray`` of shape (K, dim, M + 1), reading only columns 0..n
 of the charts.  In production they come from
 ``polyfield.FieldNodes.b_column``, the series interpreter of the field
-program on K copies of its node set, filled one time-order column at a
-time, so the whole run costs the same as a single full Cauchy product
-per node, and each level pass serves every chart.  An ``ArcFill``
-holds that run and its interpreter, whose input rows are the charts;
-an atlas generation is one ``ArcFill`` of all its arc pieces, its
-``choose_tau`` pilots another, and a single arc is K = 1.  Its
-``finish(copies)`` makes the charts of any list of its arcs at once,
-each step one stacked pass over the list: the defects from the
-interpreter (``polyfield.field_defect``; the first finish fills the
-last column of every chart's nodes), the range boxes from one stacked
-sampling (``range_box``), the Gronwall tubes from one stacked Jacobian
-pass per batch of radii (``propagated_tail``) and the collision guard
+program, whose K copies of the node set ride a leading batch axis:
+chart k is copy k's input rows, and every node of copy k a grid of
+``G[k]``.  It is filled one time-order column at a time, so the whole
+run costs the same as a single full Cauchy product per node, and each
+level pass serves every chart.  An ``ArcFill`` holds that run and its
+interpreter; an atlas generation is one ``ArcFill`` of all its arc
+pieces, its ``choose_tau`` pilots another, and a single arc is K = 1.
+Its ``finish(copies)`` makes the charts of any list of its arcs at
+once, each step one stacked pass over the list, the arcs on the
+leading axis: the defects from the interpreter
+(``polyfield.field_defect``; the first finish fills the last column of
+every chart's nodes), the range boxes from one stacked sampling
+(``range_box``), the Gronwall tubes from one stacked Jacobian pass per
+batch of radii (``propagated_tail``) and the collision guard
 (``check_collision``) over the same samples.  A retry at doubled tau
-retimes chart k's rows of the fill (``ArcFill.retime``), scaling
-column n of every node of that chart, its input rows included, by
-2^-n, so no column is computed twice, across retries too; an atlas
+retimes chart k's copy ``G[k]`` of the fill (``ArcFill.retime``),
+scaling column n of every node of that chart, its input rows included,
+by 2^-n, so no column is computed twice, across retries too; an atlas
 finishes all the retries of one round together.  ``flow_line`` is a
 fill of one arc and its finish.
 
@@ -41,7 +43,7 @@ enters certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -113,7 +115,7 @@ def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
     ``out`` has shape (K, dim, M + 1, N + 1), chart k at ``out[k]``,
     and ``taus[k]`` is chart k's time rescaling.  ``b_column(n)`` must
     return the field coefficients of t-order n of every chart as one
-    CIntervalArray of shape (K dim, M + 1), row k dim + i for component
+    CIntervalArray of shape (K, dim, M + 1), entry (k, i) for component
     i of chart k, reading only columns 0..n of ``out``; column n + 1 of
     chart k is then b_k / (tau_k (n + 1)), and all K are written by one
     stacked ``_imul_arr`` with the enclosures of 1 / (tau_k (n + 1)),
@@ -250,7 +252,7 @@ class ArcFill:
         M, N = orders
         self.arcs, self.m, self.p = arcs, m, p
         self._nodes = FieldNodes(field_program(m, p), M, N, len(arcs))
-        charts = self._nodes.blocks[:, :DIM]
+        charts = self._nodes.G[:, :DIM]
         charts[:, :, :, 0] = CIntervalArray.of([_arc_column(arc, M)
                                                 for arc in arcs])
         self.G = [Series2(charts[k], scale=arc.gamma.scale,
@@ -280,13 +282,12 @@ class ArcFill:
         tau = 2.0 * G.tau
         if not math.isfinite(tau):
             raise ValueError("tau must be finite and nonzero")
-        rows = self._nodes.blocks[k]
+        rows = self._nodes.G[k]
         rows.lo[...], rows.hi[...] = _ldexp_arr(
             rows.lo, rows.hi, -np.arange(self._nodes.N + 1))
         G.tau = tau
 
     def finish(self, copies: Sequence[int], *,
-               source_arcs: Optional[Sequence[Optional[int]]] = None,
                start_times: Optional[Sequence[float]] = None,
                delta_min: Optional[float] = None
                ) -> list[FlowChart | CollisionDomain]:
@@ -304,13 +305,10 @@ class ArcFill:
         closed, over the same samples padded by its own tail.  Every
         step treats the copies entrywise, so each outcome is that of
         finishing its arc alone.  A chart holds a copy of the
-        coefficients, so a later retime leaves it as it is.
-        ``source_arcs`` and ``start_times`` give each chart's
-        ``source_arc`` and the flow time of its arc (default None and
-        0)."""
+        coefficients, so a later retime leaves it as it is; its
+        ``source_arc`` is left to the caller.  ``start_times`` gives the
+        flow time of each chart's arc (default 0)."""
         copies = list(copies)
-        if source_arcs is None:
-            source_arcs = [None] * len(copies)
         if start_times is None:
             start_times = [0.0] * len(copies)
         Gs = [self.G[k] for k in copies]
@@ -325,9 +323,9 @@ class ArcFill:
                 Gamma=Series2(G.coefs.copy(), scale=G.scale, tau=G.tau,
                               tail=tail),
                 kind=self.arcs[k].kind, defect=float(defect),
-                source_arc=arc, accumulated_time=start + 1.0 / G.tau)
-            for k, G, tail, defect, arc, start in zip(
-                copies, Gs, tails, defects, source_arcs, start_times)]
+                accumulated_time=start + 1.0 / G.tau)
+            for k, G, tail, defect, start in zip(
+                copies, Gs, tails, defects, start_times)]
         if delta_min is not None:
             closed = [j for j, chart in enumerate(out)
                       if isinstance(chart, FlowChart)]
@@ -357,10 +355,10 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
     if tau is None:
         tau, = choose_tau([arc], m, p, orders[0])
     chart, = ArcFill([arc], m, p, orders, [tau]).finish(
-        [0], source_arcs=[source_arc], start_times=[start_time])
+        [0], start_times=[start_time])
     if isinstance(chart, CollisionDomain):
         raise chart
-    return chart
+    return replace(chart, source_arc=source_arc)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +376,7 @@ def _defect_bounds(cols: FieldNodes, copies: Sequence[int],
     N = cols.N
     slo, shi = _time_scales(taus, N)
     glo, ghi = (x[:, copies, :DIM, :, 1:]
-                for x in (cols.blocks.lo, cols.blocks.hi))
+                for x in (cols.G.lo, cols.G.hi))
     lhs = CIntervalArray.zeros((len(copies), DIM, cols.M + 1, N + 1))
     lhs.lo[..., :N], lhs.hi[..., :N] = _imul_arr(
         glo, ghi, slo[:, None, None], shi[:, None, None])

@@ -368,6 +368,12 @@ class Atlas:
 
     @classmethod
     def load(cls, path) -> "Atlas":
+        """The atlas saved at ``path``.  Raises SchemaVersionMismatch
+        for another schema, and ValueError unless its ids are those of
+        an atlas that can grow: every frontier, stopped and chart arc id
+        names a stored arc, and the next arc and chart ids exceed every
+        stored one, so ``grow`` neither reads a missing arc nor
+        overwrites a stored record."""
         with open(path) as f:
             doc = json.load(f)
         if doc.get("schema_version") != SCHEMA_VERSION:
@@ -386,6 +392,15 @@ class Atlas:
         for d in doc["charts"]:
             rec = _chart_from_json(d)
             atlas.charts[rec.chart_id] = rec
+        named = (atlas.frontier + atlas.stopped
+                 + [rec.arc_id for rec in atlas.charts.values()])
+        missing = sorted(set(named) - set(atlas.arcs))
+        if missing:
+            raise ValueError(f"atlas file names missing arcs {missing}")
+        if (atlas._next_arc <= max(atlas.arcs, default=-1)
+                or atlas._next_chart <= max(atlas.charts, default=-1)):
+            raise ValueError("atlas file's next ids do not exceed its "
+                             "stored ids")
         return atlas
 
 

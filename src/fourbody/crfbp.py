@@ -362,14 +362,6 @@ def field_point(pos: np.ndarray, masses: np.ndarray, s: np.ndarray) -> np.ndarra
     return np.array([xd, 2.0 * yd + ox, yd, -2.0 * xd + oy])
 
 
-def grad_omega_point(pos: np.ndarray, masses: np.ndarray, x: float,
-                     y: float) -> np.ndarray:
-    dx = x - pos[:, 0]
-    dy = y - pos[:, 1]
-    r3 = (dx * dx + dy * dy) ** 1.5
-    return np.array([x - np.sum(masses * dx / r3), y - np.sum(masses * dy / r3)])
-
-
 def hess_omega_point(pos: np.ndarray, masses: np.ndarray, x: float,
                      y: float) -> np.ndarray:
     dx = x - pos[:, 0]
@@ -387,7 +379,8 @@ _NEWTON_ITERS, _NEWTON_TOL = 50, 1e-14  # step limit, residual max norm
 
 def newton_equilibrium(p: PrimaryConfig, m: MassTriple,
                        seed: tuple[float, float]) -> tuple[float, float]:
-    """Float Newton iteration for a zero of the planar gradient map.
+    """Float Newton iteration for a zero of the planar gradient map,
+    read as rows 1 and 3 of ``field_point`` at zero velocity.
 
     Raises NewtonDiverged if the residual fails to reach ``_NEWTON_TOL``
     or an iterate leaves a generous bounding box.
@@ -395,8 +388,12 @@ def newton_equilibrium(p: PrimaryConfig, m: MassTriple,
     pos = p.position_array()
     masses = np.array(m.as_floats())
     xy = np.array(seed, dtype=float)
+
+    def grad(xy):
+        return field_point(pos, masses, (xy[0], 0.0, xy[1], 0.0))[1::2]
+
     for _ in range(_NEWTON_ITERS):
-        g = grad_omega_point(pos, masses, xy[0], xy[1])
+        g = grad(xy)
         if np.max(np.abs(g)) < _NEWTON_TOL:
             return float(xy[0]), float(xy[1])
         H = hess_omega_point(pos, masses, xy[0], xy[1])
@@ -407,7 +404,7 @@ def newton_equilibrium(p: PrimaryConfig, m: MassTriple,
         xy = xy - step
         if np.max(np.abs(xy)) > 1e3 or not np.all(np.isfinite(xy)):
             raise NewtonDiverged(f"iterate escaped: {xy}")
-    g = grad_omega_point(pos, masses, xy[0], xy[1])
+    g = grad(xy)
     if np.max(np.abs(g)) < _NEWTON_TOL:
         return float(xy[0]), float(xy[1])
     raise NewtonDiverged(f"no convergence after {_NEWTON_ITERS} iterations")

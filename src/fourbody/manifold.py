@@ -218,7 +218,7 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
                          "lam2 = conj(lam1), endpoint for endpoint")
     prog = field_program(m, p)
     nodes = FieldNodes(prog, N, N)
-    G = nodes.G
+    G = nodes.G[0]
     jets = CIntervalArray.from_real(node_jets(prog,
                                               IntervalArray.of(u0.u)[None])[0])
     G[:, 0, 0] = jets[:, 0]
@@ -232,7 +232,7 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
     for d in range(2, 2 * N + 1):
         m_min = (d + 1) // 2
         ms, ns = antidiagonal(N, N, d, m_min)
-        c = nodes.degree(d, m_min)
+        c = nodes.degree(d, m_min)[0]
         mu = (CIntervalArray.of([lam1]) * ms.astype(float)
               + CIntervalArray.of([lam2]) * ns.astype(float))
         # the homological matrices and right-hand sides, stacked over slots
@@ -270,7 +270,7 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
     lhs = CIntervalArray.zeros((1, DIM, K + 1, K + 1))
     lhs[0, :, : N + 1, : N + 1] = P.coefs * mu
     cols = FieldNodes(field_program(m, p), K, K)
-    cols.G[:DIM, : N + 1, : N + 1] = P.coefs
+    cols.G[0, :DIM, : N + 1, : N + 1] = P.coefs
     tail, = field_defect(cols, lhs)
     P = Series2(P.coefs, scale=P.scale, tail=float(tail))
     return LocalManifold(P=P, kind=kind, eigen=eigen, lambda1=lam1,
@@ -344,10 +344,10 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     if OM < M0 or ON < N0:
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
     cols = FieldNodes(field_program(m, p), OM, ON)
-    cols.G[:DIM, : M0 + 1, : N0 + 1] = P.coefs
+    cols.G[0, :DIM, : M0 + 1, : N0 + 1] = P.coefs
     for n in range(ON + 1):
         cols.b_column(n)
-    return Series2(cols.G[cols.outputs]).components
+    return Series2(cols.G[0, cols.outputs]).components
 
 
 # ---------------------------------------------------------------------------

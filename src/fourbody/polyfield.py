@@ -9,24 +9,25 @@ coefficients of compositions become finite convolution sums.
 This module provides the embedding R, eigenvector lifting, and the one
 definition of F: a straight-line program of ``Lin`` and ``Mul`` ops,
 compiled once per program into dependency levels (``_levels``).  Every
-interval evaluator of F runs those levels: the series interpreter
-``FieldNodes``, which holds every node as a series in one stacked array,
-for K input series at once, and fills it, by one stacked pass per level,
-one t-order column at a time (advected charts, all the arcs of an atlas
-generation together, and ``manifold.field_series``) or one total degree
-at a time (the homological solve), and ``node_jets``, one pass for the
-value and gradient of every node over each box of a stack: its output
-rows give the Jacobians ``poly_DF`` of every box of a Gronwall tube,
-and all its rows, over one box, land a degree's solved coefficients on
-every node of the homological solve.  ``evaluate`` is
-the float interpreter behind ``poly_F_point``.  ``field_defect``
-finishes a column fill to bound the defect of an invariance equation:
-the ODE defect of an advected chart and the tail of a local manifold.
-An interpreter owns its inputs: the input rows of each copy are the
-series being filled, written by the caller, and column n of every node
-is F of its copy's input columns 0..n.
+interval evaluator of F runs that one compile, with its batch on a
+leading axis: the series interpreter ``FieldNodes``, which holds every
+node of K copies of the program as series in one array and fills them,
+by one stacked pass per level, one t-order column at a time (advected
+charts, all the arcs of an atlas generation together, and
+``manifold.field_series``) or one total degree at a time (the
+homological solve); ``node_jets``, one pass for the value and gradient
+of every node over each box of a stack, whose output rows give the
+Jacobians ``poly_DF`` of every box of a Gronwall tube and whose rows
+over one box land a degree's solved coefficients on every node of the
+homological solve; and ``FieldNodes.beyond_grid_bounds``, the content
+each copy's grids miss.  ``evaluate`` is the float interpreter behind
+``poly_F_point``.  ``field_defect`` finishes a column fill to bound the
+defect of an invariance equation: the ODE defect of an advected chart
+and the tail of a local manifold.  An interpreter owns its inputs: the
+input rows of each copy are the series being filled, written by the
+caller, and column n of every node is F of its copy's input columns
+0..n.
 """
-
 from __future__ import annotations
 
 import functools
@@ -212,29 +213,6 @@ class _LinLevel:
                    level.iv_hi, level.const_lo, level.const_hi)
         return level
 
-    def stacked(self, K: int, size: int) -> "_LinLevel":
-        """The level on K copies of the node set, copy k's nodes at
-        k size + i: every node index offset by k size, every position
-        index on the level's nodes by k times their count, and the
-        scales, coefficients and constants repeated in that order.
-        Point coefficients keep one array for both ends."""
-        J = len(self.nodes)
-        off = size * np.arange(K)[:, None]
-        t, j = self.iv_at
-        iv_lo = np.tile(self.iv_lo, (K, 1))
-        level = _LinLevel(
-            (self.nodes + off).ravel(),
-            (self.operands[:, None] + off).reshape(-1, K * J),
-            np.tile(self.scale, (1, K, 1)),
-            (np.tile(t, K), (j + J * np.arange(K)[:, None]).ravel()),
-            iv_lo,
-            iv_lo if self.iv_hi is self.iv_lo else np.tile(self.iv_hi,
-                                                             (K, 1)),
-            np.tile(self.const_lo, K), np.tile(self.const_hi, K))
-        _read_only(level.nodes, level.operands, level.scale, *level.iv_at,
-                   level.iv_lo, level.iv_hi, level.const_lo, level.const_hi)
-        return level
-
     def values(self, lo: np.ndarray, hi: np.ndarray, *slots
                ) -> tuple[np.ndarray, np.ndarray]:
         """The nodes' values at ``slots`` of the node endpoint arrays
@@ -267,11 +245,13 @@ class _LinLevel:
         return acc[0], -acc[1]
 
     def add_consts(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Add the constants to slot 0 of ``values``' lo and hi, in place."""
-        k = len(lo)
-        lo[:, :, 0], hi[:, :, 0] = _iadd_arr(lo[:, :, 0], hi[:, :, 0],
-                                             self.const_lo[:k],
-                                             self.const_hi[:k])
+        """Add the constants to slot 0 of every copy, in place, for lo
+        and hi of shape (2, copies, level nodes, slots): ``values``' on
+        complex series, its parts split into (real, imaginary) and the
+        copies."""
+        lo[..., 0], hi[..., 0] = _iadd_arr(lo[..., 0], hi[..., 0],
+                                           self.const_lo[:, None],
+                                           self.const_hi[:, None])
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -279,37 +259,25 @@ def _read_only(*arrays: np.ndarray) -> None:
         x.flags.writeable = False  # shared by every caller of the cache
 
 
-@functools.lru_cache(maxsize=64)
-def _levels(prog: FieldProgram, K: int
+@functools.lru_cache(maxsize=16)
+def _levels(prog: FieldProgram
             ) -> tuple[tuple[np.ndarray, _LinLevel | None], ...]:
-    """The program compiled into dependency levels, on K copies of its
-    node set.  A level is its ``Mul`` nodes, as rows (node, factor a,
-    factor b) of one index array, node = a * b column by column, and
-    its ``Lin`` nodes stacked, or None; every interpreter runs a level's
-    ``Mul`` pass, then its ``Lin`` pass.  The inputs are done before
-    level 0; a ``Mul`` is one level deeper than its deepest operand, and
-    a ``Lin`` sits at the level of its deepest operand, or one deeper
-    when that operand is a ``Lin``.  So a ``Mul`` pass reads only
-    earlier levels and a ``Lin`` pass also its own level's products,
-    and a chain of products costs one ``Mul`` pass per factor depth,
-    however many ``Lin`` nodes sit between them: the lifted field takes
-    three, with the shifts dx_j, dy_j alone at level 0.  Empty levels
-    are dropped.  Copy k's node i is node k size + i, with
-    size = DIM + len(prog.ops); for K > 1 the levels are those of
-    K = 1 with every index offset by k size (``_LinLevel.stacked``), so
-    the program is compiled once.  Cached per (program, K), with
-    read-only arrays, so every interpreter of one program and K shares
-    one compiled object."""
-    if K > 1:
-        size = DIM + len(prog.ops)
-        off = size * np.arange(K)[:, None]
-        levels = []
-        for muls, lin in _levels(prog, 1):
-            stacked = (muls[:, None] + off).reshape(3, -1)
-            _read_only(stacked)
-            levels.append((stacked,
-                           None if lin is None else lin.stacked(K, size)))
-        return tuple(levels)
+    """The program compiled into dependency levels.  A level is its
+    ``Mul`` nodes, as rows (node, factor a, factor b) of one index
+    array, node = a * b column by column, and its ``Lin`` nodes stacked,
+    or None; every interpreter runs a level's ``Mul`` pass, then its
+    ``Lin`` pass.  The inputs are done before level 0; a ``Mul`` is one
+    level deeper than its deepest operand, and a ``Lin`` sits at the
+    level of its deepest operand, or one deeper when that operand is a
+    ``Lin``.  So a ``Mul`` pass reads only earlier levels and a ``Lin``
+    pass also its own level's products, and a chain of products costs
+    one ``Mul`` pass per factor depth, however many ``Lin`` nodes sit
+    between them: the lifted field takes three, with the shifts dx_j,
+    dy_j alone at level 0.  Empty levels are dropped.  Cached per
+    program, with read-only arrays, so every interpreter of one program
+    shares one compiled object, whatever its batch: the indices name
+    the nodes of one copy, and an interpreter of several copies or boxes
+    carries them on a leading axis."""
     depth = [0] * DIM
     is_lin = [False] * DIM
     for op in prog.ops:
@@ -343,10 +311,10 @@ def node_jets(prog: FieldProgram, boxes: IntervalArray) -> IntervalArray:
     (x_i, dx_i/du_1, ..., dx_i/du_DIM) over box b, shape
     (B, nodes, 1 + DIM).
 
-    One forward pass over the compiled levels of K = 1 on real interval
-    endpoints, from the input boxes and an exact identity, with the
-    boxes on a leading axis, which ``_LinLevel.values`` takes as its
-    parts.  A level's ``Mul`` nodes form a_0 b_k (k >= 0) and a_k b_0
+    One forward pass over the program's compiled levels on real
+    interval endpoints, from the input boxes and an exact identity,
+    with the boxes on a leading axis, which ``_LinLevel.values`` takes
+    as its parts.  A level's ``Mul`` nodes form a_0 b_k (k >= 0) and a_k b_0
     (k >= 1) in one ``_imul_arr`` call and d(a b) = a_0 db + da b_0 in
     one ``_iadd_arr``; then its ``Lin`` nodes, which may read that
     level's products, run ``_LinLevel.values``, and their constants,
@@ -365,7 +333,7 @@ def node_jets(prog: FieldProgram, boxes: IntervalArray) -> IntervalArray:
     lo[:, :DIM, 0], hi[:, :DIM, 0] = boxes.lo, boxes.hi
     lo[:, :DIM, 1:] = hi[:, :DIM, 1:] = np.eye(DIM)
     cols = np.arange(1 + DIM)
-    for (i, a, b), lin in _levels(prog, 1):
+    for (i, a, b), lin in _levels(prog):
         if i.size:
             a, b = a[:, None], b[:, None]
             plo, phi = _imul_arr(lo[:, a, _RULE_A], hi[:, a, _RULE_A],
@@ -388,31 +356,32 @@ class FieldNodes:
     column at a time (``b_column``) or one total degree at a time
     (``degree``).
 
-    Every node grid of every copy lives in one stacked array ``G`` of
-    shape (K size, M + 1, N + 1), size = DIM + len(prog.ops): copy k's
-    node i is row k size + i, and ``blocks`` views ``G`` as shape
-    (K, size, M + 1, N + 1).  Both fills run one level pass, ``_fill``,
-    over the program's compiled levels on K copies (``_levels``, one
-    object per program and K, shared by every such interpreter; K = 1
-    is also ``node_jets``'): at each level all ``Mul`` nodes of every
-    copy by one call of the fill's stacked product kernel, which
-    gathers their factor pairs straight from ``G``, then all ``Lin``
-    nodes, which may read that level's products, by one
-    ``_LinLevel.values``, with the endpoints of evaluating each node's
-    terms one by one, up to the sign of a zero.  The lifted field takes
-    three product passes per column and per degree.  Every
-    kernel forms each row from its own pair or terms only, so copy k's
-    grids are those of a one-copy interpreter on copy k's inputs,
-    given the same real-ness decision below.
+    The K copies of the node set ride a leading batch axis: ``G`` has
+    shape (K, size, M + 1, N + 1), size = DIM + len(prog.ops), and
+    ``G[k, i]`` is node i of copy k.  Both fills run one level pass,
+    ``_fill``, over the program's one compile (``_levels``, shared by
+    every interpreter of the program, whatever its K, and by
+    ``node_jets``): at each level all ``Mul`` nodes of every copy by one
+    call of the fill's stacked product kernel, which gathers their
+    factor pairs straight from ``G``, node i of copy k at flat grid
+    k size + i, then all ``Lin`` nodes, which may read that level's
+    products, by one ``_LinLevel.values`` that takes the copies as
+    parts beside (real, imaginary), with the endpoints of evaluating
+    each node's terms one by one, up to the sign of a zero, and the
+    constants added to every copy.  The lifted field takes three
+    product passes per column and per degree.  Every kernel forms each
+    row from its own pair or terms only, so copy k's grids are those of
+    a one-copy interpreter on copy k's inputs, given the same real-ness
+    decision below.
 
-    The input rows ``blocks[k, :DIM]`` of each copy are the series
-    being filled: the caller writes them, and neither fill writes
-    them.  ``b_column(n)`` fills column n of every node on all M + 1
-    rows by ``taylor.product_columns``; the constants enter at n = 0.
-    Whether every factor is exactly real is decided once per column for
-    all K copies together, from ``G``'s imaginary grids, which show
-    input columns past n too, so the decision is conservative when one
-    copy is complex or the caller wrote columns ahead.  Each row equals
+    The input rows ``G[k, :DIM]`` of each copy are the series being
+    filled: the caller writes them, and neither fill writes them.
+    ``b_column(n)`` fills column n of every node on all M + 1 rows by
+    ``taylor.product_columns``; the constants enter at n = 0.  Whether
+    every factor is exactly real is decided once per column for all K
+    copies together, from ``G``'s imaginary grids, which show input
+    columns past n too, so the decision is conservative when one copy
+    is complex or the caller wrote columns ahead.  Each row equals
     ``product_column``'s for its pair, bit for bit, when that decision
     agrees with the pair's own, as it does when every copy's inputs are
     exactly real, as the arcs of an atlas are, or all complex, and
@@ -444,40 +413,49 @@ class FieldNodes:
         self.prog = prog
         self.M = M
         self.N = N
-        self.levels = _levels(prog, K)
+        self.levels = _levels(prog)
         self.outputs = np.array(prog.outputs)
-        size = DIM + len(prog.ops)
-        # every copy's outputs, copy by copy
-        self._out_rows = (size * np.arange(K)[:, None]
-                          + self.outputs).ravel()
-        self.G = CIntervalArray.zeros((K * size, M + 1, N + 1))
-        self.blocks = CIntervalArray._wrap(
-            *(x.reshape(2, K, size, M + 1, N + 1)
-              for x in (self.G.lo, self.G.hi)))
+        self.G = CIntervalArray.zeros((K, DIM + len(prog.ops), M + 1, N + 1))
         self.filled = 0
 
     def _fill(self, slots: tuple, products, consts: bool) -> None:
-        """Fill every node at ``slots`` level by level; ``products``
-        maps the factor stacks a and b to their products there, and the
-        constants land on the first slot when ``consts``."""
+        """Fill every node of every copy at ``slots`` level by level;
+        ``products`` maps the flat factor indices a and b to their
+        products there, and the constants land on the first slot when
+        ``consts``."""
+        G = self.G
+        K, size = G.shape[:2]
+        # copy k's node 0 on the kernels' flat node axis
+        starts = size * np.arange(K)[:, None]
+        # the copies as parts of the Lin pass, after (real, imaginary)
+        lo, hi = (x.reshape((2 * K,) + G.shape[1:]) for x in (G.lo, G.hi))
+
+        def put(nodes, vlo, vhi):
+            # both parts of every copy, in (part, copy, node) order, by
+            # one write per end
+            at = (slice(None), slice(None), nodes[:, None]) + slots
+            shape = (2, K, len(nodes)) + vlo.shape[-1:]
+            G.lo[at], G.hi[at] = vlo.reshape(shape), vhi.reshape(shape)
+
         for (i, a, b), lin in self.levels:
             if i.size:
-                self.G[(i[:, None],) + slots] = products(a, b)
+                p = products((a + starts).ravel(), (b + starts).ravel())
+                put(i, p.lo, p.hi)
             if lin is not None:
-                lo, hi = lin.values(self.G.lo, self.G.hi, *slots)
+                vlo, vhi = (x.reshape((2, K) + x.shape[1:])
+                            for x in lin.values(lo, hi, *slots))
                 if consts:
-                    lin.add_consts(lo, hi)
-                self.G[(lin.nodes[:, None],) + slots] = \
-                    CIntervalArray._wrap(lo, hi)
+                    lin.add_consts(vlo, vhi)
+                put(lin.nodes, vlo, vhi)
 
     def b_column(self, n: int) -> CIntervalArray:
         """Column n of every node of every copy; returns the outputs',
-        copy by copy, as shape (K DIM, M + 1).  Whether the products
-        are exactly real is decided for the whole batch of copies: a
-        conservative choice, bit-equal to one copy's own when every
-        copy is real, as atlas arcs are.  Raises ValueError unless n is
-        the next unfilled column, since a product's column n reads its
-        operands' columns 0..n, which would otherwise still be zero."""
+        shape (K, DIM, M + 1).  Whether the products are exactly real is
+        decided for the whole batch of copies: a conservative choice,
+        bit-equal to one copy's own when every copy is real, as atlas
+        arcs are.  Raises ValueError unless n is the next unfilled
+        column, since a product's column n reads its operands' columns
+        0..n, which would otherwise still be zero."""
         if n != self.filled:
             raise ValueError(f"column {n} requested, but the next "
                              f"unfilled column is {self.filled}")
@@ -488,15 +466,15 @@ class FieldNodes:
         self._fill((np.arange(self.M + 1), n), lambda a, b: product_columns(
             self.G, a, b, n, self.M, real), n == 0)
         self.filled = n + 1
-        return self.G[self._out_rows, :, n]
+        return self.G[..., n][:, self.outputs]
 
     def degree(self, d: int, m_min: int = 0) -> CIntervalArray:
         """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns
-        the outputs', copy by copy, as shape (K DIM, slots)."""
+        the outputs', shape (K, DIM, slots)."""
         ms, ns = antidiagonal(self.M, self.N, d, m_min)
         self._fill((ms, ns), lambda a, b: product_antidiagonals(
             self.G, a, b, d, m_min), False)
-        return self.G[self._out_rows[:, None], ms, ns]
+        return self.G[:, self.outputs[:, None], ms, ns]
 
     def beyond_grid_bounds(self, copies: Sequence[int]) -> np.ndarray:
         """Per-output bounds on the field content outside the (M, N)
@@ -514,19 +492,18 @@ class FieldNodes:
         ``_conv_tail`` are padded by gamma of their own rounding
         counts (``interval._nonneg_upper``), and the recurrence rounds
         each sum and product up, by ``_directed_sum`` and the upper end
-        of ``_imul_arr``.  The recurrence runs once over the compiled
-        levels of K = 1, on arrays over the copies and a level's nodes,
+        of ``_imul_arr``.  The recurrence runs once over the program's
+        compiled levels, on arrays over the copies and a level's nodes,
         a ``Lin`` node's terms summed in program order (its padding
         terms add exact zeros); every step is entrywise, so a copy's
         bounds are those of a run over its ops alone.
         """
-        mags = CIntervalArray._wrap(self.blocks.lo[:, copies],
-                                    self.blocks.hi[:, copies]).mag()
+        mags = self.G[list(copies)].mag()
         C, size = mags.shape[:2]
         norms = _nonneg_upper(mags.reshape(C, size, -1).sum(axis=-1),
                               mags[0, 0].size)
         lost = np.zeros((C, size))
-        for (i, a, b), lin in _levels(self.prog, 1):
+        for (i, a, b), lin in self.levels:
             if i.size:
                 p = _prod_up(np.stack((lost[:, a], norms[:, a])),
                              np.stack((_directed_sum(norms[:, b], lost[:, b],
@@ -587,8 +564,7 @@ def field_defect(cols: FieldNodes, lhs: CIntervalArray,
                          f"{len(copies)} copies")
     for n in range(cols.filled, cols.N + 1):
         cols.b_column(n)
-    at = (slice(None), np.array(copies)[:, None], cols.outputs)
-    res = lhs - CIntervalArray._wrap(cols.blocks.lo[at], cols.blocks.hi[at])
+    res = lhs - cols.G[np.array(copies)[:, None], cols.outputs]
     return np.max(_directed_sum(mag_sum_bound(res),
                                 cols.beyond_grid_bounds(copies), 1), axis=-1)
 

@@ -204,7 +204,8 @@ def product_antidiagonals(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
                           d: int, m_min: int = 0) -> CIntervalArray:
     """Every coefficient (m, d - m), m >= m_min, of every product
     G[a[j]] G[b[j]] of the stacked series grids ``G``, shape
-    (nodes, M + 1, N + 1), m as in ``antidiagonal``; returns shape
+    (..., M + 1, N + 1), whose grids a and b index flat over the
+    leading axes, m as in ``antidiagonal``; returns shape
     (len(a), slots).
 
     Every pair's summands are gathered straight from ``G`` by flat
@@ -217,7 +218,7 @@ def product_antidiagonals(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     that slot's terms (a -0.0 may come out as +0.0).  When degree d has
     no slot with m >= m_min the result has shape (len(a), 0).
     """
-    _, rows, cols = G.shape
+    rows, cols = G.shape[-2:]
     ia, ib, pad, g = _antidiagonal_plan(rows - 1, cols - 1, d, m_min)
     if not g.size:
         return CIntervalArray.zeros((len(a), 0))
@@ -332,8 +333,9 @@ _COLUMN_BLOCK = 4096
 def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
                     n: int, M: int, real: bool) -> CIntervalArray:
     """Column n, rows 0..M, of every product G[a[j]] G[b[j]] of the
-    stacked series grids ``G``, shape (nodes, rows, cols); returns
-    shape (len(a), M + 1).
+    stacked series grids ``G``, shape (..., rows, cols), whose grids a
+    and b index flat over the leading axes; returns shape
+    (len(a), M + 1).
 
     The pairs are gathered straight from ``G`` by flat indices
     node (rows cols) + plan index into ``_column_plan``, in blocks of
@@ -345,7 +347,7 @@ def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     every row is complex, by the theorem of ``product_column`` an
     enclosure for any factors.
     """
-    _, rows, cols = G.shape
+    rows, cols = G.shape[-2:]
     if rows <= M or cols <= n:
         raise ValueError("factor grids do not cover the requested column")
     ia, ib, starts, pad, tiny = _column_plan(M, n, cols)

@@ -187,7 +187,7 @@ def degree_nodes(prog, N, origin):
     Jacobian there."""
     nodes = FieldNodes(prog, N, N)
     base = evaluate(prog, origin)
-    nodes.G[:, 0, 0] = CIntervalArray.of(base)
+    nodes.G[0, :, 0, 0] = CIntervalArray.of(base)
     return nodes, node_jacobian(prog, base)
 
 
@@ -196,7 +196,7 @@ def beyond_grid_loop(cols, k):
     ran on arrays over the copies: one scalar recurrence per copy, each
     sum and product rounded up by the scalar ``_sum_ceil`` and
     ``_prod_ceil``."""
-    mags = cols.blocks[k].mag()
+    mags = cols.G[k].mag()
     norms = [_nonneg_upper(float(np.sum(g)), g.size) for g in mags]
     lost = [0.0] * DIM
     for op in cols.prog.ops:
@@ -229,7 +229,7 @@ def defect_loop(cols, G, k):
         G.coefs.lo[..., 1:], G.coefs.hi[..., 1:], scales.lo, scales.hi)
     for n in range(cols.filled, cols.N + 1):
         cols.b_column(n)
-    res = lhs - cols.blocks[k][cols.outputs]
+    res = lhs - cols.G[k, cols.outputs]
     lost = beyond_grid_loop(cols, k)
     return defect_sum([mag_sum_bound(res[i]) for i in range(DIM)], lost)
 

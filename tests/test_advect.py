@@ -1,5 +1,6 @@
 """Tests for rigorous Taylor advection of boundary arcs."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -94,7 +95,7 @@ def _fresh_columns(m, pc, G):
     """A column interpreter on G's grid, with G in its input rows, that
     has filled no column."""
     cols = FieldNodes(field_program(m, pc), *G.orders)
-    cols.G[:DIM] = G.coefs
+    cols.G[0, :DIM] = G.coefs
     return cols
 
 
@@ -103,7 +104,7 @@ def _chart_defect(m, pc, G):
     the in-grid residual and the beyond-grid bounds."""
     cols, lhs = _fresh_columns(m, pc, G), _chart_lhs(G)
     field_defect(cols, _stacked(lhs))
-    return (Series2(lhs - cols.G[cols.outputs]).components,
+    return (Series2(lhs - cols.G[0, cols.outputs]).components,
             list(cols.beyond_grid_bounds([0])[0]))
 
 
@@ -248,10 +249,11 @@ class TestFlowLine:
         rec = _fresh_columns(m, pc, G)
         for n in range(21):
             col = rec.b_column(n)
+            assert col.shape == (1, 7, 16)
             for i in range(7):
                 want = b[i][:, n]
-                assert np.array_equal(col[i].lo, want.lo)
-                assert np.array_equal(col[i].hi, want.hi)
+                assert np.array_equal(col[0, i].lo, want.lo)
+                assert np.array_equal(col[0, i].hi, want.hi)
         for i, o in enumerate(prog.outputs):
             assert_overlap(b[i], full[o])
 
@@ -316,10 +318,11 @@ def _attempt(make):
 def _finish(fill, k, **kw):
     """``fill.finish`` of arc k alone: its chart, or the message of its
     CollisionDomain; ``source_arc`` and ``start_time`` as for
-    ``flow_line``."""
-    chart, = fill.finish([k], source_arcs=[kw.get("source_arc")],
-                         start_times=[kw.get("start_time", 0.0)])
-    return str(chart) if isinstance(chart, CollisionDomain) else chart
+    ``flow_line``, which sets the source arc on its finished chart."""
+    chart, = fill.finish([k], start_times=[kw.get("start_time", 0.0)])
+    if isinstance(chart, CollisionDomain):
+        return str(chart)
+    return dataclasses.replace(chart, source_arc=kw.get("source_arc"))
 
 
 # time rescalings for the stacked fills: 1 makes the first column's
@@ -364,13 +367,13 @@ class TestStackedFill:
         fill = ArcFill(arcs, m, pc, (15, 12), taus)
         ones = [ArcFill([a], m, pc, (15, 12), [t])
                 for a, t in zip(arcs, taus)]
-        assert fill._nodes.G.shape[0] == K * ones[0]._nodes.G.shape[0]
+        assert fill._nodes.G.shape == (K,) + ones[0]._nodes.G.shape[1:]
         # columns 0..N - 1 of the recursion, then the defect's column N,
         # which the first finish fills for every copy
         for filled in (12, 13):
             assert fill._nodes.filled == filled
             for k, one in enumerate(ones):
-                assert _same_bytes(fill._nodes.blocks[k], one._nodes.G), k
+                assert _same_bytes(fill._nodes.G[k], one._nodes.G[0]), k
                 assert _same_bytes(fill.G[k].coefs, one.G[0].coefs), k
                 assert fill.G[k].tau == one.G[0].tau
             _defect_bounds(fill._nodes, [0], [fill.G[0].tau])
@@ -380,19 +383,17 @@ class TestStackedFill:
     def test_retime_scales_one_copy(self, setup, arcs15):
         m, pc = setup
         fill = ArcFill(_mixed_arcs(arcs15, 3), m, pc, (15, 12), _TAUS[:3])
-        blocks = fill._nodes.blocks
-        before = blocks.copy()
+        G = fill._nodes.G
+        before = G.copy()
         taus = [G.tau for G in fill.G]
         fill.retime(1)
         for k in range(3):
             if k == 1:
                 e = -np.arange(13)
-                assert np.array_equal(blocks.lo[:, k],
-                                      np.ldexp(before.lo[:, k], e))
-                assert np.array_equal(blocks.hi[:, k],
-                                      np.ldexp(before.hi[:, k], e))
+                assert np.array_equal(G.lo[:, k], np.ldexp(before.lo[:, k], e))
+                assert np.array_equal(G.hi[:, k], np.ldexp(before.hi[:, k], e))
             else:
-                assert _same_bytes(blocks[k], before[k])
+                assert _same_bytes(G[k], before[k])
         assert [G.tau for G in fill.G] == [taus[0], 2.0 * taus[1], taus[2]]
 
     def test_finish_equals_one_arc_fill(self, setup, arcs15):
@@ -478,8 +479,8 @@ class TestRetime:
         kept = chart.Gamma.coefs.copy()
         nodes = fill._nodes
         # the chart is the interpreter's input rows: one store
-        assert np.shares_memory(fill.G[0].coefs.lo, nodes.G[:DIM].lo)
-        assert np.shares_memory(fill.G[0].coefs.hi, nodes.G[:DIM].hi)
+        assert np.shares_memory(fill.G[0].coefs.lo, nodes.G[0, :DIM].lo)
+        assert np.shares_memory(fill.G[0].coefs.hi, nodes.G[0, :DIM].hi)
         before, G = nodes.G.copy(), fill.G[0].coefs.copy()
         tau0, tail0 = fill.G[0].tau, fill.G[0].tail
         calls = []
@@ -509,10 +510,10 @@ class TestRetime:
         tiny = 2.0 ** -1074
         lo = np.array([3.0, tiny, -0.0, 0.0, -np.inf, -tiny])
         hi = np.array([3.0, tiny, -0.0, 0.0, 1.0, np.inf])
-        for G in (fill.G[0].coefs, fill._nodes.G[30]):
+        for G in (fill.G[0].coefs, fill._nodes.G[0, 30]):
             G.lo[0, ..., :6, 1], G.hi[0, ..., :6, 1] = lo, hi
         fill.retime(0)
-        for G in (fill.G[0].coefs, fill._nodes.G[30]):
+        for G in (fill.G[0].coefs, fill._nodes.G[0, 30]):
             glo, ghi = G.lo[0, ..., :6, 1], G.hi[0, ..., :6, 1]
             assert np.all(glo[..., 0] == 1.5) and np.all(ghi[..., 0] == 1.5)
             # 2^-1075 lies in [-2^-1074, 2^-1074] but is no float
@@ -598,10 +599,10 @@ class TestDefect:
             assert np.array_equal(rec.beyond_grid_bounds([0]),
                                   fresh.beyond_grid_bounds([0]))
             for cols in (rec, fresh):
-                assert np.array_equal(cols.G[:DIM].lo, G.coefs.lo)
-                assert np.array_equal(cols.G[:DIM].hi, G.coefs.hi)
-            res = lhs - rec.G[rec.outputs]
-            want = lhs - fresh.G[fresh.outputs]
+                assert np.array_equal(cols.G[0, :DIM].lo, G.coefs.lo)
+                assert np.array_equal(cols.G[0, :DIM].hi, G.coefs.hi)
+            res = lhs - rec.G[0, rec.outputs]
+            want = lhs - fresh.G[0, fresh.outputs]
             assert np.array_equal(res.lo, want.lo)
             assert np.array_equal(res.hi, want.hi)
             chart = flow_line(arc, m, pc, orders=(M, N), tau=2.0)
@@ -966,12 +967,11 @@ class TestStackedFinish:
         fill, twin = (ArcFill(arcs, m, pc, (10, 18), taus) for _ in range(2))
         pending, rounds = list(range(6)), 0
         while pending:
-            got = fill.finish(pending, source_arcs=[10 + k for k in pending],
+            got = fill.finish(pending,
                               start_times=[0.5 * k for k in pending],
                               delta_min=0.05)
             for k, chart in zip(pending, got):
-                want = _reference(twin, k, 0.05, source_arc=10 + k,
-                                  start_time=0.5 * k)
+                want = _reference(twin, k, 0.05, start_time=0.5 * k)
                 assert _same_outcome(_message(chart), want), (rounds, k)
             pending = [k for k, c in zip(pending, got)
                        if isinstance(c, CollisionDomain)]

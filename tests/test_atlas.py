@@ -541,6 +541,31 @@ class TestPersistence:
             Atlas.load(src).save(back)
             assert filecmp.cmp(path, back, shallow=False)
 
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda doc: doc["frontier"].append(999), r"missing arcs \[999\]"),
+        (lambda doc: doc["stopped"].append(999), r"missing arcs \[999\]"),
+        (lambda doc: doc["charts"][0].update(arc_id=999),
+         r"missing arcs \[999\]"),
+        (lambda doc: doc.update(next_arc_id=0), "next ids"),
+        (lambda doc: doc.update(next_chart_id=len(doc["charts"]) - 1),
+         "next ids"),
+    ], ids=["frontier", "stopped", "chart-arc", "next-arc", "next-chart"])
+    def test_load_rejects_ids_that_grow_cannot_use(self, grown, tmp_path,
+                                                   corrupt, match):
+        # a frontier id naming no arc made grow raise KeyError, and a
+        # next arc id of 0 made it overwrite the generation-0 records:
+        # load refuses both, and every other id that names no record or
+        # that a counter would hand out again
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        doc = json.loads(path.read_text())
+        assert doc["charts"] and 999 not in {a["arc_id"] for a in doc["arcs"]}
+        Atlas.load(path)
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            Atlas.load(path)
+
     def test_meta_survives(self, setup, stable5, tmp_path):
         m, _ = setup
         atlas = Atlas.from_manifold(stable5, m, n_arcs=6, arc_order=10,

@@ -88,10 +88,10 @@ def _invariance_defect(m, pc, M, K):
     the in-grid residual and the per-component beyond-grid bounds."""
     P = M.P
     cols = FieldNodes(field_program(m, pc), K, K)
-    cols.G[:DIM] = Series2(tuple(_fit(c, K, K) for c in P.components)).coefs
+    cols.G[0, :DIM] = Series2(tuple(_fit(c, K, K) for c in P.components)).coefs
     lhs = _invariance_lhs(P, M.lambda1, M.lambda2, K)
     field_defect(cols, CIntervalArray._wrap(lhs.lo[:, None], lhs.hi[:, None]))
-    return (Series2(lhs - cols.G[cols.outputs]).components,
+    return (Series2(lhs - cols.G[0, cols.outputs]).components,
             list(cols.beyond_grid_bounds([0])[0]))
 
 
@@ -207,9 +207,9 @@ def _full_solve(m, pc, u0, v1, v2, lam1, lam2, N) -> Series2:
     zero = np.zeros_like(df.lo)
     diag = np.arange(DIM)
     ev.degree(1)
-    _land(ev.G, J, 1, [CIntervalArray.of(pair) for pair in zip(v2, v1)])
+    _land(ev.G[0], J, 1, [CIntervalArray.of(pair) for pair in zip(v2, v1)])
     for d in range(2, 2 * N + 1):
-        c = ev.degree(d)
+        c = ev.degree(d)[0]
         sols = []
         for r, (mm, nn) in enumerate(zip(*antidiagonal(N, N, d))):
             A = CIntervalArray(np.stack((df.lo, zero)),
@@ -218,8 +218,8 @@ def _full_solve(m, pc, u0, v1, v2, lam1, lam2, N) -> Series2:
             A[diag, diag] = A[diag, diag] - CIntervalArray.of([mu])
             sols.append(verified_solve_complex(A, -c[:, r]))
         sols = CIntervalArray.of(sols)
-        _land(ev.G, J, d, [sols[:, i] for i in range(DIM)])
-    return Series2(ev.G[:DIM])
+        _land(ev.G[0], J, d, [sols[:, i] for i in range(DIM)])
+    return Series2(ev.G[0, :DIM])
 
 
 class TestHalfSolve:
@@ -251,16 +251,16 @@ class TestHalfSolve:
         m, pc = setup
         ev, _ = degree_nodes(field_program(m, pc), 2,
                               [CInterval(1.0)] * DIM)
-        g = Series2(ev.G).components[DIM + 3]
+        g = Series2(ev.G[0]).components[DIM + 3]
         g[2, 0] = CInterval(Interval(1.0, 2.0), Interval(-3.0, 4.0))
         g[1, 1] = CInterval(Interval(5.0, 6.0), Interval(-1.0, 2.0))
-        _mirror(ev.G, 2)
+        _mirror(ev.G[0], 2)
         assert g.at(0, 2) == g.at(2, 0).conj()
         # a real coefficient lies in the enclosure and in its conjugate
         assert g.at(1, 1) == CInterval(Interval(5.0, 6.0), Interval(-1.0, 1.0))
         g[1, 1] = CInterval(Interval(5.0, 6.0), Interval(0.5, 1.0))
         with pytest.raises(SymmetryViolation):
-            _mirror(ev.G, 2)
+            _mirror(ev.G[0], 2)
 
     def test_non_conjugate_data_rejected(self, setup, stable7):
         m, pc = setup

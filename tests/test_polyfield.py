@@ -191,16 +191,16 @@ class TestFieldProgram:
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (K, K))
         cols = FieldNodes(prog, K, K)
-        cols.G[:DIM] = Series2(tuple(comps)).coefs
+        cols.G[0, :DIM] = Series2(tuple(comps)).coefs
         for n in range(K + 1):
             cols.b_column(n)
         coef, J = degree_nodes(prog, K, [c.at(0, 0) for c in comps])
         for d in range(1, 2 * K + 1):
             slots = antidiagonal(K, K, d)
             coef.degree(d)
-            _land(coef.G, J, d, [c[slots] for c in comps])
-        col_grids = Series2(cols.G).components
-        coef_grids = Series2(coef.G).components
+            _land(coef.G[0], J, d, [c[slots] for c in comps])
+        col_grids = Series2(cols.G[0]).components
+        coef_grids = Series2(coef.G[0]).components
         assert len(full) == len(coef_grids) == len(col_grids)
         for k, (a, b, c) in enumerate(zip(full, col_grids, coef_grids)):
             assert_overlap(a, b, c)
@@ -212,7 +212,7 @@ class TestFieldProgram:
         comps = [from_complex_points(np.ones((3, 3)))
                  for _ in range(DIM)]
         cols = FieldNodes(field_program(triple, config), 2, 2)
-        cols.G[:DIM] = Series2(tuple(comps)).coefs
+        cols.G[0, :DIM] = Series2(tuple(comps)).coefs
         with pytest.raises(ValueError):
             cols.b_column(1)
         cols.b_column(0)
@@ -259,10 +259,10 @@ class TestFieldProgram:
             S.coefs.lo[1][:, :, :2] = S.coefs.hi[1][:, :, :2] = 0.0
         prog = field_program(triple, config)
         ahead = FieldNodes(prog, M, N)
-        ahead.G[:DIM] = S.coefs
+        ahead.G[0, :DIM] = S.coefs
         by_column = FieldNodes(prog, M, N)
         for n in range(N + 1):
-            by_column.G[:DIM, :, n] = S.coefs[:, :, n]
+            by_column.G[0, :DIM, :, n] = S.coefs[:, :, n]
             ahead.b_column(n)
             by_column.b_column(n)
         if parts == "real-then-complex":
@@ -283,10 +283,10 @@ class TestFieldProgram:
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (9, 8))
         cols = FieldNodes(prog, 9, 8)
-        cols.G[:DIM] = Series2(tuple(_fit(c, 9, 8) for c in comps)).coefs
+        cols.G[0, :DIM] = Series2(tuple(_fit(c, 9, 8) for c in comps)).coefs
         for n in range(9):
             cols.b_column(n)
-        for a, b in zip(full[DIM:], Series2(cols.G).components[DIM:]):
+        for a, b in zip(full[DIM:], Series2(cols.G[0]).components[DIM:]):
             assert_overlap(a, b)
 
 
@@ -295,8 +295,8 @@ def _node_by_node_column(nodes, S, n):
     node at a time in program order, each Lin node term by term through
     CIntervalArray arithmetic: the reference for the stacked level
     passes."""
-    g = Series2(nodes.G).components
-    nodes.G[:DIM, :, n] = S.coefs[:, :, n]
+    g = Series2(nodes.G[0]).components
+    nodes.G[0, :DIM, :, n] = S.coefs[:, :, n]
     for op, dst in zip(nodes.prog.ops, g[DIM:]):
         if isinstance(op, Mul):
             col = product_column(g[op.a], g[op.b], n, nodes.M)
@@ -313,7 +313,7 @@ def _node_by_node_column(nodes, S, n):
 def _node_by_node_degree(nodes, d, m_min):
     """``FieldNodes.degree`` one node at a time, as above."""
     slots = antidiagonal(nodes.M, nodes.N, d, m_min)
-    g = Series2(nodes.G).components
+    g = Series2(nodes.G[0]).components
     vals = [x[slots] for x in g[:DIM]]
     for i, op in enumerate(nodes.prog.ops, DIM):
         if isinstance(op, Mul):
@@ -378,7 +378,7 @@ class TestLevelSchedule:
         nodes finished by an earlier pass, and every node placed once."""
         done = set(range(DIM))
         passes = []
-        for muls, lin in _levels(prog, 1):
+        for muls, lin in _levels(prog):
             for i, a, b in muls.T.tolist():
                 assert prog.ops[i - DIM] == Mul(a, b)
             if lin is not None:
@@ -419,7 +419,7 @@ class TestLevelSchedule:
             S = _random_inputs(rng, M, N, real)
             got, want = FieldNodes(prog, M, N), FieldNodes(prog, M, N)
             for n in range(N + 1):
-                got.G[:DIM, :, n] = S.coefs[:, :, n]
+                got.G[0, :DIM, :, n] = S.coefs[:, :, n]
                 got.b_column(n)
                 _node_by_node_column(want, S, n)
                 assert np.array_equal(got.G.lo, want.G.lo), (real, n)
@@ -428,7 +428,7 @@ class TestLevelSchedule:
             origin = [S.coefs.at(i, 0, 0) for i in range(DIM)]
             got, want = (degree_nodes(prog, M, origin)[0] for _ in "ab")
             for nodes in (got, want):
-                nodes.G[:DIM] = S.coefs
+                nodes.G[0, :DIM] = S.coefs
             for d in range(1, 2 * M + 1):
                 got.degree(d)
                 _node_by_node_degree(want, d, 0)
@@ -446,7 +446,7 @@ class TestLevelSchedule:
         # every interpreter of a program, and the jet pass, reads the one
         # cached compile, whose index arrays are read-only
         prog = field_program(triple, config)
-        levels = _levels(prog, 1)
+        levels = _levels(prog)
         assert FieldNodes(prog, 3, 3).levels is levels
         assert FieldNodes(prog, 5, 2).levels is levels
         misses = _levels.cache_info().misses
@@ -457,58 +457,31 @@ class TestLevelSchedule:
                                [lin.nodes, lin.operands, lin.scale])
             assert not any(x.flags.writeable for x in arrays)
 
-    def test_stacked_levels_offset_the_compiled_program(self, config,
-                                                         triple):
-        # K copies: the K = 1 index arrays offset copy by copy, cached per
-        # (program, K) and read-only, with one coefficient array for both
-        # ends exactly when the masses are points
+    def test_every_batch_shares_the_one_compile(self, config, triple):
+        # K copies ride G's leading axis: every K reads the one cached
+        # compile of the program, compiled once, with read-only arrays
+        # and one coefficient array for both ends exactly when the
+        # masses are points
         wide = MassTriple(Interval(0.5 - 1e-9, 0.5 + 1e-9), triple.m2,
                           triple.m3)
         for masses in (triple, wide):
             prog = field_program(masses, config)
-            size = DIM + len(prog.ops)
-            for K in (2, 6):
-                levels = _levels(prog, K)
-                assert _levels(prog, K) is levels
-                assert FieldNodes(prog, 3, 2, K).levels is levels
-                for (muls1, lin1), (muls, lin) in zip(_levels(prog, 1),
-                                                      levels):
-                    w = muls1.shape[1]
-                    arrays = [muls]
-                    for k in range(K):
-                        assert np.array_equal(muls[:, k * w:(k + 1) * w],
-                                              muls1 + k * size)
-                    if lin1 is None:
-                        assert lin is None
-                        continue
-                    J = len(lin1.nodes)
-                    for k in range(K):
-                        at = slice(k * J, (k + 1) * J)
-                        assert np.array_equal(lin.nodes[at],
-                                              lin1.nodes + k * size)
-                        assert np.array_equal(lin.operands[:, at],
-                                              lin1.operands + k * size)
-                        assert np.array_equal(lin.scale[:, at], lin1.scale)
-                        assert np.array_equal(lin.const_lo[:, at],
-                                              lin1.const_lo)
-                    # interval coefficient i of copy k sits at copy k's
-                    # position of the K = 1 coefficient i
-                    (t, j), (t1, j1) = lin.iv_at, lin1.iv_at
-                    assert np.array_equal(t, np.tile(t1, K))
-                    assert np.array_equal(j % J, np.tile(j1, K))
-                    assert np.array_equal(j // J,
-                                          np.repeat(np.arange(K), j1.size))
-                    assert np.array_equal(lin.iv_lo,
-                                          np.tile(lin1.iv_lo, (K, 1)))
-                    assert np.array_equal(lin.iv_hi,
-                                          np.tile(lin1.iv_hi, (K, 1)))
+            levels = _levels(prog)
+            misses = _levels.cache_info().misses
+            for K in (1, 2, 6):
+                nodes = FieldNodes(prog, 3, 2, K)
+                assert nodes.levels is levels
+                assert nodes.G.shape == (K, DIM + len(prog.ops), 4, 3)
+            assert _levels.cache_info().misses == misses
+            for muls, lin in levels:
+                arrays = [muls]
+                if lin is not None:
                     assert (lin.iv_hi is lin.iv_lo) == (
-                        lin1.iv_hi is lin1.iv_lo) == (
-                        masses is triple or not t1.size)
-                    arrays += [lin.nodes, lin.operands, lin.scale, t, j,
-                               lin.iv_lo, lin.iv_hi, lin.const_lo,
-                               lin.const_hi]
-                    assert not any(x.flags.writeable for x in arrays)
+                        masses is triple or not lin.iv_at[0].size)
+                    arrays += [lin.nodes, lin.operands, lin.scale,
+                               *lin.iv_at, lin.iv_lo, lin.iv_hi,
+                               lin.const_lo, lin.const_hi]
+                assert not any(x.flags.writeable for x in arrays)
 
     @pytest.mark.parametrize("parts", ["real", "complex", "mixed"])
     def test_copies_fill_as_one_copy_each(self, config, triple, parts):
@@ -525,34 +498,39 @@ class TestLevelSchedule:
         nodes = FieldNodes(prog, M, N, K)
         ones = [FieldNodes(prog, M, N) for _ in inputs]
         for k, (one, S) in enumerate(zip(ones, inputs)):
-            nodes.blocks[k, :DIM] = S.coefs
-            one.G[:DIM] = S.coefs
+            nodes.G[k, :DIM] = S.coefs
+            one.G[0, :DIM] = S.coefs
         for n in range(N + 1):
             out = nodes.b_column(n)
             want = [one.b_column(n) for one in ones]
-            assert out.shape == (K * DIM, M + 1)
+            assert out.shape == (K, DIM, M + 1)
             for k, w in enumerate(want):
+                assert w.shape == (1, DIM, M + 1)
                 if parts == "mixed" and k != 1:
-                    got = out[k * DIM:(k + 1) * DIM]
-                    assert np.all(got.lo <= w.hi) and np.all(w.lo <= got.hi)
+                    got = out[k]
+                    assert (np.all(got.lo <= w[0].hi)
+                            and np.all(w[0].lo <= got.hi))
                 else:
-                    assert _same(out[k * DIM:(k + 1) * DIM], w), (n, k)
+                    assert _same(out[k], w[0]), (n, k)
         for k, one in enumerate(ones):
             if parts != "mixed" or k == 1:
-                assert _same(nodes.blocks[k], one.G), k
+                assert _same(nodes.G[k], one.G[0]), k
         if parts == "mixed":
             return
         origin = [[S.coefs.at(i, 0, 0) for i in range(DIM)] for S in inputs]
         degs = [degree_nodes(prog, M, o)[0] for o in origin]
         nodes = FieldNodes(prog, M, M, K)
         for k, one in enumerate(degs):
-            one.G[:DIM] = _fit(inputs[k].coefs, M, M)
-            nodes.blocks[k] = one.G
+            one.G[0, :DIM] = _fit(inputs[k].coefs, M, M)
+            nodes.G[k] = one.G[0]
         for d in range(1, 2 * M + 1):
             out = nodes.degree(d)
             want = [one.degree(d) for one in degs]
+            assert out.shape == (K, DIM, len(antidiagonal(M, M, d)[0]))
             for k, w in enumerate(want):
-                assert _same(out[k * DIM:(k + 1) * DIM], w), (d, k)
+                assert _same(out[k], w[0]), (d, k)
+        for k, one in enumerate(degs):
+            assert _same(nodes.G[k], one.G[0]), k
 
     def test_point_coefficients_share_one_array(self, config, triple):
         # the masses of MassTriple.from_floats are points: their level
@@ -568,7 +546,7 @@ class TestLevelSchedule:
                           triple.m3)
         for masses, point in ((triple, True), (wide, False)):
             levels = [lin for _, lin in
-                      _levels(field_program(masses, config), 1)
+                      _levels(field_program(masses, config))
                       if lin is not None and lin.iv_at[0].size]
             assert levels
             for lin in levels:
@@ -599,15 +577,15 @@ class TestLevelSchedule:
         got = FieldNodes(prog, M, N)
         want = FieldNodes(prog, M, N)
         for n in range(N + 1):
-            got.G[:DIM, :, n] = S.coefs[:, :, n]
+            got.G[0, :DIM, :, n] = S.coefs[:, :, n]
             out = got.b_column(n)
             _node_by_node_column(want, S, n)
             # column 0 carries the Lin constants
             assert np.array_equal(got.G.lo, want.G.lo), n
             assert np.array_equal(got.G.hi, want.G.hi), n
-            ref = want.G[:, :, n][list(prog.outputs)]
-            assert np.array_equal(out.lo, ref.lo)
-            assert np.array_equal(out.hi, ref.hi)
+            ref = want.G[0, :, :, n][list(prog.outputs)]
+            assert np.array_equal(out.lo, ref.lo[:, None])
+            assert np.array_equal(out.hi, ref.hi[:, None])
         if real:
             assert not got.G.lo[1].any() and not got.G.hi[1].any()
 
@@ -622,7 +600,7 @@ class TestLevelSchedule:
         want, _ = degree_nodes(prog, K, [S.coefs.at(i, 0, 0)
                                          for i in range(DIM)])
         for nodes in (got, want):
-            nodes.G[:DIM] = S.coefs
+            nodes.G[0, :DIM] = S.coefs
         for d in range(1, 2 * K + 1):
             for m_min in (0, (d + 1) // 2):
                 out = got.degree(d, m_min)
@@ -630,18 +608,19 @@ class TestLevelSchedule:
                 assert np.array_equal(got.G.lo, want.G.lo), (d, m_min)
                 assert np.array_equal(got.G.hi, want.G.hi), (d, m_min)
                 ms, ns = antidiagonal(K, K, d, m_min)
-                grids = Series2(want.G).components
+                grids = Series2(want.G[0]).components
+                assert out.shape == (1, DIM, len(ms))
                 for r, o in enumerate(prog.outputs):
-                    assert np.array_equal(out[r].lo, grids[o][ms, ns].lo)
-                    assert np.array_equal(out[r].hi, grids[o][ms, ns].hi)
+                    assert np.array_equal(out[0, r].lo, grids[o][ms, ns].lo)
+                    assert np.array_equal(out[0, r].hi, grids[o][ms, ns].hi)
 
     def test_degree_without_slots_leaves_the_nodes(self, config, triple):
         # a (4, 7) grid has no degree-11 slot with m >= 6
         rng = np.random.default_rng(5)
         nodes = FieldNodes(field_program(triple, config), 4, 7)
-        nodes.G[:DIM] = _random_inputs(rng, 4, 7, False).coefs
+        nodes.G[0, :DIM] = _random_inputs(rng, 4, 7, False).coefs
         before = nodes.G.copy()
-        assert nodes.degree(11, 6).shape == (DIM, 0)
+        assert nodes.degree(11, 6).shape == (1, DIM, 0)
         assert np.array_equal(nodes.G.lo, before.lo)
         assert np.array_equal(nodes.G.hi, before.hi)
 
@@ -655,7 +634,7 @@ class TestFoldedTails:
         prog = field_program(triple, config)
         assert DIM + len(prog.ops) == 39
         assert DIM + len(unfolded_program(triple, config).ops) == 42
-        levels = _levels(prog, 1)
+        levels = _levels(prog)
         assert len(levels) == 4
         assert sum(lin is not None for _, lin in levels) == 3
 
@@ -668,7 +647,7 @@ class TestFoldedTails:
         S = _random_inputs(rng, M, N, real)
         cols = [FieldNodes(prog, M, N) for prog in progs]
         for c in cols:
-            c.G[:DIM] = S.coefs
+            c.G[0, :DIM] = S.coefs
         for n in range(N + 1):
             got, want = (c.b_column(n) for c in cols)
             assert np.array_equal(got.lo, want.lo), n
@@ -678,7 +657,7 @@ class TestFoldedTails:
         origin = [S.coefs.at(i, 0, 0) for i in range(DIM)]
         degs = [degree_nodes(prog, K, origin)[0] for prog in progs]
         for nodes in degs:
-            nodes.G[:DIM] = S.coefs
+            nodes.G[0, :DIM] = S.coefs
         for d in range(1, 2 * K + 1):
             for m_min in (0, (d + 1) // 2):
                 got, want = (nodes.degree(d, m_min) for nodes in degs)
@@ -959,8 +938,8 @@ class TestStackedBeyondGrid:
         im = np.zeros_like(re)
         im[2] = 1e-3 * rng.standard_normal(im[2].shape)
         w = 1e-9 * np.abs(rng.standard_normal(re.shape))
-        nodes.blocks[:, :DIM] = CIntervalArray(np.stack((re - w, im)),
-                                               np.stack((re + w, im)))
+        nodes.G[:, :DIM] = CIntervalArray(np.stack((re - w, im)),
+                                          np.stack((re + w, im)))
         for n in range(N + 1):
             nodes.b_column(n)
         for copies in ([0, 1, 2, 3], [3, 1], [2]):
