@@ -11,17 +11,23 @@ shrink of the parameter restores geometric decay; charts whose range
 box approaches a primary are dropped and their arcs retired.
 
 Everything is serializable: the JSON schema stores coefficient
-endpoints as plain numbers, which round-trip bit-exactly through the
-repr-based float formatting of the json module.
+endpoints as plain numbers, which orjson writes in their shortest
+round-trip form (compact separators, no whitespace) and reads back bit
+for bit.  JSON has no spelling for nan or an infinity, which orjson
+would write as null, so ``save`` refuses any float it would write that
+is not finite; a file holding the ``Infinity`` or ``NaN`` literal that
+the stdlib json module writes does not parse, and ``load`` raises
+ValueError (``orjson.JSONDecodeError``) for it.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from .advect import ArcFill, FlowChart, choose_tau, collapse_time_one
 from .crfbp import MassTriple, PrimaryConfig, primaries
@@ -31,6 +37,10 @@ from .manifold import BoundaryArc, LocalManifold, boundary_mesh
 from .taylor import Series2, compose_affine
 
 SCHEMA_VERSION = 1
+
+# int keys of meta are written as strings, as the stdlib json module
+# writes them, and numpy numbers as the numbers they hold
+ORJSON_OPTIONS = orjson.OPT_NON_STR_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
 
 @dataclass(frozen=True)
@@ -345,6 +355,10 @@ class Atlas:
     # -- persistence
 
     def save(self, path) -> None:
+        """Write the atlas to ``path`` as a schema-1 JSON document.
+        Raises ValueError naming the field, before the file is opened,
+        when a float it would write is not finite; a refused or failed
+        encoding leaves an existing file as it was."""
         doc = {
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
@@ -361,10 +375,12 @@ class Atlas:
                        for rec in sorted(self.charts.values(),
                                          key=lambda r: r.chart_id)],
         }
-        # json.dumps runs the C encoder; json.dump, writing in chunks,
-        # always runs the pure-Python one, for the same bytes
-        with open(path, "w") as f:
-            f.write(json.dumps(doc))
+        for key in ("masses", "meta"):
+            _require_finite(key, doc[key])
+        # encode in full before opening, since opening truncates
+        data = orjson.dumps(doc, option=ORJSON_OPTIONS)
+        with open(path, "wb") as f:
+            f.write(data)
 
     @classmethod
     def load(cls, path) -> "Atlas":
@@ -373,9 +389,12 @@ class Atlas:
         an atlas that can grow: every frontier, stopped and chart arc id
         names a stored arc, and the next arc and chart ids exceed every
         stored one, so ``grow`` neither reads a missing arc nor
-        overwrites a stored record."""
-        with open(path) as f:
-            doc = json.load(f)
+        overwrites a stored record, and no arc or chart id is stored
+        twice (the later record would replace the earlier).  A file
+        that is not JSON, such as one holding an ``Infinity`` literal,
+        raises ValueError too (``orjson.JSONDecodeError``)."""
+        with open(path, "rb") as f:
+            doc = orjson.loads(f.read())
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise SchemaVersionMismatch(
                 f"expected atlas schema {SCHEMA_VERSION}, "
@@ -392,6 +411,12 @@ class Atlas:
         for d in doc["charts"]:
             rec = _chart_from_json(d)
             atlas.charts[rec.chart_id] = rec
+        for name, records, stored in (("arc", doc["arcs"], atlas.arcs),
+                                      ("chart", doc["charts"], atlas.charts)):
+            if len(stored) != len(records):
+                ids = [d[f"{name}_id"] for d in records]
+                repeated = sorted({i for i in ids if ids.count(i) > 1})
+                raise ValueError(f"atlas file repeats {name} ids {repeated}")
         named = (atlas.frontier + atlas.stopped
                  + [rec.arc_id for rec in atlas.charts.values()])
         missing = sorted(set(named) - set(atlas.arcs))
@@ -408,9 +433,37 @@ class Atlas:
 # JSON forms
 
 
+def _require_finite(field: str, value) -> None:
+    """Raise ValueError naming ``field`` when ``value``, a number, a
+    numpy array, or lists, tuples and dicts of them, holds a nan or an
+    infinity, which orjson would write as null."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _require_finite(f"{field}.{k}", v)
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _require_finite(f"{field}[{i}]", v)
+    elif (isinstance(value, float) and not math.isfinite(value)
+          or isinstance(value, (np.floating, np.ndarray))
+          and not np.isfinite(value).all()):
+        raise ValueError(f"atlas field {field} is not finite, and JSON "
+                         "has no number for it")
+
+
+def _series_to_json(field: str, s: Series2) -> dict:
+    """``s.to_json()``, refused by ``_require_finite`` when the scale,
+    tau, the tail or a grid endpoint is not finite."""
+    sc = complex(s.scale)
+    _require_finite(field, {"scale": [sc.real, sc.imag], "tau": s.tau,
+                            "tail": s.tail})
+    _require_finite(f"{field} lower grid", s.coefs.lo)
+    _require_finite(f"{field} upper grid", s.coefs.hi)
+    return s.to_json()
+
+
 def _arc_to_json(rec: ArcRecord) -> dict:
     pre = rec.arc.preimage
-    return {
+    d = {
         "arc_id": rec.arc_id,
         "generation": rec.generation,
         "arc_time": rec.arc_time,
@@ -419,8 +472,10 @@ def _arc_to_json(rec: ArcRecord) -> dict:
         "kind": rec.arc.kind,
         "preimage": None if pre is None else
             [[pre[0].real, pre[0].imag], [pre[1].real, pre[1].imag]],
-        "series": rec.arc.gamma.to_json(),
     }
+    _require_finite(f"arc {rec.arc_id}", d)
+    d["series"] = _series_to_json(f"arc {rec.arc_id} series", rec.arc.gamma)
+    return d
 
 
 def _arc_from_json(d: dict) -> ArcRecord:
@@ -437,7 +492,7 @@ def _arc_from_json(d: dict) -> ArcRecord:
 
 def _chart_to_json(rec: ChartRecord) -> dict:
     ch = rec.chart
-    return {
+    d = {
         "chart_id": rec.chart_id,
         "arc_id": rec.arc_id,
         "generation": rec.generation,
@@ -445,8 +500,10 @@ def _chart_to_json(rec: ChartRecord) -> dict:
         "defect": ch.defect,
         "source_arc": ch.source_arc,
         "accumulated_time": ch.accumulated_time,
-        "series": ch.Gamma.to_json(),
     }
+    _require_finite(f"chart {rec.chart_id}", d)
+    d["series"] = _series_to_json(f"chart {rec.chart_id} series", ch.Gamma)
+    return d
 
 
 def _chart_from_json(d: dict) -> ChartRecord:

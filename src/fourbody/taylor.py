@@ -634,8 +634,8 @@ class Series2:
 
     def to_json(self) -> dict:
         """JSON form: metadata and every component's four endpoint
-        grids as nested lists, which the json module writes with
-        round-trip float reprs."""
+        grids as nested lists, which atlas files write in shortest
+        round-trip float form."""
         sc = complex(self.scale)
         return {
             "scale": [sc.real, sc.imag],

@@ -2,10 +2,11 @@
 
 import filecmp
 import functools
-import io
 import json
+from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from fourbody.atlas import (
 from fourbody.crfbp import MassTriple, primaries
 from fourbody.errors import (SchemaVersionMismatch, SubdivisionLimit,
                              SymmetryViolation)
-from fourbody.interval import CInterval, Interval
+from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import BoundaryArc, local_manifold
 from fourbody.taylor import ScalarSeries2, Series2
 
@@ -485,14 +486,97 @@ class TestPersistence:
         Atlas.load(p1).save(p2)
         assert filecmp.cmp(p1, p2, shallow=False)
 
-    def test_save_writes_the_bytes_of_json_dump(self, grown, tmp_path):
-        # save encodes with json.dumps; the file is the one json.dump
-        # writes for the same document
+    def test_save_writes_the_bytes_of_orjson_dumps(self, grown, tmp_path):
+        # the file is what orjson.dumps, with save's options, writes for
+        # the document it parses to, and the stdlib json module reads
+        # the same document from it
         path = tmp_path / "atlas.json"
         grown.save(path)
-        ref = io.StringIO()
-        json.dump(json.loads(path.read_text()), ref)
-        assert path.read_text() == ref.getvalue()
+        data = path.read_bytes()
+        doc = orjson.loads(data)
+        assert orjson.dumps(doc, option=atlas_module.ORJSON_OPTIONS) == data
+        assert json.loads(data.decode()) == doc
+
+    def test_planted_floats_round_trip_bit_for_bit(self, grown, tmp_path,
+                                                   monkeypatch):
+        # extremes of every float range and over 10,000 random finite bit
+        # patterns, as both endpoints of an arc's grid
+        tiny = 2.2250738585072014e-308
+        special = [0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0),
+                   1.7976931348623157e308, -1.7976931348623157e308]
+        bits = np.random.default_rng(0).integers(
+            0, 2**64, size=10_500, dtype=np.uint64, endpoint=False)
+        floats = bits.view(np.float64)
+        values = np.concatenate([special, floats[np.isfinite(floats)]])
+        assert values.size >= 10_000 + len(special)
+        grid = np.resize(values, (2, 7, 30, 50))
+        rec = grown.arcs[0]
+        planted = replace(rec.arc.gamma,
+                          components=CIntervalArray(grid, grid))
+        monkeypatch.setitem(grown.arcs, 0,
+                            replace(rec, arc=replace(rec.arc, gamma=planted)))
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        back = Atlas.load(path).arcs[0].arc.gamma.coefs
+        assert back.lo.tobytes() == back.hi.tobytes() == grid.tobytes()
+
+    def test_refused_save_leaves_the_file(self, grown, tmp_path,
+                                          monkeypatch):
+        # opening for writing truncates, so save encodes first: a save
+        # that raises leaves the previous file byte for byte
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        before = path.read_bytes()
+        for meta, error in (({"bad": object()}, TypeError),
+                            ({"bad": float("inf")}, ValueError)):
+            monkeypatch.setattr(grown, "meta", meta)
+            with pytest.raises(error):
+                grown.save(path)
+            assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("plant, field", [
+        ("chart-grid", r"chart 2 series upper grid"),
+        ("arc-tail", r"arc 3 series\.tail"),
+        ("meta", r"meta\.run\.bound\[1\]"),
+    ])
+    def test_save_refuses_non_finite_floats(self, grown, tmp_path,
+                                            monkeypatch, plant, field):
+        # orjson writes nan and infinities as null, which would load as
+        # None: save names the field instead, before it opens the file
+        if plant == "chart-grid":
+            rec = grown.charts[2]
+            G = rec.chart.Gamma
+            hi = G.coefs.hi.copy()
+            hi[0, 4, 1, 2] = np.inf
+            bad = replace(G, components=CIntervalArray(G.coefs.lo, hi))
+            monkeypatch.setitem(grown.charts, 2,
+                                replace(rec, chart=replace(rec.chart,
+                                                           Gamma=bad)))
+        elif plant == "arc-tail":
+            rec = grown.arcs[3]
+            g = rec.arc.gamma
+            bad = replace(g, components=g.coefs, tail=np.inf)
+            monkeypatch.setitem(grown.arcs, 3,
+                                replace(rec, arc=replace(rec.arc, gamma=bad)))
+        else:
+            monkeypatch.setattr(grown, "meta",
+                                {"run": {"bound": [1.0, -np.inf]}})
+        path = tmp_path / "atlas.json"
+        with pytest.raises(ValueError, match=field):
+            grown.save(path)
+        assert not path.exists()
+
+    def test_infinity_literal_does_not_load(self, grown, tmp_path):
+        # the stdlib json module wrote an infinite tail as Infinity,
+        # which is not JSON: load raises ValueError
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        doc = json.loads(path.read_text())
+        doc["arcs"][0]["series"]["tail"] = float("inf")
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ValueError):
+            Atlas.load(path)
 
     def test_schema_version_guard(self, grown, tmp_path):
         path = tmp_path / "atlas.json"
@@ -549,7 +633,13 @@ class TestPersistence:
         (lambda doc: doc.update(next_arc_id=0), "next ids"),
         (lambda doc: doc.update(next_chart_id=len(doc["charts"]) - 1),
          "next ids"),
-    ], ids=["frontier", "stopped", "chart-arc", "next-arc", "next-chart"])
+        (lambda doc: doc["arcs"].append(dict(doc["arcs"][1], arc_id=0)),
+         r"repeats arc ids \[0\]"),
+        (lambda doc: doc["charts"].append(dict(doc["charts"][1],
+                                               chart_id=0)),
+         r"repeats chart ids \[0\]"),
+    ], ids=["frontier", "stopped", "chart-arc", "next-arc", "next-chart",
+            "repeated-arc", "repeated-chart"])
     def test_load_rejects_ids_that_grow_cannot_use(self, grown, tmp_path,
                                                    corrupt, match):
         # a frontier id naming no arc made grow raise KeyError, and a
@@ -573,6 +663,17 @@ class TestPersistence:
         path = tmp_path / "atlas.json"
         atlas.save(path)
         assert Atlas.load(path).meta == {"profile": "desk", "seed": 7}
+
+    def test_meta_loads_as_the_stdlib_json_module_wrote_it(
+            self, grown, tmp_path, monkeypatch):
+        # int keys come back as strings, and a numpy float (a float
+        # subclass, which json.dumps accepted) as a float
+        meta = {1: "a", "b": {2: [3, np.float64(4.5)]}}
+        monkeypatch.setattr(grown, "meta", meta)
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        assert Atlas.load(path).meta == json.loads(json.dumps(meta)) \
+            == {"1": "a", "b": {"2": [3, 4.5]}}
 
     def test_load_restores_growability(self, grown, tmp_path):
         path = tmp_path / "atlas.json"
