@@ -207,13 +207,18 @@ def choose_tau(arcs: Sequence[BoundaryArc], m: MassTriple,
     dividing the trailing column ratio by ``_TARGET_RATIO`` leaves the
     production run with successive-column ratios near the target.  The
     pilots are one ``ArcFill`` of the arcs, so each arc's tau is the
-    one a pilot of that arc alone gives.
+    one a pilot of that arc alone gives.  A ratio that is not finite,
+    such as inf / inf from a pilot whose columns overflow, is skipped,
+    and an arc left with no finite ratio keeps tau = 1, as an all-zero
+    pilot does; its production fill then fails its tube or guard.
     """
     taus = []
     for G in ArcFill(arcs, m, p, (M, _N_PILOT), [1.0] * len(arcs)).G:
         norms = [_column_mag(G, n) for n in range(_N_PILOT + 1)]
-        ratios = [norms[k + 1] / norms[k]
-                  for k in range(_N_PILOT - 2, _N_PILOT) if norms[k] > 0.0]
+        ratios = [r for r in (norms[k + 1] / norms[k]
+                              for k in range(_N_PILOT - 2, _N_PILOT)
+                              if norms[k] > 0.0)
+                  if math.isfinite(r)]
         taus.append(max(max(ratios) / _TARGET_RATIO, _TAU_FLOOR)
                     if ratios else 1.0)
     return taus

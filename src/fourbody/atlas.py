@@ -390,7 +390,12 @@ class Atlas:
         names a stored arc, and the next arc and chart ids exceed every
         stored one, so ``grow`` neither reads a missing arc nor
         overwrites a stored record, and no arc or chart id is stored
-        twice (the later record would replace the earlier).  A file
+        twice (the later record would replace the earlier).  The
+        frontier ids, the stopped ids and the chart arc ids are
+        pairwise disjoint, each with no repeats: an arc is advected at
+        most once, into one chart or into ``stopped``, and a frontier id
+        listed twice, or also stopped or charted, would make ``grow``
+        advect its arc again.  A file
         that is not JSON, such as one holding an ``Infinity`` literal,
         raises ValueError too (``orjson.JSONDecodeError``)."""
         with open(path, "rb") as f:
@@ -422,6 +427,10 @@ class Atlas:
         missing = sorted(set(named) - set(atlas.arcs))
         if missing:
             raise ValueError(f"atlas file names missing arcs {missing}")
+        if len(set(named)) != len(named):
+            twice = sorted({i for i in named if named.count(i) > 1})
+            raise ValueError(f"atlas file names arcs {twice} more than once "
+                             "among its frontier, stopped and chart arcs")
         if (atlas._next_arc <= max(atlas.arcs, default=-1)
                 or atlas._next_chart <= max(atlas.charts, default=-1)):
             raise ValueError("atlas file's next ids do not exceed its "

@@ -363,16 +363,16 @@ class FieldNodes:
     every interpreter of the program, whatever its K, and by
     ``node_jets``): at each level all ``Mul`` nodes of every copy by one
     call of the fill's stacked product kernel, which gathers their
-    factor pairs straight from ``G``, node i of copy k at flat grid
-    k size + i, then all ``Lin`` nodes, which may read that level's
-    products, by one ``_LinLevel.values`` that takes the copies as
-    parts beside (real, imaginary), with the endpoints of evaluating
-    each node's terms one by one, up to the sign of a zero, and the
-    constants added to every copy.  The lifted field takes three
-    product passes per column and per degree.  Every kernel forms each
-    row from its own pair or terms only, so copy k's grids are those of
-    a one-copy interpreter on copy k's inputs, given the same real-ness
-    decision below.
+    factors straight from ``G`` (their (M, n) corners for a column, the
+    pairs of a degree), node i of copy k at flat grid k size + i, then
+    all ``Lin`` nodes, which may read that level's products, by one
+    ``_LinLevel.values`` that takes the copies as parts beside (real,
+    imaginary), with the endpoints of evaluating each node's terms one
+    by one, up to the sign of a zero, and the constants added to every
+    copy.  The lifted field takes three product passes per column and
+    per degree.  Every kernel forms each row from its own pair or terms
+    only, so copy k's grids are those of a one-copy interpreter on copy
+    k's inputs, given the same real-ness decision below.
 
     The input rows ``G[k, :DIM]`` of each copy are the series being
     filled: the caller writes them, and neither fill writes them.
@@ -385,7 +385,10 @@ class FieldNodes:
     ``product_column``'s for its pair, bit for bit, when that decision
     agrees with the pair's own, as it does when every copy's inputs are
     exactly real, as the arcs of an atlas are, or all complex, and
-    overlaps it otherwise.  Theorem: if input columns 0..n are
+    overlaps it otherwise.  The kernel also picks its two- or
+    four-candidate former once per call, from every copy's factors,
+    but both give each row the same bits, so that choice never couples
+    the copies.  Theorem: if input columns 0..n are
     enclosures, so are columns n of all nodes, since a product's column
     n reads only columns 0..n of its factors, and truncation to the
     grid drops only coefficients of orders that products never bring

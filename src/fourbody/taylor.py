@@ -33,8 +33,10 @@ yields the "hat" sums that omit every summand containing the unknown
 coefficient).  Filling one time-order column at a time, behind
 advection, ``manifold.field_series`` and every defect and tail bound
 (``polyfield.field_defect``), it uses ``product_columns``, in
-cache-sized blocks, with products rounded to nearest and float sums
-each padded a priori by the gamma of its own row's term count plus an
+cache-sized blocks, with products rounded to nearest (two endpoint
+candidates per product when every factor entry is finite and
+sign-definite, four otherwise, to the same bits) and float sums each
+padded a priori by the gamma of its own row's term count plus an
 underflow term, which covers the products' rounding as well as the
 sums'.  ``product_antidiagonal`` and ``product_column`` are their
 one-pair cases, on the two-node stack of their factors.
@@ -246,30 +248,26 @@ def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int,
 
 
 @functools.lru_cache(maxsize=256)
-def _column_plan(M: int, n: int, w: int):
-    """Gather plan of column n, rows 0..M, of a product on grids of
-    width w.
+def _column_plan(M: int, n: int):
+    """Summation plan of column n, rows 0..M, of a product.
 
-    Lists the pairs (a_{m-i, n-k}, b_{i, k}), i <= m, k <= n, row m
-    after row m - 1 and i-major within a row, as flat indices ``ia``
-    and ``ib`` into a row-major (real or imaginary) part grid.
-    ``starts`` holds each row's first pair.  ``pad`` holds the rows'
-    padding factors gamma_(c+1) for c = c_m = (m + 1)(n + 1) real
-    summands (pad[0]) and for the c = 2 c_m of a complex row (pad[1]),
-    and ``tiny`` the matching underflow terms c 2^-1074.
+    Row m sums the c_m = (m + 1)(n + 1) pairs (a_{m-i, n-k}, b_{i, k}),
+    i <= m, k <= n, i-major: rows m, m - 1, ..., 0 of a, each with its
+    columns n..0, against rows 0..m of b, each with its columns 0..n.
+    Laid out row after row, row m holds the pairs ``bounds[m]`` up to
+    ``bounds[m + 1]``.  ``pad`` holds the rows' padding factors
+    gamma_(c+1) for c = c_m real summands (pad[0]) and for the
+    c = 2 c_m of a complex row (pad[1]), and ``tiny`` the matching
+    underflow terms c 2^-1074.
     """
     counts = (np.arange(M + 1) + 1) * (n + 1)
-    starts = np.cumsum(counts) - counts
-    m = np.repeat(np.arange(M + 1), counts)
-    i, k = np.divmod(np.arange(counts.sum()) - starts[m], n + 1)
-    ia = (m - i) * w + (n - k)
-    ib = i * w + k
+    bounds = tuple(np.concatenate(([0], np.cumsum(counts))).tolist())
     pad = np.array([[_gamma(int(c) + 1) for c in counts],
                     [_gamma(2 * int(c) + 1) for c in counts]])
     tiny = np.stack((counts, 2 * counts)) * 2.0 ** -1074
-    for x in (ia, ib, starts, pad, tiny):
+    for x in (pad, tiny):
         x.flags.writeable = False  # shared by every caller of the cache
-    return ia, ib, starts, pad, tiny
+    return bounds, pad, tiny
 
 
 def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
@@ -310,6 +308,23 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
     of a single product (row 0 of column 0, real factors) is that
     product's rounded endpoints, stepped one ulp outward.  A side
     whose float sums overflow comes out unbounded.
+
+    Theorem (two candidates): call an interval sign-definite when
+    lo >= 0 or hi <= 0, its inner end the one of smaller magnitude
+    and its outer end the other.  For finite sign-definite a and b
+    the exact product's ends are inner a inner b and outer a outer b:
+    the least and the greatest with equal signs, the other way round
+    with opposite signs, and |outer outer| >= |inner inner|.  Rounding
+    to nearest is monotone, so the min and max of those two rounded
+    candidates equal the min and max of the four rounded ones, and
+    |fl(outer outer)| equals max(-lo, hi) of the four, except that a
+    zero product may differ in its sign.  That sign reaches no row: a
+    row is a float sum minus (plus) a padding of at least
+    c 2^-1074 > 0, or a single product stepped one ulp outward, and
+    neither depends on the sign of a zero.  Finite factors exclude the
+    four candidates' inf 0 = nan, so a product that overflows to an
+    infinity gives the same ends too.  So a real row formed from two
+    candidates equals, bit for bit, the row formed from four.
     """
     (Ma, Na), (Mb, Nb) = a.orders, b.orders
     if min(Ma, Mb) < M or min(Na, Nb) < n:
@@ -319,15 +334,13 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
     return product_columns(G, [0], [1], n, M, real)[0]
 
 
-# Most part products per call of the column kernel: gathered pairs
-# times 1 for real factors, times 4 (re re, re im, im re, im im) for
-# complex ones.  A call keeps about a dozen temporaries of one double
-# per part product alive (gathered endpoints, the four candidates,
-# the products' ends and magnitudes), 32 KB each at 4,096, so a call
-# works inside a core's L2 cache next to the interpreter's grids;
-# whole levels of deep columns outgrow it and ran slower than one
-# call per product.
-_COLUMN_BLOCK = 4096
+# Most endpoint candidates per block of the column kernel, for either
+# former: a block's rows hold (products) (a parts) (b parts) pairs,
+# each with 2 candidates (two-candidate former) or 4 (four-candidate
+# former), so the four-candidate blocks keep at most 4,096 part
+# products.  Both advection workloads ran their kernel calls as fast
+# at 16,384 as at any larger budget, and slower at 4,096 and 8,192
+_COLUMN_BLOCK = 16384
 
 
 def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
@@ -337,85 +350,158 @@ def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     and b index flat over the leading axes; returns shape
     (len(a), M + 1).
 
-    The pairs are gathered straight from ``G`` by flat indices
-    node (rows cols) + plan index into ``_column_plan``, in blocks of
-    at most ``_COLUMN_BLOCK`` part products and at least one product,
-    and each block is one pass of ``_column_rows``, so a row depends
-    on its pair only, not on the blocks.  ``real`` asserts that every
-    factor is exactly real, as the caller checks once for the whole
-    stack, and only the real products are formed; with ``real`` false
-    every row is complex, by the theorem of ``product_column`` an
-    enclosure for any factors.
+    ``real`` asserts that every factor is exactly real, as the caller
+    checks once for the whole stack, and only the real products are
+    formed; with ``real`` false every row is complex, by the theorem
+    of ``product_column`` an enclosure for any factors.  The call
+    gathers the (M, n) corner of each factor once: rows 0..M and
+    columns 0..n.  A real call whose corner entries are all finite and
+    sign-definite (lo >= 0 or hi <= 0, tested by comparing each end
+    with zero, never by the sign of lo hi, which underflows) sorts
+    every entry into its inner and outer end and runs
+    ``_column_rows``' two-candidate former; any other call, complex or
+    with an entry that straddles zero or is not finite, runs its
+    four-candidate former.  Both form their pairs row by row in
+    ``_column_plan``'s order, in blocks of whole rows of at most
+    ``_COLUMN_BLOCK`` candidates and at least one row, and return the
+    rows' sums, so a row depends on its own product only, not on the
+    blocks or the other products; one finish per call then pads every
+    row, steps it outward, zeroes a real call's imaginary half and
+    leaves row 0 of column 0, a single product, unpadded.
     """
     rows, cols = G.shape[-2:]
     if rows <= M or cols <= n:
         raise ValueError("factor grids do not cover the requested column")
-    ia, ib, starts, pad, tiny = _column_plan(M, n, cols)
+    bounds, pad, tiny = _column_plan(M, n)
     parts = 1 if real else 2
-    glo, ghi = (x.reshape(2, -1)[:parts] for x in (G.lo, G.hi))
-    ja = np.add.outer(np.asarray(a) * (rows * cols), ia)
-    jb = np.add.outer(np.asarray(b) * (rows * cols), ib)
-    lo, hi = np.empty((2, 2, len(ja), M + 1))
-    step = max(1, _COLUMN_BLOCK // (ia.size * parts * parts))
-    for s in range(0, len(ja), step):
-        at = slice(s, s + step)
-        lo[:, at], hi[:, at] = _column_rows(
-            glo.take(ja[at], axis=-1)[:, None],
-            ghi.take(ja[at], axis=-1)[:, None],
-            glo.take(jb[at], axis=-1)[None],
-            ghi.take(jb[at], axis=-1)[None], n, starts, pad, tiny)
+    k = len(a)
+    # (part, factor, row, column): the corners of a's and then b's
+    # factors
+    lo, hi = (x.reshape(2, -1, rows, cols)[:parts, np.concatenate((a, b)),
+                                           : M + 1, : n + 1]
+              for x in (G.lo, G.hi))
+    ends, definite = (lo, hi), False
+    if real:
+        pos = lo >= 0.0
+        if (pos | (hi <= 0.0)).all():
+            # inner and outer ends; an outer end is not finite when
+            # its entry is not
+            outer = np.where(pos, hi, lo)
+            if np.isfinite(outer).all():
+                ends, definite = (np.where(pos, lo, hi), outer), True
+    # (end, part, product, row, column): a's corners with rows and
+    # columns reversed, and b's; flattened, row m pairs x's last
+    # (m + 1)(n + 1) entries with y's first
+    x, y = np.empty((2, 2, parts, k, M + 1, n + 1))
+    for j, e in enumerate(ends):
+        x[j], y[j] = e[:, :k, ::-1, ::-1], e[:, k:]
+    slo, shi, mag = _column_rows(x.reshape(2, parts, k, -1),
+                                 y.reshape(2, parts, k, -1), bounds, definite)
+    if real:
+        err = pad[0] * mag[0, 0] + tiny[0]
+        if n == 0:
+            # row 0 is a single product, its ends stepped outward
+            err[:, 0] = 0.0
+        lo, hi = np.zeros((2, 2, k, M + 1))
+        np.subtract(slo[0, 0], err, out=lo[0])
+        np.add(shi[0, 0], err, out=hi[0])
+        _outward(lo[0], hi[0])
+        return CIntervalArray._wrap(lo, hi)
+    # real part from [re, re] and [im, im], imaginary from [re, im], [im, re]
+    err = pad[1] * (mag[0] + mag[1, ::-1]) + tiny[1]
+    lo, hi = slo[0] + slo[1, ::-1] - err, shi[0] + shi[1, ::-1] + err
+    _outward(lo, hi)
     return CIntervalArray._wrap(lo, hi)
 
 
-def _column_rows(alo, ahi, blo, bhi, n, starts, pad, tiny):
-    """The column kernel: rows of column n of k products from their
-    gathered pairs, as lo and hi of shape (2, k, rows).
+def _column_rows(x, y, bounds, definite):
+    """The column kernel: the row sums of column n of k products, as
+    (slo, shi, mag) of shape (3, parts, parts, k, rows).
 
-    ``alo`` and ``ahi`` hold the first factors' endpoints, shape
-    (parts, 1, k, pairs), ``blo`` and ``bhi`` the second's, shape
-    (1, parts, k, pairs), in the order of ``_column_plan``, whose
-    ``starts``, ``pad`` and ``tiny`` are passed; one part means real
-    factors.  Every row is formed as ``product_column``'s theorem
-    states."""
+    ``x`` holds the first factors' corners with rows and columns
+    reversed, ``y`` the second's, both flattened to shape
+    (2, parts, k, rows (n + 1)); one part means real factors.  With
+    ``definite`` their two ends are every entry's inner and outer end,
+    otherwise its lo and hi.  Row m multiplies x's last c_m = (m + 1)
+    (n + 1) entries by y's first c_m, which lays its pairs out in the
+    order of ``_column_plan``, whose ``bounds`` is passed: two
+    candidates per pair, inner inner and outer outer, or four, every
+    end of a by every end of b, each rounded to nearest.  Each row's
+    terms are then formed as ``product_column``'s theorems state: its
+    products' lower ends, upper ends and magnitudes, with the products
+    a_im b_im negated for the real part of a complex row, and summed
+    by one ``np.add.reduceat`` per block of rows."""
+    _, parts, k, size = x.shape
+    rows = len(bounds) - 1
+    per_pair = k * parts * parts * (2 if definite else 4)
+    # whole rows m0..m1 - 1 per block, as many as the budget takes
+    blocks, m0 = [], 0
+    while m0 < rows:
+        m1 = m0 + 1
+        while (m1 < rows and per_pair * (bounds[m1 + 1] - bounds[m0])
+               <= _COLUMN_BLOCK):
+            m1 += 1
+        blocks.append((m0, m1))
+        m0 = m1
+    # one workspace per call: two candidates and room for their three
+    # ends, or four candidates and their three ends
+    slots = 4 if definite else 7
+    work = np.empty(slots * k * parts * parts
+                    * max(bounds[m1] - bounds[m0] for m0, m1 in blocks))
+    if definite:
+        # inner inner and outer outer, over (end, product) rows
+        x, y = x.reshape(2 * k, size), y.reshape(2 * k, size)
+    else:
+        # (a end, b end) = [lo, lo], [lo, hi], [hi, lo], [hi, hi]
+        x, y = x[:, None, :, None], y[None, :, None]
+    sums = np.empty((3, parts, parts, k, rows))
+    for m0, m1 in blocks:
+        at = [t - bounds[m0] for t in bounds[m0: m1 + 1]]
+        c = work[: slots * k * parts * parts * at[-1]].reshape(
+            slots, parts, parts, k, -1)
+        out = (c[:2, 0].reshape(2 * k, -1) if definite
+               else c[:4].reshape(2, 2, parts, parts, k, -1))
+        for s, e in zip(at, at[1:]):
+            np.multiply(x[..., size - e + s:], y[..., : e - s],
+                        out=out[..., s: e])
+        sums[..., m0: m1] = np.add.reduceat(_row_terms(c, definite), at[:-1],
+                                            axis=-1)
+    return sums
+
+
+def _row_terms(c, definite):
+    """The lower ends, upper ends and magnitudes, shape
+    (3, parts, parts, k, pairs), of the products whose candidates the
+    workspace ``c`` holds, written into its last three slots: with
+    ``definite`` two, inner inner and outer outer, in slots 0 and 1
+    (the second overwritten), otherwise four in slots 0 to 3."""
+    if definite:
+        np.abs(c[1], out=c[3])
+        np.maximum(c[0], c[1], out=c[2])
+        np.minimum(c[0], c[1], out=c[1])
+        return c[1:]
     # one product per (a part, b part): [re, re], [re, im], [im, re],
-    # [im, im]; the four endpoint candidates, rounded to nearest
-    c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    # the products' lower ends, upper ends and magnitudes, summed by
-    # one reduceat
-    ends = np.empty((3,) + c1.shape)
-    plo, phi, mag = ends
+    # [im, im]
+    c1, c2, c3, c4, plo, phi, mag = c
     np.maximum(c1, c2, out=phi)
     np.minimum(c1, c2, out=c1)
     np.maximum(c3, c4, out=c2)
     np.minimum(c3, c4, out=c3)
     np.minimum(c1, c3, out=plo)
     np.maximum(phi, c2, out=phi)
-    real = len(alo) == 1
-    if not real:
+    if len(c1) == 2:
         # the real part subtracts the products a_im b_im: negate them
         plo[1, 1], phi[1, 1] = -phi[1, 1], -plo[1, 1]
     # max(-lo, hi) is max(|lo|, |hi|) since lo <= hi
     np.maximum(np.negative(plo, out=mag), phi, out=mag)
-    slo, shi, mag = np.add.reduceat(ends, starts, axis=-1)
-    if real:
-        err = pad[0] * mag[0, 0] + tiny[0]
-        lo, hi = np.zeros((2, 2) + err.shape)
-        lo[0], hi[0] = _outward(slo[0, 0] - err, shi[0, 0] + err)
-        if n == 0:
-            lo[0, :, 0], hi[0, :, 0] = _outward(plo[0, 0, :, 0],
-                                                phi[0, 0, :, 0])
-        return lo, hi
-    # real part from [re, re] and [im, im], imaginary from [re, im], [im, re]
-    err = pad[1] * (mag[0] + mag[1, ::-1]) + tiny[1]
-    return _outward(slo[0] + slo[1, ::-1] - err,
-                    shi[0] + shi[1, ::-1] + err)
+    return c[4:]
 
 
 def _outward(lo, hi):
-    """lo and hi stepped one ulp outward; a nan, from float sums of
-    opposite infinities, becomes the unbounded side."""
-    return (np.fmax(np.nextafter(lo, -np.inf), -np.inf),
-            np.fmin(np.nextafter(hi, np.inf), np.inf))
+    """Step lo and hi one ulp outward, in place; a nan, from float sums
+    of opposite infinities, becomes the unbounded side."""
+    np.fmax(np.nextafter(lo, -np.inf, out=lo), -np.inf, out=lo)
+    np.fmin(np.nextafter(hi, np.inf, out=hi), np.inf, out=hi)
 
 
 def cauchy_product(a: ScalarSeries2, b: ScalarSeries2,

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourbody import atlas as atlas_module
-from fourbody.advect import ArcFill
+from fourbody import taylor
+from fourbody.advect import ArcFill, choose_tau, flow_line
 from fourbody.atlas import (
     Atlas,
     SCHEMA_VERSION,
@@ -21,10 +22,10 @@ from fourbody.atlas import (
     subdivide_arc,
 )
 from fourbody.crfbp import MassTriple, primaries
-from fourbody.errors import (SchemaVersionMismatch, SubdivisionLimit,
-                             SymmetryViolation)
+from fourbody.errors import (CollisionDomain, SchemaVersionMismatch,
+                             SubdivisionLimit, SymmetryViolation)
 from fourbody.interval import CInterval, CIntervalArray, Interval
-from fourbody.manifold import BoundaryArc, local_manifold
+from fourbody.manifold import BoundaryArc, boundary_mesh, local_manifold
 from fourbody.taylor import ScalarSeries2, Series2
 
 from conftest import fresh_advect, piece_grow
@@ -446,6 +447,63 @@ class TestRetimedRetries:
         assert atlas.charts == {} and atlas.stopped == []
 
 
+class TestOverflowingPilot:
+    """An arc whose pilot columns overflow: ``choose_tau`` skips the
+    ratios that are not finite (inf / inf) and keeps tau = 1, so its
+    fill fails its tube instead of raising ValueError for a nan tau."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self, setup, stable5):
+        # the flowline-hi mesh at seed 0, with arc 5 scaled by 1e60
+        arcs = boundary_mesh(stable5, n_arcs=20)
+        c = arcs[5].gamma.coefs
+        big = replace(arcs[5], gamma=replace(
+            arcs[5].gamma,
+            components=CIntervalArray._wrap(c.lo * 1e60, c.hi * 1e60)))
+        return arcs, big
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tau_is_one_and_the_chart_is_refused(self, setup, mesh):
+        m, pc = setup
+        arcs, big = mesh
+        assert choose_tau([big, arcs[3]], m, pc, 10)[0] == 1.0
+        with pytest.raises(CollisionDomain):
+            flow_line(big, m, pc, orders=(10, 18))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_grow_retires_the_arc_and_keeps_the_other(self, setup, mesh,
+                                                      monkeypatch):
+        # once the big copy's columns overflow, its infinite entries
+        # send the stacked fill's product columns to four candidates,
+        # and arc 3's chart keeps the bits of arc 3 grown alone, whose
+        # columns all take two
+        m, _ = setup
+        arcs, big = mesh
+        kw = dict(orders=(10, 18), max_len=1e300, decay_tol=1e300)
+        both, alone = Atlas("stable", m), Atlas("stable", m)
+        for arc in (big, arcs[3]):
+            both._add_arc(arc, generation=0, arc_time=0.0)
+        alone._add_arc(arcs[3], generation=0, arc_time=0.0)
+        formers = []
+        rows = taylor._column_rows
+        monkeypatch.setattr(taylor, "_column_rows", lambda x, y, b, d: (
+            formers.append(d) or rows(x, y, b, d)))
+        assert both.grow(1, **kw) == [0]
+        assert not all(formers)
+        formers.clear()
+        assert alone.grow(1, **kw) == [0]
+        assert formers and all(formers)
+        assert both.stopped == [0]
+        assert both.stop_reasons[0].message.startswith("Gronwall tube failed")
+        got, want = both.charts[0], alone.charts[0]
+        assert got.arc_id == 1
+        g, w = got.chart, want.chart
+        for x, y in ((g.Gamma.coefs.lo, w.Gamma.coefs.lo),
+                     (g.Gamma.coefs.hi, w.Gamma.coefs.hi)):
+            assert x.tobytes() == y.tobytes()
+        assert (g.tail, g.defect, g.tau) == (w.tail, w.defect, w.tau)
+
+
 class TestPersistence:
 
     def test_round_trip_is_bit_exact(self, grown, tmp_path):
@@ -638,8 +696,20 @@ class TestPersistence:
         (lambda doc: doc["charts"].append(dict(doc["charts"][1],
                                                chart_id=0)),
          r"repeats chart ids \[0\]"),
+        (lambda doc: doc["frontier"].append(doc["frontier"][0]),
+         "more than once"),
+        (lambda doc: doc["stopped"].append(doc["frontier"][0]),
+         "more than once"),
+        (lambda doc: doc["frontier"].append(doc["charts"][0]["arc_id"]),
+         "more than once"),
+        (lambda doc: doc["stopped"].extend([doc["frontier"].pop()] * 2),
+         "more than once"),
+        (lambda doc: doc["charts"][1].update(
+            arc_id=doc["charts"][0]["arc_id"]), "more than once"),
     ], ids=["frontier", "stopped", "chart-arc", "next-arc", "next-chart",
-            "repeated-arc", "repeated-chart"])
+            "repeated-arc", "repeated-chart", "frontier-twice",
+            "frontier-stopped", "frontier-charted", "stopped-twice",
+            "chart-arc-twice"])
     def test_load_rejects_ids_that_grow_cannot_use(self, grown, tmp_path,
                                                    corrupt, match):
         # a frontier id naming no arc made grow raise KeyError, and a
@@ -655,6 +725,22 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
             Atlas.load(path)
+
+    def test_grown_atlases_load(self, setup, unstable5, tmp_path):
+        # two generations with splits and retirements keep their
+        # frontier, stopped and chart arc ids apart, and load back
+        m, _ = setup
+        atlas = Atlas.from_manifold(unstable5, m, n_arcs=6, arc_order=10)
+        atlas.grow(2, orders=(10, 18), max_len=0.0034, tau_retries=0)
+        splits = [r for r in atlas.arcs.values() if r.split_from is not None]
+        assert splits and atlas.stopped and len(atlas.charts) > 6
+        assert {r.generation for r in atlas.charts.values()} == {0, 1}
+        path = tmp_path / "atlas.json"
+        atlas.save(path)
+        back = Atlas.load(path)
+        assert (back.frontier, back.stopped) == (atlas.frontier, atlas.stopped)
+        back.save(tmp_path / "back.json")
+        assert filecmp.cmp(path, tmp_path / "back.json", shallow=False)
 
     def test_meta_survives(self, setup, stable5, tmp_path):
         m, _ = setup

@@ -236,6 +236,60 @@ def _exact_column(a, b, n, M):
     return rows
 
 
+def _pair_indices(M, n, w):
+    """The pairs of column n, rows 0..M, as flat indices into row-major
+    (M', w) part grids of a and of b: (a_{m-i, n-k}, b_{i, k}), row m
+    after row m - 1, i-major within a row, and each row's first pair,
+    the order that ``taylor._column_plan`` states."""
+    counts = (np.arange(M + 1) + 1) * (n + 1)
+    starts = np.cumsum(counts) - counts
+    m = np.repeat(np.arange(M + 1), counts)
+    i, k = np.divmod(np.arange(counts.sum()) - starts[m], n + 1)
+    return (m - i) * w + (n - k), i * w + k, starts
+
+
+def _four_candidate_columns(G, a, b, n, M, real):
+    """The rows of ``product_columns`` by the four-candidate rule alone,
+    for every call: every pair gathered by flat indices, the four
+    endpoint products of each part product rounded to nearest, their
+    min and max (the products a_im b_im negated into the real part),
+    magnitudes max(-lo, hi), one ``np.add.reduceat`` over the pairs in
+    ``_pair_indices``' order, each row padded by gamma_(c+1) times its
+    magnitude sum plus c 2^-1074 and stepped one ulp outward, except
+    the single-product row 0 of a real column 0, which is only
+    stepped.  The reference for the two formers."""
+    rows, cols = G.shape[-2:]
+    ia, ib, starts = _pair_indices(M, n, cols)
+    _, pad, tiny = _column_plan(M, n)
+    parts = 1 if real else 2
+    glo, ghi = (x.reshape(2, -1)[:parts] for x in (G.lo, G.hi))
+    ja = np.add.outer(np.asarray(a) * (rows * cols), ia)
+    jb = np.add.outer(np.asarray(b) * (rows * cols), ib)
+    alo, ahi = (x.take(ja, axis=-1)[:, None] for x in (glo, ghi))
+    blo, bhi = (x.take(jb, axis=-1)[None] for x in (glo, ghi))
+    c = np.stack((alo * blo, alo * bhi, ahi * blo, ahi * bhi))
+    plo, phi = c.min(axis=0), c.max(axis=0)
+    if not real:
+        plo[1, 1], phi[1, 1] = -phi[1, 1], -plo[1, 1]
+    slo, shi, mag = (np.add.reduceat(x, starts, axis=-1)
+                     for x in (plo, phi, np.maximum(-plo, phi)))
+
+    def outward(lo, hi):
+        return (np.fmax(np.nextafter(lo, -np.inf), -np.inf),
+                np.fmin(np.nextafter(hi, np.inf), np.inf))
+
+    if real:
+        err = pad[0] * mag[0, 0] + tiny[0]
+        lo, hi = np.zeros((2, 2, len(ja), M + 1))
+        lo[0], hi[0] = outward(slo[0, 0] - err, shi[0, 0] + err)
+        if n == 0:
+            lo[0, :, 0], hi[0, :, 0] = outward(plo[0, 0, :, 0],
+                                               phi[0, 0, :, 0])
+        return lo, hi
+    err = pad[1] * (mag[0] + mag[1, ::-1]) + tiny[1]
+    return outward(slo[0] + slo[1, ::-1] - err, shi[0] + shi[1, ::-1] + err)
+
+
 def _one_ulp_column(a, b, n, M):
     """Column n of the product as ``product_column`` forms it, except
     that every product is stepped one ulp outward before the rows'
@@ -244,7 +298,8 @@ def _one_ulp_column(a, b, n, M):
     real = not (a.lo[1].any() or a.hi[1].any()
                 or b.lo[1].any() or b.hi[1].any())
     parts = 1 if real else 2
-    ia, ib, starts, pad, _ = _column_plan(M, n, a.shape[1])
+    ia, ib, starts = _pair_indices(M, n, a.shape[1])
+    _, pad, _ = _column_plan(M, n)
     alo, ahi = (x.reshape(2, -1)[:parts, None].take(ia, axis=-1)
                 for x in (a.lo, a.hi))
     blo, bhi = (x.reshape(2, -1)[None, :parts].take(ib, axis=-1)
@@ -358,8 +413,10 @@ class TestProductColumn:
                 assert np.array_equal(col.hi, full.hi[:, : M + 1])
 
     def test_plan_arrays_are_read_only(self):
-        for plan in (_column_plan(4, 3, 6), _column_plan(0, 0, 1)):
-            for x in plan:
+        for plan in (_column_plan(4, 3), _column_plan(0, 0)):
+            bounds, *arrays = plan
+            assert isinstance(bounds, tuple)
+            for x in arrays:
                 assert not x.flags.writeable
                 with pytest.raises(ValueError):
                     x[...] = 0
@@ -456,13 +513,14 @@ class TestProductColumns:
             lo[p], hi[p] = x - w, x + w
         return CIntervalArray._wrap(lo, hi)
 
-    @pytest.mark.parametrize("block", [1, 40, taylor._COLUMN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 40, 4096, taylor._COLUMN_BLOCK])
     @pytest.mark.parametrize("kind", ["plain", "overflow", "underflow"])
     @pytest.mark.parametrize("real", [True, False])
     def test_equals_product_column_per_pair(self, monkeypatch, block, kind,
                                             real):
-        # block budgets of one product per call, a few products and
-        # the default; column 0 holds the single-product row
+        # block budgets, in candidates, of one row per call, a few
+        # rows, 4,096 (1,024 four-candidate part products) and the
+        # default; column 0 holds the single-product row
         monkeypatch.setattr(taylor, "_COLUMN_BLOCK", block)
         rng = np.random.default_rng(61 + real)
         M, N, nodes = 4, 5, 6
@@ -484,6 +542,117 @@ class TestProductColumns:
                                     == y.tobytes()), (n, j)
         if kind == "overflow":
             assert np.isinf(got.hi).any()
+
+    @staticmethod
+    def _formers(monkeypatch):
+        """The ``definite`` flag of every later ``_column_rows`` call:
+        True where the two-candidate former ran."""
+        seen = []
+        rows = taylor._column_rows
+
+        def spy(x, y, bounds, definite):
+            seen.append(definite)
+            return rows(x, y, bounds, definite)
+
+        monkeypatch.setattr(taylor, "_column_rows", spy)
+        return seen
+
+    @staticmethod
+    def _definite_stack(rng, nodes, M, N, big):
+        """``nodes`` real grids on (M, N) whose entries are all finite
+        and sign-definite: points, [0, x], [-0.0, x], [x, 0], [x, -0.0]
+        and general intervals of either sign, whose ends include the
+        least subnormal and normal magnitudes and, with ``big``, 1e160,
+        whose products overflow."""
+        shape = (nodes, M + 1, N + 1)
+        special = [0.0, 5e-324, 2.2250738585072014e-308] + [1e160] * big
+
+        def magnitude():
+            x = rng.standard_normal(shape) ** 2 * 2.0 ** rng.integers(
+                -8, 3, shape)
+            return np.where(rng.random(shape) < 0.3,
+                            rng.choice(special, shape), x)
+
+        u, v = magnitude(), magnitude()
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        kind = rng.integers(0, 4, shape)
+        lo = np.where(kind == 0, hi, lo)
+        lo = np.where(kind == 1, 0.0, lo)
+        lo = np.where(kind == 2, -0.0, lo)
+        neg = rng.random(shape) < 0.5
+        lo, hi = np.where(neg, -hi, lo), np.where(neg, -lo, hi)
+        G = CIntervalArray.zeros(shape)
+        G.lo[0], G.hi[0] = lo, hi
+        return G
+
+    @staticmethod
+    def _assert_reference_rows(G, a, b, n, rows, real):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = product_columns(G, a, b, n, rows, real)
+            want = _four_candidate_columns(G, a, b, n, rows, real)
+        for x, y in zip((got.lo, got.hi), want):
+            assert np.ascontiguousarray(x).tobytes() == y.tobytes(), n
+        return got
+
+    @pytest.mark.parametrize("block", [1, 40, taylor._COLUMN_BLOCK])
+    def test_two_candidates_equal_four_candidate_rows(self, monkeypatch,
+                                                      block):
+        # finite sign-definite factors run the two-candidate former,
+        # and every row keeps the bits of the four-candidate rows,
+        # column 0's single product, n = 0 and one-row columns included
+        monkeypatch.setattr(taylor, "_COLUMN_BLOCK", block)
+        seen = self._formers(monkeypatch)
+        rng = np.random.default_rng(71)
+        M, N, nodes = 4, 5, 8
+        unbounded = False
+        for _ in range(4):
+            G = self._definite_stack(rng, nodes, M, N, big=True)
+            a, b = rng.integers(0, nodes, (2, 7))
+            for rows in (M, 0):
+                for n in range(N + 1):
+                    got = self._assert_reference_rows(G, a, b, n, rows, True)
+                    unbounded |= bool(np.isinf(got.hi).any())
+        assert len(seen) == 4 * 2 * (N + 1) and all(seen) and unbounded
+
+    @pytest.mark.parametrize("block", [1, 40, taylor._COLUMN_BLOCK])
+    @pytest.mark.parametrize("planted", [
+        (-1.0, 2.0), (-1e-200, 1e-200), (1.0, np.inf), (-np.inf, -3.0)],
+        ids=["straddler", "underflowing-straddler", "inf", "-inf"])
+    def test_other_real_calls_run_four_candidates(self, monkeypatch, block,
+                                                  planted):
+        # one entry that straddles zero (whose lo hi underflows to -0.0
+        # in the second case) or is infinite sends the whole call to the
+        # four-candidate former; its rows equal the reference and, when
+        # finite, enclose the exact column
+        monkeypatch.setattr(taylor, "_COLUMN_BLOCK", block)
+        seen = self._formers(monkeypatch)
+        rng = np.random.default_rng(73)
+        M, N, nodes = 3, 3, 6
+        G = self._definite_stack(rng, nodes, M, N, big=False)
+        a, b = rng.integers(0, nodes, (2, 5))
+        G.lo[0, a[2], 0, 0], G.hi[0, a[2], 0, 0] = planted
+        finite = np.isfinite(planted).all()
+        for n in range(N + 1):
+            got = self._assert_reference_rows(G, a, b, n, M, True)
+            if not finite:
+                continue
+            for j in (2, 4):
+                fa, fb = (ScalarSeries2._wrap(G.lo[:, i], G.hi[:, i])
+                          for i in (a[j], b[j]))
+                for m, parts in enumerate(_exact_column(fa, fb, n, M)):
+                    assert Fraction(got.lo[0, j, m]) <= parts[0][0]
+                    assert Fraction(got.hi[0, j, m]) >= parts[0][1]
+        assert len(seen) == N + 1 and not any(seen)
+
+    def test_complex_calls_run_four_candidates(self, monkeypatch):
+        # sign-definite complex factors keep the four candidates
+        seen = self._formers(monkeypatch)
+        rng = np.random.default_rng(79)
+        G = self._definite_stack(rng, 4, 3, 2, big=False)
+        G.lo[1], G.hi[1] = G.lo[0], G.hi[0]
+        for n in range(3):
+            self._assert_reference_rows(G, [0, 1], [2, 3], n, 3, False)
+        assert seen == [False] * 3
 
     def test_rejects_small_grids(self):
         G = CIntervalArray.zeros((2, 3, 3))
