@@ -17,7 +17,10 @@ chart k is copy k's input rows, and every node of copy k a grid of
 run costs the same as a single full Cauchy product per node, and each
 level pass serves every chart.  An ``ArcFill`` holds that run and its
 interpreter; an atlas generation is one ``ArcFill`` of all its arc
-pieces, its ``choose_tau`` pilots another, and a single arc is K = 1.
+pieces, and a single arc is K = 1.  With automatic tau the fill is its
+own pilot: it makes columns 0..``_N_PILOT`` at tau = +-1, reads each
+arc's tau from them (``choose_tau``), rescales them to it by outward
+enclosures of tau^-n and fills the rest of each chart at its tau.
 Its ``finish(copies)`` makes the charts of any list of its arcs at
 once, each step one stacked pass over the list, the arcs on the
 leading axis: the defects from the interpreter
@@ -59,6 +62,7 @@ from .interval import (
     _iadd_arr,
     _imul_arr,
     _irecip_arr,
+    _iscale_arr,
     _ldexp_arr,
     _nonneg_upper,
     _pad_sum,
@@ -107,17 +111,19 @@ class FlowChart:
 
 
 def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
-                taus: Sequence[float]) -> None:
+                taus: Sequence[float], start: int = 0) -> None:
     """Integrate tau_k dGamma_k/dt = F(Gamma_k) for K charts at once by
-    the coefficient recursion, filling columns 1..N of ``out`` in place
-    from its column 0, the initial lines.
+    the coefficient recursion, filling columns start + 1..N of ``out``
+    in place from its columns 0..start: the initial lines, and for
+    ``start`` > 0 the columns a fill has made so far.
 
     ``out`` has shape (K, dim, M + 1, N + 1), chart k at ``out[k]``,
     and ``taus[k]`` is chart k's time rescaling.  ``b_column(n)`` must
     return the field coefficients of t-order n of every chart as one
     CIntervalArray of shape (K, dim, M + 1), entry (k, i) for component
-    i of chart k, reading only columns 0..n of ``out``; column n + 1 of
-    chart k is then b_k / (tau_k (n + 1)), and all K are written by one
+    i of chart k, reading only columns 0..n of ``out``; it is called
+    for n = start..N - 1, and column n + 1 of chart k is then
+    b_k / (tau_k (n + 1)), and all K are written by one
     stacked ``_imul_arr`` with the enclosures of 1 / (tau_k (n + 1)),
     all K N of them formed before the first column by one stacked
     product (``_time_scales``) and one stacked directed reciprocal
@@ -128,18 +134,22 @@ def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
     where a scale is exactly +-1 or +-2, they equal those of
     ``CIntervalArray``'s exact scaling up to the sign of a zero.  The
     field is supplied by the caller, so harness fields (constant,
-    linear) exercise the engine exactly.
+    linear) exercise the engine exactly.  Raises ValueError unless
+    0 <= start <= N.
     """
     K, dim, rows, cols = out.shape
     N = cols - 1
     if N < 1:
         raise ValueError("time order N must be at least 1")
+    if not 0 <= start <= N:
+        raise ValueError(f"start column {start} is off the time orders "
+                         f"0..{N}")
     if len(taus) != K:
         raise ValueError(f"{len(taus)} rescalings for {K} charts")
     if not all(tau != 0.0 and math.isfinite(tau) for tau in taus):
         raise ValueError("tau must be finite and nonzero")
     inv_lo, inv_hi = _irecip_arr(*_time_scales(taus, N))
-    for n in range(N):
+    for n in range(start, N):
         b = b_column(n)
         out.lo[..., n + 1], out.hi[..., n + 1] = _imul_arr(
             b.lo.reshape(2, K, dim, rows), b.hi.reshape(2, K, dim, rows),
@@ -190,31 +200,33 @@ def _column_mag(G: Series2, n: int) -> float:
     return float(np.max(mags[0] + mags[1]))
 
 
-# choose_tau's pilot order, the successive-column ratio it aims the
-# production run at, and the least tau it returns
+# the columns an automatic-tau fill makes at tau = +-1 before it picks
+# tau, the successive-column ratio it aims the rest of the fill at, and
+# the least tau it picks
 _N_PILOT = 8
 _TARGET_RATIO = 0.5
 _TAU_FLOOR = 1e-6
 
 
-def choose_tau(arcs: Sequence[BoundaryArc], m: MassTriple,
-               p: PrimaryConfig, M: int) -> list[float]:
-    """Pick each arc's time rescaling from one short pilot fill of all
-    the arcs.
+def choose_tau(charts: Sequence[Series2]) -> list[float]:
+    """Each chart's time rescaling from its columns 0..``_N_PILOT``,
+    which a fill has made at tau = +-1.
 
     Column norms of a Taylor flow decay like (tau R)^-n with R the
-    flow-time convergence radius, so running a pilot at tau = 1 and
-    dividing the trailing column ratio by ``_TARGET_RATIO`` leaves the
-    production run with successive-column ratios near the target.  The
-    pilots are one ``ArcFill`` of the arcs, so each arc's tau is the
-    one a pilot of that arc alone gives.  A ratio that is not finite,
-    such as inf / inf from a pilot whose columns overflow, is skipped,
-    and an arc left with no finite ratio keeps tau = 1, as an all-zero
-    pilot does; its production fill then fails its tube or guard.
+    flow-time convergence radius, so dividing the trailing column ratio
+    of a tau = 1 fill by ``_TARGET_RATIO`` leaves a fill at the
+    returned tau with successive-column ratios near the target (the
+    usual step rule of Taylor methods; Jorba and Zou, Exp. Math. 14
+    (2005)).  A chart's tau reads only its own columns.  A ratio that
+    is not finite, such as inf / inf from columns that overflow, is
+    skipped, and a chart left with no finite ratio gets tau = 1, as an
+    all-zero one does; its chart then fails its tube or guard.  A
+    heuristic: it picks tau and bounds nothing.
     """
     taus = []
-    for G in ArcFill(arcs, m, p, (M, _N_PILOT), [1.0] * len(arcs)).G:
-        norms = [_column_mag(G, n) for n in range(_N_PILOT + 1)]
+    for G in charts:
+        norms = {n: _column_mag(G, n)
+                 for n in range(_N_PILOT - 2, _N_PILOT + 1)}
         ratios = [r for r in (norms[k + 1] / norms[k]
                               for k in range(_N_PILOT - 2, _N_PILOT)
                               if norms[k] > 0.0)
@@ -224,47 +236,127 @@ def choose_tau(arcs: Sequence[BoundaryArc], m: MassTriple,
     return taus
 
 
+def _power_bounds(taus: Sequence[float], n: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The floor and the ceil of tau_k^-j for j = 1..n, as lo and hi of
+    shape (K, n), for finite tau_k > 0 with tau_k^-n inside the float
+    range: each power is an exact rational, whose nearest float
+    ``float`` gives (integer true division rounds correctly), stepped
+    to the floor or the ceil where it falls on the wrong side, so lo
+    and hi are at most one ulp apart.  ``fractions`` is imported here,
+    its one use, so that importing the package does not load it."""
+    from fractions import Fraction
+
+    lo, hi = np.empty((2, len(taus), n))
+    for k, tau in enumerate(taus):
+        r = 1 / Fraction(tau)
+        q = Fraction(1)
+        for j in range(n):
+            q *= r
+            x = float(q)
+            lo[k, j] = x if Fraction(x) <= q else math.nextafter(x, -math.inf)
+            hi[k, j] = x if Fraction(x) >= q else math.nextafter(x, math.inf)
+    return lo, hi
+
+
 class ArcFill:
     """One Taylor fill of a list of boundary arcs, and the charts made
     from it.
 
-    ``ArcFill(arcs, m, p, orders, taus)`` runs ``taylor_flow`` once,
-    arc k at the positive time rescaling ``taus[k]``, on one
+    ``ArcFill(arcs, m, p, orders, taus)`` runs ``taylor_flow`` on one
     ``FieldNodes`` with one copy per arc that only this object holds,
-    so every level pass serves all the arcs (a single arc is K = 1).
-    ``G[k]``, arc k's chart series, is a view of copy k's input rows,
-    so the charts and the inputs are one array; stable arcs advect in
-    backward time, so ``G[k]`` carries the signed rescaling in its
-    ``tau``, and the source arc's tail.  The interpreter decides
+    so every level pass serves all the arcs (a single arc is K = 1):
+    arc k at the positive time rescaling ``taus[k]``, or, for ``taus``
+    None, at the one that ``choose_tau`` reads from the fill's own
+    first columns.  Then the fill makes columns 0..``_N_PILOT`` at
+    tau = +-1, picks each arc's tau from its chart, rescales those
+    columns to it (``_rescale``) and goes on from column ``_N_PILOT``
+    at the picked taus, so one fill is both the pilot and the chart,
+    and each arc's tau is the one a tau = 1 fill of columns
+    0..``_N_PILOT`` of that arc alone gives, since column n reads only
+    columns 0..n; it needs N >= ``_N_PILOT``, or ValueError is
+    raised.  ``G[k]``, arc k's chart series, is a view of copy k's
+    input rows, so the charts and the inputs are one array; stable arcs
+    advect in backward time, so ``G[k]`` carries the signed rescaling
+    in its ``tau``, and the source arc's tail.  The interpreter decides
     real-ness for all the arcs together (``FieldNodes``): atlas arcs
     are exactly real, so each chart is bit-equal to that of a fill of
-    its arc alone.  ``finish(copies)`` makes the charts of a list of
-    arcs together: their defects, range boxes, Gronwall tubes and
-    collision guards, each as one stacked pass over the list.
-    ``retime(k)`` doubles arc k's tau without refilling, so a chart
-    retried at 2^j tau costs j retimes, not j fills, and an atlas
-    finishes all its retries of one round in one call.
+    its arc alone, with the same ``taus`` or both automatic.
+    ``finish(copies)`` makes the charts of a list of arcs together:
+    their defects, range boxes, Gronwall tubes and collision guards,
+    each as one stacked pass over the list.  ``retime(k)`` doubles arc
+    k's tau without refilling, so a chart retried at 2^j tau costs j
+    retimes, not j fills, and an atlas finishes all its retries of one
+    round in one call.
     """
 
     def __init__(self, arcs: Sequence[BoundaryArc], m: MassTriple,
                  p: PrimaryConfig, orders: tuple[int, int],
-                 taus: Sequence[float]):
-        arcs, taus = list(arcs), list(taus)
-        if len(taus) != len(arcs):
-            raise ValueError(f"{len(taus)} rescalings for {len(arcs)} arcs")
-        if not all(tau > 0.0 for tau in taus):
-            raise ValueError("tau must be positive")
+                 taus: Optional[Sequence[float]] = None):
+        arcs = list(arcs)
         M, N = orders
+        if taus is None:
+            if N < _N_PILOT:
+                raise ValueError(f"automatic tau needs time order N >= "
+                                 f"{_N_PILOT}, got {N}")
+        else:
+            taus = list(taus)
+            if len(taus) != len(arcs):
+                raise ValueError(f"{len(taus)} rescalings for {len(arcs)} "
+                                 "arcs")
+            if not all(tau > 0.0 for tau in taus):
+                raise ValueError("tau must be positive")
         self.arcs, self.m, self.p = arcs, m, p
         self._nodes = FieldNodes(field_program(m, p), M, N, len(arcs))
         charts = self._nodes.G[:, :DIM]
         charts[:, :, :, 0] = CIntervalArray.of([_arc_column(arc, M)
                                                 for arc in arcs])
         self.G = [Series2(charts[k], scale=arc.gamma.scale,
-                          tau=-tau if arc.kind == "stable" else tau,
+                          tau=(-1.0 if arc.kind == "stable" else 1.0)
+                          * (1.0 if taus is None else taus[k]),
                           tail=arc.gamma.tail)
-                  for k, (arc, tau) in enumerate(zip(arcs, taus))]
-        taylor_flow(charts, self._nodes.b_column, [G.tau for G in self.G])
+                  for k, arc in enumerate(arcs)]
+        start = 0
+        if taus is None:
+            taylor_flow(charts[..., :_N_PILOT + 1], self._nodes.b_column,
+                        [G.tau for G in self.G])
+            self._rescale(choose_tau(self.G))
+            start = _N_PILOT
+        taylor_flow(charts, self._nodes.b_column, [G.tau for G in self.G],
+                    start)
+
+    def _rescale(self, taus: Sequence[float]) -> None:
+        """Take every arc k from tau = +-1 to +-``taus[k]``: columns
+        1..``_N_PILOT`` of every node of copy k of the interpreter, the
+        chart's input rows included, scaled by an enclosure of
+        taus[k]^-n (``_power_bounds``), all copies in one stacked
+        ``interval._iscale_arr``.  Column 0, the arc, is left as it is.
+
+        Theorem (``retime``'s, for any ratio): with sigma = +-1 the
+        direction and tau = ``taus[k]``, G'(s, t) = G(s, t / tau)
+        solves sigma tau dG'/dt = F(G') when G solves
+        sigma dG/dt = F(G), and, F being a polynomial,
+        F(G')(s, t) = F(G)(s, t / tau), so column n of G' and of every
+        node of F(G') is tau^-n times G's and F(G)'s.  The scaling
+        rounds outward, so for every chart G in the fill's boxes, G'
+        lies in the rescaled boxes and the rescaled node boxes enclose
+        F(G')'s columns 0..``_N_PILOT`` - 1, all the fill has made of
+        them; the columns the fill goes on to make at tau, and the
+        defect and tube ``finish`` bounds, then hold for the rescale of
+        every chart the fill encloses.  The arcs enter exactly real
+        (``_arc_column``), so every imaginary grid of the fill is an
+        exact zero, which the scaling would leave as it is; only the
+        real halves are scaled.  Raises ValueError, before any column
+        is scaled, for a tau that is not finite."""
+        if not all(math.isfinite(tau) for tau in taus):
+            raise ValueError("tau must be finite and nonzero")
+        slo, shi = _power_bounds(taus, _N_PILOT)
+        at = (0, Ellipsis, slice(1, _N_PILOT + 1))
+        G = self._nodes.G
+        G.lo[at], G.hi[at] = _iscale_arr(
+            G.lo[at], G.hi[at], slo[:, None, None], shi[:, None, None])
+        for chart, tau in zip(self.G, taus):
+            chart.tau *= tau
 
     def retime(self, k: int) -> None:
         """Double arc k's tau: column n of every node of copy k of the
@@ -354,12 +446,12 @@ def flow_line(arc: BoundaryArc, m: MassTriple, p: PrimaryConfig,
 
     ``tau`` is the positive time rescaling; stable arcs advect in
     backward time, recorded by the sign of the stored ``Gamma.tau``.
-    When omitted it is chosen so the trailing column ratio is about
-    one half.
+    When omitted, the fill picks it from its own first columns
+    (``ArcFill`` with ``taus`` None), so the trailing column ratio is
+    about one half; that needs N >= ``_N_PILOT``.
     """
-    if tau is None:
-        tau, = choose_tau([arc], m, p, orders[0])
-    chart, = ArcFill([arc], m, p, orders, [tau]).finish(
+    chart, = ArcFill([arc], m, p, orders,
+                     None if tau is None else [tau]).finish(
         [0], start_times=[start_time])
     if isinstance(chart, CollisionDomain):
         raise chart

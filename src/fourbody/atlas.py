@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 import orjson
 
-from .advect import ArcFill, FlowChart, choose_tau, collapse_time_one
+from .advect import ArcFill, FlowChart, collapse_time_one
 from .crfbp import MassTriple, PrimaryConfig, primaries
 from .errors import CollisionDomain, SchemaVersionMismatch, SubdivisionLimit
 from .interval import IntervalArray
@@ -283,9 +283,11 @@ class Atlas:
         everything before it changes the atlas, so an exception, such
         as a SubdivisionLimit, leaves the atlas as that generation found
         it.  It first refines every frontier arc (``_splits``).  One
-        ``advect.choose_tau`` pilot fill, unless ``tau`` is given, and
-        one ``advect.ArcFill`` then serve every piece of the
-        generation, which ``_rounds`` finishes in rounds.  A chart that
+        ``advect.ArcFill`` then serves every piece of the generation,
+        at ``tau`` or, when it is None, at each piece's own tau, which
+        the fill reads from its first columns, filling no pilot of its
+        own (orders[1] >= ``advect._N_PILOT``); ``_rounds`` finishes it
+        in rounds.  A chart that
         fails its error tube or the collision guard is retried with the
         time rescaling doubled, since halving the flow time shrinks
         both the range box and the accumulated error; after
@@ -309,8 +311,7 @@ class Atlas:
             if not pieces:
                 continue
             arcs = [arc for _, arc in pieces]
-            taus = (choose_tau(arcs, self.m, self.p, orders[0])
-                    if tau is None else [tau] * len(arcs))
+            taus = None if tau is None else [tau] * len(arcs)
             outcomes = _rounds(ArcFill(arcs, self.m, self.p, orders, taus),
                                [rec.arc_time for rec, _ in pieces],
                                delta_min, tau_retries)

@@ -973,6 +973,28 @@ def _ldexp_arr(lo, hi, e):
                      np.nextafter(yhi, np.inf), yhi))
 
 
+def _iscale_arr(lo, hi, slo, shi):
+    """Enclosure of [lo, hi] [slo, shi] for scales 0 <= slo <= shi that
+    broadcast against the endpoints, two candidates per entry.
+
+    Over a positive scale the least product is lo slo where lo > 0 and
+    lo shi otherwise, the greatest hi shi where hi > 0 and hi slo
+    otherwise, so each end takes one product, rounded to nearest and
+    stepped one ulp outward by ``nextafter``.  Theorem: a nearest
+    product lies within half an ulp of the exact one on either side, so
+    the stepped end is beyond it, also where the product is subnormal,
+    rounds to a zero (stepped to -+2^-1074), or overflows (an infinity
+    steps inward to the largest finite float on the side the exact
+    product cannot reach, and stays where it steps outward).  An exact
+    zero end is left as it is, zero sign included, since every point
+    scale times it is zero; so exactly zero grids stay exactly zero.
+    """
+    with np.errstate(over="ignore"):
+        ylo = np.nextafter(lo * np.where(lo > 0.0, slo, shi), -np.inf)
+        yhi = np.nextafter(hi * np.where(hi > 0.0, shi, slo), np.inf)
+    return np.where(lo == 0.0, lo, ylo), np.where(hi == 0.0, hi, yhi)
+
+
 # reciprocals are decided by residuals for divisors in this range
 _RECIP_SAFE = 1e150
 

@@ -462,6 +462,7 @@ def boundary_mesh(M: LocalManifold, R: float = 0.99, n_arcs: int = 20,
     ``arc_order`` is smaller, adds the exact sum of dropped coefficient
     magnitudes to the arc tail.  Each composed chord c + h s must pass
     the parameter-plane transversality check of ``_check_chord_flux``.
+    Raises ValueError for a negative ``arc_order``.
     """
     if not 0.0 < R < 1.0:
         raise ValueError("mesh radius must be in (0, 1)")
@@ -471,6 +472,8 @@ def boundary_mesh(M: LocalManifold, R: float = 0.99, n_arcs: int = 20,
     deg = 2 * N
     if arc_order is None:
         arc_order = deg
+    if arc_order < 0:
+        raise ValueError(f"arc order must be nonnegative, got {arc_order}")
     verts = [R * complex(math.cos(2.0 * math.pi * k / n_arcs),
                          math.sin(2.0 * math.pi * k / n_arcs))
              for k in range(n_arcs)]

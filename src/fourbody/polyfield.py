@@ -246,12 +246,13 @@ class _LinLevel:
 
     def add_consts(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Add the constants to slot 0 of every copy, in place, for lo
-        and hi of shape (2, copies, level nodes, slots): ``values``' on
-        complex series, its parts split into (real, imaginary) and the
-        copies."""
+        and hi of shape (parts, copies, level nodes, slots): ``values``'
+        on series, its parts split into (real, imaginary), or the real
+        part alone, and the copies."""
+        parts = len(lo)
         lo[..., 0], hi[..., 0] = _iadd_arr(lo[..., 0], hi[..., 0],
-                                           self.const_lo[:, None],
-                                           self.const_hi[:, None])
+                                           self.const_lo[:parts, None],
+                                           self.const_hi[:parts, None])
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -367,12 +368,13 @@ class FieldNodes:
     pairs of a degree), node i of copy k at flat grid k size + i, then
     all ``Lin`` nodes, which may read that level's products, by one
     ``_LinLevel.values`` that takes the copies as parts beside (real,
-    imaginary), with the endpoints of evaluating each node's terms one
-    by one, up to the sign of a zero, and the constants added to every
-    copy.  The lifted field takes three product passes per column and
-    per degree.  Every kernel forms each row from its own pair or terms
-    only, so copy k's grids are those of a one-copy interpreter on copy
-    k's inputs, given the same real-ness decision below.
+    imaginary), or beside the real part alone in a real column, with
+    the endpoints of evaluating each node's terms one by one, up to the
+    sign of a zero, and the constants added to every copy.  The lifted
+    field takes three product passes per column and per degree.  Every
+    kernel forms each row from its own pair or terms only, so copy k's
+    grids are those of a one-copy interpreter on copy k's inputs, given
+    the same real-ness decision below.
 
     The input rows ``G[k, :DIM]`` of each copy are the series being
     filled: the caller writes them, and neither fill writes them.
@@ -421,31 +423,40 @@ class FieldNodes:
         self.G = CIntervalArray.zeros((K, DIM + len(prog.ops), M + 1, N + 1))
         self.filled = 0
 
-    def _fill(self, slots: tuple, products, consts: bool) -> None:
+    def _fill(self, slots: tuple, products, consts: bool,
+              real: bool = False) -> None:
         """Fill every node of every copy at ``slots`` level by level;
         ``products`` maps the flat factor indices a and b to their
         products there, and the constants land on the first slot when
-        ``consts``."""
+        ``consts``.  With ``real``, every grid is exactly real, as
+        ``b_column`` decides: the ``Lin`` pass then takes the real
+        halves alone and adds the constants' real parts, and only the
+        real halves are written, so the imaginary grids stay exact
+        zeros and each real endpoint is that of the complex pass, since
+        every kernel treats the parts entrywise."""
         G = self.G
         K, size = G.shape[:2]
+        parts = 1 if real else 2
         # copy k's node 0 on the kernels' flat node axis
         starts = size * np.arange(K)[:, None]
         # the copies as parts of the Lin pass, after (real, imaginary)
-        lo, hi = (x.reshape((2 * K,) + G.shape[1:]) for x in (G.lo, G.hi))
+        # or after the real part alone
+        lo, hi = (x[:parts].reshape((parts * K,) + G.shape[1:])
+                  for x in (G.lo, G.hi))
 
         def put(nodes, vlo, vhi):
-            # both parts of every copy, in (part, copy, node) order, by
+            # the parts of every copy, in (part, copy, node) order, by
             # one write per end
-            at = (slice(None), slice(None), nodes[:, None]) + slots
-            shape = (2, K, len(nodes)) + vlo.shape[-1:]
+            at = (slice(parts), slice(None), nodes[:, None]) + slots
+            shape = (parts, K, len(nodes)) + vlo.shape[-1:]
             G.lo[at], G.hi[at] = vlo.reshape(shape), vhi.reshape(shape)
 
         for (i, a, b), lin in self.levels:
             if i.size:
                 p = products((a + starts).ravel(), (b + starts).ravel())
-                put(i, p.lo, p.hi)
+                put(i, p.lo[:parts], p.hi[:parts])
             if lin is not None:
-                vlo, vhi = (x.reshape((2, K) + x.shape[1:])
+                vlo, vhi = (x.reshape((parts, K) + x.shape[1:])
                             for x in lin.values(lo, hi, *slots))
                 if consts:
                     lin.add_consts(vlo, vhi)
@@ -456,7 +467,8 @@ class FieldNodes:
         shape (K, DIM, M + 1).  Whether the products are exactly real is
         decided for the whole batch of copies: a conservative choice,
         bit-equal to one copy's own when every copy is real, as atlas
-        arcs are.  Raises ValueError unless n is the next unfilled
+        arcs are; a real column runs the real ``Lin`` pass of ``_fill``.
+        Raises ValueError unless n is the next unfilled
         column, since a product's column n reads its operands' columns
         0..n, which would otherwise still be zero."""
         if n != self.filled:
@@ -467,7 +479,7 @@ class FieldNodes:
         # is exactly real, or an input column past n is complex
         real = not (self.G.lo[1].any() or self.G.hi[1].any())
         self._fill((np.arange(self.M + 1), n), lambda a, b: product_columns(
-            self.G, a, b, n, self.M, real), n == 0)
+            self.G, a, b, n, self.M, real), n == 0, real)
         self.filled = n + 1
         return self.G[..., n][:, self.outputs]
 

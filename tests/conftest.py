@@ -1,13 +1,14 @@
 """Shared test helpers and the scalar references they check against."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fourbody import advect
 from fourbody.advect import (_TILES, _TUBE_FAILED, ArcFill, FlowChart,
-                             _tile_samples, choose_tau, collapse_time_one,
-                             flow_line)
+                             _tile_samples, collapse_time_one, flow_line)
 from fourbody.atlas import (ArcRecord, ChartRecord, StopReason, arc_decay,
                             arc_length, subdivide_arc)
 from fourbody.crfbp import State4, omega_first_partials
@@ -315,20 +316,54 @@ def collision_loop(chart, p, delta_min=0.05):
                 f"chart range box comes within {delta_min} of primary {j}")
 
 
+# the masses of the benchmark's seeds 0-3
+SEED_MASSES = (
+    (0.5, 0.3, 0.2),
+    (0.4996601795201282, 0.30022397151364016, 0.20011584896623164),
+    (0.5001822588566572, 0.3001044339368187, 0.19971330720652408),
+    (0.49988168849622433, 0.30011282470539313, 0.20000548679838254))
+
+
+def _pilot_mag(G, n):
+    """Largest sum of real and imaginary magnitudes in column n of G."""
+    col = G.coefs[:, :, n]
+    mags = np.maximum(np.abs(col.lo), np.abs(col.hi))
+    return float(np.max(mags[0] + mags[1]))
+
+
+def pilot_tau(arcs, m, p, M):
+    """``advect.choose_tau`` as it was before the fill became its own
+    pilot: each arc's tau from a separate fill of all the arcs at order
+    (M, 8) and tau = 1, whose columns 6..8 give the trailing ratios; a
+    ratio that is not finite is skipped, an arc with none keeps tau = 1,
+    and tau is at least 1e-6.  The reference for automatic tau."""
+    taus = []
+    for G in ArcFill(arcs, m, p, (M, 8), [1.0] * len(arcs)).G:
+        norms = [_pilot_mag(G, n) for n in range(9)]
+        ratios = [r for r in (norms[k + 1] / norms[k] for k in (6, 7)
+                              if norms[k] > 0.0)
+                  if math.isfinite(r)]
+        taus.append(max(max(ratios) / 0.5, 1e-6) if ratios else 1.0)
+    return taus
+
+
 def fresh_advect(atlas, piece, orders, tau, delta_min, tau_retries):
     """``Atlas.grow``'s advection of one piece as it was before a retry
     retimed the arc's one fill: one fresh ``flow_line`` per tau
-    attempt."""
-    base = tau if tau is not None else \
-        choose_tau([piece.arc], atlas.m, atlas.p, orders[0])[0]
+    attempt.  With automatic tau, attempt j is a fresh automatic
+    ``flow_line`` whose fill rescales its first columns to 2^j times
+    the tau it reads from them, in place of that tau."""
     attempts = range(tau_retries + 1)
     reason = ""
+    choose = advect.choose_tau
     for attempt in attempts:
         try:
-            chart = flow_line(
-                piece.arc, atlas.m, atlas.p, orders=orders,
-                tau=base * 2.0 ** attempt, source_arc=piece.arc_id,
-                start_time=piece.arc_time)
+            with mock.patch.object(advect, "choose_tau", lambda charts: [
+                    t * 2.0 ** attempt for t in choose(charts)]):
+                chart = flow_line(
+                    piece.arc, atlas.m, atlas.p, orders=orders,
+                    tau=None if tau is None else tau * 2.0 ** attempt,
+                    source_arc=piece.arc_id, start_time=piece.arc_time)
             collision_loop(chart, atlas.p, delta_min=delta_min)
             return chart
         except CollisionDomain as err:
@@ -340,12 +375,11 @@ def fresh_advect(atlas, piece, orders, tau, delta_min, tau_retries):
 
 def one_arc_advect(atlas, piece, orders, tau, delta_min, tau_retries):
     """``Atlas.grow``'s advection of one piece as it was before one
-    fill served a whole generation: a pilot and a fill of the piece
-    alone, retimed for every retry, and the per-chart references
-    ``finish_one`` and ``collision_loop``."""
-    base = tau if tau is not None else \
-        choose_tau([piece.arc], atlas.m, atlas.p, orders[0])[0]
-    fill = ArcFill([piece.arc], atlas.m, atlas.p, orders, [base])
+    fill served a whole generation: a fill of the piece alone, at
+    ``tau`` or at its automatic tau, retimed for every retry, and the
+    per-chart references ``finish_one`` and ``collision_loop``."""
+    fill = ArcFill([piece.arc], atlas.m, atlas.p, orders,
+                   None if tau is None else [tau])
     reason = ""
     for attempt in range(tau_retries + 1):
         if attempt:
@@ -390,7 +424,9 @@ def piece_grow(atlas, generations=1, *, orders=(15, 50), tau=None,
     """``Atlas.grow`` as it was before one fill served a whole
     generation: frontier arc by frontier arc, each is refined and each
     of its pieces advected on its own by ``advect``, with the same
-    arguments as ``Atlas.grow``.  The reference for ``Atlas.grow``."""
+    arguments as ``Atlas.grow``; with automatic tau, the default
+    ``one_arc_advect`` fills each piece at the tau that its own fill
+    reads from its first columns.  The reference for ``Atlas.grow``."""
     new_charts = []
     for _ in range(generations):
         frontier = [atlas.arcs[i] for i in atlas.frontier]

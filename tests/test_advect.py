@@ -35,8 +35,8 @@ from fourbody.polyfield import DIM, FieldNodes, field_defect, field_program
 from fourbody.taylor import ScalarSeries2, Series2, mag_sum_bound
 
 import conftest
-from conftest import (collision_loop, defect_sum, energy_point, finish_one,
-                      from_complex_points)
+from conftest import (SEED_MASSES, collision_loop, defect_sum, energy_point,
+                      finish_one, from_complex_points, pilot_tau)
 
 Z0 = CInterval(Interval.from_value(0.0))
 Z1 = CInterval(Interval.from_value(1.0))
@@ -229,9 +229,14 @@ class TestFlowLine:
             assert colmag(n + 1) / colmag(n) < 0.75
 
     def test_auto_tau_is_deterministic(self, setup, arcs15, chart15):
+        # the tau the fill reads from its own first columns is that of
+        # the separate pilot fill it replaced, and choose_tau's on the
+        # charts of a tau = 1 fill of those columns alone
         m, pc = setup
         chart, _ = chart15
-        assert choose_tau([arcs15[3]], m, pc, 15) == [abs(chart.tau)]
+        assert pilot_tau([arcs15[3]], m, pc, 15) == [abs(chart.tau)]
+        pilot = ArcFill([arcs15[3]], m, pc, (15, advect._N_PILOT), [1.0])
+        assert choose_tau(pilot.G) == [abs(chart.tau)]
 
     def test_recursion_matches_field_series(self, setup, arcs15,
                                             full_product_nodes,
@@ -296,14 +301,14 @@ class TestFlowLine:
 @pytest.fixture(scope="module", params=["stable", "unstable"])
 def retried(request, setup):
     """An arc of a 6-arc, order-10 mesh of an N = 5 manifold whose tube
-    fails at ``choose_tau``'s rescaling and closes at twice it, as in
+    fails at its automatic rescaling and closes at twice it, as in
     an atlas retry, and half that rescaling."""
     m, pc = setup
     kind = request.param
     M = local_manifold(m, pc, kind, N=5)
     arc = boundary_mesh(M, n_arcs=6, arc_order=10)[
         0 if kind == "stable" else 1]
-    return arc, 0.5 * choose_tau([arc], m, pc, 10)[0]
+    return arc, 0.5 * pilot_tau([arc], m, pc, 10)[0]
 
 
 def _attempt(make):
@@ -421,10 +426,15 @@ class TestStackedFill:
             assert _same_outcome(got[k], want), k
 
     def test_stacked_pilots_equal_one_arc_pilots(self, setup, arcs15):
+        # the taus a stacked automatic fill reads from its first columns
+        # are those of one-arc automatic fills, and of the separate
+        # pilot fills they replaced
         m, pc = setup
         arcs = _mixed_arcs(arcs15, 6)
-        assert choose_tau(arcs, m, pc, 15) == [
-            choose_tau([a], m, pc, 15)[0] for a in arcs]
+        got = [abs(G.tau) for G in ArcFill(arcs, m, pc, (15, 8)).G]
+        assert got == [abs(ArcFill([a], m, pc, (15, 8)).G[0].tau)
+                       for a in arcs]
+        assert got == pilot_tau(arcs, m, pc, 15)
 
     def test_rejects_mismatched_taus(self, setup, arcs15):
         m, pc = setup
@@ -433,6 +443,177 @@ class TestStackedFill:
         with pytest.raises(ValueError, match="rescalings"):
             taylor_flow(CIntervalArray.zeros((2, 7, 3, 4)),
                         lambda n: None, [1.0])
+
+
+class TestAutoTau:
+    """With ``taus`` None one fill is its own pilot: it makes columns
+    0.._N_PILOT at tau = +-1, reads each arc's tau from them, rescales
+    them to it and goes on at that tau."""
+
+    @pytest.mark.parametrize("masses", SEED_MASSES)
+    def test_flowline_taus_equal_the_pilot_reference(self, masses):
+        # the flowline-hi arcs of the benchmark's seeds 0-3, at its
+        # orders: bit for bit the tau of the separate pilot fill; arc 0,
+        # whose tube fails, through its fill
+        m = MassTriple.from_floats(*masses)
+        pc = primaries(m)
+        arcs = boundary_mesh(local_manifold(m, pc, "stable", N=5),
+                             n_arcs=20)
+        for k in (0, 5, 10, 15):
+            want = -pilot_tau([arcs[k]], m, pc, 10)[0]
+            if k == 0:
+                with pytest.raises(CollisionDomain):
+                    flow_line(arcs[k], m, pc, orders=(10, 50))
+                got = ArcFill([arcs[k]], m, pc, (10, 50)).G[0].tau
+            else:
+                got = flow_line(arcs[k], m, pc, orders=(10, 50)).tau
+            assert got == want, k
+
+    def test_stacked_fill_equals_one_arc_fills(self, setup, arcs15):
+        # K = 6 arcs, stable and unstable: every tau, node grid and
+        # finish of the one automatic fill equals that of an automatic
+        # fill of its arc alone, bit for bit
+        m, pc = setup
+        arcs = _mixed_arcs(arcs15, 6)
+        fill = ArcFill(arcs, m, pc, (15, 12))
+        ones = [ArcFill([a], m, pc, (15, 12)) for a in arcs]
+        for k, one in enumerate(ones):
+            assert fill.G[k].tau == one.G[0].tau, k
+            assert _same_bytes(fill._nodes.G[k], one._nodes.G[0]), k
+        got = fill.finish(range(6), start_times=[0.5] * 6)
+        for k, one in enumerate(ones):
+            want, = one.finish([0], start_times=[0.5])
+            assert _same_outcome(_message(got[k]), _message(want)), k
+
+    def test_rescaled_fill_overlaps_the_direct_fill(self, setup, arcs15):
+        # against a fill at the same tau from column 0: every node
+        # enclosure overlaps, column 0 is the same, and the rescaled
+        # columns are as narrow, within 1e-14 of their magnitudes
+        m, pc = setup
+        for arc in (arcs15[3], BoundaryArc(gamma=arcs15[12].gamma,
+                                           kind="unstable")):
+            auto = ArcFill([arc], m, pc, (15, 20))
+            tau = abs(auto.G[0].tau)
+            direct = ArcFill([arc], m, pc, (15, 20), [tau])
+            assert auto.G[0].tau == direct.G[0].tau
+            a, d = auto._nodes.G, direct._nodes.G
+            assert np.all(np.maximum(a.lo, d.lo) <= np.minimum(a.hi, d.hi))
+            assert _same_bytes(a[..., 0], d[..., 0])
+            assert not a.lo[1].any() and not a.hi[1].any()
+            cols = slice(1, advect._N_PILOT + 1)
+            wa = (a.hi - a.lo)[0, ..., cols]
+            wd = (d.hi - d.lo)[0, ..., cols]
+            mag = np.maximum(np.abs(d.lo), np.abs(d.hi))[0, ..., cols]
+            assert np.all(wa <= wd + 1e-14 * mag + 1e-300)
+
+    def test_rescale_encloses_exact_products(self, setup, arcs15,
+                                             monkeypatch):
+        # columns 1.._N_PILOT of every node after the rescale against
+        # the exact rationals x tau^-n of the tau = +-1 entries x: each
+        # end beyond them by at most three ulps; column 0, the exact
+        # zeros and the imaginary grids as they were, bit for bit
+        m, pc = setup
+        seen = []
+        rescale = ArcFill._rescale
+        monkeypatch.setattr(ArcFill, "_rescale", lambda self, taus: (
+            seen.append((self._nodes.G.copy(), list(taus)))
+            or rescale(self, taus)
+            or seen.append(self._nodes.G.copy())))
+        fill = ArcFill([arcs15[3]], m, pc, (15, 10))
+        (before, (tau,)), after = seen
+        P = advect._N_PILOT
+        r = 1 / Fraction(tau)
+        written = (slice(None), slice(None), slice(None), slice(None),
+                   slice(0, P + 1))
+        for x, y, way in ((before.lo, after.lo, -1), (before.hi, after.hi,
+                                                      1)):
+            assert y[..., 0].tobytes() == x[..., 0].tobytes()
+            assert y[1].tobytes() == x[1].tobytes()
+            zero = x[written] == 0.0
+            assert y[written][zero].tobytes() == x[written][zero].tobytes()
+            for idx in np.argwhere(x[0, ..., 1:P + 1] != 0.0):
+                *at, n = idx.tolist()
+                v, w = float(x[(0, *at, n + 1)]), float(y[(0, *at, n + 1)])
+                exact = Fraction(v) * r ** (n + 1)
+                near = float(exact)
+                for _ in range(3):
+                    near = math.nextafter(near, way * math.inf)
+                if way < 0:
+                    assert near <= w and Fraction(w) <= exact
+                else:
+                    assert exact <= Fraction(w) and w <= near
+        # the columns past the pilot's were filled at tau
+        assert fill._nodes.filled == 10
+
+    def test_power_bounds_against_fractions(self):
+        # floors and ceils of tau^-j: tau = 1 and powers of two exact,
+        # the workloads' taus, the least tau, and taus whose powers are
+        # subnormal or below the least float
+        taus = [1.0, 2.0, 0.5, 0.32967032200258345, 0.4868323946508211,
+                advect._TAU_FLOOR, 3.7, 1e38, 1e100]
+        lo, hi = advect._power_bounds(taus, 8)
+        assert lo.shape == hi.shape == (len(taus), 8)
+        for k, tau in enumerate(taus):
+            for j in range(8):
+                q = Fraction(tau) ** -(j + 1)
+                assert (lo[k, j], hi[k, j]) == (_floor_f(q), _ceil_f(q))
+        assert np.array_equal(lo[1], 0.5 ** np.arange(1.0, 9.0))
+        assert lo[-1, -1] == 0.0 and hi[-1, -1] == 2.0 ** -1074
+
+    def test_needs_the_pilot_columns(self, setup, arcs15):
+        # below N = _N_PILOT a chart cannot hold the pilot's columns; at
+        # it the pilot's columns are the whole chart
+        m, pc = setup
+        for N in (1, advect._N_PILOT - 1):
+            with pytest.raises(ValueError, match="automatic tau"):
+                ArcFill([arcs15[3]], m, pc, (15, N))
+            with pytest.raises(ValueError, match="automatic tau"):
+                flow_line(arcs15[3], m, pc, orders=(15, N))
+            ArcFill([arcs15[3]], m, pc, (15, N), [1.0])
+        fill = ArcFill([arcs15[3]], m, pc, (15, advect._N_PILOT))
+        assert fill._nodes.filled == advect._N_PILOT
+        assert -fill.G[0].tau == pilot_tau([arcs15[3]], m, pc, 15)[0]
+
+    def test_one_column_pass_per_chart(self, setup, arcs15, monkeypatch):
+        # the pilot's columns are the chart's: each of the N + 1
+        # columns is computed once, by two runs of the recursion
+        m, pc = setup
+        calls, runs = [], []
+        b_column, flow = FieldNodes.b_column, advect.taylor_flow
+        monkeypatch.setattr(FieldNodes, "b_column",
+                            lambda self, n: calls.append(n)
+                            or b_column(self, n))
+        monkeypatch.setattr(advect, "taylor_flow",
+                            lambda out, b, taus, start=0: runs.append(
+                                (out.shape[-1], start))
+                            or flow(out, b, taus, start))
+        flow_line(arcs15[7], m, pc, orders=(15, 20))
+        assert calls == list(range(21))
+        assert runs == [(advect._N_PILOT + 1, 0), (21, advect._N_PILOT)]
+
+    def test_recursion_resumes_at_start(self, setup, arcs15):
+        # a fill in two runs, columns 1..5 and then 6..N, equals one
+        # run, bit for bit; start must lie in 0..N
+        m, pc = setup
+        fills = [ArcFill([arcs15[5]], m, pc, (15, 12), [0.7])]
+        nodes = FieldNodes(field_program(m, pc), 15, 12)
+        charts = nodes.G[:, :DIM]
+        charts[0, :, :, 0] = fills[0]._nodes.G[0, :DIM, :, 0]
+        taus = [fills[0].G[0].tau]
+        taylor_flow(charts[..., :6], nodes.b_column, taus)
+        taylor_flow(charts, nodes.b_column, taus, 5)
+        assert _same_bytes(nodes.G[0, :DIM], fills[0]._nodes.G[0, :DIM])
+        for start in (-1, 13):
+            with pytest.raises(ValueError, match="start"):
+                taylor_flow(charts, nodes.b_column, taus, start)
+
+    def test_rejects_a_tau_that_is_not_finite(self, setup, arcs15,
+                                              monkeypatch):
+        m, pc = setup
+        monkeypatch.setattr(advect, "choose_tau",
+                            lambda charts: [math.inf] * len(charts))
+        with pytest.raises(ValueError, match="finite"):
+            ArcFill([arcs15[3]], m, pc, (15, 10))
 
 
 class TestRetime:
@@ -548,16 +729,23 @@ class TestDefect:
         assert chart.defect < 1e-10
         assert chart.tail < 1e-9
 
-    def test_residual_straddles_through_top_order(self, setup, chart15):
+    def test_residual_straddles_through_top_order(self, setup, arcs15,
+                                                  chart15):
+        # on the automatic chart, whose first columns are rescaled, and
+        # on a direct fill at its tau, whose defect a fresh interpreter
+        # reproduces exactly
         m, pc = setup
-        chart, _ = chart15
+        auto, _ = chart15
+        chart = flow_line(arcs15[3], m, pc, orders=(15, 50),
+                          tau=abs(auto.tau))
         N = chart.Gamma.orders[1]
-        res, beyond = _chart_defect(m, pc, chart.Gamma)
+        for G in (auto.Gamma, chart.Gamma):
+            res, beyond = _chart_defect(m, pc, G)
+            for r in res:
+                assert np.all(r.rlo[:, :N] <= 0.0)
+                assert np.all(r.rhi[:, :N] >= 0.0)
+                assert np.all(r.ilo <= 0.0) and np.all(r.ihi >= 0.0)
         assert chart.defect == defect_sum(map(mag_sum_bound, res), beyond)
-        for r in res:
-            assert np.all(r.rlo[:, :N] <= 0.0)
-            assert np.all(r.rhi[:, :N] >= 0.0)
-            assert np.all(r.ilo <= 0.0) and np.all(r.ihi >= 0.0)
 
     def test_defect_detects_planted_fault(self, setup, arcs15):
         m, pc = setup
@@ -927,12 +1115,12 @@ class TestChartAccuracy:
 @pytest.fixture(scope="module")
 def unstable_mesh(setup):
     """The 6-arc, order-10 mesh of the N = 5 unstable manifold and its
-    ``choose_tau`` rescalings: at them, the tubes of arcs 1 and 4 fail
-    and the others close."""
+    automatic rescalings (``conftest.pilot_tau``): at them, the tubes of
+    arcs 1 and 4 fail and the others close."""
     m, pc = setup
     arcs = boundary_mesh(local_manifold(m, pc, "unstable", N=5), n_arcs=6,
                          arc_order=10)
-    return arcs, choose_tau(arcs, m, pc, 10)
+    return arcs, pilot_tau(arcs, m, pc, 10)
 
 
 def _message(chart):

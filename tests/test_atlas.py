@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from fourbody import atlas as atlas_module
 from fourbody import taylor
-from fourbody.advect import ArcFill, choose_tau, flow_line
+from fourbody import advect
+from fourbody.advect import ArcFill, flow_line
 from fourbody.atlas import (
     Atlas,
     SCHEMA_VERSION,
@@ -28,7 +29,7 @@ from fourbody.interval import CInterval, CIntervalArray, Interval
 from fourbody.manifold import BoundaryArc, boundary_mesh, local_manifold
 from fourbody.taylor import ScalarSeries2, Series2
 
-from conftest import fresh_advect, piece_grow
+from conftest import SEED_MASSES, fresh_advect, piece_grow, pilot_tau
 
 Z0 = CInterval(Interval.from_value(0.0))
 
@@ -249,12 +250,46 @@ class TestGrow:
             raise AssertionError("filled")
 
         monkeypatch.setattr(atlas_module, "ArcFill", no_fill)
-        monkeypatch.setattr(atlas_module, "choose_tau", no_fill)
+        monkeypatch.setattr(advect, "taylor_flow", no_fill)
         for tau in (None, 1.0):
             with pytest.raises(ValueError, match="tau_retries"):
                 atlas.grow(1, orders=(10, 18), tau=tau, tau_retries=-1)
         assert atlas.frontier == list(range(6))
         assert atlas.stopped == [] and atlas.stop_reasons == {}
+
+    @pytest.mark.parametrize("masses", SEED_MASSES)
+    def test_generation_zero_taus_equal_the_pilot_reference(self, masses,
+                                                            monkeypatch):
+        # the atlas-grow generation 0 of the benchmark's seeds 0-3: the
+        # one fill's taus, before any retry, are bit for bit those of
+        # the separate pilot fill of its pieces
+        m = MassTriple.from_floats(*masses)
+        manifold = local_manifold(m, primaries(m), "unstable", N=5)
+        fills = []
+
+        class Recorded(ArcFill):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                fills.append((self.arcs, [G.tau for G in self.G]))
+
+        monkeypatch.setattr(atlas_module, "ArcFill", Recorded)
+        atlas = Atlas.from_manifold(manifold, m, n_arcs=6, arc_order=10)
+        atlas.grow(1, orders=(10, 18))
+        (arcs, taus), = fills
+        assert len(arcs) >= 6 and atlas.charts
+        assert [abs(t) for t in taus] == pilot_tau(arcs, m, atlas.p, 10)
+
+    def test_automatic_tau_needs_the_pilot_columns(self, setup, stable5):
+        # below N = 8 the generation raises before the atlas changes,
+        # and an explicit tau still grows
+        m, _ = setup
+        atlas = Atlas.from_manifold(stable5, m, n_arcs=6, arc_order=10)
+        before = (dict(atlas.arcs), list(atlas.frontier), atlas._next_arc)
+        with pytest.raises(ValueError, match="automatic tau"):
+            atlas.grow(1, orders=(10, 7))
+        assert (atlas.arcs, atlas.frontier, atlas._next_arc) == before
+        assert atlas.charts == {} and atlas.stopped == []
+        assert len(atlas.grow(1, orders=(10, 7), tau=1.0)) == 6
 
     def test_collision_guard_retires_arcs(self, setup, stable5):
         m, _ = setup
@@ -448,7 +483,7 @@ class TestRetimedRetries:
 
 
 class TestOverflowingPilot:
-    """An arc whose pilot columns overflow: ``choose_tau`` skips the
+    """An arc whose first columns overflow: ``choose_tau`` skips the
     ratios that are not finite (inf / inf) and keeps tau = 1, so its
     fill fails its tube instead of raising ValueError for a nan tau."""
 
@@ -466,7 +501,10 @@ class TestOverflowingPilot:
     def test_tau_is_one_and_the_chart_is_refused(self, setup, mesh):
         m, pc = setup
         arcs, big = mesh
-        assert choose_tau([big, arcs[3]], m, pc, 10)[0] == 1.0
+        assert pilot_tau([big, arcs[3]], m, pc, 10)[0] == 1.0
+        fill = ArcFill([big, arcs[3]], m, pc, (10, 8))
+        assert fill.G[0].tau == -1.0
+        assert abs(fill.G[1].tau) == pilot_tau([arcs[3]], m, pc, 10)[0]
         with pytest.raises(CollisionDomain):
             flow_line(big, m, pc, orders=(10, 18))
 

@@ -32,6 +32,7 @@ from fourbody.interval import (
     _gamma,
     _imul_arr,
     _irecip_arr,
+    _iscale_arr,
     _ldexp_arr,
     _pad_sum,
     _padded_cascade,
@@ -871,6 +872,85 @@ class TestPowerOfTwoScaling:
         lo, hi = _ldexp_arr(x, x, -np.arange(4))
         assert np.array_equal(lo, 3.0 / 2.0 ** np.arange(4) + 0 * x)
         assert np.array_equal(hi, lo)
+
+
+class TestPositiveScaling:
+    """``_iscale_arr`` encloses [lo, hi] [slo, shi] for a positive
+    scale with each end one ulp outside its nearest product, and leaves
+    exact zeros as they are."""
+
+    TINY = 2.0 ** -1074
+
+    @staticmethod
+    def _exact_ends(lo, hi, slo, shi):
+        """The exact least and greatest products of the finite ends,
+        as rationals."""
+        ends = [Fraction(a) * Fraction(b) for a in (lo, hi)
+                for b in (slo, shi)]
+        return min(ends), max(ends)
+
+    def test_encloses_exact_products_stepped_once(self):
+        # random ends of both signs over many binades, and scales near
+        # the powers tau^-n of the automatic tau, below and above 1
+        rng = np.random.default_rng(31)
+        a = _rand_floats(rng, 2000)
+        b = _rand_floats(rng, 2000)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        slo = 10.0 ** rng.uniform(-8.0, 8.0, 2000)
+        shi = np.where(rng.random(2000) < 0.5, slo,
+                       np.nextafter(slo, np.inf))
+        glo, ghi = _iscale_arr(lo, hi, slo, shi)
+        for x in zip(lo, hi, slo, shi, glo, ghi):
+            least, most = self._exact_ends(*x[:4])
+            assert Fraction(x[4]) <= least and most <= Fraction(x[5])
+            # one ulp past the nearest product
+            assert x[4] == math.nextafter(float(least), -math.inf)
+            assert x[5] == math.nextafter(float(most), math.inf)
+
+    def test_planted_special_ends(self):
+        # subnormal products, products that round to zero or overflow,
+        # exact zeros of both signs and infinite ends
+        T, big, top = self.TINY, 1.5e308, 1.7976931348623157e308
+        lo = np.array([T, -3 * T, 1e-300, -1e-300, -0.0, 0.0, -math.inf,
+                       -big, big, -2.0, 0.5])
+        hi = np.array([4 * T, -T, 2e-300, 1e-300, 0.0, -0.0, 1.0, big, big,
+                       -0.0, math.inf])
+        slo = np.array([0.3, 0.7, 1e-30, 1e-30, 5.0, 5.0, 2.0, 1.5, 1.5,
+                        3.0, 0.25])
+        shi = np.nextafter(slo, np.inf)
+        glo, ghi = _iscale_arr(lo, hi, slo, shi)
+        # every finite end encloses its exact product; an overflowing
+        # lower end steps inward to the largest float, and an infinite
+        # end, or one that overflows outward, is infinite
+        for j in range(len(lo)):
+            if math.isfinite(lo[j]):
+                least, _ = self._exact_ends(lo[j], lo[j], slo[j], shi[j])
+                assert glo[j] == -math.inf or Fraction(glo[j]) <= least, j
+            if math.isfinite(hi[j]):
+                _, most = self._exact_ends(hi[j], hi[j], slo[j], shi[j])
+                assert ghi[j] == math.inf or most <= Fraction(ghi[j]), j
+        want_lo = [-T, -3 * T, -T, -T, -0.0, 0.0, -math.inf, -math.inf,
+                   top, math.nextafter(-2.0 * shi[9], -math.inf),
+                   math.nextafter(0.125, -math.inf)]
+        want_hi = [2 * T, -0.0, T, T, 0.0, -0.0,
+                   math.nextafter(shi[6], math.inf), math.inf,
+                   math.inf, -0.0, math.inf]
+        assert glo.tobytes() == np.array(want_lo).tobytes()
+        assert ghi.tobytes() == np.array(want_hi).tobytes()
+
+    def test_zero_grids_stay_zero_and_scales_broadcast(self):
+        # a stack of grids, column n scaled by its own (slo, shi): the
+        # exactly zero grids come back as they were, bit for bit
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(2, 3, 5, 8))
+        x[1] = 0.0
+        x[1, 0] = -0.0
+        slo = 0.6 ** np.arange(1.0, 9.0)
+        shi = np.nextafter(slo, np.inf)
+        glo, ghi = _iscale_arr(x - 1.0, x + 1.0, slo, shi)
+        assert glo.shape == ghi.shape == x.shape
+        zlo, zhi = _iscale_arr(x[1], x[1], slo, shi)
+        assert zlo.tobytes() == x[1].tobytes() == zhi.tobytes()
 
 
 class TestInclusionMonotonicity:

@@ -734,6 +734,15 @@ class TestBoundaryMesh:
                    for s, f in zip(short, full))
         assert short[0].gamma.orders == (3, 0)
 
+    def test_rejects_negative_arc_order(self, stable4):
+        # an order-(-1, 0) arc has empty grids, and its tail would be the
+        # mass of the whole arc; order 0 keeps the constant terms
+        for order in (-1, -5):
+            with pytest.raises(ValueError, match="arc order"):
+                boundary_mesh(stable4, R=0.9, n_arcs=6, arc_order=order)
+        assert boundary_mesh(stable4, R=0.9, n_arcs=6,
+                             arc_order=0)[0].gamma.orders == (0, 0)
+
 
 class TestLocalManifoldMetadata:
     def test_one_homological_solve_per_build(self, setup, monkeypatch):

@@ -45,7 +45,8 @@ from fourbody.polyfield import (
     poly_F_point,
 )
 from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
-                             product_antidiagonal, product_column)
+                             product_antidiagonal, product_column,
+                             product_columns)
 
 from conftest import (degree_nodes, field_f, from_complex_points,
                       node_jacobian, project_pi, stack_boxes,
@@ -441,6 +442,39 @@ class TestLevelSchedule:
             jets = node_jets(prog, stack_boxes(u))[0]
             assert np.array_equal(jets.lo[:, 0], [v.lo for v in vals])
             assert np.array_equal(jets.hi[:, 0], [v.hi for v in vals])
+
+    def test_real_columns_skip_the_imaginary_halves(self, config, triple,
+                                                    monkeypatch):
+        # a real column's Lin pass takes the real halves of the K copies
+        # alone: its real grids equal, byte for byte, those of the pass
+        # over both halves, and its imaginary grids stay exact +0 zeros
+        rng = np.random.default_rng(91)
+        M, N, K = 4, 6, 3
+        prog = field_program(triple, config)
+        got, want = FieldNodes(prog, M, N, K), FieldNodes(prog, M, N, K)
+        for k in range(K):
+            S = _random_inputs(rng, M, N, True)
+            got.G[k, :DIM] = S.coefs
+            want.G[k, :DIM] = S.coefs
+        parts = []
+        values = polyfield._LinLevel.values
+        monkeypatch.setattr(polyfield._LinLevel, "values",
+                            lambda self, lo, hi, *slots: parts.append(
+                                lo.shape[0]) or values(self, lo, hi, *slots))
+        for n in range(N + 1):
+            got.b_column(n)
+        assert parts and set(parts) == {K}
+        parts.clear()
+        for n in range(N + 1):
+            # the pass over both halves, with the same real products
+            want._fill((np.arange(M + 1), n), lambda a, b: product_columns(
+                want.G, a, b, n, M, True), n == 0)
+        assert parts and set(parts) == {2 * K}
+        assert got.G.lo[0].tobytes() == want.G.lo[0].tobytes()
+        assert got.G.hi[0].tobytes() == want.G.hi[0].tobytes()
+        for x in (got.G.lo[1], got.G.hi[1]):
+            assert not x.any() and not np.signbit(x).any()
+        assert not want.G.lo[1].any() and not want.G.hi[1].any()
 
     def test_one_compiled_program(self, config, triple, u0):
         # every interpreter of a program, and the jet pass, reads the one
