@@ -129,8 +129,13 @@ def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
     product (``_time_scales``) and one stacked directed reciprocal
     (``interval._irecip_arr``), each equal to the scalar
     ``1 / (tau * (n + 1))`` of ``Interval`` inside the guards of those
-    kernels.  Each entry gets the endpoints of its own interval
-    product, so a chart's columns do not depend on the other charts;
+    kernels.  A column whose imaginary halves are all exact zeros, as
+    every column of real arcs is, is scaled on its real halves alone
+    and its imaginary halves written as +0.0: the product of an exact
+    zero is a zero, so only the sign of a zero differs from scaling
+    both halves, where a backward-time tau gave -0.0.  Each entry gets
+    the endpoints of its own interval product, so a chart's columns do
+    not depend on the other charts;
     where a scale is exactly +-1 or +-2, they equal those of
     ``CIntervalArray``'s exact scaling up to the sign of a zero.  The
     field is supplied by the caller, so harness fields (constant,
@@ -151,9 +156,13 @@ def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
     inv_lo, inv_hi = _irecip_arr(*_time_scales(taus, N))
     for n in range(start, N):
         b = b_column(n)
-        out.lo[..., n + 1], out.hi[..., n + 1] = _imul_arr(
-            b.lo.reshape(2, K, dim, rows), b.hi.reshape(2, K, dim, rows),
+        # an exactly real column scales its real half alone
+        parts = 1 if not (b.lo[1].any() or b.hi[1].any()) else 2
+        out.lo[:parts, ..., n + 1], out.hi[:parts, ..., n + 1] = _imul_arr(
+            b.lo[:parts].reshape(parts, K, dim, rows),
+            b.hi[:parts].reshape(parts, K, dim, rows),
             inv_lo[:, n, None, None], inv_hi[:, n, None, None])
+        out.lo[parts:, ..., n + 1] = out.hi[parts:, ..., n + 1] = 0.0
 
 
 def _time_scales(taus: Sequence[float], N: int
@@ -343,11 +352,16 @@ class ArcFill:
         F(G')'s columns 0..``_N_PILOT`` - 1, all the fill has made of
         them; the columns the fill goes on to make at tau, and the
         defect and tube ``finish`` bounds, then hold for the rescale of
-        every chart the fill encloses.  The arcs enter exactly real
-        (``_arc_column``), so every imaginary grid of the fill is an
-        exact zero, which the scaling would leave as it is; only the
-        real halves are scaled.  Raises ValueError, before any column
-        is scaled, for a tau that is not finite."""
+        every chart the fill encloses.  Each scaled end is the floor or
+        the ceil of its exact product inside ``_iscale_arr``'s residual
+        guard, so a tau of 1 leaves every entry there as it is.  The
+        arcs enter exactly real (``_arc_column``), so every imaginary
+        grid of the fill is an exact zero, which the scaling would
+        leave as it is; only the real halves are scaled.  The
+        interpreter's kept factor ends of the scaled columns are
+        dropped (``FieldNodes.drop_ends``), so the next column sorts
+        them again.  Raises ValueError, before any column is scaled,
+        for a tau that is not finite."""
         if not all(math.isfinite(tau) for tau in taus):
             raise ValueError("tau must be finite and nonzero")
         slo, shi = _power_bounds(taus, _N_PILOT)
@@ -355,6 +369,7 @@ class ArcFill:
         G = self._nodes.G
         G.lo[at], G.hi[at] = _iscale_arr(
             G.lo[at], G.hi[at], slo[:, None, None], shi[:, None, None])
+        self._nodes.drop_ends()
         for chart, tau in zip(self.G, taus):
             chart.tau *= tau
 
@@ -373,7 +388,9 @@ class ArcFill:
         boxes enclose F(G')'s columns; the defect and tube ``finish``
         bounds then hold for the retime of every chart the fill
         encloses.  The columns the interpreter had filled stay filled,
-        and ``finish`` adds only what is left.
+        and ``finish`` adds only what is left; their kept factor ends
+        are dropped (``FieldNodes.drop_ends``), so a retime before the
+        first finish sorts them again when it fills the last column.
         """
         G = self.G[k]
         tau = 2.0 * G.tau
@@ -382,6 +399,7 @@ class ArcFill:
         rows = self._nodes.G[k]
         rows.lo[...], rows.hi[...] = _ldexp_arr(
             rows.lo, rows.hi, -np.arange(self._nodes.N + 1))
+        self._nodes.drop_ends()
         G.tau = tau
 
     def finish(self, copies: Sequence[int], *,

@@ -10,12 +10,13 @@ Operations skip the widening when the double-precision result is
 provably exact (error-free transformation checks), so simple cases like
 ``[1,2] + [3,4] -> [4,6]`` come out with exact endpoints.  The array
 kernels keep exact results too: ``_iadd_arr`` and ``_pad_sum`` from
-exact summation errors, ``_imul_arr`` from exact product residuals
-inside a magnitude guard.  Each kernel rounds an endpoint once: rounding
-to nearest is monotone, so the (product, residual) pairs of the
-endpoint candidates order their exact products lexicographically, and
-``_imul_arr`` steps only the least and the greatest pair; ``_iadd_arr``
-and ``_isub_arr`` sum both ends in one pass.  Outside the guard an
+exact summation errors, ``_imul_arr`` and ``_iscale_arr`` from exact
+product residuals inside a magnitude guard.  Each kernel rounds an
+endpoint once: rounding to nearest is monotone, so the (product,
+residual) pairs of the endpoint candidates order their exact products
+lexicographically, and ``_imul_arr`` steps only the least and the
+greatest pair; ``_iadd_arr`` and ``_isub_arr`` sum both ends in one
+pass.  Outside the guard an
 array product is widened by one ulp unless a factor is zero; a scalar
 floor or ceil (sum, product, reciprocal q, root s) steps by the exact
 sign of a float residual, ``_prod_cmp``'s for a*b - p, q x - 1 and
@@ -804,6 +805,11 @@ def _prod_err_arr(a, b, p):
 _OUTWARD = np.array([-1, 1])
 _AS_FLOORS = np.array([1.0, -1.0])
 
+# most entries of a directed sum that steps by ``nextafter``: below it
+# numpy's fixed cost per call outweighs the work, above it the integer
+# ulp steps are faster (about 600 entries on a 2-core x86-64 VM)
+_LEAN = 512
+
 
 def _ulp_step(x, step):
     """x moved one ulp toward -inf where the int64 ``step`` is -1 and
@@ -852,6 +858,17 @@ def _imul_arr(alo, ahi, blo, bhi):
     product and residual per end; the sign of c orders them, and the
     selection above follows it, ties included.
 
+    Point pass: for a point factor whose every entry, and every end of
+    a, has magnitude in [2^-330, 2^330], zeros excluded, as two min and
+    max reductions decide, each end takes its one candidate by the sign
+    of c, a_lo c and a_hi c where c > 0 and the other way round where
+    c < 0, and steps it by its own residual.  Every product is then
+    inside the guard and none is zero, so the residual is exact, and by
+    the order above the least pair is that candidate's: where both
+    candidates round to one p the other's residual is on the same side
+    or further out, so it adds no step.  The ends are those of the two
+    candidates' pass bit for bit, with no zero whose sign could differ.
+
     In range: when every factor endpoint is 0 or has magnitude in
     [2^-330, 2^330], as one check over the factors decides, the masks
     above are constant and are not built.  Every nonzero candidate then
@@ -870,8 +887,18 @@ def _imul_arr(alo, ahi, blo, bhi):
     # (hi, lo), (hi, hi) on two leading axes
     f = (_stacked(shape, alo, ahi, blo) if blo is bhi
          else _stacked(shape, alo, ahi, blo, bhi))
-    a, b = f[:2, None], f[None, 2:]
     mag = np.abs(f)
+    if (blo is bhi and f.size and mag.min() >= 2.0 ** -330
+            and mag.max() <= 2.0 ** 330):
+        # the point pass: the floor's candidate and the ceil's, by the
+        # sign of c
+        c = f[2]
+        ends = np.where(c < 0.0, f[1::-1], f[:2])
+        p = ends * c
+        way = _OUTWARD.reshape((2,) + (1,) * len(shape))
+        m = _ulp_step(p, (_prod_err_arr(ends, c, p) * way > 0.0) * way)
+        return m[0], m[1]
+    a, b = f[:2, None], f[None, 2:]
     # the floors' keys, and the ceils' negated, ranked as one minimum:
     # an end steps toward -inf where its outward residual is negative
     q = np.empty((2, 2, len(f) - 2) + shape)
@@ -919,13 +946,22 @@ def _directed_sum(a, b, way):
     rounded sum one ulp that way (a sum that rounds to zero is exact),
     and a sum that overflows away from ``way`` steps inward to the
     largest finite float on that side.  That clamp runs only when some
-    rounded sum is not finite: a finite sum steps to a neighbour on the
-    side of ``way``, which is never the infinity it repairs."""
+    stepped sum is not finite: a finite sum steps to a neighbour on the
+    side of ``way``, an infinity only toward ``way``, which the clamp
+    leaves as it is.  Sums of at most ``_LEAN`` entries step by one
+    ``nextafter`` where the residual asks, larger ones by the integer
+    steps of ``_ulp_step``; for the nonzero sums that step the two are
+    the same neighbour, so every bit is the same."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = a + b
         e = _sum_err_arr(a, b, s)
-    out = _ulp_step(s, (e * way > 0.0) * way)
-    if np.isfinite(s).all():
+        if np.ndim(s) and s.size <= _LEAN:
+            # few entries: one nextafter where the residual lies on the
+            # side of ``way``, in place
+            out = np.nextafter(s, way * _INF, out=s, where=e * way > 0.0)
+        else:
+            out = _ulp_step(s, (e * way > 0.0) * way)
+    if np.isfinite(out).all():
         return out
     return np.where(out * way == -_INF, -way * _MAXF, out)
 
@@ -979,20 +1015,37 @@ def _iscale_arr(lo, hi, slo, shi):
 
     Over a positive scale the least product is lo slo where lo > 0 and
     lo shi otherwise, the greatest hi shi where hi > 0 and hi slo
-    otherwise, so each end takes one product, rounded to nearest and
-    stepped one ulp outward by ``nextafter``.  Theorem: a nearest
-    product lies within half an ulp of the exact one on either side, so
-    the stepped end is beyond it, also where the product is subnormal,
-    rounds to a zero (stepped to -+2^-1074), or overflows (an infinity
-    steps inward to the largest finite float on the side the exact
-    product cannot reach, and stays where it steps outward).  An exact
-    zero end is left as it is, zero sign included, since every point
-    scale times it is zero; so exactly zero grids stay exactly zero.
+    otherwise, so each end takes one product p, rounded to nearest, and
+    its Dekker residual e, the exact a b - p under the guard of
+    ``_imul_arr``: 1e-200 < |p| < 1e200 and both factors below
+    ``_SPLIT_SAFE``.  There the lower end is p stepped one ulp down
+    where e < 0 and the upper end p stepped one ulp up where e > 0, so
+    each end is the floor or the ceil of its exact product, and an
+    exact product, as a scale of 1 or a power of two gives, stays as
+    it is.  Outside the guard the end is p stepped one ulp outward by
+    ``nextafter``.  Theorem: a nearest product lies within half an ulp
+    of the exact one on either side, so the stepped end is beyond it,
+    also where the product is subnormal, rounds to a zero (stepped to
+    -+2^-1074), or overflows (an infinity steps inward to the largest
+    finite float on the side the exact product cannot reach, and stays
+    where it steps outward).  So no end is wider than the nearest
+    product stepped once outward.  An exact zero end is left as it is,
+    zero sign included, since every point scale times it is zero; so
+    exactly zero grids stay exactly zero.
     """
-    with np.errstate(over="ignore"):
-        ylo = np.nextafter(lo * np.where(lo > 0.0, slo, shi), -np.inf)
-        yhi = np.nextafter(hi * np.where(hi > 0.0, shi, slo), np.inf)
-    return np.where(lo == 0.0, lo, ylo), np.where(hi == 0.0, hi, yhi)
+    shape = np.broadcast(lo, hi, slo, shi).shape
+    x = _stacked(shape, lo, hi)
+    s = np.where(x > 0.0, _stacked(shape, slo, shi), _stacked(shape, shi, slo))
+    way = _OUTWARD.reshape((2,) + (1,) * len(shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = x * s
+        e = _prod_err_arr(x, s, p)
+        abs_p = np.abs(p)
+        guard = ((abs_p > 1e-200) & (abs_p < 1e200)
+                 & (np.abs(x) < _SPLIT_SAFE) & (s < _SPLIT_SAFE))
+        y = np.where(~guard | (e * way > 0.0), np.nextafter(p, way * _INF), p)
+    y = np.where(x == 0.0, x, y)
+    return y[0], y[1]
 
 
 # reciprocals are decided by residuals for divisors in this range

@@ -39,8 +39,8 @@ import numpy as np
 from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
                        _directed_sum, _iadd_arr, _imul_arr, _nonneg_upper)
-from .taylor import (antidiagonal, mag_sum_bound, product_antidiagonals,
-                     product_columns)
+from .taylor import (FactorEnds, antidiagonal, mag_sum_bound,
+                     product_antidiagonals, product_columns)
 
 DIM = 7
 
@@ -167,9 +167,10 @@ class _LinLevel:
     past a node's own), or, at the positions ``iv_at``, by the
     interval ``[iv_lo, iv_hi]``, one array for both ends (``iv_hi is
     iv_lo``) when every such interval is a point, so that
-    ``_imul_arr`` forms two candidates instead of four, with the same
-    endpoints; ``const_lo``/``const_hi`` hold the nodes' constants as
-    complex parts, shape (2, nodes)."""
+    ``_imul_arr`` runs its point pass, with the same endpoints;
+    ``const_lo``/``const_hi`` hold the nodes' constants as complex
+    parts, shape (2, nodes).  ``copies`` marks a level whose every node
+    is one exact unit term, as the shifts dx_j, dy_j are."""
 
     nodes: np.ndarray
     operands: np.ndarray
@@ -179,6 +180,7 @@ class _LinLevel:
     iv_hi: np.ndarray
     const_lo: np.ndarray
     const_hi: np.ndarray
+    copies: bool
 
     @classmethod
     def of(cls, ops: Sequence[tuple[int, Lin]]) -> "_LinLevel":
@@ -208,7 +210,8 @@ class _LinLevel:
                     (np.array(iv_t, dtype=int), np.array(iv_j, dtype=int)),
                     iv_lo, iv_hi,
                     np.array([[c.re.lo, c.im.lo] for c in consts]).T,
-                    np.array([[c.re.hi, c.im.hi] for c in consts]).T)
+                    np.array([[c.re.hi, c.im.hi] for c in consts]).T,
+                    T == 1 and not ivs and bool((scale == 1.0).all()))
         _read_only(level.nodes, operands, scale, *level.iv_at, level.iv_lo,
                    level.iv_hi, level.const_lo, level.const_hi)
         return level
@@ -222,7 +225,19 @@ class _LinLevel:
         ``_imul_arr`` for the interval coefficients, and one directed
         sum over the terms in program order.  Each endpoint equals
         that of the scalar interval arithmetic term by term, up to the
-        sign of a zero, since the padding terms are exact zeros."""
+        sign of a zero, since the padding terms are exact zeros.  The
+        constants are not added here, so a ``copies`` level's values
+        are its operands' slots, the one gather alone: 1 x = x
+        exactly, and a sum of one term rounds nothing.  Those are the
+        general pass's endpoints up to the sign of a zero (its min and
+        max turn [-0, +0] into [+0, +0]), except that where an operand
+        entry is infinite the general pass's overflow clamp steps the
+        level's subnormal and huge entries one ulp outward and the
+        copies stay exact."""
+        if self.copies:
+            # one exact unit term per node: its operand's slots
+            at = (slice(None), self.operands[0][:, None]) + slots
+            return lo[at], hi[at]
         at = (slice(None), self.operands[..., None]) + slots
         xlo, xhi = lo[at], hi[at]
         p, q = xlo * self.scale, xhi * self.scale
@@ -365,12 +380,14 @@ class FieldNodes:
     ``node_jets``): at each level all ``Mul`` nodes of every copy by one
     call of the fill's stacked product kernel, which gathers their
     factors straight from ``G`` (their (M, n) corners for a column, the
-    pairs of a degree), node i of copy k at flat grid k size + i, then
-    all ``Lin`` nodes, which may read that level's products, by one
-    ``_LinLevel.values`` that takes the copies as parts beside (real,
-    imaginary), or beside the real part alone in a real column, with
-    the endpoints of evaluating each node's terms one by one, up to the
-    sign of a zero, and the constants added to every copy.  The lifted
+    pairs of a degree), node i of copy k at flat grid k size + i, the
+    flat indices formed once per interpreter, then all ``Lin`` nodes,
+    which may read that level's products, by one ``_LinLevel.values``
+    that takes the copies as parts beside (real, imaginary), or beside
+    the real part alone in a real column, with the endpoints of
+    evaluating each node's terms one by one, up to the sign of a zero,
+    and the constants added to every copy; the shift level, one exact
+    unit term per node, is a copy of its operands' slots.  The lifted
     field takes three product passes per column and per degree.  Every
     kernel forms each row from its own pair or terms only, so copy k's
     grids are those of a one-copy interpreter on copy k's inputs, given
@@ -390,7 +407,23 @@ class FieldNodes:
     overlaps it otherwise.  The kernel also picks its two- or
     four-candidate former once per call, from every copy's factors,
     but both give each row the same bits, so that choice never couples
-    the copies.  Theorem: if input columns 0..n are
+    the copies.
+
+    Kept ends: the interpreter holds one ``taylor.FactorEnds`` per
+    product level, its factors' inner and outer ends and a running
+    definite-and-finite flag, and passes it to every column call of
+    that level, so a call sorts only the column that landed since the
+    last: its factors' entries of column n, inputs and earlier levels'
+    nodes alike, all written by then in this column.  A column entry is
+    never rewritten once its column is filled, so the kept ends and
+    flag are those of sorting the call's whole corner, and the bits are
+    those of a call that keeps none.  A writer of filled columns of
+    ``G`` calls ``drop_ends()``, as ``advect.ArcFill``'s rescale and
+    retime do, and the next real column sorts every column again;
+    input columns ahead of the fill need nothing, since the sort reads
+    a column only when it is filled.  A complex column sorts nothing.
+
+    Theorem: if input columns 0..n are
     enclosures, so are columns n of all nodes, since a product's column
     n reads only columns 0..n of its factors, and truncation to the
     grid drops only coefficients of orders that products never bring
@@ -420,8 +453,16 @@ class FieldNodes:
         self.N = N
         self.levels = _levels(prog)
         self.outputs = np.array(prog.outputs)
-        self.G = CIntervalArray.zeros((K, DIM + len(prog.ops), M + 1, N + 1))
+        size = DIM + len(prog.ops)
+        self.G = CIntervalArray.zeros((K, size, M + 1, N + 1))
         self.filled = 0
+        # every level's factors on the kernels' flat node axis, copy k's
+        # node 0 at k size, and the kept ends of its column products
+        starts = size * np.arange(K)[:, None]
+        self._factors = [((a + starts).ravel(), (b + starts).ravel())
+                         for (_, a, b), _ in self.levels]
+        self._ends = [FactorEnds(a, b, M + 1)
+                      for (a, b) in self._factors if a.size]
 
     def _fill(self, slots: tuple, products, consts: bool,
               real: bool = False) -> None:
@@ -435,10 +476,8 @@ class FieldNodes:
         zeros and each real endpoint is that of the complex pass, since
         every kernel treats the parts entrywise."""
         G = self.G
-        K, size = G.shape[:2]
+        K = G.shape[0]
         parts = 1 if real else 2
-        # copy k's node 0 on the kernels' flat node axis
-        starts = size * np.arange(K)[:, None]
         # the copies as parts of the Lin pass, after (real, imaginary)
         # or after the real part alone
         lo, hi = (x[:parts].reshape((parts * K,) + G.shape[1:])
@@ -451,9 +490,9 @@ class FieldNodes:
             shape = (parts, K, len(nodes)) + vlo.shape[-1:]
             G.lo[at], G.hi[at] = vlo.reshape(shape), vhi.reshape(shape)
 
-        for (i, a, b), lin in self.levels:
+        for ((i, _, _), lin), (a, b) in zip(self.levels, self._factors):
             if i.size:
-                p = products((a + starts).ravel(), (b + starts).ravel())
+                p = products(a, b)
                 put(i, p.lo[:parts], p.hi[:parts])
             if lin is not None:
                 vlo, vhi = (x.reshape((parts, K) + x.shape[1:])
@@ -467,7 +506,10 @@ class FieldNodes:
         shape (K, DIM, M + 1).  Whether the products are exactly real is
         decided for the whole batch of copies: a conservative choice,
         bit-equal to one copy's own when every copy is real, as atlas
-        arcs are; a real column runs the real ``Lin`` pass of ``_fill``.
+        arcs are; a real column runs the real ``Lin`` pass of ``_fill``,
+        and each product level's kernel call sorts column n of its
+        factors into the level's kept ends, the columns before it
+        already sorted (all of them after ``drop_ends``).
         Raises ValueError unless n is the next unfilled
         column, since a product's column n reads its operands' columns
         0..n, which would otherwise still be zero."""
@@ -478,10 +520,20 @@ class FieldNodes:
         # every factor of every product of this column, in every copy,
         # is exactly real, or an input column past n is complex
         real = not (self.G.lo[1].any() or self.G.hi[1].any())
+        # the product levels come in order, each with its kept ends
+        ends = iter(self._ends)
         self._fill((np.arange(self.M + 1), n), lambda a, b: product_columns(
-            self.G, a, b, n, self.M, real), n == 0, real)
+            self.G, a, b, n, self.M, real, next(ends)), n == 0, real)
         self.filled = n + 1
-        return self.G[..., n][:, self.outputs]
+        return CIntervalArray._wrap(self.G.lo[..., n][:, :, self.outputs],
+                                    self.G.hi[..., n][:, :, self.outputs])
+
+    def drop_ends(self) -> None:
+        """Forget the kept factor ends of every product level, after
+        entries of filled columns of ``G`` were written in place: the
+        next column sorts every column again."""
+        for ends in self._ends:
+            ends.drop()
 
     def degree(self, d: int, m_min: int = 0) -> CIntervalArray:
         """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns

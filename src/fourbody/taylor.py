@@ -35,10 +35,11 @@ advection, ``manifold.field_series`` and every defect and tail bound
 (``polyfield.field_defect``), it uses ``product_columns``, in
 cache-sized blocks, with products rounded to nearest (two endpoint
 candidates per product when every factor entry is finite and
-sign-definite, four otherwise, to the same bits) and float sums each
-padded a priori by the gamma of its own row's term count plus an
-underflow term, which covers the products' rounding as well as the
-sums'.  ``product_antidiagonal`` and ``product_column`` are their
+sign-definite, four otherwise, to the same bits, the factors' inner
+and outer ends kept by ``FactorEnds`` as their columns land) and float
+sums each padded a priori by the gamma of its own row's term count
+plus an underflow term, which covers the products' rounding as well as
+the sums'.  ``product_antidiagonal`` and ``product_column`` are their
 one-pair cases, on the two-node stack of their factors.
 ``cauchy_product`` is the full truncated series by exact sums, one
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
@@ -343,8 +344,69 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
 _COLUMN_BLOCK = 16384
 
 
+class FactorEnds:
+    """The factors' inner and outer ends of one stack of k products,
+    kept as their columns land, for ``product_columns`` to read.
+
+    ``FactorEnds(a, b, rows)`` serves the products G[a[j]] G[b[j]] of
+    one stacked grid ``G``; every call it is passed to must name the
+    same a and b, the same grids and rows 0..rows - 1.  ``through(G,
+    n)`` sorts the entries of columns ``cols``..n of every factor, the
+    first factors' and then the second's, that no earlier call sorted:
+    where lo >= 0 the inner end is lo and the outer hi, elsewhere the
+    other way round, which is the sort of a sign-definite entry.  It
+    keeps ``definite``, whether every entry sorted so far is finite and
+    sign-definite (lo >= 0 or hi <= 0, each end compared with zero,
+    never the sign of lo hi, which underflows), and stops sorting once
+    it is False.  So after ``through(G, n)`` ``definite`` is the test
+    of the whole (rows - 1, n) corner, and the ends of its columns are
+    those a sort of the whole corner gives, as long as no entry of a
+    sorted column changed: a writer of such an entry calls ``drop()``,
+    and the next call sorts every column again.  The ends are laid out
+    (end, factor, row, column) on the grid's columns, allocated on the
+    first sort, so a stack never sorted, complex fills for one, holds
+    none.
+    """
+
+    __slots__ = ("factors", "rows", "ends", "cols", "definite")
+
+    def __init__(self, a, b, rows: int):
+        self.factors = np.concatenate((a, b))
+        self.rows = rows
+        self.ends = None
+        self.drop()
+
+    def drop(self) -> None:
+        """Forget every sorted column."""
+        self.cols, self.definite = 0, True
+
+    def through(self, G: CIntervalArray, n: int) -> bool:
+        """Sort columns ``cols``..n of the factors of G; returns
+        ``definite``."""
+        if self.definite and self.cols <= n:
+            rows, cols = G.shape[-2:]
+            if self.ends is None:
+                self.ends = np.empty((2, len(self.factors), self.rows, cols))
+            at = (0, self.factors, slice(self.rows), slice(self.cols, n + 1))
+            lo, hi = (x.reshape(2, -1, rows, cols)[at] for x in (G.lo, G.hi))
+            pos = lo >= 0.0
+            if (pos | (hi <= 0.0)).all():
+                inner, outer = self.ends[..., self.cols: n + 1]
+                np.copyto(inner, hi)
+                np.copyto(inner, lo, where=pos)
+                np.copyto(outer, lo)
+                np.copyto(outer, hi, where=pos)
+                # an outer end is not finite when its entry is not
+                self.definite = bool(np.isfinite(outer).all())
+            else:
+                self.definite = False
+            self.cols = n + 1
+        return self.definite
+
+
 def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
-                    n: int, M: int, real: bool) -> CIntervalArray:
+                    n: int, M: int, real: bool,
+                    ends: Optional[FactorEnds] = None) -> CIntervalArray:
     """Column n, rows 0..M, of every product G[a[j]] G[b[j]] of the
     stacked series grids ``G``, shape (..., rows, cols), whose grids a
     and b index flat over the leading axes; returns shape
@@ -353,21 +415,26 @@ def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     ``real`` asserts that every factor is exactly real, as the caller
     checks once for the whole stack, and only the real products are
     formed; with ``real`` false every row is complex, by the theorem
-    of ``product_column`` an enclosure for any factors.  The call
-    gathers the (M, n) corner of each factor once: rows 0..M and
-    columns 0..n.  A real call whose corner entries are all finite and
-    sign-definite (lo >= 0 or hi <= 0, tested by comparing each end
-    with zero, never by the sign of lo hi, which underflows) sorts
-    every entry into its inner and outer end and runs
-    ``_column_rows``' two-candidate former; any other call, complex or
-    with an entry that straddles zero or is not finite, runs its
-    four-candidate former.  Both form their pairs row by row in
-    ``_column_plan``'s order, in blocks of whole rows of at most
-    ``_COLUMN_BLOCK`` candidates and at least one row, and return the
-    rows' sums, so a row depends on its own product only, not on the
-    blocks or the other products; one finish per call then pads every
-    row, steps it outward, zeroes a real call's imaginary half and
-    leaves row 0 of column 0, a single product, unpadded.
+    of ``product_column`` an enclosure for any factors.  A real call
+    reads its factors' inner and outer ends from ``ends``, the
+    ``FactorEnds`` of these products that the caller keeps from call
+    to call, which sorts only the columns no earlier call sorted; with
+    ``ends`` None the call makes its own and sorts the whole (M, n)
+    corner, rows 0..M and columns 0..n; a complex call reads no ends.
+    Either way a real call whose
+    corner entries are all finite and sign-definite runs
+    ``_column_rows``' two-candidate former on those ends, and any
+    other call, complex or with an entry that straddles zero or is not
+    finite, its four-candidate former on the factors' lo and hi,
+    gathered from ``G``; the decision and the ends are those of
+    sorting the whole corner in this call.  Both formers form their
+    pairs row by row in ``_column_plan``'s order, in blocks of whole
+    rows of at most ``_COLUMN_BLOCK`` candidates and at least one row,
+    and return the rows' sums, so a row depends on its own product
+    only, not on the blocks or the other products; one finish per call
+    then pads every row, steps it outward, zeroes a real call's
+    imaginary half and leaves row 0 of column 0, a single product,
+    unpadded.
     """
     rows, cols = G.shape[-2:]
     if rows <= M or cols <= n:
@@ -375,26 +442,26 @@ def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     bounds, pad, tiny = _column_plan(M, n)
     parts = 1 if real else 2
     k = len(a)
-    # (part, factor, row, column): the corners of a's and then b's
-    # factors
-    lo, hi = (x.reshape(2, -1, rows, cols)[:parts, np.concatenate((a, b)),
-                                           : M + 1, : n + 1]
-              for x in (G.lo, G.hi))
-    ends, definite = (lo, hi), False
-    if real:
-        pos = lo >= 0.0
-        if (pos | (hi <= 0.0)).all():
-            # inner and outer ends; an outer end is not finite when
-            # its entry is not
-            outer = np.where(pos, hi, lo)
-            if np.isfinite(outer).all():
-                ends, definite = (np.where(pos, lo, hi), outer), True
+    if real and ends is None:
+        ends = FactorEnds(a, b, M + 1)
+    elif ends is not None and ends.rows != M + 1:
+        raise ValueError(f"factor ends of {ends.rows} rows for rows 0..{M}")
+    definite = real and ends.through(G, n)
     # (end, part, product, row, column): a's corners with rows and
     # columns reversed, and b's; flattened, row m pairs x's last
     # (m + 1)(n + 1) entries with y's first
     x, y = np.empty((2, 2, parts, k, M + 1, n + 1))
-    for j, e in enumerate(ends):
-        x[j], y[j] = e[:, :k, ::-1, ::-1], e[:, k:]
+    if definite:
+        e = ends.ends
+        x[:, 0], y[:, 0] = e[:, :k, ::-1, n::-1], e[:, k:, :, : n + 1]
+    else:
+        # (part, factor, row, column): the corners of a's and then b's
+        # factors
+        lo, hi = (z.reshape(2, -1, rows, cols)[
+            :parts, np.concatenate((a, b)), : M + 1, : n + 1]
+            for z in (G.lo, G.hi))
+        for j, e in enumerate((lo, hi)):
+            x[j], y[j] = e[:, :k, ::-1, ::-1], e[:, k:]
     slo, shi, mag = _column_rows(x.reshape(2, parts, k, -1),
                                  y.reshape(2, parts, k, -1), bounds, definite)
     if real:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourbody import advect
+from fourbody import advect, polyfield
 from fourbody.advect import (
     _CENTERS,
     ArcFill,
@@ -443,6 +443,66 @@ class TestStackedFill:
         with pytest.raises(ValueError, match="rescalings"):
             taylor_flow(CIntervalArray.zeros((2, 7, 3, 4)),
                         lambda n: None, [1.0])
+
+
+class TestKeptEnds:
+    """``ArcFill`` keeps the interpreter's factor ends through its own
+    writes of ``G``: the rescale, and a retime before the last column,
+    drop them, so every node grid and finish equal, bit for bit, those
+    of a fill whose every kernel call sorts its factors' whole
+    corner."""
+
+    @staticmethod
+    def _run(m, pc, arcs):
+        # an automatic fill, rescaled at column _N_PILOT; arc 1 retimed
+        # before the first finish fills column N, arc 0 after it
+        fill = ArcFill(arcs, m, pc, (15, 12))
+        fill.retime(1)
+        got = [_finish(fill, 1, source_arc=1)]
+        fill.retime(0)
+        got += fill.finish([0, 2], start_times=[0.5, 0.5])
+        return fill, [_message(x) for x in got]
+
+    def test_rescale_and_retime_give_whole_corner_bits(self, setup, arcs15,
+                                                       monkeypatch):
+        m, pc = setup
+        arcs = _mixed_arcs(arcs15, 3)
+        fill, got = self._run(m, pc, arcs)
+        whole = polyfield.product_columns
+        monkeypatch.setattr(polyfield, "product_columns",
+                            lambda G, a, b, n, M, real, ends: whole(
+                                G, a, b, n, M, real))
+        want_fill, want = self._run(m, pc, arcs)
+        assert _same_bytes(fill._nodes.G, want_fill._nodes.G)
+        assert isinstance(want[0], FlowChart)
+        for x, y in zip(got, want):
+            assert _same_outcome(x, y)
+
+    def test_real_stable_chart_has_positive_zero_imaginary_grids(
+            self, setup, arcs15):
+        # real columns stay on their real halves, in the interpreter and
+        # in the time scaling, so a backward-time chart's imaginary
+        # grids are +0.0, no sign bit set, as its nodes' are
+        m, pc = setup
+        fill = ArcFill([arcs15[3]], m, pc, (15, 12))
+        chart, = fill.finish([0])
+        assert chart.tau < 0.0
+        for x in (chart.Gamma.coefs, fill._nodes.G):
+            for y in (x.lo[1], x.hi[1]):
+                assert not y.any() and not np.signbit(y).any()
+
+    def test_unit_rescale_equals_the_direct_fill(self, setup, arcs15,
+                                                 monkeypatch):
+        # a tau of 1 rescales every entry exactly, so the automatic fill
+        # equals, bit for bit, a fill at tau = 1 from column 0
+        m, pc = setup
+        arcs = _mixed_arcs(arcs15, 2)
+        monkeypatch.setattr(advect, "choose_tau",
+                            lambda charts: [1.0] * len(charts))
+        auto = ArcFill(arcs, m, pc, (15, 12))
+        direct = ArcFill(arcs, m, pc, (15, 12), [1.0, 1.0])
+        assert [G.tau for G in auto.G] == [G.tau for G in direct.G]
+        assert _same_bytes(auto._nodes.G, direct._nodes.G)
 
 
 class TestAutoTau:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import sequential_cascade_sum
+from fourbody import interval
 from fourbody.errors import (
     DivisionByZeroInterval,
     NegativeSqrt,
@@ -658,6 +659,65 @@ class TestInRangeProduct:
                                               math.nextafter(p, math.inf))
 
 
+class TestLeanPasses:
+    """The lean passes give the endpoints of the passes they stand for,
+    bit for bit: ``_imul_arr``'s point pass, one candidate per end by
+    the sign of the point factor, those of the four-candidate pass of
+    the same point passed as two arrays and of the two-pass reference,
+    and ``_directed_sum``'s ``nextafter`` steps those of its integer
+    ulp steps, at small and large shapes, with planted signed zeros,
+    subnormal, overflowing, infinite and out-of-guard operands."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 2.0 ** -331,
+               -(2.0 ** 331), 1e-160, -1e160, 1e300, -1e300, _MAXF,
+               math.inf, -math.inf]
+
+    @classmethod
+    def _floats(cls, rng, shape, planted):
+        x = rng.standard_normal(shape) * 2.0 ** rng.integers(-40, 40, shape)
+        return np.where(rng.random(shape) < planted,
+                        rng.choice(cls.SPECIAL, shape), x)
+
+    @pytest.mark.parametrize("shape", [(1, 6, 11), (2, 16, 140)])
+    @pytest.mark.parametrize("planted", [0.0, 0.01, 0.3])
+    def test_point_pass_equals_four_candidates(self, shape, planted):
+        rng = np.random.default_rng(int(1000 * planted) + shape[-1])
+        for trial in range(4):
+            u, v = (self._floats(rng, shape, planted) for _ in range(2))
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            if trial == 1:
+                lo = hi.copy()
+            # by node and by entry, as the Lin levels and the charts'
+            # time scales pass them, and a scalar
+            for c in (self._floats(rng, (shape[-2], 1), planted / 2),
+                      self._floats(rng, shape, planted / 2),
+                      float(self._floats(rng, (), 0.0))):
+                got = _imul_arr(lo, hi, c, c)
+                _assert_bitwise(got, _imul_arr(lo, hi, c, np.copy(c)))
+                _assert_bitwise(got, _two_pass_imul(lo, hi, c, c))
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2, 11), (2, 12, 2, 11),
+                                       (3, 40, 60)])
+    @pytest.mark.parametrize("planted", [0.0, 0.05, 0.3])
+    def test_directed_sum_steps_agree(self, monkeypatch, shape, planted):
+        rng = np.random.default_rng(int(100 * planted) + shape[-1])
+        a, b = (self._floats(rng, shape, planted) for _ in range(2))
+        # sums that round to a zero, and that overflow
+        a.flat[:4], b.flat[:4] = (1.5, -0.0, _MAXF, -1e308), (-1.5, 0.0,
+                                                               _MAXF, -1e308)
+        ways = (-1, 1, np.array([-1, 1] * (shape[0] // 2)
+                                + [1] * (shape[0] % 2)).reshape(
+            (shape[0],) + (1,) * (len(shape) - 1)))
+        for way in ways:
+            got = {}
+            for lean in (0, interval._LEAN, 10 ** 9):
+                monkeypatch.setattr(interval, "_LEAN", lean)
+                got[lean] = _directed_sum(a, b, way)
+            monkeypatch.undo()
+            _assert_bitwise(got[0], got[10 ** 9])
+            _assert_bitwise(got[0], got[interval._LEAN])
+
+
 def _floor_ref(x: Fraction) -> float:
     """The largest float <= x, -inf below every finite float."""
     if x > _MAXF:
@@ -876,8 +936,9 @@ class TestPowerOfTwoScaling:
 
 class TestPositiveScaling:
     """``_iscale_arr`` encloses [lo, hi] [slo, shi] for a positive
-    scale with each end one ulp outside its nearest product, and leaves
-    exact zeros as they are."""
+    scale with each end the floor or the ceil of its exact product
+    inside the residual guard, one ulp outside its nearest product
+    beyond it, and leaves exact zeros as they are."""
 
     TINY = 2.0 ** -1074
 
@@ -903,9 +964,29 @@ class TestPositiveScaling:
         for x in zip(lo, hi, slo, shi, glo, ghi):
             least, most = self._exact_ends(*x[:4])
             assert Fraction(x[4]) <= least and most <= Fraction(x[5])
-            # one ulp past the nearest product
-            assert x[4] == math.nextafter(float(least), -math.inf)
-            assert x[5] == math.nextafter(float(most), math.inf)
+            # the floor and the ceil: the nearest product, stepped once
+            # where it falls on the wrong side
+            near_lo, near_hi = float(least), float(most)
+            assert x[4] == (near_lo if Fraction(near_lo) <= least
+                            else math.nextafter(near_lo, -math.inf))
+            assert x[5] == (near_hi if Fraction(near_hi) >= most
+                            else math.nextafter(near_hi, math.inf))
+
+    def test_exact_scales_stay_unstepped(self):
+        # a scale of 1 or a power of two makes every product inside the
+        # residual guard exact, so those ends come back unstepped, and
+        # one ulp outside an exact product where the guard fails
+        rng = np.random.default_rng(33)
+        a, b = _rand_floats(rng, 500), _rand_floats(rng, 500)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        for scale in (1.0, 0.5, 2.0 ** -20, 8.0):
+            glo, ghi = _iscale_arr(lo, hi, scale, scale)
+            assert glo.tobytes() == (lo * scale).tobytes()
+            assert ghi.tobytes() == (hi * scale).tobytes()
+        tiny = np.array([2.0 ** -1000, 1e-250])
+        glo, ghi = _iscale_arr(tiny, tiny, 1.0, 1.0)
+        assert glo.tobytes() == np.nextafter(tiny, -math.inf).tobytes()
+        assert ghi.tobytes() == np.nextafter(tiny, math.inf).tobytes()
 
     def test_planted_special_ends(self):
         # subnormal products, products that round to zero or overflow,
@@ -929,11 +1010,11 @@ class TestPositiveScaling:
             if math.isfinite(hi[j]):
                 _, most = self._exact_ends(hi[j], hi[j], slo[j], shi[j])
                 assert ghi[j] == math.inf or most <= Fraction(ghi[j]), j
+        # the products in the residual guard, -2 shi[9], 0.125 and
+        # 1.0 shi[6], are exact and stay unstepped
         want_lo = [-T, -3 * T, -T, -T, -0.0, 0.0, -math.inf, -math.inf,
-                   top, math.nextafter(-2.0 * shi[9], -math.inf),
-                   math.nextafter(0.125, -math.inf)]
-        want_hi = [2 * T, -0.0, T, T, 0.0, -0.0,
-                   math.nextafter(shi[6], math.inf), math.inf,
+                   top, -2.0 * shi[9], 0.125]
+        want_hi = [2 * T, -0.0, T, T, 0.0, -0.0, shi[6], math.inf,
                    math.inf, -0.0, math.inf]
         assert glo.tobytes() == np.array(want_lo).tobytes()
         assert ghi.tobytes() == np.array(want_hi).tobytes()

@@ -443,6 +443,72 @@ class TestLevelSchedule:
             assert np.array_equal(jets.lo[:, 0], [v.lo for v in vals])
             assert np.array_equal(jets.hi[:, 0], [v.hi for v in vals])
 
+    def test_shift_level_copies_its_operands(self, config, triple):
+        # the shifts dx_j, dy_j are one exact unit term each, so their
+        # level copies its operands' slots, at column, degree and jet
+        # slots: the general pass's endpoints, up to the sign of a zero,
+        # with planted signed zeros, subnormal and huge entries; with
+        # an infinite entry too, where the general pass's overflow
+        # clamp steps the subnormal and huge products outward, the
+        # exact copies lie within its ends
+        prog = field_program(triple, config)
+        levels = [lin for _, lin in _levels(prog) if lin is not None]
+        assert levels[0].copies and not any(x.copies for x in levels[1:])
+        general = dataclasses.replace(levels[0], copies=False)
+        rng = np.random.default_rng(97)
+        shape = (3, DIM + len(prog.ops), 5, 6)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+        for unbounded in (False, True):
+            u, v = (np.where(rng.random(shape) < 0.3,
+                             rng.choice(special, shape),
+                             rng.standard_normal(shape)) for _ in "uv")
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            if unbounded:
+                lo[:, 0, 1], hi[:, 2, 3] = -np.inf, np.inf
+            for slots, x, y in (((np.arange(5), 2), lo, hi),
+                                (antidiagonal(4, 5, 4, 1), lo, hi),
+                                ((np.arange(5),), lo[..., 0], hi[..., 0])):
+                (glo, ghi), (wlo, whi) = (
+                    level.values(x, y, *slots) for level in (levels[0],
+                                                             general))
+                assert glo.shape == wlo.shape == ghi.shape == whi.shape
+                if unbounded:
+                    assert np.all(wlo <= glo) and np.all(ghi <= whi)
+                    continue
+                for g, w in ((glo, wlo), (ghi, whi)):
+                    assert np.array_equal(g, w)
+                    nonzero = g != 0.0
+                    assert g[nonzero].tobytes() == w[nonzero].tobytes()
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_kept_ends_equal_sorting_every_call(self, config, triple,
+                                                monkeypatch, real):
+        # the interpreter keeps every product level's factor ends and
+        # sorts one new column per call: every node grid of K copies
+        # equals, bit for bit, that of a fill whose every kernel call
+        # sorts its factors' whole corner
+        rng = np.random.default_rng(101)
+        M, N, K = 4, 6, 3
+        prog = field_program(triple, config)
+        got, want = FieldNodes(prog, M, N, K), FieldNodes(prog, M, N, K)
+        for k in range(K):
+            S = _random_inputs(rng, M, N, real)
+            got.G[k, :DIM] = want.G[k, :DIM] = S.coefs
+        for n in range(N + 1):
+            got.b_column(n)
+        # a complex fill sorts nothing; a real one keeps sign-definite
+        # ends on some level
+        assert all(bool(ends.cols) == real for ends in got._ends)
+        assert real == any(ends.cols and ends.definite
+                           for ends in got._ends)
+        whole = polyfield.product_columns
+        monkeypatch.setattr(polyfield, "product_columns",
+                            lambda G, a, b, n, M, real, ends: whole(
+                                G, a, b, n, M, real))
+        for n in range(N + 1):
+            want.b_column(n)
+        assert _same(got.G, want.G)
+
     def test_real_columns_skip_the_imaginary_halves(self, config, triple,
                                                     monkeypatch):
         # a real column's Lin pass takes the real halves of the K copies

@@ -24,6 +24,7 @@ from fourbody.interval import (
     _padded_cascade,
 )
 from fourbody.taylor import (
+    FactorEnds,
     ScalarSeries2,
     Series2,
     SymmetryReport,
@@ -643,6 +644,56 @@ class TestProductColumns:
                     assert Fraction(got.lo[0, j, m]) <= parts[0][0]
                     assert Fraction(got.hi[0, j, m]) >= parts[0][1]
         assert len(seen) == N + 1 and not any(seen)
+
+    def test_kept_ends_switch_for_good_at_a_straddle(self, monkeypatch):
+        # ends kept from call to call, each call sorting its new column:
+        # every call's rows equal the four-candidate reference; the
+        # two-candidate former runs until column j, whose planted entry
+        # straddles zero, and never again, though the later columns are
+        # sign-definite
+        seen = self._formers(monkeypatch)
+        rng = np.random.default_rng(83)
+        M, N, nodes, j = 4, 6, 5, 3
+        G = self._definite_stack(rng, nodes, M, N, big=False)
+        a, b = rng.integers(0, nodes, (2, 7))
+        G.lo[0, a[2], 1, j], G.hi[0, a[2], 1, j] = -0.5, 0.25
+        ends = FactorEnds(a, b, M + 1)
+        for n in range(N + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = product_columns(G, a, b, n, M, True, ends)
+                want = _four_candidate_columns(G, a, b, n, M, True)
+            for x, y in zip((got.lo, got.hi), want):
+                assert np.ascontiguousarray(x).tobytes() == y.tobytes(), n
+            # no column is sorted past the straddling one
+            assert ends.cols == min(n, j) + 1
+        assert seen == [True] * j + [False] * (N + 1 - j)
+
+    def test_kept_ends_equal_one_sort_until_dropped(self, monkeypatch):
+        # ends sorted one column per call equal one sort of the whole
+        # corner; after a sorted entry is rewritten and the ends
+        # dropped, the next call sorts every column again, so its
+        # former and rows are those of a call that keeps no ends
+        rng = np.random.default_rng(89)
+        M, N, nodes = 4, 5, 6
+        G = self._definite_stack(rng, nodes, M, N, big=False)
+        a, b = rng.integers(0, nodes, (2, 5))
+        ends = FactorEnds(a, b, M + 1)
+        for n in range(N):
+            product_columns(G, a, b, n, M, True, ends)
+            whole = FactorEnds(a, b, M + 1)
+            assert whole.through(G, n) and ends.definite
+            assert (ends.ends[..., : n + 1].tobytes()
+                    == whole.ends[..., : n + 1].tobytes())
+        G.lo[0, b[0], 0, 2], G.hi[0, b[0], 0, 2] = -1.0, 1.0
+        ends.drop()
+        seen = self._formers(monkeypatch)
+        got = product_columns(G, a, b, N, M, True, ends)
+        want = product_columns(G, a, b, N, M, True)
+        for x, y in ((got.lo, want.lo), (got.hi, want.hi)):
+            assert x.tobytes() == y.tobytes()
+        assert seen == [False, False]
+        with pytest.raises(ValueError, match="factor ends"):
+            product_columns(G, a, b, N, M - 1, True, ends)
 
     def test_complex_calls_run_four_candidates(self, monkeypatch):
         # sign-definite complex factors keep the four candidates
