@@ -7,9 +7,9 @@ Gamma_{m,n+1} = b_mn / (tau (n + 1)), with b_mn the Cauchy-product
 coefficients of the lifted polynomial field.  ``taylor_flow`` fills
 K charts at once in place from their column 0, the arcs, and takes the
 field as a ``b_column(n)`` callable that returns the t-order-n
-coefficients of every component of every chart as one
-``CIntervalArray`` of shape (K, dim, M + 1), reading only columns 0..n
-of the charts.  In production they come from
+coefficients of every component of every chart as one array of the
+charts' type and shape (K, dim, M + 1), reading only columns 0..n of
+the charts.  In production they come from
 ``polyfield.FieldNodes.b_column``, the series interpreter of the field
 program, whose K copies of the node set ride a leading batch axis:
 chart k is copy k's input rows, and every node of copy k a grid of
@@ -17,10 +17,12 @@ chart k is copy k's input rows, and every node of copy k a grid of
 run costs the same as a single full Cauchy product per node, and each
 level pass serves every chart.  An ``ArcFill`` holds that run and its
 interpreter; an atlas generation is one ``ArcFill`` of all its arc
-pieces, and a single arc is K = 1.  With automatic tau the fill is its
-own pilot: it makes columns 0..``_N_PILOT`` at tau = +-1, reads each
-arc's tau from them (``choose_tau``), rescales them to it by outward
-enclosures of tau^-n and fills the rest of each chart at its tau.
+pieces, and a single arc is K = 1.  Its store and charts are real,
+from each arc's real parts (``_arc_columns``), until ``finish`` wraps a
+chart in a ``Series2``.  With automatic tau the fill is its own pilot:
+it makes columns 0..``_N_PILOT`` at tau = +-1, reads each arc's tau
+from them (``choose_tau``), rescales them to it by outward enclosures
+of tau^-n and fills the rest of each chart at its tau.
 Its ``finish(copies)`` makes the charts of any list of its arcs at
 once, each step one stacked pass over the list, the arcs on the
 leading axis: the defects from the interpreter
@@ -66,12 +68,13 @@ from .interval import (
     _ldexp_arr,
     _nonneg_upper,
     _pad_sum,
+    _parts,
     matrix_norm,
 )
 from .manifold import BoundaryArc
 from .polyfield import (DIM, FieldNodes, field_defect, field_program, poly_DF,
                         poly_F_point)
-from .taylor import Series2, _fit
+from .taylor import Series2
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,8 @@ class FlowChart:
 # the recursion engine
 
 
-def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
+def taylor_flow(out: IntervalArray | CIntervalArray,
+                b_column: Callable[[int], IntervalArray | CIntervalArray],
                 taus: Sequence[float], start: int = 0) -> None:
     """Integrate tau_k dGamma_k/dt = F(Gamma_k) for K charts at once by
     the coefficient recursion, filling columns start + 1..N of ``out``
@@ -118,32 +122,27 @@ def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
     ``start`` > 0 the columns a fill has made so far.
 
     ``out`` has shape (K, dim, M + 1, N + 1), chart k at ``out[k]``,
-    and ``taus[k]`` is chart k's time rescaling.  ``b_column(n)`` must
-    return the field coefficients of t-order n of every chart as one
-    CIntervalArray of shape (K, dim, M + 1), entry (k, i) for component
-    i of chart k, reading only columns 0..n of ``out``; it is called
-    for n = start..N - 1, and column n + 1 of chart k is then
-    b_k / (tau_k (n + 1)), and all K are written by one
-    stacked ``_imul_arr`` with the enclosures of 1 / (tau_k (n + 1)),
-    all K N of them formed before the first column by one stacked
-    product (``_time_scales``) and one stacked directed reciprocal
-    (``interval._irecip_arr``), each equal to the scalar
-    ``1 / (tau * (n + 1))`` of ``Interval`` inside the guards of those
-    kernels.  A column whose imaginary halves are all exact zeros, as
-    every column of real arcs is, is scaled on its real halves alone
-    and its imaginary halves written as +0.0: the product of an exact
-    zero is a zero, so only the sign of a zero differs from scaling
-    both halves, where a backward-time tau gave -0.0.  Each entry gets
-    the endpoints of its own interval product, so a chart's columns do
-    not depend on the other charts;
+    real or complex, and ``taus[k]`` is chart k's time rescaling.
+    ``b_column(n)`` must return the field coefficients of t-order n of
+    every chart as one array of ``out``'s type and of shape
+    (K, dim, M + 1), entry (k, i) for component i of chart k, reading
+    only columns 0..n of ``out``; it is called for n = start..N - 1,
+    and column n + 1 of chart k is then b_k / (tau_k (n + 1)), every
+    part of all K written by one stacked ``_imul_arr`` with the
+    enclosures of 1 / (tau_k (n + 1)), all K N of them formed before
+    the first column by one stacked product (``_time_scales``) and one
+    stacked directed reciprocal (``interval._irecip_arr``), each equal
+    to the scalar ``1 / (tau * (n + 1))`` of ``Interval`` inside the
+    guards of those kernels.  Each entry gets the endpoints of its own
+    interval product, so a chart's columns do not depend on the other
+    charts;
     where a scale is exactly +-1 or +-2, they equal those of
     ``CIntervalArray``'s exact scaling up to the sign of a zero.  The
     field is supplied by the caller, so harness fields (constant,
     linear) exercise the engine exactly.  Raises ValueError unless
-    0 <= start <= N.
+    0 <= start <= N, or a column's parts are not ``out``'s.
     """
-    K, dim, rows, cols = out.shape
-    N = cols - 1
+    K, N = out.shape[0], out.shape[-1] - 1
     if N < 1:
         raise ValueError("time order N must be at least 1")
     if not 0 <= start <= N:
@@ -154,15 +153,12 @@ def taylor_flow(out: CIntervalArray, b_column: Callable[[int], CIntervalArray],
     if not all(tau != 0.0 and math.isfinite(tau) for tau in taus):
         raise ValueError("tau must be finite and nonzero")
     inv_lo, inv_hi = _irecip_arr(*_time_scales(taus, N))
+    olo, ohi = _parts(out)
     for n in range(start, N):
-        b = b_column(n)
-        # an exactly real column scales its real half alone
-        parts = 1 if not (b.lo[1].any() or b.hi[1].any()) else 2
-        out.lo[:parts, ..., n + 1], out.hi[:parts, ..., n + 1] = _imul_arr(
-            b.lo[:parts].reshape(parts, K, dim, rows),
-            b.hi[:parts].reshape(parts, K, dim, rows),
+        blo, bhi = _parts(b_column(n))
+        olo[..., n + 1], ohi[..., n + 1] = _imul_arr(
+            blo.reshape(olo.shape[:-1]), bhi.reshape(olo.shape[:-1]),
             inv_lo[:, n, None, None], inv_hi[:, n, None, None])
-        out.lo[parts:, ..., n + 1] = out.hi[parts:, ..., n + 1] = 0.0
 
 
 def _time_scales(taus: Sequence[float], N: int
@@ -182,31 +178,26 @@ def _time_scales(taus: Sequence[float], N: int
 # arcs in, charts out
 
 
-def _arc_column(arc: BoundaryArc, M: int) -> CIntervalArray:
-    """Arc coefficients as an exactly real column padded to order M,
-    shape (dim, M + 1).
+def _arc_columns(arcs: Sequence[BoundaryArc], M: int) -> IntervalArray:
+    """The arcs as real time-0 columns padded with zeros to order M,
+    shape (arcs, DIM, M + 1, 1): the one place where arcs become real.
 
     Arcs from ``boundary_mesh`` and ``collapse_time_one`` arrive real,
     with exactly zero imaginary grids.  Any arc passes
     ``Series2.real_part``: the true arc is a real-analytic curve, so
     every imaginary enclosure must straddle zero, or SymmetryViolation
-    is raised, and is replaced by exact zero, which keeps all
-    downstream grids exactly real.
+    is raised, and the real parts go on.
     """
-    Ma, Na = arc.gamma.orders
-    if Na != 0:
-        raise ValueError("boundary arc must have time order 0")
-    if M < Ma:
-        raise ValueError(f"spatial order {M} is below the arc order {Ma}")
-    real = CIntervalArray.from_real(arc.gamma.real_part())
-    return _fit(real, M, 0)[:, :, 0]
-
-
-def _column_mag(G: Series2, n: int) -> float:
-    """Largest sum of real and imaginary magnitudes in column n."""
-    col = G.coefs[:, :, n]
-    mags = np.maximum(np.abs(col.lo), np.abs(col.hi))
-    return float(np.max(mags[0] + mags[1]))
+    lo, hi = np.zeros((2, len(arcs), DIM, M + 1, 1))
+    for k, arc in enumerate(arcs):
+        Ma, Na = arc.gamma.orders
+        if Na != 0:
+            raise ValueError("boundary arc must have time order 0")
+        if M < Ma:
+            raise ValueError(f"spatial order {M} is below the arc order {Ma}")
+        re = arc.gamma.real_part()
+        lo[k, :, : Ma + 1], hi[k, :, : Ma + 1] = re.lo, re.hi
+    return IntervalArray(lo, hi)
 
 
 # the columns an automatic-tau fill makes at tau = +-1 before it picks
@@ -217,31 +208,28 @@ _TARGET_RATIO = 0.5
 _TAU_FLOOR = 1e-6
 
 
-def choose_tau(charts: Sequence[Series2]) -> list[float]:
+def choose_tau(charts: IntervalArray) -> list[float]:
     """Each chart's time rescaling from its columns 0..``_N_PILOT``,
-    which a fill has made at tau = +-1.
+    which a fill has made at tau = +-1, for a real chart stack.
 
     Column norms of a Taylor flow decay like (tau R)^-n with R the
     flow-time convergence radius, so dividing the trailing column ratio
     of a tau = 1 fill by ``_TARGET_RATIO`` leaves a fill at the
     returned tau with successive-column ratios near the target (the
     usual step rule of Taylor methods; Jorba and Zou, Exp. Math. 14
-    (2005)).  A chart's tau reads only its own columns.  A ratio that
-    is not finite, such as inf / inf from columns that overflow, is
-    skipped, and a chart left with no finite ratio gets tau = 1, as an
-    all-zero one does; its chart then fails its tube or guard.  A
+    (2005)).  A chart's tau reads only its own columns.  A quotient
+    ratio / ``_TARGET_RATIO`` that is not finite, as from columns that
+    overflow, is skipped, and a chart left with none gets tau = 1, as
+    an all-zero one does; its chart then fails its tube or guard.  A
     heuristic: it picks tau and bounds nothing.
     """
+    norms = charts[..., _N_PILOT - 2: _N_PILOT + 1].mag().max(axis=(1, 2))
     taus = []
-    for G in charts:
-        norms = {n: _column_mag(G, n)
-                 for n in range(_N_PILOT - 2, _N_PILOT + 1)}
-        ratios = [r for r in (norms[k + 1] / norms[k]
-                              for k in range(_N_PILOT - 2, _N_PILOT)
-                              if norms[k] > 0.0)
-                  if math.isfinite(r)]
-        taus.append(max(max(ratios) / _TARGET_RATIO, _TAU_FLOOR)
-                    if ratios else 1.0)
+    for a, b, c in norms.tolist():
+        quotients = [q for q in (y / x / _TARGET_RATIO
+                                 for x, y in ((a, b), (b, c)) if x > 0.0)
+                     if math.isfinite(q)]
+        taus.append(max(max(quotients), _TAU_FLOOR) if quotients else 1.0)
     return taus
 
 
@@ -284,13 +272,11 @@ class ArcFill:
     and each arc's tau is the one a tau = 1 fill of columns
     0..``_N_PILOT`` of that arc alone gives, since column n reads only
     columns 0..n; it needs N >= ``_N_PILOT``, or ValueError is
-    raised.  ``G[k]``, arc k's chart series, is a view of copy k's
-    input rows, so the charts and the inputs are one array; stable arcs
-    advect in backward time, so ``G[k]`` carries the signed rescaling
-    in its ``tau``, and the source arc's tail.  The interpreter decides
-    real-ness for all the arcs together (``FieldNodes``): atlas arcs
-    are exactly real, so each chart is bit-equal to that of a fill of
-    its arc alone, with the same ``taus`` or both automatic.
+    raised.  ``charts``, the real store's input rows of shape
+    (K, DIM, M + 1, N + 1), hold arc k's chart at ``charts[k]``, and
+    ``taus[k]`` is its signed rescaling, negative for a stable arc,
+    which advects in backward time.  Each chart is bit-equal to that of a
+    fill of its arc alone, with the same ``taus`` or both automatic.
     ``finish(copies)`` makes the charts of a list of arcs together:
     their defects, range boxes, Gronwall tubes and collision guards,
     each as one stacked pass over the list.  ``retime(k)`` doubles arc
@@ -316,23 +302,19 @@ class ArcFill:
             if not all(tau > 0.0 for tau in taus):
                 raise ValueError("tau must be positive")
         self.arcs, self.m, self.p = arcs, m, p
-        self._nodes = FieldNodes(field_program(m, p), M, N, len(arcs))
-        charts = self._nodes.G[:, :DIM]
-        charts[:, :, :, 0] = CIntervalArray.of([_arc_column(arc, M)
-                                                for arc in arcs])
-        self.G = [Series2(charts[k], scale=arc.gamma.scale,
-                          tau=(-1.0 if arc.kind == "stable" else 1.0)
-                          * (1.0 if taus is None else taus[k]),
-                          tail=arc.gamma.tail)
-                  for k, arc in enumerate(arcs)]
+        self._nodes = FieldNodes(field_program(m, p), _arc_columns(arcs, M),
+                                 M, N)
+        self.charts = self._nodes.G[:, :DIM]
+        self.taus = [(-1.0 if arc.kind == "stable" else 1.0)
+                     * (1.0 if taus is None else taus[k])
+                     for k, arc in enumerate(arcs)]
         start = 0
         if taus is None:
-            taylor_flow(charts[..., :_N_PILOT + 1], self._nodes.b_column,
-                        [G.tau for G in self.G])
-            self._rescale(choose_tau(self.G))
+            pilot = self.charts[..., :_N_PILOT + 1]
+            taylor_flow(pilot, self._nodes.b_column, self.taus)
+            self._rescale(choose_tau(pilot))
             start = _N_PILOT
-        taylor_flow(charts, self._nodes.b_column, [G.tau for G in self.G],
-                    start)
+        taylor_flow(self.charts, self._nodes.b_column, self.taus, start)
 
     def _rescale(self, taus: Sequence[float]) -> None:
         """Take every arc k from tau = +-1 to +-``taus[k]``: columns
@@ -355,9 +337,6 @@ class ArcFill:
         every chart the fill encloses.  Each scaled end is the floor or
         the ceil of its exact product inside ``_iscale_arr``'s residual
         guard, so a tau of 1 leaves every entry there as it is.  The
-        arcs enter exactly real (``_arc_column``), so every imaginary
-        grid of the fill is an exact zero, which the scaling would
-        leave as it is; only the real halves are scaled.  The
         interpreter's kept factor ends of the scaled columns are
         dropped (``FieldNodes.drop_ends``), so the next column sorts
         them again.  Raises ValueError, before any column is scaled,
@@ -365,13 +344,12 @@ class ArcFill:
         if not all(math.isfinite(tau) for tau in taus):
             raise ValueError("tau must be finite and nonzero")
         slo, shi = _power_bounds(taus, _N_PILOT)
-        at = (0, Ellipsis, slice(1, _N_PILOT + 1))
+        at = (Ellipsis, slice(1, _N_PILOT + 1))
         G = self._nodes.G
         G.lo[at], G.hi[at] = _iscale_arr(
             G.lo[at], G.hi[at], slo[:, None, None], shi[:, None, None])
         self._nodes.drop_ends()
-        for chart, tau in zip(self.G, taus):
-            chart.tau *= tau
+        self.taus = [sigma * tau for sigma, tau in zip(self.taus, taus)]
 
     def retime(self, k: int) -> None:
         """Double arc k's tau: column n of every node of copy k of the
@@ -392,15 +370,14 @@ class ArcFill:
         are dropped (``FieldNodes.drop_ends``), so a retime before the
         first finish sorts them again when it fills the last column.
         """
-        G = self.G[k]
-        tau = 2.0 * G.tau
+        tau = 2.0 * self.taus[k]
         if not math.isfinite(tau):
             raise ValueError("tau must be finite and nonzero")
-        rows = self._nodes.G[k]
-        rows.lo[...], rows.hi[...] = _ldexp_arr(
-            rows.lo, rows.hi, -np.arange(self._nodes.N + 1))
+        G = self._nodes.G
+        G.lo[k], G.hi[k] = _ldexp_arr(G.lo[k], G.hi[k],
+                                      -np.arange(self._nodes.N + 1))
         self._nodes.drop_ends()
-        G.tau = tau
+        self.taus[k] = tau
 
     def finish(self, copies: Sequence[int], *,
                start_times: Optional[Sequence[float]] = None,
@@ -419,28 +396,29 @@ class ArcFill:
         collision guard (``check_collision``) of every chart whose tube
         closed, over the same samples padded by its own tail.  Every
         step treats the copies entrywise, so each outcome is that of
-        finishing its arc alone.  A chart holds a copy of the
-        coefficients, so a later retime leaves it as it is; its
+        finishing its arc alone.  A chart's ``Gamma`` holds a copy of
+        the coefficients, so a later retime leaves it as it is; its
         ``source_arc`` is left to the caller.  ``start_times`` gives the
         flow time of each chart's arc (default 0)."""
         copies = list(copies)
         if start_times is None:
             start_times = [0.0] * len(copies)
-        Gs = [self.G[k] for k in copies]
-        taus = [G.tau for G in Gs]
-        arc_tails = [G.tail for G in Gs]
+        arcs = [self.arcs[k] for k in copies]
+        taus = [self.taus[k] for k in copies]
+        arc_tails = [arc.gamma.tail for arc in arcs]
         defects = _defect_bounds(self._nodes, copies, taus)
-        ranges = range_box(Gs)
+        charts = self.charts[copies]
+        ranges = range_box(charts)
         tails = propagated_tail(self.m, self.p, ranges.padded(arc_tails),
                                 taus, arc_tails, defects)
         out: list[FlowChart | CollisionDomain] = [
             tail if isinstance(tail, CollisionDomain) else FlowChart(
-                Gamma=Series2(G.coefs.copy(), scale=G.scale, tau=G.tau,
-                              tail=tail),
-                kind=self.arcs[k].kind, defect=float(defect),
-                accumulated_time=start + 1.0 / G.tau)
-            for k, G, tail, defect, start in zip(
-                copies, Gs, tails, defects, start_times)]
+                Gamma=Series2.from_real(charts[j], scale=arc.gamma.scale,
+                                        tau=tau, tail=tail),
+                kind=arc.kind, defect=float(defect),
+                accumulated_time=start + 1.0 / tau)
+            for j, (arc, tau, tail, defect, start) in enumerate(zip(
+                arcs, taus, tails, defects, start_times))]
         if delta_min is not None:
             closed = [j for j, chart in enumerate(out)
                       if isinstance(chart, FlowChart)]
@@ -486,16 +464,15 @@ def _defect_bounds(cols: FieldNodes, copies: Sequence[int],
     ``copies`` of ``cols``, at the signed rescalings ``taus``, with
     left-hand sides tau dGamma/dt: column n of copy j's is
     tau_j (n + 1) Gamma[:, n + 1], and column N is zero.  All of them
-    are one stacked ``_imul_arr`` of the charts' columns 1..N with the
-    enclosures of tau_j (n + 1) from ``_time_scales``."""
+    are one stacked real ``_imul_arr`` of the charts' columns 1..N with
+    the enclosures of tau_j (n + 1) from ``_time_scales``."""
     N = cols.N
     slo, shi = _time_scales(taus, N)
-    glo, ghi = (x[:, copies, :DIM, :, 1:]
-                for x in (cols.G.lo, cols.G.hi))
-    lhs = CIntervalArray.zeros((len(copies), DIM, cols.M + 1, N + 1))
-    lhs.lo[..., :N], lhs.hi[..., :N] = _imul_arr(
-        glo, ghi, slo[:, None, None], shi[:, None, None])
-    return field_defect(cols, lhs, copies)
+    lo, hi = np.zeros((2, len(copies), DIM, cols.M + 1, N + 1))
+    lo[..., :N], hi[..., :N] = _imul_arr(
+        cols.G.lo[copies, :DIM, :, 1:], cols.G.hi[copies, :DIM, :, 1:],
+        slo[:, None, None], shi[:, None, None])
+    return field_defect(cols, IntervalArray._wrap(lo, hi), copies)
 
 
 # tiles per side of the range box's sample grid, and the tile centers
@@ -572,8 +549,8 @@ class RangeBoxes:
                              np.where(bad, np.inf, hi))
 
 
-def range_box(charts: Sequence[Series2]) -> RangeBoxes:
-    """Enclosures of the real ranges of equal-order charts over the
+def range_box(charts: IntervalArray) -> RangeBoxes:
+    """Enclosures of the ranges of a stack of real charts over the
     domain square, before their tails.
 
     Interval Horner is uselessly wide at these orders, so the boxes
@@ -595,14 +572,12 @@ def range_box(charts: Sequence[Series2]) -> RangeBoxes:
     the truncation.  The terms are summed upward, and the box ends are
     stepped outward.  Raises ValueError for grids beyond those limits.
     """
-    M, N = charts[0].orders
+    M, N = charts.shape[-2] - 1, charts.shape[-1] - 1
     if (M + 1) * (N + 1) >= 8000 or max(M, N) > 170:
         raise ValueError(f"chart orders {(M, N)} exceed the range "
                          "box's rounding analysis")
     h = (1.0 / _TILES) * (1.0 + 1e-12)
-    # the charts are real: only the real parts enter
-    lo = np.stack([G.coefs.lo[0] for G in charts])
-    hi = np.stack([G.coefs.hi[0] for G in charts])
+    lo, hi = charts.lo, charts.hi
     # unbounded coefficients give non-finite samples, which ``padded``
     # turns into unbounded components
     with np.errstate(invalid="ignore", over="ignore"):

@@ -387,7 +387,8 @@ class Atlas:
     def load(cls, path) -> "Atlas":
         """The atlas saved at ``path``.  Raises SchemaVersionMismatch
         for another schema, and ValueError unless its ids are those of
-        an atlas that can grow: every frontier, stopped and chart arc id
+        an atlas that can grow: every id and generation is an ``int``,
+        every frontier, stopped and chart arc id
         names a stored arc, and the next arc and chart ids exceed every
         stored one, so ``grow`` neither reads a missing arc nor
         overwrites a stored record, and no arc or chart id is stored
@@ -396,15 +397,16 @@ class Atlas:
         pairwise disjoint, each with no repeats: an arc is advected at
         most once, into one chart or into ``stopped``, and a frontier id
         listed twice, or also stopped or charted, would make ``grow``
-        advect its arc again.  A file
-        that is not JSON, such as one holding an ``Infinity`` literal,
-        raises ValueError too (``orjson.JSONDecodeError``)."""
+        advect its arc again.  A file that is not JSON, such as one
+        holding an ``Infinity`` literal, raises ValueError too
+        (``orjson.JSONDecodeError``)."""
         with open(path, "rb") as f:
             doc = orjson.loads(f.read())
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise SchemaVersionMismatch(
                 f"expected atlas schema {SCHEMA_VERSION}, "
                 f"got {doc.get('schema_version')}")
+        _require_ids(doc)
         masses = MassTriple.from_floats(*doc["masses"])
         atlas = cls(doc["kind"], masses, meta=doc["meta"])
         atlas.frontier = list(doc["frontier"])
@@ -458,6 +460,24 @@ def _require_finite(field: str, value) -> None:
           and not np.isfinite(value).all()):
         raise ValueError(f"atlas field {field} is not finite, and JSON "
                          "has no number for it")
+
+
+def _require_ids(doc: dict) -> None:
+    """Raise ValueError naming the field unless every id and generation
+    of the atlas document ``doc`` is an ``int``, not a bool, a float
+    such as 7.5 or a string, which ``grow`` would count on from."""
+    fields = [(key, doc[key]) for key in ("next_arc_id", "next_chart_id")]
+    fields += [(f"{key}[{i}]", v) for key in ("frontier", "stopped")
+               for i, v in enumerate(doc[key])]
+    fields += [(f"{key}[{i}].{name}", d[name])
+               for key, names in (("arcs", ("arc_id", "generation")),
+                                  ("charts", ("chart_id", "arc_id",
+                                              "generation")))
+               for i, d in enumerate(doc[key]) for name in names]
+    for field, value in fields:
+        if type(value) is not int:
+            raise ValueError(f"atlas field {field} is {value!r}, not an "
+                             "integer")
 
 
 def _series_to_json(field: str, s: Series2) -> dict:

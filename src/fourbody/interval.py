@@ -537,11 +537,7 @@ class CIntervalArray:
         the modulus: a part is zero, where hypot(x, 0) = |x| exactly
         (IEEE 754), or the rigorous floor of h^2 is at least the ceil
         of x^2 + y^2."""
-        lo, hi = self.lo, self.hi
-        if not (lo[1].any() or hi[1].any()):
-            # hypot(x, 0) = |x| = x
-            return np.maximum(np.abs(lo[0]), np.abs(hi[0]))
-        x, y = np.maximum(np.abs(lo), np.abs(hi))
+        x, y = np.maximum(np.abs(self.lo), np.abs(self.hi))
         h = np.hypot(x, y)
         if not np.any((x != 0.0) & (y != 0.0)):
             return h
@@ -1113,6 +1109,9 @@ class IntervalArray:
         self.lo = lo
         self.hi = hi
 
+    # an array over lo and hi as they are: no copy, no check
+    _wrap = classmethod(CIntervalArray._wrap.__func__)
+
     @classmethod
     def from_points(cls, values) -> "IntervalArray":
         a = np.array(values, dtype=float)
@@ -1144,9 +1143,10 @@ class IntervalArray:
         return IntervalArray(-self.hi, -self.lo)
 
     def __mul__(self, c) -> "IntervalArray":
-        """Entrywise product with an Interval or a float, by
-        ``_imul_arr``."""
-        c = Interval._coerce(c)
+        """Entrywise product with an Interval, a float or another
+        IntervalArray, which broadcasts as numpy does, by ``_imul_arr``."""
+        if not isinstance(c, IntervalArray):
+            c = Interval._coerce(c)
         return IntervalArray(*_imul_arr(self.lo, self.hi, c.lo, c.hi))
 
     def __matmul__(self, other: "IntervalArray") -> "IntervalArray":
@@ -1163,8 +1163,29 @@ class IntervalArray:
     def mid(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
+    def mag(self) -> np.ndarray:
+        """Each entry's magnitude max(|lo|, |hi|), exactly."""
+        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+
     def __repr__(self) -> str:
         return f"IntervalArray(shape={self.shape})"
+
+
+def _parts(x: "IntervalArray | CIntervalArray"
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """x's lo and hi as views with a leading axis of parts, (real,
+    imaginary) or (real,): kernels that serve both types read them, so
+    the input's type selects the arithmetic."""
+    if isinstance(x, CIntervalArray):
+        return x.lo, x.hi
+    return x.lo[None], x.hi[None]
+
+
+def _of_parts(lo: np.ndarray, hi: np.ndarray
+              ) -> "IntervalArray | CIntervalArray":
+    """The array, real or complex, whose ``_parts`` are lo and hi."""
+    return (CIntervalArray._wrap(lo, hi) if len(lo) == 2
+            else IntervalArray._wrap(lo[0], hi[0]))
 
 
 def matrix_norm(A: IntervalArray, stacked: bool = False

@@ -23,7 +23,7 @@ column, as advection does, and the tail of a finished manifold comes
 from ``polyfield.field_defect``, the bound that also gives an advected
 chart its defect.  Every fill reads P where it is written, in the
 interpreter's input rows: column n of every node is F of input columns
-0..n.
+0..n; P is complex, and so are the interpreters' stores.
 
 The formal solution scales exactly.  If P solves the invariance
 equation, so does P(s z1, s z2), whose first-order data are s v1 and
@@ -217,7 +217,7 @@ def solve_homological(m: MassTriple, p: PrimaryConfig, u0: State7,
         raise ValueError("the half solve needs v2 = conj(v1) and "
                          "lam2 = conj(lam1), endpoint for endpoint")
     prog = field_program(m, p)
-    nodes = FieldNodes(prog, N, N)
+    nodes = FieldNodes(prog, CIntervalArray.zeros((1, DIM, 1, 1)), N, N)
     G = nodes.G[0]
     jets = CIntervalArray.from_real(node_jets(prog,
                                               IntervalArray.of(u0.u)[None])[0])
@@ -255,9 +255,9 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
     of the invariance defect lam1 z1 d1 P + lam2 z2 d2 P - F(P) of P.
 
     Its left-hand side has the coefficients (m lam1 + n lam2) a_mn on
-    P's (N, N) grid.  P is written into the input rows of a fresh
-    ``FieldNodes`` on the fixed grid K = ceil(3 N / 2), zero past
-    (N, N), and ``field_defect`` fills every column of it and returns
+    P's (N, N) grid.  P is the input of a fresh ``FieldNodes`` on the
+    fixed grid K = ceil(3 N / 2), zero past (N, N), and
+    ``field_defect`` fills every column of it and returns
     the tail: the largest over i of the l1 norm of the in-grid residual
     res_i plus a bound lost_i on the coefficient mass of F_i(P) beyond
     the (K, K) grid, which bounds component i's defect over the unit
@@ -269,8 +269,7 @@ def param_equilibrium(m: MassTriple, p: PrimaryConfig, u0: State7,
           + CIntervalArray.of([lam2]) * np.arange(N + 1.0)[None, :])
     lhs = CIntervalArray.zeros((1, DIM, K + 1, K + 1))
     lhs[0, :, : N + 1, : N + 1] = P.coefs * mu
-    cols = FieldNodes(field_program(m, p), K, K)
-    cols.G[0, :DIM, : N + 1, : N + 1] = P.coefs
+    cols = FieldNodes(field_program(m, p), P.coefs[None], K, K)
     tail, = field_defect(cols, lhs)
     P = Series2(P.coefs, scale=P.scale, tail=float(tail))
     return LocalManifold(P=P, kind=kind, eigen=eigen, lambda1=lam1,
@@ -334,8 +333,8 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     quintic polynomial in the components, so passing ``(5 M, 5 N)``
     captures every coefficient, a reference for the defect bounds of
     ``polyfield.field_defect``, which need no more than a fixed grid.
-    P is written into the input rows of an interpreter on the requested
-    grid, zero past P's own, on which every node is kept.
+    P is the input of an interpreter on the requested grid, zero past
+    P's own, on which every node is kept.
     """
     M0, N0 = P.orders
     if orders is None:
@@ -343,8 +342,7 @@ def field_series(m: MassTriple, p: PrimaryConfig, P: Series2,
     OM, ON = orders
     if OM < M0 or ON < N0:
         raise ValueError(f"field orders {orders} below the grid ({M0}, {N0})")
-    cols = FieldNodes(field_program(m, p), OM, ON)
-    cols.G[0, :DIM, : M0 + 1, : N0 + 1] = P.coefs
+    cols = FieldNodes(field_program(m, p), P.coefs[None], OM, ON)
     for n in range(ON + 1):
         cols.b_column(n)
     return Series2(cols.G[0, cols.outputs]).components

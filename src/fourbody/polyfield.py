@@ -23,10 +23,10 @@ homological solve; and ``FieldNodes.beyond_grid_bounds``, the content
 each copy's grids miss.  ``evaluate`` is the float interpreter behind
 ``poly_F_point``.  ``field_defect`` finishes a column fill to bound the
 defect of an invariance equation: the ODE defect of an advected chart
-and the tail of a local manifold.  An interpreter owns its inputs: the
-input rows of each copy are the series being filled, written by the
-caller, and column n of every node is F of its copy's input columns
-0..n.
+and the tail of a local manifold.  An interpreter's inputs, the series
+being filled, fix its store's type: real for advected arcs, complex for
+a local manifold.  Column n of every node is F of its copy's input
+columns 0..n.
 """
 from __future__ import annotations
 
@@ -38,7 +38,8 @@ import numpy as np
 
 from .crfbp import MassTriple, PrimaryConfig, State4, _distances
 from .interval import (CInterval, CIntervalArray, Interval, IntervalArray,
-                       _directed_sum, _iadd_arr, _imul_arr, _nonneg_upper)
+                       _directed_sum, _iadd_arr, _imul_arr, _nonneg_upper,
+                       _of_parts, _parts)
 from .taylor import (FactorEnds, antidiagonal, mag_sum_bound,
                      product_antidiagonals, product_columns)
 
@@ -260,10 +261,8 @@ class _LinLevel:
         return acc[0], -acc[1]
 
     def add_consts(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Add the constants to slot 0 of every copy, in place, for lo
-        and hi of shape (parts, copies, level nodes, slots): ``values``'
-        on series, its parts split into (real, imaginary), or the real
-        part alone, and the copies."""
+        """Add the constants' parts to slot 0 of every copy, in place,
+        for lo and hi of shape (parts, copies, level nodes, slots)."""
         parts = len(lo)
         lo[..., 0], hi[..., 0] = _iadd_arr(lo[..., 0], hi[..., 0],
                                            self.const_lo[:parts, None],
@@ -370,7 +369,11 @@ class FieldNodes:
     """Series interpreter: every node of the program as a series on the
     (M, N) grid, for K input series at once, filled either one t-order
     column at a time (``b_column``) or one total degree at a time
-    (``degree``).
+    (``degree``).  ``FieldNodes(prog, inputs, M, N)`` writes the K input
+    series, shape (K, DIM, rows, cols), at the top left of the (M, N)
+    grid.  The store ``G`` has their type, ``IntervalArray`` or
+    ``CIntervalArray``, and every fill and bound takes its parts from
+    ``G``: a real store forms real products and sums alone.
 
     The K copies of the node set ride a leading batch axis: ``G`` has
     shape (K, size, M + 1, N + 1), size = DIM + len(prog.ops), and
@@ -383,31 +386,25 @@ class FieldNodes:
     pairs of a degree), node i of copy k at flat grid k size + i, the
     flat indices formed once per interpreter, then all ``Lin`` nodes,
     which may read that level's products, by one ``_LinLevel.values``
-    that takes the copies as parts beside (real, imaginary), or beside
-    the real part alone in a real column, with the endpoints of
-    evaluating each node's terms one by one, up to the sign of a zero,
-    and the constants added to every copy; the shift level, one exact
-    unit term per node, is a copy of its operands' slots.  The lifted
-    field takes three product passes per column and per degree.  Every
-    kernel forms each row from its own pair or terms only, so copy k's
-    grids are those of a one-copy interpreter on copy k's inputs, given
-    the same real-ness decision below.
+    that takes the copies as parts beside the store's parts, with the
+    endpoints of evaluating each node's terms one by one, up to the
+    sign of a zero, and the constants added to every copy; the shift
+    level, one exact unit term per node, is a copy of its operands'
+    slots.  The lifted field takes three product passes per column and
+    per degree.  Every kernel forms each row from its own pair or terms
+    only, so copy k's grids are those of a one-copy interpreter on copy
+    k's inputs.
 
     The input rows ``G[k, :DIM]`` of each copy are the series being
-    filled: the caller writes them, and neither fill writes them.
-    ``b_column(n)`` fills column n of every node on all M + 1 rows by
-    ``taylor.product_columns``; the constants enter at n = 0.  Whether
-    every factor is exactly real is decided once per column for all K
-    copies together, from ``G``'s imaginary grids, which show input
-    columns past n too, so the decision is conservative when one copy
-    is complex or the caller wrote columns ahead.  Each row equals
-    ``product_column``'s for its pair, bit for bit, when that decision
-    agrees with the pair's own, as it does when every copy's inputs are
-    exactly real, as the arcs of an atlas are, or all complex, and
-    overlaps it otherwise.  The kernel also picks its two- or
-    four-candidate former once per call, from every copy's factors,
-    but both give each row the same bits, so that choice never couples
-    the copies.
+    filled: the caller may write more of them, and neither fill writes
+    them.  ``b_column(n)`` fills column n of every node on all M + 1
+    rows by ``taylor.product_columns``; the constants enter at n = 0.
+    Each row equals ``product_column``'s for its pair, bit for bit,
+    unless the store is complex and the pair exactly real, where the
+    complex row overlaps that function's real one.  The kernel picks
+    its two- or four-candidate former once per call, from every copy's
+    factors, but both give each row the same bits, so that choice never
+    couples the copies.
 
     Kept ends: the interpreter holds one ``taylor.FactorEnds`` per
     product level, its factors' inner and outer ends and a running
@@ -419,9 +416,9 @@ class FieldNodes:
     flag are those of sorting the call's whole corner, and the bits are
     those of a call that keeps none.  A writer of filled columns of
     ``G`` calls ``drop_ends()``, as ``advect.ArcFill``'s rescale and
-    retime do, and the next real column sorts every column again;
-    input columns ahead of the fill need nothing, since the sort reads
-    a column only when it is filled.  A complex column sorts nothing.
+    retime do, and the next column sorts every column again; input
+    columns ahead of the fill need nothing, since the sort reads a
+    column only when it is filled.  A complex store sorts nothing.
 
     Theorem: if input columns 0..n are
     enclosures, so are columns n of all nodes, since a product's column
@@ -445,16 +442,22 @@ class FieldNodes:
     every summand containing an unknown degree-d coefficient.
     """
 
-    def __init__(self, prog: FieldProgram, M: int, N: int, K: int = 1):
-        if K < 1:
-            raise ValueError("an interpreter needs at least one copy")
+    def __init__(self, prog: FieldProgram,
+                 inputs: IntervalArray | CIntervalArray, M: int, N: int):
+        K, dim, rows, cols = inputs.shape
+        if K < 1 or dim != DIM or rows > M + 1 or cols > N + 1:
+            raise ValueError(f"inputs of shape {inputs.shape} are no copies "
+                             f"on the interpreter's grid {(M, N)}")
         self.prog = prog
         self.M = M
         self.N = N
         self.levels = _levels(prog)
         self.outputs = np.array(prog.outputs)
         size = DIM + len(prog.ops)
-        self.G = CIntervalArray.zeros((K, size, M + 1, N + 1))
+        parts = _parts(inputs)
+        lo, hi = np.zeros((2, len(parts[0]), K, size, M + 1, N + 1))
+        lo[:, :, :DIM, :rows, :cols], hi[:, :, :DIM, :rows, :cols] = parts
+        self.G = _of_parts(lo, hi)
         self.filled = 0
         # every level's factors on the kernels' flat node axis, copy k's
         # node 0 at k size, and the kept ends of its column products
@@ -464,36 +467,26 @@ class FieldNodes:
         self._ends = [FactorEnds(a, b, M + 1)
                       for (a, b) in self._factors if a.size]
 
-    def _fill(self, slots: tuple, products, consts: bool,
-              real: bool = False) -> None:
-        """Fill every node of every copy at ``slots`` level by level;
-        ``products`` maps the flat factor indices a and b to their
-        products there, and the constants land on the first slot when
-        ``consts``.  With ``real``, every grid is exactly real, as
-        ``b_column`` decides: the ``Lin`` pass then takes the real
-        halves alone and adds the constants' real parts, and only the
-        real halves are written, so the imaginary grids stay exact
-        zeros and each real endpoint is that of the complex pass, since
-        every kernel treats the parts entrywise."""
-        G = self.G
-        K = G.shape[0]
-        parts = 1 if real else 2
-        # the copies as parts of the Lin pass, after (real, imaginary)
-        # or after the real part alone
-        lo, hi = (x[:parts].reshape((parts * K,) + G.shape[1:])
-                  for x in (G.lo, G.hi))
+    def _fill(self, slots: tuple, products, consts: bool) -> None:
+        """Fill every node of every copy at ``slots`` level by level, in
+        the store's parts; ``products`` maps the flat factor indices a
+        and b to their products there, and the constants land on the
+        first slot when ``consts``."""
+        glo, ghi = _parts(self.G)
+        parts, K = glo.shape[:2]
+        # the copies as parts of the Lin pass, after the store's parts
+        lo, hi = (x.reshape((parts * K,) + x.shape[2:]) for x in (glo, ghi))
 
         def put(nodes, vlo, vhi):
             # the parts of every copy, in (part, copy, node) order, by
             # one write per end
-            at = (slice(parts), slice(None), nodes[:, None]) + slots
+            at = (slice(None), slice(None), nodes[:, None]) + slots
             shape = (parts, K, len(nodes)) + vlo.shape[-1:]
-            G.lo[at], G.hi[at] = vlo.reshape(shape), vhi.reshape(shape)
+            glo[at], ghi[at] = vlo.reshape(shape), vhi.reshape(shape)
 
         for ((i, _, _), lin), (a, b) in zip(self.levels, self._factors):
             if i.size:
-                p = products(a, b)
-                put(i, p.lo[:parts], p.hi[:parts])
+                put(i, *_parts(products(a, b)))
             if lin is not None:
                 vlo, vhi = (x.reshape((parts, K) + x.shape[1:])
                             for x in lin.values(lo, hi, *slots))
@@ -501,32 +494,22 @@ class FieldNodes:
                     lin.add_consts(vlo, vhi)
                 put(lin.nodes, vlo, vhi)
 
-    def b_column(self, n: int) -> CIntervalArray:
+    def b_column(self, n: int) -> CIntervalArray | IntervalArray:
         """Column n of every node of every copy; returns the outputs',
-        shape (K, DIM, M + 1).  Whether the products are exactly real is
-        decided for the whole batch of copies: a conservative choice,
-        bit-equal to one copy's own when every copy is real, as atlas
-        arcs are; a real column runs the real ``Lin`` pass of ``_fill``,
-        and each product level's kernel call sorts column n of its
-        factors into the level's kept ends, the columns before it
-        already sorted (all of them after ``drop_ends``).
-        Raises ValueError unless n is the next unfilled
-        column, since a product's column n reads its operands' columns
-        0..n, which would otherwise still be zero."""
+        shape (K, DIM, M + 1).  On a real store each product level's
+        kernel call sorts column n of its factors into the level's kept
+        ends (``FactorEnds``).  Raises ValueError unless n is the next
+        unfilled column, since a product's column n reads its operands'
+        columns 0..n, which would otherwise still be zero."""
         if n != self.filled:
             raise ValueError(f"column {n} requested, but the next "
                              f"unfilled column is {self.filled}")
-        # the unfilled node columns are zero, so this asks whether
-        # every factor of every product of this column, in every copy,
-        # is exactly real, or an input column past n is complex
-        real = not (self.G.lo[1].any() or self.G.hi[1].any())
         # the product levels come in order, each with its kept ends
         ends = iter(self._ends)
         self._fill((np.arange(self.M + 1), n), lambda a, b: product_columns(
-            self.G, a, b, n, self.M, real, next(ends)), n == 0, real)
+            self.G, a, b, n, self.M, next(ends)), n == 0)
         self.filled = n + 1
-        return CIntervalArray._wrap(self.G.lo[..., n][:, :, self.outputs],
-                                    self.G.hi[..., n][:, :, self.outputs])
+        return self.G[..., n][:, self.outputs]
 
     def drop_ends(self) -> None:
         """Forget the kept factor ends of every product level, after
@@ -535,7 +518,7 @@ class FieldNodes:
         for ends in self._ends:
             ends.drop()
 
-    def degree(self, d: int, m_min: int = 0) -> CIntervalArray:
+    def degree(self, d: int, m_min: int = 0) -> CIntervalArray | IntervalArray:
         """Node slots (m, d - m), m >= m_min, of degree d >= 1; returns
         the outputs', shape (K, DIM, slots)."""
         ms, ns = antidiagonal(self.M, self.N, d, m_min)
@@ -555,7 +538,7 @@ class FieldNodes:
         inputs.  Truncation drops only high orders and multiplication
         only raises them, so lost content never lands back on the grid
         and the in-grid coefficients stay exact.  Every float step is
-        bounded: ``CIntervalArray.mag`` rounds up, the norms and
+        bounded: the store's ``mag`` rounds up, the norms and
         ``_conv_tail`` are padded by gamma of their own rounding
         counts (``interval._nonneg_upper``), and the recurrence rounds
         each sum and product up, by ``_directed_sum`` and the upper end
@@ -600,17 +583,18 @@ def _prod_up(a, b):
     return _imul_arr(a, a, b, b)[1]
 
 
-def field_defect(cols: FieldNodes, lhs: CIntervalArray,
+def field_defect(cols: FieldNodes, lhs: CIntervalArray | IntervalArray,
                  copies: Sequence[int] = (0,)) -> np.ndarray:
     """Bounds on the defect sup |lhs_i - F_i(S)| of an invariance
     equation over the closed unit polydisc, largest over i, for the
     series S in the input rows of each copy in ``copies`` of ``cols``.
 
     ``lhs`` has shape (len(copies), DIM, M + 1, N + 1) on the
-    interpreter's (M, N) grid, entry j for copy ``copies[j]``, and
-    holds the equation's other side, all of whose content lies on the
-    grid.  Fills columns ``cols.filled``..N of every copy of ``cols``,
-    so by the theorem of ``FieldNodes`` every node grid holds F(S)'s
+    interpreter's (M, N) grid, entry j for copy ``copies[j]``, is of
+    the store's type, and holds the equation's other side, all of whose
+    content lies on the grid.  Fills columns ``cols.filled``..N of
+    every copy of ``cols``, so by the theorem of ``FieldNodes`` every
+    node grid holds F(S)'s
     columns, and forms the in-grid residuals res_i = lhs_i - [F(S)]_i
     in one stacked subtraction over the copies' output grids (outputs 1
     and 3 are input nodes); ``beyond_grid_bounds(copies)`` gives per

@@ -39,8 +39,9 @@ sign-definite, four otherwise, to the same bits, the factors' inner
 and outer ends kept by ``FactorEnds`` as their columns land) and float
 sums each padded a priori by the gamma of its own row's term count
 plus an underflow term, which covers the products' rounding as well as
-the sums'.  ``product_antidiagonal`` and ``product_column`` are their
-one-pair cases, on the two-node stack of their factors.
+the sums'.  Both take their parts, real or complex, from their grids.
+``product_antidiagonal`` and ``product_column`` are their one-pair
+cases, on the two-node stack of their factors.
 ``cauchy_product`` is the full truncated series by exact sums, one
 ``product_antidiagonal`` per degree, and ``product_coeff`` a single
 coefficient; ``hat_product_cubic`` is built on them, to state the hat
@@ -67,7 +68,9 @@ from .interval import (
     _iadd_arr,
     _imul_arr,
     _nonneg_upper,
+    _of_parts,
     _padded_cascade,
+    _parts,
 )
 
 
@@ -203,17 +206,18 @@ def _antidiagonal_plan(M: int, N: int, d: int, m_min: int):
     return ia, ib, pad, g
 
 
-def product_antidiagonals(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
-                          d: int, m_min: int = 0) -> CIntervalArray:
+def product_antidiagonals(G: CIntervalArray | IntervalArray, a: np.ndarray,
+                          b: np.ndarray, d: int, m_min: int = 0
+                          ) -> CIntervalArray | IntervalArray:
     """Every coefficient (m, d - m), m >= m_min, of every product
     G[a[j]] G[b[j]] of the stacked series grids ``G``, shape
     (..., M + 1, N + 1), whose grids a and b index flat over the
     leading axes, m as in ``antidiagonal``; returns shape
-    (len(a), slots).
+    (len(a), slots), of ``G``'s type.
 
     Every pair's summands are gathered straight from ``G`` by flat
     indices node (M + 1)(N + 1) + plan index into
-    ``_antidiagonal_plan``; one complex product of the blocks follows,
+    ``_antidiagonal_plan``; one product of the blocks follows, with
     the padding summands set to exact zeros, and one compensated
     cascade over the term axis.  Exact zeros leave the cascade's sum
     and errors unchanged, and each slot is padded by the gamma of its
@@ -222,18 +226,18 @@ def product_antidiagonals(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     no slot with m >= m_min the result has shape (len(a), 0).
     """
     rows, cols = G.shape[-2:]
+    glo, ghi = (x.reshape(len(x), -1) for x in _parts(G))
     ia, ib, pad, g = _antidiagonal_plan(rows - 1, cols - 1, d, m_min)
     if not g.size:
-        return CIntervalArray.zeros((len(a), 0))
-    glo, ghi = G.lo.reshape(2, -1), G.hi.reshape(2, -1)
+        return _of_parts(*np.zeros((2, len(glo), len(a), 0)))
     ja = np.add.outer(np.asarray(a) * (rows * cols), ia)
     jb = np.add.outer(np.asarray(b) * (rows * cols), ib)
-    p = (CIntervalArray._wrap(glo.take(ja, axis=-1), ghi.take(ja, axis=-1))
-         * CIntervalArray._wrap(glo.take(jb, axis=-1), ghi.take(jb, axis=-1)))
-    p.lo[..., pad] = p.hi[..., pad] = 0.0
-    lo, hi = _padded_cascade(np.moveaxis(p.lo, 2, 0),
-                             np.moveaxis(p.hi, 2, 0), g)
-    return CIntervalArray._wrap(lo, hi)
+    plo, phi = _parts(
+        _of_parts(glo.take(ja, axis=-1), ghi.take(ja, axis=-1))
+        * _of_parts(glo.take(jb, axis=-1), ghi.take(jb, axis=-1)))
+    plo[..., pad] = phi[..., pad] = 0.0
+    return _of_parts(*_padded_cascade(np.moveaxis(plo, 2, 0),
+                                      np.moveaxis(phi, 2, 0), g))
 
 
 def product_antidiagonal(a: ScalarSeries2, b: ScalarSeries2, d: int,
@@ -330,9 +334,11 @@ def product_column(a: ScalarSeries2, b: ScalarSeries2, n: int, M: int
     (Ma, Na), (Mb, Nb) = a.orders, b.orders
     if min(Ma, Mb) < M or min(Na, Nb) < n:
         raise ValueError("factor grids do not cover the requested column")
-    real = not any(x[1].any() for x in (a.lo, a.hi, b.lo, b.hi))
     G = CIntervalArray.of([_fit(a, M, n), _fit(b, M, n)])
-    return product_columns(G, [0], [1], n, M, real)[0]
+    if any(x[1].any() for x in (a.lo, a.hi, b.lo, b.hi)):
+        return product_columns(G, [0], [1], n, M)[0]
+    return CIntervalArray.from_real(product_columns(
+        IntervalArray._wrap(G.lo[0], G.hi[0]), [0], [1], n, M)[0])
 
 
 # Most endpoint candidates per block of the column kernel, for either
@@ -387,8 +393,8 @@ class FactorEnds:
             rows, cols = G.shape[-2:]
             if self.ends is None:
                 self.ends = np.empty((2, len(self.factors), self.rows, cols))
-            at = (0, self.factors, slice(self.rows), slice(self.cols, n + 1))
-            lo, hi = (x.reshape(2, -1, rows, cols)[at] for x in (G.lo, G.hi))
+            lo, hi = (x[0].reshape(-1, rows, cols)[
+                self.factors, : self.rows, self.cols: n + 1] for x in _parts(G))
             pos = lo >= 0.0
             if (pos | (hi <= 0.0)).all():
                 inner, outer = self.ends[..., self.cols: n + 1]
@@ -404,18 +410,16 @@ class FactorEnds:
         return self.definite
 
 
-def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
-                    n: int, M: int, real: bool,
-                    ends: Optional[FactorEnds] = None) -> CIntervalArray:
+def product_columns(G: CIntervalArray | IntervalArray, a: np.ndarray,
+                    b: np.ndarray, n: int, M: int,
+                    ends: Optional[FactorEnds] = None
+                    ) -> CIntervalArray | IntervalArray:
     """Column n, rows 0..M, of every product G[a[j]] G[b[j]] of the
     stacked series grids ``G``, shape (..., rows, cols), whose grids a
     and b index flat over the leading axes; returns shape
-    (len(a), M + 1).
-
-    ``real`` asserts that every factor is exactly real, as the caller
-    checks once for the whole stack, and only the real products are
-    formed; with ``real`` false every row is complex, by the theorem
-    of ``product_column`` an enclosure for any factors.  A real call
+    (len(a), M + 1), of ``G``'s type: real rows of the real products
+    alone, or complex rows, by the theorem of ``product_column`` an
+    enclosure for any factors.  A real call
     reads its factors' inner and outer ends from ``ends``, the
     ``FactorEnds`` of these products that the caller keeps from call
     to call, which sorts only the columns no earlier call sorted; with
@@ -432,16 +436,16 @@ def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     rows of at most ``_COLUMN_BLOCK`` candidates and at least one row,
     and return the rows' sums, so a row depends on its own product
     only, not on the blocks or the other products; one finish per call
-    then pads every row, steps it outward, zeroes a real call's
-    imaginary half and leaves row 0 of column 0, a single product,
-    unpadded.
+    then pads every row, steps it outward and leaves row 0 of column 0,
+    a single product, unpadded.
     """
     rows, cols = G.shape[-2:]
     if rows <= M or cols <= n:
         raise ValueError("factor grids do not cover the requested column")
     bounds, pad, tiny = _column_plan(M, n)
-    parts = 1 if real else 2
-    k = len(a)
+    glo, ghi = _parts(G)
+    parts, k = len(glo), len(a)
+    real = parts == 1
     if real and ends is None:
         ends = FactorEnds(a, b, M + 1)
     elif ends is not None and ends.rows != M + 1:
@@ -457,9 +461,8 @@ def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
     else:
         # (part, factor, row, column): the corners of a's and then b's
         # factors
-        lo, hi = (z.reshape(2, -1, rows, cols)[
-            :parts, np.concatenate((a, b)), : M + 1, : n + 1]
-            for z in (G.lo, G.hi))
+        lo, hi = (z.reshape(parts, -1, rows, cols)[
+            :, np.concatenate((a, b)), : M + 1, : n + 1] for z in (glo, ghi))
         for j, e in enumerate((lo, hi)):
             x[j], y[j] = e[:, :k, ::-1, ::-1], e[:, k:]
     slo, shi, mag = _column_rows(x.reshape(2, parts, k, -1),
@@ -469,11 +472,9 @@ def product_columns(G: CIntervalArray, a: np.ndarray, b: np.ndarray,
         if n == 0:
             # row 0 is a single product, its ends stepped outward
             err[:, 0] = 0.0
-        lo, hi = np.zeros((2, 2, k, M + 1))
-        np.subtract(slo[0, 0], err, out=lo[0])
-        np.add(shi[0, 0], err, out=hi[0])
-        _outward(lo[0], hi[0])
-        return CIntervalArray._wrap(lo, hi)
+        lo, hi = slo[0, 0] - err, shi[0, 0] + err
+        _outward(lo, hi)
+        return IntervalArray._wrap(lo, hi)
     # real part from [re, re] and [im, im], imaginary from [re, im], [im, re]
     err = pad[1] * (mag[0] + mag[1, ::-1]) + tiny[1]
     lo, hi = slo[0] + slo[1, ::-1] - err, shi[0] + shi[1, ::-1] + err

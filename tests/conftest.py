@@ -22,6 +22,30 @@ from fourbody.taylor import ScalarSeries2, Series2, _fit, cauchy_product, \
     mag_sum_bound
 
 
+def real_stack(*series) -> IntervalArray:
+    """The real parts of series whose imaginary parts straddle zero, as
+    charts are, stacked on a new leading axis: the real inputs of a
+    ``FieldNodes`` and the chart stacks of ``advect.range_box`` and
+    ``advect.choose_tau``."""
+    parts = [S.real_part() for S in series]
+    return IntervalArray(np.stack([x.lo for x in parts]),
+                         np.stack([x.hi for x in parts]))
+
+
+def fill_chart(fill, k) -> Series2:
+    """Arc k's chart in ``fill`` as a series: a copy of its real
+    coefficients at its current signed tau, with its arc's scale and
+    tail."""
+    gamma = fill.arcs[k].gamma
+    return Series2.from_real(fill.charts[k], scale=gamma.scale,
+                             tau=fill.taus[k], tail=gamma.tail)
+
+
+def copied(x):
+    """A copy of a real or complex interval array."""
+    return type(x)(x.lo.copy(), x.hi.copy())
+
+
 def stack_boxes(*boxes) -> IntervalArray:
     """The boxes, each a sequence of DIM Intervals, stacked into the
     (B, DIM) array that ``node_jets`` and ``poly_DF`` take."""
@@ -186,7 +210,7 @@ def degree_nodes(prog, N, origin):
     homological solve sets it up: its (0, 0) slots hold the scalar
     interpreter's values at ``origin``.  Returns it and the node
     Jacobian there."""
-    nodes = FieldNodes(prog, N, N)
+    nodes = FieldNodes(prog, CIntervalArray.zeros((1, DIM, 1, 1)), N, N)
     base = evaluate(prog, origin)
     nodes.G[0, :, 0, 0] = CIntervalArray.of(base)
     return nodes, node_jacobian(prog, base)
@@ -220,14 +244,17 @@ def defect_loop(cols, G, k):
     """The defect of the chart G in the input rows of copy k of
     ``cols`` as ``ArcFill.finish`` bounded it one chart at a time: the
     left-hand side tau dGamma/dt from scalar enclosures of tau (n + 1),
-    the residual of copy k alone and ``beyond_grid_loop``, each
-    component's two bounds added by the scalar ``_sum_ceil``."""
+    real as the chart is, the residual of copy k alone and
+    ``beyond_grid_loop``, each component's two bounds added by the
+    scalar ``_sum_ceil``."""
     M, N = G.orders
     tau_iv = Interval.from_value(G.tau)
     scales = IntervalArray.of([tau_iv * float(n + 1) for n in range(N)])
-    lhs = CIntervalArray.zeros((DIM, M + 1, N + 1))
+    re = G.real_part()
+    lhs = IntervalArray(np.zeros((DIM, M + 1, N + 1)),
+                        np.zeros((DIM, M + 1, N + 1)))
     lhs.lo[..., :N], lhs.hi[..., :N] = _imul_arr(
-        G.coefs.lo[..., 1:], G.coefs.hi[..., 1:], scales.lo, scales.hi)
+        re.lo[..., 1:], re.hi[..., 1:], scales.lo, scales.hi)
     for n in range(cols.filled, cols.N + 1):
         cols.b_column(n)
     res = lhs - cols.G[k, cols.outputs]
@@ -295,7 +322,7 @@ def finish_one(fill, k, *, source_arc=None, start_time=0.0):
     """``ArcFill.finish`` of arc k alone, as it was before the finish
     was stacked: ``defect_loop``, then ``tube_loop``.  Raises the
     tube's CollisionDomain.  The reference for the stacked finish."""
-    G, arc = fill.G[k], fill.arcs[k]
+    G, arc = fill_chart(fill, k), fill.arcs[k]
     defect = defect_loop(fill._nodes, G, k)
     tail = tube_loop(fill.m, fill.p, G, arc.gamma.tail, defect)
     return FlowChart(Gamma=Series2(G.coefs.copy(), scale=G.scale,
@@ -324,11 +351,10 @@ SEED_MASSES = (
     (0.49988168849622433, 0.30011282470539313, 0.20000548679838254))
 
 
-def _pilot_mag(G, n):
-    """Largest sum of real and imaginary magnitudes in column n of G."""
-    col = G.coefs[:, :, n]
-    mags = np.maximum(np.abs(col.lo), np.abs(col.hi))
-    return float(np.max(mags[0] + mags[1]))
+def _pilot_mag(chart, n):
+    """Largest magnitude in column n of a real chart."""
+    return float(np.max(np.maximum(np.abs(chart.lo[..., n]),
+                                   np.abs(chart.hi[..., n]))))
 
 
 def pilot_tau(arcs, m, p, M):
@@ -338,8 +364,9 @@ def pilot_tau(arcs, m, p, M):
     ratio that is not finite is skipped, an arc with none keeps tau = 1,
     and tau is at least 1e-6.  The reference for automatic tau."""
     taus = []
-    for G in ArcFill(arcs, m, p, (M, 8), [1.0] * len(arcs)).G:
-        norms = [_pilot_mag(G, n) for n in range(9)]
+    fill = ArcFill(arcs, m, p, (M, 8), [1.0] * len(arcs))
+    for k in range(len(arcs)):
+        norms = [_pilot_mag(fill.charts[k], n) for n in range(9)]
         ratios = [r for r in (norms[k + 1] / norms[k] for k in (6, 7)
                               if norms[k] > 0.0)
                   if math.isfinite(r)]

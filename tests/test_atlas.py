@@ -25,7 +25,8 @@ from fourbody.atlas import (
 from fourbody.crfbp import MassTriple, primaries
 from fourbody.errors import (CollisionDomain, SchemaVersionMismatch,
                              SubdivisionLimit, SymmetryViolation)
-from fourbody.interval import CInterval, CIntervalArray, Interval
+from fourbody.interval import CInterval, CIntervalArray, Interval, \
+    IntervalArray
 from fourbody.manifold import BoundaryArc, boundary_mesh, local_manifold
 from fourbody.taylor import ScalarSeries2, Series2
 
@@ -270,7 +271,7 @@ class TestGrow:
         class Recorded(ArcFill):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                fills.append((self.arcs, [G.tau for G in self.G]))
+                fills.append((self.arcs, list(self.taus)))
 
         monkeypatch.setattr(atlas_module, "ArcFill", Recorded)
         atlas = Atlas.from_manifold(manifold, m, n_arcs=6, arc_order=10)
@@ -503,10 +504,25 @@ class TestOverflowingPilot:
         arcs, big = mesh
         assert pilot_tau([big, arcs[3]], m, pc, 10)[0] == 1.0
         fill = ArcFill([big, arcs[3]], m, pc, (10, 8))
-        assert fill.G[0].tau == -1.0
-        assert abs(fill.G[1].tau) == pilot_tau([arcs[3]], m, pc, 10)[0]
+        assert fill.taus[0] == -1.0
+        assert abs(fill.taus[1]) == pilot_tau([arcs[3]], m, pc, 10)[0]
         with pytest.raises(CollisionDomain):
             flow_line(big, m, pc, orders=(10, 18))
+
+    def test_finite_ratio_past_the_float_range_is_skipped(self):
+        # pilot column norms 1e-300, 1e8 and 1: the finite ratio 1e308
+        # over the target ratio 0.5 overflows, so that quotient is
+        # skipped and tau comes from the other, up to the floor, where
+        # an infinite tau would make the fill's rescale raise; with no
+        # finite quotient tau is 1
+        P = advect._N_PILOT
+        for norms, want in (((1e-300, 1e8, 1.0), [advect._TAU_FLOOR]),
+                            ((1e-300, 1e8, np.inf), [1.0]),
+                            ((1e-3, 2e-3, 1e-3), [4.0])):
+            lo = np.zeros((1, 7, 3, P + 1))
+            lo[0, 0, 1, P - 2:] = norms
+            charts = IntervalArray(-lo, lo)
+            assert advect.choose_tau(charts) == want, norms
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_grow_retires_the_arc_and_keeps_the_other(self, setup, mesh,
@@ -762,6 +778,39 @@ class TestPersistence:
         corrupt(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
+            Atlas.load(path)
+
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda doc: doc.update(next_arc_id=7.5), "next_arc_id"),
+        (lambda doc: doc.update(next_chart_id=True), "next_chart_id"),
+        (lambda doc: doc.update(next_arc_id="9"), "next_arc_id"),
+        (lambda doc: doc["frontier"].append(1.0), r"frontier\[\d+\]"),
+        (lambda doc: doc["stopped"].append(False), r"stopped\[\d+\]"),
+        (lambda doc: doc["arcs"][1].update(arc_id=1.0),
+         r"arcs\[1\]\.arc_id"),
+        (lambda doc: doc["arcs"][0].update(generation="0"),
+         r"arcs\[0\]\.generation"),
+        (lambda doc: doc["charts"][0].update(chart_id=None),
+         r"charts\[0\]\.chart_id"),
+        (lambda doc: doc["charts"][0].update(arc_id=[3]),
+         r"charts\[0\]\.arc_id"),
+        (lambda doc: doc["charts"][1].update(generation=1.5),
+         r"charts\[1\]\.generation"),
+    ], ids=["next-arc-float", "next-chart-bool", "next-arc-string",
+            "frontier-float", "stopped-bool", "arc-id-float",
+            "arc-generation-string", "chart-id-null", "chart-arc-list",
+            "chart-generation-float"])
+    def test_load_rejects_ids_that_are_not_integers(self, grown, tmp_path,
+                                                    corrupt, field):
+        # a next arc id of 7.5 loaded, and grow then gave its arcs the
+        # ids 7.5, 8.5 and so on; a string next id raised TypeError:
+        # every id and generation must be an int, a bool refused
+        path = tmp_path / "atlas.json"
+        grown.save(path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field + " is .*not an integer"):
             Atlas.load(path)
 
     def test_grown_atlases_load(self, setup, unstable5, tmp_path):

@@ -38,7 +38,7 @@ from fourbody.manifold import (
 )
 from fourbody.polyfield import (DIM, FieldNodes, field_defect,
                                 field_program, lift_eigvector, poly_DF)
-from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
+from fourbody.taylor import (ScalarSeries2, Series2, antidiagonal,
                              conj_symmetry_check, mag_sum_bound)
 
 from conftest import (defect_sum, degree_nodes, from_complex_points,
@@ -87,8 +87,7 @@ def _invariance_defect(m, pc, M, K):
     """field_defect of the invariance equation of M on the (K, K) grid:
     the in-grid residual and the per-component beyond-grid bounds."""
     P = M.P
-    cols = FieldNodes(field_program(m, pc), K, K)
-    cols.G[0, :DIM] = Series2(tuple(_fit(c, K, K) for c in P.components)).coefs
+    cols = FieldNodes(field_program(m, pc), P.coefs[None], K, K)
     lhs = _invariance_lhs(P, M.lambda1, M.lambda2, K)
     field_defect(cols, CIntervalArray._wrap(lhs.lo[:, None], lhs.hi[:, None]))
     return (Series2(lhs - cols.G[0, cols.outputs]).components,

@@ -24,7 +24,7 @@ from fourbody.crfbp import (
 )
 from fourbody.errors import CollisionDomain
 from fourbody.interval import (CInterval, CIntervalArray, Interval,
-                               IntervalArray, _nonneg_upper)
+                               IntervalArray, _nonneg_upper, _parts)
 from fourbody.manifold import _land
 from fourbody.polyfield import (
     DIM,
@@ -49,7 +49,7 @@ from fourbody.taylor import (ScalarSeries2, Series2, _fit, antidiagonal,
                              product_columns)
 
 from conftest import (degree_nodes, field_f, from_complex_points,
-                      node_jacobian, project_pi, stack_boxes,
+                      node_jacobian, project_pi, real_stack, stack_boxes,
                       beyond_grid_loop,
                       unfolded_program)
 
@@ -191,8 +191,7 @@ class TestFieldProgram:
             + 1j * rng.normal(size=(K + 1, K + 1))) for _ in range(DIM)]
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (K, K))
-        cols = FieldNodes(prog, K, K)
-        cols.G[0, :DIM] = Series2(tuple(comps)).coefs
+        cols = FieldNodes(prog, Series2(tuple(comps)).coefs[None], K, K)
         for n in range(K + 1):
             cols.b_column(n)
         coef, J = degree_nodes(prog, K, [c.at(0, 0) for c in comps])
@@ -212,8 +211,8 @@ class TestFieldProgram:
         # zero, so only the next unfilled column may be asked for
         comps = [from_complex_points(np.ones((3, 3)))
                  for _ in range(DIM)]
-        cols = FieldNodes(field_program(triple, config), 2, 2)
-        cols.G[0, :DIM] = Series2(tuple(comps)).coefs
+        cols = FieldNodes(field_program(triple, config),
+                          Series2(tuple(comps)).coefs[None], 2, 2)
         with pytest.raises(ValueError):
             cols.b_column(1)
         cols.b_column(0)
@@ -222,7 +221,9 @@ class TestFieldProgram:
             cols.b_column(0)
         # field_defect finishes an interpreter only on its own grid
         with pytest.raises(ValueError):
-            field_defect(FieldNodes(field_program(triple, config), 3, 2),
+            field_defect(FieldNodes(field_program(triple, config),
+                                    CIntervalArray.zeros((1, DIM, 1, 1)),
+                                    3, 2),
                          CIntervalArray.zeros((1, DIM, 3, 3)))
 
     def test_defect_rounds_its_sum_up(self, config, triple, monkeypatch):
@@ -231,7 +232,8 @@ class TestFieldProgram:
         # defect must round up to the next float
         small = 2.0 ** -54
         assert 1.0 + small == 1.0
-        cols = FieldNodes(field_program(triple, config), 2, 2)
+        cols = FieldNodes(field_program(triple, config),
+                          CIntervalArray.zeros((1, DIM, 3, 3)), 2, 2)
         inner = np.full((1, DIM), 0.5)
         inner[0, 3] = 1.0
         lost = np.zeros((1, DIM))
@@ -246,32 +248,29 @@ class TestFieldProgram:
 
     @pytest.mark.parametrize("parts", ["complex", "real", "real-then-complex"])
     def test_inputs_written_ahead(self, config, triple, parts):
-        # one interpreter with every input column written before column 0
-        # is filled, as param_equilibrium and field_series write them,
-        # and one written column by column, as taylor_flow writes them:
-        # bit-equal node grids when the inputs are all complex or all
-        # real, and overlapping ones for real early columns and complex
-        # later ones, where the real-ness scan sees the later columns
-        # and takes the complex path
+        # one interpreter given every input column before column 0 is
+        # filled, as param_equilibrium and field_series give them, and
+        # one given column 0 and then written column by column, as
+        # taylor_flow writes them: bit-equal node grids, since the
+        # store's parts come from the inputs' type and no column reads
+        # the columns past it; complex inputs whose early columns are
+        # real keep a complex store either way
         rng = np.random.default_rng(9)
         M, N = 4, 5
         S = _random_inputs(rng, M, N, parts == "real")
         if parts == "real-then-complex":
             S.coefs.lo[1][:, :, :2] = S.coefs.hi[1][:, :, :2] = 0.0
+        inputs = _inputs(S, parts == "real")
         prog = field_program(triple, config)
-        ahead = FieldNodes(prog, M, N)
-        ahead.G[0, :DIM] = S.coefs
-        by_column = FieldNodes(prog, M, N)
+        ahead = FieldNodes(prog, inputs, M, N)
+        by_column = FieldNodes(prog, inputs[..., :1], M, N)
         for n in range(N + 1):
-            by_column.G[0, :DIM, :, n] = S.coefs[:, :, n]
+            for x, y in zip(_parts(by_column.G), _parts(inputs)):
+                x[:, :, :DIM, :, n] = y[..., n]
             ahead.b_column(n)
             by_column.b_column(n)
-        if parts == "real-then-complex":
-            assert np.all(ahead.G.lo <= by_column.G.hi)
-            assert np.all(by_column.G.lo <= ahead.G.hi)
-        else:
-            assert np.array_equal(ahead.G.lo, by_column.G.lo)
-            assert np.array_equal(ahead.G.hi, by_column.G.hi)
+        assert isinstance(ahead.G, type(inputs))
+        assert _same(ahead.G, by_column.G)
 
     def test_column_interpreter_raises_node_orders(
             self, config, triple, full_product_nodes, assert_overlap):
@@ -283,21 +282,23 @@ class TestFieldProgram:
             for _ in range(DIM)]
         prog = field_program(triple, config)
         full = full_product_nodes(prog, comps, (9, 8))
-        cols = FieldNodes(prog, 9, 8)
-        cols.G[0, :DIM] = Series2(tuple(_fit(c, 9, 8) for c in comps)).coefs
+        cols = FieldNodes(prog, Series2(tuple(comps)).coefs[None], 9, 8)
         for n in range(9):
             cols.b_column(n)
         for a, b in zip(full[DIM:], Series2(cols.G[0]).components[DIM:]):
             assert_overlap(a, b)
 
 
-def _node_by_node_column(nodes, S, n):
-    """Column n of every node of a fresh ``FieldNodes``' grids, one
-    node at a time in program order, each Lin node term by term through
+def _node_by_node_column(nodes, S, n, k=0):
+    """Column n of every node of copy k of a fresh complex
+    ``FieldNodes``' grids, one node at a time in program order, each
+    product by ``product_column``, which forms real products alone for
+    exactly real factors, and each Lin node term by term through
     CIntervalArray arithmetic: the reference for the stacked level
-    passes."""
-    g = Series2(nodes.G[0]).components
-    nodes.G[0, :DIM, :, n] = S.coefs[:, :, n]
+    passes, of real stores on the real parts of exactly real inputs
+    too."""
+    g = Series2(nodes.G[k]).components
+    nodes.G[k, :DIM, :, n] = S.coefs[:, :, n]
     for op, dst in zip(nodes.prog.ops, g[DIM:]):
         if isinstance(op, Mul):
             col = product_column(g[op.a], g[op.b], n, nodes.M)
@@ -325,6 +326,38 @@ def _node_by_node_degree(nodes, d, m_min):
                 v = vals[k] * c if v is None else vals[k] * c + v
         g[i][slots] = v
         vals.append(v)
+
+
+def _inputs(S, real):
+    """The series S as the one-copy inputs of a ``FieldNodes``: its
+    real parts, for a real store, when ``real``, else S itself."""
+    return real_stack(S) if real else S.coefs[None]
+
+
+def _stacked_inputs(series, real):
+    """The inputs of a ``FieldNodes`` with one copy per series:
+    ``_inputs``' of each, stacked."""
+    parts = [_inputs(S, real) for S in series]
+    return type(parts[0])(np.concatenate([x.lo for x in parts], axis=-4),
+                          np.concatenate([x.hi for x in parts], axis=-4))
+
+
+def _complex_zeros(K=1):
+    """Zero inputs of K copies for a complex store, whose grids a test
+    writes itself."""
+    return CIntervalArray.zeros((K, DIM, 1, 1))
+
+
+def _equal_parts(got, want):
+    """The grids of the store ``got`` equal the parts of the complex
+    grids ``want`` that ``got`` holds, up to the sign of a zero; a real
+    store's, the real halves of ``want``, whose imaginary halves are
+    then exact zeros."""
+    glo, ghi = _parts(got)
+    if len(glo) == 1 and (want.lo[1].any() or want.hi[1].any()):
+        return False
+    return (np.array_equal(glo, want.lo[:len(glo)])
+            and np.array_equal(ghi, want.hi[:len(glo)]))
 
 
 def _random_inputs(rng, M, N, real):
@@ -418,13 +451,13 @@ class TestLevelSchedule:
         for real in (True, False):
             M, N = 3, 4
             S = _random_inputs(rng, M, N, real)
-            got, want = FieldNodes(prog, M, N), FieldNodes(prog, M, N)
+            got = FieldNodes(prog, _inputs(S, real), M, N)
+            want = FieldNodes(prog, _complex_zeros(), M, N)
             for n in range(N + 1):
-                got.G[0, :DIM, :, n] = S.coefs[:, :, n]
                 got.b_column(n)
                 _node_by_node_column(want, S, n)
-                assert np.array_equal(got.G.lo, want.G.lo), (real, n)
-                assert np.array_equal(got.G.hi, want.G.hi), (real, n)
+                assert _equal_parts(got.G[..., : n + 1],
+                                    want.G[..., : n + 1]), (real, n)
             S = _random_inputs(rng, M, M, real)
             origin = [S.coefs.at(i, 0, 0) for i in range(DIM)]
             got, want = (degree_nodes(prog, M, origin)[0] for _ in "ab")
@@ -490,10 +523,9 @@ class TestLevelSchedule:
         rng = np.random.default_rng(101)
         M, N, K = 4, 6, 3
         prog = field_program(triple, config)
-        got, want = FieldNodes(prog, M, N, K), FieldNodes(prog, M, N, K)
-        for k in range(K):
-            S = _random_inputs(rng, M, N, real)
-            got.G[k, :DIM] = want.G[k, :DIM] = S.coefs
+        inputs = _stacked_inputs([_random_inputs(rng, M, N, real)
+                                  for _ in range(K)], real)
+        got, want = (FieldNodes(prog, inputs, M, N) for _ in "ab")
         for n in range(N + 1):
             got.b_column(n)
         # a complex fill sorts nothing; a real one keeps sign-definite
@@ -503,25 +535,24 @@ class TestLevelSchedule:
                            for ends in got._ends)
         whole = polyfield.product_columns
         monkeypatch.setattr(polyfield, "product_columns",
-                            lambda G, a, b, n, M, real, ends: whole(
-                                G, a, b, n, M, real))
+                            lambda G, a, b, n, M, ends: whole(G, a, b, n, M))
         for n in range(N + 1):
             want.b_column(n)
         assert _same(got.G, want.G)
 
     def test_real_columns_skip_the_imaginary_halves(self, config, triple,
                                                     monkeypatch):
-        # a real column's Lin pass takes the real halves of the K copies
-        # alone: its real grids equal, byte for byte, those of the pass
-        # over both halves, and its imaginary grids stay exact +0 zeros
+        # a real store's Lin pass takes the real parts of the K copies
+        # alone: its grids equal, byte for byte, the real halves of the
+        # pass over both halves of a complex store with the same real
+        # products, whose imaginary grids stay exact zeros
         rng = np.random.default_rng(91)
         M, N, K = 4, 6, 3
         prog = field_program(triple, config)
-        got, want = FieldNodes(prog, M, N, K), FieldNodes(prog, M, N, K)
-        for k in range(K):
-            S = _random_inputs(rng, M, N, True)
-            got.G[k, :DIM] = S.coefs
-            want.G[k, :DIM] = S.coefs
+        series = [_random_inputs(rng, M, N, True) for _ in range(K)]
+        got = FieldNodes(prog, _stacked_inputs(series, True), M, N)
+        want = FieldNodes(prog, _stacked_inputs(series, False), M, N)
+        assert isinstance(got.G, IntervalArray)
         parts = []
         values = polyfield._LinLevel.values
         monkeypatch.setattr(polyfield._LinLevel, "values",
@@ -531,15 +562,15 @@ class TestLevelSchedule:
             got.b_column(n)
         assert parts and set(parts) == {K}
         parts.clear()
+        real = IntervalArray(want.G.lo[0], want.G.hi[0])
         for n in range(N + 1):
             # the pass over both halves, with the same real products
-            want._fill((np.arange(M + 1), n), lambda a, b: product_columns(
-                want.G, a, b, n, M, True), n == 0)
+            want._fill((np.arange(M + 1), n),
+                       lambda a, b: CIntervalArray.from_real(
+                           product_columns(real, a, b, n, M)), n == 0)
         assert parts and set(parts) == {2 * K}
-        assert got.G.lo[0].tobytes() == want.G.lo[0].tobytes()
-        assert got.G.hi[0].tobytes() == want.G.hi[0].tobytes()
-        for x in (got.G.lo[1], got.G.hi[1]):
-            assert not x.any() and not np.signbit(x).any()
+        assert got.G.lo.tobytes() == want.G.lo[0].tobytes()
+        assert got.G.hi.tobytes() == want.G.hi[0].tobytes()
         assert not want.G.lo[1].any() and not want.G.hi[1].any()
 
     def test_one_compiled_program(self, config, triple, u0):
@@ -547,8 +578,9 @@ class TestLevelSchedule:
         # cached compile, whose index arrays are read-only
         prog = field_program(triple, config)
         levels = _levels(prog)
-        assert FieldNodes(prog, 3, 3).levels is levels
-        assert FieldNodes(prog, 5, 2).levels is levels
+        assert FieldNodes(prog, _complex_zeros(), 3, 3).levels is levels
+        assert FieldNodes(prog, real_stack(_random_inputs(
+            np.random.default_rng(0), 5, 2, True)), 5, 2).levels is levels
         misses = _levels.cache_info().misses
         node_jets(prog, stack_boxes(u0.u))
         assert _levels.cache_info().misses == misses
@@ -569,7 +601,7 @@ class TestLevelSchedule:
             levels = _levels(prog)
             misses = _levels.cache_info().misses
             for K in (1, 2, 6):
-                nodes = FieldNodes(prog, 3, 2, K)
+                nodes = FieldNodes(prog, _complex_zeros(K), 3, 2)
                 assert nodes.levels is levels
                 assert nodes.G.shape == (K, DIM + len(prog.ops), 4, 3)
             assert _levels.cache_info().misses == misses
@@ -586,40 +618,30 @@ class TestLevelSchedule:
     @pytest.mark.parametrize("parts", ["real", "complex", "mixed"])
     def test_copies_fill_as_one_copy_each(self, config, triple, parts):
         # K copies fill every column, and every degree, as K one-copy
-        # interpreters do; with one complex copy every copy takes the
-        # complex path, so a real copy's grids overlap its own
-        # interpreter's, which takes the real path
+        # interpreters of the same store type do; mixed copies, some
+        # exactly real and one complex, are all complex inputs, so the
+        # exactly real ones fill as their own complex interpreters
         rng = np.random.default_rng(61)
         M, N, K = 4, 5, 3
         inputs = [_random_inputs(rng, M, N, parts == "real"
                                  or (parts == "mixed" and k != 1))
                   for k in range(K)]
+        real = parts == "real"
         prog = field_program(triple, config)
-        nodes = FieldNodes(prog, M, N, K)
-        ones = [FieldNodes(prog, M, N) for _ in inputs]
-        for k, (one, S) in enumerate(zip(ones, inputs)):
-            nodes.G[k, :DIM] = S.coefs
-            one.G[0, :DIM] = S.coefs
+        nodes = FieldNodes(prog, _stacked_inputs(inputs, real), M, N)
+        ones = [FieldNodes(prog, _inputs(S, real), M, N) for S in inputs]
         for n in range(N + 1):
             out = nodes.b_column(n)
             want = [one.b_column(n) for one in ones]
             assert out.shape == (K, DIM, M + 1)
             for k, w in enumerate(want):
                 assert w.shape == (1, DIM, M + 1)
-                if parts == "mixed" and k != 1:
-                    got = out[k]
-                    assert (np.all(got.lo <= w[0].hi)
-                            and np.all(w[0].lo <= got.hi))
-                else:
-                    assert _same(out[k], w[0]), (n, k)
+                assert _same(out[k], w[0]), (n, k)
         for k, one in enumerate(ones):
-            if parts != "mixed" or k == 1:
-                assert _same(nodes.G[k], one.G[0]), k
-        if parts == "mixed":
-            return
+            assert _same(nodes.G[k], one.G[0]), k
         origin = [[S.coefs.at(i, 0, 0) for i in range(DIM)] for S in inputs]
         degs = [degree_nodes(prog, M, o)[0] for o in origin]
-        nodes = FieldNodes(prog, M, M, K)
+        nodes = FieldNodes(prog, _complex_zeros(K), M, M)
         for k, one in enumerate(degs):
             one.G[0, :DIM] = _fit(inputs[k].coefs, M, M)
             nodes.G[k] = one.G[0]
@@ -673,21 +695,17 @@ class TestLevelSchedule:
         prog = field_program(triple, config)
         M, N = orders
         S = _random_inputs(rng, *(input_orders or orders), real)
+        got = FieldNodes(prog, _inputs(S, real), M, N)
         S = Series2(_fit(S.coefs, M, N))
-        got = FieldNodes(prog, M, N)
-        want = FieldNodes(prog, M, N)
+        want = FieldNodes(prog, _complex_zeros(), M, N)
         for n in range(N + 1):
-            got.G[0, :DIM, :, n] = S.coefs[:, :, n]
             out = got.b_column(n)
             _node_by_node_column(want, S, n)
             # column 0 carries the Lin constants
-            assert np.array_equal(got.G.lo, want.G.lo), n
-            assert np.array_equal(got.G.hi, want.G.hi), n
+            assert _equal_parts(got.G[..., : n + 1], want.G[..., : n + 1]), n
             ref = want.G[0, :, :, n][list(prog.outputs)]
-            assert np.array_equal(out.lo, ref.lo[:, None])
-            assert np.array_equal(out.hi, ref.hi[:, None])
-        if real:
-            assert not got.G.lo[1].any() and not got.G.hi[1].any()
+            assert _equal_parts(out, ref[None])
+        assert isinstance(got.G, IntervalArray) == real
 
     @pytest.mark.parametrize("real", [True, False])
     def test_degree_fill_equals_node_by_node(self, config, triple, real):
@@ -717,12 +735,69 @@ class TestLevelSchedule:
     def test_degree_without_slots_leaves_the_nodes(self, config, triple):
         # a (4, 7) grid has no degree-11 slot with m >= 6
         rng = np.random.default_rng(5)
-        nodes = FieldNodes(field_program(triple, config), 4, 7)
-        nodes.G[0, :DIM] = _random_inputs(rng, 4, 7, False).coefs
+        nodes = FieldNodes(field_program(triple, config),
+                           _random_inputs(rng, 4, 7, False).coefs[None], 4, 7)
         before = nodes.G.copy()
         assert nodes.degree(11, 6).shape == (1, DIM, 0)
         assert np.array_equal(nodes.G.lo, before.lo)
         assert np.array_equal(nodes.G.hi, before.hi)
+
+
+class TestRealStore:
+    """Real inputs give a real store: one part, the real halves of a
+    complex store on the same inputs with exact zero imaginary parts,
+    bit for bit, in every column, defect and beyond-grid bound."""
+
+    @pytest.mark.parametrize("K, copies", [(1, [0]), (12, [11, 0, 5])])
+    def test_equals_complex_real_halves(self, config, triple, K, copies):
+        # the complex store is filled node by node, each product by
+        # product_column, which forms the real products alone for the
+        # exactly real factors
+        rng = np.random.default_rng(103 + K)
+        M, N = 4, 6
+        prog = field_program(triple, config)
+        series = [_random_inputs(rng, M, N, True) for _ in range(K)]
+        got = FieldNodes(prog, _stacked_inputs(series, True), M, N)
+        want = FieldNodes(prog, _complex_zeros(K), M, N)
+        assert isinstance(got.G, IntervalArray)
+        assert got.G.shape == want.G.shape
+        for n in range(N + 1):
+            out = got.b_column(n)
+            for k, S in enumerate(series):
+                _node_by_node_column(want, S, n, k)
+            ref = want.G[..., n][:, list(prog.outputs)]
+            assert isinstance(out, IntervalArray)
+            assert _equal_parts(out, ref), n
+        want.filled = N + 1
+        assert _equal_parts(got.G, want.G)
+        lo = rng.standard_normal((len(copies), DIM, M + 1, N + 1))
+        lhs = IntervalArray(lo, lo + 1e-9)
+        assert np.array_equal(
+            field_defect(got, lhs, copies),
+            field_defect(want, CIntervalArray.from_real(lhs), copies))
+        for pick in (copies, list(range(K))):
+            assert (got.beyond_grid_bounds(pick).tobytes()
+                    == want.beyond_grid_bounds(pick).tobytes())
+
+    def test_degree_fill_equals_complex_real_halves(self, config, triple):
+        # the degree fill reads its parts from the store too
+        rng = np.random.default_rng(107)
+        M = 4
+        prog = field_program(triple, config)
+        S = _random_inputs(rng, M, M, True)
+        got, want = (FieldNodes(prog, _inputs(S, real), M, M)
+                     for real in (True, False))
+        for d in range(1, 2 * M + 1):
+            assert _equal_parts(got.degree(d, 1), want.degree(d, 1)), d
+            assert _equal_parts(got.G, want.G), d
+        assert got.degree(2 * M + 1, 0).shape == (1, DIM, 0)
+
+    def test_inputs_must_lie_on_the_grid(self, config, triple):
+        prog = field_program(triple, config)
+        for shape in ((1, DIM, 5, 3), (1, DIM, 4, 4), (1, DIM - 1, 1, 1),
+                      (0, DIM, 1, 1)):
+            with pytest.raises(ValueError):
+                FieldNodes(prog, CIntervalArray.zeros(shape), 3, 2)
 
 
 class TestFoldedTails:
@@ -745,9 +820,7 @@ class TestFoldedTails:
                                                                  config)
         M, N = 5, 7
         S = _random_inputs(rng, M, N, real)
-        cols = [FieldNodes(prog, M, N) for prog in progs]
-        for c in cols:
-            c.G[0, :DIM] = S.coefs
+        cols = [FieldNodes(prog, _inputs(S, real), M, N) for prog in progs]
         for n in range(N + 1):
             got, want = (c.b_column(n) for c in cols)
             assert np.array_equal(got.lo, want.lo), n
@@ -1031,15 +1104,15 @@ class TestStackedBeyondGrid:
     def test_equals_scalar_recurrence(self, config, triple):
         rng = np.random.default_rng(19)
         K, M, N = 4, 3, 5
-        nodes = FieldNodes(field_program(triple, config), M, N, K)
         # real inputs of every scale, one copy complex
         re = rng.standard_normal((K, DIM, M + 1, N + 1))
         re *= 10.0 ** rng.uniform(-6, 1, (K, DIM, 1, 1))
         im = np.zeros_like(re)
         im[2] = 1e-3 * rng.standard_normal(im[2].shape)
         w = 1e-9 * np.abs(rng.standard_normal(re.shape))
-        nodes.G[:, :DIM] = CIntervalArray(np.stack((re - w, im)),
-                                          np.stack((re + w, im)))
+        nodes = FieldNodes(field_program(triple, config),
+                           CIntervalArray(np.stack((re - w, im)),
+                                          np.stack((re + w, im))), M, N)
         for n in range(N + 1):
             nodes.b_column(n)
         for copies in ([0, 1, 2, 3], [3, 1], [2]):

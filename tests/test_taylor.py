@@ -291,6 +291,16 @@ def _four_candidate_columns(G, a, b, n, M, real):
     return outward(slo[0] + slo[1, ::-1] - err, shi[0] + shi[1, ::-1] + err)
 
 
+def _columns(G, a, b, n, M, real, ends=None):
+    """``product_columns`` of the complex stack G, or, when ``real``,
+    of its real halves alone, a real stack, whose rows come back with
+    exact zero imaginary halves, as ``product_column`` gives them."""
+    if not real:
+        return product_columns(G, a, b, n, M, ends)
+    return CIntervalArray.from_real(product_columns(
+        IntervalArray._wrap(G.lo[0], G.hi[0]), a, b, n, M, ends))
+
+
 def _one_ulp_column(a, b, n, M):
     """Column n of the product as ``product_column`` forms it, except
     that every product is stepped one ulp outward before the rows'
@@ -530,7 +540,7 @@ class TestProductColumns:
         for rows in (M, M - 2):
             for n in range(N + 1):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = product_columns(G, a, b, n, rows, real)
+                    got = _columns(G, a, b, n, rows, real)
                     assert got.shape == (len(a), rows + 1)
                     for j in range(len(a)):
                         want = product_column(
@@ -589,7 +599,7 @@ class TestProductColumns:
     @staticmethod
     def _assert_reference_rows(G, a, b, n, rows, real):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = product_columns(G, a, b, n, rows, real)
+            got = _columns(G, a, b, n, rows, real)
             want = _four_candidate_columns(G, a, b, n, rows, real)
         for x, y in zip((got.lo, got.hi), want):
             assert np.ascontiguousarray(x).tobytes() == y.tobytes(), n
@@ -660,7 +670,7 @@ class TestProductColumns:
         ends = FactorEnds(a, b, M + 1)
         for n in range(N + 1):
             with np.errstate(over="ignore", invalid="ignore"):
-                got = product_columns(G, a, b, n, M, True, ends)
+                got = _columns(G, a, b, n, M, True, ends)
                 want = _four_candidate_columns(G, a, b, n, M, True)
             for x, y in zip((got.lo, got.hi), want):
                 assert np.ascontiguousarray(x).tobytes() == y.tobytes(), n
@@ -679,7 +689,7 @@ class TestProductColumns:
         a, b = rng.integers(0, nodes, (2, 5))
         ends = FactorEnds(a, b, M + 1)
         for n in range(N):
-            product_columns(G, a, b, n, M, True, ends)
+            _columns(G, a, b, n, M, True, ends)
             whole = FactorEnds(a, b, M + 1)
             assert whole.through(G, n) and ends.definite
             assert (ends.ends[..., : n + 1].tobytes()
@@ -687,13 +697,13 @@ class TestProductColumns:
         G.lo[0, b[0], 0, 2], G.hi[0, b[0], 0, 2] = -1.0, 1.0
         ends.drop()
         seen = self._formers(monkeypatch)
-        got = product_columns(G, a, b, N, M, True, ends)
-        want = product_columns(G, a, b, N, M, True)
+        got = _columns(G, a, b, N, M, True, ends)
+        want = _columns(G, a, b, N, M, True)
         for x, y in ((got.lo, want.lo), (got.hi, want.hi)):
             assert x.tobytes() == y.tobytes()
         assert seen == [False, False]
         with pytest.raises(ValueError, match="factor ends"):
-            product_columns(G, a, b, N, M - 1, True, ends)
+            _columns(G, a, b, N, M - 1, True, ends)
 
     def test_complex_calls_run_four_candidates(self, monkeypatch):
         # sign-definite complex factors keep the four candidates
@@ -707,10 +717,11 @@ class TestProductColumns:
 
     def test_rejects_small_grids(self):
         G = CIntervalArray.zeros((2, 3, 3))
-        with pytest.raises(ValueError):
-            product_columns(G, [0], [1], 3, 2, True)
-        with pytest.raises(ValueError):
-            product_columns(G, [0], [1], 0, 3, True)
+        for real in (True, False):
+            with pytest.raises(ValueError):
+                _columns(G, [0], [1], 3, 2, real)
+            with pytest.raises(ValueError):
+                _columns(G, [0], [1], 0, 3, real)
 
 
 def _sentinel_antidiagonal(a, b, d, m_min):
